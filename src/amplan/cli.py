@@ -8,17 +8,21 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import os
 import sys
 
 from . import harness as hz
 from .control import ControlError, GainError
+from .dynamics import EulerSingularityError, PlantError
 from .geometry import GeometryError
 from .planner import PlannerError
+from .qp import QpDimensionError
 from .voronoi import VoronoiError
 
 _VALIDATION_ERRORS = (hz.ScenarioError, GainError, GeometryError)
-_RUNTIME_ERRORS = (hz.HarnessError, PlannerError, ControlError, VoronoiError)
+_RUNTIME_ERRORS = (hz.HarnessError, PlannerError, ControlError, VoronoiError,
+                   EulerSingularityError, PlantError, QpDimensionError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,11 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(path, dt=None) -> hz.Scenario:
     s = hz.load_scenario(path)
-    if dt is not None:
-        if dt <= 0.0:
-            raise hz.ScenarioError("dt: must be positive")
-        s.dt = dt
-    return s
+    # replace re-runs the scenario's validation, the dt range included
+    return s if dt is None else dataclasses.replace(s, dt=dt)
 
 
 def _cmd_plan(args) -> int:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics as dyn
-from .geometry import ProxyPair, Superquadric2, Superquadric3, closest_pair, signed_pow
-from .planner import VehicleGeometry
+from .geometry import Superquadric2, Superquadric3, closest_pairs, signed_pow
+from .planner import ObstacleSet, VehicleGeometry, pair_index, pair_rows
 from .qp import ActiveSetSolver, QpProblem
 
 
@@ -360,124 +360,29 @@ class SafetyParams:
 class ProxyTracker:
     """Warm-started planar proxy angles for every (part, obstacle) pair.
 
-    All pairs are refined together by a few damped Newton steps on the
-    squared proxy distance (vectorized over pairs); pairs whose gradient
-    stays large fall back to the scalar closest-pair solver.
+    Each refresh solves all pairs in one closest_pairs call, started from the
+    previous refresh's proxy angles (from the center-to-center directions on
+    the first call).
     """
 
     geom: VehicleGeometry
     obstacles: list            # planar Superquadric2 obstacles
-    grad_tol: float = 1e-7
 
     def __post_init__(self):
-        geom, obstacles = self.geom, self.obstacles
-        n_obs = len(obstacles)
-        self.pi = np.repeat(np.arange(geom.n_parts), n_obs)
-        self.oi = np.tile(np.arange(n_obs), geom.n_parts)
-        a1, a2, eps = geom.part_axes
-        self.pa1, self.pa2, self.peps = a1[self.pi], a2[self.pi], eps[self.pi]
-        self.oa1 = np.array([obstacles[o].a1 for o in self.oi])
-        self.oa2 = np.array([obstacles[o].a2 for o in self.oi])
-        self.oeps = np.array([obstacles[o].eps for o in self.oi])
-        oang = np.array([obstacles[o].angle for o in self.oi])
-        self.ocos, self.osin = np.cos(oang), np.sin(oang)
-        self.ocx = np.array([obstacles[o].center[0] for o in self.oi])
-        self.ocy = np.array([obstacles[o].center[1] for o in self.oi])
-        self.P = self.pi.size
-        self.Gp = np.zeros(self.P)
-        self.Go = np.zeros(self.P)
-        self.warm = False
-
-    @staticmethod
-    def _boundary(a1, a2, eps, gam, ca, sa, cx, cy):
-        """Batched boundary point and tangent of rotated planar SQs."""
-        cg, sg = np.cos(gam), np.sin(gam)
-        lx = a1 * signed_pow(cg, eps)
-        ly = a2 * signed_pow(sg, eps)
-        px = cx + ca * lx - sa * ly
-        py = cy + sa * lx + ca * ly
-        acg = np.maximum(np.abs(cg), 1e-12)
-        asg = np.maximum(np.abs(sg), 1e-12)
-        tbx = -a1 * eps * acg ** (eps - 1.0) * sg
-        tby = a2 * eps * asg ** (eps - 1.0) * cg
-        return px, py, ca * tbx - sa * tby, sa * tbx + ca * tby
-
-    def _grad(self, Gp, Go, pcx, pcy, pca, psa):
-        px, py, tpx, tpy = self._boundary(self.pa1, self.pa2, self.peps, Gp,
-                                          pca, psa, pcx, pcy)
-        ox, oy, tox, toy = self._boundary(self.oa1, self.oa2, self.oeps, Go,
-                                          self.ocos, self.osin, self.ocx, self.ocy)
-        dx, dy = px - ox, py - oy
-        g1 = 2.0 * (dx * tpx + dy * tpy)
-        g2 = -2.0 * (dx * tox + dy * toy)
-        return g1, g2, dx, dy, px, py, ox, oy
+        self.obs = ObstacleSet(list(self.obstacles))
+        self.pi, self.oi = pair_index(self.geom.n_parts, len(self.obs))
+        self.gammas = None
 
     def refresh(self, q, theta):
         """Re-solve the planar closest pairs at the current pose; returns
         a list of (part, obstacle, gamma_part, gap)."""
-        q = np.asarray(q, dtype=float)
-        z2d = np.array([q[0], q[1], q[5], theta[0], theta[2]])
-        if self.P == 0:
+        if self.pi.size == 0:
             return []
-        centers, angles, _ = self.geom.part_poses(z2d[None, :])
-        pcx = centers[0, self.pi, 0]
-        pcy = centers[0, self.pi, 1]
-        pang = angles[0, self.pi]
-        pca, psa = np.cos(pang), np.sin(pang)
-
-        if not self.warm:
-            # cold start: center-to-center directions in each body frame
-            dxc, dyc = self.ocx - pcx, self.ocy - pcy
-            self.Gp = np.arctan2(-psa * dxc + pca * dyc, pca * dxc + psa * dyc)
-            self.Go = np.arctan2(self.osin * dxc - self.ocos * dyc,
-                                 -self.ocos * dxc - self.osin * dyc)
-        steps = 40 if not self.warm else 4
-        h = 1e-6
-        for _ in range(steps):
-            g1, g2, *_ = self._grad(self.Gp, self.Go, pcx, pcy, pca, psa)
-            a1, b1, *_ = self._grad(self.Gp + h, self.Go, pcx, pcy, pca, psa)
-            a2_, b2, *_ = self._grad(self.Gp - h, self.Go, pcx, pcy, pca, psa)
-            c1, d1, *_ = self._grad(self.Gp, self.Go + h, pcx, pcy, pca, psa)
-            c2, d2, *_ = self._grad(self.Gp, self.Go - h, pcx, pcy, pca, psa)
-            h11 = (a1 - a2_) / (2.0 * h)
-            h22 = (d1 - d2) / (2.0 * h)
-            h12 = 0.5 * ((b1 - b2) / (2.0 * h) + (c1 - c2) / (2.0 * h))
-            det = h11 * h22 - h12 ** 2
-            ok = (det > 1e-12) & (h11 > 0.0)
-            det_safe = np.where(ok, det, 1.0)
-            s1 = np.where(ok, -(h22 * g1 - h12 * g2) / det_safe, -g1)
-            s2 = np.where(ok, -(-h12 * g1 + h11 * g2) / det_safe, -g2)
-            sn = np.hypot(s1, s2)
-            scale = np.where(sn > 0.25, 0.25 / np.maximum(sn, 1e-300), 1.0)
-            self.Gp = self.Gp + scale * s1
-            self.Go = self.Go + scale * s2
-        g1, g2, dx, dy, px, py, ox, oy = self._grad(self.Gp, self.Go,
-                                                    pcx, pcy, pca, psa)
-        bad = np.hypot(g1, g2) > self.grad_tol
-        if bad.any():
-            parts = self.geom.part_superquadrics(z2d)
-            for k in np.flatnonzero(bad):
-                init = None if not self.warm else ProxyPair(self.Gp[k], self.Go[k])
-                res = closest_pair(parts[self.pi[k]], self.obstacles[self.oi[k]],
-                                   init=init)
-                self.Gp[k], self.Go[k] = res.proxy.gamma_i, res.proxy.gamma_j
-            g1, g2, dx, dy, px, py, ox, oy = self._grad(self.Gp, self.Go,
-                                                        pcx, pcy, pca, psa)
-        self.warm = True
-
-        gap = np.hypot(dx, dy)
-        # penetration sign: either proxy strictly inside the other shape
-        bx = self.ocos * (px - self.ocx) + self.osin * (py - self.ocy)
-        by = -self.osin * (px - self.ocx) + self.ocos * (py - self.ocy)
-        f_po = (np.abs(bx / self.oa1) ** (2.0 / self.oeps)
-                + np.abs(by / self.oa2) ** (2.0 / self.oeps) - 1.0)
-        cx_ = pca * (ox - pcx) + psa * (oy - pcy)
-        cy_ = -psa * (ox - pcx) + pca * (oy - pcy)
-        f_op = (np.abs(cx_ / self.pa1) ** (2.0 / self.peps)
-                + np.abs(cy_ / self.pa2) ** (2.0 / self.peps) - 1.0)
-        gap = np.where((f_po < 0.0) | (f_op < 0.0), -gap, gap)
-        return [(int(self.pi[k]), int(self.oi[k]), float(self.Gp[k]), float(gap[k]))
-                for k in range(self.P)]
+        z2d = np.array([q[0], q[1], q[5], theta[0], theta[2]])
+        res = closest_pairs(*pair_rows(self.geom, self.obs, z2d), init=self.gammas)
+        self.gammas = res.gammas
+        return [(int(p), int(o), float(g), float(d))
+                for p, o, g, d in zip(self.pi, self.oi, res.gammas[0], res.gap)]
 
 
 def cbf_rows(geom: VehicleGeometry, obstacles3d: list, proxies, q, qdot, theta,

@@ -14,10 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PITCH_MARGIN = 1e-3
+DT_MAX = 0.01  # [s], longest plant step
 
 
 class EulerSingularityError(RuntimeError):
     """Pitch too close to +-pi/2 for the Euler-rate map to be regular."""
+
+
+class PlantError(RuntimeError):
+    """Non-finite state in the plant step."""
 
 
 def skew(v):
@@ -183,8 +188,8 @@ def step(state: VehicleState, T, theta_d, thetadot_d, thetaddot_d, d_true, dt,
     The injected lumped disturbance d_true enters as the external generalized
     wrench; rotor thrusts saturate at the physical band before allocation.
     """
-    if not (0.0 < dt <= 0.01):
-        raise ValueError("dt must lie in (0, 0.01]")
+    if not (0.0 < dt <= DT_MAX):
+        raise ValueError(f"dt must lie in (0, {DT_MAX}]")
     phi = state.q[3:]
     _check_pitch(phi)
     T = np.clip(np.asarray(T, dtype=float), params.thrust_sat[0], params.thrust_sat[1])
@@ -194,7 +199,7 @@ def step(state: VehicleState, T, theta_d, thetadot_d, thetaddot_d, d_true, dt,
     tau = allocation(phi, params) @ T
     qddot = np.linalg.solve(M, tau + np.asarray(d_true, dtype=float) - C - G)
     if not np.all(np.isfinite(qddot)):
-        raise RuntimeError("non-finite acceleration in plant step")
+        raise PlantError("non-finite acceleration in plant step")
 
     new = state.copy()
     new.qdot = state.qdot + dt * qddot

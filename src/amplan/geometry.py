@@ -8,7 +8,6 @@ All functions here are pure; shape objects are immutable after construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,11 +28,6 @@ def wrap_angle(a):
     a = np.asarray(a, dtype=float)
     out = -((-a + np.pi) % (2.0 * np.pi) - np.pi)
     return out if out.ndim else float(out)
-
-
-def rot2(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
 
 
 def _check_positive(name, *vals):
@@ -63,47 +57,18 @@ class Superquadric2:
         _check_eps(self.eps)
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
-    @property
-    def rotation(self) -> np.ndarray:
-        return rot2(self.angle)
-
-    def to_body(self, pts_world):
-        p = np.asarray(pts_world, dtype=float)
-        return (p - np.asarray(self.center)) @ self.rotation
-
-    def to_world(self, pts_body):
-        p = np.asarray(pts_body, dtype=float)
-        return p @ self.rotation.T + np.asarray(self.center)
-
     def inside_outside(self, pts_world):
         """Inside-outside value: negative inside, 0 on the boundary, positive outside."""
-        p = self.to_body(pts_world)
+        p = np.asarray(pts_world, dtype=float)
         if not np.all(np.isfinite(p)):
             raise GeometryError("non-finite point in inside_outside")
-        e = 2.0 / self.eps
-        x, y = p[..., 0], p[..., 1]
-        val = np.abs(x / self.a1) ** e + np.abs(y / self.a2) ** e - 1.0
+        val = _inside_outside(shape_rows([self])[:, 0], np.moveaxis(p, -1, 0))
         return float(val) if np.ndim(val) == 0 else val
 
     def boundary_point(self, gamma):
         """World-frame boundary point p(gamma), vectorized over gamma."""
-        g = np.asarray(gamma, dtype=float)
-        pb = np.stack(
-            [self.a1 * signed_pow(np.cos(g), self.eps),
-             self.a2 * signed_pow(np.sin(g), self.eps)], axis=-1)
-        return self.to_world(pb)
-
-    def boundary_tangent(self, gamma):
-        """d p(gamma)/d gamma in the world frame (unnormalized)."""
-        g = np.asarray(gamma, dtype=float)
-        c, s = np.cos(g), np.sin(g)
-        # d/dg sign(c)|c|^e = -e |c|^(e-1) s ; floor avoids the axis singularity for eps<1
-        ac = np.maximum(np.abs(c), 1e-12)
-        as_ = np.maximum(np.abs(s), 1e-12)
-        tb = np.stack(
-            [-self.a1 * self.eps * ac ** (self.eps - 1.0) * s,
-             self.a2 * self.eps * as_ ** (self.eps - 1.0) * c], axis=-1)
-        return tb @ self.rotation.T
+        p, _, _ = _boundary(shape_rows([self])[:, 0], np.asarray(gamma, dtype=float))
+        return np.moveaxis(p, 0, -1)
 
 
 @dataclass(frozen=True)
@@ -217,6 +182,150 @@ def stiffness_curvature(d, params: StiffnessParams):
     return float(c) if c.ndim == 0 else c
 
 
+# --- closest proxy pairs -------------------------------------------------------
+
+# floor on the bases of power terms that are unbounded on a shape's axes: |cos|,
+# |sin| in the boundary derivatives (eps < 1) and the scaled body coordinates in
+# the inside-outside curvature (eps > 1)
+AXIS_FLOOR = 1e-12
+# longest accepted step in the proxy angles [rad], to stay within the local basin
+MAX_STEP = 0.25
+
+
+def shape_rows(shapes) -> np.ndarray:
+    """closest_pairs layout of planar SQs: rows [a1, a2, eps, cos(angle),
+    sin(angle), center x, center y], one column per shape."""
+    a1, a2, eps, angle, cx, cy = np.array([[s.a1, s.a2, s.eps, s.angle, *s.center]
+                                           for s in shapes], dtype=float).reshape(-1, 6).T
+    return np.array([a1, a2, eps, np.cos(angle), np.sin(angle), cx, cy])
+
+
+def _boundary(rows, g):
+    """World point p(g), tangent p'(g) and second derivative p''(g), each (2, N).
+
+    The body-frame curve is (a1 sign(c)|c|^eps, a2 sign(s)|s|^eps) with c, s
+    the cosine and sine of g; its derivatives use |c|, |s| floored at AXIS_FLOOR.
+    """
+    a1, a2, eps, ca, sa, cx, cy = rows
+    c, s = np.cos(g), np.sin(g)
+    ac = np.maximum(np.abs(c), AXIS_FLOOR)
+    as_ = np.maximum(np.abs(s), AXIS_FLOOR)
+    wc = ac ** (eps - 2.0)
+    ws = as_ ** (eps - 2.0)
+    x = a1 * signed_pow(c, eps)
+    y = a2 * signed_pow(s, eps)
+    tx = -a1 * eps * wc * ac * s
+    ty = a2 * eps * ws * as_ * c
+    kx = a1 * eps * (eps - 1.0) * np.sign(c) * wc * s * s - eps * x
+    ky = a2 * eps * (eps - 1.0) * np.sign(s) * ws * c * c - eps * y
+    return (np.array([cx + ca * x - sa * y, cy + sa * x + ca * y]),
+            np.array([ca * tx - sa * ty, sa * tx + ca * ty]),
+            np.array([ca * kx - sa * ky, sa * kx + ca * ky]))
+
+
+def _objective(rows, g):
+    """Rows [f, df/dg_i, df/dg_j, h_ii, h_ij, h_jj] of f = |p_i - p_j|^2, each (P,).
+
+    rows holds side i in its first P columns and side j in the last P.
+    """
+    P = g.shape[1]
+    p, t, k = _boundary(rows, g.reshape(-1))
+    d = p[:, :P] - p[:, P:]
+    ti, tj = t[:, :P], t[:, P:]
+    return np.array([(d * d).sum(0),
+                     2.0 * (d * ti).sum(0),
+                     -2.0 * (d * tj).sum(0),
+                     2.0 * ((ti * ti).sum(0) + (d * k[:, :P]).sum(0)),
+                     -2.0 * (ti * tj).sum(0),
+                     2.0 * ((tj * tj).sum(0) - (d * k[:, P:]).sum(0))])
+
+
+def _step(ev):
+    """Newton step on the exact 2x2 Hessian, or the gradient step where that is
+    not positive definite; capped at MAX_STEP."""
+    _, g1, g2, h11, h12, h22 = ev
+    det = h11 * h22 - h12 * h12
+    pd = (h11 > 0.0) & (det > 0.0)
+    det = np.where(pd, det, 1.0)
+    s = np.where(pd, [(h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det], [-g1, -g2])
+    return s * np.minimum(1.0, MAX_STEP / np.maximum(np.hypot(*s), 1e-300))
+
+
+def _inside_outside(rows, pts):
+    """Inside-outside value of points (2, ...) in the shapes of rows."""
+    a1, a2, eps, ca, sa, cx, cy = rows
+    dx, dy = pts[0] - cx, pts[1] - cy
+    return (np.abs((ca * dx + sa * dy) / a1) ** (2.0 / eps)
+            + np.abs((ca * dy - sa * dx) / a2) ** (2.0 / eps) - 1.0)
+
+
+@dataclass(frozen=True)
+class ClosestPairs:
+    """Per-pair results of closest_pairs: proxy angles (2, P), signed gap,
+    convergence flag and Newton iterations taken, each (P,)."""
+
+    gammas: np.ndarray
+    gap: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+
+
+def closest_pairs(sq_i, sq_j, init=None, tol: float = 1e-8,
+                  max_iter: int = 200) -> ClosestPairs:
+    """Closest proxy pairs between P shape pairs, solved together.
+
+    sq_i and sq_j are shape_rows layouts (7, P); init is (2, P) proxy angles,
+    or None for the center-to-center direction in each body frame.  Each pair
+    runs damped Newton on f = |p_i - p_j|^2 with its own Armijo backtracking:
+    every round evaluates the trial point of every pending pair, then accepts
+    or halves each one.  A pair converges when its step is below tol or its
+    predicted decrease is below the float resolution of f; a pair that takes
+    max_iter steps keeps its best iterate and reports converged=False.  The
+    gap is negative when either proxy lies strictly inside the other shape.
+    """
+    rows = np.concatenate([sq_i, sq_j], axis=1)
+    if not np.all(np.isfinite(rows)):
+        raise GeometryError("non-finite shape parameters")
+    P = rows.shape[1] // 2
+    if init is None:
+        _, _, _, ca, sa, cx, cy = rows
+        d = np.array([cx[P:] - cx[:P], cy[P:] - cy[:P]])
+        dx, dy = np.concatenate([d, -d], axis=1)
+        g = np.arctan2(ca * dy - sa * dx, ca * dx + sa * dy).reshape(2, P)
+    else:
+        g = np.array(init, dtype=float).reshape(2, P)
+    if not np.all(np.isfinite(g)):
+        raise GeometryError("non-finite proxy initialization")
+
+    ev = _objective(rows, g)
+    iterations = np.zeros(P, dtype=int)
+    converged = np.zeros(P, dtype=bool)
+    alpha = np.ones(P)
+    k = np.flatnonzero(iterations < max_iter)      # the pending pairs
+    while True:
+        s = alpha[k] * _step(ev[:, k])
+        pred = -(ev[1, k] * s[0] + ev[2, k] * s[1])
+        done = (np.hypot(*s) < tol) | (pred <= 1e-14 * ev[0, k])
+        converged[k[done]] = True
+        k, s, pred = k[~done], s[:, ~done], pred[~done]
+        if not k.size:
+            break
+        trial = g[:, k] + s
+        et = _objective(rows[:, np.concatenate([k, k + P])], trial)
+        ok = et[0] <= ev[0, k] - 1e-4 * pred
+        g[:, k[ok]] = trial[:, ok]
+        ev[:, k[ok]] = et[:, ok]
+        iterations[k[ok]] += 1
+        alpha[k] = np.where(ok, 1.0, 0.5 * alpha[k])
+        k = k[iterations[k] < max_iter]
+
+    p, _, _ = _boundary(rows, g.reshape(-1))
+    pi, pj = p[:, :P], p[:, P:]
+    gap = np.hypot(*(pi - pj))
+    inside = (_inside_outside(rows[:, P:], pi) < 0.0) | (_inside_outside(rows[:, :P], pj) < 0.0)
+    return ClosestPairs(g, np.where(inside, -gap, gap), converged, iterations)
+
+
 @dataclass(frozen=True)
 class ClosestPairResult:
     proxy: ProxyPair
@@ -225,97 +334,13 @@ class ClosestPairResult:
     iterations: int
 
 
-def _init_gammas(sq_i: Superquadric2, sq_j: Superquadric2) -> tuple[float, float]:
-    ci = np.asarray(sq_i.center)
-    cj = np.asarray(sq_j.center)
-    di = sq_i.rotation.T @ (cj - ci)
-    dj = sq_j.rotation.T @ (ci - cj)
-    return math.atan2(di[1], di[0]), math.atan2(dj[1], dj[0])
-
-
 def closest_pair(sq_i: Superquadric2, sq_j: Superquadric2, init: ProxyPair | None = None,
                  tol: float = 1e-8, max_iter: int = 200) -> ClosestPairResult:
     """Find the proxy pair minimizing ||p(gamma_i) - p(gamma_j)|| between two SQs.
 
-    Joint gradient descent with backtracking on the squared proxy distance,
-    followed by a Newton polish once the gradient is small.  Initialization is
-    the center-to-center direction unless an explicit warm start is given.
-    The returned gap is flipped negative when either proxy lies strictly
-    inside the other shape (penetration).
+    A batch of one for closest_pairs.
     """
-    if init is None:
-        g = np.array(_init_gammas(sq_i, sq_j))
-    else:
-        g = np.array([init.gamma_i, init.gamma_j], dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise GeometryError("non-finite proxy initialization")
-
-    def value_grad(gam):
-        pi = sq_i.boundary_point(gam[0])
-        pj = sq_j.boundary_point(gam[1])
-        diff = pi - pj
-        f = float(diff @ diff)
-        gr = np.array([2.0 * diff @ sq_i.boundary_tangent(gam[0]),
-                       -2.0 * diff @ sq_j.boundary_tangent(gam[1])])
-        return f, gr
-
-    f, gr = value_grad(g)
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        gnorm = float(np.linalg.norm(gr))
-        if gnorm == 0.0:
-            converged = True
-            break
-        # cap the trial update length at 0.25 rad to stay within the local basin
-        step = min(1.0, 0.25 / gnorm)
-        moved = None
-        for _ in range(40):
-            g_new = g - step * gr
-            f_new, gr_new = value_grad(g_new)
-            if f_new <= f - 1e-4 * step * gnorm * gnorm:
-                moved = (g_new, f_new, gr_new, step * gnorm)
-                break
-            step *= 0.5
-        if moved is None:
-            converged = True  # no descent possible at float precision
-            break
-        g, f, gr, upd = moved[0], moved[1], moved[2], moved[3]
-        if upd < tol:
-            converged = True
-            break
-
-    # Newton polish on the 2x2 system (finite-difference Hessian of the objective)
-    for _ in range(8):
-        f, gr = value_grad(g)
-        if np.linalg.norm(gr) == 0.0:
-            break
-        h = 1e-6
-        H = np.empty((2, 2))
-        for k in range(2):
-            ek = np.zeros(2)
-            ek[k] = h
-            _, gp = value_grad(g + ek)
-            _, gm = value_grad(g - ek)
-            H[:, k] = (gp - gm) / (2.0 * h)
-        H = 0.5 * (H + H.T)
-        try:
-            dg = np.linalg.solve(H + 1e-12 * np.eye(2), -gr)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(dg)) or np.linalg.norm(dg) > 0.3:
-            break
-        f_new, _ = value_grad(g + dg)
-        if f_new > f + 1e-12:
-            break
-        g = g + dg
-        if np.linalg.norm(dg) < tol:
-            converged = True
-            break
-
-    pi = sq_i.boundary_point(g[0])
-    pj = sq_j.boundary_point(g[1])
-    gap = float(np.linalg.norm(pi - pj))
-    if sq_j.inside_outside(pi) < 0.0 or sq_i.inside_outside(pj) < 0.0:
-        gap = -gap
-    return ClosestPairResult(ProxyPair(g[0], g[1]), gap, converged, it)
+    g = None if init is None else [[init.gamma_i], [init.gamma_j]]
+    res = closest_pairs(shape_rows([sq_i]), shape_rows([sq_j]), g, tol, max_iter)
+    return ClosestPairResult(ProxyPair(*res.gammas[:, 0]), float(res.gap[0]),
+                             bool(res.converged[0]), int(res.iterations[0]))

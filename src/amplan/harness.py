@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -22,10 +22,10 @@ import yaml
 from . import control as ctl
 from . import dynamics as dyn
 from . import voronoi as vor
-from .geometry import Superquadric2, closest_pair
+from .geometry import Superquadric2, closest_pairs, shape_rows
 from .planner import (ObstacleSet, PlannedTrajectory, PlannerParams,
                       VehicleGeometry, _Evaluator, _fused_derivatives,
-                      attractors_from_path, integrate_em, target_pose)
+                      attractors_from_path, integrate_em, pair_rows, target_pose)
 from .qp import ActiveSetSolver
 
 
@@ -121,8 +121,10 @@ class Scenario:
         for t in (self.flight_height, self.duration, self.settle_time, self.dt):
             if not np.isfinite(t):
                 raise ScenarioError("timing fields must be finite")
-        if self.duration <= 0.0 or self.dt <= 0.0 or self.settle_time < 0.0:
-            raise ScenarioError("need duration > 0, dt > 0, settle_time >= 0")
+        if self.duration <= 0.0 or self.settle_time < 0.0:
+            raise ScenarioError("need duration > 0 and settle_time >= 0")
+        if not (0.0 < self.dt <= dyn.DT_MAX):
+            raise ScenarioError(f"dt: must lie in (0, {dyn.DT_MAX}], got {self.dt}")
         self._check_obstacles()
         self._check_start_clear()
 
@@ -134,18 +136,18 @@ class Scenario:
             if (pts[:, 0].min() < xmin or pts[:, 0].max() > xmax
                     or pts[:, 1].min() < ymin or pts[:, 1].max() > ymax):
                 raise ScenarioError(f"obstacles[{i}]: not contained in world_box")
-        for i in range(len(self.obstacles)):
-            for j in range(i + 1, len(self.obstacles)):
-                if closest_pair(self.obstacles[i], self.obstacles[j]).gap <= 0.0:
-                    raise ScenarioError(f"obstacles {i} and {j} overlap")
+        i, j = np.triu_indices(len(self.obstacles), 1)
+        rows = shape_rows(self.obstacles)
+        hit = np.flatnonzero(closest_pairs(rows[:, i], rows[:, j]).gap <= 0.0)
+        if hit.size:
+            raise ScenarioError(f"obstacles {i[hit[0]]} and {j[hit[0]]} overlap")
 
     def _check_start_clear(self):
-        parts = self.vehicle.part_superquadrics(self.start)
-        for p, part in enumerate(parts):
-            for o, sq in enumerate(self.obstacles):
-                if closest_pair(part, sq).gap <= 0.0:
-                    raise ScenarioError(
-                        f"start: vehicle part {p} collides with obstacles[{o}]")
+        hit = np.flatnonzero(closest_pairs(
+            *pair_rows(self.vehicle, ObstacleSet(self.obstacles), self.start)).gap <= 0.0)
+        if hit.size:
+            p, o = divmod(int(hit[0]), len(self.obstacles))
+            raise ScenarioError(f"start: vehicle part {p} collides with obstacles[{o}]")
 
 
 def _require(raw: dict, key: str):
@@ -283,12 +285,7 @@ def plan(s: Scenario, mode: str = "sq", n_s: int | None = None) -> PlanResult:
     obstacles = _model_obstacles(s, mode)
     params = s.planner
     if n_s is not None:
-        params = PlannerParams(eta=params.eta, alpha=params.alpha,
-                               k_tgt=params.k_tgt, k_reg=params.k_reg,
-                               n_s=int(n_s), stiffness=params.stiffness,
-                               cond_limit=params.cond_limit,
-                               prerelax_tol=params.prerelax_tol,
-                               prerelax_max_iter=params.prerelax_max_iter)
+        params = replace(params, n_s=int(n_s))
     eef0 = s.vehicle.forward_kinematics_eef(s.start)
 
     cells = graph = path = None

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (GeometryError, StiffnessParams, Superquadric2, closest_pair,
-                       signed_pow, stiffness, stiffness_curvature, stiffness_slope,
-                       wrap_angle)
+from .geometry import (AXIS_FLOOR, GeometryError, StiffnessParams, Superquadric2,
+                       closest_pairs, shape_rows, signed_pow, stiffness,
+                       stiffness_curvature, stiffness_slope, wrap_angle)
 from .voronoi import SolutionPath
 
 FD_GRAD = 1e-6
@@ -136,16 +136,12 @@ class VehicleGeometry:
 
 @dataclass
 class ObstacleSet:
-    """Obstacle SQ parameters flattened into arrays for batched evaluation."""
+    """Obstacle SQs and their parameters as geometry.shape_rows arrays."""
 
     shapes: list
 
     def __post_init__(self):
-        self.a1 = np.array([s.a1 for s in self.shapes])
-        self.a2 = np.array([s.a2 for s in self.shapes])
-        self.eps = np.array([s.eps for s in self.shapes])
-        self.angle = np.array([s.angle for s in self.shapes])
-        self.center = np.array([s.center for s in self.shapes]).reshape(-1, 2)
+        self.rows = shape_rows(self.shapes)
 
     def __len__(self):
         return len(self.shapes)
@@ -176,6 +172,17 @@ def pair_index(n_parts: int, n_obs: int):
     return parts, obs
 
 
+def pair_rows(geom: VehicleGeometry, obs: ObstacleSet, z):
+    """closest_pairs inputs (part side, obstacle side) of every pair at
+    configuration z, in pair_index order."""
+    pi, oi = pair_index(geom.n_parts, len(obs))
+    centers, angles, _ = geom.part_poses(z)
+    ang = angles[0, pi]
+    parts = np.vstack([np.array(geom.part_axes)[:, pi], np.cos(ang), np.sin(ang),
+                       centers[0, pi].T])
+    return parts, obs.rows[:, oi]
+
+
 class _Evaluator:
     """Caches per-pair parameter arrays so each RK4 stage is one fused batch."""
 
@@ -186,13 +193,9 @@ class _Evaluator:
         self.pi, self.oi = pair_index(geom.n_parts, len(obs))
         a1, a2, eps = geom.part_axes
         self.pa1, self.pa2, self.peps = a1[self.pi], a2[self.pi], eps[self.pi]
-        self.oa1, self.oa2 = obs.a1[self.oi], obs.a2[self.oi]
-        self.oeps = obs.eps[self.oi]
+        (self.oa1, self.oa2, self.oeps, self.ocos, self.osin,
+         self.ocx, self.ocy) = obs.rows[:, self.oi]
         self.oexp = 2.0 / self.oeps
-        self.ocos = np.cos(obs.angle[self.oi])
-        self.osin = np.sin(obs.angle[self.oi])
-        self.ocx = obs.center[self.oi, 0]
-        self.ocy = obs.center[self.oi, 1]
         self.P = self.pi.size
 
         # Closed-form kernel constants, x/y on the leading axis.  Every proxy is a
@@ -205,7 +208,7 @@ class _Evaluator:
         centers0, _, _ = geom.part_poses(np.zeros((1, 5)))
         off = centers0[0, self.pi] - geom.joint_frames(np.zeros(5))[link, :2]
         self.frame = np.concatenate([link, 3 + self.oi])
-        self.obs_frames = np.column_stack([obs.center, np.cos(obs.angle), np.sin(obs.angle)])
+        self.obs_frames = obs.rows[[5, 6, 3, 4]].T
         self.off = np.concatenate([off.T, np.zeros((2, P))], axis=1)[:, None]
         self.axes = np.array([np.concatenate([self.pa1, self.oa1]),
                               np.concatenate([self.pa2, self.oa2])])[:, None]
@@ -287,9 +290,6 @@ def _potential(ev: _Evaluator, params, z, Gp, Go, u):
 _GAMMA_SHIFT = np.array([[0.0], [FD_GRAD], [-FD_GRAD]])
 # d^2 p / dphi_i dphi_j = -V_max(i,j): the joint angles act on nested frames
 _MAX_JOINT = np.maximum.outer(np.arange(3), np.arange(3))
-# floor on the scaled body coordinates w in the curvature factor |w|^(e - 2),
-# which is unbounded on the obstacle axes for eps > 1
-_AXIS_FLOOR = 1e-12
 _QUARTER = np.array([-1.0, 1.0])[:, None, None]
 _EYE2 = np.eye(2)[:, :, None]
 
@@ -335,7 +335,7 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     d2 = (D * D).sum(axis=0)
     k0, k1, k2 = k[0], stiffness_slope(g, st), stiffness_curvature(g, st)
     fb = ev.fgrad * np.sign(w) * aw ** ev.e1
-    hb = ev.fcurv * np.maximum(aw, _AXIS_FLOOR) ** ev.e2
+    hb = ev.fcurv * np.maximum(aw, AXIS_FLOOR) ** ev.e2
     f = ev.orot[:, 0] * fb[0] + ev.orot[:, 1] * fb[1]
     A = 0.5 * k1 * d2
     Gr = A * f + k0 * D
@@ -383,15 +383,8 @@ def _derivatives(geom, obs, params, z, Gp, Go, u):
 
 
 def _init_gammas(geom, obs, z):
-    """Warm proxy angles from independent closest-pair solves at configuration z."""
-    parts = geom.part_superquadrics(z)
-    pi, oi = pair_index(geom.n_parts, len(obs))
-    Gp = np.empty(pi.size)
-    Go = np.empty(pi.size)
-    for q in range(pi.size):
-        res = closest_pair(parts[pi[q]], obs.shapes[oi[q]])
-        Gp[q], Go[q] = res.proxy.gamma_i, res.proxy.gamma_j
-    return Gp, Go
+    """Warm proxy angles (Gp, Go) from one cold-started closest_pairs solve at z."""
+    return closest_pairs(*pair_rows(geom, obs, z)).gammas
 
 
 def _prerelax(ev: _Evaluator, params, z0, Gp, Go, u0):
@@ -545,7 +538,7 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
             idx += 1
             record(idx, seg / K + (n + 1) * h, y, u_of(h))
 
-    eef = np.array([geom.forward_kinematics_eef(z_out[k]) for k in range(N + 1)])
+    _, _, eef = geom.part_poses(z_out)
     return PlannedTrajectory(s=s_grid, z=z_out, eef=eef, u=u_out,
                              gammas=g_out, attractors=attrs)
 

@@ -66,9 +66,6 @@ class ActiveSetSolver:
     max_iter: int = 200
     _warm: tuple = field(default=(), repr=False)
 
-    def reset(self):
-        self._warm = ()
-
     def solve(self, prob: QpProblem, warm_start: bool = True) -> QpSolution:
         H, g, A, b = prob.H, prob.g, prob.A, prob.b
         n, m = H.shape[0], A.shape[0]

@@ -33,10 +33,6 @@ class Hyperplane2:
     offset: float
     pair: tuple
 
-    def side(self, pts):
-        p = np.asarray(pts, dtype=float)
-        return p @ np.asarray(self.normal) - self.offset
-
 
 @dataclass
 class VoronoiCell:

@@ -78,3 +78,25 @@ def test_corrupt_metrics_exit_3(empty_yaml, tmp_path, capsys):
     (out / "metrics.txt").write_text("garbage\n")
     assert cli.main(["metrics", "--scenario", empty_yaml,
                      "--out", str(out)]) == 3
+
+
+@pytest.fixture()
+def no_planning(monkeypatch):
+    def plan(*args, **kwargs):
+        raise AssertionError("planning started before validation")
+    monkeypatch.setattr(cli.hz, "plan", plan)
+
+
+def test_dt_above_plant_limit_exit_2_before_planning(empty_yaml, no_planning, capsys):
+    assert cli.main(["simulate", "--scenario", empty_yaml, "--dt", "0.02"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: dt")
+
+
+def test_scenario_dt_above_plant_limit_exit_2(tmp_path, no_planning, capsys):
+    data = copy.deepcopy(EMPTY)
+    data["dt"] = 0.02
+    path = write_scenario(tmp_path, data)
+    assert cli.main(["simulate", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: dt")

@@ -1,13 +1,17 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from amplan import control as ctl
 from amplan import dynamics as dyn
-from amplan.geometry import Superquadric2
+from amplan import harness as hz
+from amplan.geometry import Superquadric2, closest_pair
 from amplan.planner import VehicleGeometry
 from amplan.qp import ActiveSetSolver
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def random_state(rng):
@@ -283,15 +287,24 @@ class TestCbfRows:
 
     def test_tracker_warm_start_consistency(self):
         geom, shape, _, tracker, _ = self.setup_scene()
-        q = np.zeros(6)
-        theta = np.zeros(3)
-        first = tracker.refresh(q, theta)
-        second = tracker.refresh(q, theta)
-        for (a, b) in zip(first, second):
-            assert a[0] == b[0] and a[1] == b[1]
-            assert a[3] == pytest.approx(b[3], abs=1e-8)
-        gaps = [g for (_, _, _, g) in second]
-        assert min(gaps) > 0.0
+        # a second input: between the boxy and the round trunk of the tree scenario
+        tree = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml")).obstacles
+        cases = [(tracker, [shape], np.zeros(6), np.zeros(3)),
+                 (ctl.ProxyTracker(geom=geom, obstacles=tree), tree,
+                  np.array([3.3, 2.6, 1.0, 0.0, 0.0, 0.4]), np.array([0.3, 0.0, -0.5]))]
+        for tracker, obstacles, q, theta in cases:
+            first = tracker.refresh(q, theta)
+            second = tracker.refresh(q, theta)
+            for (a, b) in zip(first, second):
+                assert a[0] == b[0] and a[1] == b[1]
+                assert a[3] == pytest.approx(b[3], abs=1e-8)
+            gaps = [g for (_, _, _, g) in second]
+            assert min(gaps) > 0.0
+            # the tracker solves the same problem as closest_pair on the part shapes
+            parts = geom.part_superquadrics([q[0], q[1], q[5], theta[0], theta[2]])
+            for (part, o, _, gap) in second:
+                assert gap == pytest.approx(closest_pair(parts[part], obstacles[o]).gap,
+                                            abs=1e-9)
 
 
 class TestOuterLoop:

@@ -158,6 +158,28 @@ class TestClosestPair:
         res = closest_pair(a, b, init=ProxyPair(0.3, math.pi - 0.3))
         assert res.gap == pytest.approx(1.0, abs=1e-6)
 
+    def test_boxy_pairs_vs_oracle(self):
+        """Pairs in the shipped boxy range (eps 0.3-0.4) meet criterion 1's bound,
+        and no pair that ran to max_iter reports convergence."""
+        rng = np.random.default_rng(404)
+        count = 0
+        while count < 60:
+            ci = rng.uniform(-1.0, 1.0, 2)
+            d = rng.uniform(0.8, 3.0)
+            ang = rng.uniform(-math.pi, math.pi)
+            cj = ci + d * np.array([math.cos(ang), math.sin(ang)])
+            a, b = [Superquadric2(a1=rng.uniform(0.2, 0.8), a2=rng.uniform(0.2, 0.8),
+                                  eps=rng.uniform(0.3, 0.4),
+                                  angle=rng.uniform(-math.pi, math.pi), center=tuple(c))
+                    for c in (ci, cj)]
+            if sampled_gap(a, b, 600) <= 0.02:
+                continue
+            count += 1
+            res = closest_pair(a, b)
+            oracle = sampled_gap(a, b, 10_000)
+            assert abs(res.gap - oracle) <= max(1e-3, 0.005 * abs(oracle))
+            assert not (res.converged and res.iterations == 200)
+
     def test_unconverged_flag(self):
         a = Superquadric2(1, 1, 1.0, center=(0, 0))
         b = Superquadric2(1, 1, 1.0, center=(3, 0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from amplan import planner as pl
-from amplan.geometry import Superquadric2, closest_pair, rot2, stiffness
+from amplan.geometry import Superquadric2, closest_pair, stiffness
 from amplan.voronoi import SolutionPath
 from oracles import central_diff_gradient
 
@@ -138,7 +138,8 @@ class TestDerivatives:
         a1, a2, eps, angle = 0.55, 0.5, 0.3, 0.3
         by = 0.4 * a2
         bx = a1 * (1.0 + st.d_prime + 0.5 * st.d0 - (by / a2) ** (2.0 / eps)) ** (eps / 2.0)
-        center = p_link - rot2(angle) @ np.array([bx, by])
+        c, s = math.cos(angle), math.sin(angle)
+        center = p_link - np.array([[c, -s], [s, c]]) @ np.array([bx, by])
         obs = pl.ObstacleSet([
             Superquadric2(a1=0.4, a2=0.35, eps=0.8, center=(1.2, 0.4)),
             Superquadric2(a1=a1, a2=a2, eps=eps, angle=angle, center=center),
