@@ -9,7 +9,6 @@ Usage: python3 scripts/dob_step_response.py [--force 2.0] [--axis 0]
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -17,25 +16,6 @@ import numpy as np
 from amplan import control as ctl
 from amplan import dynamics as dyn
 from amplan import harness as hz
-
-
-def predicted_settling_time(gains: ctl.GainSet, band: float = 0.02) -> float:
-    """First time after which the filter step response stays within the band.
-
-    With the default tuning a0 = a1^2 / 4 the filter has a real double pole at
-    lam = a1 / (2 eps) and unit-step error (1 + lam t) exp(-lam t).
-    """
-    a0 = float(np.atleast_1d(gains.a0)[0])
-    a1 = float(np.atleast_1d(gains.a1)[0])
-    eps = float(np.atleast_1d(gains.eps)[0])
-    disc = a1 * a1 - 4.0 * a0
-    if abs(disc) < 1e-12:
-        lam = a1 / (2.0 * eps)
-        t = 1.0
-        for _ in range(100):
-            t = -math.log(band / (1.0 + lam * t)) / lam
-        return t
-    raise ValueError("settling-time formula implemented for the double pole only")
 
 
 def run(force: float = 2.0, axis: int = 0, duration: float = 12.0,
@@ -73,7 +53,7 @@ def main() -> int:
     args = p.parse_args()
 
     gains = ctl.GainSet()
-    t_s = predicted_settling_time(gains)
+    t_s = ctl.dob_settling_time(gains)
     times, d_hist, d_true = run(args.force, args.axis, args.duration)
     print(f"predicted 2% settling time: {t_s:.3f} s")
     for mark in (0.5, 1.0, 2.0, 4.0, t_s, args.duration - 0.01):

@@ -148,6 +148,19 @@ def dob_update(state: DobState, q, qdot, T, params: dyn.ModelParams,
     return new, d_hat
 
 
+def dob_settling_time(gains: GainSet, band: float = 0.02) -> float:
+    """Last time the observer's unit-step error (1 + lam t) exp(-lam t) leaves
+    the band, for the real double pole lam = a1 / (2 eps) of a0 = a1^2 / 4."""
+    a0, a1, eps = float(gains.a0[0]), float(gains.a1[0]), float(gains.eps[0])
+    if abs(a0 - a1 * a1 / 4.0) >= 1e-12:
+        raise GainError("settling time is implemented for the double pole a0 = a1^2 / 4 only")
+    lam = a1 / (2.0 * eps)
+    t = 1.0
+    for _ in range(100):
+        t = -math.log(band / (1.0 + lam * t)) / lam
+    return t
+
+
 def inner_loop(q_d, qdot_d, q, qdot, d_hat, params: dyn.ModelParams,
                gains: GainSet) -> np.ndarray:
     """Per-rotor thrusts from the computed-torque law with DOB compensation."""
@@ -192,153 +205,119 @@ def thrust_limit_rows(q_d, q, qdot, d_hat, params: dyn.ModelParams, gains: GainS
 
 # --- 3D proxy-point kinematics -------------------------------------------------
 
-_EZ = np.array([0.0, 0.0, 1.0])
-_EY = np.array([0.0, 1.0, 0.0])
+# axis j of (roll, pitch, yaw, th1, th2, th3) turns frame f (base, shoulder,
+# forearm) iff _MOVES[f, j]; it passes through the pivot of frame _AXIS_PIVOT[j]
+_MOVES = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+                   [1.0, 1.0, 1.0, 1.0, 0.0, 0.0],
+                   [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+_AXIS_PIVOT = np.array([0, 0, 0, 1, 2, 2])
 
 
-def _rotz(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def proxy_points(barriers: PairBarriers, gammas, q, theta):
+    """World proxy points X (P, 3) of every pair's part at planar proxy angles
+    gammas, and the (pivots, rotations) of the base, shoulder and forearm
+    frames: pivots at the base center, arm base and elbow; the shoulder turns
+    by th1 about z, the forearm by th2 about y, then by th3 about z."""
+    geom = barriers.tracker.geom
+    R0 = dyn.rotation(q[3:])
+    R1 = R0 @ dyn.rotation((0.0, 0.0, theta[0]))
+    # Ry(th2) Rz(th3) is the transpose of the ZYX rotation of (0, -th2, -th3)
+    R2 = R1 @ dyn.rotation((0.0, -theta[1], -theta[2])).T
+    p1 = q[:3] + geom.arm_base_offset * R0[:, 0]
+    pivots, rotations = np.array([q[:3], p1, p1 + geom.l1 * R1[:, 0]]), np.array([R0, R1, R2])
+
+    a1, a2, eps = barriers.part_axes
+    body = barriers.part_offsets.copy()
+    body[:, 0] += a1 * signed_pow(np.cos(gammas), eps)
+    body[:, 1] += a2 * signed_pow(np.sin(gammas), eps)
+    link = barriers.link
+    X = pivots[link] + np.einsum("pij,pj->pi", rotations[link], body)
+    return X, (pivots, rotations)
 
 
-def _roty(a):
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def _rigid_accel(acc, alpha, omega, r):
+    """Acceleration of points r away from a pivot with acceleration acc, fixed in
+    a frame of angular velocity omega and angular acceleration alpha."""
+    return acc + np.cross(alpha, r) + np.cross(omega, np.cross(omega, r))
 
 
-def rotation_derivs(phi):
-    """dR/droll, dR/dpitch, dR/dyaw for the ZYX Euler rotation."""
-    r, p, y = phi
-    cr, sr = math.cos(r), math.sin(r)
-    cp, sp = math.cos(p), math.sin(p)
-    cy, sy = math.cos(y), math.sin(y)
-    Rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
-    Ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
-    Rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
-    dRz = np.array([[-sy, -cy, 0], [cy, -sy, 0], [0, 0, 0]])
-    dRy = np.array([[-sp, 0, cp], [0, 0, 0], [-cp, 0, -sp]])
-    dRx = np.array([[0, 0, 0], [0, -sr, -cr], [0, cr, -sr]])
-    return Rz @ Ry @ dRx, Rz @ dRy @ Rx, dRz @ Ry @ Rx
+def proxy_jacobians(frames, links, X, phi, v):
+    """Jacobians J (K, 3, 9) wrt (q, theta) of world points X (K, 3) fixed in
+    frames links, and Jdot v (K, 3) along v = (qdot, thetadot).
 
+    Column 3 + j is axis_j x (X - pivot_j) for each axis turning the point's
+    frame: the Euler axes R Q(phi), then the joint axes.  Jdot v is the
+    acceleration of X at zero generalized acceleration.
+    """
+    pivots, (R0, R1, R2) = frames
+    axes = np.vstack([(R0 @ dyn.euler_rate_map(phi)).T, R0[:, 2], R1[:, 1], R2[:, 2]])
+    spin = axes * v[3:, None]
+    omega = _MOVES @ spin
+    # the th1, th2, th3 axes turn with the base, the shoulder, and the shoulder
+    # turned by th2
+    carrier = np.array([omega[0], omega[1], omega[1] + spin[4]])
+    alpha = (R0 @ dyn.euler_rate_map_dot(phi, v[3:6]) @ v[3:6]
+             + _MOVES[:, 3:] @ np.cross(carrier, spin[3:]))
+    # the base center does not accelerate at zero generalized acceleration
+    pivot_acc = np.cumsum([np.zeros(3), *_rigid_accel(0.0, alpha[:2], omega[:2],
+                                                      np.diff(pivots, axis=0))], axis=0)
+    jdv = _rigid_accel(pivot_acc[links], alpha[links], omega[links], X - pivots[links])
 
-def _part_body_point(geom: VehicleGeometry, part: int, gamma: float, theta):
-    """Body-frame location of part proxy p(gamma), in the vehicle plane."""
-    a1, a2, eps = geom.part_axes
-    lx = a1[part] * signed_pow(math.cos(gamma), eps[part])
-    ly = a2[part] * signed_pow(math.sin(gamma), eps[part])
-    t1, t2, t3 = theta
-    b0 = np.array([geom.arm_base_offset, 0.0, 0.0])
-    if part < 6:
-        beta = part * (math.pi / 3.0)
-        off = geom.rotor_arm * np.array([math.cos(beta), math.sin(beta), 0.0])
-        return off + np.array([lx, ly, 0.0]), b0, None, None
-    R1 = _rotz(t1)
-    joint2 = b0 + R1 @ np.array([geom.l1, 0.0, 0.0])
-    if part == 6:
-        c = b0 + R1 @ np.array([geom.l1 / 2.0 + lx, ly, 0.0])
-        return c, b0, joint2, R1
-    R23 = R1 @ _roty(t2) @ _rotz(t3)
-    c = joint2 + R23 @ np.array([geom.l2 / 2.0 + lx, ly, 0.0])
-    return c, b0, joint2, R1
-
-
-def proxy_point_kinematics(geom: VehicleGeometry, part: int, gamma: float, q, theta):
-    """World proxy point X and its 3x9 Jacobian wrt (q, theta)."""
-    q = np.asarray(q, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    phi = q[3:]
-    R = dyn.rotation(phi)
-    c, b0, joint2, R1 = _part_body_point(geom, part, gamma, theta)
-    X = q[:3] + R @ c
-
-    J = np.zeros((3, 9))
-    J[:, :3] = np.eye(3)
-    for k, dR in enumerate(rotation_derivs(phi)):
-        J[:, 3 + k] = dR @ c
-    if part >= 6:
-        J[:, 6] = R @ np.cross(_EZ, c - b0)
-        if part == 7:
-            ax2 = R1 @ _EY
-            ax3 = R1 @ _roty(theta[1]) @ _EZ
-            J[:, 7] = R @ np.cross(ax2, c - joint2)
-            J[:, 8] = R @ np.cross(ax3, c - joint2)
-    return X, J
-
-
-def jacobian_rate_times_velocity(geom, part, gamma, q, theta, qdot, thetadot,
-                                 h: float = 1e-6):
-    """Jdot @ v by a directional finite difference of J along the velocity."""
-    qdot = np.asarray(qdot, dtype=float)
-    thetadot = np.asarray(thetadot, dtype=float)
-    v = np.concatenate([qdot, thetadot])
-    _, Jp = proxy_point_kinematics(geom, part, gamma, np.asarray(q) + h * qdot,
-                                   np.asarray(theta) + h * thetadot)
-    _, Jm = proxy_point_kinematics(geom, part, gamma, np.asarray(q) - h * qdot,
-                                   np.asarray(theta) - h * thetadot)
-    return ((Jp - Jm) / (2.0 * h)) @ v
+    J = np.empty((len(X), 3, 9))
+    J[:, :, :3] = np.eye(3)
+    J[:, :, 3:] = (np.cross(axes, X[:, None] - pivots[_AXIS_PIVOT])
+                   * _MOVES[links][..., None]).transpose(0, 2, 1)
+    return J, jdv
 
 
 # --- barrier function ----------------------------------------------------------
 
 def extrude_obstacle(sq: Superquadric2, height: float, eps1: float = 0.1) -> Superquadric3:
     """Lift a planar obstacle to a vertical 3D superquadric of the given height."""
-    if height <= 0.0:
-        raise ControlError("obstacle height must be positive")
     return Superquadric3(a1=sq.a1, a2=sq.a2, a3=height / 2.0,
                          eps1=eps1, eps2=sq.eps,
-                         rotation=_rotz(sq.angle),
+                         rotation=dyn.rotation((0.0, 0.0, sq.angle)),
                          translation=np.array([sq.center[0], sq.center[1], height / 2.0]))
 
 
-def h_co(dx, obs: Superquadric3) -> float:
-    """Barrier h = ln of the obstacle's inside-outside bracket: 0 on the boundary."""
-    x, y, z = np.asarray(dx, dtype=float)
-    e2, e1 = 2.0 / obs.eps2, 2.0 / obs.eps1
-    u = abs(x / obs.a1) ** e2 + abs(y / obs.a2) ** e2
-    g = u ** (obs.eps2 / obs.eps1) + abs(z / obs.a3) ** e1
-    if g < 1e-12:
-        raise ControlError("barrier degenerate: proxy at the obstacle center")
-    return math.log(g)
+def h_co_derivs(dx, obs):
+    """(h, grad h, hess h) wrt obstacle-frame points dx (..., 3), analytic.
 
-
-def h_co_derivs(dx, obs: Superquadric3):
-    """(h, grad h, hess h) wrt the obstacle-frame point dx, analytic."""
-    x, y, z = np.asarray(dx, dtype=float)
+    h is the log of the obstacle's inside-outside bracket, 0 on the boundary.
+    obs holds the semi-axes a1, a2, a3 and exponents eps1, eps2: a
+    Superquadric3, or PairBarriers with one entry per point.
+    """
+    dx = np.asarray(dx, dtype=float)
+    x, y, z = dx[..., 0], dx[..., 1], dx[..., 2]
     e2, e1 = 2.0 / obs.eps2, 2.0 / obs.eps1
     r = obs.eps2 / obs.eps1
 
     def f(v, a, p):
         # |v/a|^p and its first two derivatives in v, with an axis floor
-        w = abs(v) / a
-        val = w ** p
-        s = math.copysign(1.0, v) if v != 0.0 else 0.0
-        wf = max(w, 1e-12)
-        d1 = p * wf ** (p - 1.0) * s / a
-        d2 = p * (p - 1.0) * wf ** (p - 2.0) / a ** 2
-        return val, d1, d2
+        w = np.abs(v) / a
+        wf = np.maximum(w, 1e-12)
+        return (w ** p, p * wf ** (p - 1.0) * np.sign(v) / a,
+                p * (p - 1.0) * wf ** (p - 2.0) / a ** 2)
 
     ux, ux1, ux2 = f(x, obs.a1, e2)
     uy, uy1, uy2 = f(y, obs.a2, e2)
     uz, uz1, uz2 = f(z, obs.a3, e1)
     u = ux + uy
-    uf = max(u, 1e-300)
+    uf = np.maximum(u, 1e-300)
     g = u ** r + uz
-    if g < 1e-12:
+    if np.any(g < 1e-12):
         raise ControlError("barrier degenerate: proxy at the obstacle center")
 
-    gx = r * uf ** (r - 1.0) * ux1
-    gy = r * uf ** (r - 1.0) * uy1
-    grad_g = np.array([gx, gy, uz1])
-    hg = np.zeros((3, 3))
-    hg[0, 0] = r * ((r - 1.0) * uf ** (r - 2.0) * ux1 ** 2 + uf ** (r - 1.0) * ux2)
-    hg[1, 1] = r * ((r - 1.0) * uf ** (r - 2.0) * uy1 ** 2 + uf ** (r - 1.0) * uy2)
-    hg[0, 1] = hg[1, 0] = r * (r - 1.0) * uf ** (r - 2.0) * ux1 * uy1
-    hg[2, 2] = uz2
-
-    h = math.log(g)
-    grad = grad_g / g
-    hess = hg / g - np.outer(grad_g, grad_g) / g ** 2
-    return h, grad, hess
+    du = r * uf ** (r - 1.0)
+    ddu = r * (r - 1.0) * uf ** (r - 2.0)
+    grad = np.stack([du * ux1, du * uy1, uz1], axis=-1) / g[..., None]
+    hg = np.zeros(x.shape + (3, 3))
+    hg[..., 0, 0] = ddu * ux1 ** 2 + du * ux2
+    hg[..., 1, 1] = ddu * uy1 ** 2 + du * uy2
+    hg[..., 0, 1] = hg[..., 1, 0] = ddu * ux1 * uy1
+    hg[..., 2, 2] = uz2
+    hess = hg / g[..., None, None] - grad[..., :, None] * grad[..., None, :]
+    return np.log(g), grad, hess
 
 
 @dataclass
@@ -354,15 +333,17 @@ class SafetyParams:
             raise ControlError("need alpha_co > 0 and sigma_co >= 0")
         if not (0.0 <= self.t_min < self.t_max):
             raise ControlError("need 0 <= t_min < t_max")
+        if self.obstacle_height <= 0.0:
+            raise ControlError("need obstacle_height > 0")
 
 
 @dataclass
 class ProxyTracker:
-    """Warm-started planar proxy angles for every (part, obstacle) pair.
+    """Warm-started planar proxy angles gammas (2, P) of the (part pi,
+    obstacle oi) pairs, in planner.pair_index order; gammas[0] is the part side.
 
     Each refresh solves all pairs in one closest_pairs call, started from the
-    previous refresh's proxy angles (from the center-to-center directions on
-    the first call).
+    previous refresh's angles (center-to-center directions on the first call).
     """
 
     geom: VehicleGeometry
@@ -374,70 +355,78 @@ class ProxyTracker:
         self.gammas = None
 
     def refresh(self, q, theta):
-        """Re-solve the planar closest pairs at the current pose; returns
-        a list of (part, obstacle, gamma_part, gap)."""
+        """Re-solve the planar closest pairs at the current pose; returns the
+        signed gap of every pair."""
         if self.pi.size == 0:
-            return []
+            return np.zeros(0)
         z2d = np.array([q[0], q[1], q[5], theta[0], theta[2]])
         res = closest_pairs(*pair_rows(self.geom, self.obs, z2d), init=self.gammas)
         self.gammas = res.gammas
-        return [(int(p), int(o), float(g), float(d))
-                for p, o, g, d in zip(self.pi, self.oi, res.gammas[0], res.gap)]
+        return res.gap
 
 
-def cbf_rows(geom: VehicleGeometry, obstacles3d: list, proxies, q, qdot, theta,
-             thetadot, q_d, gains: GainSet, safety: SafetyParams,
-             h_threshold: float | None = None):
-    """HOCBF rows A x <= b for the outer-loop decision x = [qdot_d; thetaddot_d].
+@dataclass
+class PairBarriers:
+    """Per-pair constants of the barrier rows in the tracker's pair order, built
+    once per mission: the part's frame (link), semi-axes and exponent
+    (part_axes) and center in its frame (part_offsets), and the extruded
+    obstacle's rotation, translation, semi-axes a1..a3 and exponents eps1, eps2.
+    """
+
+    tracker: ProxyTracker
+    obstacles: list            # Superquadric3, one per obstacle of the tracker
+
+    def __post_init__(self):
+        geom, pi = self.tracker.geom, self.tracker.pi
+        self.link = geom.part_links[pi]
+        self.part_axes = np.array(geom.part_axes)[:, pi]
+        self.part_offsets = np.pad(geom.part_offsets[pi], ((0, 0), (0, 1)))
+        obs = [self.obstacles[o] for o in self.tracker.oi]
+        for name in ("rotation", "translation", "a1", "a2", "a3", "eps1", "eps2"):
+            setattr(self, name, np.array([getattr(o, name) for o in obs]))
+
+
+# Pairs with h above this emit no row: their obstacle is far (e^4 is about 55
+# on the inside-outside bracket), and the cull keeps the QP within qp.MAX_ROWS.
+H_CULL = 4.0
+
+
+def cbf_rows(barriers: PairBarriers, tracker: ProxyTracker, q, qdot, theta,
+             thetadot, q_d, gains: GainSet, safety: SafetyParams):
+    """HOCBF rows A x <= b for the outer-loop decision x = [qdot_d; thetaddot_d],
+    and the barrier value h of every pair, at the tracker's part-side angles.
 
     Under the inner loop the base acceleration is Kd (qdot_d - qdot) +
     Kp (q_d - q) and the arm tracks thetaddot_d directly, so the second
-    barrier derivative is affine in x.
-
-    With an h_threshold, pairs whose barrier value exceeds it still report
-    their h but contribute no row (their constraint cannot become active).
+    barrier derivative is affine in x.  Only pairs with h <= H_CULL become
+    rows, in pair order.
     """
+    if tracker.pi.size == 0:
+        return np.zeros((0, 9)), np.zeros(0), np.zeros(0)
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    thetadot = np.asarray(thetadot, dtype=float)
-    v9 = np.concatenate([qdot, thetadot])
+    X, frames = proxy_points(barriers, tracker.gammas[0], q, theta)
+    dx = np.einsum("pji,pj->pi", barriers.rotation, X - barriers.translation)
+    h, grad, hess = h_co_derivs(dx, barriers)
+    rows = np.flatnonzero(h <= H_CULL)
+    if rows.size == 0:
+        return np.zeros((0, 9)), np.zeros(0), h
+
+    v = np.concatenate([qdot, thetadot])
+    J, jdv = proxy_jacobians(frames, barriers.link[rows], X[rows], q[3:], v)
+    RT = barriers.rotation[rows].transpose(0, 2, 1)
+    A_dx = RT @ J
+    dxdot = A_dx @ v
     drift = np.concatenate([gains.kp @ (np.asarray(q_d, dtype=float) - q)
                             - gains.kd @ qdot, np.zeros(3)])
-    gain_map = np.zeros((9, 9))
-    gain_map[:6, :6] = gains.kd
-    gain_map[6:, 6:] = np.eye(3)
-    R = dyn.rotation(q[3:])
-
-    rows_a, rows_b, h_vals = [], [], []
-    for (part, o, gamma, _gap) in proxies:
-        obs = obstacles3d[o]
-        Rj = obs.rotation
-        if h_threshold is not None:
-            c, *_ = _part_body_point(geom, part, gamma, theta)
-            dx_fast = Rj.T @ (q[:3] + R @ c - obs.translation)
-            h_fast = h_co(dx_fast, obs)
-            if h_fast > h_threshold:
-                h_vals.append(h_fast)
-                continue
-        X, J = proxy_point_kinematics(geom, part, gamma, q, theta)
-        dx = Rj.T @ (X - obs.translation)
-        A_dx = Rj.T @ J
-        dxdot = A_dx @ v9
-        h, grad, hess = h_co_derivs(dx, obs)
-        hdot = float(grad @ dxdot)
-        jdv = jacobian_rate_times_velocity(geom, part, gamma, q, theta, qdot, thetadot)
-        b = (float(dxdot @ hess @ dxdot)
-             + float(grad @ (A_dx @ drift + Rj.T @ jdv))
-             + 2.0 * safety.alpha_co * hdot
-             + safety.alpha_co ** 2 * h
-             - safety.sigma_co)
-        rows_a.append(-(grad @ A_dx) @ gain_map)
-        rows_b.append(b)
-        h_vals.append(h)
-    if not rows_a:
-        return np.zeros((0, 9)), np.zeros(0), np.asarray(h_vals, dtype=float)
-    return np.array(rows_a), np.array(rows_b), np.array(h_vals)
+    grad, hess = grad[rows], hess[rows]
+    b = (np.einsum("ki,kij,kj->k", dxdot, hess, dxdot)
+         + np.einsum("ki,ki->k", grad, A_dx @ drift + np.einsum("kij,kj->ki", RT, jdv))
+         + 2.0 * safety.alpha_co * np.einsum("ki,ki->k", grad, dxdot)
+         + safety.alpha_co ** 2 * h[rows]
+         - safety.sigma_co)
+    gA = np.einsum("ki,kij->kj", grad, A_dx)
+    return -np.hstack([gA[:, :6] @ gains.kd, gA[:, 6:]]), b, h
 
 
 @dataclass

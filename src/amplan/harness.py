@@ -23,7 +23,7 @@ from . import control as ctl
 from . import dynamics as dyn
 from . import voronoi as vor
 from .geometry import Superquadric2, closest_pairs, shape_rows
-from .planner import (ObstacleSet, PlannedTrajectory, PlannerParams,
+from .planner import (ObstacleSet, PlannedTrajectory, PlannerError, PlannerParams,
                       VehicleGeometry, _Evaluator, _fused_derivatives,
                       attractors_from_path, integrate_em, pair_rows, target_pose)
 from .qp import ActiveSetSolver
@@ -185,7 +185,7 @@ def _sub_params(raw: dict, key: str, factory, path_types=(int, float)):
         kwargs[k] = v
     try:
         return factory(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ctl.ControlError, PlannerError) as exc:
         raise ScenarioError(f"{key}: {exc}") from exc
 
 
@@ -340,12 +340,11 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
     inner-loop thrust from the pre-update references (so the thrust-band rows
     are exact), then reference integration and one plant step.
     """
-    geom = s.vehicle
     gains, safety, model = s.gains, s.safety, s.model
     obstacles2d = _model_obstacles(s, mode)
-    obstacles3d = [ctl.extrude_obstacle(o, safety.obstacle_height)
-                   for o in obstacles2d]
-    tracker = ctl.ProxyTracker(geom, obstacles2d)
+    tracker = ctl.ProxyTracker(s.vehicle, obstacles2d)
+    barriers = ctl.PairBarriers(tracker, [ctl.extrude_obstacle(o, safety.obstacle_height)
+                                          for o in obstacles2d])
     solver = ActiveSetSolver()
 
     q0 = np.array([s.start[0], s.start[1], s.flight_height, 0.0, 0.0, s.start[2]])
@@ -379,12 +378,11 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
         else:
             q_t, theta_t = target_pose(traj, t - s.settle_time, s.duration,
                                        s.flight_height)
-        proxies = tracker.refresh(state.q, state.theta)
+        tracker.refresh(state.q, state.theta)
         A1, b1 = ctl.thrust_limit_rows(q_d, state.q, state.qdot, d_hat, model,
                                        gains, safety.t_min, safety.t_max)
-        A2, b2, h_vals = ctl.cbf_rows(geom, obstacles3d, proxies, state.q,
-                                      state.qdot, state.theta, state.thetadot,
-                                      q_d, gains, safety, h_threshold=4.0)
+        A2, b2, h_vals = ctl.cbf_rows(barriers, tracker, state.q, state.qdot,
+                                      state.theta, state.thetadot, q_d, gains, safety)
         res = ctl.outer_loop(solver, q_t, theta_t, q_d, theta_d, thetadot_d,
                              np.vstack([A1, A2]), np.concatenate([b1, b2]),
                              gains, prev_x)
@@ -452,7 +450,7 @@ def min_distance_profile(traj: PlannedTrajectory, geom: VehicleGeometry,
         z = traj.z[k]
         q = np.array([z[0], z[1], 0.0, 0.0, 0.0, z[2]])
         theta = np.array([z[3], 0.0, z[4]])
-        out[k] = min(gap for (_, _, _, gap) in tracker.refresh(q, theta))
+        out[k] = tracker.refresh(q, theta).min()
     return out
 
 

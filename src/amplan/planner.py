@@ -68,6 +68,12 @@ class VehicleGeometry:
         """Index of the frame each part is fixed in: 0 base, 1 shoulder link, 2 forearm."""
         return np.array([0] * 6 + [1, 2])
 
+    @property
+    def part_offsets(self):
+        """Part centers (8, 2) in the frame of their part (part_links)."""
+        centers, _, _ = self.part_poses(np.zeros((1, 5)))
+        return centers[0] - self.joint_frames(np.zeros(5))[self.part_links, :2]
+
     def joint_frames(self, z):
         """Rows [pivot x, pivot y, cos phi, sin phi] of the base, shoulder and forearm frames.
 
@@ -161,8 +167,12 @@ class PlannerParams:
 
     def __post_init__(self):
         self.k_tgt = np.asarray(self.k_tgt, dtype=float)
-        if self.eta <= 0 or self.alpha <= 0 or self.n_s < 2:
-            raise PlannerError("need eta > 0, alpha > 0 and n_s >= 2")
+        if self.eta <= 0 or self.alpha <= 0 or self.n_s < 2 or self.k_tgt.shape != (3, 3):
+            raise PlannerError("need eta > 0, alpha > 0, n_s >= 2 and a 3x3 k_tgt")
+        if isinstance(self.stiffness, dict):
+            self.stiffness = StiffnessParams(**self.stiffness)
+        if not isinstance(self.stiffness, StiffnessParams):
+            raise PlannerError("stiffness must be a mapping of StiffnessParams fields")
 
 
 def pair_index(n_parts: int, n_obs: int):
@@ -205,8 +215,7 @@ class _Evaluator:
         # Kernel columns 0..P-1 hold the part proxies, P..2P-1 the obstacle proxies.
         P = self.P
         link = geom.part_links[self.pi]
-        centers0, _, _ = geom.part_poses(np.zeros((1, 5)))
-        off = centers0[0, self.pi] - geom.joint_frames(np.zeros(5))[link, :2]
+        off = geom.part_offsets[self.pi]
         self.frame = np.concatenate([link, 3 + self.oi])
         self.obs_frames = obs.rows[[5, 6, 3, 4]].T
         self.off = np.concatenate([off.T, np.zeros((2, P))], axis=1)[:, None]

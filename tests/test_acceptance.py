@@ -25,6 +25,7 @@ from amplan.qp import ActiveSetSolver, QpProblem, kkt_residuals
 
 from oracles import (central_diff_gradient, enumerate_shortest_path,
                      qp_enumeration, sampled_gap)
+from test_control import proxy_kinematics
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SHIPPED = ("tree", "pillar")
@@ -242,18 +243,6 @@ def test_criterion_6_closed_loop_safety(shipped, missions):
 
 # --- 7: disturbance observer ---------------------------------------------------
 
-def _dob_settling_time(gains, band=0.02):
-    a0 = float(gains.a0[0])
-    a1 = float(gains.a1[0])
-    eps = float(gains.eps[0])
-    assert abs(a0 - a1 * a1 / 4.0) < 1e-12     # real double pole
-    lam = a1 / (2.0 * eps)
-    t = 1.0
-    for _ in range(100):
-        t = -math.log(band / (1.0 + lam * t)) / lam
-    return t
-
-
 def _hover_with_constant_force(force, duration, dt=0.005):
     gains = ctl.GainSet()
     model = dyn.ModelParams()
@@ -282,7 +271,7 @@ def test_criterion_7_disturbance_observer():
     with criterion(7, "disturbance observer"):
         gains = ctl.GainSet(a0=np.eye(6), a1=2.0 * np.eye(6),
                             eps=0.95 * np.eye(6))       # reference tuning
-        t_s = _dob_settling_time(gains)
+        t_s = ctl.dob_settling_time(gains)
         force = 2.0
         t, d_hat_x = _hover_with_constant_force(force, duration=t_s + 3.0)
         tail = d_hat_x[t >= t_s]
@@ -321,8 +310,10 @@ def test_criterion_8_derivative_suite():
                                  rng.uniform(0.3, 1.5) * obs3.a2,
                                  rng.uniform(0.3, 1.5) * obs3.a3])
             h, grad, hess = ctl.h_co_derivs(dx, obs3)
-            assert h == pytest.approx(ctl.h_co(dx, obs3), abs=1e-12)
-            fd_g = central_diff_gradient(lambda v: ctl.h_co(v, obs3), dx)
+            # h is the log of the inside-outside bracket F + 1
+            assert np.expm1(h) == pytest.approx(obs3.inside_outside(obs3.to_world(dx)),
+                                                rel=1e-12, abs=1e-12)
+            fd_g = central_diff_gradient(lambda v: ctl.h_co_derivs(v, obs3)[0], dx)
             assert _rel_close(grad, fd_g)
             fd_h = np.column_stack([
                 (np.asarray(ctl.h_co_derivs(dx + e, obs3)[1])
@@ -336,13 +327,10 @@ def test_criterion_8_derivative_suite():
             v0 = np.concatenate([rng.uniform(-1.0, 1.0, 3),
                                  rng.uniform(-0.3, 0.3, 3),
                                  rng.uniform(-1.0, 1.0, 3)])
-            X0, J = ctl.proxy_point_kinematics(geom, part, gamma, v0[:6],
-                                               v0[6:])
+            X0, J, _ = proxy_kinematics(geom, part, gamma, v0[:6], v0[6:])
             fd_J = np.column_stack([
-                (ctl.proxy_point_kinematics(geom, part, gamma,
-                                            (v0 + e)[:6], (v0 + e)[6:])[0]
-                 - ctl.proxy_point_kinematics(geom, part, gamma,
-                                              (v0 - e)[:6], (v0 - e)[6:])[0])
+                (proxy_kinematics(geom, part, gamma, (v0 + e)[:6], (v0 + e)[6:])[0]
+                 - proxy_kinematics(geom, part, gamma, (v0 - e)[:6], (v0 - e)[6:])[0])
                 / 2e-6 for e in 1e-6 * np.eye(9)])
             assert _rel_close(J, fd_J)
 
@@ -357,9 +345,8 @@ def test_criterion_8_derivative_suite():
                 translation=X0 - obs3.rotation @ offset)
 
             def h_of(v):
-                X, _ = ctl.proxy_point_kinematics(geom, part, gamma, v[:6],
-                                                  v[6:])
-                return ctl.h_co(obs3.rotation.T @ (X - obs3.translation), obs3)
+                X, _, _ = proxy_kinematics(geom, part, gamma, v[:6], v[6:])
+                return ctl.h_co_derivs(obs3.rotation.T @ (X - obs3.translation), obs3)[0]
 
             _, grad, _ = ctl.h_co_derivs(
                 obs3.rotation.T @ (X0 - obs3.translation), obs3)

@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from amplan import cli
+from amplan.geometry import StiffnessParams
 
 from test_harness import EMPTY, write_scenario
 
@@ -100,3 +101,30 @@ def test_scenario_dt_above_plant_limit_exit_2(tmp_path, no_planning, capsys):
     assert cli.main(["simulate", "--scenario", path]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: dt")
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("safety", {"alpha_co": -1}),
+    ("safety", {"t_min": 20}),
+    ("safety", {"obstacle_height": 0}),
+    ("planner", {"eta": -1}),
+    ("planner", {"n_s": 1}),
+    ("planner", {"k_tgt": [1, 2]}),
+    ("planner", {"stiffness": {"k_min": 1.0, "spring": 2.0}}),
+    ("planner", {"stiffness": 3.0}),
+])
+def test_out_of_range_override_exit_2_before_planning(tmp_path, no_planning, capsys,
+                                                      key, overrides):
+    data = copy.deepcopy(EMPTY)
+    data[key] = overrides
+    path = write_scenario(tmp_path, data)
+    assert cli.main(["simulate", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {key}: ")
+
+
+def test_stiffness_override_mapping_builds_params(tmp_path):
+    data = copy.deepcopy(EMPTY)
+    data["planner"] = {"stiffness": {"k_min": 1.0}}
+    s = cli.hz.load_scenario(write_scenario(tmp_path, data))
+    assert s.planner.stiffness == StiffnessParams(k_min=1.0)

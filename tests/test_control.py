@@ -150,10 +150,21 @@ class TestInnerLoop:
             np.testing.assert_allclose(b[6:] - A[6:] @ x, 15.0 - T, atol=1e-8)
 
 
+def proxy_kinematics(geom, part, gamma, q, theta, qdot=np.zeros(6), thetadot=np.zeros(3)):
+    """X, J and Jdot v of one part's proxy point, from the batched kernel."""
+    shape = Superquadric2(a1=1.0, a2=1.0, eps=1.0)
+    barriers = ctl.PairBarriers(ctl.ProxyTracker(geom, [shape]),      # one pair per part
+                                [ctl.extrude_obstacle(shape, 1.0)])
+    X, frames = ctl.proxy_points(barriers, np.full(geom.n_parts, gamma), q, theta)
+    J, jdv = ctl.proxy_jacobians(frames, barriers.link, X, q[3:],
+                                 np.concatenate([qdot, thetadot]))
+    return X[part], J[part], jdv[part]
+
+
 class TestProxyKinematics:
     def test_rotor_point_at_identity(self):
         geom = VehicleGeometry()
-        X, J = ctl.proxy_point_kinematics(geom, 0, 0.0, np.zeros(6), np.zeros(3))
+        X, J, _ = proxy_kinematics(geom, 0, 0.0, np.zeros(6), np.zeros(3))
         np.testing.assert_allclose(X, [geom.rotor_arm + geom.blade_radius, 0.0, 0.0],
                                    atol=1e-12)
         np.testing.assert_allclose(J[:, :3], np.eye(3), atol=1e-15)
@@ -163,7 +174,7 @@ class TestProxyKinematics:
         geom = VehicleGeometry()
         q = np.array([0.5, -0.2, 1.0, 0.0, 0.0, 0.7])
         theta = np.array([0.4, 0.0, -0.3])
-        X, _ = ctl.proxy_point_kinematics(geom, 7, 0.0, q, theta)
+        X, _, _ = proxy_kinematics(geom, 7, 0.0, q, theta)
         eef = geom.forward_kinematics_eef([q[0], q[1], q[5], theta[0], theta[2]])
         np.testing.assert_allclose(X[:2], eef[:2], atol=1e-12)
         assert X[2] == pytest.approx(1.0, abs=1e-12)
@@ -173,14 +184,12 @@ class TestProxyKinematics:
         for part in (0, 3, 6, 7):
             q, _, theta, _ = random_state(rng)
             gamma = float(rng.uniform(-math.pi, math.pi))
-            _, J = ctl.proxy_point_kinematics(geom, part, gamma, q, theta)
+            _, J, _ = proxy_kinematics(geom, part, gamma, q, theta)
             for k in range(9):
                 e = np.zeros(9)
                 e[k] = 1e-6
-                Xp, _ = ctl.proxy_point_kinematics(geom, part, gamma,
-                                                   q + e[:6], theta + e[6:])
-                Xm, _ = ctl.proxy_point_kinematics(geom, part, gamma,
-                                                   q - e[:6], theta - e[6:])
+                Xp, _, _ = proxy_kinematics(geom, part, gamma, q + e[:6], theta + e[6:])
+                Xm, _, _ = proxy_kinematics(geom, part, gamma, q - e[:6], theta - e[6:])
                 np.testing.assert_allclose(J[:, k], (Xp - Xm) / 2e-6, atol=1e-6)
 
     def test_delta_x_rate_matches_time_fd(self, rng):
@@ -192,14 +201,26 @@ class TestProxyKinematics:
         part = 7
 
         def dx_at(t):
-            X, _ = ctl.proxy_point_kinematics(geom, part, gamma,
-                                              q + t * qdot, theta + t * thetadot)
+            X, _, _ = proxy_kinematics(geom, part, gamma, q + t * qdot, theta + t * thetadot)
             return obs.rotation.T @ (X - obs.translation)
 
-        _, J = ctl.proxy_point_kinematics(geom, part, gamma, q, theta)
+        _, J, _ = proxy_kinematics(geom, part, gamma, q, theta)
         rate = obs.rotation.T @ J @ np.concatenate([qdot, thetadot])
         h = 1e-6
         np.testing.assert_allclose(rate, (dx_at(h) - dx_at(-h)) / (2 * h), atol=1e-4)
+
+        # second order: Jdot v is the second time difference of X along v
+        q[3:5] = [0.3, -0.25]
+        theta[1] = 0.6
+        h = 1e-4
+        for part in (0, 6, 7):
+            def x_at(t):
+                return proxy_kinematics(geom, part, gamma, q + t * qdot, theta + t * thetadot)[0]
+
+            _, _, jdv = proxy_kinematics(geom, part, gamma, q, theta, qdot, thetadot)
+            assert np.abs(jdv).max() > 1e-2
+            np.testing.assert_allclose(jdv, (x_at(h) - 2.0 * x_at(0.0) + x_at(-h)) / h ** 2,
+                                       atol=1e-5)
 
 
 class TestBarrier:
@@ -208,9 +229,10 @@ class TestBarrier:
 
     def test_value_on_sphere(self):
         obs = self.sphere()
-        assert ctl.h_co([2.0, 0.0, 0.0], obs) == pytest.approx(math.log(4.0), abs=1e-12)
-        assert ctl.h_co([1.0, 0.0, 0.0], obs) == pytest.approx(0.0, abs=1e-12)
-        assert ctl.h_co([0.3, 0.0, 0.0], obs) < 0.0
+        assert ctl.h_co_derivs([2.0, 0.0, 0.0], obs)[0] == pytest.approx(math.log(4.0),
+                                                                         abs=1e-12)
+        assert ctl.h_co_derivs([1.0, 0.0, 0.0], obs)[0] == pytest.approx(0.0, abs=1e-12)
+        assert ctl.h_co_derivs([0.3, 0.0, 0.0], obs)[0] < 0.0
 
     def test_sign_agrees_with_inside_outside(self, rng):
         obs = ctl.extrude_obstacle(Superquadric2(a1=0.5, a2=0.3, eps=0.7, angle=0.4,
@@ -219,20 +241,23 @@ class TestBarrier:
             p = rng.uniform(-1.0, 1.0, size=3)
             p[2] = rng.uniform(0.2, 1.8)
             dx = obs.rotation.T @ (p - obs.translation)
-            h = ctl.h_co(dx, obs)
+            h = ctl.h_co_derivs(dx, obs)[0]
             io = obs.inside_outside(p)
             assert (h > 0) == (io > 0) or abs(io) < 1e-9
 
     def test_derivatives_match_fd(self, rng):
         obs = ctl.extrude_obstacle(Superquadric2(a1=0.5, a2=0.3, eps=0.7), 2.0)
-        for _ in range(50):
-            dx = rng.uniform(0.1, 1.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+        points = rng.uniform(0.1, 1.0, size=(50, 3)) * rng.choice([-1.0, 1.0], size=(50, 3))
+        batch = ctl.h_co_derivs(points, obs)
+        for n, dx in enumerate(points):
             h, grad, hess = ctl.h_co_derivs(dx, obs)
-            assert h == pytest.approx(ctl.h_co(dx, obs), abs=1e-12)
+            # a batch evaluates every point as a single call does, up to rounding
+            for single, batched in zip((h, grad, hess), batch):
+                np.testing.assert_allclose(single, batched[n], rtol=1e-12, atol=1e-12)
             for k in range(3):
                 e = np.zeros(3)
                 e[k] = 1e-6
-                fd = (ctl.h_co(dx + e, obs) - ctl.h_co(dx - e, obs)) / 2e-6
+                fd = (ctl.h_co_derivs(dx + e, obs)[0] - ctl.h_co_derivs(dx - e, obs)[0]) / 2e-6
                 assert grad[k] == pytest.approx(fd, abs=1e-5)
                 hp = ctl.h_co_derivs(dx + e, obs)[1]
                 hm = ctl.h_co_derivs(dx - e, obs)[1]
@@ -240,53 +265,59 @@ class TestBarrier:
 
     def test_degenerate_center_raises(self):
         with pytest.raises(ctl.ControlError):
-            ctl.h_co([0.0, 0.0, 0.0], self.sphere())
+            ctl.h_co_derivs([0.0, 0.0, 0.0], self.sphere())
 
 
 class TestCbfRows:
-    def setup_scene(self):
+    def setup_scene(self, center=(2.0, 0.0)):
         geom = VehicleGeometry()
-        shape = Superquadric2(a1=0.35, a2=0.35, eps=1.0, center=(2.0, 0.0))
+        shape = Superquadric2(a1=0.35, a2=0.35, eps=1.0, center=center)
         safety = ctl.SafetyParams()
         obs3d = [ctl.extrude_obstacle(shape, safety.obstacle_height)]
         tracker = ctl.ProxyTracker(geom=geom, obstacles=[shape])
-        return geom, shape, obs3d, tracker, safety
+        barriers = ctl.PairBarriers(tracker, obs3d)
+        return geom, shape, obs3d, tracker, barriers, safety
 
     def test_row_algebra_matches_direct_expression(self, rng):
-        geom, _, obs3d, tracker, safety = self.setup_scene()
         g = ctl.GainSet()
         q = np.array([0.3, 0.1, 1.5, 0.02, -0.03, 0.2])
-        qdot = rng.normal(scale=0.3, size=6)
         theta = np.array([0.3, 0.0, -0.2])
-        thetadot = rng.normal(scale=0.2, size=3)
-        q_d = q + rng.normal(scale=0.02, size=6)
-        proxies = tracker.refresh(q, theta)
-        A, b, h_vals = ctl.cbf_rows(geom, obs3d, proxies, q, qdot, theta,
-                                    thetadot, q_d, g, safety)
-        assert A.shape == (8, 9)
-        assert np.all(h_vals > 0.0)
+        # close to rotors 0 and 5, then to the forearm
+        for center in ((1.0, -0.15), (1.15, 0.0)):
+            geom, _, obs3d, tracker, barriers, safety = self.setup_scene(center)
+            qdot = rng.normal(scale=0.3, size=6)
+            thetadot = rng.normal(scale=0.2, size=3)
+            q_d = q + rng.normal(scale=0.02, size=6)
+            tracker.refresh(q, theta)
+            A, b, h_vals = ctl.cbf_rows(barriers, tracker, q, qdot, theta,
+                                        thetadot, q_d, g, safety)
+            assert h_vals.shape == (8,)
+            assert np.all(h_vals > 0.0)
+            rows = np.flatnonzero(h_vals <= ctl.H_CULL)
+            assert 0 < rows.size < 8
+            assert A.shape == (rows.size, 9) and b.shape == (rows.size,)
 
-        x = rng.normal(size=9)
-        qddot = g.kd @ (x[:6] - qdot) + g.kp @ (q_d - q)
-        accel9 = np.concatenate([qddot, x[6:]])
-        v9 = np.concatenate([qdot, thetadot])
-        for row, (part, o, gamma, _gap) in enumerate(proxies):
-            obs = obs3d[o]
-            X, J = ctl.proxy_point_kinematics(geom, part, gamma, q, theta)
-            dx = obs.rotation.T @ (X - obs.translation)
-            A_dx = obs.rotation.T @ J
-            h, grad, hess = ctl.h_co_derivs(dx, obs)
-            dxdot = A_dx @ v9
-            jdv = ctl.jacobian_rate_times_velocity(geom, part, gamma, q, theta,
-                                                   qdot, thetadot)
-            hddot = (dxdot @ hess @ dxdot
-                     + grad @ (A_dx @ accel9 + obs.rotation.T @ jdv))
-            lhs = hddot + 2 * safety.alpha_co * (grad @ dxdot) + safety.alpha_co ** 2 * h
-            # the row encodes exactly lhs >= sigma
-            assert b[row] - A[row] @ x == pytest.approx(lhs - safety.sigma_co, abs=1e-8)
+            x = rng.normal(size=9)
+            qddot = g.kd @ (x[:6] - qdot) + g.kp @ (q_d - q)
+            accel9 = np.concatenate([qddot, x[6:]])
+            v9 = np.concatenate([qdot, thetadot])
+            for row, pair in enumerate(rows):
+                part, obs = tracker.pi[pair], obs3d[tracker.oi[pair]]
+                X, J, jdv = proxy_kinematics(geom, part, tracker.gammas[0, pair], q, theta,
+                                             qdot, thetadot)
+                dx = obs.rotation.T @ (X - obs.translation)
+                A_dx = obs.rotation.T @ J
+                h, grad, hess = ctl.h_co_derivs(dx, obs)
+                assert h == pytest.approx(h_vals[pair], abs=1e-12)
+                dxdot = A_dx @ v9
+                hddot = (dxdot @ hess @ dxdot
+                         + grad @ (A_dx @ accel9 + obs.rotation.T @ jdv))
+                lhs = hddot + 2 * safety.alpha_co * (grad @ dxdot) + safety.alpha_co ** 2 * h
+                # the row encodes exactly lhs >= sigma
+                assert b[row] - A[row] @ x == pytest.approx(lhs - safety.sigma_co, abs=1e-8)
 
     def test_tracker_warm_start_consistency(self):
-        geom, shape, _, tracker, _ = self.setup_scene()
+        geom, shape, _, tracker, _, _ = self.setup_scene()
         # a second input: between the boxy and the round trunk of the tree scenario
         tree = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml")).obstacles
         cases = [(tracker, [shape], np.zeros(6), np.zeros(3)),
@@ -295,14 +326,12 @@ class TestCbfRows:
         for tracker, obstacles, q, theta in cases:
             first = tracker.refresh(q, theta)
             second = tracker.refresh(q, theta)
-            for (a, b) in zip(first, second):
-                assert a[0] == b[0] and a[1] == b[1]
-                assert a[3] == pytest.approx(b[3], abs=1e-8)
-            gaps = [g for (_, _, _, g) in second]
-            assert min(gaps) > 0.0
+            assert first.shape == second.shape == (geom.n_parts * len(obstacles),)
+            np.testing.assert_allclose(first, second, atol=1e-8)
+            assert second.min() > 0.0
             # the tracker solves the same problem as closest_pair on the part shapes
             parts = geom.part_superquadrics([q[0], q[1], q[5], theta[0], theta[2]])
-            for (part, o, _, gap) in second:
+            for part, o, gap in zip(tracker.pi, tracker.oi, second):
                 assert gap == pytest.approx(closest_pair(parts[part], obstacles[o]).gap,
                                             abs=1e-9)
 
