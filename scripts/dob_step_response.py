@@ -26,9 +26,9 @@ def run(force: float = 2.0, axis: int = 0, duration: float = 12.0,
     model = model or dyn.ModelParams()
     q0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     state = dyn.VehicleState(q=q0)
-    dob = hz._dob_rest_state(q0, model)
-    T = np.linalg.solve(dyn.allocation(q0[3:], model),
-                        dyn.gravity_vec(model, nominal=True))
+    terms = dyn.model_terms(q0[3:], np.zeros(3), model, nominal=True)
+    dob = hz._dob_rest_state(q0, terms)
+    T = np.linalg.solve(terms.B, terms.G)
     d_true = np.zeros(6)
     d_true[axis] = force
 
@@ -36,10 +36,11 @@ def run(force: float = 2.0, axis: int = 0, duration: float = 12.0,
     times = np.arange(n) * dt
     d_hist = np.zeros((n, 6))
     for k in range(n):
-        dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, model, gains, dt)
+        terms = dyn.model_terms(state.q[3:], state.qdot[3:], model, nominal=True)
+        dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, terms, gains, dt)
         d_hist[k] = d_hat
         T = ctl.inner_loop(q0, np.zeros(6), state.q, state.qdot, d_hat,
-                           model, gains)
+                           terms, gains)
         state = dyn.step(state, T, np.zeros(3), np.zeros(3), np.zeros(3),
                          d_true, dt, model)
     return times, d_hist, d_true

@@ -57,15 +57,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(path, dt=None) -> hz.Scenario:
+def _load(path, dt=None, ns=None) -> hz.Scenario:
     s = hz.load_scenario(path)
-    # replace re-runs the scenario's validation, the dt range included
+    # replace re-runs the validation: the dt range, and n_s >= 2
+    if ns is not None:
+        try:
+            s = dataclasses.replace(s, planner=dataclasses.replace(s.planner, n_s=ns))
+        except PlannerError as exc:
+            raise hz.ScenarioError(f"--ns: {exc}") from exc
     return s if dt is None else dataclasses.replace(s, dt=dt)
 
 
 def _cmd_plan(args) -> int:
-    s = _load(args.scenario[0], args.dt)
-    pr = hz.plan(s, args.mode, n_s=args.ns)
+    s = _load(args.scenario[0], args.dt, args.ns)
+    pr = hz.plan(s, args.mode)
     report = hz.metrics(pr.traj, None, s, pr.plan_time)
     if args.out:
         hz.emit(args.out, pr.traj, None, report, pr.cells, pr.graph)
@@ -74,8 +79,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    s = _load(args.scenario[0], args.dt)
-    pr, tel, report = hz.run_pipeline(s, args.mode, n_s=args.ns, seed=args.seed)
+    s = _load(args.scenario[0], args.dt, args.ns)
+    pr, tel, report = hz.run_pipeline(s, args.mode, seed=args.seed)
     if args.out:
         hz.emit(args.out, pr.traj, tel, report, pr.cells, pr.graph)
     print("\n".join(report.lines()))
@@ -84,8 +89,8 @@ def _cmd_simulate(args) -> int:
 
 def _bench_one(job):
     path, mode, out, seed, dt, ns = job
-    s = _load(path, dt)
-    pr, tel, report = hz.run_pipeline(s, mode, n_s=ns, seed=seed)
+    s = _load(path, dt, ns)
+    pr, tel, report = hz.run_pipeline(s, mode, seed=seed)
     if out:
         d = os.path.join(out, f"{s.name}-{mode}")
         hz.emit(d, pr.traj, tel, report, pr.cells, pr.graph)

@@ -102,37 +102,32 @@ class DobState:
         return s
 
 
-def _filter_rates(x, u, a0e2, a1e1):
-    """Per-axis rates of xdot0 = x1, xdot1 = a0/e^2 (u - x0) - a1/e x1."""
-    return np.stack([x[1], a0e2 * (u - x[0]) - a1e1 * x[1]])
-
-
-def dob_update(state: DobState, q, qdot, T, params: dyn.ModelParams,
+def dob_update(state: DobState, q, qdot, T, model: dyn.ModelTerms,
                gains: GainSet, dt: float):
     """Advance the observer one step and return (new state, disturbance estimate).
 
     The estimate compares the filtered commanded generalized acceleration with
-    the filtered measured acceleration, then re-adds the nominal Coriolis and
-    gravity terms; all model terms use the controller's nominal parameters.
+    the filtered measured acceleration, then re-adds the Coriolis and gravity
+    terms; model holds the controller's nominal terms at (q, qdot).
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    phi = q[3:]
     a0e2 = gains.a0 / gains.eps ** 2
     a1e1 = gains.a1 / gains.eps
 
-    M_hat = dyn.mass_matrix(phi, params, nominal=True)
-    u_cmd = np.linalg.solve(M_hat, dyn.allocation(phi, params) @ np.asarray(T, dtype=float))
+    u_cmd = np.linalg.solve(model.M, model.B @ np.asarray(T, dtype=float))
     # midpoint reconstruction of q over the hold interval: a plain zero-order
     # hold of a quadratically growing position drifts the acceleration estimate
-    q_in = q + 0.5 * dt * qdot
+    u = np.array([q + 0.5 * dt * qdot, u_cmd])
 
     def rates(y):
-        xq, xp = y[0], y[1]
-        return np.stack([_filter_rates(xq, q_in, a0e2, a1e1),
-                         _filter_rates(xp, u_cmd, a0e2, a1e1)])
+        # both filters, y[f] = (x0, x1): x0dot = x1, x1dot = a0/e^2 (u - x0) - a1/e x1
+        r = np.empty_like(y)
+        r[:, 0] = y[:, 1]
+        r[:, 1] = a0e2 * (u - y[:, 0]) - a1e1 * y[:, 1]
+        return r
 
-    y = np.stack([state.xq, state.xp])
+    y = np.array([state.xq, state.xp])
     k1 = rates(y)
     k2 = rates(y + 0.5 * dt * k1)
     k3 = rates(y + 0.5 * dt * k2)
@@ -142,9 +137,7 @@ def dob_update(state: DobState, q, qdot, T, params: dyn.ModelParams,
     new = DobState(xq=y[0], xp=y[1])
     # output equation pairs the end-of-step state with the end-of-step input
     qddot_f = a0e2 * (q + dt * qdot - new.xq[0]) - a1e1 * new.xq[1]
-    d_hat = (-M_hat @ (new.xp[0] - qddot_f)
-             + dyn.coriolis_vec(phi, qdot[3:], params, nominal=True)
-             + dyn.gravity_vec(params, nominal=True))
+    d_hat = -model.M @ (new.xp[0] - qddot_f) + model.C + model.G
     return new, d_hat
 
 
@@ -161,40 +154,33 @@ def dob_settling_time(gains: GainSet, band: float = 0.02) -> float:
     return t
 
 
-def inner_loop(q_d, qdot_d, q, qdot, d_hat, params: dyn.ModelParams,
+def inner_loop(q_d, qdot_d, q, qdot, d_hat, model: dyn.ModelTerms,
                gains: GainSet) -> np.ndarray:
-    """Per-rotor thrusts from the computed-torque law with DOB compensation."""
+    """Per-rotor thrusts from the computed-torque law with DOB compensation;
+    model holds the nominal terms at (q, qdot)."""
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    phi = q[3:]
     e = np.asarray(q_d, dtype=float) - q
     edot = np.asarray(qdot_d, dtype=float) - qdot
     v = gains.kd @ edot + gains.kp @ e
-    wrench = (dyn.mass_matrix(phi, params, nominal=True) @ v
-              + dyn.coriolis_vec(phi, qdot[3:], params, nominal=True)
-              + dyn.gravity_vec(params, nominal=True)
-              - np.asarray(d_hat, dtype=float))
-    return np.linalg.solve(dyn.allocation(phi, params), wrench)
+    wrench = model.M @ v + model.C + model.G - np.asarray(d_hat, dtype=float)
+    return np.linalg.solve(model.B, wrench)
 
 
-def thrust_limit_rows(q_d, q, qdot, d_hat, params: dyn.ModelParams, gains: GainSet,
+def thrust_limit_rows(q_d, q, qdot, d_hat, model: dyn.ModelTerms, gains: GainSet,
                       t_min: float, t_max: float):
     """Linear rows A x <= b keeping every rotor thrust inside [t_min, t_max].
 
     The thrust law is affine in the commanded base velocity, T = S qdot_d + c;
-    the rows are exact for the thrust computed from the same q_d, q and d_hat.
+    the rows are exact for the thrust computed from the same q_d, q, d_hat and
+    nominal terms model.
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    phi = q[3:]
-    M_hat = dyn.mass_matrix(phi, params, nominal=True)
-    B = dyn.allocation(phi, params)
-    Binv = np.linalg.inv(B)
-    S = Binv @ M_hat @ gains.kd
+    Binv = np.linalg.inv(model.B)
+    S = Binv @ model.M @ gains.kd
     e = np.asarray(q_d, dtype=float) - q
-    c = Binv @ (M_hat @ (gains.kp @ e - gains.kd @ qdot)
-                + dyn.coriolis_vec(phi, qdot[3:], params, nominal=True)
-                + dyn.gravity_vec(params, nominal=True)
+    c = Binv @ (model.M @ (gains.kp @ e - gains.kd @ qdot) + model.C + model.G
                 - np.asarray(d_hat, dtype=float))
     A = np.zeros((12, 9))
     A[:6, :6] = -S
@@ -280,38 +266,49 @@ def extrude_obstacle(sq: Superquadric2, height: float, eps1: float = 0.1) -> Sup
                          translation=np.array([sq.center[0], sq.center[1], height / 2.0]))
 
 
-def h_co_derivs(dx, obs):
-    """(h, grad h, hess h) wrt obstacle-frame points dx (..., 3), analytic.
+def _bracket(dx, obs):
+    """Inside-outside bracket g = u^(eps2/eps1) + w_z^(2/eps1), u = w_x^(2/eps2)
+    + w_y^(2/eps2), of obstacle-frame points dx (..., 3), with w = |dx| / a.
 
-    h is the log of the obstacle's inside-outside bracket, 0 on the boundary.
     obs holds the semi-axes a1, a2, a3 and exponents eps1, eps2: a
-    Superquadric3, or PairBarriers with one entry per point.
+    Superquadric3, or arrays with one entry per point.
     """
+    w = [np.abs(dx[..., i]) / a for i, a in enumerate((obs.a1, obs.a2, obs.a3))]
+    e2 = 2.0 / obs.eps2
+    u = w[0] ** e2 + w[1] ** e2
+    g = u ** (obs.eps2 / obs.eps1) + w[2] ** (2.0 / obs.eps1)
+    if np.any(g < 1e-12):
+        raise ControlError("barrier degenerate: proxy at the obstacle center")
+    return g, w, u
+
+
+def h_co(dx, obs):
+    """Barrier h = log g, 0 on the boundary, at obstacle-frame points dx (..., 3)."""
+    return np.log(_bracket(np.asarray(dx, dtype=float), obs)[0])
+
+
+def h_co_derivs(dx, obs):
+    """(h, grad h, hess h) wrt obstacle-frame points dx (..., 3), analytic;
+    obs as in _bracket."""
     dx = np.asarray(dx, dtype=float)
-    x, y, z = dx[..., 0], dx[..., 1], dx[..., 2]
+    g, w, u = _bracket(dx, obs)
     e2, e1 = 2.0 / obs.eps2, 2.0 / obs.eps1
     r = obs.eps2 / obs.eps1
 
-    def f(v, a, p):
-        # |v/a|^p and its first two derivatives in v, with an axis floor
-        w = np.abs(v) / a
-        wf = np.maximum(w, 1e-12)
-        return (w ** p, p * wf ** (p - 1.0) * np.sign(v) / a,
+    def d(i, a, p):
+        # first two derivatives of w_i^p in dx_i, with an axis floor
+        wf = np.maximum(w[i], 1e-12)
+        return (p * wf ** (p - 1.0) * np.sign(dx[..., i]) / a,
                 p * (p - 1.0) * wf ** (p - 2.0) / a ** 2)
 
-    ux, ux1, ux2 = f(x, obs.a1, e2)
-    uy, uy1, uy2 = f(y, obs.a2, e2)
-    uz, uz1, uz2 = f(z, obs.a3, e1)
-    u = ux + uy
+    ux1, ux2 = d(0, obs.a1, e2)
+    uy1, uy2 = d(1, obs.a2, e2)
+    uz1, uz2 = d(2, obs.a3, e1)
     uf = np.maximum(u, 1e-300)
-    g = u ** r + uz
-    if np.any(g < 1e-12):
-        raise ControlError("barrier degenerate: proxy at the obstacle center")
-
     du = r * uf ** (r - 1.0)
     ddu = r * (r - 1.0) * uf ** (r - 2.0)
     grad = np.stack([du * ux1, du * uy1, uz1], axis=-1) / g[..., None]
-    hg = np.zeros(x.shape + (3, 3))
+    hg = np.zeros(dx.shape[:-1] + (3, 3))
     hg[..., 0, 0] = ddu * ux1 ** 2 + du * ux2
     hg[..., 1, 1] = ddu * uy1 ** 2 + du * uy2
     hg[..., 0, 1] = hg[..., 1, 0] = ddu * ux1 * uy1
@@ -407,10 +404,12 @@ def cbf_rows(barriers: PairBarriers, tracker: ProxyTracker, q, qdot, theta,
     qdot = np.asarray(qdot, dtype=float)
     X, frames = proxy_points(barriers, tracker.gammas[0], q, theta)
     dx = np.einsum("pji,pj->pi", barriers.rotation, X - barriers.translation)
-    h, grad, hess = h_co_derivs(dx, barriers)
+    h = h_co(dx, barriers)
     rows = np.flatnonzero(h <= H_CULL)
     if rows.size == 0:
         return np.zeros((0, 9)), np.zeros(0), h
+    _, grad, hess = h_co_derivs(dx, barriers)
+    grad, hess = grad[rows], hess[rows]
 
     v = np.concatenate([qdot, thetadot])
     J, jdv = proxy_jacobians(frames, barriers.link[rows], X[rows], q[3:], v)
@@ -419,7 +418,6 @@ def cbf_rows(barriers: PairBarriers, tracker: ProxyTracker, q, qdot, theta,
     dxdot = A_dx @ v
     drift = np.concatenate([gains.kp @ (np.asarray(q_d, dtype=float) - q)
                             - gains.kd @ qdot, np.zeros(3)])
-    grad, hess = grad[rows], hess[rows]
     b = (np.einsum("ki,kij,kj->k", dxdot, hess, dxdot)
          + np.einsum("ki,ki->k", grad, A_dx @ drift + np.einsum("kij,kj->ki", RT, jdv))
          + 2.0 * safety.alpha_co * np.einsum("ki,ki->k", grad, dxdot)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,7 +72,7 @@ def euler_rate_map_dot(phi, phidot) -> np.ndarray:
         [0.0, -cr * rd, -sr * cp * rd - cr * sp * pd]])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
     """True plant parameters plus the controller's nominal copies."""
 
@@ -85,75 +87,71 @@ class ModelParams:
     thrust_sat: tuple = (0.0, 18.0)  # plant-side physical saturation, wider than the control band
 
     def __post_init__(self):
-        self.J = np.asarray(self.J, dtype=float)
+        # frozen, so that the cached allocation_body cannot go stale
+        J = np.asarray(self.J, dtype=float)
+        object.__setattr__(self, "J", J)
         if self.m <= 0 or self.g <= 0:
             raise ValueError("mass and gravity must be positive")
         if not (0.0 < self.alpha_p < math.pi / 2):
             raise ValueError("motor tilt must lie in (0, pi/2)")
-        if np.abs(self.J - self.J.T).max() > 1e-12 or np.linalg.eigvalsh(self.J).min() <= 0:
+        if np.abs(J - J.T).max() > 1e-12 or np.linalg.eigvalsh(J).min() <= 0:
             raise ValueError("J must be symmetric positive definite")
         if self.m_hat is None:
-            self.m_hat = self.m
-        if self.J_hat is None:
-            self.J_hat = self.J.copy()
-        else:
-            self.J_hat = np.asarray(self.J_hat, dtype=float)
+            object.__setattr__(self, "m_hat", self.m)
+        object.__setattr__(self, "J_hat", J.copy() if self.J_hat is None
+                           else np.asarray(self.J_hat, dtype=float))
 
     def pick(self, nominal: bool):
         return (self.m_hat, self.J_hat) if nominal else (self.m, self.J)
 
+    @cached_property
+    def allocation_body(self) -> np.ndarray:
+        """Constant thrust-to-wrench matrix in the body frame (6 tilted rotors)."""
+        sa, ca = math.sin(self.alpha_p), math.cos(self.alpha_p)
+        P1 = self.L * ca + self.k_f * sa
+        P2 = self.L * sa - self.k_f * ca
+        h = 0.5
+        r3 = math.sqrt(3.0) / 2.0
+        B = np.array([
+            [h * sa, -sa, h * sa, h * sa, -sa, h * sa],
+            [-r3 * sa, 0.0, r3 * sa, -r3 * sa, 0.0, r3 * sa],
+            [ca, ca, ca, ca, ca, ca],
+            [-h * P1, -P1, -h * P1, h * P1, P1, h * P1],
+            [r3 * P1, 0.0, -r3 * P1, -r3 * P1, 0.0, r3 * P1],
+            [P2, -P2, P2, -P2, P2, -P2]])
+        B.flags.writeable = False   # one copy, shared by every caller
+        return B
 
-def mass_matrix(phi, params: ModelParams, nominal: bool = False) -> np.ndarray:
-    m, J = params.pick(nominal)
-    Q = euler_rate_map(phi)
-    M = np.zeros((6, 6))
-    M[:3, :3] = m * np.eye(3)
-    M[3:, 3:] = Q.T @ J @ Q
-    return M
+
+class ModelTerms(NamedTuple):
+    """Model terms at one state: M(phi) qddot + C + G = B(phi) T + d."""
+
+    M: np.ndarray              # (6, 6) mass matrix
+    C: np.ndarray              # (6,) Coriolis and centrifugal vector
+    G: np.ndarray              # (6,) gravity vector
+    B: np.ndarray              # (6, 6) allocation of the six rotor thrusts
 
 
-def coriolis_vec(phi, phidot, params: ModelParams, nominal: bool = False) -> np.ndarray:
+def model_terms(phi, phidot, params: ModelParams, nominal: bool = False) -> ModelTerms:
+    """M, C, G and B at attitude phi and Euler rates phidot, from one Q(phi),
+    Qdot and R(phi); nominal picks the controller's m_hat, J_hat over the true
+    m, J (B and g are shared)."""
     m, J = params.pick(nominal)
     Q = euler_rate_map(phi)
     Qd = euler_rate_map_dot(phi, phidot)
     pd = np.asarray(phidot, dtype=float)
     w = Q @ pd
+    M = np.zeros((6, 6))
+    M[0, 0] = M[1, 1] = M[2, 2] = m
+    M[3:, 3:] = Q.T @ J @ Q
     C = np.zeros(6)
     C[3:] = Q.T @ (J @ (Qd @ pd) + skew(w) @ (J @ w))
-    return C
-
-
-def gravity_vec(params: ModelParams, nominal: bool = False) -> np.ndarray:
-    m, _ = params.pick(nominal)
     G = np.zeros(6)
     G[2] = m * params.g
-    return G
-
-
-def allocation_body(params: ModelParams) -> np.ndarray:
-    """Constant thrust-to-wrench matrix in the body frame (6 tilted rotors)."""
-    sa, ca = math.sin(params.alpha_p), math.cos(params.alpha_p)
-    P1 = params.L * ca + params.k_f * sa
-    P2 = params.L * sa - params.k_f * ca
-    h = 0.5
-    r3 = math.sqrt(3.0) / 2.0
-    return np.array([
-        [h * sa, -sa, h * sa, h * sa, -sa, h * sa],
-        [-r3 * sa, 0.0, r3 * sa, -r3 * sa, 0.0, r3 * sa],
-        [ca, ca, ca, ca, ca, ca],
-        [-h * P1, -P1, -h * P1, h * P1, P1, h * P1],
-        [r3 * P1, 0.0, -r3 * P1, -r3 * P1, 0.0, r3 * P1],
-        [P2, -P2, P2, -P2, P2, -P2]])
-
-
-def allocation(phi, params: ModelParams) -> np.ndarray:
-    """B(phi) mapping the six rotor thrusts to the generalized wrench."""
-    R = rotation(phi)
-    Q = euler_rate_map(phi)
     Bw = np.zeros((6, 6))
-    Bw[:3, :3] = R
+    Bw[:3, :3] = rotation(phi)
     Bw[3:, 3:] = Q.T
-    return Bw @ allocation_body(params)
+    return ModelTerms(M, C, G, Bw @ params.allocation_body)
 
 
 def hover_thrust(params: ModelParams) -> float:
@@ -190,14 +188,9 @@ def step(state: VehicleState, T, theta_d, thetadot_d, thetaddot_d, d_true, dt,
     """
     if not (0.0 < dt <= DT_MAX):
         raise ValueError(f"dt must lie in (0, {DT_MAX}]")
-    phi = state.q[3:]
-    _check_pitch(phi)
+    M, C, G, B = model_terms(state.q[3:], state.qdot[3:], params)
     T = np.clip(np.asarray(T, dtype=float), params.thrust_sat[0], params.thrust_sat[1])
-    M = mass_matrix(phi, params)
-    C = coriolis_vec(phi, state.qdot[3:], params)
-    G = gravity_vec(params)
-    tau = allocation(phi, params) @ T
-    qddot = np.linalg.solve(M, tau + np.asarray(d_true, dtype=float) - C - G)
+    qddot = np.linalg.solve(M, B @ T + np.asarray(d_true, dtype=float) - C - G)
     if not np.all(np.isfinite(qddot)):
         raise PlantError("non-finite acceleration in plant step")
 

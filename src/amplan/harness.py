@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -280,12 +280,10 @@ def equilibrium_residuals(traj: PlannedTrajectory, geom: VehicleGeometry,
     return out
 
 
-def plan(s: Scenario, mode: str = "sq", n_s: int | None = None) -> PlanResult:
+def plan(s: Scenario, mode: str = "sq") -> PlanResult:
     """Clearance diagram, path search and equilibrium-manifold integration."""
     obstacles = _model_obstacles(s, mode)
     params = s.planner
-    if n_s is not None:
-        params = replace(params, n_s=int(n_s))
     eef0 = s.vehicle.forward_kinematics_eef(s.start)
 
     cells = graph = path = None
@@ -323,12 +321,10 @@ class Telemetry:
     feasible: np.ndarray       # (N,) bool
 
 
-def _dob_rest_state(q, params: dyn.ModelParams) -> ctl.DobState:
-    """Observer state at the disturbance-free hover equilibrium."""
+def _dob_rest_state(q, model: dyn.ModelTerms) -> ctl.DobState:
+    """Observer state at the disturbance-free hover, from the nominal terms at q."""
     state = ctl.DobState.initialize(q)
-    phi = np.asarray(q, dtype=float)[3:]
-    M_hat = dyn.mass_matrix(phi, params, nominal=True)
-    state.xp[0] = np.linalg.solve(M_hat, dyn.gravity_vec(params, nominal=True))
+    state.xp[0] = np.linalg.solve(model.M, model.G)
     return state
 
 
@@ -353,9 +349,9 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
     q_d = q0.copy()
     theta_d = theta0.copy()
     thetadot_d = np.zeros(3)
-    dob = _dob_rest_state(q0, model)
-    T = np.linalg.solve(dyn.allocation(q0[3:], model),
-                        dyn.gravity_vec(model, nominal=True))
+    terms = dyn.model_terms(q0[3:], np.zeros(3), model, nominal=True)
+    dob = _dob_rest_state(q0, terms)
+    T = np.linalg.solve(terms.B, terms.G)
     prev_x = None
 
     dt = s.dt
@@ -372,14 +368,16 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
 
     for k in range(n):
         t = k * dt
-        dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, model, gains, dt)
+        # nominal terms for the observer, thrust rows and inner loop (the plant has its own)
+        terms = dyn.model_terms(state.q[3:], state.qdot[3:], model, nominal=True)
+        dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, terms, gains, dt)
         if t < s.settle_time:
             q_t, theta_t = q0, theta0
         else:
             q_t, theta_t = target_pose(traj, t - s.settle_time, s.duration,
                                        s.flight_height)
         tracker.refresh(state.q, state.theta)
-        A1, b1 = ctl.thrust_limit_rows(q_d, state.q, state.qdot, d_hat, model,
+        A1, b1 = ctl.thrust_limit_rows(q_d, state.q, state.qdot, d_hat, terms,
                                        gains, safety.t_min, safety.t_max)
         A2, b2, h_vals = ctl.cbf_rows(barriers, tracker, state.q, state.qdot,
                                       state.theta, state.thetadot, q_d, gains, safety)
@@ -387,7 +385,7 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
                              np.vstack([A1, A2]), np.concatenate([b1, b2]),
                              gains, prev_x)
         prev_x = res.x
-        T = ctl.inner_loop(q_d, res.qdot_d, state.q, state.qdot, d_hat, model,
+        T = ctl.inner_loop(q_d, res.qdot_d, state.q, state.qdot, d_hat, terms,
                            gains)
         d_true = s.wind.force(t) + noise[k]
 
@@ -486,10 +484,9 @@ def metrics(traj: PlannedTrajectory, telemetry: Telemetry | None, s: Scenario,
     return report
 
 
-def run_pipeline(s: Scenario, mode: str = "sq", n_s: int | None = None,
-                 seed: int | None = None):
+def run_pipeline(s: Scenario, mode: str = "sq", seed: int | None = None):
     """Plan, simulate and score a scenario; returns (PlanResult, Telemetry, report)."""
-    pr = plan(s, mode, n_s=n_s)
+    pr = plan(s, mode)
     tel = simulate(s, pr.traj, mode, seed=seed)
     report = metrics(pr.traj, tel, s, pr.plan_time)
     return pr, tel, report

@@ -10,6 +10,7 @@ import contextlib
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,7 +65,8 @@ def plans(shipped):
             t0 = time.perf_counter()
             pr = hz.plan(s, mode)
             out[(name, mode)] = (pr, time.perf_counter() - t0)
-            out[(name, mode, "double")] = hz.plan(s, mode, n_s=800)
+            out[(name, mode, "double")] = hz.plan(
+                replace(s, planner=replace(s.planner, n_s=800)), mode)
     return out
 
 
@@ -248,20 +250,21 @@ def _hover_with_constant_force(force, duration, dt=0.005):
     model = dyn.ModelParams()
     q0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     state = dyn.VehicleState(q=q0)
-    dob = hz._dob_rest_state(q0, model)
-    T = np.linalg.solve(dyn.allocation(q0[3:], model),
-                        dyn.gravity_vec(model, nominal=True))
+    terms = dyn.model_terms(q0[3:], np.zeros(3), model, nominal=True)
+    dob = hz._dob_rest_state(q0, terms)
+    T = np.linalg.solve(terms.B, terms.G)
     d_true = np.zeros(6)
     d_true[0] = force
     n = int(round(duration / dt))
     t = np.arange(n) * dt
     d_hat_x = np.empty(n)
     for k in range(n):
-        dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, model,
+        terms = dyn.model_terms(state.q[3:], state.qdot[3:], model, nominal=True)
+        dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, terms,
                                     gains, dt)
         d_hat_x[k] = d_hat[0]
         T = ctl.inner_loop(q0, np.zeros(6), state.q, state.qdot, d_hat,
-                           model, gains)
+                           terms, gains)
         state = dyn.step(state, T, np.zeros(3), np.zeros(3), np.zeros(3),
                          d_true, dt, model)
     return t, d_hat_x
@@ -410,8 +413,8 @@ def test_criterion_10_dynamics():
         # free fall: vertical acceleration is exactly -g
         for _ in range(10):
             phi = rng.uniform(-0.5, 0.5, 3)
-            M = dyn.mass_matrix(phi, model)
-            qddot = np.linalg.solve(M, -dyn.gravity_vec(model))
+            terms = dyn.model_terms(phi, np.zeros(3), model)
+            qddot = np.linalg.solve(terms.M, -terms.G)
             assert abs(qddot[2] + model.g) < 1e-9
 
         # generalized force C + G keeps the velocity constant
@@ -419,9 +422,8 @@ def test_criterion_10_dynamics():
                                  qdot=rng.uniform(-0.5, 0.5, 6),
                                  theta=np.array([0.3, 0.0, -0.2]))
         phi = state.q[3:]
-        wrench = (dyn.coriolis_vec(phi, state.qdot[3:], model)
-                  + dyn.gravity_vec(model))
-        T = np.linalg.solve(dyn.allocation(phi, model), wrench)
+        terms = dyn.model_terms(phi, state.qdot[3:], model)
+        T = np.linalg.solve(terms.B, terms.C + terms.G)
         nxt = dyn.step(state, T, state.theta, state.thetadot, np.zeros(3),
                        np.zeros(6), 0.001, model)
         assert np.abs(nxt.qdot - state.qdot).max() < 1e-12

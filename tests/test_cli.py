@@ -94,6 +94,26 @@ def test_dt_above_plant_limit_exit_2_before_planning(empty_yaml, no_planning, ca
     assert err.count("\n") == 1 and err.startswith("error: dt")
 
 
+@pytest.mark.parametrize("command", ["plan", "simulate", "bench"])
+@pytest.mark.parametrize("ns", ["1", "0"])
+def test_ns_below_2_exit_2_before_planning(empty_yaml, no_planning, capsys, command, ns):
+    assert cli.main([command, "--scenario", empty_yaml, "--ns", ns]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --ns: need")
+
+
+def test_ns_override_reaches_planner(empty_yaml, monkeypatch):
+    seen = []
+
+    def plan(s, mode="sq"):
+        seen.append(s.planner.n_s)
+        raise cli.hz.HarnessError("stop after recording")
+
+    monkeypatch.setattr(cli.hz, "plan", plan)
+    assert cli.main(["plan", "--scenario", empty_yaml, "--ns", "50"]) == 3
+    assert seen == [50]
+
+
 def test_scenario_dt_above_plant_limit_exit_2(tmp_path, no_planning, capsys):
     data = copy.deepcopy(EMPTY)
     data["dt"] = 0.02

@@ -59,14 +59,59 @@ class TestGainSet:
             ctl.GainSet(kp=np.zeros((6, 6)))
 
 
+def nominal(p, q, qdot):
+    """The controller's nominal model terms at (q, qdot)."""
+    return dyn.model_terms(np.asarray(q)[3:], np.asarray(qdot)[3:], p, nominal=True)
+
+
+def stacked_rk4_dob_update(state, q, qdot, T, model, gains, dt):
+    """Reference observer: the per-stage np.stack form of the RK4 on the two
+    filters, on the same model terms."""
+    a0e2 = gains.a0 / gains.eps ** 2
+    a1e1 = gains.a1 / gains.eps
+    u_cmd = np.linalg.solve(model.M, model.B @ T)
+    q_in = q + 0.5 * dt * qdot
+
+    def filter_rates(x, u):
+        return np.stack([x[1], a0e2 * (u - x[0]) - a1e1 * x[1]])
+
+    def rates(y):
+        return np.stack([filter_rates(y[0], q_in), filter_rates(y[1], u_cmd)])
+
+    y = np.stack([state.xq, state.xp])
+    k1 = rates(y)
+    k2 = rates(y + 0.5 * dt * k1)
+    k3 = rates(y + 0.5 * dt * k2)
+    k4 = rates(y + dt * k3)
+    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    new = ctl.DobState(xq=y[0], xp=y[1])
+    qddot_f = a0e2 * (q + dt * qdot - new.xq[0]) - a1e1 * new.xq[1]
+    return new, -model.M @ (new.xp[0] - qddot_f) + model.C + model.G
+
+
 class TestDob:
     def test_initial_estimate_is_model_bias(self):
         p = dyn.ModelParams()
         g = ctl.GainSet()
         q = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
         state = ctl.DobState.initialize(q)
-        _, d_hat = ctl.dob_update(state, q, np.zeros(6), np.zeros(6), p, g, 1e-9)
-        np.testing.assert_allclose(d_hat, dyn.gravity_vec(p), atol=1e-6)
+        _, d_hat = ctl.dob_update(state, q, np.zeros(6), np.zeros(6),
+                                  nominal(p, q, np.zeros(6)), g, 1e-9)
+        np.testing.assert_allclose(d_hat, dyn.model_terms(q[3:], np.zeros(3), p).G,
+                                   atol=1e-6)
+
+    def test_bit_equal_to_stacked_rk4(self, rng):
+        p = dyn.ModelParams(m_hat=3.2, J_hat=np.diag([0.05, 0.06, 0.1]))
+        g = ctl.GainSet()
+        for _ in range(200):
+            q, qdot, _, _ = random_state(rng)
+            state = ctl.DobState(xq=rng.normal(size=(2, 6)), xp=rng.normal(size=(2, 6)))
+            T = rng.uniform(1.0, 15.0, size=6)
+            terms = nominal(p, q, qdot)
+            got, d_hat = ctl.dob_update(state, q, qdot, T, terms, g, 0.005)
+            ref, d_ref = stacked_rk4_dob_update(state, q, qdot, T, terms, g, 0.005)
+            assert np.array_equal(got.xq, ref.xq) and np.array_equal(got.xp, ref.xp)
+            assert np.array_equal(d_hat, d_ref)
 
     def test_converges_to_zero_at_hover(self):
         p = dyn.ModelParams()
@@ -75,7 +120,8 @@ class TestDob:
         T = np.full(6, dyn.hover_thrust(p))
         state = ctl.DobState.initialize(q)
         for _ in range(4000):
-            state, d_hat = ctl.dob_update(state, q, np.zeros(6), T, p, g, 0.005)
+            state, d_hat = ctl.dob_update(state, q, np.zeros(6), T,
+                                          nominal(p, q, np.zeros(6)), g, 0.005)
         np.testing.assert_allclose(d_hat, np.zeros(6), atol=1e-6)
 
     def test_tracks_constant_disturbance(self):
@@ -88,7 +134,7 @@ class TestDob:
         dob = ctl.DobState.initialize(s.q)
         d_hat = np.zeros(6)
         for _ in range(4000):
-            dob, d_hat = ctl.dob_update(dob, s.q, s.qdot, T, p, g, 0.005)
+            dob, d_hat = ctl.dob_update(dob, s.q, s.qdot, T, nominal(p, s.q, s.qdot), g, 0.005)
             s = dyn.step(s, T, np.zeros(3), np.zeros(3), np.zeros(3), d_true, 0.005, p)
         assert d_hat[0] == pytest.approx(2.0, abs=1e-2)
         np.testing.assert_allclose(d_hat[1:], np.zeros(5), atol=1e-2)
@@ -113,9 +159,72 @@ class TestDob:
             qx = float(rng.normal())
             q = np.zeros(6)
             q[0] = qx
-            state, _ = ctl.dob_update(state, q, np.zeros(6), np.zeros(6), p, g, dt)
+            state, _ = ctl.dob_update(state, q, np.zeros(6), np.zeros(6),
+                                      nominal(p, q, np.zeros(6)), g, dt)
             xq_ref = Ad @ xq_ref + Bd * qx
             np.testing.assert_allclose(state.xq[:, 0], xq_ref, atol=1e-8)
+
+
+class TestNominalTerms:
+    """The controller runs on m_hat, J_hat and the plant on m, J."""
+
+    MODEL = dict(m_hat=3.0, J_hat=np.diag([0.05, 0.06, 0.1]))
+
+    def test_terms_pick_their_parameters(self, rng):
+        p = dyn.ModelParams(**self.MODEL)
+        for _ in range(20):
+            q, qdot, _, _ = random_state(rng)
+            nom, true = nominal(p, q, qdot), dyn.model_terms(q[3:], qdot[3:], p)
+            Q = dyn.euler_rate_map(q[3:])
+            for terms, m, J in ((nom, p.m_hat, p.J_hat), (true, p.m, p.J)):
+                np.testing.assert_allclose(terms.M[:3, :3], m * np.eye(3), rtol=0, atol=0)
+                np.testing.assert_allclose(terms.M[3:, 3:], Q.T @ J @ Q, rtol=1e-14)
+                assert terms.G[2] == m * p.g
+            assert not np.allclose(nom.C, true.C)
+            assert np.array_equal(nom.B, true.B)
+
+    def test_plant_steps_on_true_terms(self, rng):
+        p = dyn.ModelParams(**self.MODEL)
+        q, qdot, theta, thetadot = random_state(rng)
+        s = dyn.VehicleState(q=q, qdot=qdot, theta=theta, thetadot=thetadot)
+        T, d = rng.uniform(2.0, 10.0, size=6), rng.normal(size=6)
+        s2 = dyn.step(s, T, theta, thetadot, np.zeros(3), d, 0.005, p)
+        for terms, equal in ((dyn.model_terms(q[3:], qdot[3:], p), True),
+                             (nominal(p, q, qdot), False)):
+            qddot = np.linalg.solve(terms.M, terms.B @ T + d - terms.C - terms.G)
+            assert np.array_equal(s2.qdot, qdot + 0.005 * qddot) == equal
+
+    def test_simulate_feeds_nominal_terms_of_the_tick_state(self, monkeypatch):
+        model = dyn.ModelParams(**self.MODEL)
+        s = hz.Scenario(name="mismatch", world_box=(-5.0, -5.0, 8.0, 8.0), obstacles=[],
+                        start=np.zeros(5), goal=np.array([2.0, 0.0, 0.0]),
+                        duration=0.05, settle_time=0.05, model=model)
+        traj = hz.plan(s).traj
+        calls = {"dob_update": 0, "thrust_limit_rows": 0, "inner_loop": 0, "step": 0}
+
+        def checked(name, fn, i_q, i_terms):
+            def wrapper(*args):
+                q, qdot, terms = args[i_q], args[i_q + 1], args[i_terms]
+                expect = nominal(model, q, qdot)
+                assert all(np.array_equal(a, b) for a, b in zip(terms, expect))
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ctl, "dob_update", checked("dob_update", ctl.dob_update, 1, 4))
+        monkeypatch.setattr(ctl, "thrust_limit_rows",
+                            checked("thrust_limit_rows", ctl.thrust_limit_rows, 1, 4))
+        monkeypatch.setattr(ctl, "inner_loop", checked("inner_loop", ctl.inner_loop, 2, 5))
+        step = dyn.step
+
+        def plant(*args):
+            assert args[-1] is model
+            calls["step"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(dyn, "step", plant)
+        tel = hz.simulate(s, traj)
+        assert set(calls.values()) == {len(tel.t)} and len(tel.t) == 20
 
 
 class TestInnerLoop:
@@ -123,7 +232,7 @@ class TestInnerLoop:
         p = dyn.ModelParams()
         g = ctl.GainSet()
         T = ctl.inner_loop(np.zeros(6), np.zeros(6), np.zeros(6), np.zeros(6),
-                           np.zeros(6), p, g)
+                           np.zeros(6), nominal(p, np.zeros(6), np.zeros(6)), g)
         np.testing.assert_allclose(T, np.full(6, dyn.hover_thrust(p)), atol=1e-10)
 
     def test_disturbance_compensation(self):
@@ -131,9 +240,10 @@ class TestInnerLoop:
         g = ctl.GainSet()
         d_hat = np.zeros(6)
         d_hat[2] = -3.0
-        T = ctl.inner_loop(np.zeros(6), np.zeros(6), np.zeros(6), np.zeros(6), d_hat, p, g)
-        tau = dyn.allocation(np.zeros(3), p) @ T
-        np.testing.assert_allclose(tau, dyn.gravity_vec(p) - d_hat, atol=1e-10)
+        terms = nominal(p, np.zeros(6), np.zeros(6))
+        T = ctl.inner_loop(np.zeros(6), np.zeros(6), np.zeros(6), np.zeros(6), d_hat, terms, g)
+        true = dyn.model_terms(np.zeros(3), np.zeros(3), p)
+        np.testing.assert_allclose(true.B @ T, true.G - d_hat, atol=1e-10)
 
     def test_thrust_rows_substitute_exactly(self, rng):
         p = dyn.ModelParams()
@@ -143,8 +253,9 @@ class TestInnerLoop:
             q_d = q + rng.normal(scale=0.05, size=6)
             qdot_d = rng.normal(scale=0.5, size=6)
             d_hat = rng.normal(scale=1.0, size=6)
-            T = ctl.inner_loop(q_d, qdot_d, q, qdot, d_hat, p, g)
-            A, b = ctl.thrust_limit_rows(q_d, q, qdot, d_hat, p, g, 1.0, 15.0)
+            terms = nominal(p, q, qdot)
+            T = ctl.inner_loop(q_d, qdot_d, q, qdot, d_hat, terms, g)
+            A, b = ctl.thrust_limit_rows(q_d, q, qdot, d_hat, terms, g, 1.0, 15.0)
             x = np.concatenate([qdot_d, np.zeros(3)])
             np.testing.assert_allclose(b[:6] - A[:6] @ x, T - 1.0, atol=1e-8)
             np.testing.assert_allclose(b[6:] - A[6:] @ x, 15.0 - T, atol=1e-8)
@@ -264,8 +375,26 @@ class TestBarrier:
                 np.testing.assert_allclose(hess[:, k], (hp - hm) / 2e-6, atol=1e-4)
 
     def test_degenerate_center_raises(self):
-        with pytest.raises(ctl.ControlError):
-            ctl.h_co_derivs([0.0, 0.0, 0.0], self.sphere())
+        for fn in (ctl.h_co, ctl.h_co_derivs):
+            with pytest.raises(ctl.ControlError):
+                fn([0.0, 0.0, 0.0], self.sphere())
+
+    def test_value_path_bit_equal_on_tree_pose(self):
+        # the cull's h-only pass and the derivative pass share one bracket
+        s = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
+        tracker = ctl.ProxyTracker(geom=s.vehicle, obstacles=s.obstacles)
+        barriers = ctl.PairBarriers(tracker, [ctl.extrude_obstacle(o, 3.0)
+                                              for o in s.obstacles])
+        q, theta = np.array([3.3, 2.6, 1.0, 0.05, -0.04, 0.4]), np.array([0.3, 0.1, -0.5])
+        tracker.refresh(q, theta)
+        X, _ = ctl.proxy_points(barriers, tracker.gammas[0], q, theta)
+        dx = np.einsum("pji,pj->pi", barriers.rotation, X - barriers.translation)
+        h = ctl.h_co(dx, barriers)
+        assert h.shape == (24,)
+        assert np.array_equal(h, ctl.h_co_derivs(dx, barriers)[0])
+        _, _, h_rows = ctl.cbf_rows(barriers, tracker, q, np.zeros(6), theta, np.zeros(3),
+                                    q, ctl.GainSet(), ctl.SafetyParams())
+        assert np.array_equal(h_rows, h)
 
 
 class TestCbfRows:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -51,19 +52,20 @@ class TestEulerRateMap:
 class TestMassCoriolisGravity:
     def test_level_attitude(self):
         p = dyn.ModelParams()
-        M = dyn.mass_matrix(np.zeros(3), p)
+        M = dyn.model_terms(np.zeros(3), np.zeros(3), p).M
         np.testing.assert_allclose(M[:3, :3], p.m * np.eye(3), atol=1e-15)
         np.testing.assert_allclose(M[3:, 3:], p.J, atol=1e-15)
 
     def test_zero_rates_zero_coriolis(self, rng):
         p = dyn.ModelParams()
         phi = random_regular_phi(rng)
-        np.testing.assert_allclose(dyn.coriolis_vec(phi, np.zeros(3), p), np.zeros(6), atol=1e-15)
+        np.testing.assert_allclose(dyn.model_terms(phi, np.zeros(3), p).C, np.zeros(6),
+                                   atol=1e-15)
 
     def test_mass_matrix_spd(self, rng):
         p = dyn.ModelParams()
         for _ in range(1000):
-            M = dyn.mass_matrix(random_regular_phi(rng, 1.2), p)
+            M = dyn.model_terms(random_regular_phi(rng, 1.2), np.zeros(3), p).M
             np.testing.assert_allclose(M, M.T, atol=1e-12)
             assert np.linalg.eigvalsh(M).min() > 0.0
 
@@ -100,15 +102,15 @@ class TestMassCoriolisGravity:
                 dT_dphi[k] = (kinetic_energy(phi + e, phidot, p)
                               - kinetic_energy(phi - e, phidot, p)) / 2e-6
             oracle = lhs_t - dT_dphi
-            model = (dyn.mass_matrix(phi, p) @ np.concatenate([np.zeros(3), phiddot])
-                     + dyn.coriolis_vec(phi, phidot, p))[3:]
+            terms = dyn.model_terms(phi, phidot, p)
+            model = (terms.M @ np.concatenate([np.zeros(3), phiddot]) + terms.C)[3:]
             np.testing.assert_allclose(model, oracle, atol=1e-6)
 
 
 class TestAllocation:
     def test_equal_thrusts_pure_lift(self):
         p = dyn.ModelParams()
-        tau = dyn.allocation(np.zeros(3), p) @ (7.0 * np.ones(6))
+        tau = dyn.model_terms(np.zeros(3), np.zeros(3), p).B @ (7.0 * np.ones(6))
         np.testing.assert_allclose(
             tau, [0, 0, 6 * 7.0 * math.cos(p.alpha_p), 0, 0, 0], atol=1e-12)
 
@@ -119,16 +121,23 @@ class TestAllocation:
         assert t == pytest.approx(5.925, abs=5e-3)
         assert 1.0 < t < 15.0
 
+    def test_body_allocation_built_once_and_params_frozen(self):
+        p = dyn.ModelParams()
+        assert p.allocation_body is p.allocation_body
+        assert not p.allocation_body.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.alpha_p = 0.3
+
     def test_full_rank(self):
         p = dyn.ModelParams()
-        assert np.linalg.matrix_rank(dyn.allocation(np.zeros(3), p)) == 6
+        assert np.linalg.matrix_rank(dyn.model_terms(np.zeros(3), np.zeros(3), p).B) == 6
 
     def test_conditioning_over_envelope(self, rng):
         p = dyn.ModelParams()
         for _ in range(200):
             phi = np.array([rng.uniform(-0.52, 0.52), rng.uniform(-0.52, 0.52),
                             rng.uniform(-math.pi, math.pi)])
-            assert np.linalg.cond(dyn.allocation(phi, p)) < 1e4
+            assert np.linalg.cond(dyn.model_terms(phi, np.zeros(3), p).B) < 1e4
 
 
 class TestStep:
@@ -145,8 +154,8 @@ class TestStep:
         s = dyn.VehicleState(q=np.array([0, 0, 1, 0.1, -0.05, 0.3]),
                              qdot=np.array([0.2, 0.1, 0.0, 0.02, -0.01, 0.03]))
         phi = s.q[3:]
-        rhs = dyn.coriolis_vec(phi, s.qdot[3:], p) + dyn.gravity_vec(p)
-        T = np.linalg.solve(dyn.allocation(phi, p), rhs)
+        terms = dyn.model_terms(phi, s.qdot[3:], p)
+        T = np.linalg.solve(terms.B, terms.C + terms.G)
         s2 = dyn.step(s, T, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(6), 0.001, p)
         np.testing.assert_allclose(s2.qdot, s.qdot, atol=1e-12)
 
@@ -154,8 +163,8 @@ class TestStep:
         p = dyn.ModelParams()
         s = dyn.VehicleState()
         phi = s.q[3:]
-        T = np.linalg.solve(dyn.allocation(phi, p),
-                            dyn.gravity_vec(p))  # hover: cancels gravity exactly
+        terms = dyn.model_terms(phi, s.qdot[3:], p)
+        T = np.linalg.solve(terms.B, terms.G)  # hover: cancels gravity exactly
         d = np.zeros(6)
         d[0] = 2.0
         s2 = dyn.step(s, T, np.zeros(3), np.zeros(3), np.zeros(3), d, 0.002, p)
@@ -188,7 +197,8 @@ class TestStep:
     def test_arm_tracks_reference(self):
         p = dyn.ModelParams()
         s = dyn.VehicleState()
-        T_hover = np.linalg.solve(dyn.allocation(np.zeros(3), p), dyn.gravity_vec(p))
+        terms = dyn.model_terms(np.zeros(3), np.zeros(3), p)
+        T_hover = np.linalg.solve(terms.B, terms.G)
         target = np.array([0.4, 0.0, -0.2])
         for _ in range(1000):
             s = dyn.step(s, T_hover, target, np.zeros(3), np.zeros(3), np.zeros(6), 0.005, p)
