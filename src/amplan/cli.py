@@ -7,7 +7,6 @@ files), 3 on runtime failures inside the pipeline.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import os
 import sys
@@ -45,10 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("plan", help="plan only; emit trajectory and diagram"))
     common(sub.add_parser("simulate", help="plan, simulate and emit everything"))
-    bench = sub.add_parser("bench", help="run all scenarios in both modes")
-    common(bench, with_mode=False)
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes")
+    common(sub.add_parser("bench", help="run all scenarios in both modes"), with_mode=False)
     met = sub.add_parser("metrics", help="recompute metrics from emitted files")
     met.add_argument("--scenario", required=True, action="append")
     met.add_argument("--out", required=True,
@@ -87,24 +83,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _bench_one(job):
-    path, mode, out, seed, dt, ns = job
-    s = _load(path, dt, ns)
-    pr, tel, report = hz.run_pipeline(s, mode, seed=seed)
-    if out:
-        d = os.path.join(out, f"{s.name}-{mode}")
-        hz.emit(d, pr.traj, tel, report, pr.cells, pr.graph)
-    return (s.name, mode, report)
-
-
 def _cmd_bench(args) -> int:
-    jobs = [(path, mode, args.out, args.seed, args.dt, args.ns)
-            for path in args.scenario for mode in ("sq", "ellipse")]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(_bench_one, jobs))
-    else:
-        results = [_bench_one(j) for j in jobs]
+    results = []
+    for path in args.scenario:
+        s = _load(path, args.dt, args.ns)
+        for mode in ("sq", "ellipse"):
+            pr, tel, report = hz.run_pipeline(s, mode, seed=args.seed)
+            if args.out:
+                hz.emit(os.path.join(args.out, f"{s.name}-{mode}"), pr.traj, tel, report,
+                        pr.cells, pr.graph)
+            results.append((s.name, mode, report))
     results.sort(key=lambda r: (r[0], r[1]))
     header = f"{'scenario':<12}{'mode':<9}{'plan_time':>10}{'min_dist':>10}" \
              f"{'arc_len':>9}{'jerkiness':>11}{'h_min':>8}{'infeas':>7}"

@@ -126,18 +126,6 @@ class Superquadric3:
 
 
 @dataclass(frozen=True)
-class ProxyPair:
-    """Angular parameters of the interacting closest points on two SQ boundaries."""
-
-    gamma_i: float
-    gamma_j: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma_i", float(wrap_angle(self.gamma_i)))
-        object.__setattr__(self, "gamma_j", float(wrap_angle(self.gamma_j)))
-
-
-@dataclass(frozen=True)
 class StiffnessParams:
     """Bounds and scales of the nonlinear proxy stiffness."""
 
@@ -324,23 +312,3 @@ def closest_pairs(sq_i, sq_j, init=None, tol: float = 1e-8,
     gap = np.hypot(*(pi - pj))
     inside = (_inside_outside(rows[:, P:], pi) < 0.0) | (_inside_outside(rows[:, :P], pj) < 0.0)
     return ClosestPairs(g, np.where(inside, -gap, gap), converged, iterations)
-
-
-@dataclass(frozen=True)
-class ClosestPairResult:
-    proxy: ProxyPair
-    gap: float
-    converged: bool
-    iterations: int
-
-
-def closest_pair(sq_i: Superquadric2, sq_j: Superquadric2, init: ProxyPair | None = None,
-                 tol: float = 1e-8, max_iter: int = 200) -> ClosestPairResult:
-    """Find the proxy pair minimizing ||p(gamma_i) - p(gamma_j)|| between two SQs.
-
-    A batch of one for closest_pairs.
-    """
-    g = None if init is None else [[init.gamma_i], [init.gamma_j]]
-    res = closest_pairs(shape_rows([sq_i]), shape_rows([sq_j]), g, tol, max_iter)
-    return ClosestPairResult(ProxyPair(*res.gammas[:, 0]), float(res.gap[0]),
-                             bool(res.converged[0]), int(res.iterations[0]))

@@ -274,8 +274,8 @@ def equilibrium_residuals(traj: PlannedTrajectory, geom: VehicleGeometry,
     P = (traj.gammas.shape[1] // 2) if traj.gammas.size else 0
     out = np.empty(len(traj.s))
     for k in range(len(traj.s)):
-        gz, _, _, _ = _fused_derivatives(ev, params, traj.z[k], traj.gammas[k, :P],
-                                         traj.gammas[k, P:], traj.u[k])
+        gz = _fused_derivatives(ev, params, traj.z[k], traj.gammas[k, :P],
+                                traj.gammas[k, P:], traj.u[k])[0]
         out[k] = float(np.linalg.norm(gz))
     return out
 

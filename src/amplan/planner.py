@@ -8,7 +8,7 @@ attractor u(s) slides along the clearance path; the configuration follows the
 potential's equilibrium manifold through an adaptively damped ODE in the path
 parameter s, integrated with a fixed-step RK4 scheme.
 
-The configuration-space gradient and Hessian of the potential and the
+The potential, its configuration-space gradient and Hessian and the
 end-effector Jacobian are closed-form, computed in one batched pass over the
 part/obstacle pairs per RK4 stage; only the proxy-angle gradient is a central
 finite difference, taken in the same pass.
@@ -198,38 +198,34 @@ class _Evaluator:
 
     def __init__(self, geom: VehicleGeometry, obs: ObstacleSet, stiff: StiffnessParams):
         self.geom = geom
-        self.obs = obs
         self.stiff = stiff
-        self.pi, self.oi = pair_index(geom.n_parts, len(obs))
+        pi, oi = pair_index(geom.n_parts, len(obs))
+        self.P = P = pi.size
         a1, a2, eps = geom.part_axes
-        self.pa1, self.pa2, self.peps = a1[self.pi], a2[self.pi], eps[self.pi]
-        (self.oa1, self.oa2, self.oeps, self.ocos, self.osin,
-         self.ocx, self.ocy) = obs.rows[:, self.oi]
-        self.oexp = 2.0 / self.oeps
-        self.P = self.pi.size
+        oa1, oa2, oeps, ocos, osin, ocx, ocy = obs.rows[:, oi]
+        self.oexp = 2.0 / oeps
 
         # Closed-form kernel constants, x/y on the leading axis.  Every proxy is a
         # frame origin plus the frame rotation of (offset + b), b its boundary point
         # in body coordinates: part proxies sit in the joint frame l of their part
         # (VehicleGeometry.joint_frames), obstacle proxies in their obstacle's frame.
         # Kernel columns 0..P-1 hold the part proxies, P..2P-1 the obstacle proxies.
-        P = self.P
-        link = geom.part_links[self.pi]
-        off = geom.part_offsets[self.pi]
-        self.frame = np.concatenate([link, 3 + self.oi])
+        link = geom.part_links[pi]
+        off = geom.part_offsets[pi]
+        self.frame = np.concatenate([link, 3 + oi])
         self.obs_frames = obs.rows[[5, 6, 3, 4]].T
         self.off = np.concatenate([off.T, np.zeros((2, P))], axis=1)[:, None]
-        self.axes = np.array([np.concatenate([self.pa1, self.oa1]),
-                              np.concatenate([self.pa2, self.oa2])])[:, None]
-        self.beps = np.concatenate([self.peps, self.oeps])
+        self.axes = np.array([np.concatenate([a1[pi], oa1]),
+                              np.concatenate([a2[pi], oa2])])[:, None]
+        self.beps = np.concatenate([eps[pi], oeps])
         # joint angle j moves a part proxy iff j <= l
         self.moved = (np.arange(3) <= link[:, None]).astype(float)
         self.jp = np.zeros((2, P, 5))
         self.jp[0, :, 0] = self.jp[1, :, 1] = 1.0
         # obstacle rotation R[a, k], scaled inverse diag(1/a) R^T, and R[a, k] R[b, k]
-        a = np.array([self.oa1, self.oa2])
-        self.orot = np.array([[self.ocos, -self.osin], [self.osin, self.ocos]])
-        self.ocenter = np.array([self.ocx, self.ocy])[:, None]
+        a = np.array([oa1, oa2])
+        self.orot = np.array([[ocos, -osin], [osin, ocos]])
+        self.ocenter = np.array([ocx, ocy])[:, None]
         self.oscale = (self.orot.transpose(1, 0, 2) / a[:, None])[:, :, None]
         self.orot2 = self.orot[:, None] * self.orot[None, :]
         # dF/db = e |w|^(e-1) sign(w) / a and d2F/db2 = e (e-1) |w|^(e-2) / a^2 on
@@ -237,62 +233,6 @@ class _Evaluator:
         self.fgrad = self.oexp / a
         self.fcurv = self.oexp * (self.oexp - 1.0) / a ** 2
         self.e1, self.e2 = self.oexp - 1.0, self.oexp - 2.0
-
-    def scaled_body(self, p):
-        """Part proxies p (2, ..., P) in their obstacle's frame, divided by its semi-axes."""
-        d = p - self.ocenter
-        return self.oscale[:, 0] * d[0] + self.oscale[:, 1] * d[1]
-
-    def terms(self, Z, Gp, Go):
-        """Per-pair potential terms 0.5 k(F - d') ||p_part - p_obs||^2, shape (B, P)."""
-        centers, angles, _ = self.geom.part_poses(Z)
-        B = centers.shape[0]
-        Gp = np.broadcast_to(np.asarray(Gp, dtype=float), (B, self.P))
-        Go = np.broadcast_to(np.asarray(Go, dtype=float), (B, self.P))
-
-        pbx = self.pa1 * signed_pow(np.cos(Gp), self.peps)
-        pby = self.pa2 * signed_pow(np.sin(Gp), self.peps)
-        ang = angles[:, self.pi]
-        ca, sa = np.cos(ang), np.sin(ang)
-        px = centers[:, self.pi, 0] + ca * pbx - sa * pby
-        py = centers[:, self.pi, 1] + sa * pbx + ca * pby
-        obx = self.oa1 * signed_pow(np.cos(Go), self.oeps)
-        oby = self.oa2 * signed_pow(np.sin(Go), self.oeps)
-        qx = self.ocx + self.ocos * obx - self.osin * oby
-        qy = self.ocy + self.osin * obx + self.ocos * oby
-
-        F = (np.abs(self.scaled_body(np.array([px, py]))) ** self.oexp).sum(axis=0) - 1.0
-        k = stiffness(F - self.stiff.d_prime, self.stiff)
-        return 0.5 * k * ((px - qx) ** 2 + (py - qy) ** 2)
-
-
-def pair_terms(geom: VehicleGeometry, obs: ObstacleSet, Z, Gp, Go,
-               stiff: StiffnessParams):
-    """Per-pair potential terms for an ad-hoc call (no caching)."""
-    return _Evaluator(geom, obs, stiff).terms(Z, Gp, Go)
-
-
-def _target_terms(eef, u, k_tgt):
-    r = u - eef
-    r[..., 2] = wrap_angle(r[..., 2])
-    return 0.5 * np.einsum("...i,ij,...j->...", r, k_tgt, r)
-
-
-def potential(geom, obs, params: PlannerParams, z, Gp, Go, u):
-    """Scalar total potential W(z, Gamma, u)."""
-    if not isinstance(obs, ObstacleSet):
-        obs = ObstacleSet(list(obs))
-    return _potential(_Evaluator(geom, obs, params.stiffness), params,
-                      np.asarray(z, dtype=float), Gp, Go, u)
-
-
-def _potential(ev: _Evaluator, params, z, Gp, Go, u):
-    Z = z[None, :]
-    _, _, eef = ev.geom.part_poses(Z)
-    w_proxy = float(ev.terms(Z, Gp, Go).sum())
-    w_tgt = float(_target_terms(eef[0], np.asarray(u, dtype=float), params.k_tgt))
-    w_reg = 0.5 * params.k_reg * float(z[3] ** 2 + z[4] ** 2)
-    return w_proxy + w_tgt + w_reg
 
 
 # proxy-angle shifts of the three kernel rows: base, +FD_GRAD, -FD_GRAD
@@ -304,8 +244,9 @@ _EYE2 = np.eye(2)[:, :, None]
 
 
 def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
-    """(grad_z W, hess_z W, J_eef, grad_Gamma W) from one batched pass over the pairs.
+    """(grad_z W, hess_z W, J_eef, grad_Gamma W, W) from one batched pass over the pairs.
 
+    W is the sum of the pair terms, the target term and the joint regulariser.
     The configuration derivatives are closed-form.  A pair term
     0.5 k(F(p) - d') |p - q|^2 has p-space gradient 0.5 k' |D|^2 dF + k D and
     Hessian 0.5 k'' |D|^2 dF dF^T + 0.5 k' |D|^2 d2F + k' (dF D^T + D dF^T) + k I,
@@ -329,7 +270,9 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     X = frames[:2, None] + frames[2] * b + frames[3] * (b[::-1] * _QUARTER)
     p, q = X[..., :P], X[..., P:]
 
-    w = ev.scaled_body(p)
+    # part proxies in their obstacle's frame, divided by its semi-axes
+    d = p - ev.ocenter
+    w = ev.oscale[:, 0] * d[0] + ev.oscale[:, 1] * d[1]
     aw = np.abs(w)
     F = (aw ** ev.oexp).sum(axis=0) - 1.0
     k = stiffness(F - st.d_prime, st)
@@ -380,15 +323,8 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     gz[3:] += params.k_reg * z[3:]
     H[3, 3] += params.k_reg
     H[4, 4] += params.k_reg
-    return gz, H, J, gG
-
-
-def _derivatives(geom, obs, params, z, Gp, Go, u):
-    """Ad-hoc derivative evaluation (builds a fresh evaluator)."""
-    if not isinstance(obs, ObstacleSet):
-        obs = ObstacleSet(list(obs))
-    return _fused_derivatives(_Evaluator(geom, obs, params.stiffness), params,
-                              np.asarray(z, dtype=float), Gp, Go, u)
+    W = tp[0].sum() + 0.5 * (r @ Kr) + 0.5 * params.k_reg * (z[3] ** 2 + z[4] ** 2)
+    return gz, H, J, gG, W
 
 
 def _init_gammas(geom, obs, z):
@@ -400,7 +336,7 @@ def _prerelax(ev: _Evaluator, params, z0, Gp, Go, u0):
     """Damped Newton flow on z (and descent on Gamma) down to a local equilibrium."""
     z = np.asarray(z0, dtype=float).copy()
     for _ in range(params.prerelax_max_iter):
-        gz, H, _, gG = _fused_derivatives(ev, params, z, Gp, Go, u0)
+        gz, H, _, gG, w0 = _fused_derivatives(ev, params, z, Gp, Go, u0)
         if np.linalg.norm(gz) < params.prerelax_tol:
             return z, Gp, Go
         Hs = 0.5 * (H + H.T)
@@ -410,11 +346,11 @@ def _prerelax(ev: _Evaluator, params, z0, Gp, Go, u0):
             dz = -gz
         if dz @ gz > 0.0:
             dz = -gz
-        w0 = _potential(ev, params, z, Gp, Go, u0)
         step = 1.0
         for _ in range(30):
             z_new = z + step * dz
-            if _potential(ev, params, z_new, Gp, Go, u0) < w0 + 1e-4 * step * (dz @ gz):
+            w = _fused_derivatives(ev, params, z_new, Gp, Go, u0)[4]
+            if w < w0 + 1e-4 * step * (dz @ gz):
                 z = z_new
                 break
             step *= 0.5
@@ -426,7 +362,7 @@ def _prerelax(ev: _Evaluator, params, z0, Gp, Go, u0):
             sg = min(1.0 / params.alpha, 0.25 / gn)
             Gp = Gp - sg * gG[:P]
             Go = Go - sg * gG[P:]
-    gz, _, _, _ = _fused_derivatives(ev, params, z, Gp, Go, u0)
+    gz = _fused_derivatives(ev, params, z, Gp, Go, u0)[0]
     if np.linalg.norm(gz) >= params.prerelax_tol:
         raise PlannerError(
             f"pre-relaxation stalled with |grad| = {np.linalg.norm(gz):.3e}")
@@ -501,7 +437,7 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
     def f(y, u, udot):
         zz, gp, go = y[:5], y[5:5 + P], y[5 + P:]
         try:
-            gz, H, J, gG = _fused_derivatives(ev, params, zz, gp, go, u)
+            gz, H, J, gG, _ = _fused_derivatives(ev, params, zz, gp, go, u)
             Hs = 0.5 * (H + H.T)
             lam = np.linalg.eigvalsh(Hs)
         except (GeometryError, np.linalg.LinAlgError) as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Superquadric2, closest_pair
+from .geometry import Superquadric2, _boundary, closest_pairs, shape_rows
 
 MERGE_RADIUS = 1e-7
 CLIP_TOL = 1e-12
@@ -69,16 +69,26 @@ class SolutionPath:
     cost: float = math.inf
 
 
-def bisector(sq_i: Superquadric2, sq_j: Superquadric2, pair=(0, 1)) -> Hyperplane2:
-    """Perpendicular bisector of the closest proxy pair between two disjoint SQs."""
-    res = closest_pair(sq_i, sq_j)
-    if res.gap <= 0.0:
-        raise VoronoiError(f"obstacles {pair[0]} and {pair[1]} overlap (gap {res.gap:.4g})")
-    pi = sq_i.boundary_point(res.proxy.gamma_i)
-    pj = sq_j.boundary_point(res.proxy.gamma_j)
-    n = (pj - pi) / np.linalg.norm(pj - pi)
-    mid = 0.5 * (pi + pj)
-    return Hyperplane2(normal=(float(n[0]), float(n[1])), offset=float(n @ mid), pair=tuple(pair))
+def bisectors(obstacles: list[Superquadric2]) -> dict[tuple, Hyperplane2]:
+    """Perpendicular bisectors {(i, j): Hyperplane2} of the closest proxy pairs of
+    every obstacle pair i < j, solved in one closest_pairs call."""
+    i, j = np.triu_indices(len(obstacles), 1)
+    rows = shape_rows(obstacles)
+    res = closest_pairs(rows[:, i], rows[:, j])
+    hit = np.flatnonzero(res.gap <= 0.0)
+    if hit.size:
+        k = hit[0]
+        raise VoronoiError(f"obstacles {i[k]} and {j[k]} overlap (gap {res.gap[k]:.4g})")
+    p, _, _ = _boundary(rows[:, np.concatenate([i, j])], res.gammas.reshape(-1))
+    pi, pj = p[:, :i.size].T, p[:, i.size:].T
+    # the norm and the offset as one BLAS dot per pair, (1, 2) @ (2, 1) matmuls: an
+    # elementwise sum rounds differently and moves the emitted diagram's last digits
+    d = (pj - pi)[:, None]
+    n = d / np.sqrt(d @ d.transpose(0, 2, 1))
+    c = (n @ (0.5 * (pi + pj))[:, :, None])[:, 0, 0]
+    return {(int(a), int(b)): Hyperplane2(normal=(float(nx), float(ny)), offset=float(ck),
+                                          pair=(int(a), int(b)))
+            for a, b, (nx, ny), ck in zip(i, j, n[:, 0], c)}
 
 
 def _box_polygon(box):
@@ -137,11 +147,7 @@ def build_cells(obstacles: list[Superquadric2], box) -> list[VoronoiCell]:
                 or pts[:, 1].min() < ymin or pts[:, 1].max() > ymax):
             raise VoronoiError(f"obstacle {idx} extends outside the world box")
 
-    planes = {}
-    for i in range(len(obstacles)):
-        for j in range(i + 1, len(obstacles)):
-            planes[(i, j)] = bisector(obstacles[i], obstacles[j], pair=(i, j))
-
+    planes = bisectors(obstacles)
     cells = []
     for i, sq in enumerate(obstacles):
         verts, sources = _box_polygon(box)

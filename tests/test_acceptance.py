@@ -20,13 +20,14 @@ from amplan import dynamics as dyn
 from amplan import harness as hz
 from amplan import planner as pl
 from amplan import voronoi as vor
-from amplan.geometry import (StiffnessParams, Superquadric2, closest_pair,
+from amplan.geometry import (StiffnessParams, Superquadric2, closest_pairs, shape_rows,
                              stiffness, stiffness_curvature, stiffness_slope)
 from amplan.qp import ActiveSetSolver, QpProblem, kkt_residuals
 
 from oracles import (central_diff_gradient, enumerate_shortest_path,
                      qp_enumeration, sampled_gap)
 from test_control import proxy_kinematics
+from test_planner import scalar_w
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SHIPPED = ("tree", "pillar")
@@ -94,17 +95,18 @@ def test_criterion_1_closest_pair_vs_dense_sampling():
     with criterion(1, "closest pair vs dense sampling"):
         t0 = time.perf_counter()
         rng = np.random.default_rng(101)
-        count = 0
-        while count < 100:
+        pairs = []
+        while len(pairs) < 100:
             ci = rng.uniform(-1.0, 1.0, 2)
             d = rng.uniform(0.8, 3.0)
             ang = rng.uniform(-math.pi, math.pi)
             cj = ci + d * np.array([math.cos(ang), math.sin(ang)])
             sq_i, sq_j = _random_sq(rng, ci), _random_sq(rng, cj)
-            if sampled_gap(sq_i, sq_j, 600) <= 0.02:
-                continue          # the gap is defined between disjoint shapes
-            count += 1
-            gap = closest_pair(sq_i, sq_j).gap
+            if sampled_gap(sq_i, sq_j, 600) > 0.02:
+                pairs.append((sq_i, sq_j))  # the gap is defined between disjoint shapes
+        side_i, side_j = zip(*pairs)
+        gaps = closest_pairs(shape_rows(side_i), shape_rows(side_j)).gap
+        for (sq_i, sq_j), gap in zip(pairs, gaps):
             oracle = sampled_gap(sq_i, sq_j, 10_000)
             assert abs(gap - oracle) <= max(1e-3, 0.005 * abs(oracle))
 
@@ -128,11 +130,11 @@ def test_criterion_2_voronoi_diagram():
             ci = rng.uniform(-1.0, 1.0, 2)
             cj = ci + rng.uniform(2.2, 4.0) * _unit(rng)
             sq_i, sq_j = _random_sq(rng, ci), _random_sq(rng, cj)
-            res = closest_pair(sq_i, sq_j)
-            assert res.gap > 0.0
-            pi = sq_i.boundary_point(np.array([res.proxy.gamma_i]))[0]
-            pj = sq_j.boundary_point(np.array([res.proxy.gamma_j]))[0]
-            hp = vor.bisector(sq_i, sq_j)
+            res = closest_pairs(shape_rows([sq_i]), shape_rows([sq_j]))
+            assert res.gap[0] > 0.0
+            pi = sq_i.boundary_point(res.gammas[0])[0]
+            pj = sq_j.boundary_point(res.gammas[1])[0]
+            hp = vor.bisectors([sq_i, sq_j])[(0, 1)]
             n = np.asarray(hp.normal)
             tang = np.array([-n[1], n[0]])
             for s in np.linspace(-2.0, 2.0, 41):
@@ -181,7 +183,8 @@ def _random_circle_layout(rng, box, n):
         c = (rng.uniform(xmin + r + 0.1, xmax - r - 0.1),
              rng.uniform(ymin + r + 0.1, ymax - r - 0.1))
         cand = Superquadric2(a1=r, a2=r, eps=1.0, angle=0.0, center=c)
-        if all(closest_pair(cand, o).gap > 0.3 for o in obstacles):
+        if np.all(closest_pairs(shape_rows([cand] * len(obstacles)),
+                                shape_rows(obstacles)).gap > 0.3):
             obstacles.append(cand)
     return obstacles
 
@@ -361,6 +364,7 @@ def test_criterion_8_derivative_suite():
         obs = pl.ObstacleSet([Superquadric2(a1=0.5, a2=0.4, eps=0.6,
                                             angle=0.3, center=(1.6, 0.4))])
         P = geom.n_parts * len(obs)
+        ev = pl._Evaluator(geom, obs, params.stiffness)
         for _ in range(100):
             z = np.concatenate([rng.uniform(-1.0, 1.0, 2),
                                 rng.uniform(-1.5, 1.5, 1),
@@ -369,9 +373,9 @@ def test_criterion_8_derivative_suite():
             Go = rng.uniform(-math.pi, math.pi, P)
             u = np.array([rng.uniform(-1.0, 3.0), rng.uniform(-1.0, 2.0),
                           rng.uniform(-1.5, 1.5)])
-            gz, _, _, _ = pl._derivatives(geom, obs, params, z, Gp, Go, u)
+            gz = pl._fused_derivatives(ev, params, z, Gp, Go, u)[0]
             fd = central_diff_gradient(
-                lambda zz: pl.potential(geom, obs, params, zz, Gp, Go, u),
+                lambda zz: scalar_w(geom, obs, params, zz, Gp, Go, u),
                 z, h=1e-5)
             assert _rel_close(gz, fd)
 

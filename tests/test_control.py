@@ -7,7 +7,7 @@ import pytest
 from amplan import control as ctl
 from amplan import dynamics as dyn
 from amplan import harness as hz
-from amplan.geometry import Superquadric2, closest_pair
+from amplan.geometry import Superquadric2, closest_pairs, shape_rows
 from amplan.planner import VehicleGeometry
 from amplan.qp import ActiveSetSolver
 
@@ -458,11 +458,12 @@ class TestCbfRows:
             assert first.shape == second.shape == (geom.n_parts * len(obstacles),)
             np.testing.assert_allclose(first, second, atol=1e-8)
             assert second.min() > 0.0
-            # the tracker solves the same problem as closest_pair on the part shapes
+            # the tracker solves the same problem as a cold closest_pairs call on
+            # the part shapes
             parts = geom.part_superquadrics([q[0], q[1], q[5], theta[0], theta[2]])
-            for part, o, gap in zip(tracker.pi, tracker.oi, second):
-                assert gap == pytest.approx(closest_pair(parts[part], obstacles[o]).gap,
-                                            abs=1e-9)
+            cold = closest_pairs(shape_rows([parts[p] for p in tracker.pi]),
+                                 shape_rows([obstacles[o] for o in tracker.oi])).gap
+            assert second == pytest.approx(cold, abs=1e-9)
 
 
 class TestOuterLoop:

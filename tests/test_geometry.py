@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amplan.geometry import (
-    ClosestPairResult,
     GeometryError,
-    ProxyPair,
     StiffnessParams,
     Superquadric2,
     Superquadric3,
-    closest_pair,
+    closest_pairs,
+    shape_rows,
     signed_pow,
     stiffness,
     wrap_angle,
@@ -115,55 +114,59 @@ def random_disjoint_pair(rng):
             return a, b
 
 
+def solve(side_i, side_j, **kw):
+    """closest_pairs on the shape pairs (side_i[k], side_j[k])."""
+    return closest_pairs(shape_rows(side_i), shape_rows(side_j), **kw)
+
+
 class TestClosestPair:
     def test_two_unit_circles(self):
         a = Superquadric2(1, 1, 1.0, center=(0, 0))
         b = Superquadric2(1, 1, 1.0, center=(3, 0))
-        res = closest_pair(a, b)
-        assert res.gap == pytest.approx(1.0, abs=1e-8)
-        np.testing.assert_allclose(a.boundary_point(res.proxy.gamma_i), [1, 0], atol=1e-6)
-        np.testing.assert_allclose(b.boundary_point(res.proxy.gamma_j), [2, 0], atol=1e-6)
+        res = solve([a], [b])
+        assert res.gap[0] == pytest.approx(1.0, abs=1e-8)
+        np.testing.assert_allclose(a.boundary_point(res.gammas[0, 0]), [1, 0], atol=1e-6)
+        np.testing.assert_allclose(b.boundary_point(res.gammas[1, 0]), [2, 0], atol=1e-6)
 
     def test_face_to_face_squares(self):
         gap = 0.4
         a = Superquadric2(0.5, 0.5, 0.2, center=(0, 0))
         b = Superquadric2(0.5, 0.5, 0.2, center=(1.0 + gap, 0))
-        res = closest_pair(a, b)
-        assert res.gap == pytest.approx(sampled_gap(a, b), abs=1e-4)
+        res = solve([a], [b])
+        assert res.gap[0] == pytest.approx(sampled_gap(a, b), abs=1e-4)
 
     def test_overlapping_circles_signed(self):
         a = Superquadric2(1, 1, 1.0, center=(0, 0))
         b = Superquadric2(1, 1, 1.0, center=(1.5, 0))
-        res = closest_pair(a, b)
-        assert res.gap == pytest.approx(-0.5, abs=1e-4)
-        assert res.gap == pytest.approx(sampled_gap(a, b), abs=1e-4)
+        res = solve([a], [b])
+        assert res.gap[0] == pytest.approx(-0.5, abs=1e-4)
+        assert res.gap[0] == pytest.approx(sampled_gap(a, b), abs=1e-4)
 
     def test_symmetry(self, rng):
-        for _ in range(20):
-            a, b = random_disjoint_pair(rng)
-            g1 = closest_pair(a, b).gap
-            g2 = closest_pair(b, a).gap
-            assert g1 == pytest.approx(g2, abs=1e-8)
+        side_a, side_b = zip(*(random_disjoint_pair(rng) for _ in range(20)))
+        g1 = solve(side_a, side_b).gap
+        g2 = solve(side_b, side_a).gap
+        assert g1 == pytest.approx(g2, abs=1e-8)
 
     def test_oracle_equivalence(self, rng):
-        for _ in range(30):
-            a, b = random_disjoint_pair(rng)
-            res = closest_pair(a, b)
+        pairs = [random_disjoint_pair(rng) for _ in range(30)]
+        res = solve(*zip(*pairs))
+        for (a, b), gap in zip(pairs, res.gap):
             oracle = sampled_gap(a, b)
-            assert res.gap == pytest.approx(oracle, abs=max(1e-3, 0.005 * oracle))
+            assert gap == pytest.approx(oracle, abs=max(1e-3, 0.005 * oracle))
 
     def test_warm_start(self):
         a = Superquadric2(1, 1, 1.0, center=(0, 0))
         b = Superquadric2(1, 1, 1.0, center=(3, 0))
-        res = closest_pair(a, b, init=ProxyPair(0.3, math.pi - 0.3))
-        assert res.gap == pytest.approx(1.0, abs=1e-6)
+        res = solve([a], [b], init=[[0.3], [math.pi - 0.3]])
+        assert res.gap[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_boxy_pairs_vs_oracle(self):
         """Pairs in the shipped boxy range (eps 0.3-0.4) meet criterion 1's bound,
         and no pair that ran to max_iter reports convergence."""
         rng = np.random.default_rng(404)
-        count = 0
-        while count < 60:
+        pairs = []
+        while len(pairs) < 60:
             ci = rng.uniform(-1.0, 1.0, 2)
             d = rng.uniform(0.8, 3.0)
             ang = rng.uniform(-math.pi, math.pi)
@@ -172,19 +175,20 @@ class TestClosestPair:
                                   eps=rng.uniform(0.3, 0.4),
                                   angle=rng.uniform(-math.pi, math.pi), center=tuple(c))
                     for c in (ci, cj)]
-            if sampled_gap(a, b, 600) <= 0.02:
-                continue
-            count += 1
-            res = closest_pair(a, b)
+            if sampled_gap(a, b, 600) > 0.02:
+                pairs.append((a, b))
+        res = solve(*zip(*pairs))
+        for (a, b), gap in zip(pairs, res.gap):
             oracle = sampled_gap(a, b, 10_000)
-            assert abs(res.gap - oracle) <= max(1e-3, 0.005 * abs(oracle))
-            assert not (res.converged and res.iterations == 200)
+            assert abs(gap - oracle) <= max(1e-3, 0.005 * abs(oracle))
+        assert not np.any(res.converged & (res.iterations == 200))
 
     def test_unconverged_flag(self):
         a = Superquadric2(1, 1, 1.0, center=(0, 0))
         b = Superquadric2(1, 1, 1.0, center=(3, 0))
-        res = closest_pair(a, b, init=ProxyPair(2.0, 0.5), tol=1e-16, max_iter=1)
-        assert isinstance(res, ClosestPairResult)
+        res = solve([a], [b], init=[[2.0], [0.5]], tol=1e-16, max_iter=1)
+        assert not res.converged[0]
+        assert res.iterations[0] == 1
 
 
 class TestBoundaryConsistency:

@@ -4,13 +4,47 @@ import numpy as np
 import pytest
 
 from amplan import planner as pl
-from amplan.geometry import Superquadric2, closest_pair, stiffness
+from amplan.geometry import Superquadric2, closest_pairs, shape_rows, stiffness, wrap_angle
 from amplan.voronoi import SolutionPath
 from oracles import central_diff_gradient
 
 
 def far_obstacle():
     return pl.ObstacleSet([Superquadric2(a1=0.3, a2=0.3, eps=1.0, center=(50.0, 50.0))])
+
+
+def fused(geom, obs, params, z, Gp, Go, u):
+    """One fused pass with a fresh evaluator: (grad_z W, hess_z W, J_eef, grad_Gamma W, W)."""
+    return pl._fused_derivatives(pl._Evaluator(geom, obs, params.stiffness), params,
+                                 np.asarray(z, dtype=float), Gp, Go, u)
+
+
+def scalar_terms(geom, obs, z, Gp, Go, stiff):
+    """Per-pair terms 0.5 k(F - d') |p - q|^2, one shape pair at a time."""
+    parts = geom.part_superquadrics(z)
+    pi, oi = pl.pair_index(geom.n_parts, len(obs))
+    out = np.empty(pi.size)
+    for q in range(pi.size):
+        p = parts[pi[q]].boundary_point(Gp[q])
+        o = obs.shapes[oi[q]].boundary_point(Go[q])
+        F = obs.shapes[oi[q]].inside_outside(p)
+        k = stiffness(F - stiff.d_prime, stiff)
+        out[q] = 0.5 * k * float((p - o) @ (p - o))
+    return out
+
+
+def scalar_w(geom, obs, params, z, Gp, Go, u):
+    """W recomputed without the planner's kernel: pair terms, target term and
+    joint regulariser."""
+    r = np.asarray(u, dtype=float) - geom.forward_kinematics_eef(z)
+    r[2] = wrap_angle(r[2])
+    return (scalar_terms(geom, obs, z, Gp, Go, params.stiffness).sum()
+            + 0.5 * r @ params.k_tgt @ r + 0.5 * params.k_reg * (z[3] ** 2 + z[4] ** 2))
+
+
+def gaps(parts, obstacles):
+    """Signed gaps of the shape pairs (parts[k], obstacles[k]) from one closest_pairs call."""
+    return closest_pairs(shape_rows(parts), shape_rows(obstacles)).gap
 
 
 class TestForwardKinematics:
@@ -49,18 +83,6 @@ class TestForwardKinematics:
 
 
 class TestPotential:
-    def scalar_terms(self, geom, obs, z, Gp, Go, stiff):
-        parts = geom.part_superquadrics(z)
-        pi, oi = pl.pair_index(geom.n_parts, len(obs))
-        out = np.empty(pi.size)
-        for q in range(pi.size):
-            p = parts[pi[q]].boundary_point(Gp[q])
-            o = obs.shapes[oi[q]].boundary_point(Go[q])
-            F = obs.shapes[oi[q]].inside_outside(p)
-            k = stiffness(F - stiff.d_prime, stiff)
-            out[q] = 0.5 * k * float((p - o) @ (p - o))
-        return out
-
     def test_pair_terms_match_scalar_recomputation(self, rng):
         geom = pl.VehicleGeometry()
         obs = pl.ObstacleSet([
@@ -72,9 +94,10 @@ class TestPotential:
             P = geom.n_parts * len(obs)
             Gp = rng.uniform(-math.pi, math.pi, size=P)
             Go = rng.uniform(-math.pi, math.pi, size=P)
-            got = pl.pair_terms(geom, obs, z[None, :], Gp, Go, params.stiffness)[0]
-            want = self.scalar_terms(geom, obs, z, Gp, Go, params.stiffness)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+            u = geom.forward_kinematics_eef(z) + rng.uniform(-0.3, 0.3, size=3)
+            got = fused(geom, obs, params, z, Gp, Go, u)[4]
+            want = scalar_w(geom, obs, params, z, Gp, Go, u)
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_target_term_arithmetic(self):
         geom = pl.VehicleGeometry()
@@ -82,11 +105,13 @@ class TestPotential:
         z = np.zeros(5)
         P = geom.n_parts
         eef = geom.forward_kinematics_eef(z)
-        base = pl.potential(geom, far_obstacle(), params, z, np.zeros(P), np.zeros(P), eef)
-        w = pl.potential(geom, far_obstacle(), params, z, np.zeros(P), np.zeros(P),
-                         eef + np.array([0.1, 0.0, 0.0]))
+        args = (geom, far_obstacle(), params, z, np.zeros(P), np.zeros(P))
+        base = scalar_w(*args, eef)
+        w = scalar_w(*args, eef + np.array([0.1, 0.0, 0.0]))
         # 0.5 * 0.1^2 * 1600 on top of the (residual-free) proxy background
         assert w - base == pytest.approx(8.0, abs=1e-9)
+        assert fused(*args, eef)[4] == pytest.approx(base, rel=1e-12)
+        assert fused(*args, eef + np.array([0.1, 0.0, 0.0]))[4] == pytest.approx(w, rel=1e-12)
 
     def test_angle_residual_wraps(self):
         geom = pl.VehicleGeometry()
@@ -94,10 +119,12 @@ class TestPotential:
         z = np.zeros(5)
         P = geom.n_parts
         eef = geom.forward_kinematics_eef(z)
-        base = pl.potential(geom, far_obstacle(), params, z, np.zeros(P), np.zeros(P), eef)
-        w = pl.potential(geom, far_obstacle(), params, z, np.zeros(P), np.zeros(P),
-                         eef + np.array([0.0, 0.0, 2.0 * math.pi]))
+        args = (geom, far_obstacle(), params, z, np.zeros(P), np.zeros(P))
+        base = scalar_w(*args, eef)
+        w = scalar_w(*args, eef + np.array([0.0, 0.0, 2.0 * math.pi]))
         assert w - base == pytest.approx(0.0, abs=1e-9)
+        assert fused(*args, eef + np.array([0.0, 0.0, 2.0 * math.pi]))[4] \
+            == pytest.approx(base, rel=1e-12)
 
 
 class TestDerivatives:
@@ -151,15 +178,15 @@ class TestDerivatives:
     @staticmethod
     def hessian_of_gradient(geom, obs, params, z, Gp, Go, u, h):
         return np.column_stack([
-            (pl._derivatives(geom, obs, params, z + e, Gp, Go, u)[0]
-             - pl._derivatives(geom, obs, params, z - e, Gp, Go, u)[0]) / (2.0 * h)
+            (fused(geom, obs, params, z + e, Gp, Go, u)[0]
+             - fused(geom, obs, params, z - e, Gp, Go, u)[0]) / (2.0 * h)
             for e in h * np.eye(5)])
 
     def test_configuration_gradient(self, rng):
         geom, obs, params, z, Gp, Go, u = self.setup_case(rng)
-        gz, H, J, gG = pl._derivatives(geom, obs, params, z, Gp, Go, u)
+        gz, H, J, gG, _ = fused(geom, obs, params, z, Gp, Go, u)
         oracle = central_diff_gradient(
-            lambda zz: pl.potential(geom, obs, params, zz, Gp, Go, u), z, h=1e-5)
+            lambda zz: scalar_w(geom, obs, params, zz, Gp, Go, u), z, h=1e-5)
         np.testing.assert_allclose(gz, oracle, atol=1e-4)
         np.testing.assert_allclose(H, H.T, atol=1e-12)
         fd_H = self.hessian_of_gradient(geom, obs, params, z, Gp, Go, u, h=1e-6)
@@ -168,18 +195,18 @@ class TestDerivatives:
         # in the stiffness transition: steps well below its width d0 = 1e-3,
         # and relative bounds, since the gradient reaches 1e6 there
         geom, obs, params, z, Gp, Go, u = self.stiff_case(rng)
-        outputs = pl._derivatives(geom, obs, params, z, Gp, Go, u)
+        outputs = fused(geom, obs, params, z, Gp, Go, u)
         assert all(np.all(np.isfinite(a)) for a in outputs)
-        gz, H, _, _ = outputs
+        gz, H, _, _, _ = outputs
         oracle = central_diff_gradient(
-            lambda zz: pl.potential(geom, obs, params, zz, Gp, Go, u), z, h=3e-8)
+            lambda zz: scalar_w(geom, obs, params, zz, Gp, Go, u), z, h=3e-8)
         assert np.linalg.norm(gz - oracle) <= 1e-6 * np.linalg.norm(oracle)
         fd_H = self.hessian_of_gradient(geom, obs, params, z, Gp, Go, u, h=1e-8)
         assert np.linalg.norm(H - fd_H) <= 1e-6 * np.linalg.norm(fd_H)
 
     def test_eef_jacobian(self, rng):
         geom, obs, params, z, Gp, Go, u = self.setup_case(rng)
-        _, _, J, _ = pl._derivatives(geom, obs, params, z, Gp, Go, u)
+        J = fused(geom, obs, params, z, Gp, Go, u)[2]
         for k in range(5):
             e = np.zeros(5)
             e[k] = 1e-5
@@ -189,11 +216,11 @@ class TestDerivatives:
 
     def test_proxy_gradient(self, rng):
         geom, obs, params, z, Gp, Go, u = self.setup_case(rng)
-        _, _, _, gG = pl._derivatives(geom, obs, params, z, Gp, Go, u)
+        gG = fused(geom, obs, params, z, Gp, Go, u)[3]
         P = Gp.size
 
         def w_of_gamma(g):
-            return pl.potential(geom, obs, params, z, g[:P], g[P:], u)
+            return scalar_w(geom, obs, params, z, g[:P], g[P:], u)
 
         oracle = central_diff_gradient(w_of_gamma, np.concatenate([Gp, Go]), h=1e-5)
         np.testing.assert_allclose(gG, oracle, atol=1e-4)
@@ -242,6 +269,27 @@ class TestIntegration:
                              pl.PlannerParams(n_s=200))
         assert np.abs(t1.z[-1] - t2.z[-1]).max() < 1e-4
 
+    def test_prerelax_line_search(self):
+        # a bent arm away from equilibrium: the joint regulariser straightens it
+        # through line-searched Newton steps while the target term holds the end
+        # effector where it started
+        geom = pl.VehicleGeometry()
+        obs = far_obstacle()
+        params = pl.PlannerParams()
+        ev = pl._Evaluator(geom, obs, params.stiffness)
+        z0 = np.array([0.0, 0.0, 0.0, 0.4, -0.3])
+        Gp0, Go0 = pl._init_gammas(geom, obs, z0)
+        u0 = geom.forward_kinematics_eef(z0)
+        assert np.linalg.norm(pl._fused_derivatives(ev, params, z0, Gp0, Go0, u0)[0]) \
+            >= params.prerelax_tol
+        z, Gp, Go = pl._prerelax(ev, params, z0, Gp0, Go0, u0)
+        assert np.linalg.norm(pl._fused_derivatives(ev, params, z, Gp, Go, u0)[0]) \
+            < params.prerelax_tol
+        assert scalar_w(geom, obs, params, z, Gp, Go, u0) \
+            < scalar_w(geom, obs, params, z0, Gp0, Go0, u0)
+        assert np.abs(z[3:]).max() < 1e-3
+        np.testing.assert_allclose(geom.forward_kinematics_eef(z), u0, atol=1e-3)
+
     def test_singular_hessian_raises(self):
         geom = pl.VehicleGeometry()
         params = pl.PlannerParams(k_tgt=np.zeros((3, 3)), k_reg=1.0, n_s=10)
@@ -259,8 +307,7 @@ class TestIntegration:
                  np.array([3.3, 0.2, -0.5])]
         traj = pl.integrate_em(geom, obs, np.zeros(5), attrs, params)
         for k in range(0, len(traj.z), 8):
-            for part in geom.part_superquadrics(traj.z[k]):
-                assert closest_pair(part, shape).gap > 0.0
+            assert np.all(gaps(geom.part_superquadrics(traj.z[k]), [shape] * geom.n_parts) > 0.0)
         np.testing.assert_allclose(traj.eef[-1][:2], [3.3, 0.2], atol=0.05)
 
     def test_slow_approach_stops_short_of_face(self):
@@ -271,7 +318,7 @@ class TestIntegration:
         traj = pl.integrate_em(geom, obs, np.zeros(5), [np.array([1.2, 0.0, 0.0])],
                                pl.PlannerParams(n_s=200))
         np.testing.assert_allclose(traj.eef[-1], [1.2, 0.0, 0.0], atol=1e-3)
-        gap = min(closest_pair(p, shape).gap for p in geom.part_superquadrics(traj.z[-1]))
+        gap = gaps(geom.part_superquadrics(traj.z[-1]), [shape] * geom.n_parts).min()
         assert gap == pytest.approx(0.05, abs=5e-3)
 
     def test_determinism(self):

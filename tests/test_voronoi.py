@@ -19,26 +19,43 @@ def pillar_obstacles():
     return [circle(0.35, 2.0, 1.0), circle(0.35, 2.0, 3.0), circle(0.35, 4.0, 2.0)]
 
 
+def pair_plane(sq_i, sq_j):
+    return vor.bisectors([sq_i, sq_j])[(0, 1)]
+
+
 class TestBisector:
     def test_congruent_circles(self):
-        hp = vor.bisector(circle(0.5, 0.0, 0.0), circle(0.5, 4.0, 0.0))
+        hp = pair_plane(circle(0.5, 0.0, 0.0), circle(0.5, 4.0, 0.0))
         np.testing.assert_allclose(hp.normal, [1.0, 0.0], atol=1e-9)
         assert hp.offset == pytest.approx(2.0, abs=1e-9)
 
     def test_unequal_circles(self):
         # closest boundary points (1,0) and (4,0): midpoint x = 2.5
-        hp = vor.bisector(circle(1.0, 0.0, 0.0), circle(2.0, 6.0, 0.0))
+        hp = pair_plane(circle(1.0, 0.0, 0.0), circle(2.0, 6.0, 0.0))
         np.testing.assert_allclose(hp.normal, [1.0, 0.0], atol=1e-8)
         assert hp.offset == pytest.approx(2.5, abs=1e-8)
 
     def test_overlapping_raises(self):
         with pytest.raises(vor.VoronoiError):
-            vor.bisector(circle(1.0, 0.0, 0.0), circle(1.0, 1.0, 0.0))
+            pair_plane(circle(1.0, 0.0, 0.0), circle(1.0, 1.0, 0.0))
+
+    def test_first_overlapping_pair_named(self):
+        # (0, 2) and (1, 3) overlap; (0, 2) comes first in (i, j) order
+        obs = [circle(1.0, 0.0, 0.0), circle(1.0, 5.0, 0.0),
+               circle(1.0, 1.0, 0.0), circle(1.0, 5.5, 0.0)]
+        with pytest.raises(vor.VoronoiError, match="obstacles 0 and 2 overlap"):
+            vor.bisectors(obs)
+
+    def test_all_pairs_keyed_in_order(self):
+        planes = vor.bisectors(pillar_obstacles())
+        assert list(planes) == [(0, 1), (0, 2), (1, 2)]
+        assert all(hp.pair == key for key, hp in planes.items())
+        assert vor.bisectors([circle(0.5, 2.0, 2.0)]) == {}
 
     def test_mirrored_boxy_shapes(self):
         sq = dict(a1=0.4, a2=0.3, eps=0.4)
-        hp = vor.bisector(Superquadric2(center=(-1.0, 0.0), **sq),
-                          Superquadric2(center=(1.0, 0.0), **sq))
+        hp = pair_plane(Superquadric2(center=(-1.0, 0.0), **sq),
+                      Superquadric2(center=(1.0, 0.0), **sq))
         np.testing.assert_allclose(np.abs(hp.normal), [1.0, 0.0], atol=1e-6)
         assert hp.offset * np.sign(hp.normal[0]) == pytest.approx(0.0, abs=1e-6)
 
