@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics as dyn
-from .geometry import Superquadric2, Superquadric3, closest_pairs, signed_pow
-from .planner import ObstacleSet, VehicleGeometry, pair_index, pair_rows
+from .geometry import Superquadric2, Superquadric3, closest_pairs, shape_rows, signed_pow
+from .planner import VehicleGeometry, pair_index, pair_rows
 from .qp import ActiveSetSolver, QpProblem
 
 
@@ -347,8 +347,8 @@ class ProxyTracker:
     obstacles: list            # planar Superquadric2 obstacles
 
     def __post_init__(self):
-        self.obs = ObstacleSet(list(self.obstacles))
-        self.pi, self.oi = pair_index(self.geom.n_parts, len(self.obs))
+        self.obs_rows = shape_rows(self.obstacles)
+        self.pi, self.oi = pair_index(self.geom.n_parts, len(self.obstacles))
         self.gammas = None
 
     def refresh(self, q, theta):
@@ -357,7 +357,7 @@ class ProxyTracker:
         if self.pi.size == 0:
             return np.zeros(0)
         z2d = np.array([q[0], q[1], q[5], theta[0], theta[2]])
-        res = closest_pairs(*pair_rows(self.geom, self.obs, z2d), init=self.gammas)
+        res = closest_pairs(*pair_rows(self.geom, self.obs_rows, z2d), init=self.gammas)
         self.gammas = res.gammas
         return res.gap
 

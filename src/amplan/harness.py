@@ -23,7 +23,7 @@ from . import control as ctl
 from . import dynamics as dyn
 from . import voronoi as vor
 from .geometry import Superquadric2, closest_pairs, shape_rows
-from .planner import (ObstacleSet, PlannedTrajectory, PlannerError, PlannerParams,
+from .planner import (PlannedTrajectory, PlannerError, PlannerParams,
                       VehicleGeometry, _Evaluator, _fused_derivatives,
                       attractors_from_path, integrate_em, pair_rows, target_pose)
 from .qp import ActiveSetSolver
@@ -129,22 +129,16 @@ class Scenario:
         self._check_start_clear()
 
     def _check_obstacles(self):
-        xmin, ymin, xmax, ymax = self.world_box
-        g = np.linspace(-math.pi, math.pi, 128, endpoint=False)
-        for i, sq in enumerate(self.obstacles):
-            pts = sq.boundary_point(g)
-            if (pts[:, 0].min() < xmin or pts[:, 0].max() > xmax
-                    or pts[:, 1].min() < ymin or pts[:, 1].max() > ymax):
-                raise ScenarioError(f"obstacles[{i}]: not contained in world_box")
-        i, j = np.triu_indices(len(self.obstacles), 1)
-        rows = shape_rows(self.obstacles)
-        hit = np.flatnonzero(closest_pairs(rows[:, i], rows[:, j]).gap <= 0.0)
-        if hit.size:
-            raise ScenarioError(f"obstacles {i[hit[0]]} and {j[hit[0]]} overlap")
+        """The clearance diagram's own rules: in the world box, pairwise disjoint."""
+        try:
+            vor.check_in_box(self.obstacles, self.world_box)
+            vor.bisectors(self.obstacles)
+        except vor.VoronoiError as exc:
+            raise ScenarioError(str(exc)) from exc
 
     def _check_start_clear(self):
         hit = np.flatnonzero(closest_pairs(
-            *pair_rows(self.vehicle, ObstacleSet(self.obstacles), self.start)).gap <= 0.0)
+            *pair_rows(self.vehicle, shape_rows(self.obstacles), self.start)).gap <= 0.0)
         if hit.size:
             p, o = divmod(int(hit[0]), len(self.obstacles))
             raise ScenarioError(f"start: vehicle part {p} collides with obstacles[{o}]")
@@ -270,7 +264,7 @@ class PlanResult:
 def equilibrium_residuals(traj: PlannedTrajectory, geom: VehicleGeometry,
                           obstacles, params: PlannerParams) -> np.ndarray:
     """Norm of the configuration gradient of W at every stored sample."""
-    ev = _Evaluator(geom, ObstacleSet(list(obstacles)), params.stiffness)
+    ev = _Evaluator(geom, shape_rows(obstacles), params.stiffness)
     P = (traj.gammas.shape[1] // 2) if traj.gammas.size else 0
     out = np.empty(len(traj.s))
     for k in range(len(traj.s)):

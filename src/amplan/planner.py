@@ -8,10 +8,10 @@ attractor u(s) slides along the clearance path; the configuration follows the
 potential's equilibrium manifold through an adaptively damped ODE in the path
 parameter s, integrated with a fixed-step RK4 scheme.
 
-The potential, its configuration-space gradient and Hessian and the
-end-effector Jacobian are closed-form, computed in one batched pass over the
-part/obstacle pairs per RK4 stage; only the proxy-angle gradient is a central
-finite difference, taken in the same pass.
+The potential, its configuration-space gradient and Hessian, its proxy-angle
+gradient and the end-effector Jacobian are closed-form, computed in one batched
+pass over the part/obstacle pairs per RK4 stage on the proxies and tangents of
+geometry's superquadric boundary kernel.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (AXIS_FLOOR, GeometryError, StiffnessParams, Superquadric2,
-                       closest_pairs, shape_rows, signed_pow, stiffness,
+                       _boundary, closest_pairs, shape_rows, stiffness,
                        stiffness_curvature, stiffness_slope, wrap_angle)
 from .voronoi import SolutionPath
-
-FD_GRAD = 1e-6
 
 
 class PlannerError(RuntimeError):
@@ -141,19 +139,6 @@ class VehicleGeometry:
 
 
 @dataclass
-class ObstacleSet:
-    """Obstacle SQs and their parameters as geometry.shape_rows arrays."""
-
-    shapes: list
-
-    def __post_init__(self):
-        self.rows = shape_rows(self.shapes)
-
-    def __len__(self):
-        return len(self.shapes)
-
-
-@dataclass
 class PlannerParams:
     eta: float = 20.0
     alpha: float = 20.0
@@ -182,51 +167,47 @@ def pair_index(n_parts: int, n_obs: int):
     return parts, obs
 
 
-def pair_rows(geom: VehicleGeometry, obs: ObstacleSet, z):
+def pair_rows(geom: VehicleGeometry, obs_rows, z):
     """closest_pairs inputs (part side, obstacle side) of every pair at
-    configuration z, in pair_index order."""
-    pi, oi = pair_index(geom.n_parts, len(obs))
+    configuration z, in pair_index order; obs_rows is the obstacles'
+    geometry.shape_rows layout."""
+    pi, oi = pair_index(geom.n_parts, obs_rows.shape[1])
     centers, angles, _ = geom.part_poses(z)
     ang = angles[0, pi]
     parts = np.vstack([np.array(geom.part_axes)[:, pi], np.cos(ang), np.sin(ang),
                        centers[0, pi].T])
-    return parts, obs.rows[:, oi]
+    return parts, obs_rows[:, oi]
 
 
 class _Evaluator:
     """Caches per-pair parameter arrays so each RK4 stage is one fused batch."""
 
-    def __init__(self, geom: VehicleGeometry, obs: ObstacleSet, stiff: StiffnessParams):
+    def __init__(self, geom: VehicleGeometry, obs_rows, stiff: StiffnessParams):
         self.geom = geom
         self.stiff = stiff
-        pi, oi = pair_index(geom.n_parts, len(obs))
+        pi, oi = pair_index(geom.n_parts, obs_rows.shape[1])
         self.P = P = pi.size
-        a1, a2, eps = geom.part_axes
-        oa1, oa2, oeps, ocos, osin, ocx, ocy = obs.rows[:, oi]
-        self.oexp = 2.0 / oeps
 
-        # Closed-form kernel constants, x/y on the leading axis.  Every proxy is a
-        # frame origin plus the frame rotation of (offset + b), b its boundary point
-        # in body coordinates: part proxies sit in the joint frame l of their part
-        # (VehicleGeometry.joint_frames), obstacle proxies in their obstacle's frame.
-        # Kernel columns 0..P-1 hold the part proxies, P..2P-1 the obstacle proxies.
-        link = geom.part_links[pi]
-        off = geom.part_offsets[pi]
-        self.frame = np.concatenate([link, 3 + oi])
-        self.obs_frames = obs.rows[[5, 6, 3, 4]].T
-        self.off = np.concatenate([off.T, np.zeros((2, P))], axis=1)[:, None]
-        self.axes = np.array([np.concatenate([a1[pi], oa1]),
-                              np.concatenate([a2[pi], oa2])])[:, None]
-        self.beps = np.concatenate([eps[pi], oeps])
+        # geometry.shape_rows layout of every proxy's shape: columns 0..P-1 the part
+        # of each pair, P..2P-1 its obstacle.  Per stage only the part columns' cos,
+        # sin and center change: a part is fixed in the joint frame l of its link
+        # (VehicleGeometry.joint_frames) at offset off, so its center is
+        # pivot_l + R(phi_l) off and its angle phi_l.
+        self.rows = np.zeros((7, 2 * P))
+        self.rows[:3, :P] = np.array(geom.part_axes)[:, pi]
+        self.rows[:, P:] = obs_rows[:, oi]
+        self.link = link = geom.part_links[pi]
+        self.off = geom.part_offsets[pi].T
+        a = self.rows[:2, P:]
+        oeps, ocos, osin = self.rows[2:5, P:]
+        self.oexp = 2.0 / oeps
         # joint angle j moves a part proxy iff j <= l
         self.moved = (np.arange(3) <= link[:, None]).astype(float)
         self.jp = np.zeros((2, P, 5))
         self.jp[0, :, 0] = self.jp[1, :, 1] = 1.0
         # obstacle rotation R[a, k], scaled inverse diag(1/a) R^T, and R[a, k] R[b, k]
-        a = np.array([oa1, oa2])
         self.orot = np.array([[ocos, -osin], [osin, ocos]])
-        self.ocenter = np.array([ocx, ocy])[:, None]
-        self.oscale = (self.orot.transpose(1, 0, 2) / a[:, None])[:, :, None]
+        self.oscale = self.orot.transpose(1, 0, 2) / a[:, None]
         self.orot2 = self.orot[:, None] * self.orot[None, :]
         # dF/db = e |w|^(e-1) sign(w) / a and d2F/db2 = e (e-1) |w|^(e-2) / a^2 on
         # each obstacle axis, w = b / a the scaled body coordinate
@@ -235,57 +216,44 @@ class _Evaluator:
         self.e1, self.e2 = self.oexp - 1.0, self.oexp - 2.0
 
 
-# proxy-angle shifts of the three kernel rows: base, +FD_GRAD, -FD_GRAD
-_GAMMA_SHIFT = np.array([[0.0], [FD_GRAD], [-FD_GRAD]])
 # d^2 p / dphi_i dphi_j = -V_max(i,j): the joint angles act on nested frames
 _MAX_JOINT = np.maximum.outer(np.arange(3), np.arange(3))
-_QUARTER = np.array([-1.0, 1.0])[:, None, None]
 _EYE2 = np.eye(2)[:, :, None]
 
 
 def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     """(grad_z W, hess_z W, J_eef, grad_Gamma W, W) from one batched pass over the pairs.
 
-    W is the sum of the pair terms, the target term and the joint regulariser.
-    The configuration derivatives are closed-form.  A pair term
-    0.5 k(F(p) - d') |p - q|^2 has p-space gradient 0.5 k' |D|^2 dF + k D and
+    W is the sum of the pair terms, the target term and the joint regulariser;
+    all its derivatives are closed-form.  Every proxy point p and tangent
+    dp/dgamma comes from one geometry._boundary call.  A pair term
+    0.5 k(F(p) - d') |p - q|^2 has p-space gradient Gr = 0.5 k' |D|^2 dF + k D and
     Hessian 0.5 k'' |D|^2 dF dF^T + 0.5 k' |D|^2 d2F + k' (dF D^T + D dF^T) + k I,
     D = p - q, mapped to z through the proxy's Jacobian [I | S V] plus the
-    -G.V_max(i,j) curvature of the nested joint frames.  The proxy-angle
-    gradient is a central difference: kernel rows 1 and 2 shift every proxy
-    angle by +-FD_GRAD, and each shifted part proxy is paired with the
-    unshifted obstacle proxy and vice versa.  Shifting all angles at once is
-    exact because the pair terms are mutually independent in the proxy angles.
+    -G.V_max(i,j) curvature of the nested joint frames.  Its proxy-angle
+    gradient is Gr . dp/dgamma on the part side and -k D . dq/dgamma on the
+    obstacle side.
     """
     st = ev.stiff
     P = ev.P
     jf = ev.geom.joint_frames(z)
-    frames = np.concatenate((jf, ev.obs_frames))[ev.frame].T
-    G = np.concatenate((Gp, Go)) + _GAMMA_SHIFT
-    trig = np.empty((2,) + G.shape)
-    np.cos(G, out=trig[0])
-    np.sin(G, out=trig[1])
-    b = ev.off + ev.axes * signed_pow(trig, ev.beps)
-    # X = origin + R b with R b = cos b + sin S b, S the quarter turn
-    X = frames[:2, None] + frames[2] * b + frames[3] * (b[::-1] * _QUARTER)
-    p, q = X[..., :P], X[..., P:]
+    px, py, c, s = jf[ev.link].T
+    ox, oy = ev.off
+    rows = ev.rows.copy()
+    rows[3:, :P] = c, s, px + c * ox - s * oy, py + s * ox + c * oy
+    X, T, _ = _boundary(rows, np.concatenate((Gp, Go)))
+    p, q = X[:, :P], X[:, P:]
 
     # part proxies in their obstacle's frame, divided by its semi-axes
-    d = p - ev.ocenter
+    d = p - rows[5:, P:]
     w = ev.oscale[:, 0] * d[0] + ev.oscale[:, 1] * d[1]
     aw = np.abs(w)
-    F = (aw ** ev.oexp).sum(axis=0) - 1.0
-    k = stiffness(F - st.d_prime, st)
-    Dp = p - q[:, :1]
-    tp = 0.5 * k * (Dp * Dp).sum(axis=0)
-    Dq = p[:, :1] - q[:, 1:]
-    tq = 0.5 * k[0] * (Dq * Dq).sum(axis=0)
-    gG = np.concatenate((tp[1] - tp[2], tq[0] - tq[1])) / (2.0 * FD_GRAD)
+    g = (aw ** ev.oexp).sum(axis=0) - 1.0 - st.d_prime
+    D = p - q
+    d2 = (D * D).sum(axis=0)
+    k0, k1, k2 = stiffness(g, st), stiffness_slope(g, st), stiffness_curvature(g, st)
 
     # p-space gradient Gr (2, P) and Hessian Hp (2, 2, P) of each pair term
-    D, w, aw, g = Dp[:, 0], w[:, 0], aw[:, 0], F[0] - st.d_prime
-    d2 = (D * D).sum(axis=0)
-    k0, k1, k2 = k[0], stiffness_slope(g, st), stiffness_curvature(g, st)
     fb = ev.fgrad * np.sign(w) * aw ** ev.e1
     hb = ev.fcurv * np.maximum(aw, AXIS_FLOOR) ** ev.e2
     f = ev.orot[:, 0] * fb[0] + ev.orot[:, 1] * fb[1]
@@ -295,9 +263,10 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     Hp = (0.5 * k2 * d2 * f[:, None] * f
           + A * (ev.orot2[:, :, 0] * hb[0] + ev.orot2[:, :, 1] * hb[1])
           + k1 * (fD + fD.transpose(1, 0, 2)) + k0 * _EYE2)
+    gG = np.concatenate(((Gr * T[:, :P]).sum(axis=0), -k0 * (D * T[:, P:]).sum(axis=0)))
 
     # chain rule to z through the proxy Jacobian Jp = [I | S V], (2, P, 5)
-    V = (p[:, 0, :, None] - jf[:, :2].T[:, None]) * ev.moved
+    V = (p[:, :, None] - jf[:, :2].T[:, None]) * ev.moved
     Jp = ev.jp.copy()
     Jp[0, :, 2:] = -V[1]
     Jp[1, :, 2:] = V[0]
@@ -323,13 +292,13 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     gz[3:] += params.k_reg * z[3:]
     H[3, 3] += params.k_reg
     H[4, 4] += params.k_reg
-    W = tp[0].sum() + 0.5 * (r @ Kr) + 0.5 * params.k_reg * (z[3] ** 2 + z[4] ** 2)
+    W = (0.5 * k0 * d2).sum() + 0.5 * (r @ Kr) + 0.5 * params.k_reg * (z[3] ** 2 + z[4] ** 2)
     return gz, H, J, gG, W
 
 
-def _init_gammas(geom, obs, z):
+def _init_gammas(geom, obs_rows, z):
     """Warm proxy angles (Gp, Go) from one cold-started closest_pairs solve at z."""
-    return closest_pairs(*pair_rows(geom, obs, z)).gammas
+    return closest_pairs(*pair_rows(geom, obs_rows, z)).gammas
 
 
 def _prerelax(ev: _Evaluator, params, z0, Gp, Go, u0):
@@ -415,13 +384,13 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
     s in [0, 1] with steps aligned to the piecewise-linear attractor segments.
     """
     params = params or PlannerParams()
-    obs = obstacles if isinstance(obstacles, ObstacleSet) else ObstacleSet(list(obstacles))
+    obs_rows = shape_rows(obstacles)
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (5,):
         raise PlannerError("configuration must be [x, y, psi, th1, th3]")
 
-    ev = _Evaluator(geom, obs, params.stiffness)
-    Gp, Go = _init_gammas(geom, obs, z0)
+    ev = _Evaluator(geom, obs_rows, params.stiffness)
+    Gp, Go = _init_gammas(geom, obs_rows, z0)
     P = Gp.size
     u0 = geom.forward_kinematics_eef(z0)
     z, Gp, Go = _prerelax(ev, params, z0, Gp, Go, u0)

@@ -133,6 +133,18 @@ def _clip(verts, sources, normal, offset, label):
     return np.array(cv), cs
 
 
+def check_in_box(obstacles: list[Superquadric2], box):
+    """Raise VoronoiError naming the first obstacle with one of 256 boundary
+    samples outside the world box [xmin, ymin, xmax, ymax]."""
+    xmin, ymin, xmax, ymax = box
+    gammas = np.linspace(-math.pi, math.pi, 256, endpoint=False)
+    for idx, sq in enumerate(obstacles):
+        pts = sq.boundary_point(gammas)
+        if (pts[:, 0].min() < xmin or pts[:, 0].max() > xmax
+                or pts[:, 1].min() < ymin or pts[:, 1].max() > ymax):
+            raise VoronoiError(f"obstacles[{idx}]: not contained in world_box")
+
+
 def build_cells(obstacles: list[Superquadric2], box) -> list[VoronoiCell]:
     """One convex polygonal cell per obstacle, tiling the world box."""
     if not obstacles:
@@ -140,12 +152,7 @@ def build_cells(obstacles: list[Superquadric2], box) -> list[VoronoiCell]:
     xmin, ymin, xmax, ymax = box
     if not (xmin < xmax and ymin < ymax):
         raise VoronoiError("degenerate world box")
-    gammas = np.linspace(-math.pi, math.pi, 256, endpoint=False)
-    for idx, sq in enumerate(obstacles):
-        pts = sq.boundary_point(gammas)
-        if (pts[:, 0].min() < xmin or pts[:, 0].max() > xmax
-                or pts[:, 1].min() < ymin or pts[:, 1].max() > ymax):
-            raise VoronoiError(f"obstacle {idx} extends outside the world box")
+    check_in_box(obstacles, box)
 
     planes = bisectors(obstacles)
     cells = []

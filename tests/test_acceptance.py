@@ -361,10 +361,9 @@ def test_criterion_8_derivative_suite():
 
         # planner potential gradient
         params = pl.PlannerParams()
-        obs = pl.ObstacleSet([Superquadric2(a1=0.5, a2=0.4, eps=0.6,
-                                            angle=0.3, center=(1.6, 0.4))])
+        obs = [Superquadric2(a1=0.5, a2=0.4, eps=0.6, angle=0.3, center=(1.6, 0.4))]
         P = geom.n_parts * len(obs)
-        ev = pl._Evaluator(geom, obs, params.stiffness)
+        ev = pl._Evaluator(geom, shape_rows(obs), params.stiffness)
         for _ in range(100):
             z = np.concatenate([rng.uniform(-1.0, 1.0, 2),
                                 rng.uniform(-1.5, 1.5, 1),

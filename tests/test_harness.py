@@ -105,6 +105,13 @@ def test_obstacle_outside_box_rejected(tmp_path):
     with pytest.raises(hz.ScenarioError, match=r"obstacles\[0\].*world_box"):
         hz.load_scenario(write_scenario(tmp_path, data))
 
+    # 0.00005 past xmax on the 256 boundary samples the clearance diagram checks,
+    # 0.0001 inside it on 128 samples offset by half a step: load applies the
+    # diagram's own test, so this scenario cannot load and then fail in plan
+    data["obstacles"][0].update(angle=-math.pi / 128, center=[7.50005, 6.0])
+    with pytest.raises(hz.ScenarioError, match=r"obstacles\[0\].*world_box"):
+        hz.load_scenario(write_scenario(tmp_path, data))
+
 
 def test_start_collision_rejected(tmp_path):
     data = copy.deepcopy(BASE)

@@ -10,13 +10,13 @@ from oracles import central_diff_gradient
 
 
 def far_obstacle():
-    return pl.ObstacleSet([Superquadric2(a1=0.3, a2=0.3, eps=1.0, center=(50.0, 50.0))])
+    return [Superquadric2(a1=0.3, a2=0.3, eps=1.0, center=(50.0, 50.0))]
 
 
 def fused(geom, obs, params, z, Gp, Go, u):
     """One fused pass with a fresh evaluator: (grad_z W, hess_z W, J_eef, grad_Gamma W, W)."""
-    return pl._fused_derivatives(pl._Evaluator(geom, obs, params.stiffness), params,
-                                 np.asarray(z, dtype=float), Gp, Go, u)
+    ev = pl._Evaluator(geom, shape_rows(obs), params.stiffness)
+    return pl._fused_derivatives(ev, params, np.asarray(z, dtype=float), Gp, Go, u)
 
 
 def scalar_terms(geom, obs, z, Gp, Go, stiff):
@@ -26,8 +26,8 @@ def scalar_terms(geom, obs, z, Gp, Go, stiff):
     out = np.empty(pi.size)
     for q in range(pi.size):
         p = parts[pi[q]].boundary_point(Gp[q])
-        o = obs.shapes[oi[q]].boundary_point(Go[q])
-        F = obs.shapes[oi[q]].inside_outside(p)
+        o = obs[oi[q]].boundary_point(Go[q])
+        F = obs[oi[q]].inside_outside(p)
         k = stiffness(F - stiff.d_prime, stiff)
         out[q] = 0.5 * k * float((p - o) @ (p - o))
     return out
@@ -85,9 +85,8 @@ class TestForwardKinematics:
 class TestPotential:
     def test_pair_terms_match_scalar_recomputation(self, rng):
         geom = pl.VehicleGeometry()
-        obs = pl.ObstacleSet([
-            Superquadric2(a1=0.4, a2=0.3, eps=0.5, angle=0.3, center=(1.5, 0.2)),
-            Superquadric2(a1=0.3, a2=0.3, eps=1.0, center=(-1.0, 1.0))])
+        obs = [Superquadric2(a1=0.4, a2=0.3, eps=0.5, angle=0.3, center=(1.5, 0.2)),
+               Superquadric2(a1=0.3, a2=0.3, eps=1.0, center=(-1.0, 1.0))]
         params = pl.PlannerParams()
         for _ in range(5):
             z = rng.uniform(-0.5, 0.5, size=5)
@@ -130,8 +129,7 @@ class TestPotential:
 class TestDerivatives:
     def setup_case(self, rng):
         geom = pl.VehicleGeometry()
-        obs = pl.ObstacleSet([
-            Superquadric2(a1=0.4, a2=0.35, eps=0.8, center=(1.2, 0.4))])
+        obs = [Superquadric2(a1=0.4, a2=0.35, eps=0.8, center=(1.2, 0.4))]
         params = pl.PlannerParams()
         z = np.array([0.1, -0.05, 0.2, 0.3, -0.2])
         P = geom.n_parts * len(obs)
@@ -167,11 +165,10 @@ class TestDerivatives:
         bx = a1 * (1.0 + st.d_prime + 0.5 * st.d0 - (by / a2) ** (2.0 / eps)) ** (eps / 2.0)
         c, s = math.cos(angle), math.sin(angle)
         center = p_link - np.array([[c, -s], [s, c]]) @ np.array([bx, by])
-        obs = pl.ObstacleSet([
-            Superquadric2(a1=0.4, a2=0.35, eps=0.8, center=(1.2, 0.4)),
-            Superquadric2(a1=a1, a2=a2, eps=eps, angle=angle, center=center),
-            Superquadric2(a1=0.3, a2=0.25, eps=1.5,
-                          center=(p_rotor[0] - 1.3, p_rotor[1]))])
+        obs = [Superquadric2(a1=0.4, a2=0.35, eps=0.8, center=(1.2, 0.4)),
+               Superquadric2(a1=a1, a2=a2, eps=eps, angle=angle, center=center),
+               Superquadric2(a1=0.3, a2=0.25, eps=1.5,
+                             center=(p_rotor[0] - 1.3, p_rotor[1]))]
         u = geom.forward_kinematics_eef(z) + np.array([0.2, 0.1, 0.1])
         return geom, obs, params, z, Gp, Go, u
 
@@ -214,16 +211,24 @@ class TestDerivatives:
             np.testing.assert_allclose(J[:, k], d, atol=1e-5)
         np.testing.assert_allclose(J[2], [0, 0, 1, 1, 1], atol=1e-9)
 
-    def test_proxy_gradient(self, rng):
-        geom, obs, params, z, Gp, Go, u = self.setup_case(rng)
-        gG = fused(geom, obs, params, z, Gp, Go, u)[3]
+    @staticmethod
+    def proxy_gradient_and_oracle(case, h):
+        geom, obs, params, z, Gp, Go, u = case
         P = Gp.size
+        oracle = central_diff_gradient(
+            lambda g: scalar_w(geom, obs, params, z, g[:P], g[P:], u),
+            np.concatenate([Gp, Go]), h=h)
+        return fused(geom, obs, params, z, Gp, Go, u), oracle
 
-        def w_of_gamma(g):
-            return scalar_w(geom, obs, params, z, g[:P], g[P:], u)
+    def test_proxy_gradient(self, rng):
+        outputs, oracle = self.proxy_gradient_and_oracle(self.setup_case(rng), h=1e-5)
+        np.testing.assert_allclose(outputs[3], oracle, atol=1e-4)
 
-        oracle = central_diff_gradient(w_of_gamma, np.concatenate([Gp, Go]), h=1e-5)
-        np.testing.assert_allclose(gG, oracle, atol=1e-4)
+        # in the stiffness transition and on an axis of the eps 1.5 obstacle,
+        # where the gradient reaches 1e5: a relative bound
+        outputs, oracle = self.proxy_gradient_and_oracle(self.stiff_case(rng), h=1e-7)
+        assert all(np.all(np.isfinite(a)) for a in outputs)
+        assert np.linalg.norm(outputs[3] - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
 
 class TestAttractors:
@@ -276,9 +281,9 @@ class TestIntegration:
         geom = pl.VehicleGeometry()
         obs = far_obstacle()
         params = pl.PlannerParams()
-        ev = pl._Evaluator(geom, obs, params.stiffness)
+        ev = pl._Evaluator(geom, shape_rows(obs), params.stiffness)
         z0 = np.array([0.0, 0.0, 0.0, 0.4, -0.3])
-        Gp0, Go0 = pl._init_gammas(geom, obs, z0)
+        Gp0, Go0 = pl._init_gammas(geom, shape_rows(obs), z0)
         u0 = geom.forward_kinematics_eef(z0)
         assert np.linalg.norm(pl._fused_derivatives(ev, params, z0, Gp0, Go0, u0)[0]) \
             >= params.prerelax_tol
@@ -301,7 +306,7 @@ class TestIntegration:
         # attractors detour above the obstacle, mimicking a clearance-path route
         geom = pl.VehicleGeometry()
         shape = Superquadric2(a1=0.35, a2=0.35, eps=1.0, center=(1.6, 0.0))
-        obs = pl.ObstacleSet([shape])
+        obs = [shape]
         params = pl.PlannerParams(n_s=240)
         attrs = [np.array([1.6, 1.4, 0.0]), np.array([3.3, 1.4, 0.0]),
                  np.array([3.3, 0.2, -0.5])]
@@ -314,7 +319,7 @@ class TestIntegration:
         # goal pose 0.05 outside the obstacle face: planner reaches it cleanly
         geom = pl.VehicleGeometry()
         shape = Superquadric2(a1=0.35, a2=0.35, eps=1.0, center=(1.6, 0.0))
-        obs = pl.ObstacleSet([shape])
+        obs = [shape]
         traj = pl.integrate_em(geom, obs, np.zeros(5), [np.array([1.2, 0.0, 0.0])],
                                pl.PlannerParams(n_s=200))
         np.testing.assert_allclose(traj.eef[-1], [1.2, 0.0, 0.0], atol=1e-3)
