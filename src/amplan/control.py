@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from .geometry import Superquadric2, Superquadric3, closest_pairs, shape_rows, signed_pow
-from .planner import VehicleGeometry, pair_index, pair_rows
+from .planner import VehicleGeometry, pair_index, pair_rows, set_part_poses
 from .qp import ActiveSetSolver, QpProblem
 
 
@@ -80,6 +80,12 @@ class GainSet:
             if m.shape != (3, 3) or np.linalg.eigvalsh(0.5 * (m + m.T)).min() <= 0.0:
                 raise GainError(f"{name} must be 3x3 positive definite")
             setattr(self, name, m)
+        # outer_loop's per-mission QP (H checked once) and the factors of g and a_ref
+        H = np.zeros((9, 9))
+        H[:6, :6], H[6:, 6:] = 2.0 * self.q_qdot, 2.0 * self.q_thetaddot
+        self.outer_qp = QpProblem(H, np.zeros(9), np.zeros((0, 9)), np.zeros(0))
+        self.outer_factors = (-2.0 * self.q_qdot, -2.0 * self.q_thetaddot,
+                              -2.0 * self.gamma_theta, self.gamma_theta @ self.gamma_theta)
 
 
 @dataclass
@@ -339,7 +345,8 @@ class ProxyTracker:
     """Warm-started planar proxy angles gammas (2, P) of the (part pi,
     obstacle oi) pairs, in planner.pair_index order; gammas[0] is the part side.
 
-    Each refresh solves all pairs in one closest_pairs call, started from the
+    The planner.pair_rows sides are built once; each refresh rewrites the part
+    poses and solves all pairs in one closest_pairs call, started from the
     previous refresh's angles (center-to-center directions on the first call).
     """
 
@@ -347,8 +354,8 @@ class ProxyTracker:
     obstacles: list            # planar Superquadric2 obstacles
 
     def __post_init__(self):
-        self.obs_rows = shape_rows(self.obstacles)
         self.pi, self.oi = pair_index(self.geom.n_parts, len(self.obstacles))
+        self.sides = pair_rows(self.geom, shape_rows(self.obstacles), np.zeros(5))
         self.gammas = None
 
     def refresh(self, q, theta):
@@ -356,8 +363,8 @@ class ProxyTracker:
         signed gap of every pair."""
         if self.pi.size == 0:
             return np.zeros(0)
-        z2d = np.array([q[0], q[1], q[5], theta[0], theta[2]])
-        res = closest_pairs(*pair_rows(self.geom, self.obs_rows, z2d), init=self.gammas)
+        set_part_poses(self.sides[0], self.geom, self.pi, [q[0], q[1], q[5], theta[0], theta[2]])
+        res = closest_pairs(*self.sides, init=self.gammas)
         self.gammas = res.gammas
         return res.gap
 
@@ -443,15 +450,12 @@ def outer_loop(solver: ActiveSetSolver, q_t, theta_t, q_d, theta_d, thetadot_d,
     On infeasibility (or solver failure) the previous solution is reused at
     half magnitude and the result is flagged.
     """
+    gq, gt, a_dot, a_err = gains.outer_factors
     v_ref = gains.gamma_q @ (np.asarray(q_t, dtype=float) - np.asarray(q_d, dtype=float))
-    a_ref = (-2.0 * gains.gamma_theta @ np.asarray(thetadot_d, dtype=float)
-             + gains.gamma_theta @ gains.gamma_theta
-             @ (np.asarray(theta_t, dtype=float) - np.asarray(theta_d, dtype=float)))
-    H = np.zeros((9, 9))
-    H[:6, :6] = 2.0 * gains.q_qdot
-    H[6:, 6:] = 2.0 * gains.q_thetaddot
-    g = np.concatenate([-2.0 * gains.q_qdot @ v_ref, -2.0 * gains.q_thetaddot @ a_ref])
-    sol = solver.solve(QpProblem(H, g, A, b))
+    a_ref = (a_dot @ np.asarray(thetadot_d, dtype=float)
+             + a_err @ (np.asarray(theta_t, dtype=float) - np.asarray(theta_d, dtype=float)))
+    g = np.concatenate([gq @ v_ref, gt @ a_ref])
+    sol = solver.solve(gains.outer_qp.with_rows(g, A, b))
     if sol.status == "optimal":
         x = sol.x
         feasible = True

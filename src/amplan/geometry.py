@@ -196,47 +196,47 @@ def _boundary(rows, g):
     """
     a1, a2, eps, ca, sa, cx, cy = rows
     c, s = np.cos(g), np.sin(g)
-    ac = np.maximum(np.abs(c), AXIS_FLOOR)
-    as_ = np.maximum(np.abs(s), AXIS_FLOOR)
-    wc = ac ** (eps - 2.0)
-    ws = as_ ** (eps - 2.0)
-    x = a1 * signed_pow(c, eps)
-    y = a2 * signed_pow(s, eps)
-    tx = -a1 * eps * wc * ac * s
-    ty = a2 * eps * ws * as_ * c
-    kx = a1 * eps * (eps - 1.0) * np.sign(c) * wc * s * s - eps * x
-    ky = a2 * eps * (eps - 1.0) * np.sign(s) * ws * c * c - eps * y
+    abs_c, abs_s, sign_c, sign_s = np.abs(c), np.abs(s), np.sign(c), np.sign(s)
+    ac, as_ = np.maximum(abs_c, AXIS_FLOOR), np.maximum(abs_s, AXIS_FLOOR)
+    e1, e2, ae1, ae2 = eps - 1.0, eps - 2.0, a1 * eps, a2 * eps
+    wc, ws = ac ** e2, as_ ** e2
+    # a1 signed_pow(c, eps), a2 signed_pow(s, eps)
+    x, y = a1 * (sign_c * abs_c ** eps), a2 * (sign_s * abs_s ** eps)
+    tx = -ae1 * wc * ac * s
+    ty = ae2 * ws * as_ * c
+    kx = ae1 * e1 * sign_c * wc * s * s - eps * x
+    ky = ae2 * e1 * sign_s * ws * c * c - eps * y
     return (np.array([cx + ca * x - sa * y, cy + sa * x + ca * y]),
             np.array([ca * tx - sa * ty, sa * tx + ca * ty]),
             np.array([ca * kx - sa * ky, sa * kx + ca * ky]))
 
 
 def _objective(rows, g):
-    """Rows [f, df/dg_i, df/dg_j, h_ii, h_ij, h_jj] of f = |p_i - p_j|^2, each (P,).
-
-    rows holds side i in its first P columns and side j in the last P.
-    """
+    """Rows [f, df/dg_i, df/dg_j, h_ii, h_ij, h_jj, p_j x, p_i x, p_j y, p_i y],
+    each (P,), of f = |p_i - p_j|^2 and its proxies; rows holds side i in its
+    first P columns and side j in the last P."""
     P = g.shape[1]
-    p, t, k = _boundary(rows, g.reshape(-1))
-    d = p[:, :P] - p[:, P:]
-    ti, tj = t[:, :P], t[:, P:]
-    return np.array([(d * d).sum(0),
-                     2.0 * (d * ti).sum(0),
-                     -2.0 * (d * tj).sum(0),
-                     2.0 * ((ti * ti).sum(0) + (d * k[:, :P]).sum(0)),
-                     -2.0 * (ti * tj).sum(0),
-                     2.0 * ((tj * tj).sum(0) - (d * k[:, P:]).sum(0))])
+    (px, py), (tx, ty), (kx, ky) = _boundary(rows, g.reshape(-1))
+    dx, dy = px[:P] - px[P:], py[:P] - py[P:]
+    tix, tiy, tjx, tjy = tx[:P], ty[:P], tx[P:], ty[P:]
+    return np.array([dx * dx + dy * dy,
+                     2.0 * (dx * tix + dy * tiy),
+                     -2.0 * (dx * tjx + dy * tjy),
+                     2.0 * ((tix * tix + tiy * tiy) + (dx * kx[:P] + dy * ky[:P])),
+                     -2.0 * (tix * tjx + tiy * tjy),
+                     2.0 * ((tjx * tjx + tjy * tjy) - (dx * kx[P:] + dy * ky[P:])),
+                     px[P:], px[:P], py[P:], py[:P]])
 
 
 def _step(ev):
-    """Newton step on the exact 2x2 Hessian, or the gradient step where that is
-    not positive definite; capped at MAX_STEP."""
-    _, g1, g2, h11, h12, h22 = ev
+    """Newton step (2, P) on the exact 2x2 Hessian, or the gradient step where
+    that is not positive definite; capped at MAX_STEP."""
+    _, g1, g2, h11, h12, h22 = ev[:6]
     det = h11 * h22 - h12 * h12
     pd = (h11 > 0.0) & (det > 0.0)
     det = np.where(pd, det, 1.0)
-    s = np.where(pd, [(h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det], [-g1, -g2])
-    return s * np.minimum(1.0, MAX_STEP / np.maximum(np.hypot(*s), 1e-300))
+    s = np.where(pd, np.array([h12 * g2 - h22 * g1, h12 * g1 - h11 * g2]) / det, -ev[1:3])
+    return s * np.minimum(1.0, MAX_STEP / np.maximum(np.hypot(s[0], s[1]), 1e-300))
 
 
 def _inside_outside(rows, pts):
@@ -265,14 +265,17 @@ def closest_pairs(sq_i, sq_j, init=None, tol: float = 1e-8,
     sq_i and sq_j are shape_rows layouts (7, P); init is (2, P) proxy angles,
     or None for the center-to-center direction in each body frame.  Each pair
     runs damped Newton on f = |p_i - p_j|^2 with its own Armijo backtracking:
-    every round evaluates the trial point of every pending pair, then accepts
-    or halves each one.  A pair converges when its step is below tol or its
-    predicted decrease is below the float resolution of f; a pair that takes
-    max_iter steps keeps its best iterate and reports converged=False.  The
-    gap is negative when either proxy lies strictly inside the other shape.
+    every round evaluates the trial points of all pairs in one call, then
+    accepts or halves the step of each pending one.  Pairs never mix, so a
+    batch gives each pair bit for bit its single-pair result.  A pair
+    converges when its step is below tol or its predicted decrease is below
+    the float resolution of f; a pair that takes max_iter steps keeps its best
+    iterate and reports converged=False.  The gap comes from the proxies of
+    each pair's last accepted evaluation; it is negative when either proxy
+    lies strictly inside the other shape.
     """
     rows = np.concatenate([sq_i, sq_j], axis=1)
-    if not np.all(np.isfinite(rows)):
+    if not np.isfinite(rows).all():
         raise GeometryError("non-finite shape parameters")
     P = rows.shape[1] // 2
     if init is None:
@@ -282,33 +285,32 @@ def closest_pairs(sq_i, sq_j, init=None, tol: float = 1e-8,
         g = np.arctan2(ca * dy - sa * dx, ca * dx + sa * dy).reshape(2, P)
     else:
         g = np.array(init, dtype=float).reshape(2, P)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise GeometryError("non-finite proxy initialization")
 
     ev = _objective(rows, g)
     iterations = np.zeros(P, dtype=int)
     converged = np.zeros(P, dtype=bool)
     alpha = np.ones(P)
-    k = np.flatnonzero(iterations < max_iter)      # the pending pairs
+    pending = iterations < max_iter
     while True:
-        s = alpha[k] * _step(ev[:, k])
-        pred = -(ev[1, k] * s[0] + ev[2, k] * s[1])
-        done = (np.hypot(*s) < tol) | (pred <= 1e-14 * ev[0, k])
-        converged[k[done]] = True
-        k, s, pred = k[~done], s[:, ~done], pred[~done]
-        if not k.size:
+        s = alpha * _step(ev)
+        pred = -(ev[1] * s[0] + ev[2] * s[1])
+        done = pending & ((np.hypot(s[0], s[1]) < tol) | (pred <= 1e-14 * ev[0]))
+        converged |= done
+        pending ^= done
+        if not pending.any():
             break
-        trial = g[:, k] + s
-        et = _objective(rows[:, np.concatenate([k, k + P])], trial)
-        ok = et[0] <= ev[0, k] - 1e-4 * pred
-        g[:, k[ok]] = trial[:, ok]
-        ev[:, k[ok]] = et[:, ok]
-        iterations[k[ok]] += 1
-        alpha[k] = np.where(ok, 1.0, 0.5 * alpha[k])
-        k = k[iterations[k] < max_iter]
+        trial = g + s
+        et = _objective(rows, trial)
+        ok = pending & (et[0] <= ev[0] - 1e-4 * pred)
+        g = np.where(ok, trial, g)
+        ev = np.where(ok, et, ev)
+        iterations += ok
+        alpha = np.where(ok, 1.0, 0.5 * alpha)
+        pending &= iterations < max_iter
 
-    p, _, _ = _boundary(rows, g.reshape(-1))
-    pi, pj = p[:, :P], p[:, P:]
-    gap = np.hypot(*(pi - pj))
-    inside = (_inside_outside(rows[:, P:], pi) < 0.0) | (_inside_outside(rows[:, :P], pj) < 0.0)
-    return ClosestPairs(g, np.where(inside, -gap, gap), converged, iterations)
+    # proxies of the last accepted iterates; reshaped, p_j meets shape i and p_i shape j
+    gap = np.hypot(ev[7] - ev[6], ev[9] - ev[8])
+    inside = _inside_outside(rows, ev[6:].reshape(2, 2 * P)) < 0.0
+    return ClosestPairs(g, np.where(inside[:P] | inside[P:], -gap, gap), converged, iterations)

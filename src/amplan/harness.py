@@ -544,11 +544,14 @@ def _parse_csv(text, expected_header):
         raise HarnessError("unexpected CSV header")
     ncol = len(expected_header.split(","))
     data = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], 1):
         parts = ln.split(",")
         if len(parts) != ncol:
             raise HarnessError(f"CSV row has {len(parts)} columns, expected {ncol}")
-        data.append([float(v) for v in parts])
+        try:
+            data.append([float(v) for v in parts])
+        except ValueError:
+            raise HarnessError(f"CSV row {row} has a non-numeric value") from None
     return np.asarray(data, dtype=float)
 
 
@@ -581,6 +584,8 @@ def load_metrics(path) -> MetricsReport:
     for f_ in fields(MetricsReport):
         if f_.name not in vals:
             raise HarnessError(f"metrics file missing field {f_.name}")
-        kwargs[f_.name] = int(vals[f_.name]) if f_.type == "int" \
-            else float(vals[f_.name])
+        try:
+            kwargs[f_.name] = (int if f_.type == "int" else float)(vals[f_.name])
+        except ValueError:
+            raise HarnessError(f"metrics field {f_.name}: not a number") from None
     return MetricsReport(**kwargs)

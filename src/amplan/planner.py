@@ -172,11 +172,17 @@ def pair_rows(geom: VehicleGeometry, obs_rows, z):
     configuration z, in pair_index order; obs_rows is the obstacles'
     geometry.shape_rows layout."""
     pi, oi = pair_index(geom.n_parts, obs_rows.shape[1])
+    parts = np.vstack([np.array(geom.part_axes)[:, pi], np.empty((4, pi.size))])
+    set_part_poses(parts, geom, pi, z)
+    return parts, obs_rows[:, oi]
+
+
+def set_part_poses(parts, geom: VehicleGeometry, pi, z):
+    """Write the poses at z into the rows [cos, sin, center x, center y] of parts pi."""
     centers, angles, _ = geom.part_poses(z)
     ang = angles[0, pi]
-    parts = np.vstack([np.array(geom.part_axes)[:, pi], np.cos(ang), np.sin(ang),
-                       centers[0, pi].T])
-    return parts, obs_rows[:, oi]
+    parts[3], parts[4] = np.cos(ang), np.sin(ang)
+    parts[5:] = centers[0, pi].T
 
 
 class _Evaluator:
@@ -185,17 +191,15 @@ class _Evaluator:
     def __init__(self, geom: VehicleGeometry, obs_rows, stiff: StiffnessParams):
         self.geom = geom
         self.stiff = stiff
-        pi, oi = pair_index(geom.n_parts, obs_rows.shape[1])
+        pi, _ = pair_index(geom.n_parts, obs_rows.shape[1])
         self.P = P = pi.size
 
-        # geometry.shape_rows layout of every proxy's shape: columns 0..P-1 the part
-        # of each pair, P..2P-1 its obstacle.  Per stage only the part columns' cos,
+        # pair_rows layout of every proxy's shape: columns 0..P-1 the part of
+        # each pair, P..2P-1 its obstacle.  Per stage only the part columns' cos,
         # sin and center change: a part is fixed in the joint frame l of its link
         # (VehicleGeometry.joint_frames) at offset off, so its center is
         # pivot_l + R(phi_l) off and its angle phi_l.
-        self.rows = np.zeros((7, 2 * P))
-        self.rows[:3, :P] = np.array(geom.part_axes)[:, pi]
-        self.rows[:, P:] = obs_rows[:, oi]
+        self.rows = np.concatenate(pair_rows(geom, obs_rows, np.zeros(5)), axis=1)
         self.link = link = geom.part_links[pi]
         self.off = geom.part_offsets[pi].T
         a = self.rows[:2, P:]

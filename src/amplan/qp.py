@@ -9,6 +9,7 @@ dense factorizations per iteration are the right trade-off.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,23 +31,32 @@ class QpProblem:
 
     def __post_init__(self):
         self.H = np.asarray(self.H, dtype=float)
-        self.g = np.asarray(self.g, dtype=float)
-        self.A = np.asarray(self.A, dtype=float).reshape(-1, self.H.shape[0])
-        self.b = np.asarray(self.b, dtype=float).ravel()
-        n, m = self.H.shape[0], self.A.shape[0]
-        if n > MAX_DIM or m > MAX_ROWS:
-            raise QpDimensionError(f"problem too large: n={n}, m={m}")
-        if self.H.shape != (n, n) or self.g.shape != (n,) or self.b.shape != (m,):
-            raise QpDimensionError("inconsistent problem dimensions")
+        self._set_rows(self.g, self.A, self.b)
         if np.abs(self.H - self.H.T).max() > 1e-10:
             raise QpDimensionError("H must be symmetric to 1e-10")
         # regularize near-singular Hessians so the KKT solves stay well posed
         w = np.linalg.eigvalsh(0.5 * (self.H + self.H.T))
         if w.min() <= 1e-9:
-            self.H = self.H + (1e-9 - min(w.min(), 0.0) + 1e-9) * np.eye(n)
+            self.H = self.H + (1e-9 - min(w.min(), 0.0) + 1e-9) * np.eye(len(self.H))
             self.regularized = True
         else:
             self.regularized = False
+
+    def _set_rows(self, g, A, b):
+        n = self.H.shape[0]
+        self.g = np.asarray(g, dtype=float)
+        self.A = np.asarray(A, dtype=float).reshape(-1, n)
+        self.b = np.asarray(b, dtype=float).ravel()
+        m = self.A.shape[0]
+        if n > MAX_DIM or m > MAX_ROWS:
+            raise QpDimensionError(f"problem too large: n={n}, m={m}")
+        if self.H.shape != (n, n) or self.g.shape != (n,) or self.b.shape != (m,):
+            raise QpDimensionError("inconsistent problem dimensions")
+        return self
+
+    def with_rows(self, g, A, b) -> "QpProblem":
+        """This problem's checked H with a new g, A and b; only the dimensions are rechecked."""
+        return copy.copy(self)._set_rows(g, A, b)
 
 
 @dataclass

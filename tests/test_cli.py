@@ -1,6 +1,7 @@
 """Exit codes and artifact emission of the command-line interface."""
 
 import copy
+import shutil
 
 import pytest
 import yaml
@@ -79,6 +80,31 @@ def test_corrupt_metrics_exit_3(empty_yaml, tmp_path, capsys):
     (out / "metrics.txt").write_text("garbage\n")
     assert cli.main(["metrics", "--scenario", empty_yaml,
                      "--out", str(out)]) == 3
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    root = tmp_path_factory.mktemp("simulated")
+    scenario = write_scenario(root, EMPTY)
+    assert cli.main(["simulate", "--scenario", scenario, "--out", str(root / "out")]) == 0
+    return scenario, root / "out"
+
+
+@pytest.mark.parametrize("fname", ["metrics.txt", "trajectory.csv", "telemetry.csv"])
+def test_non_numeric_value_exit_3(simulated, tmp_path, capsys, fname):
+    scenario, done = simulated
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    lines = (out / fname).read_text().splitlines()
+    if fname == "metrics.txt":
+        lines = ["arc_length abc" if ln.startswith("arc_length ") else ln for ln in lines]
+    else:
+        lines[1] = "abc" + lines[1][lines[1].index(","):]
+    (out / fname).write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["metrics", "--scenario", scenario, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 @pytest.fixture()

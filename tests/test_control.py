@@ -8,8 +8,8 @@ from amplan import control as ctl
 from amplan import dynamics as dyn
 from amplan import harness as hz
 from amplan.geometry import Superquadric2, closest_pairs, shape_rows
-from amplan.planner import VehicleGeometry
-from amplan.qp import ActiveSetSolver
+from amplan.planner import VehicleGeometry, pair_rows
+from amplan.qp import MAX_ROWS, ActiveSetSolver, QpDimensionError, QpProblem
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -466,6 +466,24 @@ class TestCbfRows:
             assert second == pytest.approx(cold, abs=1e-9)
 
 
+class TestProxyTracker:
+    def test_cached_layout_matches_pair_rows(self):
+        # warm refreshes along the shipped tree plan equal the explicit chain
+        # through a fresh pair_rows layout on every pose
+        s = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
+        traj = hz.plan(s, "sq").traj
+        tracker = ctl.ProxyTracker(geom=s.vehicle, obstacles=s.obstacles)
+        obs_rows = shape_rows(s.obstacles)
+        prev = None
+        for z in traj.z[150:200]:
+            gap = tracker.refresh(np.array([z[0], z[1], 1.0, 0.0, 0.0, z[2]]),
+                                  np.array([z[3], 0.0, z[4]]))
+            res = closest_pairs(*pair_rows(s.vehicle, obs_rows, z), init=prev)
+            prev = res.gammas
+            assert np.array_equal(gap, res.gap)
+            assert np.array_equal(tracker.gammas, res.gammas)
+
+
 class TestOuterLoop:
     def test_unconstrained_tracks_references(self):
         g = ctl.GainSet()
@@ -491,6 +509,36 @@ class TestOuterLoop:
                              np.zeros(3), A, b, g)
         assert res.feasible
         assert res.qdot_d[0] == pytest.approx(0.5, abs=1e-8)
+
+    def test_matches_qp_built_per_call(self, rng):
+        # the per-mission H and factors give the QP the tick built before
+        g = ctl.GainSet()
+        q_t, q_d = rng.normal(size=6), rng.normal(size=6)
+        theta_t, theta_d, thetadot_d = rng.normal(size=(3, 3))
+        A, b = 0.1 * rng.normal(size=(3, 9)), rng.uniform(0.5, 1.0, 3)
+        res = ctl.outer_loop(ActiveSetSolver(), q_t, theta_t, q_d, theta_d, thetadot_d,
+                             A, b, g)
+        v_ref = g.gamma_q @ (q_t - q_d)
+        a_ref = -2.0 * g.gamma_theta @ thetadot_d + g.gamma_theta @ g.gamma_theta @ (
+            theta_t - theta_d)
+        H = np.zeros((9, 9))
+        H[:6, :6] = 2.0 * g.q_qdot
+        H[6:, 6:] = 2.0 * g.q_thetaddot
+        grad = np.concatenate([-2.0 * g.q_qdot @ v_ref, -2.0 * g.q_thetaddot @ a_ref])
+        sol = ActiveSetSolver().solve(QpProblem(H, grad, A, b))
+        assert res.status == sol.status == "optimal" and sol.active_set
+        assert np.array_equal(res.x, sol.x)
+
+    def test_too_many_rows_rejected(self):
+        g = ctl.GainSet()
+        for m in (MAX_ROWS, MAX_ROWS + 1):
+            args = (ActiveSetSolver(), np.zeros(6), np.zeros(3), np.zeros(6), np.zeros(3),
+                    np.zeros(3), np.zeros((m, 9)), np.ones(m), g)
+            if m > MAX_ROWS:
+                with pytest.raises(QpDimensionError):
+                    ctl.outer_loop(*args)
+            else:
+                assert ctl.outer_loop(*args).feasible
 
     def test_infeasible_falls_back_to_half_previous(self):
         g = ctl.GainSet()

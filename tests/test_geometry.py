@@ -9,6 +9,7 @@ from amplan.geometry import (
     StiffnessParams,
     Superquadric2,
     Superquadric3,
+    _boundary,
     closest_pairs,
     shape_rows,
     signed_pow,
@@ -189,6 +190,45 @@ class TestClosestPair:
         res = solve([a], [b], init=[[2.0], [0.5]], tol=1e-16, max_iter=1)
         assert not res.converged[0]
         assert res.iterations[0] == 1
+
+
+class TestBatching:
+    """closest_pairs runs every pair on its own arithmetic: a batch of P pairs
+    gives bit for bit the results of P single-pair calls."""
+
+    @staticmethod
+    def pairs(rng, n=40):
+        # random layouts in a small box, so that some pairs overlap
+        return [(random_convex_sq(rng, box=1.5), random_convex_sq(rng, box=1.5))
+                for _ in range(n)]
+
+    @pytest.mark.parametrize("case", ["cold", "warm", "capped"])
+    def test_batch_equals_single_pairs(self, rng, case):
+        pairs = self.pairs(rng)
+        side_i, side_j = zip(*pairs)
+        init = rng.uniform(-math.pi, math.pi, (2, len(pairs))) if case == "warm" else None
+        kw = {"max_iter": 3} if case == "capped" else {}
+        batch = solve(side_i, side_j, init=init, **kw)
+        for k, (a, b) in enumerate(pairs):
+            one = solve([a], [b], init=None if init is None else init[:, k:k + 1], **kw)
+            assert np.array_equal(batch.gammas[:, k:k + 1], one.gammas)
+            for name in ("gap", "converged", "iterations"):
+                assert np.array_equal(getattr(batch, name)[k:k + 1], getattr(one, name))
+        assert (batch.gap < 0.0).any() and (batch.gap > 0.0).any()
+        if case == "capped":
+            assert (~batch.converged).any() and (batch.iterations <= 3).all()
+
+    def test_gap_is_signed_proxy_distance(self, rng):
+        pairs = self.pairs(rng)
+        side_i, side_j = zip(*pairs)
+        rows_i, rows_j = shape_rows(side_i), shape_rows(side_j)
+        res = closest_pairs(rows_i, rows_j)
+        pi, _, _ = _boundary(rows_i, res.gammas[0])
+        pj, _, _ = _boundary(rows_j, res.gammas[1])
+        assert np.array_equal(np.abs(res.gap), np.hypot(*(pi - pj)))
+        inside = [a.inside_outside(pj[:, k]) < 0.0 or b.inside_outside(pi[:, k]) < 0.0
+                  for k, (a, b) in enumerate(pairs)]
+        assert np.array_equal(res.gap < 0.0, inside)
 
 
 class TestBoundaryConsistency:
