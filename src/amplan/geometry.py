@@ -67,7 +67,8 @@ class Superquadric2:
 
     def boundary_point(self, gamma):
         """World-frame boundary point p(gamma), vectorized over gamma."""
-        p, _, _ = _boundary(shape_rows([self])[:, 0], np.asarray(gamma, dtype=float))
+        p, _, _ = _boundary(shape_rows([self])[:, 0], np.asarray(gamma, dtype=float),
+                            curvature=False)
         return np.moveaxis(p, 0, -1)
 
 
@@ -141,33 +142,38 @@ class StiffnessParams:
             raise GeometryError("need d0 > 0 and d_prime >= 0")
 
 
-def stiffness(d, params: StiffnessParams):
-    """Nonlinear stiffness k(d): large when d is small, decaying to k_min for large d."""
+def stiffness_terms(d, params: StiffnessParams):
+    """Nonlinear stiffness k(d), large when d is small and decaying to k_min for
+    large d, with its analytic slope dk/dd and curvature d^2k/dd^2; one tanh
+    serves all three."""
     d = np.asarray(d, dtype=float)
     if not np.isfinite(d).all():
         raise GeometryError("non-finite distance in stiffness")
-    k = params.k_min + 0.5 * (1.0 - np.tanh(d / params.d0)) * params.k_max
-    return float(k) if k.ndim == 0 else k
+    t = np.tanh(d / params.d0)
+    # sech^2 as 1 - tanh^2: cosh overflows for |d| > 710 d0
+    sech2 = 1.0 - t * t
+    return (params.k_min + 0.5 * (1.0 - t) * params.k_max,
+            -0.5 * params.k_max / params.d0 * sech2,
+            params.k_max / params.d0 ** 2 * sech2 * t)
+
+
+def _scalar_or_array(v):
+    return float(v) if v.ndim == 0 else v
+
+
+def stiffness(d, params: StiffnessParams):
+    """Nonlinear stiffness k(d) of stiffness_terms."""
+    return _scalar_or_array(stiffness_terms(d, params)[0])
 
 
 def stiffness_slope(d, params: StiffnessParams):
     """Analytic dk/dd of the nonlinear stiffness."""
-    d = np.asarray(d, dtype=float)
-    if not np.isfinite(d).all():
-        raise GeometryError("non-finite distance in stiffness_slope")
-    # sech^2 as 1 - tanh^2: cosh overflows for |d| > 710 d0
-    s = -0.5 * params.k_max / params.d0 * (1.0 - np.tanh(d / params.d0) ** 2)
-    return float(s) if s.ndim == 0 else s
+    return _scalar_or_array(stiffness_terms(d, params)[1])
 
 
 def stiffness_curvature(d, params: StiffnessParams):
     """Analytic d^2k/dd^2 of the nonlinear stiffness."""
-    d = np.asarray(d, dtype=float)
-    if not np.isfinite(d).all():
-        raise GeometryError("non-finite distance in stiffness_curvature")
-    t = np.tanh(d / params.d0)
-    c = params.k_max / params.d0 ** 2 * (1.0 - t * t) * t
-    return float(c) if c.ndim == 0 else c
+    return _scalar_or_array(stiffness_terms(d, params)[2])
 
 
 # --- closest proxy pairs -------------------------------------------------------
@@ -188,8 +194,9 @@ def shape_rows(shapes) -> np.ndarray:
     return np.array([a1, a2, eps, np.cos(angle), np.sin(angle), cx, cy])
 
 
-def _boundary(rows, g):
-    """World point p(g), tangent p'(g) and second derivative p''(g), each (2, N).
+def _boundary(rows, g, curvature=True):
+    """World point p(g), tangent p'(g) and second derivative p''(g), each (2, N);
+    p'' is None when curvature is False.
 
     The body-frame curve is (a1 sign(c)|c|^eps, a2 sign(s)|s|^eps) with c, s
     the cosine and sine of g; its derivatives use |c|, |s| floored at AXIS_FLOOR.
@@ -198,17 +205,20 @@ def _boundary(rows, g):
     c, s = np.cos(g), np.sin(g)
     abs_c, abs_s, sign_c, sign_s = np.abs(c), np.abs(s), np.sign(c), np.sign(s)
     ac, as_ = np.maximum(abs_c, AXIS_FLOOR), np.maximum(abs_s, AXIS_FLOOR)
-    e1, e2, ae1, ae2 = eps - 1.0, eps - 2.0, a1 * eps, a2 * eps
+    e2, ae1, ae2 = eps - 2.0, a1 * eps, a2 * eps
     wc, ws = ac ** e2, as_ ** e2
     # a1 signed_pow(c, eps), a2 signed_pow(s, eps)
     x, y = a1 * (sign_c * abs_c ** eps), a2 * (sign_s * abs_s ** eps)
     tx = -ae1 * wc * ac * s
     ty = ae2 * ws * as_ * c
+    p = np.array([cx + ca * x - sa * y, cy + sa * x + ca * y])
+    t = np.array([ca * tx - sa * ty, sa * tx + ca * ty])
+    if not curvature:
+        return p, t, None
+    e1 = eps - 1.0
     kx = ae1 * e1 * sign_c * wc * s * s - eps * x
     ky = ae2 * e1 * sign_s * ws * c * c - eps * y
-    return (np.array([cx + ca * x - sa * y, cy + sa * x + ca * y]),
-            np.array([ca * tx - sa * ty, sa * tx + ca * ty]),
-            np.array([ca * kx - sa * ky, sa * kx + ca * ky]))
+    return p, t, np.array([ca * kx - sa * ky, sa * kx + ca * ky])
 
 
 def _objective(rows, g):

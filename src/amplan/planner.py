@@ -10,7 +10,8 @@ parameter s, integrated with a fixed-step RK4 scheme.
 
 The potential, its configuration-space gradient and Hessian, its proxy-angle
 gradient and the end-effector Jacobian are closed-form, computed in one batched
-pass over the part/obstacle pairs per RK4 stage on the proxies and tangents of
+pass over the part/obstacle pairs per RK4 stage, or per block of trajectory
+samples when a finished plan is checked, on the proxies and tangents of
 geometry's superquadric boundary kernel.
 """
 
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (AXIS_FLOOR, GeometryError, StiffnessParams, Superquadric2,
-                       _boundary, closest_pairs, shape_rows, stiffness,
-                       stiffness_curvature, stiffness_slope, wrap_angle)
+                       _boundary, closest_pairs, shape_rows, stiffness_terms,
+                       wrap_angle)
 from .voronoi import SolutionPath
 
 
@@ -70,23 +71,24 @@ class VehicleGeometry:
     def part_offsets(self):
         """Part centers (8, 2) in the frame of their part (part_links)."""
         centers, _, _ = self.part_poses(np.zeros((1, 5)))
-        return centers[0] - self.joint_frames(np.zeros(5))[self.part_links, :2]
+        pivots = np.array(self.joint_frames(0.0, 0.0, 0.0, 0.0, 0.0))[:, :2]
+        return centers[0] - pivots[self.part_links]
 
-    def joint_frames(self, z):
-        """Rows [pivot x, pivot y, cos phi, sin phi] of the base, shoulder and forearm frames.
+    def joint_frames(self, x, y, psi, t1, t3):
+        """Rows [pivot x, pivot y, cos phi, sin phi] of the base, shoulder and
+        forearm frames at z = [x, y, psi, t1, t3], as nested lists of floats.
 
         The frame angles phi are psi, psi + th1 and psi + th1 + th3; the pivots
         are the base center, the arm base and the elbow.
         """
-        x, y, psi, t1, t3 = np.asarray(z, dtype=float).tolist()
         a1 = psi + t1
         a2 = a1 + t3
         c0, s0, c1, s1 = math.cos(psi), math.sin(psi), math.cos(a1), math.sin(a1)
         bx = x + self.arm_base_offset * c0
         by = y + self.arm_base_offset * s0
-        return np.array([[x, y, c0, s0],
-                         [bx, by, c1, s1],
-                         [bx + self.l1 * c1, by + self.l1 * s1, math.cos(a2), math.sin(a2)]])
+        return [[x, y, c0, s0],
+                [bx, by, c1, s1],
+                [bx + self.l1 * c1, by + self.l1 * s1, math.cos(a2), math.sin(a2)]]
 
     def part_poses(self, Z):
         """Part centers (B, 8, 2) and orientations (B, 8) plus EEF pose (B, 3)."""
@@ -169,45 +171,59 @@ def pair_index(n_parts: int, n_obs: int):
 
 def pair_rows(geom: VehicleGeometry, obs_rows, z):
     """closest_pairs inputs (part side, obstacle side) of every pair at
-    configuration z, in pair_index order; obs_rows is the obstacles'
+    configuration z, in pair_index order; for a stack z (B, 5), one such block
+    of columns per sample, sample by sample.  obs_rows is the obstacles'
     geometry.shape_rows layout."""
     pi, oi = pair_index(geom.n_parts, obs_rows.shape[1])
-    parts = np.vstack([np.array(geom.part_axes)[:, pi], np.empty((4, pi.size))])
+    B = len(np.atleast_2d(z))
+    parts = np.vstack([np.tile(np.array(geom.part_axes)[:, pi], B),
+                       np.empty((4, B * pi.size))])
     set_part_poses(parts, geom, pi, z)
-    return parts, obs_rows[:, oi]
+    return parts, obs_rows[:, np.tile(oi, B)]
 
 
 def set_part_poses(parts, geom: VehicleGeometry, pi, z):
-    """Write the poses at z into the rows [cos, sin, center x, center y] of parts pi."""
+    """Write the poses at z, or at each sample of a stack z (B, 5) in its own
+    block of columns, into the rows [cos, sin, center x, center y] of parts pi."""
     centers, angles, _ = geom.part_poses(z)
-    ang = angles[0, pi]
+    ang = angles.take(pi, axis=1).ravel()
     parts[3], parts[4] = np.cos(ang), np.sin(ang)
-    parts[5:] = centers[0, pi].T
+    parts[5:] = centers.take(pi, axis=1).reshape(-1, 2).T
 
 
 class _Evaluator:
-    """Caches per-pair parameter arrays so each RK4 stage is one fused batch."""
+    """Caches per-pair parameter arrays so each RK4 stage is one fused batch.
 
-    def __init__(self, geom: VehicleGeometry, obs_rows, stiff: StiffnessParams):
+    Built for stacks of `batch` samples (1: single configurations).  The
+    per-pair constants are tiled to batch * P columns, sample by sample, so a
+    stack runs as one long batch of pairs through the kernels of one sample.
+    """
+
+    def __init__(self, geom: VehicleGeometry, obs_rows, stiff: StiffnessParams,
+                 batch: int = 1):
         self.geom = geom
         self.stiff = stiff
+        self.batch = batch
         pi, _ = pair_index(geom.n_parts, obs_rows.shape[1])
         self.P = P = pi.size
 
-        # pair_rows layout of every proxy's shape: columns 0..P-1 the part of
-        # each pair, P..2P-1 its obstacle.  Per stage only the part columns' cos,
-        # sin and center change: a part is fixed in the joint frame l of its link
-        # (VehicleGeometry.joint_frames) at offset off, so its center is
-        # pivot_l + R(phi_l) off and its angle phi_l.
-        self.rows = np.concatenate(pair_rows(geom, obs_rows, np.zeros(5)), axis=1)
-        self.link = link = geom.part_links[pi]
-        self.off = geom.part_offsets[pi].T
-        a = self.rows[:2, P:]
-        oeps, ocos, osin = self.rows[2:5, P:]
+        # pair_rows layout of every proxy's shape, (7, 2, batch P): side 0 the
+        # part of each pair, side 1 its obstacle.  Per stage only the part
+        # side's cos, sin and center change: a part is fixed in the joint frame
+        # l of its link (VehicleGeometry.joint_frames) at offset off, so its
+        # center is pivot_l + R(phi_l) off and its angle phi_l.
+        self.rows = np.array(pair_rows(geom, obs_rows, np.zeros((batch, 5)))).transpose(1, 0, 2)
+        link = geom.part_links[pi]
+        # row of each pair's frame in the stacked (batch * 3, 4) joint frames
+        self.frame = (link + 3 * np.arange(batch)[:, None]).ravel()
+        ox, oy = np.tile(geom.part_offsets[pi].T, batch)
+        self.off = np.array([[ox, ox], [-oy, oy]])
+        a = self.rows[:2, 1]
+        oeps, ocos, osin = self.rows[2:5, 1]
         self.oexp = 2.0 / oeps
         # joint angle j moves a part proxy iff j <= l
         self.moved = (np.arange(3) <= link[:, None]).astype(float)
-        self.jp = np.zeros((2, P, 5))
+        self.jp = np.zeros((2, batch * P, 5))
         self.jp[0, :, 0] = self.jp[1, :, 1] = 1.0
         # obstacle rotation R[a, k], scaled inverse diag(1/a) R^T, and R[a, k] R[b, k]
         self.orot = np.array([[ocos, -osin], [osin, ocos]])
@@ -225,9 +241,19 @@ _MAX_JOINT = np.maximum.outer(np.arange(3), np.arange(3))
 _EYE2 = np.eye(2)[:, :, None]
 
 
+def _per_sample(a, B, P):
+    """Pair rows (2, B P, k) -> (B, 2P, k), each sample's rows in single-sample order."""
+    k = a.shape[2]
+    return a.reshape(2, B, P, k).swapaxes(0, 1).reshape(B, 2 * P, k)
+
+
 def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     """(grad_z W, hess_z W, J_eef, grad_Gamma W, W) from one batched pass over the pairs.
 
+    With ev.batch = 1, z (5,), Gp, Go (P,) and u (3,) are one sample.  Otherwise
+    z (B, 5), Gp, Go (B, P) and u (B, 3) are a stack of B = ev.batch samples,
+    and every output gains a leading batch axis, each sample bit for bit its
+    single-sample result.
     W is the sum of the pair terms, the target term and the joint regulariser;
     all its derivatives are closed-form.  Every proxy point p and tangent
     dp/dgamma comes from one geometry._boundary call.  A pair term
@@ -236,28 +262,51 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     D = p - q, mapped to z through the proxy's Jacobian [I | S V] plus the
     -G.V_max(i,j) curvature of the nested joint frames.  Its proxy-angle
     gradient is Gr . dp/dgamma on the part side and -k D . dq/dgamma on the
-    obstacle side.
+    obstacle side.  The sums over each sample's pairs are stacked matmuls,
+    which round as the single-sample products do.
     """
-    st = ev.stiff
-    P = ev.P
-    jf = ev.geom.joint_frames(z)
-    px, py, c, s = jf[ev.link].T
-    ox, oy = ev.off
+    single = z.ndim == 1
+    z, u = z.reshape(-1, 5), np.asarray(u, dtype=float).reshape(-1, 3)
+    B, P, st, geom = len(z), ev.P, ev.stiff, ev.geom
+    if B != ev.batch:
+        raise PlannerError(f"evaluator built for {ev.batch} samples, got {B}")
+    N = B * P
+
+    # per sample in plain floats: the joint frames (VehicleGeometry.joint_frames),
+    # the end-effector Jacobian J, with rows [1, 0, -Vy] and [0, 1, Vx] for the
+    # eef lever arm V of each joint frame, the target residual r = u - eef with
+    # its angle wrapped, and the regulariser 0.5 k_reg (th1^2 + th3^2)
+    frames, jac, tgt = [], [], []
+    for (x, y, psi, t1, t3), (ux, uy, ut) in zip(z.tolist(), u.tolist()):
+        fr = geom.joint_frames(x, y, psi, t1, t3)
+        ex, ey = fr[2][0] + geom.l2 * fr[2][2], fr[2][1] + geom.l2 * fr[2][3]
+        frames.append(fr)
+        jac.append([[1.0, 0.0] + [f[1] - ey for f in fr],
+                    [0.0, 1.0] + [ex - f[0] for f in fr], [0.0, 0.0, 1.0, 1.0, 1.0]])
+        tgt.append([ux - ex, uy - ey, wrap_angle(ut - (psi + t1 + t3)),
+                    0.5 * params.k_reg * (t1 * t1 + t3 * t3)])
+    jf, J, tgt = np.array(frames), np.array(jac), np.array(tgt)  # (B, 3, 4), (B, 3, 5), (B, 4)
+
+    # each pair's frame (pivot x, pivot y, cos, sin): its part's angle, and its
+    # center pivot + R(phi) off as (pivot + (cos, sin) off_x) + (-sin, cos) off_y
+    pf = jf.reshape(-1, 4).T[:, ev.frame]
     rows = ev.rows.copy()
-    rows[3:, :P] = c, s, px + c * ox - s * oy, py + s * ox + c * oy
-    X, T, _ = _boundary(rows, np.concatenate((Gp, Go)))
-    p, q = X[:, :P], X[:, P:]
+    rows[3:5, 0] = pf[2:]
+    rows[5:, 0] = pf[:2] + pf[2:] * ev.off[0] + pf[3:1:-1] * ev.off[1]
+    X, T, _ = _boundary(rows.reshape(7, 2 * N), np.concatenate((Gp, Go), axis=None),
+                        curvature=False)
+    p, q = X[:, :N], X[:, N:]
 
     # part proxies in their obstacle's frame, divided by its semi-axes
-    d = p - rows[5:, P:]
+    d = p - rows[5:, 1]
     w = ev.oscale[:, 0] * d[0] + ev.oscale[:, 1] * d[1]
     aw = np.abs(w)
     g = (aw ** ev.oexp).sum(axis=0) - 1.0 - st.d_prime
     D = p - q
     d2 = (D * D).sum(axis=0)
-    k0, k1, k2 = stiffness(g, st), stiffness_slope(g, st), stiffness_curvature(g, st)
+    k0, k1, k2 = stiffness_terms(g, st)
 
-    # p-space gradient Gr (2, P) and Hessian Hp (2, 2, P) of each pair term
+    # p-space gradient Gr (2, N) and Hessian Hp (2, 2, N) of each pair term
     fb = ev.fgrad * np.sign(w) * aw ** ev.e1
     hb = ev.fcurv * np.maximum(aw, AXIS_FLOOR) ** ev.e2
     f = ev.orot[:, 0] * fb[0] + ev.orot[:, 1] * fb[1]
@@ -267,36 +316,37 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     Hp = (0.5 * k2 * d2 * f[:, None] * f
           + A * (ev.orot2[:, :, 0] * hb[0] + ev.orot2[:, :, 1] * hb[1])
           + k1 * (fD + fD.transpose(1, 0, 2)) + k0 * _EYE2)
-    gG = np.concatenate(((Gr * T[:, :P]).sum(axis=0), -k0 * (D * T[:, P:]).sum(axis=0)))
+    gG = np.concatenate(((Gr * T[:, :N]).reshape(2, B, P).sum(axis=0),
+                         -k0.reshape(B, P) * (D * T[:, N:]).reshape(2, B, P).sum(axis=0)),
+                        axis=1)
 
-    # chain rule to z through the proxy Jacobian Jp = [I | S V], (2, P, 5)
-    V = (p[:, :, None] - jf[:, :2].T[:, None]) * ev.moved
+    # chain rule to z through the proxy Jacobian Jp = [I | S V], (2, N, 5)
+    V = ((p.reshape(2, B, P, 1) - jf[:, None, :, :2].transpose(3, 0, 1, 2)) * ev.moved
+         ).reshape(2, N, 3)
     Jp = ev.jp.copy()
     Jp[0, :, 2:] = -V[1]
     Jp[1, :, 2:] = V[0]
     HJ = Hp[:, 0, :, None] * Jp[0] + Hp[:, 1, :, None] * Jp[1]
-    Jp, Gr = Jp.reshape(-1, 5), Gr.reshape(-1)
-    gz = Gr @ Jp
-    H = Jp.T @ HJ.reshape(-1, 5)
-    curv = -(Gr @ V.reshape(-1, 3))
 
-    # target term 0.5 r^T K r, r = u - eef, and the joint regulariser
-    ex, ey = jf[2, :2] + ev.geom.l2 * jf[2, 2:]
-    r = np.asarray(u, dtype=float) - (ex, ey, z[2] + z[3] + z[4])
-    r[2] = wrap_angle(r[2])
-    Vx, Vy = ex - jf[:, 0], ey - jf[:, 1]
-    J = np.zeros((3, 5))
-    J[0, 0] = J[1, 1] = 1.0
-    J[0, 2:], J[1, 2:], J[2, 2:] = -Vy, Vx, 1.0
-    Kr = params.k_tgt @ r
-    gz -= J.T @ Kr
-    H += J.T @ params.k_tgt @ J
-    curv += Kr[0] * Vx + Kr[1] * Vy
-    H[2:, 2:] += curv[_MAX_JOINT]
-    gz[3:] += params.k_reg * z[3:]
-    H[3, 3] += params.k_reg
-    H[4, 4] += params.k_reg
-    W = (0.5 * k0 * d2).sum() + 0.5 * (r @ Kr) + 0.5 * params.k_reg * (z[3] ** 2 + z[4] ** 2)
+    Jp, Gr = _per_sample(Jp, B, P), _per_sample(Gr[..., None], B, P).swapaxes(1, 2)
+    gz = (Gr @ Jp)[:, 0]
+    H = Jp.swapaxes(1, 2) @ _per_sample(HJ, B, P)
+    curv = -(Gr @ _per_sample(V, B, P))[:, 0]
+
+    # target term 0.5 r^T K r and the joint regulariser
+    r = tgt[:, :3]
+    Kr = params.k_tgt @ r[..., None]
+    JT = J.swapaxes(1, 2)
+    gz -= (JT @ Kr)[..., 0]
+    H += JT @ params.k_tgt @ J
+    curv += Kr[:, 0] * J[:, 1, 2:] - Kr[:, 1] * J[:, 0, 2:]
+    H[:, 2:, 2:] += curv[:, _MAX_JOINT]
+    gz[:, 3:] += params.k_reg * z[:, 3:]
+    H[:, 3, 3] += params.k_reg
+    H[:, 4, 4] += params.k_reg
+    W = (0.5 * k0 * d2).reshape(B, P).sum(axis=1) + 0.5 * (r[:, None] @ Kr)[:, 0, 0] + tgt[:, 3]
+    if single:
+        return gz[0], H[0], J[0], gG[0], W[0]
     return gz, H, J, gG, W
 
 

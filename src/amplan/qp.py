@@ -119,8 +119,8 @@ class ActiveSetSolver:
             if len(work) >= n:
                 status = "infeasible"
                 break
-            # add the most violated row (lowest index among maximal violations)
-            cand = int(np.argmax(resid > resid.max() - 1e-15))
+            # add the most violated row (argmax takes the lowest index among ties)
+            cand = int(np.argmax(resid))
             if cand in work:
                 status = "infeasible"
                 break

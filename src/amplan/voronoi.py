@@ -79,7 +79,8 @@ def bisectors(obstacles: list[Superquadric2]) -> dict[tuple, Hyperplane2]:
     if hit.size:
         k = hit[0]
         raise VoronoiError(f"obstacles {i[k]} and {j[k]} overlap (gap {res.gap[k]:.4g})")
-    p, _, _ = _boundary(rows[:, np.concatenate([i, j])], res.gammas.reshape(-1))
+    p, _, _ = _boundary(rows[:, np.concatenate([i, j])], res.gammas.reshape(-1),
+                        curvature=False)
     pi, pj = p[:, :i.size].T, p[:, i.size:].T
     # the norm and the offset as one BLAS dot per pair, (1, 2) @ (2, 1) matmuls: an
     # elementwise sum rounds differently and moves the emitted diagram's last digits

@@ -1,6 +1,7 @@
 """Exit codes and artifact emission of the command-line interface."""
 
 import copy
+import os
 import shutil
 
 import pytest
@@ -9,7 +10,7 @@ import yaml
 from amplan import cli
 from amplan.geometry import StiffnessParams
 
-from test_harness import EMPTY, write_scenario
+from test_harness import EMPTY, SCENARIO_DIR, write_scenario
 
 
 @pytest.fixture()
@@ -42,6 +43,20 @@ def test_simulate_and_metrics_roundtrip(empty_yaml, tmp_path, capsys):
         assert ka == kb
         if va and va not in ("nan",):
             assert float(va) == pytest.approx(float(vb), rel=1e-12, abs=1e-12)
+
+
+def test_plan_and_metrics_roundtrip_with_obstacles(tmp_path, capsys):
+    # the metric pass scores the trajectory read back from its CSV as it
+    # scored the planned one
+    tree = os.path.join(SCENARIO_DIR, "tree.yaml")
+    out = tmp_path / "out"
+    assert cli.main(["plan", "--scenario", tree, "--out", str(out)]) == 0
+    planned = capsys.readouterr().out.splitlines()
+    assert cli.main(["metrics", "--scenario", tree, "--out", str(out)]) == 0
+    rescored = capsys.readouterr().out.splitlines()
+    line = [ln for ln in planned if ln.startswith("min_distance ")]
+    assert len(line) == 1 and float(line[0].split()[1]) > 0.0
+    assert line == [ln for ln in rescored if ln.startswith("min_distance ")]
 
 
 def test_bench_table(empty_yaml, capsys):

@@ -11,6 +11,8 @@ from amplan.geometry import Superquadric2, closest_pairs, shape_rows
 from amplan.planner import VehicleGeometry, pair_rows
 from amplan.qp import MAX_ROWS, ActiveSetSolver, QpDimensionError, QpProblem
 
+from oracles import qp_enumeration
+
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
@@ -510,6 +512,18 @@ class TestOuterLoop:
         assert res.feasible
         assert res.qdot_d[0] == pytest.approx(0.5, abs=1e-8)
 
+    @staticmethod
+    def qp_built_per_call(g, q_t, theta_t, q_d, theta_d, thetadot_d):
+        """(H, grad) of the outer-loop QP, built from the gains as a tick did."""
+        v_ref = g.gamma_q @ (q_t - q_d)
+        a_ref = -2.0 * g.gamma_theta @ thetadot_d + g.gamma_theta @ g.gamma_theta @ (
+            theta_t - theta_d)
+        H = np.zeros((9, 9))
+        H[:6, :6] = 2.0 * g.q_qdot
+        H[6:, 6:] = 2.0 * g.q_thetaddot
+        grad = np.concatenate([-2.0 * g.q_qdot @ v_ref, -2.0 * g.q_thetaddot @ a_ref])
+        return H, grad
+
     def test_matches_qp_built_per_call(self, rng):
         # the per-mission H and factors give the QP the tick built before
         g = ctl.GainSet()
@@ -518,16 +532,25 @@ class TestOuterLoop:
         A, b = 0.1 * rng.normal(size=(3, 9)), rng.uniform(0.5, 1.0, 3)
         res = ctl.outer_loop(ActiveSetSolver(), q_t, theta_t, q_d, theta_d, thetadot_d,
                              A, b, g)
-        v_ref = g.gamma_q @ (q_t - q_d)
-        a_ref = -2.0 * g.gamma_theta @ thetadot_d + g.gamma_theta @ g.gamma_theta @ (
-            theta_t - theta_d)
-        H = np.zeros((9, 9))
-        H[:6, :6] = 2.0 * g.q_qdot
-        H[6:, 6:] = 2.0 * g.q_thetaddot
-        grad = np.concatenate([-2.0 * g.q_qdot @ v_ref, -2.0 * g.q_thetaddot @ a_ref])
+        H, grad = self.qp_built_per_call(g, q_t, theta_t, q_d, theta_d, thetadot_d)
         sol = ActiveSetSolver().solve(QpProblem(H, grad, A, b))
         assert res.status == sol.status == "optimal" and sol.active_set
         assert np.array_equal(res.x, sol.x)
+
+    def test_adds_most_violated_row_at_large_violations(self, rng):
+        # unconstrained residuals of about [13, -11, 44]; x = 0 is feasible.  A
+        # row pick that looked for violations within 1e-15 of the largest found
+        # none above about 8, re-added row 0 and reported infeasible.
+        g = ctl.GainSet()
+        q_t, q_d = rng.normal(size=6), rng.normal(size=6)
+        theta_t, theta_d, thetadot_d = rng.normal(size=(3, 3))
+        A, b = rng.normal(size=(3, 9)), rng.uniform(0.5, 1.0, 3)
+        res = ctl.outer_loop(ActiveSetSolver(), q_t, theta_t, q_d, theta_d, thetadot_d,
+                             A, b, g)
+        assert res.status == "optimal"
+        H, grad = self.qp_built_per_call(g, q_t, theta_t, q_d, theta_d, thetadot_d)
+        best, _ = qp_enumeration(H, grad, A, b)
+        assert 0.5 * res.x @ H @ res.x + grad @ res.x == pytest.approx(best, rel=1e-9)
 
     def test_too_many_rows_rejected(self):
         g = ctl.GainSet()

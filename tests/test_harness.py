@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 import yaml
 
+from amplan import control as ctl
 from amplan import harness as hz
-from amplan.geometry import Superquadric2
+from amplan import planner as pl
+from amplan.geometry import Superquadric2, shape_rows
 from amplan.planner import PlannedTrajectory, VehicleGeometry
 
 from oracles import sq2_boundary_samples
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 BASE = {
     "format": 1,
@@ -265,6 +269,64 @@ def test_metrics_roundtrip_and_csv_reconstruction(empty_run, tmp_path):
             assert (math.isinf(b) and a == b) or (math.isnan(a) and math.isnan(b))
         else:
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+# --- batched scoring passes ----------------------------------------------------
+
+@pytest.fixture(scope="module")
+def shipped_plans():
+    """(name, mode) -> (scenario, PlanResult) of the shipped scenarios."""
+    out = {}
+    for name in ("tree", "pillar"):
+        s = hz.load_scenario(os.path.join(SCENARIO_DIR, f"{name}.yaml"))
+        for mode in ("sq", "ellipse"):
+            out[(name, mode)] = (s, hz.plan(s, mode))
+    return out
+
+
+def fused_single_and_stacked(traj, geom, obstacles, params):
+    """The fused pass at every sample: one sample per call, and SAMPLE_BATCH
+    samples per call in the blocks equilibrium_residuals uses."""
+    rows = shape_rows(obstacles)
+    P = traj.gammas.shape[1] // 2
+    n = len(traj.s)
+    one = pl._Evaluator(geom, rows, params.stiffness)
+    single = [pl._fused_derivatives(one, params, traj.z[k], traj.gammas[k, :P],
+                                    traj.gammas[k, P:], traj.u[k]) for k in range(n)]
+    blocks = []
+    for k in range(0, n, hz.SAMPLE_BATCH):
+        blk = slice(k, min(k + hz.SAMPLE_BATCH, n))
+        ev = pl._Evaluator(geom, rows, params.stiffness, blk.stop - k)
+        blocks.append(pl._fused_derivatives(ev, params, traj.z[blk], traj.gammas[blk, :P],
+                                            traj.gammas[blk, P:], traj.u[blk]))
+    return single, blocks
+
+
+@pytest.mark.parametrize("plan_name", ["tree", "empty"])
+def test_stacked_fused_pass_matches_single_calls(shipped_plans, empty_run, plan_name):
+    if plan_name == "tree":
+        s, pr = shipped_plans[("tree", "sq")]
+    else:                               # no obstacles, so no pairs (P = 0)
+        s, (pr, _, _) = empty_run
+    traj = pr.traj
+    assert len(traj.s) % hz.SAMPLE_BATCH          # the last block is not full
+    single, blocks = fused_single_and_stacked(traj, s.vehicle,
+                                              hz._model_obstacles(s, "sq"), s.planner)
+    for i in range(5):                  # grad_z W, hess_z W, J_eef, grad_Gamma W, W
+        assert np.array_equal(np.concatenate([b[i] for b in blocks]),
+                              np.array([one[i] for one in single]))
+    assert np.array_equal(pr.grad_norms, [np.linalg.norm(one[0]) for one in single])
+
+
+def test_metric_pass_matches_tracker_chain(shipped_plans):
+    # cold-started blocks against the tracker warm-started sample to sample
+    assert any(len(pr.traj.s) % hz.SAMPLE_BATCH for _, pr in shipped_plans.values())
+    for s, pr in shipped_plans.values():
+        tracker = ctl.ProxyTracker(s.vehicle, list(s.obstacles))
+        chain = [tracker.refresh(np.array([z[0], z[1], 0.0, 0.0, 0.0, z[2]]),
+                                 np.array([z[3], 0.0, z[4]])).min() for z in pr.traj.z]
+        batched = hz.min_distance_profile(pr.traj, s.vehicle, s.obstacles)
+        np.testing.assert_allclose(batched, chain, rtol=0.0, atol=1e-10)
 
 
 def test_csv_column_validation(empty_run, tmp_path):

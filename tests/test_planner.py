@@ -230,6 +230,15 @@ class TestDerivatives:
         assert all(np.all(np.isfinite(a)) for a in outputs)
         assert np.linalg.norm(outputs[3] - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
+    def test_stack_must_match_evaluator_batch(self):
+        geom, params = pl.VehicleGeometry(), pl.PlannerParams()
+        obs = far_obstacle()
+        P = geom.n_parts * len(obs)
+        ev = pl._Evaluator(geom, shape_rows(obs), params.stiffness, batch=2)
+        with pytest.raises(pl.PlannerError, match="built for 2 samples, got 3"):
+            pl._fused_derivatives(ev, params, np.zeros((3, 5)), np.zeros((3, P)),
+                                  np.zeros((3, P)), np.zeros((3, 3)))
+
 
 class TestAttractors:
     def test_normal_flip_toward_heading(self):
