@@ -92,13 +92,13 @@ def _cmd_bench(args) -> int:
             if args.out:
                 hz.emit(os.path.join(args.out, f"{s.name}-{mode}"), pr.traj, tel, report,
                         pr.cells, pr.graph)
-            results.append((s.name, mode, report))
+            results.append((s.name, mode, report, pr.traj.evals))
     results.sort(key=lambda r: (r[0], r[1]))
-    header = f"{'scenario':<12}{'mode':<9}{'plan_time':>10}{'min_dist':>10}" \
+    header = f"{'scenario':<12}{'mode':<9}{'plan_time':>10}{'evals':>7}{'min_dist':>10}" \
              f"{'arc_len':>9}{'jerkiness':>11}{'h_min':>8}{'infeas':>7}"
     print(header)
-    for (name, mode, rep) in results:
-        print(f"{name:<12}{mode:<9}{rep.plan_time:>10.3f}"
+    for (name, mode, rep, evals) in results:
+        print(f"{name:<12}{mode:<9}{rep.plan_time:>10.3f}{evals:>7d}"
               f"{rep.min_distance:>10.4f}{rep.arc_length:>9.3f}"
               f"{rep.jerkiness:>11.3e}{rep.h_co_min:>8.3f}"
               f"{rep.infeasible_ticks:>7d}")

@@ -184,6 +184,11 @@ def stiffness_curvature(d, params: StiffnessParams):
 AXIS_FLOOR = 1e-12
 # longest accepted step in the proxy angles [rad], to stay within the local basin
 MAX_STEP = 0.25
+# closest_pairs drops converged pairs from its rounds once a batch of at least
+# this many pairs is down to a quarter pending; on smaller batches the copies
+# cost more than the rounds they shorten (they broke even near 96 pairs on a
+# 2-vCPU x86 machine)
+COMPACT_MIN = 128
 
 
 def shape_rows(shapes) -> np.ndarray:
@@ -276,13 +281,14 @@ def closest_pairs(sq_i, sq_j, init=None, tol: float = 1e-8,
     or None for the center-to-center direction in each body frame.  Each pair
     runs damped Newton on f = |p_i - p_j|^2 with its own Armijo backtracking:
     every round evaluates the trial points of all pairs in one call, then
-    accepts or halves the step of each pending one.  Pairs never mix, so a
-    batch gives each pair bit for bit its single-pair result.  A pair
-    converges when its step is below tol or its predicted decrease is below
-    the float resolution of f; a pair that takes max_iter steps keeps its best
-    iterate and reports converged=False.  The gap comes from the proxies of
-    each pair's last accepted evaluation; it is negative when either proxy
-    lies strictly inside the other shape.
+    accepts or halves the step of each pending one.  Once at most a quarter of
+    a batch of COMPACT_MIN or more pairs is pending, the rounds run on the
+    pending pairs alone.  Pairs never mix, so a batch gives each pair bit for
+    bit its single-pair result.  A pair converges when its step is below tol
+    or its predicted decrease is below the float resolution of f; a pair that
+    takes max_iter steps keeps its best iterate and reports converged=False.
+    The gap comes from the proxies of each pair's last accepted evaluation;
+    it is negative when either proxy lies strictly inside the other shape.
     """
     rows = np.concatenate([sq_i, sq_j], axis=1)
     if not np.isfinite(rows).all():
@@ -303,6 +309,9 @@ def closest_pairs(sq_i, sq_j, init=None, tol: float = 1e-8,
     converged = np.zeros(P, dtype=bool)
     alpha = np.ones(P)
     pending = iterations < max_iter
+    # rounds run on n columns of the batch: all of them until the batch is
+    # compacted, then the columns cols, with full holding the whole batch
+    n, cols, full, cur = P, None, None, rows
     while True:
         s = alpha * _step(ev)
         pred = -(ev[1] * s[0] + ev[2] * s[1])
@@ -311,14 +320,29 @@ def closest_pairs(sq_i, sq_j, init=None, tol: float = 1e-8,
         pending ^= done
         if not pending.any():
             break
+        if n >= COMPACT_MIN and 4 * np.count_nonzero(pending) <= n:
+            if full is None:
+                full, cols = (g, ev, iterations, converged), np.arange(P)
+            for a, b in zip(full, (g, ev, iterations, converged)):
+                a[..., cols] = b
+            keep = np.flatnonzero(pending)
+            cols, cur = cols[keep], cur[:, np.concatenate([keep, keep + n])]
+            g, ev, s, pred = g[:, keep], ev[:, keep], s[:, keep], pred[keep]
+            iterations, converged, alpha, pending = (
+                iterations[keep], converged[keep], alpha[keep], pending[keep])
+            n = keep.size
         trial = g + s
-        et = _objective(rows, trial)
+        et = _objective(cur, trial)
         ok = pending & (et[0] <= ev[0] - 1e-4 * pred)
         g = np.where(ok, trial, g)
         ev = np.where(ok, et, ev)
         iterations += ok
         alpha = np.where(ok, 1.0, 0.5 * alpha)
         pending &= iterations < max_iter
+    if full is not None:
+        for a, b in zip(full, (g, ev, iterations, converged)):
+            a[..., cols] = b
+        g, ev, iterations, converged = full
 
     # proxies of the last accepted iterates; reshaped, p_j meets shape i and p_i shape j
     gap = np.hypot(ev[7] - ev[6], ev[9] - ev[8])

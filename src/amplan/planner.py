@@ -5,14 +5,14 @@ base heading, two arm joints).  The vehicle footprint is a set of planar SQ
 parts (six rotor disks plus two arm links) whose proxy points interact with
 every obstacle through a stiff short-range potential.  A moving end-effector
 attractor u(s) slides along the clearance path; the configuration follows the
-potential's equilibrium manifold through an adaptively damped ODE in the path
-parameter s, integrated with a fixed-step RK4 scheme.
+potential's equilibrium manifold grad_z W = 0, traced in the path parameter s
+by predictor-corrector continuation on a fixed grid.
 
 The potential, its configuration-space gradient and Hessian, its proxy-angle
 gradient and the end-effector Jacobian are closed-form, computed in one batched
-pass over the part/obstacle pairs per RK4 stage, or per block of trajectory
-samples when a finished plan is checked, on the proxies and tangents of
-geometry's superquadric boundary kernel.
+pass over the part/obstacle pairs per continuation evaluation, or per block of
+trajectory samples when a finished plan is checked, on the proxies and tangents
+of geometry's superquadric boundary kernel.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from .voronoi import SolutionPath
 
 class PlannerError(RuntimeError):
     pass
+
+
+# Newton corrector steps allowed at one sample of the continuation
+CORRECTOR_MAX_ITER = 8
 
 
 _ROTOR_BETA = np.arange(6) * (math.pi / 3.0)
@@ -192,7 +196,7 @@ def set_part_poses(parts, geom: VehicleGeometry, pi, z):
 
 
 class _Evaluator:
-    """Caches per-pair parameter arrays so each RK4 stage is one fused batch.
+    """Caches per-pair parameter arrays so each evaluation is one fused batch.
 
     Built for stacks of `batch` samples (1: single configurations).  The
     per-pair constants are tiled to batch * P columns, sample by sample, so a
@@ -208,7 +212,7 @@ class _Evaluator:
         self.P = P = pi.size
 
         # pair_rows layout of every proxy's shape, (7, 2, batch P): side 0 the
-        # part of each pair, side 1 its obstacle.  Per stage only the part
+        # part of each pair, side 1 its obstacle.  Per evaluation only the part
         # side's cos, sin and center change: a part is fixed in the joint frame
         # l of its link (VehicleGeometry.joint_frames) at offset off, so its
         # center is pivot_l + R(phi_l) off and its angle phi_l.
@@ -427,15 +431,27 @@ class PlannedTrajectory:
     u: np.ndarray          # (N+1, 3) attractor schedule samples
     gammas: np.ndarray     # (N+1, 2P) proxy angles, part block then obstacle block
     attractors: list
+    evals: int = 0         # derivative evaluations of the continuation
+    max_corrector: int = 0  # most corrector steps taken at one sample
 
 
 def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
                  params: PlannerParams | None = None) -> PlannedTrajectory:
     """Track the potential equilibrium while the attractor slides along the path.
 
-    z' = -H^{-1} (dW^2/dz du) u' - eta H^{-1} dW/dz with H the configuration
-    Hessian of W, and gradient flow on the proxy angles, integrated by RK4 over
-    s in [0, 1] with steps aligned to the piecewise-linear attractor segments.
+    Predictor-corrector continuation along grad_z W = 0 over s in [0, 1], one
+    sample per step, with the steps aligned to the piecewise-linear attractor
+    segments.  From the last sample's evaluation, the predictor takes the
+    tangent step z' = H^{-1} (J^T K u' - eta dW/dz), H the configuration Hessian
+    of W; the corrector then takes Newton steps on z with the fresh H at the new
+    attractor until |dW/dz| < params.prerelax_tol, and raises PlannerError after
+    CORRECTOR_MAX_ITER of them.  The proxy angles follow their gradient flow
+    Gamma' = -alpha dW/dGamma: the predicted point takes an Euler step; if it
+    needs correcting, Gamma takes the trapezoid step on dW/dGamma of the
+    previous sample and of the predicted point, and keeps it while z is
+    corrected.  Every evaluation checks that H is positive definite and
+    well-conditioned.  The trajectory records the evaluations made and the most
+    corrector steps taken at one sample.
     """
     params = params or PlannerParams()
     obs_rows = shape_rows(obstacles)
@@ -456,37 +472,33 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
         raise PlannerError("need at least one attractor")
     n_seg = max(1, params.n_s // K)
     h = (1.0 / K) / n_seg
+    evals = 0
 
-    def f(y, u, udot):
-        zz, gp, go = y[:5], y[5:5 + P], y[5 + P:]
+    def evaluate(zz, G, u):
+        nonlocal evals
+        evals += 1
         try:
-            gz, H, J, gG, _ = _fused_derivatives(ev, params, zz, gp, go, u)
+            gz, H, J, gG, _ = _fused_derivatives(ev, params, zz, G[:P], G[P:], u)
             Hs = 0.5 * (H + H.T)
             lam = np.linalg.eigvalsh(Hs)
         except (GeometryError, np.linalg.LinAlgError) as exc:
-            raise PlannerError("non-finite state during equilibrium integration") from exc
+            raise PlannerError("non-finite state during equilibrium tracking") from exc
         # the tracked equilibrium is a minimum: H must be well-conditioned positive definite
         if not (lam[0] > 0.0 and lam[-1] <= params.cond_limit * lam[0]):
             raise PlannerError(
                 "singular or indefinite potential Hessian along the equilibrium "
                 f"manifold (eigenvalues {lam[0]:.3e} .. {lam[-1]:.3e})")
-        zdot = np.linalg.solve(Hs, J.T @ (params.k_tgt @ udot) - params.eta * gz)
-        return np.concatenate([zdot, -params.alpha * gG])
+        return gz, Hs, J, gG
 
-    y = np.concatenate([z, Gp, Go])
     N = K * n_seg
     s_grid = np.empty(N + 1)
     z_out = np.empty((N + 1, 5))
     u_out = np.empty((N + 1, 3))
     g_out = np.empty((N + 1, 2 * P))
-
-    def record(idx, s, y, u):
-        s_grid[idx] = s
-        z_out[idx] = y[:5]
-        u_out[idx] = u
-        g_out[idx] = y[5:]
-
-    record(0, 0.0, y, attrs[0])
+    G = np.concatenate([Gp, Go])
+    s_grid[0], z_out[0], u_out[0], g_out[0] = 0.0, z, attrs[0], G
+    gz, Hs, J, gG = evaluate(z, G, attrs[0])
+    most = 0
     idx = 0
     for seg in range(K):
         ua, ub = attrs[seg], attrs[seg + 1]
@@ -494,21 +506,29 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
         du[2] = wrap_angle(du[2])
         udot = K * du
         for n in range(n_seg):
-            s_loc = n * h
-            u_of = lambda ds: ua + (s_loc + ds) * udot  # noqa: E731
-            k1 = f(y, u_of(0.0), udot)
-            k2 = f(y + 0.5 * h * k1, u_of(0.5 * h), udot)
-            k3 = f(y + 0.5 * h * k2, u_of(0.5 * h), udot)
-            k4 = f(y + h * k3, u_of(h), udot)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise PlannerError("non-finite state during equilibrium integration")
+            s = seg / K + (n + 1) * h
+            u = ua + (n + 1) * h * udot
+            z_new = z + h * np.linalg.solve(Hs, J.T @ (params.k_tgt @ udot) - params.eta * gz)
+            G_new = G - (h * params.alpha) * gG
+            for it in range(CORRECTOR_MAX_ITER + 1):
+                gz_new, Hs, J, gG_new = evaluate(z_new, G_new, u)
+                if np.linalg.norm(gz_new) < params.prerelax_tol:
+                    break
+                if it == CORRECTOR_MAX_ITER:
+                    raise PlannerError(
+                        f"corrector stalled at s = {s:.4f} with "
+                        f"|grad| = {np.linalg.norm(gz_new):.3e}")
+                if it == 0:
+                    G_new = G - (0.5 * h * params.alpha) * (gG + gG_new)
+                z_new = z_new - np.linalg.solve(Hs, gz_new)
+            most = max(most, it)
+            z, G, gz, gG = z_new, G_new, gz_new, gG_new
             idx += 1
-            record(idx, seg / K + (n + 1) * h, y, u_of(h))
+            s_grid[idx], z_out[idx], u_out[idx], g_out[idx] = s, z, u, G
 
     _, _, eef = geom.part_poses(z_out)
-    return PlannedTrajectory(s=s_grid, z=z_out, eef=eef, u=u_out,
-                             gammas=g_out, attractors=attrs)
+    return PlannedTrajectory(s=s_grid, z=z_out, eef=eef, u=u_out, gammas=g_out,
+                             attractors=attrs, evals=evals, max_corrector=most)
 
 
 def target_pose(traj: PlannedTrajectory, t: float, duration: float, height: float):

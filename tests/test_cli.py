@@ -66,6 +66,9 @@ def test_bench_table(empty_yaml, capsys):
     assert lines[0].startswith("scenario")
     assert len(lines) == 3            # header + sq + ellipse rows
     assert "empty" in lines[1]
+    # the continuation's derivative evaluations, one column after plan_time
+    col = lines[0].split().index("evals")
+    assert all(int(ln.split()[col]) > 0 for ln in lines[1:])
 
 
 def test_missing_file_exit_2(capsys):

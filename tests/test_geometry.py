@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from amplan import geometry
 from amplan.geometry import (
     GeometryError,
     StiffnessParams,
@@ -217,6 +218,33 @@ class TestBatching:
         assert (batch.gap < 0.0).any() and (batch.gap > 0.0).any()
         if case == "capped":
             assert (~batch.converged).any() and (batch.iterations <= 3).all()
+
+    def test_compacted_boxy_batch_equals_single_pairs(self, rng, monkeypatch):
+        # disjoint eps = 0.3 pairs: those facing each other across flat faces
+        # outlast the rest by far, so most rounds run on the pending pairs alone
+        def box(center):
+            return Superquadric2(a1=rng.uniform(0.2, 0.6), a2=rng.uniform(0.2, 0.6), eps=0.3,
+                                 angle=rng.uniform(-math.pi, math.pi), center=tuple(center))
+
+        pairs = []
+        for _ in range(geometry.COMPACT_MIN):
+            ci, ang = rng.uniform(-1.0, 1.0, 2), rng.uniform(-math.pi, math.pi)
+            cj = ci + rng.uniform(1.8, 3.0) * np.array([math.cos(ang), math.sin(ang)])
+            pairs.append((box(ci), box(cj)))
+        side_i, side_j = zip(*pairs)
+        widths = []
+        objective = geometry._objective
+        monkeypatch.setattr(geometry, "_objective",
+                            lambda rows, g: widths.append(g.shape[1]) or objective(rows, g))
+        batch = solve(side_i, side_j)
+        narrow = [w for w in widths if w < len(pairs)]
+        assert widths[0] == len(pairs) and max(narrow) <= len(pairs) // 4
+        assert len(narrow) > len(widths) // 2
+        for k, (a, b) in enumerate(pairs):
+            one = solve([a], [b])
+            assert np.array_equal(batch.gammas[:, k:k + 1], one.gammas)
+            for name in ("gap", "converged", "iterations"):
+                assert np.array_equal(getattr(batch, name)[k:k + 1], getattr(one, name))
 
     def test_gap_is_signed_proxy_distance(self, rng):
         pairs = self.pairs(rng)

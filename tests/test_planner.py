@@ -1,12 +1,17 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from amplan import harness as hz
 from amplan import planner as pl
-from amplan.geometry import Superquadric2, closest_pairs, shape_rows, stiffness, wrap_angle
+from amplan.geometry import (StiffnessParams, Superquadric2, closest_pairs, shape_rows,
+                             stiffness, wrap_angle)
 from amplan.voronoi import SolutionPath
 from oracles import central_diff_gradient
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def far_obstacle():
@@ -344,6 +349,83 @@ class TestIntegration:
                             pl.PlannerParams(n_s=64))
         assert np.array_equal(a.z, b.z)
         assert np.array_equal(a.gammas, b.gammas)
+
+
+def pair_stiffness(geom, obs, traj, stiff):
+    """Stiffness k(F(p) - d') of every pair at every stored sample, (N+1, P),
+    one shape pair at a time."""
+    P = traj.gammas.shape[1] // 2
+    pi, oi = pl.pair_index(geom.n_parts, len(obs))
+    out = np.empty((len(traj.s), P))
+    for k, (z, g) in enumerate(zip(traj.z, traj.gammas)):
+        parts = geom.part_superquadrics(z)
+        for q in range(P):
+            F = obs[oi[q]].inside_outside(parts[pi[q]].boundary_point(g[q]))
+            out[k, q] = stiffness(F - stiff.d_prime, stiff)
+    return out
+
+
+class TestContinuation:
+    @pytest.fixture(scope="class")
+    def shipped_plans(self):
+        """(scenario, mode) -> (scenario, PlanResult, single-sample fused calls
+        made while planning: pre-relaxation and continuation)."""
+        fused, calls = pl._fused_derivatives, []
+
+        def counting(ev, params, z, *args):
+            calls.append(np.ndim(z) == 1)
+            return fused(ev, params, z, *args)
+
+        out = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pl, "_fused_derivatives", counting)
+            for name in ("tree", "pillar"):
+                s = hz.load_scenario(os.path.join(SCENARIO_DIR, f"{name}.yaml"))
+                for mode in ("sq", "ellipse"):
+                    del calls[:]
+                    pr = hz.plan(s, mode)
+                    out[(name, mode)] = (s, pr, sum(calls))
+        return out
+
+    def test_shipped_samples_sit_on_the_manifold(self, shipped_plans):
+        for s, pr, _ in shipped_plans.values():
+            assert pr.grad_norms[1:].max() < s.planner.prerelax_tol
+
+    def test_shipped_plans_take_at_most_800_evaluations(self, shipped_plans):
+        for s, pr, calls in shipped_plans.values():
+            assert pr.traj.evals <= calls <= 800
+            assert 1 <= pr.traj.max_corrector <= pl.CORRECTOR_MAX_ITER
+
+    def test_corrector_cap_raises(self, monkeypatch):
+        geom = pl.VehicleGeometry()
+        goal = np.array([1.5, 0.5, 0.5])
+        params = pl.PlannerParams(n_s=50)
+        traj = pl.integrate_em(geom, far_obstacle(), np.zeros(5), [goal], params)
+        assert traj.max_corrector >= 1
+        monkeypatch.setattr(pl, "CORRECTOR_MAX_ITER", 0)
+        with pytest.raises(pl.PlannerError, match="corrector stalled"):
+            pl.integrate_em(geom, far_obstacle(), np.zeros(5), [goal], params)
+
+    def test_grazing_route_moves_proxies(self):
+        # the arm points down at the flat top face of an eps 0.3 box and its tip
+        # slides along the face 3 mm above it, inside the stiffness transition
+        # of a softened law; k_reg stiffens the self-motion the contact loads
+        geom = pl.VehicleGeometry()
+        box = Superquadric2(a1=0.6, a2=0.3, eps=0.3, center=(1.6, -0.6))
+        down = -math.pi / 2
+        z0 = np.array([1.3, 0.55, down, 0.0, 0.0])
+        attrs = [np.array([1.3, -0.297, down]), np.array([1.9, -0.297, down]),
+                 np.array([1.9, 0.2, down])]
+        stiff = StiffnessParams(d0=0.02, k_max=100.0)
+        traj, double = (pl.integrate_em(geom, [box], z0, attrs,
+                                        pl.PlannerParams(n_s=n, stiffness=stiff, k_reg=50.0))
+                        for n in (200, 400))
+        assert np.all(np.isfinite(traj.z)) and np.all(np.isfinite(traj.gammas))
+        assert pair_stiffness(geom, [box], traj, stiff).max() > 1.0
+        assert np.abs(traj.gammas - traj.gammas[0]).max() > 1e-2
+        gap = closest_pairs(*pl.pair_rows(geom, shape_rows([box]), traj.z)).gap
+        assert gap.min() > 0.0
+        assert np.abs(double.z[-1] - traj.z[-1]).max() < 1e-4
 
 
 class TestTargetPose:
