@@ -346,8 +346,9 @@ class ProxyTracker:
     obstacle oi) pairs, in planner.pair_index order; gammas[0] is the part side.
 
     The planner.pair_rows sides are built once; each refresh rewrites the part
-    poses and solves all pairs in one closest_pairs call, started from the
-    previous refresh's angles (center-to-center directions on the first call).
+    poses (planner.set_part_poses) and solves all pairs in one closest_pairs
+    call, started from the previous refresh's angles (center-to-center
+    directions on the first call).
     """
 
     geom: VehicleGeometry
@@ -383,7 +384,7 @@ class PairBarriers:
     def __post_init__(self):
         geom, pi = self.tracker.geom, self.tracker.pi
         self.link = geom.part_links[pi]
-        self.part_axes = np.array(geom.part_axes)[:, pi]
+        self.part_axes = geom.part_axes[:, pi]
         self.part_offsets = np.pad(geom.part_offsets[pi], ((0, 0), (0, 1)))
         obs = [self.obstacles[o] for o in self.tracker.oi]
         for name in ("rotation", "translation", "a1", "a2", "a3", "eps1", "eps2"):
@@ -395,21 +396,22 @@ class PairBarriers:
 H_CULL = 4.0
 
 
-def cbf_rows(barriers: PairBarriers, tracker: ProxyTracker, q, qdot, theta,
-             thetadot, q_d, gains: GainSet, safety: SafetyParams):
+def cbf_rows(barriers: PairBarriers, q, qdot, theta, thetadot, q_d, gains: GainSet,
+             safety: SafetyParams):
     """HOCBF rows A x <= b for the outer-loop decision x = [qdot_d; thetaddot_d],
-    and the barrier value h of every pair, at the tracker's part-side angles.
+    and the barrier value h of every pair, at the part-side angles of
+    barriers.tracker.
 
     Under the inner loop the base acceleration is Kd (qdot_d - qdot) +
     Kp (q_d - q) and the arm tracks thetaddot_d directly, so the second
     barrier derivative is affine in x.  Only pairs with h <= H_CULL become
     rows, in pair order.
     """
-    if tracker.pi.size == 0:
+    if barriers.tracker.pi.size == 0:
         return np.zeros((0, 9)), np.zeros(0), np.zeros(0)
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    X, frames = proxy_points(barriers, tracker.gammas[0], q, theta)
+    X, frames = proxy_points(barriers, barriers.tracker.gammas[0], q, theta)
     dx = np.einsum("pji,pj->pi", barriers.rotation, X - barriers.translation)
     h = h_co(dx, barriers)
     rows = np.flatnonzero(h <= H_CULL)

@@ -157,25 +157,6 @@ def stiffness_terms(d, params: StiffnessParams):
             params.k_max / params.d0 ** 2 * sech2 * t)
 
 
-def _scalar_or_array(v):
-    return float(v) if v.ndim == 0 else v
-
-
-def stiffness(d, params: StiffnessParams):
-    """Nonlinear stiffness k(d) of stiffness_terms."""
-    return _scalar_or_array(stiffness_terms(d, params)[0])
-
-
-def stiffness_slope(d, params: StiffnessParams):
-    """Analytic dk/dd of the nonlinear stiffness."""
-    return _scalar_or_array(stiffness_terms(d, params)[1])
-
-
-def stiffness_curvature(d, params: StiffnessParams):
-    """Analytic d^2k/dd^2 of the nonlinear stiffness."""
-    return _scalar_or_array(stiffness_terms(d, params)[2])
-
-
 # --- closest proxy pairs -------------------------------------------------------
 
 # floor on the bases of power terms that are unbounded on a shape's axes: |cos|,

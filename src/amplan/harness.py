@@ -391,8 +391,8 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
         tracker.refresh(state.q, state.theta)
         A1, b1 = ctl.thrust_limit_rows(q_d, state.q, state.qdot, d_hat, terms,
                                        gains, safety.t_min, safety.t_max)
-        A2, b2, h_vals = ctl.cbf_rows(barriers, tracker, state.q, state.qdot,
-                                      state.theta, state.thetadot, q_d, gains, safety)
+        A2, b2, h_vals = ctl.cbf_rows(barriers, state.q, state.qdot, state.theta,
+                                      state.thetadot, q_d, gains, safety)
         res = ctl.outer_loop(solver, q_t, theta_t, q_d, theta_d, thetadot_d,
                              np.vstack([A1, A2]), np.concatenate([b1, b2]),
                              gains, prev_x)

@@ -2,11 +2,13 @@
 
 The planar system configuration is z = [x, y, psi, th1, th3] (base position,
 base heading, two arm joints).  The vehicle footprint is a set of planar SQ
-parts (six rotor disks plus two arm links) whose proxy points interact with
-every obstacle through a stiff short-range potential.  A moving end-effector
-attractor u(s) slides along the clearance path; the configuration follows the
-potential's equilibrium manifold grad_z W = 0, traced in the path parameter s
-by predictor-corrector continuation on a fixed grid.
+parts (six rotor disks plus two arm links), each fixed in the base, shoulder
+or forearm frame; set_part_poses places them from those joint frames for every
+caller.  Their proxy points interact with every obstacle through a stiff
+short-range potential.  A moving end-effector attractor u(s) slides along the
+clearance path; the configuration follows the potential's equilibrium manifold
+grad_z W = 0, traced in the path parameter s by predictor-corrector
+continuation on a fixed grid.
 
 The potential, its configuration-space gradient and Hessian, its proxy-angle
 gradient and the end-effector Jacobian are closed-form, computed in one batched
@@ -19,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import (AXIS_FLOOR, GeometryError, StiffnessParams, Superquadric2,
-                       _boundary, closest_pairs, shape_rows, stiffness_terms,
-                       wrap_angle)
+from .geometry import (AXIS_FLOOR, GeometryError, StiffnessParams, _boundary, closest_pairs,
+                       shape_rows, stiffness_terms, wrap_angle)
 from .voronoi import SolutionPath
 
 
@@ -36,15 +38,14 @@ class PlannerError(RuntimeError):
 CORRECTOR_MAX_ITER = 8
 
 
-_ROTOR_BETA = np.arange(6) * (math.pi / 3.0)
-
-
 @dataclass(frozen=True)
 class VehicleGeometry:
     """Planar SQ decomposition of the aerial manipulator footprint.
 
     Parts 0..5 are the rotor disks, part 6 is the shoulder link, part 7 the
-    forearm link; the end effector sits at the forearm tip.
+    forearm link; the end effector sits at the forearm tip.  Every part is
+    fixed in one joint frame (part_links) at a constant offset (part_offsets);
+    set_part_poses places them all from joint_frames.
     """
 
     rotor_arm: float = 0.278
@@ -59,24 +60,34 @@ class VehicleGeometry:
     def n_parts(self) -> int:
         return 8
 
-    @property
-    def part_axes(self):
-        a1 = np.array([self.blade_radius] * 6 + [self.l1 / 2, self.l2 / 2])
-        a2 = np.array([self.blade_radius] * 6 + [self.link_halfwidth] * 2)
-        eps = np.array([1.0] * 6 + [self.link_eps] * 2)
-        return a1, a2, eps
+    # part constants: one cached read-only copy (frozen, so never stale) for all callers
 
-    @property
-    def part_links(self):
+    @cached_property
+    def part_axes(self) -> np.ndarray:
+        """Rows [a1, a2, eps] of the part shapes, (3, 8)."""
+        a = np.array([[self.blade_radius] * 6 + [self.l1 / 2, self.l2 / 2],
+                      [self.blade_radius] * 6 + [self.link_halfwidth] * 2,
+                      [1.0] * 6 + [self.link_eps] * 2])
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def part_links(self) -> np.ndarray:
         """Index of the frame each part is fixed in: 0 base, 1 shoulder link, 2 forearm."""
-        return np.array([0] * 6 + [1, 2])
+        link = np.array([0] * 6 + [1, 2])
+        link.flags.writeable = False
+        return link
 
-    @property
-    def part_offsets(self):
-        """Part centers (8, 2) in the frame of their part (part_links)."""
-        centers, _, _ = self.part_poses(np.zeros((1, 5)))
-        pivots = np.array(self.joint_frames(0.0, 0.0, 0.0, 0.0, 0.0))[:, :2]
-        return centers[0] - pivots[self.part_links]
+    @cached_property
+    def part_offsets(self) -> np.ndarray:
+        """Part centers (8, 2) in the frame of their part (part_links): the
+        rotors at rotor_arm (cos beta, sin beta), beta = 0, 60, ..., 300 deg,
+        and each link at its midpoint."""
+        beta = np.arange(6) * (math.pi / 3.0)
+        off = np.vstack([self.rotor_arm * np.column_stack([np.cos(beta), np.sin(beta)]),
+                         [[self.l1 / 2.0, 0.0], [self.l2 / 2.0, 0.0]]])
+        off.flags.writeable = False
+        return off
 
     def joint_frames(self, x, y, psi, t1, t3):
         """Rows [pivot x, pivot y, cos phi, sin phi] of the base, shoulder and
@@ -94,54 +105,22 @@ class VehicleGeometry:
                 [bx, by, c1, s1],
                 [bx + self.l1 * c1, by + self.l1 * s1, math.cos(a2), math.sin(a2)]]
 
-    def part_poses(self, Z):
-        """Part centers (B, 8, 2) and orientations (B, 8) plus EEF pose (B, 3)."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        x, y, psi, t1, t3 = Z.T
-        B = Z.shape[0]
-        centers = np.empty((B, 8, 2))
-        angles = np.empty((B, 8))
-
-        rot_ang = psi[:, None] + _ROTOR_BETA
-        centers[:, :6, 0] = x[:, None] + self.rotor_arm * np.cos(rot_ang)
-        centers[:, :6, 1] = y[:, None] + self.rotor_arm * np.sin(rot_ang)
-        angles[:, :6] = psi[:, None]
-
-        a1 = psi + t1
-        a2 = a1 + t3
-        c0, s0 = np.cos(psi), np.sin(psi)
-        c1, s1 = np.cos(a1), np.sin(a1)
-        c2, s2 = np.cos(a2), np.sin(a2)
-        bx = x + self.arm_base_offset * c0
-        by = y + self.arm_base_offset * s0
-        jx = bx + self.l1 * c1
-        jy = by + self.l1 * s1
-        centers[:, 6, 0] = bx + (self.l1 / 2.0) * c1
-        centers[:, 6, 1] = by + (self.l1 / 2.0) * s1
-        centers[:, 7, 0] = jx + (self.l2 / 2.0) * c2
-        centers[:, 7, 1] = jy + (self.l2 / 2.0) * s2
-        angles[:, 6] = a1
-        angles[:, 7] = a2
-
-        eef = np.empty((B, 3))
-        eef[:, 0] = jx + self.l2 * c2
-        eef[:, 1] = jy + self.l2 * s2
-        eef[:, 2] = a2
-        return centers, angles, eef
+    def frame_stack(self, z) -> np.ndarray:
+        """joint_frames at each sample of a stack z (B, 5), or at one z (5,) as
+        a stack of one: (B, 3, 4)."""
+        rows = (v for zz in np.asarray(z, dtype=float).reshape(-1, 5).tolist()
+                for fr in self.joint_frames(*zz) for v in fr)
+        return np.fromiter(rows, float).reshape(-1, 3, 4)
 
     def forward_kinematics_eef(self, z):
-        """End-effector pose [x_e, y_e, theta_e] at configuration z."""
-        _, _, eef = self.part_poses(np.asarray(z, dtype=float)[None, :])
-        return eef[0]
-
-    def part_superquadrics(self, z) -> list[Superquadric2]:
-        """The part shapes as individual SQ objects at configuration z."""
-        centers, angles, _ = self.part_poses(np.asarray(z, dtype=float)[None, :])
-        a1, a2, eps = self.part_axes
-        return [Superquadric2(a1=a1[k], a2=a2[k], eps=eps[k],
-                              angle=float(angles[0, k]),
-                              center=tuple(centers[0, k]))
-                for k in range(self.n_parts)]
+        """End-effector pose [x_e, y_e, theta_e], the forearm tip, at z (5,),
+        or (B, 3) at each sample of a stack z (B, 5); theta_e = psi + th1 + th3
+        is not wrapped."""
+        z = np.asarray(z, dtype=float)
+        fr = self.frame_stack(z)[:, 2]
+        zs = z.reshape(-1, 5)
+        eef = np.column_stack([fr[:, :2] + self.l2 * fr[:, 2:], zs[:, 2] + zs[:, 3] + zs[:, 4]])
+        return eef if z.ndim == 2 else eef[0]
 
 
 @dataclass
@@ -180,19 +159,28 @@ def pair_rows(geom: VehicleGeometry, obs_rows, z):
     geometry.shape_rows layout."""
     pi, oi = pair_index(geom.n_parts, obs_rows.shape[1])
     B = len(np.atleast_2d(z))
-    parts = np.vstack([np.tile(np.array(geom.part_axes)[:, pi], B),
-                       np.empty((4, B * pi.size))])
+    parts = np.vstack([np.tile(geom.part_axes[:, pi], B), np.empty((4, B * pi.size))])
     set_part_poses(parts, geom, pi, z)
     return parts, obs_rows[:, np.tile(oi, B)]
 
 
-def set_part_poses(parts, geom: VehicleGeometry, pi, z):
+def set_part_poses(parts, geom: VehicleGeometry, pi, z, frames=None):
     """Write the poses at z, or at each sample of a stack z (B, 5) in its own
-    block of columns, into the rows [cos, sin, center x, center y] of parts pi."""
-    centers, angles, _ = geom.part_poses(z)
-    ang = angles.take(pi, axis=1).ravel()
-    parts[3], parts[4] = np.cos(ang), np.sin(ang)
-    parts[5:] = centers.take(pi, axis=1).reshape(-1, 2).T
+    block of columns, into the rows [cos, sin, center x, center y] of parts pi.
+
+    A part fixed in joint frame l (geom.part_links) at offset off
+    (geom.part_offsets) has the angle phi_l and the center pivot_l +
+    R(phi_l) off.  frames, when given, are z's geom.frame_stack.
+    """
+    if frames is None:
+        frames = geom.frame_stack(z)
+    # the frame rows [pivot x, pivot y, cos, sin] of every part, (4, B, 8)
+    f = frames[:, geom.part_links].transpose(2, 0, 1)
+    off = geom.part_offsets
+    a = f[:2] + f[2:] * off[:, 0]       # pivot + (cos, sin) off_x
+    b = f[3:1:-1] * off[:, 1]           # (sin, cos) off_y
+    poses = np.array([f[2], f[3], a[0] - b[0], a[1] + b[1]])
+    parts[3:] = poses.take(pi, axis=2).reshape(4, -1)
 
 
 class _Evaluator:
@@ -208,26 +196,19 @@ class _Evaluator:
         self.geom = geom
         self.stiff = stiff
         self.batch = batch
-        pi, _ = pair_index(geom.n_parts, obs_rows.shape[1])
-        self.P = P = pi.size
+        self.pi, _ = pair_index(geom.n_parts, obs_rows.shape[1])
+        self.P = self.pi.size
 
         # pair_rows layout of every proxy's shape, (7, 2, batch P): side 0 the
         # part of each pair, side 1 its obstacle.  Per evaluation only the part
-        # side's cos, sin and center change: a part is fixed in the joint frame
-        # l of its link (VehicleGeometry.joint_frames) at offset off, so its
-        # center is pivot_l + R(phi_l) off and its angle phi_l.
+        # side's cos, sin and center change, which set_part_poses writes.
         self.rows = np.array(pair_rows(geom, obs_rows, np.zeros((batch, 5)))).transpose(1, 0, 2)
-        link = geom.part_links[pi]
-        # row of each pair's frame in the stacked (batch * 3, 4) joint frames
-        self.frame = (link + 3 * np.arange(batch)[:, None]).ravel()
-        ox, oy = np.tile(geom.part_offsets[pi].T, batch)
-        self.off = np.array([[ox, ox], [-oy, oy]])
         a = self.rows[:2, 1]
         oeps, ocos, osin = self.rows[2:5, 1]
         self.oexp = 2.0 / oeps
-        # joint angle j moves a part proxy iff j <= l
-        self.moved = (np.arange(3) <= link[:, None]).astype(float)
-        self.jp = np.zeros((2, batch * P, 5))
+        # joint angle j moves a part proxy iff j <= l, l the frame of its part
+        self.moved = (np.arange(3) <= geom.part_links[self.pi][:, None]).astype(float)
+        self.jp = np.zeros((2, batch * self.P, 5))
         self.jp[0, :, 0] = self.jp[1, :, 1] = 1.0
         # obstacle rotation R[a, k], scaled inverse diag(1/a) R^T, and R[a, k] R[b, k]
         self.orot = np.array([[ocos, -osin], [osin, ocos]])
@@ -291,12 +272,8 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
                     0.5 * params.k_reg * (t1 * t1 + t3 * t3)])
     jf, J, tgt = np.array(frames), np.array(jac), np.array(tgt)  # (B, 3, 4), (B, 3, 5), (B, 4)
 
-    # each pair's frame (pivot x, pivot y, cos, sin): its part's angle, and its
-    # center pivot + R(phi) off as (pivot + (cos, sin) off_x) + (-sin, cos) off_y
-    pf = jf.reshape(-1, 4).T[:, ev.frame]
     rows = ev.rows.copy()
-    rows[3:5, 0] = pf[2:]
-    rows[5:, 0] = pf[:2] + pf[2:] * ev.off[0] + pf[3:1:-1] * ev.off[1]
+    set_part_poses(rows[:, 0], geom, ev.pi, z, jf)
     X, T, _ = _boundary(rows.reshape(7, 2 * N), np.concatenate((Gp, Go), axis=None),
                         curvature=False)
     p, q = X[:, :N], X[:, N:]
@@ -526,9 +503,9 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
             idx += 1
             s_grid[idx], z_out[idx], u_out[idx], g_out[idx] = s, z, u, G
 
-    _, _, eef = geom.part_poses(z_out)
-    return PlannedTrajectory(s=s_grid, z=z_out, eef=eef, u=u_out, gammas=g_out,
-                             attractors=attrs, evals=evals, max_corrector=most)
+    return PlannedTrajectory(s=s_grid, z=z_out, eef=geom.forward_kinematics_eef(z_out),
+                             u=u_out, gammas=g_out, attractors=attrs, evals=evals,
+                             max_corrector=most)
 
 
 def target_pose(traj: PlannedTrajectory, t: float, duration: float, height: float):

@@ -21,7 +21,7 @@ from amplan import harness as hz
 from amplan import planner as pl
 from amplan import voronoi as vor
 from amplan.geometry import (StiffnessParams, Superquadric2, closest_pairs, shape_rows,
-                             stiffness, stiffness_curvature, stiffness_slope)
+                             stiffness_terms)
 from amplan.qp import ActiveSetSolver, QpProblem, kkt_residuals
 
 from oracles import (central_diff_gradient, enumerate_shortest_path,
@@ -297,13 +297,13 @@ def test_criterion_8_derivative_suite():
         stiff = StiffnessParams()
 
         d = rng.uniform(-4e-3, 4e-3, 100)
-        fd = np.array([(stiffness(x + 1e-6, stiff)
-                        - stiffness(x - 1e-6, stiff)) / 2e-6 for x in d])
-        an = stiffness_slope(d, stiff)
+        fd = np.array([(stiffness_terms(x + 1e-6, stiff)[0]
+                        - stiffness_terms(x - 1e-6, stiff)[0]) / 2e-6 for x in d])
+        an = stiffness_terms(d, stiff)[1]
         assert np.all(np.abs(an - fd) <= 1e-4 * np.maximum(1.0, np.abs(fd)))
-        fd = np.array([(stiffness_slope(x + 1e-6, stiff)
-                        - stiffness_slope(x - 1e-6, stiff)) / 2e-6 for x in d])
-        an = stiffness_curvature(d, stiff)
+        fd = np.array([(stiffness_terms(x + 1e-6, stiff)[1]
+                        - stiffness_terms(x - 1e-6, stiff)[1]) / 2e-6 for x in d])
+        an = stiffness_terms(d, stiff)[2]
         assert np.all(np.abs(an - fd) <= 1e-4 * np.maximum(1.0, np.abs(fd)))
 
         geom = pl.VehicleGeometry()

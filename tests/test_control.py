@@ -11,7 +11,7 @@ from amplan.geometry import Superquadric2, closest_pairs, shape_rows
 from amplan.planner import VehicleGeometry, pair_rows
 from amplan.qp import MAX_ROWS, ActiveSetSolver, QpDimensionError, QpProblem
 
-from oracles import qp_enumeration
+from oracles import part_superquadrics, qp_enumeration
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -394,8 +394,8 @@ class TestBarrier:
         h = ctl.h_co(dx, barriers)
         assert h.shape == (24,)
         assert np.array_equal(h, ctl.h_co_derivs(dx, barriers)[0])
-        _, _, h_rows = ctl.cbf_rows(barriers, tracker, q, np.zeros(6), theta, np.zeros(3),
-                                    q, ctl.GainSet(), ctl.SafetyParams())
+        _, _, h_rows = ctl.cbf_rows(barriers, q, np.zeros(6), theta, np.zeros(3), q,
+                                    ctl.GainSet(), ctl.SafetyParams())
         assert np.array_equal(h_rows, h)
 
 
@@ -420,8 +420,7 @@ class TestCbfRows:
             thetadot = rng.normal(scale=0.2, size=3)
             q_d = q + rng.normal(scale=0.02, size=6)
             tracker.refresh(q, theta)
-            A, b, h_vals = ctl.cbf_rows(barriers, tracker, q, qdot, theta,
-                                        thetadot, q_d, g, safety)
+            A, b, h_vals = ctl.cbf_rows(barriers, q, qdot, theta, thetadot, q_d, g, safety)
             assert h_vals.shape == (8,)
             assert np.all(h_vals > 0.0)
             rows = np.flatnonzero(h_vals <= ctl.H_CULL)
@@ -462,7 +461,7 @@ class TestCbfRows:
             assert second.min() > 0.0
             # the tracker solves the same problem as a cold closest_pairs call on
             # the part shapes
-            parts = geom.part_superquadrics([q[0], q[1], q[5], theta[0], theta[2]])
+            parts = part_superquadrics(geom, [q[0], q[1], q[5], theta[0], theta[2]])
             cold = closest_pairs(shape_rows([parts[p] for p in tracker.pi]),
                                  shape_rows([obstacles[o] for o in tracker.oi])).gap
             assert second == pytest.approx(cold, abs=1e-9)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from amplan import geometry
 from amplan.geometry import (
@@ -14,10 +15,10 @@ from amplan.geometry import (
     closest_pairs,
     shape_rows,
     signed_pow,
-    stiffness,
+    stiffness_terms,
     wrap_angle,
 )
-from oracles import sampled_gap
+from oracles import sampled_gap, sq2_boundary_samples
 
 
 def unit_sphere():
@@ -75,21 +76,21 @@ class TestProxyPoint:
 class TestStiffness:
     def test_at_zero(self):
         p = StiffnessParams(1.0, 10.0, 0.5, 0.0)
-        assert stiffness(0.0, p) == pytest.approx(1.0 + 5.0)
+        assert stiffness_terms(0.0, p)[0] == pytest.approx(1.0 + 5.0)
 
     def test_limit(self):
         p = StiffnessParams(1.0, 10.0, 0.5, 0.0)
-        assert stiffness(1e6, p) == pytest.approx(1.0, abs=1e-9)
+        assert stiffness_terms(1e6, p)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_table_values_at_d0(self):
         p = StiffnessParams(1e-7, 1e3, 1.0, 0.0)
-        assert stiffness(1.0, p) == pytest.approx(1e-7 + 1e3 * (1 - math.tanh(1.0)) / 2)
+        assert stiffness_terms(1.0, p)[0] == pytest.approx(1e-7 + 1e3 * (1 - math.tanh(1.0)) / 2)
 
     @given(st.floats(-0.4, 0.4), st.floats(1e-3, 1.0))
     def test_monotone_decreasing(self, d1, delta):
         p = StiffnessParams(1e-7, 1e3, 0.1, 0.0)
-        assert stiffness(d1, p) > stiffness(d1 + delta, p)
-        k = stiffness(d1, p)
+        assert stiffness_terms(d1, p)[0] > stiffness_terms(d1 + delta, p)[0]
+        k = stiffness_terms(d1, p)[0]
         assert p.k_min < k < p.k_min + p.k_max
 
     def test_invalid_params(self):
@@ -191,6 +192,33 @@ class TestClosestPair:
         res = solve([a], [b], init=[[2.0], [0.5]], tol=1e-16, max_iter=1)
         assert not res.converged[0]
         assert res.iterations[0] == 1
+
+
+def full_sampled_gap(sq_i, sq_j, n):
+    """sampled_gap with every sample of each boundary queried against the other."""
+    pi, pj = sq2_boundary_samples(sq_i, n), sq2_boundary_samples(sq_j, n)
+    d_ij, d_ji = cKDTree(pj).query(pi)[0], cKDTree(pi).query(pj)[0]
+    inside_ij = sq_j.inside_outside(pi) < 0.0
+    inside_ji = sq_i.inside_outside(pj) < 0.0
+    if inside_ij.any() or inside_ji.any():
+        return -max([0.0] + [float(d[m].max()) for d, m in ((d_ij, inside_ij), (d_ji, inside_ji))
+                             if m.any()])
+    return float(d_ij.min())
+
+
+class TestSampledGapOracle:
+    def test_pruned_queries_equal_full_query(self, rng):
+        disjoint = [random_disjoint_pair(rng) for _ in range(8)]
+        penetrating = []
+        while len(penetrating) < 8:
+            a, b = random_convex_sq(rng, box=0.6), random_convex_sq(rng, box=0.6)
+            if full_sampled_gap(a, b, 600) < 0.0:
+                penetrating.append((a, b))
+        for k, (a, b) in enumerate(disjoint + penetrating):
+            n = 10_000 if k % 8 == 0 else 3000
+            full = full_sampled_gap(a, b, n)
+            assert (full > 0.0) == (k < len(disjoint))
+            assert sampled_gap(a, b, n) == full
 
 
 class TestBatching:

@@ -14,7 +14,7 @@ from amplan import planner as pl
 from amplan.geometry import Superquadric2, shape_rows
 from amplan.planner import PlannedTrajectory, VehicleGeometry
 
-from oracles import sq2_boundary_samples
+from oracles import part_superquadrics, sq2_boundary_samples
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -196,7 +196,7 @@ def test_metrics_grazing_clearance():
     # exactly 0.05 m: the obstacle sits 0.5 + 0.05 above the vehicle's top
     # support point (computed from densely sampled part boundaries).
     geom = VehicleGeometry()
-    parts0 = geom.part_superquadrics(np.zeros(5))
+    parts0 = part_superquadrics(geom, np.zeros(5))
     pts = np.vstack([sq2_boundary_samples(p, 4000) for p in parts0])
     i_top = int(pts[:, 1].argmax())
     px_top, py_top = pts[i_top]

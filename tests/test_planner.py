@@ -4,12 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from amplan import control as ctl
 from amplan import harness as hz
 from amplan import planner as pl
 from amplan.geometry import (StiffnessParams, Superquadric2, closest_pairs, shape_rows,
-                             stiffness, wrap_angle)
+                             stiffness_terms, wrap_angle)
 from amplan.voronoi import SolutionPath
-from oracles import central_diff_gradient
+from oracles import central_diff_gradient, part_poses, part_superquadrics
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -25,26 +26,37 @@ def fused(geom, obs, params, z, Gp, Go, u):
 
 
 def scalar_terms(geom, obs, z, Gp, Go, stiff):
-    """Per-pair terms 0.5 k(F - d') |p - q|^2, one shape pair at a time."""
-    parts = geom.part_superquadrics(z)
+    """Per-pair terms 0.5 k(F - d') |p - q|^2, one shape pair at a time, on
+    the oracle's part poses."""
+    parts = part_superquadrics(geom, z)
     pi, oi = pl.pair_index(geom.n_parts, len(obs))
     out = np.empty(pi.size)
     for q in range(pi.size):
         p = parts[pi[q]].boundary_point(Gp[q])
         o = obs[oi[q]].boundary_point(Go[q])
         F = obs[oi[q]].inside_outside(p)
-        k = stiffness(F - stiff.d_prime, stiff)
+        k = stiffness_terms(F - stiff.d_prime, stiff)[0]
         out[q] = 0.5 * k * float((p - o) @ (p - o))
     return out
 
 
 def scalar_w(geom, obs, params, z, Gp, Go, u):
-    """W recomputed without the planner's kernel: pair terms, target term and
-    joint regulariser."""
-    r = np.asarray(u, dtype=float) - geom.forward_kinematics_eef(z)
+    """W recomputed without the planner's kernel or part poses: pair terms,
+    target term and joint regulariser."""
+    r = np.asarray(u, dtype=float) - part_poses(geom, z)[2]
     r[2] = wrap_angle(r[2])
     return (scalar_terms(geom, obs, z, Gp, Go, params.stiffness).sum()
             + 0.5 * r @ params.k_tgt @ r + 0.5 * params.k_reg * (z[3] ** 2 + z[4] ** 2))
+
+
+def oracle_part_rows(geom, pi, Z):
+    """Rows [cos, sin, center x, center y] of the parts pi at each sample of a
+    stack Z, block by block, from the oracle's part poses."""
+    rows = []
+    for z in Z:
+        centers, angles, _ = part_poses(geom, z)
+        rows.append(np.vstack([np.cos(angles[pi]), np.sin(angles[pi]), centers[pi].T]))
+    return np.hstack(rows)
 
 
 def gaps(parts, obstacles):
@@ -71,20 +83,51 @@ class TestForwardKinematics:
 
     def test_rotor_disk_positions(self):
         geom = pl.VehicleGeometry()
-        centers, angles, _ = geom.part_poses(np.zeros((1, 5)))
-        np.testing.assert_allclose(centers[0, 0], [geom.rotor_arm, 0.0], atol=1e-12)
-        np.testing.assert_allclose(
-            centers[0, 3], [-geom.rotor_arm, 0.0], atol=1e-12)
-        assert np.all(angles[0, :6] == 0.0)
+        parts, _ = pl.pair_rows(geom, shape_rows(far_obstacle()), np.zeros(5))
+        np.testing.assert_allclose(parts[5:, 0], [geom.rotor_arm, 0.0], atol=1e-12)
+        np.testing.assert_allclose(parts[5:, 3], [-geom.rotor_arm, 0.0], atol=1e-12)
+        assert np.all(parts[3, :6] == 1.0) and np.all(parts[4, :6] == 0.0)
 
-    def test_part_shapes_match_batched_poses(self, rng):
-        geom = pl.VehicleGeometry()
-        z = rng.uniform(-1, 1, size=5)
-        parts = geom.part_superquadrics(z)
-        centers, angles, _ = geom.part_poses(z[None, :])
-        for k, sq in enumerate(parts):
-            np.testing.assert_allclose(sq.center, centers[0, k], atol=1e-12)
-            assert sq.angle == pytest.approx(angles[0, k], abs=1e-12)
+    def test_part_shapes_match_batched_poses(self, rng, monkeypatch):
+        # every place the pipeline writes the part rows agrees with the oracle's
+        # per-part trigonometry: one z, a 32-sample stack, a tracker refresh and
+        # the part side of the fused pass, for one sample and for a stack
+        geom, params = pl.VehicleGeometry(), pl.PlannerParams()
+        obs = [Superquadric2(a1=0.4, a2=0.3, eps=0.5, angle=0.3, center=(1.5, 0.2)),
+               Superquadric2(a1=0.3, a2=0.3, eps=1.0, center=(-1.0, 1.0))]
+        pi, _ = pl.pair_index(geom.n_parts, len(obs))
+        P = pi.size
+        Z = rng.uniform(-1.0, 1.0, size=(32, 5))
+
+        def check(rows, Z):
+            assert np.array_equal(rows[:3], np.tile(geom.part_axes[:, pi], len(Z)))
+            np.testing.assert_allclose(rows[3:], oracle_part_rows(geom, pi, Z), rtol=0,
+                                       atol=1e-14)
+
+        check(pl.pair_rows(geom, shape_rows(obs), Z[0])[0], Z[:1])
+        check(pl.pair_rows(geom, shape_rows(obs), Z)[0], Z)
+        # the end effector, a stack of poses at once as in the trajectory's column
+        eef = geom.forward_kinematics_eef(Z)
+        assert np.array_equal(eef, [geom.forward_kinematics_eef(z) for z in Z])
+        np.testing.assert_allclose(eef, [part_poses(geom, z)[2] for z in Z], rtol=0, atol=1e-14)
+        tracker = ctl.ProxyTracker(geom, obs)
+        x, y, psi, t1, t3 = Z[0]
+        tracker.refresh([x, y, 1.0, 0.0, 0.0, psi], [t1, 0.0, t3])
+        check(tracker.sides[0], Z[:1])
+
+        seen, boundary = [], pl._boundary
+
+        def spy(rows, g, **kw):
+            seen.append(rows.copy())
+            return boundary(rows, g, **kw)
+
+        monkeypatch.setattr(pl, "_boundary", spy)
+        for zs in (Z[0], Z):
+            B = len(np.atleast_2d(zs))
+            G = np.zeros(B * P)
+            ev = pl._Evaluator(geom, shape_rows(obs), params.stiffness, batch=B)
+            pl._fused_derivatives(ev, params, zs, G, G, geom.forward_kinematics_eef(zs))
+            check(seen.pop()[:, :B * P], Z[:B])
 
 
 class TestPotential:
@@ -162,7 +205,7 @@ class TestDerivatives:
         Gp = rng.uniform(-math.pi, math.pi, size=P)
         Go = rng.uniform(-math.pi, math.pi, size=P)
         Gp[0 * n_obs + 2] = 0.0
-        parts = geom.part_superquadrics(z)
+        parts = part_superquadrics(geom, z)
         p_link = parts[7].boundary_point(Gp[7 * n_obs + 1])
         p_rotor = parts[0].boundary_point(0.0)
         a1, a2, eps, angle = 0.55, 0.5, 0.3, 0.3
@@ -326,7 +369,7 @@ class TestIntegration:
                  np.array([3.3, 0.2, -0.5])]
         traj = pl.integrate_em(geom, obs, np.zeros(5), attrs, params)
         for k in range(0, len(traj.z), 8):
-            assert np.all(gaps(geom.part_superquadrics(traj.z[k]), [shape] * geom.n_parts) > 0.0)
+            assert np.all(gaps(part_superquadrics(geom, traj.z[k]), [shape] * geom.n_parts) > 0.0)
         np.testing.assert_allclose(traj.eef[-1][:2], [3.3, 0.2], atol=0.05)
 
     def test_slow_approach_stops_short_of_face(self):
@@ -337,7 +380,7 @@ class TestIntegration:
         traj = pl.integrate_em(geom, obs, np.zeros(5), [np.array([1.2, 0.0, 0.0])],
                                pl.PlannerParams(n_s=200))
         np.testing.assert_allclose(traj.eef[-1], [1.2, 0.0, 0.0], atol=1e-3)
-        gap = gaps(geom.part_superquadrics(traj.z[-1]), [shape] * geom.n_parts).min()
+        gap = gaps(part_superquadrics(geom, traj.z[-1]), [shape] * geom.n_parts).min()
         assert gap == pytest.approx(0.05, abs=5e-3)
 
     def test_determinism(self):
@@ -358,10 +401,10 @@ def pair_stiffness(geom, obs, traj, stiff):
     pi, oi = pl.pair_index(geom.n_parts, len(obs))
     out = np.empty((len(traj.s), P))
     for k, (z, g) in enumerate(zip(traj.z, traj.gammas)):
-        parts = geom.part_superquadrics(z)
+        parts = part_superquadrics(geom, z)
         for q in range(P):
             F = obs[oi[q]].inside_outside(parts[pi[q]].boundary_point(g[q]))
-            out[k, q] = stiffness(F - stiff.d_prime, stiff)
+            out[k, q] = stiffness_terms(F - stiff.d_prime, stiff)[0]
     return out
 
 
