@@ -7,19 +7,18 @@ subject to per-rotor thrust band limits and high-order control barrier
 function (HOCBF) rows that keep every vehicle part out of every obstacle.
 
 The barrier acts on the obstacle-frame coordinates dX of a vehicle proxy
-point; proxies are tracked in the horizontal plane and obstacles are extruded
-to 3D superquadrics.
+point; proxies are tracked in the horizontal plane, and PairBarriers extrudes
+every planar obstacle to a vertical 3D superquadric.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dynamics as dyn
-from .geometry import Superquadric2, Superquadric3, closest_pairs, shape_rows, signed_pow
+from .geometry import check_numbers, closest_pairs, shape_rows, signed_pow
 from .planner import VehicleGeometry, pair_index, pair_rows, set_part_poses
 from .qp import ActiveSetSolver, QpProblem
 
@@ -101,12 +100,6 @@ class DobState:
         s.xq[0] = np.asarray(q, dtype=float)
         return s
 
-    def copy(self) -> "DobState":
-        s = DobState()
-        s.xq = self.xq.copy()
-        s.xp = self.xp.copy()
-        return s
-
 
 def dob_update(state: DobState, q, qdot, T, model: dyn.ModelTerms,
                gains: GainSet, dt: float):
@@ -145,19 +138,6 @@ def dob_update(state: DobState, q, qdot, T, model: dyn.ModelTerms,
     qddot_f = a0e2 * (q + dt * qdot - new.xq[0]) - a1e1 * new.xq[1]
     d_hat = -model.M @ (new.xp[0] - qddot_f) + model.C + model.G
     return new, d_hat
-
-
-def dob_settling_time(gains: GainSet, band: float = 0.02) -> float:
-    """Last time the observer's unit-step error (1 + lam t) exp(-lam t) leaves
-    the band, for the real double pole lam = a1 / (2 eps) of a0 = a1^2 / 4."""
-    a0, a1, eps = float(gains.a0[0]), float(gains.a1[0]), float(gains.eps[0])
-    if abs(a0 - a1 * a1 / 4.0) >= 1e-12:
-        raise GainError("settling time is implemented for the double pole a0 = a1^2 / 4 only")
-    lam = a1 / (2.0 * eps)
-    t = 1.0
-    for _ in range(100):
-        t = -math.log(band / (1.0 + lam * t)) / lam
-    return t
 
 
 def inner_loop(q_d, qdot_d, q, qdot, d_hat, model: dyn.ModelTerms,
@@ -264,20 +244,12 @@ def proxy_jacobians(frames, links, X, phi, v):
 
 # --- barrier function ----------------------------------------------------------
 
-def extrude_obstacle(sq: Superquadric2, height: float, eps1: float = 0.1) -> Superquadric3:
-    """Lift a planar obstacle to a vertical 3D superquadric of the given height."""
-    return Superquadric3(a1=sq.a1, a2=sq.a2, a3=height / 2.0,
-                         eps1=eps1, eps2=sq.eps,
-                         rotation=dyn.rotation((0.0, 0.0, sq.angle)),
-                         translation=np.array([sq.center[0], sq.center[1], height / 2.0]))
-
-
 def _bracket(dx, obs):
     """Inside-outside bracket g = u^(eps2/eps1) + w_z^(2/eps1), u = w_x^(2/eps2)
     + w_y^(2/eps2), of obstacle-frame points dx (..., 3), with w = |dx| / a.
 
-    obs holds the semi-axes a1, a2, a3 and exponents eps1, eps2: a
-    Superquadric3, or arrays with one entry per point.
+    obs holds the semi-axes a1, a2, a3 and exponents eps1, eps2, as numbers or
+    as arrays with one entry per point (PairBarriers).
     """
     w = [np.abs(dx[..., i]) / a for i, a in enumerate((obs.a1, obs.a2, obs.a3))]
     e2 = 2.0 / obs.eps2
@@ -332,6 +304,8 @@ class SafetyParams:
     obstacle_height: float = 3.0
 
     def __post_init__(self):
+        check_numbers(self, ControlError,
+                      ("alpha_co", "sigma_co", "t_min", "t_max", "obstacle_height"))
         if self.alpha_co <= 0.0 or self.sigma_co < 0.0:
             raise ControlError("need alpha_co > 0 and sigma_co >= 0")
         if not (0.0 <= self.t_min < self.t_max):
@@ -370,25 +344,36 @@ class ProxyTracker:
         return res.gap
 
 
+# exponent of the vertical profile of every extruded obstacle
+EXTRUDE_EPS1 = 0.1
+
+
 @dataclass
 class PairBarriers:
     """Per-pair constants of the barrier rows in the tracker's pair order, built
     once per mission: the part's frame (link), semi-axes and exponent
-    (part_axes) and center in its frame (part_offsets), and the extruded
-    obstacle's rotation, translation, semi-axes a1..a3 and exponents eps1, eps2.
+    (part_axes) and center in its frame (part_offsets), and the pair's
+    obstacle extruded to a vertical 3D superquadric of the given height
+    standing on z = 0: rotation and translation, semi-axes a1, a2 and
+    exponent eps2 of the planar shape, a3 of half the height, and exponent
+    eps1 = EXTRUDE_EPS1.
     """
 
     tracker: ProxyTracker
-    obstacles: list            # Superquadric3, one per obstacle of the tracker
+    height: float
 
     def __post_init__(self):
-        geom, pi = self.tracker.geom, self.tracker.pi
+        geom, pi, oi = self.tracker.geom, self.tracker.pi, self.tracker.oi
         self.link = geom.part_links[pi]
         self.part_axes = geom.part_axes[:, pi]
         self.part_offsets = np.pad(geom.part_offsets[pi], ((0, 0), (0, 1)))
-        obs = [self.obstacles[o] for o in self.tracker.oi]
-        for name in ("rotation", "translation", "a1", "a2", "a3", "eps1", "eps2"):
-            setattr(self, name, np.array([getattr(o, name) for o in obs]))
+        obstacles = self.tracker.obstacles
+        self.rotation = np.array([dyn.rotation((0.0, 0.0, obstacles[o].angle))
+                                  for o in oi]).reshape(-1, 3, 3)
+        self.a1, self.a2, self.eps2, _, _, cx, cy = self.tracker.sides[1]
+        self.a3 = np.full(oi.size, self.height / 2.0)
+        self.eps1 = np.full(oi.size, EXTRUDE_EPS1)
+        self.translation = np.column_stack([cx, cy, self.a3])
 
 
 # Pairs with h above this emit no row: their obstacle is far (e^4 is about 55

@@ -101,9 +101,6 @@ class ModelParams:
         object.__setattr__(self, "J_hat", J.copy() if self.J_hat is None
                            else np.asarray(self.J_hat, dtype=float))
 
-    def pick(self, nominal: bool):
-        return (self.m_hat, self.J_hat) if nominal else (self.m, self.J)
-
     @cached_property
     def allocation_body(self) -> np.ndarray:
         """Constant thrust-to-wrench matrix in the body frame (6 tilted rotors)."""
@@ -136,7 +133,7 @@ def model_terms(phi, phidot, params: ModelParams, nominal: bool = False) -> Mode
     """M, C, G and B at attitude phi and Euler rates phidot, from one Q(phi),
     Qdot and R(phi); nominal picks the controller's m_hat, J_hat over the true
     m, J (B and g are shared)."""
-    m, J = params.pick(nominal)
+    m, J = (params.m_hat, params.J_hat) if nominal else (params.m, params.J)
     Q = euler_rate_map(phi)
     Qd = euler_rate_map_dot(phi, phidot)
     pd = np.asarray(phidot, dtype=float)
@@ -152,11 +149,6 @@ def model_terms(phi, phidot, params: ModelParams, nominal: bool = False) -> Mode
     Bw[:3, :3] = rotation(phi)
     Bw[3:, 3:] = Q.T
     return ModelTerms(M, C, G, Bw @ params.allocation_body)
-
-
-def hover_thrust(params: ModelParams) -> float:
-    """Per-rotor thrust balancing gravity at level attitude."""
-    return params.m * params.g / (6.0 * math.cos(params.alpha_p))
 
 
 @dataclass
@@ -180,7 +172,7 @@ ARM_TRACK_GAIN = 20.0  # [1/s], critically damped joint tracking
 
 
 def step(state: VehicleState, T, theta_d, thetadot_d, thetaddot_d, d_true, dt,
-         params: ModelParams, arm_gain: float = ARM_TRACK_GAIN) -> VehicleState:
+         params: ModelParams) -> VehicleState:
     """Advance the true plant one step (semi-implicit Euler).
 
     The injected lumped disturbance d_true enters as the external generalized
@@ -199,8 +191,8 @@ def step(state: VehicleState, T, theta_d, thetadot_d, thetaddot_d, d_true, dt,
     new.q = state.q + dt * new.qdot
 
     thddot = (np.asarray(thetaddot_d, dtype=float)
-              + 2.0 * arm_gain * (np.asarray(thetadot_d, dtype=float) - state.thetadot)
-              + arm_gain ** 2 * (np.asarray(theta_d, dtype=float) - state.theta))
+              + 2.0 * ARM_TRACK_GAIN * (np.asarray(thetadot_d, dtype=float) - state.thetadot)
+              + ARM_TRACK_GAIN ** 2 * (np.asarray(theta_d, dtype=float) - state.theta))
     new.thetadot = state.thetadot + dt * thddot
     new.theta = state.theta + dt * new.thetadot
     return new

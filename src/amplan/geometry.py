@@ -8,7 +8,9 @@ All functions here are pure; shape objects are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +32,17 @@ def wrap_angle(a):
     return out if out.ndim else float(out)
 
 
-def _check_positive(name, *vals):
-    for v in vals:
-        if not (np.isfinite(v) and v > 0):
-            raise GeometryError(f"{name} must be positive and finite, got {v}")
-
-
-def _check_eps(*vals):
-    for v in vals:
-        if not (0.0 < v <= 2.0):
-            raise GeometryError(f"shape exponent must lie in (0, 2], got {v}")
+def check_numbers(obj, error, reals=(), ints=()):
+    """Raise error unless every field of obj named in reals is a finite real
+    number and every one named in ints an integer; a bool is neither."""
+    for name in reals:
+        v = getattr(obj, name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise error(f"{name} must be a finite number, got {v!r}")
+    for name in ints:
+        v = getattr(obj, name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise error(f"{name} must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -53,77 +56,15 @@ class Superquadric2:
     center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        _check_positive("semi-axis", self.a1, self.a2)
-        _check_eps(self.eps)
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-
-    def inside_outside(self, pts_world):
-        """Inside-outside value: negative inside, 0 on the boundary, positive outside."""
-        p = np.asarray(pts_world, dtype=float)
-        if not np.all(np.isfinite(p)):
-            raise GeometryError("non-finite point in inside_outside")
-        val = _inside_outside(shape_rows([self])[:, 0], np.moveaxis(p, -1, 0))
-        return float(val) if np.ndim(val) == 0 else val
-
-    def boundary_point(self, gamma):
-        """World-frame boundary point p(gamma), vectorized over gamma."""
-        p, _, _ = _boundary(shape_rows([self])[:, 0], np.asarray(gamma, dtype=float),
-                            curvature=False)
-        return np.moveaxis(p, 0, -1)
-
-
-@dataclass(frozen=True)
-class Superquadric3:
-    """3D superquadric with semi-axes (a1, a2, a3), exponents (eps1, eps2) and rigid pose."""
-
-    a1: float
-    a2: float
-    a3: float
-    eps1: float
-    eps2: float
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        _check_positive("semi-axis", self.a1, self.a2, self.a3)
-        _check_eps(self.eps1, self.eps2)
-        R = np.asarray(self.rotation, dtype=float)
-        t = np.asarray(self.translation, dtype=float)
-        if R.shape != (3, 3) or not np.allclose(R @ R.T, np.eye(3), atol=1e-9) \
-                or abs(np.linalg.det(R) - 1.0) > 1e-9:
-            raise GeometryError("rotation must be orthonormal with det +1 (tol 1e-9)")
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", t)
-
-    def to_body(self, pts_world):
-        p = np.asarray(pts_world, dtype=float)
-        return (p - self.translation) @ self.rotation
-
-    def to_world(self, pts_body):
-        p = np.asarray(pts_body, dtype=float)
-        return p @ self.rotation.T + self.translation
-
-    def inside_outside(self, pts_world):
-        """F_3d on the body-frame point: negative inside, 0 on boundary, positive outside."""
-        p = self.to_body(pts_world)
-        if not np.all(np.isfinite(p)):
-            raise GeometryError("non-finite point in inside_outside")
-        x, y, z = p[..., 0], p[..., 1], p[..., 2]
-        planar = (np.abs(x / self.a1) ** (2.0 / self.eps2)
-                  + np.abs(y / self.a2) ** (2.0 / self.eps2))
-        val = planar ** (self.eps2 / self.eps1) + np.abs(z / self.a3) ** (2.0 / self.eps1) - 1.0
-        return float(val) if np.ndim(val) == 0 else val
-
-    def boundary_point(self, gamma1, gamma2=0.0):
-        """World boundary point for angular parameters (gamma1, gamma2)."""
-        g1 = np.asarray(gamma1, dtype=float)
-        g2 = np.asarray(gamma2, dtype=float)
-        c1 = signed_pow(np.cos(g1), self.eps1)
-        pb = np.stack(
-            [self.a1 * c1 * signed_pow(np.cos(g2), self.eps2),
-             self.a2 * c1 * signed_pow(np.sin(g2), self.eps2),
-             self.a3 * signed_pow(np.sin(g1), self.eps1)], axis=-1)
-        return self.to_world(pb)
+        check_numbers(self, GeometryError, ("a1", "a2", "eps", "angle"))
+        if not (self.a1 > 0.0 and self.a2 > 0.0):
+            raise GeometryError(f"semi-axes must be positive, got {self.a1}, {self.a2}")
+        if not (0.0 < self.eps <= 2.0):
+            raise GeometryError(f"shape exponent must lie in (0, 2], got {self.eps}")
+        center = tuple(float(c) for c in self.center)
+        if len(center) != 2 or not all(map(math.isfinite, center)):
+            raise GeometryError(f"center must be two finite numbers, got {self.center}")
+        object.__setattr__(self, "center", center)
 
 
 @dataclass(frozen=True)
@@ -136,6 +77,7 @@ class StiffnessParams:
     d_prime: float = 0.05
 
     def __post_init__(self):
+        check_numbers(self, GeometryError, ("k_min", "k_max", "d0", "d_prime"))
         if not (0.0 < self.k_min < self.k_max):
             raise GeometryError("need 0 < k_min < k_max")
         if self.d0 <= 0.0 or self.d_prime < 0.0:

@@ -22,7 +22,7 @@ import yaml
 from . import control as ctl
 from . import dynamics as dyn
 from . import voronoi as vor
-from .geometry import Superquadric2, closest_pairs, shape_rows
+from .geometry import Superquadric2, check_numbers, closest_pairs, shape_rows
 from .planner import (PlannedTrajectory, PlannerError, PlannerParams,
                       VehicleGeometry, _Evaluator, _fused_derivatives,
                       attractors_from_path, integrate_em, pair_rows, target_pose)
@@ -65,8 +65,8 @@ def _emit_digits() -> int:
     return d
 
 
-def _fmt(x, digits=None) -> str:
-    return format(float(x), f".{digits or _emit_digits()}g")
+def _fmt(x) -> str:
+    return format(float(x), f".{_emit_digits()}g")
 
 
 @dataclass
@@ -81,6 +81,8 @@ class WindProfile:
     noise_std: float = 0.0
 
     def __post_init__(self):
+        check_numbers(self, ScenarioError, ("amplitude", "period", "smoothing", "noise_std"),
+                      ("axis",))
         if self.period <= 0.0 or self.smoothing <= 0.0:
             raise ScenarioError("wind.period and wind.smoothing must be positive")
         if self.axis not in (0, 1, 2):
@@ -120,6 +122,9 @@ class Scenario:
             raise ScenarioError("start: must be [x, y, psi, th1, th3]")
         if self.goal.shape != (3,):
             raise ScenarioError("goal: must be [x, y, heading]")
+        for name in ("start", "goal", "world_box"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ScenarioError(f"{name}: must be finite")
         if len(self.world_box) != 4 or not (self.world_box[0] < self.world_box[2]
                                             and self.world_box[1] < self.world_box[3]):
             raise ScenarioError("world_box: must be [xmin, ymin, xmax, ymax] with "
@@ -170,7 +175,7 @@ def _obstacle_from_dict(d: dict, path: str) -> Superquadric2:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _sub_params(raw: dict, key: str, factory, path_types=(int, float)):
+def _sub_params(raw: dict, key: str, factory):
     """Build a parameter dataclass from an optional override mapping."""
     overrides = raw.get(key, {})
     if overrides is None:
@@ -351,8 +356,7 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
     gains, safety, model = s.gains, s.safety, s.model
     obstacles2d = _model_obstacles(s, mode)
     tracker = ctl.ProxyTracker(s.vehicle, obstacles2d)
-    barriers = ctl.PairBarriers(tracker, [ctl.extrude_obstacle(o, safety.obstacle_height)
-                                          for o in obstacles2d])
+    barriers = ctl.PairBarriers(tracker, safety.obstacle_height)
     solver = ActiveSetSolver()
 
     q0 = np.array([s.start[0], s.start[1], s.flight_height, 0.0, 0.0, s.start[2]])

@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (AXIS_FLOOR, GeometryError, StiffnessParams, _boundary, closest_pairs,
-                       shape_rows, stiffness_terms, wrap_angle)
+from .geometry import (AXIS_FLOOR, GeometryError, StiffnessParams, _boundary, check_numbers,
+                       closest_pairs, shape_rows, stiffness_terms, wrap_angle)
 from .voronoi import SolutionPath
 
 
@@ -136,7 +136,11 @@ class PlannerParams:
     prerelax_max_iter: int = 200
 
     def __post_init__(self):
+        check_numbers(self, PlannerError, ("eta", "alpha", "k_reg", "cond_limit", "prerelax_tol"),
+                      ("n_s", "prerelax_max_iter"))
         self.k_tgt = np.asarray(self.k_tgt, dtype=float)
+        if not np.isfinite(self.k_tgt).all():
+            raise PlannerError("k_tgt must be finite")
         if self.eta <= 0 or self.alpha <= 0 or self.n_s < 2 or self.k_tgt.shape != (3, 3):
             raise PlannerError("need eta > 0, alpha > 0, n_s >= 2 and a 3x3 k_tgt")
         if isinstance(self.stiffness, dict):
@@ -232,45 +236,13 @@ def _per_sample(a, B, P):
     return a.reshape(2, B, P, k).swapaxes(0, 1).reshape(B, 2 * P, k)
 
 
-def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
-    """(grad_z W, hess_z W, J_eef, grad_Gamma W, W) from one batched pass over the pairs.
-
-    With ev.batch = 1, z (5,), Gp, Go (P,) and u (3,) are one sample.  Otherwise
-    z (B, 5), Gp, Go (B, P) and u (B, 3) are a stack of B = ev.batch samples,
-    and every output gains a leading batch axis, each sample bit for bit its
-    single-sample result.
-    W is the sum of the pair terms, the target term and the joint regulariser;
-    all its derivatives are closed-form.  Every proxy point p and tangent
-    dp/dgamma comes from one geometry._boundary call.  A pair term
-    0.5 k(F(p) - d') |p - q|^2 has p-space gradient Gr = 0.5 k' |D|^2 dF + k D and
-    Hessian 0.5 k'' |D|^2 dF dF^T + 0.5 k' |D|^2 d2F + k' (dF D^T + D dF^T) + k I,
-    D = p - q, mapped to z through the proxy's Jacobian [I | S V] plus the
-    -G.V_max(i,j) curvature of the nested joint frames.  Its proxy-angle
-    gradient is Gr . dp/dgamma on the part side and -k D . dq/dgamma on the
-    obstacle side.  The sums over each sample's pairs are stacked matmuls,
-    which round as the single-sample products do.
-    """
-    single = z.ndim == 1
-    z, u = z.reshape(-1, 5), np.asarray(u, dtype=float).reshape(-1, 3)
+def _pair_sums(ev: _Evaluator, z, Gp, Go, jf):
+    """The pair terms of _fused_derivatives, summed over each sample's pairs:
+    grad_z (B, 5), hess_z (B, 5, 5) without the joint-frame curvature, that
+    curvature -G.V (B, 3), grad_Gamma (B, 2P) and W (B,); jf holds the joint
+    frames (B, 3, 4) of the stack z (B, 5)."""
     B, P, st, geom = len(z), ev.P, ev.stiff, ev.geom
-    if B != ev.batch:
-        raise PlannerError(f"evaluator built for {ev.batch} samples, got {B}")
     N = B * P
-
-    # per sample in plain floats: the joint frames (VehicleGeometry.joint_frames),
-    # the end-effector Jacobian J, with rows [1, 0, -Vy] and [0, 1, Vx] for the
-    # eef lever arm V of each joint frame, the target residual r = u - eef with
-    # its angle wrapped, and the regulariser 0.5 k_reg (th1^2 + th3^2)
-    frames, jac, tgt = [], [], []
-    for (x, y, psi, t1, t3), (ux, uy, ut) in zip(z.tolist(), u.tolist()):
-        fr = geom.joint_frames(x, y, psi, t1, t3)
-        ex, ey = fr[2][0] + geom.l2 * fr[2][2], fr[2][1] + geom.l2 * fr[2][3]
-        frames.append(fr)
-        jac.append([[1.0, 0.0] + [f[1] - ey for f in fr],
-                    [0.0, 1.0] + [ex - f[0] for f in fr], [0.0, 0.0, 1.0, 1.0, 1.0]])
-        tgt.append([ux - ex, uy - ey, wrap_angle(ut - (psi + t1 + t3)),
-                    0.5 * params.k_reg * (t1 * t1 + t3 * t3)])
-    jf, J, tgt = np.array(frames), np.array(jac), np.array(tgt)  # (B, 3, 4), (B, 3, 5), (B, 4)
 
     rows = ev.rows.copy()
     set_part_poses(rows[:, 0], geom, ev.pi, z, jf)
@@ -313,6 +285,55 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     gz = (Gr @ Jp)[:, 0]
     H = Jp.swapaxes(1, 2) @ _per_sample(HJ, B, P)
     curv = -(Gr @ _per_sample(V, B, P))[:, 0]
+    return gz, H, curv, gG, (0.5 * k0 * d2).reshape(B, P).sum(axis=1)
+
+
+def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
+    """(grad_z W, hess_z W, J_eef, grad_Gamma W, W) from one batched pass over the pairs.
+
+    With ev.batch = 1, z (5,), Gp, Go (P,) and u (3,) are one sample.  Otherwise
+    z (B, 5), Gp, Go (B, P) and u (B, 3) are a stack of B = ev.batch samples,
+    and every output gains a leading batch axis, each sample bit for bit its
+    single-sample result.
+    W is the sum of the pair terms, the target term and the joint regulariser;
+    all its derivatives are closed-form.  The pair terms come from _pair_sums,
+    which takes every proxy point p and tangent dp/dgamma from one
+    geometry._boundary call; with no pairs it is not called.  A pair term
+    0.5 k(F(p) - d') |p - q|^2 has p-space gradient Gr = 0.5 k' |D|^2 dF + k D and
+    Hessian 0.5 k'' |D|^2 dF dF^T + 0.5 k' |D|^2 d2F + k' (dF D^T + D dF^T) + k I,
+    D = p - q, mapped to z through the proxy's Jacobian [I | S V] plus the
+    -G.V_max(i,j) curvature of the nested joint frames.  Its proxy-angle
+    gradient is Gr . dp/dgamma on the part side and -k D . dq/dgamma on the
+    obstacle side.  The sums over each sample's pairs are stacked matmuls,
+    which round as the single-sample products do.
+    """
+    single = z.ndim == 1
+    z, u = z.reshape(-1, 5), np.asarray(u, dtype=float).reshape(-1, 3)
+    B, geom = len(z), ev.geom
+    if B != ev.batch:
+        raise PlannerError(f"evaluator built for {ev.batch} samples, got {B}")
+
+    # per sample in plain floats: the joint frames (VehicleGeometry.joint_frames),
+    # the end-effector Jacobian J, with rows [1, 0, -Vy] and [0, 1, Vx] for the
+    # eef lever arm V of each joint frame, the target residual r = u - eef with
+    # its angle wrapped, and the regulariser 0.5 k_reg (th1^2 + th3^2)
+    frames, jac, tgt = [], [], []
+    for (x, y, psi, t1, t3), (ux, uy, ut) in zip(z.tolist(), u.tolist()):
+        fr = geom.joint_frames(x, y, psi, t1, t3)
+        ex, ey = fr[2][0] + geom.l2 * fr[2][2], fr[2][1] + geom.l2 * fr[2][3]
+        frames.append(fr)
+        jac.append([[1.0, 0.0] + [f[1] - ey for f in fr],
+                    [0.0, 1.0] + [ex - f[0] for f in fr], [0.0, 0.0, 1.0, 1.0, 1.0]])
+        tgt.append([ux - ex, uy - ey, wrap_angle(ut - (psi + t1 + t3)),
+                    0.5 * params.k_reg * (t1 * t1 + t3 * t3)])
+    jf, J, tgt = np.array(frames), np.array(jac), np.array(tgt)  # (B, 3, 4), (B, 3, 5), (B, 4)
+
+    if ev.P:
+        gz, H, curv, gG, W = _pair_sums(ev, z, Gp, Go, jf)
+    else:
+        # no pairs: no proxy to evaluate, and every pair sum is zero
+        gz, H, curv = np.zeros((B, 5)), np.zeros((B, 5, 5)), np.zeros((B, 3))
+        gG, W = np.zeros((B, 0)), np.zeros(B)
 
     # target term 0.5 r^T K r and the joint regulariser
     r = tgt[:, :3]
@@ -325,7 +346,7 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     gz[:, 3:] += params.k_reg * z[:, 3:]
     H[:, 3, 3] += params.k_reg
     H[:, 4, 4] += params.k_reg
-    W = (0.5 * k0 * d2).reshape(B, P).sum(axis=1) + 0.5 * (r[:, None] @ Kr)[:, 0, 0] + tgt[:, 3]
+    W = W + 0.5 * (r[:, None] @ Kr)[:, 0, 0] + tgt[:, 3]
     if single:
         return gz[0], H[0], J[0], gG[0], W[0]
     return gz, H, J, gG, W

@@ -1,10 +1,11 @@
 """Small dense convex QP solver for the per-tick outer-loop problem.
 
 Solves min 0.5 x'Hx + g'x subject to Ax <= b with an active-set iteration:
-start from a working set (empty or warm-started), solve the equality-
-constrained KKT system, drop rows with negative multipliers, add the most
-violated row.  Problem sizes here are tiny (n <= 16, a few dozen rows), so
-dense factorizations per iteration are the right trade-off.
+start from the previous solve's working set (empty on a fresh solver),
+solve the equality-constrained KKT system, drop rows with negative
+multipliers, add the most violated row.  Problem sizes here are tiny
+(n <= 16, a few dozen rows), so dense factorizations per iteration are the
+right trade-off.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 
 MAX_DIM = 16
 MAX_ROWS = 64
+TOL = 1e-9        # multiplier and constraint-violation tolerance
+MAX_ITER = 200    # active-set iterations per solve
 
 
 class QpDimensionError(ValueError):
@@ -70,22 +73,21 @@ class QpSolution:
 
 @dataclass
 class ActiveSetSolver:
-    """Holds the warm-start working set between consecutive solves."""
+    """Holds the warm-start working set between consecutive solves; a fresh
+    solver starts cold."""
 
-    tol: float = 1e-9
-    max_iter: int = 200
     _warm: tuple = field(default=(), repr=False)
 
-    def solve(self, prob: QpProblem, warm_start: bool = True) -> QpSolution:
+    def solve(self, prob: QpProblem) -> QpSolution:
         H, g, A, b = prob.H, prob.g, prob.A, prob.b
         n, m = H.shape[0], A.shape[0]
-        work = sorted(i for i in self._warm if i < m) if warm_start else []
+        work = sorted(i for i in self._warm if i < m)
 
         x = np.zeros(n)
         lam = np.zeros(m)
         status = "max_iter"
         it = 0
-        for it in range(1, self.max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             k = len(work)
             K = np.zeros((n + k, n + k))
             K[:n, :n] = H
@@ -103,14 +105,14 @@ class ActiveSetSolver:
             x = sol[:n]
             lam_work = sol[n:]
 
-            if k and lam_work.min() < -self.tol:
+            if k and lam_work.min() < -TOL:
                 # drop the most negative multiplier (lowest row index on ties)
                 worst = int(np.argmin(lam_work))
                 work.pop(worst)
                 continue
 
             resid = A @ x - b if m else np.zeros(0)
-            if m == 0 or resid.max() <= self.tol:
+            if m == 0 or resid.max() <= TOL:
                 lam = np.zeros(m)
                 lam[work] = np.maximum(lam_work, 0.0)
                 status = "optimal"
@@ -129,16 +131,3 @@ class ActiveSetSolver:
         self._warm = tuple(work)
         return QpSolution(x=x, status=status, duals=lam, iterations=it,
                          active_set=tuple(work))
-
-
-def solve(prob: QpProblem, tol: float = 1e-9, max_iter: int = 200) -> QpSolution:
-    """One-shot solve without warm starting."""
-    return ActiveSetSolver(tol=tol, max_iter=max_iter).solve(prob, warm_start=False)
-
-
-def kkt_residuals(prob: QpProblem, sol: QpSolution):
-    """(primal infeasibility, stationarity, complementary slackness) norms."""
-    primal = max(0.0, float((prob.A @ sol.x - prob.b).max())) if prob.A.size else 0.0
-    stat = float(np.linalg.norm(prob.H @ sol.x + prob.g + prob.A.T @ sol.duals))
-    comp = float(np.abs(sol.duals * (prob.A @ sol.x - prob.b)).max()) if prob.A.size else 0.0
-    return primal, stat, comp

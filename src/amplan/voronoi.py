@@ -40,11 +40,6 @@ class VoronoiCell:
     vertices: np.ndarray          # (N, 2), counter-clockwise
     edge_sources: list            # per edge k: ("bisector", i, j) or ("box", side)
 
-    def area(self) -> float:
-        v = self.vertices
-        x, y = v[:, 0], v[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
 
 @dataclass
 class GraphEdge:
@@ -138,12 +133,13 @@ def check_in_box(obstacles: list[Superquadric2], box):
     """Raise VoronoiError naming the first obstacle with one of 256 boundary
     samples outside the world box [xmin, ymin, xmax, ymax]."""
     xmin, ymin, xmax, ymax = box
-    gammas = np.linspace(-math.pi, math.pi, 256, endpoint=False)
-    for idx, sq in enumerate(obstacles):
-        pts = sq.boundary_point(gammas)
-        if (pts[:, 0].min() < xmin or pts[:, 0].max() > xmax
-                or pts[:, 1].min() < ymin or pts[:, 1].max() > ymax):
-            raise VoronoiError(f"obstacles[{idx}]: not contained in world_box")
+    n = 256
+    gammas = np.tile(np.linspace(-math.pi, math.pi, n, endpoint=False), len(obstacles))
+    (x, y), _, _ = _boundary(np.repeat(shape_rows(obstacles), n, axis=1), gammas,
+                             curvature=False)
+    out = ((x < xmin) | (x > xmax) | (y < ymin) | (y > ymax)).reshape(-1, n).any(axis=1)
+    if out.any():
+        raise VoronoiError(f"obstacles[{int(np.argmax(out))}]: not contained in world_box")
 
 
 def build_cells(obstacles: list[Superquadric2], box) -> list[VoronoiCell]:

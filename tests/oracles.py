@@ -1,22 +1,101 @@
-"""Independent brute-force oracles shared by the test modules.
+"""Independent oracles shared by the test modules.
 
-Everything here deliberately avoids the library's own solvers: gaps come from
-dense boundary sampling, path costs from exhaustive enumeration, QP optima
-from trying every active subset as an equality system, and vehicle part poses
-from per-part trigonometry rather than the joint frames.
+Everything here deliberately avoids the library's own kernels and solvers:
+superquadric boundaries, inside-outside values and the obstacle extrusion
+come from their closed forms written out here, gaps from dense boundary
+sampling, path costs from exhaustive enumeration, QP optima from trying every
+active subset as an equality system, and vehicle part poses from per-part
+trigonometry rather than the joint frames.  The few helpers only the tests
+need (a cold QP solve, KKT residuals, the observer's settling time, the hover
+thrust, a polygon's area) live here too.
 """
 
 import itertools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from amplan.geometry import Superquadric2
+from amplan.qp import ActiveSetSolver
+
+
+def _signed_pow(v, e):
+    return np.sign(v) * np.abs(v) ** e
+
+
+def sq2_boundary(sq, gamma):
+    """World boundary point(s) (..., 2) of a planar SQ at angle(s) gamma:
+    the body point (a1 sgn(c)|c|^eps, a2 sgn(s)|s|^eps), c, s = cos, sin gamma,
+    rotated by the shape's angle and moved to its center."""
+    g = np.asarray(gamma, dtype=float)
+    bx = sq.a1 * _signed_pow(np.cos(g), sq.eps)
+    by = sq.a2 * _signed_pow(np.sin(g), sq.eps)
+    ca, sa = math.cos(sq.angle), math.sin(sq.angle)
+    return np.stack([sq.center[0] + ca * bx - sa * by,
+                     sq.center[1] + sa * bx + ca * by], axis=-1)
+
+
+def sq2_inside_outside(sq, pts):
+    """|x/a1|^(2/eps) + |y/a2|^(2/eps) - 1 at world point(s) pts (..., 2), with
+    (x, y) the point in the shape's body frame: negative inside, 0 on the
+    boundary, positive outside."""
+    p = np.asarray(pts, dtype=float)
+    dx, dy = p[..., 0] - sq.center[0], p[..., 1] - sq.center[1]
+    ca, sa = math.cos(sq.angle), math.sin(sq.angle)
+    x, y = ca * dx + sa * dy, -sa * dx + ca * dy
+    return np.abs(x / sq.a1) ** (2.0 / sq.eps) + np.abs(y / sq.a2) ** (2.0 / sq.eps) - 1.0
 
 
 def sq2_boundary_samples(sq, n):
-    gammas = np.linspace(-np.pi, np.pi, n, endpoint=False)
-    return sq.boundary_point(gammas)
+    return sq2_boundary(sq, np.linspace(-np.pi, np.pi, n, endpoint=False))
+
+
+@dataclass(frozen=True)
+class Superquadric3:
+    """3D superquadric with semi-axes (a1, a2, a3), exponents (eps1, eps2) and
+    rigid pose (rotation, translation): body point b = R^T (p - t)."""
+
+    a1: float
+    a2: float
+    a3: float
+    eps1: float
+    eps2: float
+    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
+    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
+
+    def to_body(self, pts_world):
+        return (np.asarray(pts_world, dtype=float) - self.translation) @ self.rotation
+
+    def to_world(self, pts_body):
+        return np.asarray(pts_body, dtype=float) @ self.rotation.T + self.translation
+
+    def inside_outside(self, pts_world):
+        """(|x/a1|^(2/eps2) + |y/a2|^(2/eps2))^(eps2/eps1) + |z/a3|^(2/eps1) - 1
+        at the body point (x, y, z)."""
+        b = self.to_body(pts_world)
+        planar = (np.abs(b[..., 0] / self.a1) ** (2.0 / self.eps2)
+                  + np.abs(b[..., 1] / self.a2) ** (2.0 / self.eps2))
+        return (planar ** (self.eps2 / self.eps1)
+                + np.abs(b[..., 2] / self.a3) ** (2.0 / self.eps1) - 1.0)
+
+    def boundary_point(self, gamma1, gamma2=0.0):
+        """World boundary point at latitude gamma1 and longitude gamma2."""
+        c1 = _signed_pow(np.cos(gamma1), self.eps1)
+        return self.to_world(np.stack(
+            [self.a1 * c1 * _signed_pow(np.cos(gamma2), self.eps2),
+             self.a2 * c1 * _signed_pow(np.sin(gamma2), self.eps2),
+             self.a3 * _signed_pow(np.sin(gamma1), self.eps1)], axis=-1))
+
+
+def extrude(sq, height, eps1=0.1):
+    """A planar obstacle lifted to a vertical 3D SQ of the given height standing
+    on z = 0: turned by the shape's angle about z, exponent eps1 along z."""
+    c, s = math.cos(sq.angle), math.sin(sq.angle)
+    return Superquadric3(a1=sq.a1, a2=sq.a2, a3=height / 2.0, eps1=eps1, eps2=sq.eps,
+                         rotation=np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
+                         translation=np.array([sq.center[0], sq.center[1], height / 2.0]))
 
 
 # every STRIDE-th sample of sq_i bounds the disjoint gap for sampled_gap's query
@@ -38,8 +117,8 @@ def sampled_gap(sq_i, sq_j, n=10_000):
     """
     pi = sq2_boundary_samples(sq_i, n)
     pj = sq2_boundary_samples(sq_j, n)
-    inside_ij = sq_j.inside_outside(pi) < 0.0
-    inside_ji = sq_i.inside_outside(pj) < 0.0
+    inside_ij = sq2_inside_outside(sq_j, pi) < 0.0
+    inside_ji = sq2_inside_outside(sq_i, pj) < 0.0
     if inside_ij.any() or inside_ji.any():
         depth = 0.0
         for pts, inside, other in ((pi, inside_ij, pj), (pj, inside_ji, pi)):
@@ -133,3 +212,39 @@ def central_diff_gradient(f, x, h=1e-6):
         e[k] = h
         g[k] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
+
+
+def qp_solve(prob):
+    """One solve from an empty working set: a fresh ActiveSetSolver is cold."""
+    return ActiveSetSolver().solve(prob)
+
+
+def kkt_residuals(prob, sol):
+    """(primal infeasibility, stationarity, complementary slackness) norms."""
+    primal = max(0.0, float((prob.A @ sol.x - prob.b).max())) if prob.A.size else 0.0
+    stat = float(np.linalg.norm(prob.H @ sol.x + prob.g + prob.A.T @ sol.duals))
+    comp = float(np.abs(sol.duals * (prob.A @ sol.x - prob.b)).max()) if prob.A.size else 0.0
+    return primal, stat, comp
+
+
+def dob_settling_time(gains, band=0.02):
+    """Last time the observer's unit-step error (1 + lam t) exp(-lam t) leaves
+    the band, for the real double pole lam = a1 / (2 eps) of a0 = a1^2 / 4."""
+    a0, a1, eps = float(gains.a0[0]), float(gains.a1[0]), float(gains.eps[0])
+    assert abs(a0 - a1 * a1 / 4.0) < 1e-12, "double pole a0 = a1^2 / 4 only"
+    lam = a1 / (2.0 * eps)
+    t = 1.0
+    for _ in range(100):
+        t = -math.log(band / (1.0 + lam * t)) / lam
+    return t
+
+
+def hover_thrust(params):
+    """Per-rotor thrust balancing gravity at level attitude."""
+    return params.m * params.g / (6.0 * math.cos(params.alpha_p))
+
+
+def polygon_area(vertices):
+    """Signed (shoelace) area of a polygon (N, 2), positive counter-clockwise."""
+    x, y = vertices[:, 0], vertices[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))

@@ -20,13 +20,14 @@ from amplan import dynamics as dyn
 from amplan import harness as hz
 from amplan import planner as pl
 from amplan import voronoi as vor
-from amplan.geometry import (StiffnessParams, Superquadric2, closest_pairs, shape_rows,
-                             stiffness_terms)
-from amplan.qp import ActiveSetSolver, QpProblem, kkt_residuals
+from amplan.geometry import (StiffnessParams, Superquadric2, _boundary, closest_pairs,
+                             shape_rows, stiffness_terms)
+from amplan.qp import ActiveSetSolver, QpProblem
 
-from oracles import (central_diff_gradient, enumerate_shortest_path,
-                     qp_enumeration, sampled_gap)
-from test_control import proxy_kinematics
+from oracles import (central_diff_gradient, dob_settling_time, enumerate_shortest_path, extrude,
+                     hover_thrust, kkt_residuals, polygon_area, qp_enumeration, sampled_gap,
+                     sq2_boundary, sq2_inside_outside)
+from test_control import obstacle_frame, pair_barriers, proxy_kinematics
 from test_planner import scalar_w
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -113,7 +114,8 @@ def test_criterion_1_closest_pair_vs_dense_sampling():
         for _ in range(10):
             sq = _random_sq(rng, rng.uniform(-1.0, 1.0, 2))
             g = rng.uniform(-math.pi, math.pi, 1000)
-            residual = np.abs(sq.inside_outside(sq.boundary_point(g)))
+            p, _, _ = _boundary(shape_rows([sq]), g, curvature=False)
+            residual = np.abs(sq2_inside_outside(sq, p.T))
             assert residual.max() < 1e-9
         assert time.perf_counter() - t0 < 30.0
 
@@ -132,8 +134,8 @@ def test_criterion_2_voronoi_diagram():
             sq_i, sq_j = _random_sq(rng, ci), _random_sq(rng, cj)
             res = closest_pairs(shape_rows([sq_i]), shape_rows([sq_j]))
             assert res.gap[0] > 0.0
-            pi = sq_i.boundary_point(res.gammas[0])[0]
-            pj = sq_j.boundary_point(res.gammas[1])[0]
+            pi = sq2_boundary(sq_i, res.gammas[0, 0])
+            pj = sq2_boundary(sq_j, res.gammas[1, 0])
             hp = vor.bisectors([sq_i, sq_j])[(0, 1)]
             n = np.asarray(hp.normal)
             tang = np.array([-n[1], n[0]])
@@ -148,7 +150,7 @@ def test_criterion_2_voronoi_diagram():
         for k in range(5):
             obstacles = _random_circle_layout(rng, box, n=3)
             cells = vor.build_cells(obstacles, box)
-            total = sum(c.area() for c in cells)
+            total = sum(polygon_area(c.vertices) for c in cells)
             assert abs(total - box_area) <= 1e-6 * box_area
 
         # graph search equals exhaustive enumeration on small graphs
@@ -277,7 +279,7 @@ def test_criterion_7_disturbance_observer():
     with criterion(7, "disturbance observer"):
         gains = ctl.GainSet(a0=np.eye(6), a1=2.0 * np.eye(6),
                             eps=0.95 * np.eye(6))       # reference tuning
-        t_s = ctl.dob_settling_time(gains)
+        t_s = dob_settling_time(gains)
         force = 2.0
         t, d_hat_x = _hover_with_constant_force(force, duration=t_s + 3.0)
         tail = d_hat_x[t >= t_s]
@@ -306,26 +308,28 @@ def test_criterion_8_derivative_suite():
         an = stiffness_terms(d, stiff)[2]
         assert np.all(np.abs(an - fd) <= 1e-4 * np.maximum(1.0, np.abs(fd)))
 
+        # the barrier on the pipeline's constants of each (part, obstacle) pair
         geom = pl.VehicleGeometry()
+        P = geom.n_parts
+        E = 1e-6 * np.eye(3)
         for _ in range(100):
-            obs3 = ctl.extrude_obstacle(
-                _random_sq(rng, rng.uniform(-1.0, 1.0, 2)),
-                height=rng.uniform(1.0, 3.0))
-            sgn = rng.choice([-1.0, 1.0], 3)
-            dx = sgn * np.array([rng.uniform(0.3, 1.5) * obs3.a1,
-                                 rng.uniform(0.3, 1.5) * obs3.a2,
-                                 rng.uniform(0.3, 1.5) * obs3.a3])
-            h, grad, hess = ctl.h_co_derivs(dx, obs3)
+            sq, height = _random_sq(rng, rng.uniform(-1.0, 1.0, 2)), rng.uniform(1.0, 3.0)
+            barriers = pair_barriers(geom, [sq], height)      # one pair per part
+            obs3 = extrude(sq, height)
+            # one point per pair
+            dx = (rng.choice([-1.0, 1.0], (P, 3)) * rng.uniform(0.3, 1.5, (P, 3))
+                  * [obs3.a1, obs3.a2, obs3.a3])
+            h, grad, hess = ctl.h_co_derivs(dx, barriers)
             # h is the log of the inside-outside bracket F + 1
             assert np.expm1(h) == pytest.approx(obs3.inside_outside(obs3.to_world(dx)),
                                                 rel=1e-12, abs=1e-12)
-            fd_g = central_diff_gradient(lambda v: ctl.h_co_derivs(v, obs3)[0], dx)
-            assert _rel_close(grad, fd_g)
-            fd_h = np.column_stack([
-                (np.asarray(ctl.h_co_derivs(dx + e, obs3)[1])
-                 - np.asarray(ctl.h_co_derivs(dx - e, obs3)[1])) / 2e-6
-                for e in 1e-6 * np.eye(3)])
-            assert _rel_close(hess, fd_h)
+            fd_g = np.stack([(ctl.h_co(dx + e, barriers) - ctl.h_co(dx - e, barriers)) / 2e-6
+                             for e in E], axis=-1)
+            fd_h = np.stack([(ctl.h_co_derivs(dx + e, barriers)[1]
+                              - ctl.h_co_derivs(dx - e, barriers)[1]) / 2e-6 for e in E], axis=-1)
+            for k in range(P):
+                assert _rel_close(grad[k], fd_g[k])
+                assert _rel_close(hess[k], fd_h[k])
 
         for _ in range(100):
             part = int(rng.integers(0, geom.n_parts))
@@ -333,6 +337,10 @@ def test_criterion_8_derivative_suite():
             v0 = np.concatenate([rng.uniform(-1.0, 1.0, 3),
                                  rng.uniform(-0.3, 0.3, 3),
                                  rng.uniform(-1.0, 1.0, 3)])
+            sq, height = _random_sq(rng, np.zeros(2)), rng.uniform(1.0, 3.0)
+            # lift the vehicle so that the proxy sits a quarter height above the
+            # obstacle's mid-plane
+            v0[2] += 0.75 * height - proxy_kinematics(geom, part, gamma, v0[:6], v0[6:])[0][2]
             X0, J, _ = proxy_kinematics(geom, part, gamma, v0[:6], v0[6:])
             fd_J = np.column_stack([
                 (proxy_kinematics(geom, part, gamma, (v0 + e)[:6], (v0 + e)[6:])[0]
@@ -341,22 +349,24 @@ def test_criterion_8_derivative_suite():
             assert _rel_close(J, fd_J)
 
             # full barrier chain used by the constraint rows: h as a function
-            # of (q, theta) through the proxy point and the obstacle pose
-            obs3 = ctl.extrude_obstacle(
-                _random_sq(rng, np.zeros(2)), height=rng.uniform(1.0, 3.0))
-            offset = np.array([1.3 * obs3.a1, 1.1 * obs3.a2, 0.5 * obs3.a3])
-            obs3 = ctl.Superquadric3(
-                a1=obs3.a1, a2=obs3.a2, a3=obs3.a3, eps1=obs3.eps1,
-                eps2=obs3.eps2, rotation=obs3.rotation,
-                translation=X0 - obs3.rotation @ offset)
+            # of (q, theta) through the proxy point and the obstacle pose, with
+            # the obstacle moved so the proxy sits at (1.3 a1, 1.1 a2, 0.5 a3)
+            # in its frame
+            c, s = math.cos(sq.angle), math.sin(sq.angle)
+            off = np.array([1.3 * sq.a1, 1.1 * sq.a2])
+            center = X0[:2] - np.array([[c, -s], [s, c]]) @ off
+            barriers = pair_barriers(geom, [replace(sq, center=tuple(center))], height)
+            gammas = np.full(P, gamma)
 
             def h_of(v):
-                X, _, _ = proxy_kinematics(geom, part, gamma, v[:6], v[6:])
-                return ctl.h_co_derivs(obs3.rotation.T @ (X - obs3.translation), obs3)[0]
+                X, _ = ctl.proxy_points(barriers, gammas, v[:6], v[6:])
+                return ctl.h_co(obstacle_frame(barriers, X), barriers)[part]
 
-            _, grad, _ = ctl.h_co_derivs(
-                obs3.rotation.T @ (X0 - obs3.translation), obs3)
-            analytic = grad @ obs3.rotation.T @ J
+            X, _ = ctl.proxy_points(barriers, gammas, v0[:6], v0[6:])
+            dx = obstacle_frame(barriers, X)
+            np.testing.assert_allclose(dx[part], [*off, height / 4.0], rtol=0, atol=1e-12)
+            grad = ctl.h_co_derivs(dx, barriers)[1][part]
+            analytic = grad @ barriers.rotation[part].T @ J
             assert _rel_close(analytic, central_diff_gradient(h_of, v0))
 
         # planner potential gradient
@@ -432,6 +442,6 @@ def test_criterion_10_dynamics():
         assert np.abs(nxt.qdot - state.qdot).max() < 1e-12
 
         # hover thrust sits comfortably inside the actuator band
-        hover = dyn.hover_thrust(model)
+        hover = hover_thrust(model)
         assert hover == pytest.approx(5.925, abs=1e-2)
         assert 1.0 < hover < 15.0

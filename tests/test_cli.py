@@ -1,6 +1,7 @@
 """Exit codes and artifact emission of the command-line interface."""
 
 import copy
+import math
 import os
 import shutil
 
@@ -176,6 +177,19 @@ def test_scenario_dt_above_plant_limit_exit_2(tmp_path, no_planning, capsys):
     ("planner", {"k_tgt": [1, 2]}),
     ("planner", {"stiffness": {"k_min": 1.0, "spring": 2.0}}),
     ("planner", {"stiffness": 3.0}),
+    ("planner", {"stiffness": {"d0": math.nan}}),
+    ("planner", {"n_s": 400.5}),
+    ("planner", {"prerelax_max_iter": 2.5}),
+    ("planner", {"k_reg": "abc"}),
+    ("planner", {"cond_limit": "abc"}),
+    ("planner", {"prerelax_tol": "abc"}),
+    ("wind", {"amplitude": "abc"}),
+    ("wind", {"axis": 1.0}),
+    ("wind", {"noise_std": math.nan}),
+    ("safety", {"alpha_co": math.nan}),
+    ("safety", {"sigma_co": math.nan}),
+    ("goal", [math.nan, 0.0, 0.0]),
+    ("world_box", [-5.0, -5.0, math.inf, 8.0]),
 ])
 def test_out_of_range_override_exit_2_before_planning(tmp_path, no_planning, capsys,
                                                       key, overrides):

@@ -11,7 +11,7 @@ from amplan.geometry import Superquadric2, closest_pairs, shape_rows
 from amplan.planner import VehicleGeometry, pair_rows
 from amplan.qp import MAX_ROWS, ActiveSetSolver, QpDimensionError, QpProblem
 
-from oracles import part_superquadrics, qp_enumeration
+from oracles import extrude, hover_thrust, part_superquadrics, qp_enumeration
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -119,7 +119,7 @@ class TestDob:
         p = dyn.ModelParams()
         g = ctl.GainSet()
         q = np.zeros(6)
-        T = np.full(6, dyn.hover_thrust(p))
+        T = np.full(6, hover_thrust(p))
         state = ctl.DobState.initialize(q)
         for _ in range(4000):
             state, d_hat = ctl.dob_update(state, q, np.zeros(6), T,
@@ -131,7 +131,7 @@ class TestDob:
         g = ctl.GainSet()
         d_true = np.zeros(6)
         d_true[0] = 2.0
-        T = np.full(6, dyn.hover_thrust(p))
+        T = np.full(6, hover_thrust(p))
         s = dyn.VehicleState()
         dob = ctl.DobState.initialize(s.q)
         d_hat = np.zeros(6)
@@ -235,7 +235,7 @@ class TestInnerLoop:
         g = ctl.GainSet()
         T = ctl.inner_loop(np.zeros(6), np.zeros(6), np.zeros(6), np.zeros(6),
                            np.zeros(6), nominal(p, np.zeros(6), np.zeros(6)), g)
-        np.testing.assert_allclose(T, np.full(6, dyn.hover_thrust(p)), atol=1e-10)
+        np.testing.assert_allclose(T, np.full(6, hover_thrust(p)), atol=1e-10)
 
     def test_disturbance_compensation(self):
         p = dyn.ModelParams()
@@ -263,11 +263,20 @@ class TestInnerLoop:
             np.testing.assert_allclose(b[6:] - A[6:] @ x, 15.0 - T, atol=1e-8)
 
 
+def pair_barriers(geom, obstacles, height):
+    """The pipeline's barrier constants of every (part, obstacle) pair."""
+    return ctl.PairBarriers(ctl.ProxyTracker(geom, obstacles), height)
+
+
+def obstacle_frame(barriers, X):
+    """Points X (..., P, 3) in the obstacle frame of each pair, as cbf_rows maps them."""
+    return np.einsum("pji,...pj->...pi", barriers.rotation, X - barriers.translation)
+
+
 def proxy_kinematics(geom, part, gamma, q, theta, qdot=np.zeros(6), thetadot=np.zeros(3)):
     """X, J and Jdot v of one part's proxy point, from the batched kernel."""
-    shape = Superquadric2(a1=1.0, a2=1.0, eps=1.0)
-    barriers = ctl.PairBarriers(ctl.ProxyTracker(geom, [shape]),      # one pair per part
-                                [ctl.extrude_obstacle(shape, 1.0)])
+    # one obstacle: one pair per part
+    barriers = pair_barriers(geom, [Superquadric2(a1=1.0, a2=1.0, eps=1.0)], 1.0)
     X, frames = ctl.proxy_points(barriers, np.full(geom.n_parts, gamma), q, theta)
     J, jdv = ctl.proxy_jacobians(frames, barriers.link, X, q[3:],
                                  np.concatenate([qdot, thetadot]))
@@ -307,8 +316,7 @@ class TestProxyKinematics:
 
     def test_delta_x_rate_matches_time_fd(self, rng):
         geom = VehicleGeometry()
-        obs = ctl.extrude_obstacle(Superquadric2(a1=0.4, a2=0.3, eps=0.6,
-                                                 angle=0.3, center=(2.0, 1.0)), 3.0)
+        obs = extrude(Superquadric2(a1=0.4, a2=0.3, eps=0.6, angle=0.3, center=(2.0, 1.0)), 3.0)
         q, qdot, theta, thetadot = random_state(rng)
         gamma = 0.8
         part = 7
@@ -338,7 +346,7 @@ class TestProxyKinematics:
 
 class TestBarrier:
     def sphere(self):
-        return ctl.extrude_obstacle(Superquadric2(a1=1.0, a2=1.0, eps=1.0), 2.0, eps1=1.0)
+        return extrude(Superquadric2(a1=1.0, a2=1.0, eps=1.0), 2.0, eps1=1.0)
 
     def test_value_on_sphere(self):
         obs = self.sphere()
@@ -348,18 +356,31 @@ class TestBarrier:
         assert ctl.h_co_derivs([0.3, 0.0, 0.0], obs)[0] < 0.0
 
     def test_sign_agrees_with_inside_outside(self, rng):
-        obs = ctl.extrude_obstacle(Superquadric2(a1=0.5, a2=0.3, eps=0.7, angle=0.4,
-                                                 center=(0.0, 0.0)), 2.0)
+        # h of every pair of the pipeline's barriers against the oracle extrusion
+        shape = Superquadric2(a1=0.5, a2=0.3, eps=0.7, angle=0.4, center=(0.0, 0.0))
+        barriers = pair_barriers(VehicleGeometry(), [shape], 2.0)
+        obs = extrude(shape, 2.0)
         for _ in range(200):
             p = rng.uniform(-1.0, 1.0, size=3)
             p[2] = rng.uniform(0.2, 1.8)
-            dx = obs.rotation.T @ (p - obs.translation)
-            h = ctl.h_co_derivs(dx, obs)[0]
+            dx = obstacle_frame(barriers, np.tile(p, (barriers.a1.size, 1)))
+            h = ctl.h_co_derivs(dx, barriers)[0]
             io = obs.inside_outside(p)
-            assert (h > 0) == (io > 0) or abs(io) < 1e-9
+            assert np.all((h > 0) == (io > 0)) or abs(io) < 1e-9
+
+    def test_extrusion_equals_oracle(self):
+        # every pair's constants are exactly its obstacle's oracle extrusion
+        s = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
+        for obstacles in (s.obstacles, hz.ellipse_obstacles(s.obstacles)):
+            barriers = pair_barriers(s.vehicle, obstacles, 2.5)
+            oi = barriers.tracker.oi
+            assert oi.size == s.vehicle.n_parts * len(obstacles)
+            for name in ("rotation", "translation", "a1", "a2", "a3", "eps1", "eps2"):
+                want = np.array([getattr(extrude(obstacles[o], 2.5), name) for o in oi])
+                assert np.array_equal(getattr(barriers, name), want), name
 
     def test_derivatives_match_fd(self, rng):
-        obs = ctl.extrude_obstacle(Superquadric2(a1=0.5, a2=0.3, eps=0.7), 2.0)
+        obs = extrude(Superquadric2(a1=0.5, a2=0.3, eps=0.7), 2.0)
         points = rng.uniform(0.1, 1.0, size=(50, 3)) * rng.choice([-1.0, 1.0], size=(50, 3))
         batch = ctl.h_co_derivs(points, obs)
         for n, dx in enumerate(points):
@@ -385,12 +406,11 @@ class TestBarrier:
         # the cull's h-only pass and the derivative pass share one bracket
         s = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
         tracker = ctl.ProxyTracker(geom=s.vehicle, obstacles=s.obstacles)
-        barriers = ctl.PairBarriers(tracker, [ctl.extrude_obstacle(o, 3.0)
-                                              for o in s.obstacles])
+        barriers = ctl.PairBarriers(tracker, 3.0)
         q, theta = np.array([3.3, 2.6, 1.0, 0.05, -0.04, 0.4]), np.array([0.3, 0.1, -0.5])
         tracker.refresh(q, theta)
         X, _ = ctl.proxy_points(barriers, tracker.gammas[0], q, theta)
-        dx = np.einsum("pji,pj->pi", barriers.rotation, X - barriers.translation)
+        dx = obstacle_frame(barriers, X)
         h = ctl.h_co(dx, barriers)
         assert h.shape == (24,)
         assert np.array_equal(h, ctl.h_co_derivs(dx, barriers)[0])
@@ -404,9 +424,9 @@ class TestCbfRows:
         geom = VehicleGeometry()
         shape = Superquadric2(a1=0.35, a2=0.35, eps=1.0, center=center)
         safety = ctl.SafetyParams()
-        obs3d = [ctl.extrude_obstacle(shape, safety.obstacle_height)]
+        obs3d = [extrude(shape, safety.obstacle_height)]
         tracker = ctl.ProxyTracker(geom=geom, obstacles=[shape])
-        barriers = ctl.PairBarriers(tracker, obs3d)
+        barriers = ctl.PairBarriers(tracker, safety.obstacle_height)
         return geom, shape, obs3d, tracker, barriers, safety
 
     def test_row_algebra_matches_direct_expression(self, rng):

