@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import time
 from dataclasses import dataclass, field, fields
 
@@ -24,8 +25,8 @@ from . import dynamics as dyn
 from . import voronoi as vor
 from .geometry import Superquadric2, check_numbers, closest_pairs, shape_rows
 from .planner import (PlannedTrajectory, PlannerError, PlannerParams,
-                      VehicleGeometry, _Evaluator, _fused_derivatives,
-                      attractors_from_path, integrate_em, pair_rows, target_pose)
+                      VehicleGeometry, attractors_from_path, integrate_em, pair_rows,
+                      target_pose)
 from .qp import ActiveSetSolver
 
 
@@ -45,28 +46,25 @@ _ENV_DIGITS = "AMPLAN_DIGITS"
 # (their spread grows with shape disparity; well below any edge length here).
 GRAPH_SNAP = 0.15
 
-# Trajectory samples scored per kernel call by the residual check and the
-# metric pass.  Blocks of 64 and 128 measured no clear gain in the metric pass,
-# whose closest-pair rounds drop a block's converged pairs once three quarters
-# of them are done.
+# Trajectory samples scored per closest_pairs call by the metric pass.  Blocks
+# of 64 and 128 measured no clear gain, since the closest-pair rounds drop a
+# block's converged pairs once three quarters of them are done.
 SAMPLE_BATCH = 32
 
 
-def _emit_digits() -> int:
+def _float_spec() -> str:
+    """Format spec of the emitted floats: AMPLAN_DIGITS significant digits, 17
+    by default; each emitted file reads it once."""
     raw = os.environ.get(_ENV_DIGITS, "")
     if not raw:
-        return 17
+        return ".17g"
     try:
         d = int(raw)
     except ValueError as exc:
         raise HarnessError(f"{_ENV_DIGITS} must be an integer, got {raw!r}") from exc
     if not (1 <= d <= 17):
         raise HarnessError(f"{_ENV_DIGITS} must lie in [1, 17], got {d}")
-    return d
-
-
-def _fmt(x) -> str:
-    return format(float(x), f".{_emit_digits()}g")
+    return f".{d}g"
 
 
 @dataclass
@@ -194,23 +192,38 @@ def _sub_params(raw: dict, key: str, factory):
         raise ScenarioError(f"{key}: {exc}") from exc
 
 
+class _ScenarioLoader(yaml.SafeLoader):
+    """SafeLoader that also reads exponent notation without a dot or without an
+    exponent sign (1e-5, 2e3, 1.0e300) as a float, as YAML 1.2 does."""
+
+
+_ScenarioLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file, applying default parameters."""
     try:
         with open(path, "r") as f:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, Loader=_ScenarioLoader)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario file is not valid structured text: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must contain a top-level mapping")
-    if int(raw.get("format", -1)) != SCENARIO_FORMAT:
-        raise ScenarioError(f"format: expected {SCENARIO_FORMAT}")
+    fmt = raw.get("format")
+    # the integer itself: not 1.0, 1.5 or true
+    if type(fmt) is not int or fmt != SCENARIO_FORMAT:
+        raise ScenarioError(f"format: expected the integer {SCENARIO_FORMAT}, got {fmt!r}")
 
     obstacles_raw = _require(raw, "obstacles")
     if obstacles_raw is None:
         obstacles_raw = []
+    if not isinstance(obstacles_raw, list):
+        raise ScenarioError("obstacles: must be a list")
     obstacles = [_obstacle_from_dict(d, f"obstacles[{i}]")
                  for i, d in enumerate(obstacles_raw)]
 
@@ -270,31 +283,11 @@ class PlanResult:
     path: object | None
     plan_time: float           # wall time of integrate_em (warm start, pre-relaxation,
                                # continuation); its counters are traj.evals, traj.max_corrector
-    grad_norms: np.ndarray     # |dW/dz| at every trajectory sample
 
-
-def equilibrium_residuals(traj: PlannedTrajectory, geom: VehicleGeometry,
-                          obstacles, params: PlannerParams) -> np.ndarray:
-    """Norm of the configuration gradient of W at every stored sample.
-
-    The samples go through the planner's fused pass SAMPLE_BATCH at a time;
-    each gradient is bit for bit the one a single-sample call gives.
-    """
-    obs_rows = shape_rows(obstacles)
-    P = traj.gammas.shape[1] // 2
-    n = len(traj.s)
-    out = np.empty(n)
-    ev = None
-    for k in range(0, n, SAMPLE_BATCH):
-        b = min(SAMPLE_BATCH, n - k)
-        if ev is None or ev.batch != b:
-            ev = _Evaluator(geom, obs_rows, params.stiffness, b)
-        blk = slice(k, k + b)
-        gz = _fused_derivatives(ev, params, traj.z[blk], traj.gammas[blk, :P],
-                                traj.gammas[blk, P:], traj.u[blk])[0]
-        # row by row, as for one sample: a norm along axis 1 sums in another order
-        out[blk] = [np.linalg.norm(g) for g in gz]
-    return out
+    @property
+    def grad_norms(self) -> np.ndarray:
+        """|dW/dz| at every trajectory sample, as the continuation accepted it."""
+        return self.traj.residuals
 
 
 def plan(s: Scenario, mode: str = "sq") -> PlanResult:
@@ -318,9 +311,7 @@ def plan(s: Scenario, mode: str = "sq") -> PlanResult:
     t0 = time.perf_counter()
     traj = integrate_em(s.vehicle, obstacles, s.start, attractors, params)
     plan_time = time.perf_counter() - t0
-    grads = equilibrium_residuals(traj, s.vehicle, obstacles, params)
-    return PlanResult(traj=traj, cells=cells, graph=graph, path=path,
-                      plan_time=plan_time, grad_norms=grads)
+    return PlanResult(traj=traj, cells=cells, graph=graph, path=path, plan_time=plan_time)
 
 
 # --- closed-loop simulation ----------------------------------------------------
@@ -438,13 +429,14 @@ class MetricsReport:
     total_ticks: int = 0
 
     def lines(self):
+        spec = _float_spec()
         out = ["amplan metrics v1"]
         for f in fields(self):
             v = getattr(self, f.name)
             if f.type == "int":
                 out.append(f"{f.name} {int(v)}")
             else:
-                out.append(f"{f.name} {_fmt(v)}")
+                out.append(f"{f.name} {format(float(v), spec)}")
         return out
 
 
@@ -532,21 +524,24 @@ def _write(path, text):
 
 
 def trajectory_csv(traj: PlannedTrajectory) -> str:
+    spec = _float_spec()
     rows = [_TRAJ_HEADER]
     for k in range(len(traj.s)):
         vals = ([traj.s[k]] + list(traj.z[k]) + list(traj.eef[k])
                 + list(traj.u[k]))
-        rows.append(",".join(_fmt(v) for v in vals))
+        rows.append(",".join(format(float(v), spec) for v in vals))
     return "\n".join(rows) + "\n"
 
 
 def telemetry_csv(tel: Telemetry) -> str:
+    spec = _float_spec()
     rows = [_TEL_HEADER]
     for k in range(len(tel.t)):
         vals = ([tel.t[k]] + list(tel.q[k]) + list(tel.qdot[k])
                 + list(tel.theta[k]) + list(tel.thrust[k]) + list(tel.d_hat[k])
                 + list(tel.d_true[k]) + [tel.h_min[k]])
-        rows.append(",".join(_fmt(v) for v in vals) + f",{int(tel.feasible[k])}")
+        rows.append(",".join(format(float(v), spec) for v in vals)
+                    + f",{int(tel.feasible[k])}")
     return "\n".join(rows) + "\n"
 
 

@@ -12,9 +12,8 @@ continuation on a fixed grid.
 
 The potential, its configuration-space gradient and Hessian, its proxy-angle
 gradient and the end-effector Jacobian are closed-form, computed in one batched
-pass over the part/obstacle pairs per continuation evaluation, or per block of
-trajectory samples when a finished plan is checked, on the proxies and tangents
-of geometry's superquadric boundary kernel.
+pass over the part/obstacle pairs per continuation evaluation, on the proxies
+and tangents of geometry's superquadric boundary kernel.
 """
 
 from __future__ import annotations
@@ -141,8 +140,11 @@ class PlannerParams:
         self.k_tgt = np.asarray(self.k_tgt, dtype=float)
         if not np.isfinite(self.k_tgt).all():
             raise PlannerError("k_tgt must be finite")
-        if self.eta <= 0 or self.alpha <= 0 or self.n_s < 2 or self.k_tgt.shape != (3, 3):
-            raise PlannerError("need eta > 0, alpha > 0, n_s >= 2 and a 3x3 k_tgt")
+        # a plan needs |grad| < prerelax_tol and lambda_max <= cond_limit lambda_min
+        if not (self.eta > 0 and self.alpha > 0 and self.n_s >= 2 and self.prerelax_tol > 0
+                and self.cond_limit >= 1 and self.k_tgt.shape == (3, 3)):
+            raise PlannerError("need eta > 0, alpha > 0, n_s >= 2, prerelax_tol > 0, "
+                               "cond_limit >= 1 and a 3x3 k_tgt")
         if isinstance(self.stiffness, dict):
             self.stiffness = StiffnessParams(**self.stiffness)
         if not isinstance(self.stiffness, StiffnessParams):
@@ -188,31 +190,24 @@ def set_part_poses(parts, geom: VehicleGeometry, pi, z, frames=None):
 
 
 class _Evaluator:
-    """Caches per-pair parameter arrays so each evaluation is one fused batch.
+    """Caches per-pair parameter arrays so each evaluation is one fused batch."""
 
-    Built for stacks of `batch` samples (1: single configurations).  The
-    per-pair constants are tiled to batch * P columns, sample by sample, so a
-    stack runs as one long batch of pairs through the kernels of one sample.
-    """
-
-    def __init__(self, geom: VehicleGeometry, obs_rows, stiff: StiffnessParams,
-                 batch: int = 1):
+    def __init__(self, geom: VehicleGeometry, obs_rows, stiff: StiffnessParams):
         self.geom = geom
         self.stiff = stiff
-        self.batch = batch
         self.pi, _ = pair_index(geom.n_parts, obs_rows.shape[1])
         self.P = self.pi.size
 
-        # pair_rows layout of every proxy's shape, (7, 2, batch P): side 0 the
-        # part of each pair, side 1 its obstacle.  Per evaluation only the part
-        # side's cos, sin and center change, which set_part_poses writes.
-        self.rows = np.array(pair_rows(geom, obs_rows, np.zeros((batch, 5)))).transpose(1, 0, 2)
+        # pair_rows layout of every proxy's shape, (7, 2, P): side 0 the part of
+        # each pair, side 1 its obstacle.  Per evaluation only the part side's
+        # cos, sin and center change, which set_part_poses writes.
+        self.rows = np.array(pair_rows(geom, obs_rows, np.zeros(5))).transpose(1, 0, 2)
         a = self.rows[:2, 1]
         oeps, ocos, osin = self.rows[2:5, 1]
         self.oexp = 2.0 / oeps
         # joint angle j moves a part proxy iff j <= l, l the frame of its part
         self.moved = (np.arange(3) <= geom.part_links[self.pi][:, None]).astype(float)
-        self.jp = np.zeros((2, batch * self.P, 5))
+        self.jp = np.zeros((2, self.P, 5))
         self.jp[0, :, 0] = self.jp[1, :, 1] = 1.0
         # obstacle rotation R[a, k], scaled inverse diag(1/a) R^T, and R[a, k] R[b, k]
         self.orot = np.array([[ocos, -osin], [osin, ocos]])
@@ -230,25 +225,17 @@ _MAX_JOINT = np.maximum.outer(np.arange(3), np.arange(3))
 _EYE2 = np.eye(2)[:, :, None]
 
 
-def _per_sample(a, B, P):
-    """Pair rows (2, B P, k) -> (B, 2P, k), each sample's rows in single-sample order."""
-    k = a.shape[2]
-    return a.reshape(2, B, P, k).swapaxes(0, 1).reshape(B, 2 * P, k)
-
-
 def _pair_sums(ev: _Evaluator, z, Gp, Go, jf):
-    """The pair terms of _fused_derivatives, summed over each sample's pairs:
-    grad_z (B, 5), hess_z (B, 5, 5) without the joint-frame curvature, that
-    curvature -G.V (B, 3), grad_Gamma (B, 2P) and W (B,); jf holds the joint
-    frames (B, 3, 4) of the stack z (B, 5)."""
-    B, P, st, geom = len(z), ev.P, ev.stiff, ev.geom
-    N = B * P
+    """The pair terms of _fused_derivatives, summed over the pairs: grad_z (5,),
+    hess_z (5, 5) without the joint-frame curvature, that curvature -G.V (3,),
+    grad_Gamma (2P,) and W; jf holds the joint frames (3, 4) at z."""
+    P, st = ev.P, ev.stiff
 
     rows = ev.rows.copy()
-    set_part_poses(rows[:, 0], geom, ev.pi, z, jf)
-    X, T, _ = _boundary(rows.reshape(7, 2 * N), np.concatenate((Gp, Go), axis=None),
+    set_part_poses(rows[:, 0], ev.geom, ev.pi, z, jf[None])
+    X, T, _ = _boundary(rows.reshape(7, 2 * P), np.concatenate((Gp, Go), axis=None),
                         curvature=False)
-    p, q = X[:, :N], X[:, N:]
+    p, q = X[:, :P], X[:, P:]
 
     # part proxies in their obstacle's frame, divided by its semi-axes
     d = p - rows[5:, 1]
@@ -259,7 +246,7 @@ def _pair_sums(ev: _Evaluator, z, Gp, Go, jf):
     d2 = (D * D).sum(axis=0)
     k0, k1, k2 = stiffness_terms(g, st)
 
-    # p-space gradient Gr (2, N) and Hessian Hp (2, 2, N) of each pair term
+    # p-space gradient Gr (2, P) and Hessian Hp (2, 2, P) of each pair term
     fb = ev.fgrad * np.sign(w) * aw ** ev.e1
     hb = ev.fcurv * np.maximum(aw, AXIS_FLOOR) ** ev.e2
     f = ev.orot[:, 0] * fb[0] + ev.orot[:, 1] * fb[1]
@@ -269,32 +256,26 @@ def _pair_sums(ev: _Evaluator, z, Gp, Go, jf):
     Hp = (0.5 * k2 * d2 * f[:, None] * f
           + A * (ev.orot2[:, :, 0] * hb[0] + ev.orot2[:, :, 1] * hb[1])
           + k1 * (fD + fD.transpose(1, 0, 2)) + k0 * _EYE2)
-    gG = np.concatenate(((Gr * T[:, :N]).reshape(2, B, P).sum(axis=0),
-                         -k0.reshape(B, P) * (D * T[:, N:]).reshape(2, B, P).sum(axis=0)),
-                        axis=1)
+    gG = np.concatenate(((Gr * T[:, :P]).sum(axis=0), -k0 * (D * T[:, P:]).sum(axis=0)))
 
-    # chain rule to z through the proxy Jacobian Jp = [I | S V], (2, N, 5)
-    V = ((p.reshape(2, B, P, 1) - jf[:, None, :, :2].transpose(3, 0, 1, 2)) * ev.moved
-         ).reshape(2, N, 3)
+    # chain rule to z through the proxy Jacobian Jp = [I | S V], (2, P, 5)
+    V = (p[:, :, None] - jf[:, :2].T[:, None]) * ev.moved
     Jp = ev.jp.copy()
     Jp[0, :, 2:] = -V[1]
     Jp[1, :, 2:] = V[0]
     HJ = Hp[:, 0, :, None] * Jp[0] + Hp[:, 1, :, None] * Jp[1]
 
-    Jp, Gr = _per_sample(Jp, B, P), _per_sample(Gr[..., None], B, P).swapaxes(1, 2)
-    gz = (Gr @ Jp)[:, 0]
-    H = Jp.swapaxes(1, 2) @ _per_sample(HJ, B, P)
-    curv = -(Gr @ _per_sample(V, B, P))[:, 0]
-    return gz, H, curv, gG, (0.5 * k0 * d2).reshape(B, P).sum(axis=1)
+    Jp, Gr = Jp.reshape(2 * P, 5), Gr.reshape(2 * P)
+    gz = Gr @ Jp
+    H = Jp.T @ HJ.reshape(2 * P, 5)
+    curv = -(Gr @ V.reshape(2 * P, 3))
+    return gz, H, curv, gG, (0.5 * k0 * d2).sum()
 
 
 def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
-    """(grad_z W, hess_z W, J_eef, grad_Gamma W, W) from one batched pass over the pairs.
+    """(grad_z W, hess_z W, J_eef, grad_Gamma W, W) at z (5,), proxy angles
+    Gp, Go (P,) and attractor u (3,), from one batched pass over the pairs.
 
-    With ev.batch = 1, z (5,), Gp, Go (P,) and u (3,) are one sample.  Otherwise
-    z (B, 5), Gp, Go (B, P) and u (B, 3) are a stack of B = ev.batch samples,
-    and every output gains a leading batch axis, each sample bit for bit its
-    single-sample result.
     W is the sum of the pair terms, the target term and the joint regulariser;
     all its derivatives are closed-form.  The pair terms come from _pair_sums,
     which takes every proxy point p and tangent dp/dgamma from one
@@ -304,51 +285,38 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     D = p - q, mapped to z through the proxy's Jacobian [I | S V] plus the
     -G.V_max(i,j) curvature of the nested joint frames.  Its proxy-angle
     gradient is Gr . dp/dgamma on the part side and -k D . dq/dgamma on the
-    obstacle side.  The sums over each sample's pairs are stacked matmuls,
-    which round as the single-sample products do.
+    obstacle side.
     """
-    single = z.ndim == 1
-    z, u = z.reshape(-1, 5), np.asarray(u, dtype=float).reshape(-1, 3)
-    B, geom = len(z), ev.geom
-    if B != ev.batch:
-        raise PlannerError(f"evaluator built for {ev.batch} samples, got {B}")
+    geom = ev.geom
+    x, y, psi, t1, t3 = z.tolist()
+    ux, uy, ut = np.asarray(u, dtype=float).tolist()
 
-    # per sample in plain floats: the joint frames (VehicleGeometry.joint_frames),
-    # the end-effector Jacobian J, with rows [1, 0, -Vy] and [0, 1, Vx] for the
-    # eef lever arm V of each joint frame, the target residual r = u - eef with
-    # its angle wrapped, and the regulariser 0.5 k_reg (th1^2 + th3^2)
-    frames, jac, tgt = [], [], []
-    for (x, y, psi, t1, t3), (ux, uy, ut) in zip(z.tolist(), u.tolist()):
-        fr = geom.joint_frames(x, y, psi, t1, t3)
-        ex, ey = fr[2][0] + geom.l2 * fr[2][2], fr[2][1] + geom.l2 * fr[2][3]
-        frames.append(fr)
-        jac.append([[1.0, 0.0] + [f[1] - ey for f in fr],
-                    [0.0, 1.0] + [ex - f[0] for f in fr], [0.0, 0.0, 1.0, 1.0, 1.0]])
-        tgt.append([ux - ex, uy - ey, wrap_angle(ut - (psi + t1 + t3)),
-                    0.5 * params.k_reg * (t1 * t1 + t3 * t3)])
-    jf, J, tgt = np.array(frames), np.array(jac), np.array(tgt)  # (B, 3, 4), (B, 3, 5), (B, 4)
+    # in plain floats: the joint frames (VehicleGeometry.joint_frames), the
+    # end-effector Jacobian J, with rows [1, 0, -Vy] and [0, 1, Vx] for the eef
+    # lever arm V of each joint frame, and the target residual r = u - eef with
+    # its angle wrapped
+    fr = geom.joint_frames(x, y, psi, t1, t3)
+    ex, ey = fr[2][0] + geom.l2 * fr[2][2], fr[2][1] + geom.l2 * fr[2][3]
+    J = np.array([[1.0, 0.0] + [f[1] - ey for f in fr],
+                  [0.0, 1.0] + [ex - f[0] for f in fr], [0.0, 0.0, 1.0, 1.0, 1.0]])
+    r = np.array([ux - ex, uy - ey, wrap_angle(ut - (psi + t1 + t3))])
 
     if ev.P:
-        gz, H, curv, gG, W = _pair_sums(ev, z, Gp, Go, jf)
+        gz, H, curv, gG, W = _pair_sums(ev, z, Gp, Go, np.array(fr))
     else:
         # no pairs: no proxy to evaluate, and every pair sum is zero
-        gz, H, curv = np.zeros((B, 5)), np.zeros((B, 5, 5)), np.zeros((B, 3))
-        gG, W = np.zeros((B, 0)), np.zeros(B)
+        gz, H, curv, gG, W = np.zeros(5), np.zeros((5, 5)), np.zeros(3), np.zeros(0), 0.0
 
-    # target term 0.5 r^T K r and the joint regulariser
-    r = tgt[:, :3]
-    Kr = params.k_tgt @ r[..., None]
-    JT = J.swapaxes(1, 2)
-    gz -= (JT @ Kr)[..., 0]
-    H += JT @ params.k_tgt @ J
-    curv += Kr[:, 0] * J[:, 1, 2:] - Kr[:, 1] * J[:, 0, 2:]
-    H[:, 2:, 2:] += curv[:, _MAX_JOINT]
-    gz[:, 3:] += params.k_reg * z[:, 3:]
-    H[:, 3, 3] += params.k_reg
-    H[:, 4, 4] += params.k_reg
-    W = W + 0.5 * (r[:, None] @ Kr)[:, 0, 0] + tgt[:, 3]
-    if single:
-        return gz[0], H[0], J[0], gG[0], W[0]
+    # target term 0.5 r^T K r and the joint regulariser 0.5 k_reg (th1^2 + th3^2)
+    Kr = params.k_tgt @ r
+    gz -= J.T @ Kr
+    H += J.T @ params.k_tgt @ J
+    curv += Kr[0] * J[1, 2:] - Kr[1] * J[0, 2:]
+    H[2:, 2:] += curv[_MAX_JOINT]
+    gz[3:] += params.k_reg * z[3:]
+    H[3, 3] += params.k_reg
+    H[4, 4] += params.k_reg
+    W = W + 0.5 * (r @ Kr) + 0.5 * params.k_reg * (t1 * t1 + t3 * t3)
     return gz, H, J, gG, W
 
 
@@ -431,6 +399,8 @@ class PlannedTrajectory:
     attractors: list
     evals: int = 0         # derivative evaluations of the continuation
     max_corrector: int = 0  # most corrector steps taken at one sample
+    residuals: np.ndarray | None = None  # (N+1,) |dW/dz| from the evaluation that
+                                         # accepted each sample
 
 
 def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
@@ -448,8 +418,9 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
     needs correcting, Gamma takes the trapezoid step on dW/dGamma of the
     previous sample and of the predicted point, and keeps it while z is
     corrected.  Every evaluation checks that H is positive definite and
-    well-conditioned.  The trajectory records the evaluations made and the most
-    corrector steps taken at one sample.
+    well-conditioned.  The trajectory records the evaluations made, the most
+    corrector steps taken at one sample and, per sample, |dW/dz| at the stored
+    (z, Gamma, u) from the evaluation that accepted it.
     """
     params = params or PlannerParams()
     obs_rows = shape_rows(obstacles)
@@ -493,9 +464,10 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
     z_out = np.empty((N + 1, 5))
     u_out = np.empty((N + 1, 3))
     g_out = np.empty((N + 1, 2 * P))
+    res = np.empty(N + 1)
     G = np.concatenate([Gp, Go])
-    s_grid[0], z_out[0], u_out[0], g_out[0] = 0.0, z, attrs[0], G
     gz, Hs, J, gG = evaluate(z, G, attrs[0])
+    s_grid[0], z_out[0], u_out[0], g_out[0], res[0] = 0.0, z, attrs[0], G, np.linalg.norm(gz)
     most = 0
     idx = 0
     for seg in range(K):
@@ -510,23 +482,23 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
             G_new = G - (h * params.alpha) * gG
             for it in range(CORRECTOR_MAX_ITER + 1):
                 gz_new, Hs, J, gG_new = evaluate(z_new, G_new, u)
-                if np.linalg.norm(gz_new) < params.prerelax_tol:
+                norm = np.linalg.norm(gz_new)
+                if norm < params.prerelax_tol:
                     break
                 if it == CORRECTOR_MAX_ITER:
                     raise PlannerError(
-                        f"corrector stalled at s = {s:.4f} with "
-                        f"|grad| = {np.linalg.norm(gz_new):.3e}")
+                        f"corrector stalled at s = {s:.4f} with |grad| = {norm:.3e}")
                 if it == 0:
                     G_new = G - (0.5 * h * params.alpha) * (gG + gG_new)
                 z_new = z_new - np.linalg.solve(Hs, gz_new)
             most = max(most, it)
             z, G, gz, gG = z_new, G_new, gz_new, gG_new
             idx += 1
-            s_grid[idx], z_out[idx], u_out[idx], g_out[idx] = s, z, u, G
+            s_grid[idx], z_out[idx], u_out[idx], g_out[idx], res[idx] = s, z, u, G, norm
 
     return PlannedTrajectory(s=s_grid, z=z_out, eef=geom.forward_kinematics_eef(z_out),
                              u=u_out, gammas=g_out, attractors=attrs, evals=evals,
-                             max_corrector=most)
+                             max_corrector=most, residuals=res)
 
 
 def target_pose(traj: PlannedTrajectory, t: float, duration: float, height: float):

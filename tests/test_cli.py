@@ -190,6 +190,11 @@ def test_scenario_dt_above_plant_limit_exit_2(tmp_path, no_planning, capsys):
     ("safety", {"sigma_co": math.nan}),
     ("goal", [math.nan, 0.0, 0.0]),
     ("world_box", [-5.0, -5.0, math.inf, 8.0]),
+    ("planner", {"prerelax_tol": 0.0}),
+    ("planner", {"prerelax_tol": -1e-4}),
+    ("planner", {"cond_limit": 0.5}),
+    ("format", "abc"),
+    ("obstacles", 5),
 ])
 def test_out_of_range_override_exit_2_before_planning(tmp_path, no_planning, capsys,
                                                       key, overrides):

@@ -80,10 +80,33 @@ def test_load_missing_field_paths(tmp_path):
 
 
 def test_load_rejects_wrong_format(tmp_path):
-    data = copy.deepcopy(BASE)
-    data["format"] = 99
-    with pytest.raises(hz.ScenarioError, match="format"):
-        hz.load_scenario(write_scenario(tmp_path, data))
+    # format must be the integer 1, obstacles a list
+    for key, value in [("format", 99), ("format", "abc"), ("format", [1]),
+                       ("format", {"a": 1}), ("format", 1.5), ("format", True),
+                       ("obstacles", 5), ("obstacles", True)]:
+        data = copy.deepcopy(BASE)
+        data[key] = value
+        with pytest.raises(hz.ScenarioError, match=f"^{key}: "):
+            hz.load_scenario(write_scenario(tmp_path, data))
+
+
+def test_exponent_notation_loads_as_its_decimal_form(tmp_path):
+    # 1e-5 and 1.0e300 are floats in YAML 1.2 but strings to the YAML 1.1 resolver
+    text = yaml.safe_dump(BASE)
+    paths = []
+    for i, (tol, k_min, x0) in enumerate([("1e-5", "1e-7", "1e-3"),
+                                          ("0.00001", "0.0000001", "0.001")]):
+        path = tmp_path / f"s{i}.yaml"
+        path.write_text(text.replace("start:\n- 0.0", f"start:\n- {x0}") + "planner:\n"
+                        f"  prerelax_tol: {tol}\n  cond_limit: 1.0e300\n"
+                        f"  stiffness: {{k_min: {k_min}}}\n")
+        paths.append(str(path))
+    exp, dec = (hz.load_scenario(p) for p in paths)
+    assert exp.planner.prerelax_tol == dec.planner.prerelax_tol == 1e-5
+    assert exp.planner.cond_limit == dec.planner.cond_limit == 1e300
+    assert exp.planner.stiffness == dec.planner.stiffness
+    assert dec.planner.stiffness.k_min == 1e-7
+    assert exp.start.tolist() == dec.start.tolist() == [1e-3, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_load_rejects_unknown_override(tmp_path):
@@ -284,38 +307,25 @@ def shipped_plans():
     return out
 
 
-def fused_single_and_stacked(traj, geom, obstacles, params):
-    """The fused pass at every sample: one sample per call, and SAMPLE_BATCH
-    samples per call in the blocks equilibrium_residuals uses."""
-    rows = shape_rows(obstacles)
-    P = traj.gammas.shape[1] // 2
-    n = len(traj.s)
-    one = pl._Evaluator(geom, rows, params.stiffness)
-    single = [pl._fused_derivatives(one, params, traj.z[k], traj.gammas[k, :P],
-                                    traj.gammas[k, P:], traj.u[k]) for k in range(n)]
-    blocks = []
-    for k in range(0, n, hz.SAMPLE_BATCH):
-        blk = slice(k, min(k + hz.SAMPLE_BATCH, n))
-        ev = pl._Evaluator(geom, rows, params.stiffness, blk.stop - k)
-        blocks.append(pl._fused_derivatives(ev, params, traj.z[blk], traj.gammas[blk, :P],
-                                            traj.gammas[blk, P:], traj.u[blk]))
-    return single, blocks
-
-
-@pytest.mark.parametrize("plan_name", ["tree", "empty"])
-def test_stacked_fused_pass_matches_single_calls(shipped_plans, empty_run, plan_name):
-    if plan_name == "tree":
-        s, pr = shipped_plans[("tree", "sq")]
-    else:                               # no obstacles, so no pairs (P = 0)
+@pytest.mark.parametrize("plan_name", ["tree-sq", "tree-ellipse", "pillar-sq",
+                                       "pillar-ellipse", "empty"])
+def test_recorded_residuals_match_fresh_fused_pass(shipped_plans, empty_run, plan_name):
+    # each recorded residual is |dW/dz| at the stored (z, Gamma, u), bit for
+    # bit: the continuation stored the sample its accepting evaluation saw
+    if plan_name == "empty":            # no obstacles, so no pairs (P = 0)
         s, (pr, _, _) = empty_run
-    traj = pr.traj
-    assert len(traj.s) % hz.SAMPLE_BATCH          # the last block is not full
-    single, blocks = fused_single_and_stacked(traj, s.vehicle,
-                                              hz._model_obstacles(s, "sq"), s.planner)
-    for i in range(5):                  # grad_z W, hess_z W, J_eef, grad_Gamma W, W
-        assert np.array_equal(np.concatenate([b[i] for b in blocks]),
-                              np.array([one[i] for one in single]))
-    assert np.array_equal(pr.grad_norms, [np.linalg.norm(one[0]) for one in single])
+        mode = "sq"
+    else:
+        name, mode = plan_name.split("-")
+        s, pr = shipped_plans[(name, mode)]
+    traj, params = pr.traj, s.planner
+    P = traj.gammas.shape[1] // 2
+    rows = shape_rows(hz._model_obstacles(s, mode))
+    fresh = [np.linalg.norm(pl._fused_derivatives(
+        pl._Evaluator(s.vehicle, rows, params.stiffness), params, traj.z[k],
+        traj.gammas[k, :P], traj.gammas[k, P:], traj.u[k])[0]) for k in range(len(traj.s))]
+    assert pr.grad_norms is traj.residuals
+    assert np.array_equal(traj.residuals, fresh)
 
 
 def test_metric_pass_matches_tracker_chain(shipped_plans):
@@ -354,18 +364,38 @@ def test_metrics_file_validation(tmp_path):
         hz.load_metrics(str(p))
 
 
-def test_precision_env_override(monkeypatch):
-    monkeypatch.setenv("AMPLAN_DIGITS", "6")
-    assert hz._fmt(math.pi) == format(math.pi, ".6g")
-    monkeypatch.setenv("AMPLAN_DIGITS", "40")
-    with pytest.raises(hz.HarnessError, match=r"\[1, 17\]"):
-        hz._fmt(math.pi)
-    monkeypatch.setenv("AMPLAN_DIGITS", "abc")
-    with pytest.raises(hz.HarnessError, match="integer"):
-        hz._fmt(math.pi)
-    monkeypatch.delenv("AMPLAN_DIGITS")
+def test_precision_env_override(empty_run, monkeypatch):
+    _, (pr, tel, rep) = empty_run
+    rep = copy.copy(rep)
+    rep.plan_time = math.pi
+    writers = {"metrics": lambda: "\n".join(rep.lines()),
+               "trajectory": lambda: hz.trajectory_csv(pr.traj),
+               "telemetry": lambda: hz.telemetry_csv(tel)}
+
+    class CountingEnviron(dict):
+        reads = 0
+
+        def get(self, key, default=None):
+            CountingEnviron.reads += key == "AMPLAN_DIGITS"
+            return super().get(key, default)
+
+    monkeypatch.setattr(os, "environ", CountingEnviron(os.environ, AMPLAN_DIGITS="6"))
+    assert f"plan_time {format(math.pi, '.6g')}" in writers["metrics"]()
+    for write in writers.values():      # every file reads the variable once
+        before = CountingEnviron.reads
+        row = write().splitlines()[1]
+        assert CountingEnviron.reads == before + 1
+        assert all(v == format(float(v), ".6g") for v in row.split(" ")[-1].split(","))
+    for raw, match in (("40", r"\[1, 17\]"), ("abc", "integer")):
+        os.environ["AMPLAN_DIGITS"] = raw
+        for write in writers.values():
+            with pytest.raises(hz.HarnessError, match=match):
+                write()
+    del os.environ["AMPLAN_DIGITS"]
     x = 0.1 + 0.2
-    assert float(hz._fmt(x)) == x      # 17 significant digits round-trip
+    rep.plan_time = x
+    line = writers["metrics"]().splitlines()[1]
+    assert float(line.split()[1]) == x  # 17 significant digits round-trip
 
 
 def test_metrics_requires_samples():

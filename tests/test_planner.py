@@ -92,7 +92,7 @@ class TestForwardKinematics:
     def test_part_shapes_match_batched_poses(self, rng, monkeypatch):
         # every place the pipeline writes the part rows agrees with the oracle's
         # per-part trigonometry: one z, a 32-sample stack, a tracker refresh and
-        # the part side of the fused pass, for one sample and for a stack
+        # the part side of the fused pass
         geom, params = pl.VehicleGeometry(), pl.PlannerParams()
         obs = [Superquadric2(a1=0.4, a2=0.3, eps=0.5, angle=0.3, center=(1.5, 0.2)),
                Superquadric2(a1=0.3, a2=0.3, eps=1.0, center=(-1.0, 1.0))]
@@ -123,12 +123,9 @@ class TestForwardKinematics:
             return boundary(rows, g, **kw)
 
         monkeypatch.setattr(pl, "_boundary", spy)
-        for zs in (Z[0], Z):
-            B = len(np.atleast_2d(zs))
-            G = np.zeros(B * P)
-            ev = pl._Evaluator(geom, shape_rows(obs), params.stiffness, batch=B)
-            pl._fused_derivatives(ev, params, zs, G, G, geom.forward_kinematics_eef(zs))
-            check(seen.pop()[:, :B * P], Z[:B])
+        G = np.zeros(P)
+        fused(geom, obs, params, Z[0], G, G, geom.forward_kinematics_eef(Z[0]))
+        check(seen.pop()[:, :P], Z[:1])
 
 
 class TestPotential:
@@ -279,15 +276,6 @@ class TestDerivatives:
         assert all(np.all(np.isfinite(a)) for a in outputs)
         assert np.linalg.norm(outputs[3] - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
-    def test_stack_must_match_evaluator_batch(self):
-        geom, params = pl.VehicleGeometry(), pl.PlannerParams()
-        obs = far_obstacle()
-        P = geom.n_parts * len(obs)
-        ev = pl._Evaluator(geom, shape_rows(obs), params.stiffness, batch=2)
-        with pytest.raises(pl.PlannerError, match="built for 2 samples, got 3"):
-            pl._fused_derivatives(ev, params, np.zeros((3, 5)), np.zeros((3, P)),
-                                  np.zeros((3, P)), np.zeros((3, 3)))
-
 
 class TestAttractors:
     def test_normal_flip_toward_heading(self):
@@ -397,23 +385,19 @@ class TestIntegration:
 
     def test_no_pairs_skips_pair_kernels(self, monkeypatch, rng):
         # with no obstacles the fused pass evaluates no proxy, and its outputs,
-        # the plan and the residual check are bit for bit those of running the
-        # pair kernels on the empty pair arrays, as the fused pass once did
+        # the plan and its recorded residuals are bit for bit those of running
+        # the pair kernels on the empty pair arrays, as the fused pass once did
         geom, params = pl.VehicleGeometry(), pl.PlannerParams(n_s=100)
         goal = np.array([2.0, 0.5, 0.3])
 
         def run():
-            out = []
-            for B in (1, 3):
-                ev = pl._Evaluator(geom, shape_rows([]), params.stiffness, B)
-                z = rng.uniform(-1.0, 1.0, (B, 5))
-                u = rng.uniform(-1.0, 1.0, (B, 3))
-                out += pl._fused_derivatives(ev, params, z[0] if B == 1 else z,
-                                             np.zeros((B, 0)), np.zeros((B, 0)),
-                                             u[0] if B == 1 else u)
+            ev = pl._Evaluator(geom, shape_rows([]), params.stiffness)
+            out = list(pl._fused_derivatives(ev, params, rng.uniform(-1.0, 1.0, 5),
+                                             np.zeros(0), np.zeros(0),
+                                             rng.uniform(-1.0, 1.0, 3)))
             traj = pl.integrate_em(geom, [], np.zeros(5), [goal], params)
             return out + [traj.z, traj.eef, traj.u, traj.gammas, np.array(traj.evals),
-                          hz.equilibrium_residuals(traj, geom, [], params)]
+                          traj.residuals]
 
         calls = []
         boundary = pl._boundary
@@ -432,11 +416,10 @@ class TestIntegration:
                 self.P = TruthyZero(self.P)
 
         monkeypatch.setattr(pl, "_Evaluator", PairKernelsOnNoPairs)
-        monkeypatch.setattr(hz, "_Evaluator", PairKernelsOnNoPairs)
         rng.bit_generator.state = state
         kernels = run()
         assert calls
-        assert len(skipped) == len(kernels) == 16
+        assert len(skipped) == len(kernels) == 11
         for a, b in zip(skipped, kernels):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -458,13 +441,13 @@ def pair_stiffness(geom, obs, traj, stiff):
 class TestContinuation:
     @pytest.fixture(scope="class")
     def shipped_plans(self):
-        """(scenario, mode) -> (scenario, PlanResult, single-sample fused calls
-        made while planning: pre-relaxation and continuation)."""
+        """(scenario, mode) -> (scenario, PlanResult, fused calls made while
+        planning: pre-relaxation and continuation)."""
         fused, calls = pl._fused_derivatives, []
 
-        def counting(ev, params, z, *args):
-            calls.append(np.ndim(z) == 1)
-            return fused(ev, params, z, *args)
+        def counting(*args):
+            calls.append(1)
+            return fused(*args)
 
         out = {}
         with pytest.MonkeyPatch.context() as mp:
