@@ -67,6 +67,20 @@ class Superquadric2:
         object.__setattr__(self, "center", center)
 
 
+def radial_excess(eps: float) -> float:
+    """Largest ratio of a planar SQ's boundary radius to max(a1, a2):
+    2^((1 - eps) / 2) for eps < 1, 1 otherwise.
+
+    A boundary point's body radius squared is a1^2 |c|^(2 eps) + a2^2 |s|^(2 eps)
+    <= max(a1, a2)^2 (|c|^(2 eps) + |s|^(2 eps)) with c^2 + s^2 = 1; the sum is at
+    most 1 for eps >= 1 (on the axes) and, t^eps being concave, 2^(1 - eps) for
+    eps < 1 (on the diagonals).  So a circle of radius max(a1, a2) times this
+    contains the shape, and the same-axes ellipse scaled by it does too.
+    Computed in Python floats: numpy's vectorized power may round differently.
+    """
+    return max(1.0, 2.0 ** ((1.0 - float(eps)) / 2.0))
+
+
 @dataclass(frozen=True)
 class StiffnessParams:
     """Bounds and scales of the nonlinear proxy stiffness."""
@@ -196,6 +210,9 @@ class ClosestPairs:
     iterations: np.ndarray
 
 
+# overflow is handled in the solver itself: a non-finite trial is rejected and
+# a non-finite objective raises, so numpy's warnings would only add noise
+@np.errstate(over="ignore", invalid="ignore")
 def closest_pairs(sq_i, sq_j, init=None, tol: float = 1e-8,
                   max_iter: int = 200) -> ClosestPairs:
     """Closest proxy pairs between P shape pairs, solved together.
@@ -210,6 +227,8 @@ def closest_pairs(sq_i, sq_j, init=None, tol: float = 1e-8,
     bit its single-pair result.  A pair converges when its step is below tol
     or its predicted decrease is below the float resolution of f; a pair that
     takes max_iter steps keeps its best iterate and reports converged=False.
+    A non-finite objective or predicted decrease (f overflows far from the
+    origin) raises GeometryError.
     The gap comes from the proxies of each pair's last accepted evaluation;
     it is negative when either proxy lies strictly inside the other shape.
     """
@@ -238,6 +257,11 @@ def closest_pairs(sq_i, sq_j, init=None, tol: float = 1e-8,
     while True:
         s = alpha * _step(ev)
         pred = -(ev[1] * s[0] + ev[2] * s[1])
+        # an overflowed objective gives a NaN step, which no halving would
+        # accept.  Every f * pred is >= 0, so the sum is finite iff each term
+        # is, short of coordinates near 1e100
+        if not math.isfinite(ev[0] @ pred):
+            raise GeometryError("closest-pair objective is not finite")
         done = pending & ((np.hypot(s[0], s[1]) < tol) | (pred <= 1e-14 * ev[0]))
         converged |= done
         pending ^= done

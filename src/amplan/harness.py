@@ -23,10 +23,11 @@ import yaml
 from . import control as ctl
 from . import dynamics as dyn
 from . import voronoi as vor
-from .geometry import Superquadric2, check_numbers, closest_pairs, shape_rows
+from .geometry import (GeometryError, Superquadric2, check_numbers, closest_pairs,
+                       radial_excess, shape_rows)
 from .planner import (PlannedTrajectory, PlannerError, PlannerParams,
                       VehicleGeometry, attractors_from_path, integrate_em, pair_rows,
-                      target_pose)
+                      set_part_poses, target_pose)
 from .qp import ActiveSetSolver
 
 
@@ -45,11 +46,6 @@ _ENV_DIGITS = "AMPLAN_DIGITS"
 # points left by the straight-bisector approximation between unequal shapes
 # (their spread grows with shape disparity; well below any edge length here).
 GRAPH_SNAP = 0.15
-
-# Trajectory samples scored per closest_pairs call by the metric pass.  Blocks
-# of 64 and 128 measured no clear gain, since the closest-pair rounds drop a
-# block's converged pairs once three quarters of them are done.
-SAMPLE_BATCH = 32
 
 
 def _float_spec() -> str:
@@ -146,8 +142,12 @@ class Scenario:
             raise ScenarioError(str(exc)) from exc
 
     def _check_start_clear(self):
-        hit = np.flatnonzero(closest_pairs(
-            *pair_rows(self.vehicle, shape_rows(self.obstacles), self.start)).gap <= 0.0)
+        try:
+            gap = closest_pairs(*pair_rows(self.vehicle, shape_rows(self.obstacles),
+                                           self.start)).gap
+        except GeometryError as exc:
+            raise ScenarioError(f"start: {exc}") from exc
+        hit = np.flatnonzero(gap <= 0.0)
         if hit.size:
             p, o = divmod(int(hit[0]), len(self.obstacles))
             raise ScenarioError(f"start: vehicle part {p} collides with obstacles[{o}]")
@@ -254,12 +254,12 @@ def ellipse_obstacles(obstacles: list) -> list:
     """Circumscribing-ellipse model of each obstacle (exponent 1, same center).
 
     The semi-axes are scaled by the shape's maximal radial excess over the
-    same-axes ellipse, 2^((1 - eps) / 2) for eps < 1, so the ellipse contains
-    the original shape and touches it along the diagonals.
+    same-axes ellipse (geometry.radial_excess), so the ellipse contains the
+    original shape and, for eps < 1, touches it along the diagonals.
     """
     out = []
     for sq in obstacles:
-        scale = max(1.0, 2.0 ** ((1.0 - sq.eps) / 2.0))
+        scale = radial_excess(sq.eps)
         out.append(Superquadric2(a1=sq.a1 * scale, a2=sq.a2 * scale, eps=1.0,
                                  angle=sq.angle, center=sq.center))
     return out
@@ -445,20 +445,51 @@ def min_distance_profile(traj: PlannedTrajectory, geom: VehicleGeometry,
     """Min signed gap between any vehicle part and any obstacle per sample.
 
     Always evaluated against the shapes passed in (the caller supplies the
-    original obstacle set, regardless of the planning mode).  The pairs of
-    SAMPLE_BATCH samples at a time are solved in one cold-started
-    closest_pairs call: each pair starts from its center-to-center direction,
-    with no warm start from the previous sample.
+    original obstacle set, regardless of the planning mode).  Every solved
+    pair is cold-started from its center-to-center direction, with no warm
+    start from the previous sample; closest_pairs never mixes pairs, so each
+    gets bit for bit the gap of solving it alone.
+
+    Only the pairs that can hold a sample's minimum are solved.  Each pair has
+    the lower bound lb = |c_part - c_obs| - R_part - R_obs on its distance, R
+    being the shapes' bounding radii (geometry.radial_excess), less a few ulp
+    of the scene's scale so that rounding cannot reverse a comparison.  One
+    call solves the smallest-lb pair of every sample, giving its gap g1; a
+    second solves the other pairs with lb <= max(g1, 0).  A pruned pair has
+    lb > max(g1, 0), so its bounding circles are disjoint and its gap, the
+    distance between two boundary points, is at least lb: above the sample's
+    minimum.  The profile is bit for bit that of solving all pairs.
     """
     n = len(traj.s)
     if not obstacles:
         return np.full(n, math.inf)
     obs_rows = shape_rows(obstacles)
-    out = np.empty(n)
-    for k in range(0, n, SAMPLE_BATCH):
-        z = traj.z[k:k + SAMPLE_BATCH]
-        gap = closest_pairs(*pair_rows(geom, obs_rows, z)).gap
-        out[k:k + len(z)] = gap.reshape(len(z), -1).min(axis=1)
+    n_parts, n_obs = geom.n_parts, obs_rows.shape[1]
+    # the parts' rows at every sample, one block of n_parts columns per sample
+    parts = np.vstack([np.tile(geom.part_axes, n), np.empty((4, n_parts * n))])
+    set_part_poses(parts, geom, np.arange(n_parts), traj.z)
+
+    def radius(rows):
+        return np.maximum(rows[0], rows[1]) * [radial_excess(e) for e in rows[2]]
+
+    r_part, r_obs = radius(geom.part_axes), radius(obs_rows)
+    centers = parts[5:].reshape(2, n, n_parts, 1)
+    slack = 32.0 * np.finfo(float).eps * (np.abs(centers).max() + np.abs(obs_rows[5:]).max()
+                                          + r_part.max() + r_obs.max())
+    # (n, pairs) in planner.pair_index order
+    lb = (np.hypot(*(centers - obs_rows[5:, None, None]))
+          - (r_part[:, None] + r_obs) - slack).reshape(n, -1)
+
+    def gaps(sample, pair):
+        part, obs = np.divmod(pair, n_obs)
+        return closest_pairs(parts[:, sample * n_parts + part], obs_rows[:, obs]).gap
+
+    samples = np.arange(n)
+    first = lb.argmin(axis=1)
+    out = gaps(samples, first)
+    lb[samples, first] = np.inf
+    sample, pair = np.nonzero(lb <= np.maximum(out, 0.0)[:, None])
+    np.minimum.at(out, sample, gaps(sample, pair))
     return out
 
 

@@ -5,9 +5,12 @@ superquadric boundaries, inside-outside values and the obstacle extrusion
 come from their closed forms written out here, gaps from dense boundary
 sampling, path costs from exhaustive enumeration, QP optima from trying every
 active subset as an equality system, and vehicle part poses from per-part
-trigonometry rather than the joint frames.  The few helpers only the tests
-need (a cold QP solve, KKT residuals, the observer's settling time, the hover
-thrust, a polygon's area) live here too.
+trigonometry rather than the joint frames.  The one exception is the dense
+metric pass, which solves every part/obstacle pair with the library's own
+closest-pair kernel: it checks the pruning of harness.min_distance_profile,
+not the solver.  The few helpers only the tests need (a cold QP solve, KKT
+residuals, the observer's settling time, the hover thrust, a polygon's area)
+live here too.
 """
 
 import itertools
@@ -17,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from amplan.geometry import Superquadric2
+from amplan.geometry import Superquadric2, closest_pairs, shape_rows
+from amplan.planner import pair_rows
 from amplan.qp import ActiveSetSolver
 
 
@@ -158,6 +162,25 @@ def part_superquadrics(geom, z):
     return [Superquadric2(a1=a1[k], a2=a2[k], eps=eps[k], angle=float(angles[k]),
                           center=tuple(centers[k]))
             for k in range(geom.n_parts)]
+
+
+# trajectory samples whose pairs the dense metric pass solves per closest_pairs call
+DENSE_BATCH = 32
+
+
+def dense_min_distance_profile(z, geom, obstacles):
+    """Min signed gap over all part/obstacle pairs at each sample of z (B, 5),
+    every pair solved cold, DENSE_BATCH samples per call; inf with no obstacles."""
+    z = np.asarray(z, dtype=float)
+    if not obstacles:
+        return np.full(len(z), math.inf)
+    obs_rows = shape_rows(obstacles)
+    out = np.empty(len(z))
+    for k in range(0, len(z), DENSE_BATCH):
+        block = z[k:k + DENSE_BATCH]
+        gap = closest_pairs(*pair_rows(geom, obs_rows, block)).gap
+        out[k:k + len(block)] = gap.reshape(len(block), -1).min(axis=1)
+    return out
 
 
 def enumerate_shortest_path(nodes, edges, src, dst):

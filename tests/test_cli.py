@@ -11,7 +11,7 @@ import yaml
 from amplan import cli
 from amplan.geometry import StiffnessParams
 
-from test_harness import EMPTY, SCENARIO_DIR, write_scenario
+from test_harness import BASE, EMPTY, SCENARIO_DIR, write_scenario
 
 
 @pytest.fixture()
@@ -122,6 +122,31 @@ def test_non_numeric_value_exit_3(simulated, tmp_path, capsys, fname):
     (out / fname).write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert cli.main(["metrics", "--scenario", scenario, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_overflowing_start_exit_2(tmp_path, no_planning, capsys):
+    # so far out that the closest-pair objective overflows; its check used to
+    # backtrack forever
+    data = copy.deepcopy(BASE)
+    data["start"] = [1.0e300, 0.0, 0.0, 0.0, 0.0]
+    assert cli.main(["plan", "--scenario", write_scenario(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: start:")
+
+
+def test_overflowing_trajectory_sample_exit_2(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert cli.main(["plan", "--scenario", scenario, "--ns", "20", "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    row = lines[5].split(",")
+    row[1] = "1e300"                    # the vehicle's x, not the end effector's
+    lines[5] = ",".join(row)
+    (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["metrics", "--scenario", scenario, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:")
 

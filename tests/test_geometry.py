@@ -205,6 +205,16 @@ class TestClosestPair:
             assert abs(gap - oracle) <= max(1e-3, 0.005 * abs(oracle))
         assert not np.any(res.converged & (res.iterations == 200))
 
+    def test_overflowing_objective_raises(self):
+        # f = |p_i - p_j|^2 overflows to inf and the Newton step to NaN, which no
+        # halving of the step accepts; a finite pair in the same batch does not help
+        far = Superquadric2(1, 1, 1.0, center=(1e300, 0))
+        a = Superquadric2(1, 1, 1.0, center=(0, 0))
+        b = Superquadric2(1, 1, 1.0, center=(3, 0))
+        for side_i, side_j in (([far], [a]), ([a, far], [b, a])):
+            with pytest.raises(GeometryError, match="not finite"):
+                solve(side_i, side_j)
+
     def test_unconverged_flag(self):
         a = Superquadric2(1, 1, 1.0, center=(0, 0))
         b = Superquadric2(1, 1, 1.0, center=(3, 0))
@@ -304,6 +314,29 @@ class TestBatching:
         inside = [sq2_inside_outside(a, pj[:, k]) < 0.0 or sq2_inside_outside(b, pi[:, k]) < 0.0
                   for k, (a, b) in enumerate(pairs)]
         assert np.array_equal(res.gap < 0.0, inside)
+
+
+class TestBoundingRadius:
+    """max(a1, a2) radial_excess(eps) bounds every boundary point's distance
+    from the center, and no smaller radius does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(a1=st.floats(0.05, 2.0), a2=st.floats(0.05, 2.0),
+           eps=st.floats(0.0, 2.0, exclude_min=True), angle=st.floats(-math.pi, math.pi))
+    def test_circle_contains_shape_and_touches_it(self, a1, a2, eps, angle):
+        center = (0.3, -0.7)
+        radius = max(a1, a2) * geometry.radial_excess(eps)
+        pts = sq2_boundary_samples(Superquadric2(a1, a2, eps, angle, center), 2000) - center
+        assert np.hypot(pts[:, 0], pts[:, 1]).max() <= radius + 1e-12
+        # attained on the diagonal of an equal-axes shape when eps < 1, at the
+        # tip of the major axis when eps >= 1
+        if eps < 1.0:
+            a = max(a1, a2)
+            tip = sq2_boundary(Superquadric2(a, a, eps, angle, center), math.pi / 4.0)
+        else:
+            tip = sq2_boundary(Superquadric2(a1, a2, eps, angle, center),
+                               0.0 if a1 >= a2 else math.pi / 2.0)
+        assert abs(math.hypot(*(tip - center)) - radius) <= 1e-12
 
 
 class TestBoundaryConsistency:

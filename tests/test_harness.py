@@ -14,7 +14,8 @@ from amplan import planner as pl
 from amplan.geometry import Superquadric2, shape_rows
 from amplan.planner import PlannedTrajectory, VehicleGeometry
 
-from oracles import part_superquadrics, sq2_boundary, sq2_boundary_samples, sq2_inside_outside
+from oracles import (dense_min_distance_profile, part_superquadrics, sq2_boundary,
+                     sq2_boundary_samples, sq2_inside_outside)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -329,14 +330,43 @@ def test_recorded_residuals_match_fresh_fused_pass(shipped_plans, empty_run, pla
 
 
 def test_metric_pass_matches_tracker_chain(shipped_plans):
-    # cold-started blocks against the tracker warm-started sample to sample
-    assert any(len(pr.traj.s) % hz.SAMPLE_BATCH for _, pr in shipped_plans.values())
+    # cold-started pairs against the tracker warm-started sample to sample
     for s, pr in shipped_plans.values():
         tracker = ctl.ProxyTracker(s.vehicle, list(s.obstacles))
         chain = [tracker.refresh(np.array([z[0], z[1], 0.0, 0.0, 0.0, z[2]]),
                                  np.array([z[3], 0.0, z[4]])).min() for z in pr.traj.z]
         batched = hz.min_distance_profile(pr.traj, s.vehicle, s.obstacles)
         np.testing.assert_allclose(batched, chain, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("plan_name", ["tree-sq", "tree-ellipse", "pillar-sq",
+                                       "pillar-ellipse"])
+def test_metric_pass_matches_dense_oracle(shipped_plans, plan_name):
+    # the pruned pass gives the profile of solving every pair, bit for bit
+    s, pr = shipped_plans[tuple(plan_name.split("-"))]
+    profile = hz.min_distance_profile(pr.traj, s.vehicle, s.obstacles)
+    assert np.array_equal(profile, dense_min_distance_profile(pr.traj.z, s.vehicle,
+                                                              s.obstacles))
+
+
+def test_metric_pass_matches_dense_oracle_on_random_stacks():
+    # random obstacles and configurations among them, so that some samples
+    # penetrate (the max(g1, 0) branch of the pruning)
+    rng = np.random.default_rng(14)
+    geom = VehicleGeometry()
+    signs = np.zeros(2, dtype=int)
+    for _ in range(5):
+        obstacles = [Superquadric2(a1=rng.uniform(0.1, 0.5), a2=rng.uniform(0.1, 0.5),
+                                   eps=rng.uniform(0.2, 2.0), angle=rng.uniform(-math.pi, math.pi),
+                                   center=tuple(rng.uniform(-1.5, 1.5, 2)))
+                     for _ in range(int(rng.integers(1, 7)))]
+        z = np.column_stack([rng.uniform(-1.5, 1.5, (40, 2)),
+                             rng.uniform(-math.pi, math.pi, (40, 3))])
+        dense = dense_min_distance_profile(z, geom, obstacles)
+        profile = hz.min_distance_profile(_traj_from_xy(z[:, :2], z), geom, obstacles)
+        assert np.array_equal(profile, dense)
+        signs += [(dense < 0.0).sum(), (dense > 0.0).sum()]
+    assert (signs >= 50).all()
 
 
 def test_csv_column_validation(empty_run, tmp_path):
