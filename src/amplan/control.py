@@ -14,11 +14,13 @@ every planar obstacle to a vertical 3D superquadric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import dynamics as dyn
-from .geometry import check_numbers, closest_pairs, shape_rows, signed_pow
+from .geometry import (bounding_radius, center_angles, check_numbers, closest_pairs,
+                       shape_rows, signed_pow)
 from .planner import VehicleGeometry, pair_index, pair_rows, set_part_poses
 from .qp import ActiveSetSolver, QpProblem
 
@@ -185,26 +187,28 @@ _MOVES = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
 _AXIS_PIVOT = np.array([0, 0, 0, 1, 2, 2])
 
 
-def proxy_points(barriers: PairBarriers, gammas, q, theta):
-    """World proxy points X (P, 3) of every pair's part at planar proxy angles
-    gammas, and the (pivots, rotations) of the base, shoulder and forearm
-    frames: pivots at the base center, arm base and elbow; the shoulder turns
-    by th1 about z, the forearm by th2 about y, then by th3 about z."""
-    geom = barriers.tracker.geom
+def vehicle_frames(geom: VehicleGeometry, q, theta):
+    """(pivots, rotations) of the base, shoulder and forearm frames: pivots at
+    the base center, arm base and elbow; the shoulder turns by th1 about z,
+    the forearm by th2 about y, then by th3 about z."""
     R0 = dyn.rotation(q[3:])
     R1 = R0 @ dyn.rotation((0.0, 0.0, theta[0]))
     # Ry(th2) Rz(th3) is the transpose of the ZYX rotation of (0, -th2, -th3)
     R2 = R1 @ dyn.rotation((0.0, -theta[1], -theta[2])).T
     p1 = q[:3] + geom.arm_base_offset * R0[:, 0]
-    pivots, rotations = np.array([q[:3], p1, p1 + geom.l1 * R1[:, 0]]), np.array([R0, R1, R2])
+    return np.array([q[:3], p1, p1 + geom.l1 * R1[:, 0]]), np.array([R0, R1, R2])
 
-    a1, a2, eps = barriers.part_axes
-    body = barriers.part_offsets.copy()
+
+def proxy_points(barriers: PairBarriers, gammas, frames, pairs):
+    """World proxy points X (K, 3) of the parts of pairs (an index array of K
+    pairs) at planar proxy angles gammas (K,), in the vehicle_frames frames."""
+    pivots, rotations = frames
+    a1, a2, eps = barriers.part_axes[:, pairs]
+    body = barriers.part_offsets[pairs]
     body[:, 0] += a1 * signed_pow(np.cos(gammas), eps)
     body[:, 1] += a2 * signed_pow(np.sin(gammas), eps)
-    link = barriers.link
-    X = pivots[link] + np.einsum("pij,pj->pi", rotations[link], body)
-    return X, (pivots, rotations)
+    link = barriers.link[pairs]
+    return pivots[link] + np.einsum("pij,pj->pi", rotations[link], body)
 
 
 def _rigid_accel(acc, alpha, omega, r):
@@ -320,9 +324,13 @@ class ProxyTracker:
     obstacle oi) pairs, in planner.pair_index order; gammas[0] is the part side.
 
     The planner.pair_rows sides are built once; each refresh rewrites the part
-    poses (planner.set_part_poses) and solves all pairs in one closest_pairs
-    call, started from the previous refresh's angles (center-to-center
-    directions on the first call).
+    poses (planner.set_part_poses) and solves the pairs it is given in one
+    closest_pairs call.  gammas holds the angles of the pairs the last refresh
+    solved and NaN for every other pair (cbf_rows also clears them on a tick
+    that refreshes no pair): a pair with angles starts from them, any other
+    from its center-to-center directions (geometry.center_angles).
+    closest_pairs never mixes pairs, so which pairs share a call does not
+    change any pair's result.
     """
 
     geom: VehicleGeometry
@@ -331,21 +339,31 @@ class ProxyTracker:
     def __post_init__(self):
         self.pi, self.oi = pair_index(self.geom.n_parts, len(self.obstacles))
         self.sides = pair_rows(self.geom, shape_rows(self.obstacles), np.zeros(5))
-        self.gammas = None
+        self.gammas = np.full((2, self.pi.size), np.nan)
 
-    def refresh(self, q, theta):
-        """Re-solve the planar closest pairs at the current pose; returns the
-        signed gap of every pair."""
-        if self.pi.size == 0:
+    def refresh(self, q, theta, pairs=None):
+        """Re-solve the planar closest pairs of pairs (an index array; every
+        pair when None) at the current pose; returns their signed gaps."""
+        if pairs is None:
+            pairs = np.arange(self.pi.size)
+        if pairs.size == 0:
             return np.zeros(0)
         set_part_poses(self.sides[0], self.geom, self.pi, [q[0], q[1], q[5], theta[0], theta[2]])
-        res = closest_pairs(*self.sides, init=self.gammas)
-        self.gammas = res.gammas
+        sides = [side[:, pairs] for side in self.sides]
+        last = self.gammas[:, pairs]
+        res = closest_pairs(*sides, init=np.where(np.isnan(last), center_angles(*sides), last))
+        self.gammas.fill(np.nan)
+        self.gammas[:, pairs] = res.gammas
         return res.gap
 
 
 # exponent of the vertical profile of every extruded obstacle
 EXTRUDE_EPS1 = 0.1
+
+
+# h_bounds' rounding slack per unit of scene scale, and its floor on rho / r_obs
+_ULPS = 32.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -356,7 +374,8 @@ class PairBarriers:
     obstacle extruded to a vertical 3D superquadric of the given height
     standing on z = 0: rotation and translation, semi-axes a1, a2 and
     exponent eps2 of the planar shape, a3 of half the height, and exponent
-    eps1 = EXTRUDE_EPS1.
+    eps1 = EXTRUDE_EPS1.  h_bounds also uses the bounding radii r_part and
+    r_obs of the pair's planar part and obstacle (geometry.bounding_radius).
     """
 
     tracker: ProxyTracker
@@ -374,6 +393,38 @@ class PairBarriers:
         self.a3 = np.full(oi.size, self.height / 2.0)
         self.eps1 = np.full(oi.size, EXTRUDE_EPS1)
         self.translation = np.column_stack([cx, cy, self.a3])
+        self.r_part = bounding_radius(*self.part_axes)
+        self.r_obs = bounding_radius(self.a1, self.a2, self.eps2)
+        # the frame-independent share of h_bounds' rounding slack
+        self._scale = (np.abs(self.translation[:, :2]).max(initial=0.0)
+                       + self.r_part.max(initial=0.0) + self.r_obs.max(initial=0.0))
+
+    def shapes(self, pairs):
+        """The extruded obstacles of pairs (an index array), as h_co takes them."""
+        return SimpleNamespace(a1=self.a1[pairs], a2=self.a2[pairs], a3=self.a3[pairs],
+                               eps1=self.eps1[pairs], eps2=self.eps2[pairs])
+
+    def h_bounds(self, frames):
+        """A lower bound on every pair's h at any proxy angle, in the
+        vehicle_frames frames: (2 / EXTRUDE_EPS1) log(rho / r_obs), with
+        rho / r_obs floored at the smallest normal float (below -14000).
+
+        A part's boundary points lie within r_part of its center C, tilt
+        included, so their horizontal distance from the obstacle's axis is at
+        least rho = |C_xy - c_obs| - r_part.  The planar bracket u is
+        homogeneous and its level set u = 1 lies within r_obs of the axis, so
+        u >= (rho / r_obs)^(2 / eps2), and the extruded bracket is at least
+        u^(eps2 / eps1).  rho is lowered by a few ulp of the scene's scale so
+        that rounding cannot lift the bound above the h computed at a proxy.
+        """
+        pivots, rotations = frames
+        link = self.tracker.geom.part_links
+        centers = pivots[link, :2] + np.einsum("pij,pj->pi", rotations[link, :2, :2],
+                                               self.tracker.geom.part_offsets)
+        d = centers[self.tracker.pi] - self.translation[:, :2]
+        slack = _ULPS * (np.abs(centers).max() + self._scale)
+        rho = np.hypot(d[:, 0], d[:, 1]) - self.r_part - slack
+        return (2.0 / EXTRUDE_EPS1) * np.log(np.maximum(rho / self.r_obs, _TINY))
 
 
 # Pairs with h above this emit no row: their obstacle is far (e^4 is about 55
@@ -384,29 +435,43 @@ H_CULL = 4.0
 def cbf_rows(barriers: PairBarriers, q, qdot, theta, thetadot, q_d, gains: GainSet,
              safety: SafetyParams):
     """HOCBF rows A x <= b for the outer-loop decision x = [qdot_d; thetaddot_d],
-    and the barrier value h of every pair, at the part-side angles of
-    barriers.tracker.
+    and a value of h for every pair.
+
+    Each tick first bounds every pair's h from below (PairBarriers.h_bounds).
+    A pair whose bound exceeds H_CULL is far: it could emit no row at any
+    proxy angle, so it gets no proxy refresh and no barrier pass, and its
+    value is the bound.  The near pairs are refreshed (ProxyTracker.refresh)
+    and their value is h at the refreshed part-side angles; those with
+    h <= H_CULL become rows, in pair order.
 
     Under the inner loop the base acceleration is Kd (qdot_d - qdot) +
     Kp (q_d - q) and the arm tracks thetaddot_d directly, so the second
-    barrier derivative is affine in x.  Only pairs with h <= H_CULL become
-    rows, in pair order.
+    barrier derivative is affine in x.
     """
-    if barriers.tracker.pi.size == 0:
+    tracker = barriers.tracker
+    if tracker.pi.size == 0:
         return np.zeros((0, 9)), np.zeros(0), np.zeros(0)
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    X, frames = proxy_points(barriers, barriers.tracker.gammas[0], q, theta)
-    dx = np.einsum("pji,pj->pi", barriers.rotation, X - barriers.translation)
-    h = h_co(dx, barriers)
-    rows = np.flatnonzero(h <= H_CULL)
-    if rows.size == 0:
+    frames = vehicle_frames(tracker.geom, q, theta)
+    h = barriers.h_bounds(frames)
+    near = np.flatnonzero(h <= H_CULL)
+    if near.size == 0:
+        # no pair keeps its angles, as after a refresh of no pair
+        tracker.gammas.fill(np.nan)
         return np.zeros((0, 9)), np.zeros(0), h
-    _, grad, hess = h_co_derivs(dx, barriers)
-    grad, hess = grad[rows], hess[rows]
+    tracker.refresh(q, theta, near)
+    X = proxy_points(barriers, tracker.gammas[0, near], frames, near)
+    dx = np.einsum("pji,pj->pi", barriers.rotation[near], X - barriers.translation[near])
+    h[near] = h_co(dx, barriers.shapes(near))
+    keep = np.flatnonzero(h[near] <= H_CULL)
+    if keep.size == 0:
+        return np.zeros((0, 9)), np.zeros(0), h
+    rows = near[keep]
+    _, grad, hess = h_co_derivs(dx[keep], barriers.shapes(rows))
 
     v = np.concatenate([qdot, thetadot])
-    J, jdv = proxy_jacobians(frames, barriers.link[rows], X[rows], q[3:], v)
+    J, jdv = proxy_jacobians(frames, barriers.link[rows], X[keep], q[3:], v)
     RT = barriers.rotation[rows].transpose(0, 2, 1)
     A_dx = RT @ J
     dxdot = A_dx @ v

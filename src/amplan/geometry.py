@@ -81,6 +81,12 @@ def radial_excess(eps: float) -> float:
     return max(1.0, 2.0 ** ((1.0 - float(eps)) / 2.0))
 
 
+def bounding_radius(a1, a2, eps) -> np.ndarray:
+    """Radius max(a1, a2) radial_excess(eps) of the circle about each planar
+    SQ's center that contains it, for arrays of semi-axes and exponents."""
+    return np.maximum(a1, a2) * [radial_excess(e) for e in eps]
+
+
 @dataclass(frozen=True)
 class StiffnessParams:
     """Bounds and scales of the nonlinear proxy stiffness."""
@@ -199,6 +205,17 @@ def _inside_outside(rows, pts):
             + np.abs((ca * dy - sa * dx) / a2) ** (2.0 / eps) - 1.0)
 
 
+def center_angles(sq_i, sq_j) -> np.ndarray:
+    """Proxy angles (2, P) of the center-to-center direction of each pair in
+    each shape's body frame, the cold start of closest_pairs; sq_i and sq_j
+    as there."""
+    _, _, _, ca, sa, cx, cy = np.concatenate([sq_i, sq_j], axis=1)
+    P = cx.size // 2
+    d = np.array([cx[P:] - cx[:P], cy[P:] - cy[:P]])
+    dx, dy = np.concatenate([d, -d], axis=1)
+    return np.arctan2(ca * dy - sa * dx, ca * dx + sa * dy).reshape(2, P)
+
+
 @dataclass(frozen=True)
 class ClosestPairs:
     """Per-pair results of closest_pairs: proxy angles (2, P), signed gap,
@@ -236,13 +253,7 @@ def closest_pairs(sq_i, sq_j, init=None, tol: float = 1e-8,
     if not np.isfinite(rows).all():
         raise GeometryError("non-finite shape parameters")
     P = rows.shape[1] // 2
-    if init is None:
-        _, _, _, ca, sa, cx, cy = rows
-        d = np.array([cx[P:] - cx[:P], cy[P:] - cy[:P]])
-        dx, dy = np.concatenate([d, -d], axis=1)
-        g = np.arctan2(ca * dy - sa * dx, ca * dx + sa * dy).reshape(2, P)
-    else:
-        g = np.array(init, dtype=float).reshape(2, P)
+    g = np.array(center_angles(sq_i, sq_j) if init is None else init, dtype=float).reshape(2, P)
     if not np.isfinite(g).all():
         raise GeometryError("non-finite proxy initialization")
 

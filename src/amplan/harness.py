@@ -23,8 +23,8 @@ import yaml
 from . import control as ctl
 from . import dynamics as dyn
 from . import voronoi as vor
-from .geometry import (GeometryError, Superquadric2, check_numbers, closest_pairs,
-                       radial_excess, shape_rows)
+from .geometry import (GeometryError, Superquadric2, bounding_radius, check_numbers,
+                       closest_pairs, radial_excess, shape_rows)
 from .planner import (PlannedTrajectory, PlannerError, PlannerParams,
                       VehicleGeometry, attractors_from_path, integrate_em, pair_rows,
                       set_part_poses, target_pose)
@@ -336,18 +336,41 @@ def _dob_rest_state(q, model: dyn.ModelTerms) -> ctl.DobState:
     return state
 
 
+# bytes that each tick holds until its mission ends: the Telemetry row (35
+# floats and a flag) and the wind-noise row (6 floats)
+_TICK_BYTES = 41 * 8 + 1
+
+
+def _physical_memory() -> float:
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def mission_ticks(s: Scenario) -> int:
+    """Control ticks of s's mission; raises ScenarioError, before anything is
+    allocated, when their per-tick arrays exceed the machine's memory."""
+    n = int(round((s.settle_time + s.duration) / s.dt))
+    need, have = n * _TICK_BYTES, _physical_memory()
+    if need > have:
+        raise ScenarioError(f"duration: {n} ticks need {need / 1e9:.3g} GB of per-tick "
+                            f"arrays, more than the {have / 1e9:.3g} GB of memory")
+    return n
+
+
 def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
              seed: int | None = None) -> Telemetry:
     """Run the full mission: hover settle phase, then trajectory tracking.
 
-    Each tick: observer update, proxy refresh, constraint rows, outer-loop QP,
-    inner-loop thrust from the pre-update references (so the thrust-band rows
-    are exact), then reference integration and one plant step.
+    Each tick: observer update, constraint rows (the barrier rows refresh the
+    proxies of the pairs near an obstacle), outer-loop QP, inner-loop thrust
+    from the pre-update references (so the thrust-band rows are exact), then
+    reference integration and one plant step.
     """
     gains, safety, model = s.gains, s.safety, s.model
-    obstacles2d = _model_obstacles(s, mode)
-    tracker = ctl.ProxyTracker(s.vehicle, obstacles2d)
-    barriers = ctl.PairBarriers(tracker, safety.obstacle_height)
+    barriers = ctl.PairBarriers(ctl.ProxyTracker(s.vehicle, _model_obstacles(s, mode)),
+                                safety.obstacle_height)
     solver = ActiveSetSolver()
 
     q0 = np.array([s.start[0], s.start[1], s.flight_height, 0.0, 0.0, s.start[2]])
@@ -362,7 +385,7 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
     prev_x = None
 
     dt = s.dt
-    n = int(round((s.settle_time + s.duration) / dt))
+    n = mission_ticks(s)
     noise = np.zeros((n, 6))
     if s.wind.noise_std > 0.0:
         rng = np.random.default_rng(0 if seed is None else seed)
@@ -383,7 +406,6 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
         else:
             q_t, theta_t = target_pose(traj, t - s.settle_time, s.duration,
                                        s.flight_height)
-        tracker.refresh(state.q, state.theta)
         A1, b1 = ctl.thrust_limit_rows(q_d, state.q, state.qdot, d_hat, terms,
                                        gains, safety.t_min, safety.t_max)
         A2, b2, h_vals = ctl.cbf_rows(barriers, state.q, state.qdot, state.theta,
@@ -452,7 +474,7 @@ def min_distance_profile(traj: PlannedTrajectory, geom: VehicleGeometry,
 
     Only the pairs that can hold a sample's minimum are solved.  Each pair has
     the lower bound lb = |c_part - c_obs| - R_part - R_obs on its distance, R
-    being the shapes' bounding radii (geometry.radial_excess), less a few ulp
+    being the shapes' bounding radii (geometry.bounding_radius), less a few ulp
     of the scene's scale so that rounding cannot reverse a comparison.  One
     call solves the smallest-lb pair of every sample, giving its gap g1; a
     second solves the other pairs with lb <= max(g1, 0).  A pruned pair has
@@ -469,10 +491,7 @@ def min_distance_profile(traj: PlannedTrajectory, geom: VehicleGeometry,
     parts = np.vstack([np.tile(geom.part_axes, n), np.empty((4, n_parts * n))])
     set_part_poses(parts, geom, np.arange(n_parts), traj.z)
 
-    def radius(rows):
-        return np.maximum(rows[0], rows[1]) * [radial_excess(e) for e in rows[2]]
-
-    r_part, r_obs = radius(geom.part_axes), radius(obs_rows)
+    r_part, r_obs = bounding_radius(*geom.part_axes), bounding_radius(*obs_rows[:3])
     centers = parts[5:].reshape(2, n, n_parts, 1)
     slack = 32.0 * np.finfo(float).eps * (np.abs(centers).max() + np.abs(obs_rows[5:]).max()
                                           + r_part.max() + r_obs.max())
@@ -526,7 +545,9 @@ def metrics(traj: PlannedTrajectory, telemetry: Telemetry | None, s: Scenario,
 
 
 def run_pipeline(s: Scenario, mode: str = "sq", seed: int | None = None):
-    """Plan, simulate and score a scenario; returns (PlanResult, Telemetry, report)."""
+    """Plan, simulate and score a scenario; returns (PlanResult, Telemetry, report).
+    A mission too long to hold fails before the plan."""
+    mission_ticks(s)
     pr = plan(s, mode)
     tel = simulate(s, pr.traj, mode, seed=seed)
     report = metrics(pr.traj, tel, s, pr.plan_time)

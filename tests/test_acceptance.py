@@ -359,10 +359,12 @@ def test_criterion_8_derivative_suite():
             gammas = np.full(P, gamma)
 
             def h_of(v):
-                X, _ = ctl.proxy_points(barriers, gammas, v[:6], v[6:])
+                X = ctl.proxy_points(barriers, gammas, ctl.vehicle_frames(geom, v[:6], v[6:]),
+                                     np.arange(P))
                 return ctl.h_co(obstacle_frame(barriers, X), barriers)[part]
 
-            X, _ = ctl.proxy_points(barriers, gammas, v0[:6], v0[6:])
+            X = ctl.proxy_points(barriers, gammas, ctl.vehicle_frames(geom, v0[:6], v0[6:]),
+                                 np.arange(P))
             dx = obstacle_frame(barriers, X)
             np.testing.assert_allclose(dx[part], [*off, height / 4.0], rtol=0, atol=1e-12)
             grad = ctl.h_co_derivs(dx, barriers)[1][part]

@@ -164,6 +164,18 @@ def test_dt_above_plant_limit_exit_2_before_planning(empty_yaml, no_planning, ca
     assert err.count("\n") == 1 and err.startswith("error: dt")
 
 
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_mission_too_long_to_hold_exit_2_before_planning(tmp_path, no_planning, capsys,
+                                                         command):
+    # 2e11 ticks: far more telemetry than any machine's memory holds, so no
+    # array is allocated
+    data = copy.deepcopy(EMPTY)
+    data["duration"] = 1e9
+    assert cli.main([command, "--scenario", write_scenario(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: duration: 200000000100 ticks")
+
+
 @pytest.mark.parametrize("command", ["plan", "simulate", "bench"])
 @pytest.mark.parametrize("ns", ["1", "0"])
 def test_ns_below_2_exit_2_before_planning(empty_yaml, no_planning, capsys, command, ns):

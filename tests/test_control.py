@@ -3,12 +3,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amplan import control as ctl
 from amplan import dynamics as dyn
 from amplan import harness as hz
 from amplan.geometry import Superquadric2, closest_pairs, shape_rows
-from amplan.planner import VehicleGeometry, pair_rows
+from amplan.planner import VehicleGeometry, pair_index, pair_rows
 from amplan.qp import MAX_ROWS, ActiveSetSolver, QpDimensionError, QpProblem
 
 from oracles import extrude, hover_thrust, part_superquadrics, qp_enumeration
@@ -268,16 +269,19 @@ def pair_barriers(geom, obstacles, height):
     return ctl.PairBarriers(ctl.ProxyTracker(geom, obstacles), height)
 
 
-def obstacle_frame(barriers, X):
-    """Points X (..., P, 3) in the obstacle frame of each pair, as cbf_rows maps them."""
-    return np.einsum("pji,...pj->...pi", barriers.rotation, X - barriers.translation)
+def obstacle_frame(barriers, X, pairs=slice(None)):
+    """Points X (..., K, 3) in the obstacle frame of each of the K pairs (all
+    of them by default), as cbf_rows maps them."""
+    return np.einsum("pji,...pj->...pi", barriers.rotation[pairs],
+                     X - barriers.translation[pairs])
 
 
 def proxy_kinematics(geom, part, gamma, q, theta, qdot=np.zeros(6), thetadot=np.zeros(3)):
     """X, J and Jdot v of one part's proxy point, from the batched kernel."""
     # one obstacle: one pair per part
     barriers = pair_barriers(geom, [Superquadric2(a1=1.0, a2=1.0, eps=1.0)], 1.0)
-    X, frames = ctl.proxy_points(barriers, np.full(geom.n_parts, gamma), q, theta)
+    frames = ctl.vehicle_frames(geom, q, theta)
+    X = ctl.proxy_points(barriers, np.full(geom.n_parts, gamma), frames, np.arange(geom.n_parts))
     J, jdv = ctl.proxy_jacobians(frames, barriers.link, X, q[3:],
                                  np.concatenate([qdot, thetadot]))
     return X[part], J[part], jdv[part]
@@ -403,20 +407,63 @@ class TestBarrier:
                 fn([0.0, 0.0, 0.0], self.sphere())
 
     def test_value_path_bit_equal_on_tree_pose(self):
-        # the cull's h-only pass and the derivative pass share one bracket
+        # next to the boxy trunk: near pairs with and without rows, and far pairs
         s = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
         tracker = ctl.ProxyTracker(geom=s.vehicle, obstacles=s.obstacles)
         barriers = ctl.PairBarriers(tracker, 3.0)
-        q, theta = np.array([3.3, 2.6, 1.0, 0.05, -0.04, 0.4]), np.array([0.3, 0.1, -0.5])
-        tracker.refresh(q, theta)
-        X, _ = ctl.proxy_points(barriers, tracker.gammas[0], q, theta)
-        dx = obstacle_frame(barriers, X)
-        h = ctl.h_co(dx, barriers)
-        assert h.shape == (24,)
-        assert np.array_equal(h, ctl.h_co_derivs(dx, barriers)[0])
+        q, theta = np.array([3.3, 3.1, 1.0, 0.05, -0.04, 0.4]), np.array([0.3, 0.1, -0.5])
         _, _, h_rows = ctl.cbf_rows(barriers, q, np.zeros(6), theta, np.zeros(3), q,
                                     ctl.GainSet(), ctl.SafetyParams())
-        assert np.array_equal(h_rows, h)
+        frames = ctl.vehicle_frames(s.vehicle, q, theta)
+        bound = barriers.h_bounds(frames)
+        near = np.flatnonzero(bound <= ctl.H_CULL)
+        far = np.flatnonzero(bound > ctl.H_CULL)
+        assert h_rows.shape == (24,) and 0 < near.size < 24
+        assert np.any(h_rows[near] <= ctl.H_CULL) and np.any(h_rows[near] > ctl.H_CULL)
+        # near pairs: the cull's h-only pass and the derivative pass share one bracket
+        X = ctl.proxy_points(barriers, tracker.gammas[0, near], frames, near)
+        dx = obstacle_frame(barriers, X, near)
+        h = ctl.h_co(dx, barriers.shapes(near))
+        assert np.array_equal(h, ctl.h_co_derivs(dx, barriers.shapes(near))[0])
+        assert np.array_equal(h_rows[near], h)
+        # far pairs report their bound, below their h at the cold-solved angles
+        assert np.array_equal(h_rows[far], bound[far])
+        tracker.refresh(q, theta)
+        X = ctl.proxy_points(barriers, tracker.gammas[0], frames, np.arange(24))
+        exact = ctl.h_co(obstacle_frame(barriers, X), barriers)
+        assert np.all(h_rows[far] <= exact[far])
+
+
+def ungated_rows(geom, obstacles, height, q, qdot, theta, thetadot, q_d, g, safety,
+                 gammas=None):
+    """h of every pair and the rows of those with h <= H_CULL, each built from
+    the direct expression lhs >= sigma at the part-side angles gammas, or at
+    cold-solved ones."""
+    if gammas is None:
+        tracker = ctl.ProxyTracker(geom=geom, obstacles=obstacles)
+        tracker.refresh(q, theta)
+        gammas = tracker.gammas[0]
+    pi, oi = pair_index(geom.n_parts, len(obstacles))
+    v9 = np.concatenate([qdot, thetadot])
+    # lhs is affine in x = [qdot_d; thetaddot_d]: the accelerations at x = 0,
+    # and their slope
+    accel0 = np.concatenate([g.kp @ (q_d - q) - g.kd @ qdot, np.zeros(3)])
+    slope = np.zeros((9, 9))
+    slope[:6, :6], slope[6:, 6:] = g.kd, np.eye(3)
+    h_all, A, b = [], [], []
+    for pair in range(pi.size):
+        obs = extrude(obstacles[oi[pair]], height)
+        X, J, jdv = proxy_kinematics(geom, pi[pair], gammas[pair], q, theta, qdot, thetadot)
+        A_dx = obs.rotation.T @ J
+        h, grad, hess = ctl.h_co_derivs(obs.rotation.T @ (X - obs.translation), obs)
+        h_all.append(h)
+        if h <= ctl.H_CULL:
+            dxdot = A_dx @ v9
+            lhs0 = (dxdot @ hess @ dxdot + grad @ (A_dx @ accel0 + obs.rotation.T @ jdv)
+                    + 2 * safety.alpha_co * (grad @ dxdot) + safety.alpha_co ** 2 * h)
+            A.append(-(grad @ A_dx) @ slope)
+            b.append(lhs0 - safety.sigma_co)
+    return np.array(h_all), np.reshape(A, (-1, 9)), np.array(b)
 
 
 class TestCbfRows:
@@ -485,6 +532,89 @@ class TestCbfRows:
             cold = closest_pairs(shape_rows([parts[p] for p in tracker.pi]),
                                  shape_rows([obstacles[o] for o in tracker.oi])).gap
             assert second == pytest.approx(cold, abs=1e-9)
+
+
+    def test_gated_rows_match_ungated_oracle_along_sweep(self):
+        # the vehicle sweeps past the obstacle, turning: rotors 4 and 3 enter
+        # the near set, emit rows, and leave it again
+        geom, shape, _, tracker, barriers, safety = self.setup_scene()
+        g = ctl.GainSet()
+        qdot = np.array([0.5, 0.0, 0.05, 0.1, -0.1, 0.4])
+        thetadot = np.array([-0.3, 0.1, 0.0])
+        seen = []
+        for s in np.linspace(0.0, 1.0, 41):
+            q = np.array([0.4 + 3.2 * s, 0.72, 1.2, 0.1 * math.sin(5.0 * s), -0.08, 2.0 * s])
+            theta = np.array([0.6 - 1.2 * s, 0.3 * s, 0.5])
+            q_d = q + 0.01
+            A, b, h = ctl.cbf_rows(barriers, q, qdot, theta, thetadot, q_d, g, safety)
+            near = np.flatnonzero(barriers.h_bounds(ctl.vehicle_frames(geom, q, theta))
+                                  <= ctl.H_CULL)
+            far = np.setdiff1d(np.arange(8), near)
+            seen.append(tuple(near))
+            h_cold, A_cold, b_cold = ungated_rows(geom, [shape], safety.obstacle_height, q, qdot,
+                                                  theta, thetadot, q_d, g, safety)
+            rows = np.flatnonzero(h <= ctl.H_CULL)
+            assert np.array_equal(rows, np.flatnonzero(h_cold <= ctl.H_CULL))
+            assert np.all(h[far] <= h_cold[far]) and np.all(h[far] > ctl.H_CULL)
+            np.testing.assert_allclose(h[near], h_cold[near], rtol=0, atol=1e-8)
+            # at the gated angles the rows are the direct expression's (a far
+            # pair emits none at any angle); the cold-solved angles agree with
+            # warm-started ones to the closest-pair solver's stopping
+            # precision only
+            _, A_warm, b_warm = ungated_rows(geom, [shape], safety.obstacle_height, q, qdot,
+                                             theta, thetadot, q_d, g, safety,
+                                             np.nan_to_num(tracker.gammas[0]))
+            for got, warm, cold in ((A, A_warm, A_cold), (b, b_warm, b_cold)):
+                assert got.shape == cold.shape
+                np.testing.assert_allclose(got, warm, rtol=0, atol=1e-8)
+                assert np.abs(got - cold).max(initial=0.0) <= 1e-7 * np.abs(cold).max(initial=0.0)
+        assert {(), (4,), (3, 4), (3,)} <= set(seen)
+
+
+class TestFarPairGate:
+    @settings(max_examples=100, deadline=None)
+    @given(blade=st.floats(0.05, 0.2), link_hw=st.floats(0.01, 0.1),
+           link_eps=st.floats(0.1, 2.0), l1=st.floats(0.1, 0.5), l2=st.floats(0.1, 0.5),
+           a1=st.floats(0.1, 1.0), a2=st.floats(0.1, 1.0), eps=st.floats(0.1, 2.0),
+           angle=st.floats(-math.pi, math.pi), dist=st.floats(0.0, 3.0),
+           bearing=st.floats(-math.pi, math.pi), height=st.floats(1.0, 3.0),
+           z=st.floats(-0.5, 3.5), tilt=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+           yaw=st.floats(-math.pi, math.pi),
+           arm=st.tuples(st.floats(-math.pi, math.pi), st.floats(-1.5, 1.5),
+                         st.floats(-math.pi, math.pi)))
+    def test_bound_below_h_at_every_proxy_angle(self, blade, link_hw, link_eps, l1, l2, a1,
+                                                 a2, eps, angle, dist, bearing, height, z,
+                                                 tilt, yaw, arm):
+        geom = VehicleGeometry(blade_radius=blade, link_halfwidth=link_hw, link_eps=link_eps,
+                               l1=l1, l2=l2)
+        center = (dist * math.cos(bearing), dist * math.sin(bearing))
+        barriers = pair_barriers(geom, [Superquadric2(a1, a2, eps, angle, center)], height)
+        q, theta = np.array([0.0, 0.0, z, *tilt, yaw]), np.array(arm)
+        frames = ctl.vehicle_frames(geom, q, theta)
+        bound = barriers.h_bounds(frames)
+        # below -10 the part overlaps the obstacle, its bracket may reach the
+        # degenerate floor, and every such pair is near anyway
+        pairs = np.repeat(np.flatnonzero(bound > -10.0), 720)
+        gammas = np.tile(np.linspace(-math.pi, math.pi, 720, endpoint=False), pairs.size // 720)
+        X = ctl.proxy_points(barriers, gammas, frames, pairs)
+        h = ctl.h_co(obstacle_frame(barriers, X, pairs), barriers.shapes(pairs))
+        assert np.all(h >= bound[pairs])
+
+    def test_bound_tight_for_circle_facing_circle(self):
+        # rotor 0 faces a round obstacle 0.5 beyond its rim, level, at the
+        # obstacle's mid-height: its bound is its h at the facing proxy
+        geom = VehicleGeometry()
+        x0 = geom.rotor_arm + geom.blade_radius + 0.5
+        for radius, height in ((0.35, 3.0), (0.6, 2.0)):
+            barriers = pair_barriers(geom, [Superquadric2(radius, radius, 1.0, 0.3, (x0, 0.0))],
+                                     height)
+            q = np.array([0.0, 0.0, height / 2.0, 0.0, 0.0, 0.0])
+            frames = ctl.vehicle_frames(geom, q, np.zeros(3))
+            bound = barriers.h_bounds(frames)[0]
+            X = ctl.proxy_points(barriers, np.zeros(1), frames, np.zeros(1, dtype=int))
+            h = ctl.h_co(obstacle_frame(barriers, X, [0]), barriers.shapes([0]))[0]
+            assert h == pytest.approx(20.0 * math.log(0.5 / radius), abs=1e-12)
+            assert h - 1e-9 <= bound <= h
 
 
 class TestProxyTracker:
