@@ -6,7 +6,7 @@ Modules:
     planner    -- equilibrium-manifold local planner and target scheduling
     dynamics   -- 6-DOF rigid-body model, thrust allocation, simulator step
     control    -- DOB inner loop, thrust-limit and HOCBF rows, QP outer loop
-    qp         -- small dense active-set QP solver
+    qp         -- small dense dual active-set (Goldfarb-Idnani) QP solver
     harness    -- scenario ingestion, pipeline orchestration, metrics, emission
 """
 

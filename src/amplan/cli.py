@@ -53,7 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(path, dt=None, ns=None) -> hz.Scenario:
+def _load(path, dt=None, ns=None, seed=None) -> hz.Scenario:
+    # the wind noise's generator takes no negative seed: say so before the plan
+    if seed is not None and seed < 0:
+        raise hz.ScenarioError(f"--seed: must be nonnegative, got {seed}")
     s = hz.load_scenario(path)
     # replace re-runs the validation: the dt range, and n_s >= 2
     if ns is not None:
@@ -65,7 +68,7 @@ def _load(path, dt=None, ns=None) -> hz.Scenario:
 
 
 def _cmd_plan(args) -> int:
-    s = _load(args.scenario[0], args.dt, args.ns)
+    s = _load(args.scenario[0], args.dt, args.ns, args.seed)
     pr = hz.plan(s, args.mode)
     report = hz.metrics(pr.traj, None, s, pr.plan_time)
     if args.out:
@@ -75,7 +78,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    s = _load(args.scenario[0], args.dt, args.ns)
+    s = _load(args.scenario[0], args.dt, args.ns, args.seed)
     pr, tel, report = hz.run_pipeline(s, args.mode, seed=args.seed)
     if args.out:
         hz.emit(args.out, pr.traj, tel, report, pr.cells, pr.graph)
@@ -86,7 +89,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_bench(args) -> int:
     results = []
     for path in args.scenario:
-        s = _load(path, args.dt, args.ns)
+        s = _load(path, args.dt, args.ns, args.seed)
         for mode in ("sq", "ellipse"):
             pr, tel, report = hz.run_pipeline(s, mode, seed=args.seed)
             if args.out:
@@ -128,9 +131,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

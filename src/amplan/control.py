@@ -22,7 +22,7 @@ from . import dynamics as dyn
 from .geometry import (bounding_radius, center_angles, check_numbers, closest_pairs,
                        shape_rows, signed_pow)
 from .planner import VehicleGeometry, pair_index, pair_rows, set_part_poses
-from .qp import ActiveSetSolver, QpProblem
+from .qp import QpProblem, solve
 
 
 class GainError(ValueError):
@@ -253,13 +253,15 @@ def _bracket(dx, obs):
     + w_y^(2/eps2), of obstacle-frame points dx (..., 3), with w = |dx| / a.
 
     obs holds the semi-axes a1, a2, a3 and exponents eps1, eps2, as numbers or
-    as arrays with one entry per point (PairBarriers).
+    as arrays with one entry per point (PairBarriers).  Only g = 0, whose log
+    is not finite, raises: deep inside, g is tiny but positive (9e-13 a
+    quarter of the semi-axes from the axis, near mid-height, with eps1 = 0.1).
     """
     w = [np.abs(dx[..., i]) / a for i, a in enumerate((obs.a1, obs.a2, obs.a3))]
     e2 = 2.0 / obs.eps2
     u = w[0] ** e2 + w[1] ** e2
     g = u ** (obs.eps2 / obs.eps1) + w[2] ** (2.0 / obs.eps1)
-    if np.any(g < 1e-12):
+    if np.any(g == 0.0):
         raise ControlError("barrier degenerate: proxy at the obstacle center")
     return g, w, u
 
@@ -495,19 +497,20 @@ class OuterLoopResult:
     status: str
 
 
-def outer_loop(solver: ActiveSetSolver, q_t, theta_t, q_d, theta_d, thetadot_d,
-               A, b, gains: GainSet, prev_x=None) -> OuterLoopResult:
-    """Reference-tracking QP over x = [qdot_d; thetaddot_d] with safety rows.
+def outer_loop(q_t, theta_t, q_d, theta_d, thetadot_d, A, b, gains: GainSet,
+               prev_x=None) -> OuterLoopResult:
+    """Reference-tracking QP over x = [qdot_d; thetaddot_d] with safety rows,
+    solved afresh each call on the gains' per-mission QP (gains.outer_qp).
 
-    On infeasibility (or solver failure) the previous solution is reused at
-    half magnitude and the result is flagged.
+    When the rows are infeasible (or the solve hits its iteration cap) the
+    previous solution is reused at half magnitude and the result is flagged.
     """
     gq, gt, a_dot, a_err = gains.outer_factors
     v_ref = gains.gamma_q @ (np.asarray(q_t, dtype=float) - np.asarray(q_d, dtype=float))
     a_ref = (a_dot @ np.asarray(thetadot_d, dtype=float)
              + a_err @ (np.asarray(theta_t, dtype=float) - np.asarray(theta_d, dtype=float)))
     g = np.concatenate([gq @ v_ref, gt @ a_ref])
-    sol = solver.solve(gains.outer_qp.with_rows(g, A, b))
+    sol = solve(gains.outer_qp.with_rows(g, A, b))
     if sol.status == "optimal":
         x = sol.x
         feasible = True

@@ -28,7 +28,6 @@ from .geometry import (GeometryError, Superquadric2, bounding_radius, check_numb
 from .planner import (PlannedTrajectory, PlannerError, PlannerParams,
                       VehicleGeometry, attractors_from_path, integrate_em, pair_rows,
                       set_part_poses, target_pose)
-from .qp import ActiveSetSolver
 
 
 class ScenarioError(ValueError):
@@ -203,13 +202,20 @@ _ScenarioLoader.add_implicit_resolver(
     list("-+0123456789."))
 
 
+def _read(path) -> str:
+    """The text of an input file; one that cannot be read (missing, a
+    directory, not UTF-8) raises ScenarioError, a validation error."""
+    try:
+        with open(path, "r") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}") from exc
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file, applying default parameters."""
     try:
-        with open(path, "r") as f:
-            raw = yaml.load(f, Loader=_ScenarioLoader)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+        raw = yaml.load(_read(path), Loader=_ScenarioLoader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario file is not valid structured text: {exc}") from exc
     if not isinstance(raw, dict):
@@ -371,7 +377,6 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
     gains, safety, model = s.gains, s.safety, s.model
     barriers = ctl.PairBarriers(ctl.ProxyTracker(s.vehicle, _model_obstacles(s, mode)),
                                 safety.obstacle_height)
-    solver = ActiveSetSolver()
 
     q0 = np.array([s.start[0], s.start[1], s.flight_height, 0.0, 0.0, s.start[2]])
     theta0 = np.array([s.start[3], 0.0, s.start[4]])
@@ -410,7 +415,7 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
                                        gains, safety.t_min, safety.t_max)
         A2, b2, h_vals = ctl.cbf_rows(barriers, state.q, state.qdot, state.theta,
                                       state.thetadot, q_d, gains, safety)
-        res = ctl.outer_loop(solver, q_t, theta_t, q_d, theta_d, thetadot_d,
+        res = ctl.outer_loop(q_t, theta_t, q_d, theta_d, thetadot_d,
                              np.vstack([A1, A2]), np.concatenate([b1, b2]),
                              gains, prev_x)
         prev_x = res.x
@@ -627,24 +632,21 @@ def _parse_csv(text, expected_header):
 
 
 def load_trajectory_csv(path) -> PlannedTrajectory:
-    with open(path, "r") as f:
-        m = _parse_csv(f.read(), _TRAJ_HEADER)
+    m = _parse_csv(_read(path), _TRAJ_HEADER)
     return PlannedTrajectory(s=m[:, 0], z=m[:, 1:6], eef=m[:, 6:9],
                              u=m[:, 9:12], gammas=np.zeros((len(m), 0)),
                              attractors=[])
 
 
 def load_telemetry_csv(path) -> Telemetry:
-    with open(path, "r") as f:
-        m = _parse_csv(f.read(), _TEL_HEADER)
+    m = _parse_csv(_read(path), _TEL_HEADER)
     return Telemetry(t=m[:, 0], q=m[:, 1:7], qdot=m[:, 7:13], theta=m[:, 13:16],
                      thrust=m[:, 16:22], d_hat=m[:, 22:28], d_true=m[:, 28:34],
                      h_min=m[:, 34], feasible=m[:, 35].astype(bool))
 
 
 def load_metrics(path) -> MetricsReport:
-    with open(path, "r") as f:
-        lines = f.read().strip().split("\n")
+    lines = _read(path).strip().split("\n")
     if not lines or lines[0] != "amplan metrics v1":
         raise HarnessError("unrecognized metrics file")
     vals = {}

@@ -1,24 +1,25 @@
 """Small dense convex QP solver for the per-tick outer-loop problem.
 
-Solves min 0.5 x'Hx + g'x subject to Ax <= b with an active-set iteration:
-start from the previous solve's working set (empty on a fresh solver),
-solve the equality-constrained KKT system, drop rows with negative
-multipliers, add the most violated row.  Problem sizes here are tiny
-(n <= 16, a few dozen rows), so dense factorizations per iteration are the
-right trade-off.
+Solves min 0.5 x'Hx + g'x subject to Ax <= b by the dual active-set method of
+Goldfarb and Idnani (Math. Programming 27, 1983): start at the unconstrained
+minimiser and add the most violated row with a step length, dropping a working
+row whose multiplier would turn negative first.  A violated row that admits
+neither a primal nor a dual step proves the rows infeasible.  H is factored
+once, when the problem is checked; the working rows, a few at most, are
+refactored densely at each step.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 MAX_DIM = 16
 MAX_ROWS = 64
-TOL = 1e-9        # multiplier and constraint-violation tolerance
-MAX_ITER = 200    # active-set iterations per solve
+TOL = 1e-9        # constraint-violation and multiplier-rate tolerance
+MAX_ITER = 200    # added plus dropped rows per solve
 
 
 class QpDimensionError(ValueError):
@@ -37,13 +38,15 @@ class QpProblem:
         self._set_rows(self.g, self.A, self.b)
         if np.abs(self.H - self.H.T).max() > 1e-10:
             raise QpDimensionError("H must be symmetric to 1e-10")
-        # regularize near-singular Hessians so the KKT solves stay well posed
+        # regularize near-singular Hessians so the factor stays well posed
         w = np.linalg.eigvalsh(0.5 * (self.H + self.H.T))
         if w.min() <= 1e-9:
             self.H = self.H + (1e-9 - min(w.min(), 0.0) + 1e-9) * np.eye(len(self.H))
             self.regularized = True
         else:
             self.regularized = False
+        # H = L L'; the steps are taken in the coordinates L' x
+        self.Linv = np.linalg.inv(np.linalg.cholesky(self.H))
 
     def _set_rows(self, g, A, b):
         n = self.H.shape[0]
@@ -71,63 +74,50 @@ class QpSolution:
     active_set: tuple = ()
 
 
-@dataclass
-class ActiveSetSolver:
-    """Holds the warm-start working set between consecutive solves; a fresh
-    solver starts cold."""
-
-    _warm: tuple = field(default=(), repr=False)
-
-    def solve(self, prob: QpProblem) -> QpSolution:
-        H, g, A, b = prob.H, prob.g, prob.A, prob.b
-        n, m = H.shape[0], A.shape[0]
-        work = sorted(i for i in self._warm if i < m)
-
-        x = np.zeros(n)
-        lam = np.zeros(m)
-        status = "max_iter"
-        it = 0
-        for it in range(1, MAX_ITER + 1):
-            k = len(work)
-            K = np.zeros((n + k, n + k))
-            K[:n, :n] = H
-            if k:
-                As = A[work]
-                K[:n, n:] = As.T
-                K[n:, :n] = As
-            rhs = np.concatenate([-g, b[work]])
-            try:
-                sol = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError:
-                # dependent working set: drop the newest row and retry
-                work = work[:-1]
-                continue
-            x = sol[:n]
-            lam_work = sol[n:]
-
-            if k and lam_work.min() < -TOL:
-                # drop the most negative multiplier (lowest row index on ties)
-                worst = int(np.argmin(lam_work))
-                work.pop(worst)
-                continue
-
-            resid = A @ x - b if m else np.zeros(0)
-            if m == 0 or resid.max() <= TOL:
-                lam = np.zeros(m)
-                lam[work] = np.maximum(lam_work, 0.0)
+def solve(prob: QpProblem) -> QpSolution:
+    """Solve prob; every call starts afresh from the unconstrained minimiser."""
+    A, b, Linv = prob.A, prob.b, prob.Linv
+    x = np.linalg.solve(prob.H, -prob.g)
+    work, lam = [], np.zeros(0)     # working rows and their multipliers
+    p = None                        # the violated row being added
+    status = "max_iter"
+    for it in range(1, MAX_ITER + 1):
+        if p is None:
+            resid = A @ x - b
+            resid[work] = -np.inf
+            if resid.size == 0 or resid.max() <= TOL:
                 status = "optimal"
                 break
-
-            if len(work) >= n:
-                status = "infeasible"
-                break
-            # add the most violated row (argmax takes the lowest index among ties)
-            cand = int(np.argmax(resid))
-            if cand in work:
-                status = "infeasible"
-                break
-            work = sorted(work + [cand])
-
-        self._warm = tuple(work)
-        return QpSolution(x=x, status=status, duals=lam, iterations=it,
-                         active_set=tuple(work))
+            p, lam_p = int(np.argmax(resid)), 0.0   # lowest index among ties
+        # split L^-1 a_p into its part spanned by the working rows, whose
+        # coefficients r are the rates their multipliers fall at, and the rest
+        q = len(work)
+        Q, R = np.linalg.qr(Linv @ A[work].T, mode="complete")
+        d = Q.T @ (Linv @ A[p])
+        r = np.linalg.solve(R[:q], d[:q])
+        curv = d[q:] @ d[q:]
+        # partial step: the first working multiplier to reach zero
+        falling = np.flatnonzero(r > TOL)
+        t_drop, k = np.inf, None
+        if falling.size:
+            k = falling[np.argmin(lam[falling] / r[falling])]
+            t_drop = lam[k] / r[k]
+        # full step: a_p x reaches b_p; none when a_p depends on the working rows
+        t_add = (A[p] @ x - b[p]) / curv if curv > TOL * TOL * (d @ d) else np.inf
+        if t_drop == t_add == np.inf:
+            status = "infeasible"
+            break
+        t = min(t_drop, t_add)
+        if t_add < np.inf:
+            x = x - t * (Linv.T @ (Q[:, q:] @ d[q:]))
+        lam, lam_p = lam - t * r, lam_p + t
+        if t_add <= t_drop:
+            work.append(p)
+            lam, p = np.append(lam, lam_p), None
+        else:
+            del work[k]
+            lam = np.delete(lam, k)
+    duals = np.zeros(len(b))
+    duals[work] = np.maximum(lam, 0.0)
+    return QpSolution(x=x, status=status, duals=duals, iterations=it,
+                      active_set=tuple(work))

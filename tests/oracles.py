@@ -8,7 +8,7 @@ active subset as an equality system, and vehicle part poses from per-part
 trigonometry rather than the joint frames.  The one exception is the dense
 metric pass, which solves every part/obstacle pair with the library's own
 closest-pair kernel: it checks the pruning of harness.min_distance_profile,
-not the solver.  The few helpers only the tests need (a cold QP solve, KKT
+not the solver.  The few helpers only the tests need (the QP solve, KKT
 residuals, the observer's settling time, the hover thrust, a polygon's area)
 live here too.
 """
@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from amplan.geometry import Superquadric2, closest_pairs, shape_rows
 from amplan.planner import pair_rows
-from amplan.qp import ActiveSetSolver
+from amplan.qp import solve
 
 
 def _signed_pow(v, e):
@@ -238,8 +238,8 @@ def central_diff_gradient(f, x, h=1e-6):
 
 
 def qp_solve(prob):
-    """One solve from an empty working set: a fresh ActiveSetSolver is cold."""
-    return ActiveSetSolver().solve(prob)
+    """The library's QP solve: it keeps no state, so every call is a cold solve."""
+    return solve(prob)
 
 
 def kkt_residuals(prob, sol):

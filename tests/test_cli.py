@@ -126,6 +126,27 @@ def test_non_numeric_value_exit_3(simulated, tmp_path, capsys, fname):
     assert err.count("\n") == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("fname, damage", [("scenario.yaml", "not UTF-8"),
+                                           ("trajectory.csv", "a directory"),
+                                           ("telemetry.csv", "a directory"),
+                                           ("metrics.txt", "not UTF-8")])
+def test_unreadable_input_exit_2(simulated, tmp_path, capsys, fname, damage):
+    scenario, done = simulated
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    scenario = str(shutil.copy(scenario, tmp_path / "scenario.yaml"))
+    path = tmp_path / fname if fname == "scenario.yaml" else out / fname
+    if damage == "a directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    capsys.readouterr()
+    assert cli.main(["metrics", "--scenario", scenario, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: cannot read")
+
+
 def test_overflowing_start_exit_2(tmp_path, no_planning, capsys):
     # so far out that the closest-pair objective overflows; its check used to
     # backtrack forever
@@ -182,6 +203,17 @@ def test_ns_below_2_exit_2_before_planning(empty_yaml, no_planning, capsys, comm
     assert cli.main([command, "--scenario", empty_yaml, "--ns", ns]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: --ns: need")
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_negative_seed_exit_2_before_planning(tmp_path, no_planning, capsys, command):
+    # the wind noise draws from the seed; a negative one used to fail after the plan
+    data = copy.deepcopy(EMPTY)
+    data["wind"] = {"noise_std": 0.5}
+    path = write_scenario(tmp_path, data)
+    assert cli.main([command, "--scenario", path, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --seed: ")
 
 
 def test_ns_override_reaches_planner(empty_yaml, monkeypatch):

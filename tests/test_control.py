@@ -10,7 +10,7 @@ from amplan import dynamics as dyn
 from amplan import harness as hz
 from amplan.geometry import Superquadric2, closest_pairs, shape_rows
 from amplan.planner import VehicleGeometry, pair_index, pair_rows
-from amplan.qp import MAX_ROWS, ActiveSetSolver, QpDimensionError, QpProblem
+from amplan.qp import MAX_ROWS, QpDimensionError, QpProblem, solve
 
 from oracles import extrude, hover_thrust, part_superquadrics, qp_enumeration
 
@@ -406,6 +406,16 @@ class TestBarrier:
             with pytest.raises(ctl.ControlError):
                 fn([0.0, 0.0, 0.0], self.sphere())
 
+    def test_deep_inside_point_is_finite(self):
+        # a quarter of the radius from the axis, near mid-height of a 0.5 m
+        # round obstacle of height 3: g = 0.25^20 + 0.2^20, about 9.2e-13
+        obs = extrude(Superquadric2(a1=0.5, a2=0.5, eps=1.0), 3.0)
+        dx = np.array([0.125, 0.0, 0.3])
+        assert ctl.h_co(dx, obs) == pytest.approx(math.log(0.25 ** 20 + 0.2 ** 20),
+                                                  rel=1e-12)
+        h, grad, hess = ctl.h_co_derivs(dx, obs)
+        assert np.isfinite(h) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+
     def test_value_path_bit_equal_on_tree_pose(self):
         # next to the boxy trunk: near pairs with and without rows, and far pairs
         s = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
@@ -638,10 +648,9 @@ class TestProxyTracker:
 class TestOuterLoop:
     def test_unconstrained_tracks_references(self):
         g = ctl.GainSet()
-        solver = ActiveSetSolver()
         q_t = np.array([1.0, 0.0, 1.5, 0, 0, 0.3])
         theta_t = np.array([0.2, 0.0, -0.1])
-        res = ctl.outer_loop(solver, q_t, theta_t, np.zeros(6), np.zeros(3),
+        res = ctl.outer_loop(q_t, theta_t, np.zeros(6), np.zeros(3),
                              np.zeros(3), np.zeros((0, 9)), np.zeros(0), g)
         assert res.feasible
         np.testing.assert_allclose(res.qdot_d, g.gamma_q @ q_t, atol=1e-8)
@@ -650,13 +659,12 @@ class TestOuterLoop:
 
     def test_active_row_respected(self):
         g = ctl.GainSet()
-        solver = ActiveSetSolver()
         q_t = np.zeros(6)
         q_t[0] = 1.0
         A = np.zeros((1, 9))
         A[0, 0] = 1.0
         b = np.array([0.5])  # cap the x velocity command
-        res = ctl.outer_loop(solver, q_t, np.zeros(3), np.zeros(6), np.zeros(3),
+        res = ctl.outer_loop(q_t, np.zeros(3), np.zeros(6), np.zeros(3),
                              np.zeros(3), A, b, g)
         assert res.feasible
         assert res.qdot_d[0] == pytest.approx(0.5, abs=1e-8)
@@ -679,10 +687,9 @@ class TestOuterLoop:
         q_t, q_d = rng.normal(size=6), rng.normal(size=6)
         theta_t, theta_d, thetadot_d = rng.normal(size=(3, 3))
         A, b = 0.1 * rng.normal(size=(3, 9)), rng.uniform(0.5, 1.0, 3)
-        res = ctl.outer_loop(ActiveSetSolver(), q_t, theta_t, q_d, theta_d, thetadot_d,
-                             A, b, g)
+        res = ctl.outer_loop(q_t, theta_t, q_d, theta_d, thetadot_d, A, b, g)
         H, grad = self.qp_built_per_call(g, q_t, theta_t, q_d, theta_d, thetadot_d)
-        sol = ActiveSetSolver().solve(QpProblem(H, grad, A, b))
+        sol = solve(QpProblem(H, grad, A, b))
         assert res.status == sol.status == "optimal" and sol.active_set
         assert np.array_equal(res.x, sol.x)
 
@@ -694,8 +701,7 @@ class TestOuterLoop:
         q_t, q_d = rng.normal(size=6), rng.normal(size=6)
         theta_t, theta_d, thetadot_d = rng.normal(size=(3, 3))
         A, b = rng.normal(size=(3, 9)), rng.uniform(0.5, 1.0, 3)
-        res = ctl.outer_loop(ActiveSetSolver(), q_t, theta_t, q_d, theta_d, thetadot_d,
-                             A, b, g)
+        res = ctl.outer_loop(q_t, theta_t, q_d, theta_d, thetadot_d, A, b, g)
         assert res.status == "optimal"
         H, grad = self.qp_built_per_call(g, q_t, theta_t, q_d, theta_d, thetadot_d)
         best, _ = qp_enumeration(H, grad, A, b)
@@ -704,8 +710,8 @@ class TestOuterLoop:
     def test_too_many_rows_rejected(self):
         g = ctl.GainSet()
         for m in (MAX_ROWS, MAX_ROWS + 1):
-            args = (ActiveSetSolver(), np.zeros(6), np.zeros(3), np.zeros(6), np.zeros(3),
-                    np.zeros(3), np.zeros((m, 9)), np.ones(m), g)
+            args = (np.zeros(6), np.zeros(3), np.zeros(6), np.zeros(3), np.zeros(3),
+                    np.zeros((m, 9)), np.ones(m), g)
             if m > MAX_ROWS:
                 with pytest.raises(QpDimensionError):
                     ctl.outer_loop(*args)
@@ -714,11 +720,10 @@ class TestOuterLoop:
 
     def test_infeasible_falls_back_to_half_previous(self):
         g = ctl.GainSet()
-        solver = ActiveSetSolver()
         A = np.array([[1.0] + [0.0] * 8, [-1.0] + [0.0] * 8])
         b = np.array([-1.0, -1.0])
         prev = np.arange(9.0)
-        res = ctl.outer_loop(solver, np.zeros(6), np.zeros(3), np.zeros(6),
-                             np.zeros(3), np.zeros(3), A, b, g, prev_x=prev)
+        res = ctl.outer_loop(np.zeros(6), np.zeros(3), np.zeros(6), np.zeros(3),
+                             np.zeros(3), A, b, g, prev_x=prev)
         assert not res.feasible
         np.testing.assert_allclose(res.x, 0.5 * prev, atol=1e-12)
