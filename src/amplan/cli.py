@@ -67,7 +67,20 @@ def _load(path, dt=None, ns=None, seed=None) -> hz.Scenario:
     return s if dt is None else dataclasses.replace(s, dt=dt)
 
 
+def _check_out(out):
+    """--out names a directory, or one that emit can create: fail before the
+    scenario is loaded when it, or a path above it, is something else."""
+    if out is None:
+        return
+    path = os.path.abspath(out)
+    while not os.path.isdir(path):
+        if os.path.lexists(path):
+            raise hz.ScenarioError(f"--out: {path} exists and is not a directory")
+        path = os.path.dirname(path)
+
+
 def _cmd_plan(args) -> int:
+    _check_out(args.out)
     s = _load(args.scenario[0], args.dt, args.ns, args.seed)
     pr = hz.plan(s, args.mode)
     report = hz.metrics(pr.traj, None, s, pr.plan_time)
@@ -78,6 +91,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_out(args.out)
     s = _load(args.scenario[0], args.dt, args.ns, args.seed)
     pr, tel, report = hz.run_pipeline(s, args.mode, seed=args.seed)
     if args.out:
@@ -87,6 +101,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_out(args.out)
     results = []
     for path in args.scenario:
         s = _load(path, args.dt, args.ns, args.seed)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,7 +104,7 @@ class DobState:
         return s
 
 
-def dob_update(state: DobState, q, qdot, T, model: dyn.ModelTerms,
+def dob_update(state: DobState, q, qdot, T, model: dyn.ControlTerms,
                gains: GainSet, dt: float):
     """Advance the observer one step and return (new state, disturbance estimate).
 
@@ -116,7 +117,7 @@ def dob_update(state: DobState, q, qdot, T, model: dyn.ModelTerms,
     a0e2 = gains.a0 / gains.eps ** 2
     a1e1 = gains.a1 / gains.eps
 
-    u_cmd = np.linalg.solve(model.M, model.B @ np.asarray(T, dtype=float))
+    u_cmd = model.MinvB @ np.asarray(T, dtype=float)
     # midpoint reconstruction of q over the hold interval: a plain zero-order
     # hold of a quadratically growing position drifts the acceleration estimate
     u = np.array([q + 0.5 * dt * qdot, u_cmd])
@@ -142,39 +143,40 @@ def dob_update(state: DobState, q, qdot, T, model: dyn.ModelTerms,
     return new, d_hat
 
 
-def inner_loop(q_d, qdot_d, q, qdot, d_hat, model: dyn.ModelTerms,
-               gains: GainSet) -> np.ndarray:
-    """Per-rotor thrusts from the computed-torque law with DOB compensation;
-    model holds the nominal terms at (q, qdot)."""
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    e = np.asarray(q_d, dtype=float) - q
-    edot = np.asarray(qdot_d, dtype=float) - qdot
-    v = gains.kd @ edot + gains.kp @ e
-    wrench = model.M @ v + model.C + model.G - np.asarray(d_hat, dtype=float)
-    return np.linalg.solve(model.B, wrench)
+class ThrustRows(NamedTuple):
+    """The thrust law T = S qdot_d + c, affine in the commanded base velocity,
+    and its band rows A x <= b on x = [qdot_d; thetaddot_d]."""
+
+    A: np.ndarray
+    b: np.ndarray
+    S: np.ndarray
+    c: np.ndarray
+
+    def thrust(self, qdot_d) -> np.ndarray:
+        """Per-rotor thrusts at the commanded base velocity qdot_d."""
+        return self.S @ qdot_d + self.c
 
 
-def thrust_limit_rows(q_d, q, qdot, d_hat, model: dyn.ModelTerms, gains: GainSet,
-                      t_min: float, t_max: float):
-    """Linear rows A x <= b keeping every rotor thrust inside [t_min, t_max].
+def thrust_limit_rows(q_d, q, qdot, d_hat, model: dyn.ControlTerms, gains: GainSet,
+                      t_min: float, t_max: float) -> ThrustRows:
+    """The computed-torque thrust law with DOB compensation, B T = M (Kd (qdot_d
+    - qdot) + Kp (q_d - q)) + C + G - d_hat on the nominal terms model at
+    (q, qdot), and the rows keeping every rotor thrust inside [t_min, t_max].
 
-    The thrust law is affine in the commanded base velocity, T = S qdot_d + c;
-    the rows are exact for the thrust computed from the same q_d, q, d_hat and
-    nominal terms model.
+    The rows hold exactly for the thrust the law gives, since both are the one
+    affine map S, c.
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    Binv = np.linalg.inv(model.B)
-    S = Binv @ model.M @ gains.kd
+    S = model.Binv @ model.M @ gains.kd
     e = np.asarray(q_d, dtype=float) - q
-    c = Binv @ (model.M @ (gains.kp @ e - gains.kd @ qdot) + model.C + model.G
-                - np.asarray(d_hat, dtype=float))
+    c = model.Binv @ (model.M @ (gains.kp @ e - gains.kd @ qdot) + model.C + model.G
+                      - np.asarray(d_hat, dtype=float))
     A = np.zeros((12, 9))
     A[:6, :6] = -S
     A[6:, :6] = S
     b = np.concatenate([c - t_min, t_max - c])
-    return A, b
+    return ThrustRows(A, b, S, c)
 
 
 # --- 3D proxy-point kinematics -------------------------------------------------
@@ -187,11 +189,11 @@ _MOVES = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
 _AXIS_PIVOT = np.array([0, 0, 0, 1, 2, 2])
 
 
-def vehicle_frames(geom: VehicleGeometry, q, theta):
+def vehicle_frames(geom: VehicleGeometry, q, R0, theta):
     """(pivots, rotations) of the base, shoulder and forearm frames: pivots at
-    the base center, arm base and elbow; the shoulder turns by th1 about z,
-    the forearm by th2 about y, then by th3 about z."""
-    R0 = dyn.rotation(q[3:])
+    the base center, arm base and elbow; the base turns by R0, the rotation of
+    q's attitude (dynamics.rotation), the shoulder by th1 about z, the forearm
+    by th2 about y, then by th3 about z."""
     R1 = R0 @ dyn.rotation((0.0, 0.0, theta[0]))
     # Ry(th2) Rz(th3) is the transpose of the ZYX rotation of (0, -th2, -th3)
     R2 = R1 @ dyn.rotation((0.0, -theta[1], -theta[2])).T
@@ -434,10 +436,10 @@ class PairBarriers:
 H_CULL = 4.0
 
 
-def cbf_rows(barriers: PairBarriers, q, qdot, theta, thetadot, q_d, gains: GainSet,
+def cbf_rows(barriers: PairBarriers, q, R, qdot, theta, thetadot, q_d, gains: GainSet,
              safety: SafetyParams):
     """HOCBF rows A x <= b for the outer-loop decision x = [qdot_d; thetaddot_d],
-    and a value of h for every pair.
+    and a value of h for every pair; R is the rotation of q's attitude.
 
     Each tick first bounds every pair's h from below (PairBarriers.h_bounds).
     A pair whose bound exceeds H_CULL is far: it could emit no row at any
@@ -455,7 +457,7 @@ def cbf_rows(barriers: PairBarriers, q, qdot, theta, thetadot, q_d, gains: GainS
         return np.zeros((0, 9)), np.zeros(0), np.zeros(0)
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    frames = vehicle_frames(tracker.geom, q, theta)
+    frames = vehicle_frames(tracker.geom, q, R, theta)
     h = barriers.h_bounds(frames)
     near = np.flatnonzero(h <= H_CULL)
     if near.size == 0:

@@ -60,6 +60,17 @@ def euler_rate_map(phi) -> np.ndarray:
                      [0.0, -sr, cr * cp]])
 
 
+def euler_rate_map_inv(phi) -> np.ndarray:
+    """Q^-1, the Euler rates per unit body angular velocity, in closed form."""
+    _check_pitch(phi)
+    r, p, _ = phi
+    cr, sr = math.cos(r), math.sin(r)
+    cp, tp = math.cos(p), math.tan(p)
+    return np.array([[1.0, sr * tp, cr * tp],
+                     [0.0, cr, -sr],
+                     [0.0, sr / cp, cr / cp]])
+
+
 def euler_rate_map_dot(phi, phidot) -> np.ndarray:
     """Time derivative of Q along (phi, phidot)."""
     r, p, _ = phi
@@ -87,19 +98,21 @@ class ModelParams:
     thrust_sat: tuple = (0.0, 18.0)  # plant-side physical saturation, wider than the control band
 
     def __post_init__(self):
-        # frozen, so that the cached allocation_body cannot go stale
+        # frozen, so that the cached properties cannot go stale
         J = np.asarray(self.J, dtype=float)
         object.__setattr__(self, "J", J)
-        if self.m <= 0 or self.g <= 0:
-            raise ValueError("mass and gravity must be positive")
-        if not (0.0 < self.alpha_p < math.pi / 2):
-            raise ValueError("motor tilt must lie in (0, pi/2)")
-        if np.abs(J - J.T).max() > 1e-12 or np.linalg.eigvalsh(J).min() <= 0:
-            raise ValueError("J must be symmetric positive definite")
         if self.m_hat is None:
             object.__setattr__(self, "m_hat", self.m)
         object.__setattr__(self, "J_hat", J.copy() if self.J_hat is None
                            else np.asarray(self.J_hat, dtype=float))
+        if self.m <= 0 or self.m_hat <= 0 or self.g <= 0:
+            raise ValueError("mass, nominal mass and gravity must be positive")
+        if not (0.0 < self.alpha_p < math.pi / 2):
+            raise ValueError("motor tilt must lie in (0, pi/2)")
+        for name, inertia in (("J", J), ("J_hat", self.J_hat)):
+            if (inertia.shape != (3, 3) or np.abs(inertia - inertia.T).max() > 1e-12
+                    or np.linalg.eigvalsh(inertia).min() <= 0):
+                raise ValueError(f"{name} must be a symmetric positive definite 3x3 matrix")
 
     @cached_property
     def allocation_body(self) -> np.ndarray:
@@ -119,6 +132,32 @@ class ModelParams:
         B.flags.writeable = False   # one copy, shared by every caller
         return B
 
+    @cached_property
+    def allocation_body_inv(self) -> np.ndarray:
+        """A_body^-1, the rotor thrusts per unit body wrench."""
+        Ainv = np.linalg.inv(self.allocation_body)
+        Ainv.flags.writeable = False
+        return Ainv
+
+    @cached_property
+    def nominal_is_true(self) -> bool:
+        """Whether the controller's m_hat, J_hat are the true m, J."""
+        return self.m_hat == self.m and np.array_equal(self.J_hat, self.J)
+
+    @cached_property
+    def J_hat_inv(self) -> np.ndarray:
+        """The controller's nominal inverse inertia."""
+        Jinv = np.linalg.inv(self.J_hat)
+        Jinv.flags.writeable = False
+        return Jinv
+
+
+def _blockdiag(a, b) -> np.ndarray:
+    out = np.zeros((6, 6))
+    out[:3, :3] = a
+    out[3:, 3:] = b
+    return out
+
 
 class ModelTerms(NamedTuple):
     """Model terms at one state: M(phi) qddot + C + G = B(phi) T + d."""
@@ -129,26 +168,61 @@ class ModelTerms(NamedTuple):
     B: np.ndarray              # (6, 6) allocation of the six rotor thrusts
 
 
-def model_terms(phi, phidot, params: ModelParams, nominal: bool = False) -> ModelTerms:
-    """M, C, G and B at attitude phi and Euler rates phidot, from one Q(phi),
-    Qdot and R(phi); nominal picks the controller's m_hat, J_hat over the true
-    m, J (B and g are shared)."""
-    m, J = (params.m_hat, params.J_hat) if nominal else (params.m, params.J)
+class ControlTerms(NamedTuple):
+    """The controller's nominal model terms (m_hat, J_hat) at one state, with
+    M^-1 B and B^-1 in closed form."""
+
+    M: np.ndarray
+    C: np.ndarray
+    G: np.ndarray
+    B: np.ndarray
+    MinvB: np.ndarray          # (6, 6) M^-1 B, the acceleration per unit thrust
+    Binv: np.ndarray           # (6, 6) B^-1
+
+
+class StateTerms(NamedTuple):
+    """Everything one state's model gives: the plant's terms on the true m, J,
+    the controller's on m_hat, J_hat, and the body-to-world rotation R."""
+
+    plant: ModelTerms
+    control: ControlTerms
+    R: np.ndarray
+
+
+def model_terms(phi, phidot, params: ModelParams) -> StateTerms:
+    """The plant's and the controller's terms at attitude phi and Euler rates
+    phidot, from one Q(phi), Qdot and R(phi).
+
+    With M = blockdiag(m I, Q' J Q) and B = blockdiag(R, Q') A_body,
+    M^-1 B = blockdiag(R / m, Q^-1 J^-1) A_body and
+    B^-1 = A_body^-1 blockdiag(R', Q^-T); B, g and R are shared.
+    """
     Q = euler_rate_map(phi)
+    Qinv = euler_rate_map_inv(phi)
     Qd = euler_rate_map_dot(phi, phidot)
+    R = rotation(phi)
     pd = np.asarray(phidot, dtype=float)
     w = Q @ pd
-    M = np.zeros((6, 6))
-    M[0, 0] = M[1, 1] = M[2, 2] = m
-    M[3:, 3:] = Q.T @ J @ Q
-    C = np.zeros(6)
-    C[3:] = Q.T @ (J @ (Qd @ pd) + skew(w) @ (J @ w))
-    G = np.zeros(6)
-    G[2] = m * params.g
-    Bw = np.zeros((6, 6))
-    Bw[:3, :3] = rotation(phi)
-    Bw[3:, 3:] = Q.T
-    return ModelTerms(M, C, G, Bw @ params.allocation_body)
+    Qdpd = Qd @ pd
+    A = params.allocation_body
+    B = _blockdiag(R, Q.T) @ A
+
+    def terms(m, J):
+        M = np.zeros((6, 6))
+        M[0, 0] = M[1, 1] = M[2, 2] = m
+        M[3:, 3:] = Q.T @ J @ Q
+        C = np.zeros(6)
+        C[3:] = Q.T @ (J @ Qdpd + skew(w) @ (J @ w))
+        G = np.zeros(6)
+        G[2] = m * params.g
+        return M, C, G
+
+    nominal = terms(params.m_hat, params.J_hat)
+    # a controller on the true parameters shares the plant's M, C and G
+    true = nominal if params.nominal_is_true else terms(params.m, params.J)
+    MinvB = _blockdiag(R / params.m_hat, Qinv @ params.J_hat_inv) @ A
+    Binv = params.allocation_body_inv @ _blockdiag(R.T, Qinv.T)
+    return StateTerms(ModelTerms(*true, B), ControlTerms(*nominal, B, MinvB, Binv), R)
 
 
 @dataclass
@@ -171,19 +245,20 @@ class VehicleState:
 ARM_TRACK_GAIN = 20.0  # [1/s], critically damped joint tracking
 
 
-def step(state: VehicleState, T, theta_d, thetadot_d, thetaddot_d, d_true, dt,
-         params: ModelParams) -> VehicleState:
-    """Advance the true plant one step (semi-implicit Euler).
+def step(state: VehicleState, terms: ModelTerms, T, theta_d, thetadot_d, thetaddot_d,
+         d_true, dt, params: ModelParams) -> VehicleState:
+    """Advance the true plant one step (semi-implicit Euler) on terms, the
+    plant's model terms at state (model_terms(...).plant).
 
     The injected lumped disturbance d_true enters as the external generalized
     wrench; rotor thrusts saturate at the physical band before allocation.
     """
     if not (0.0 < dt <= DT_MAX):
         raise ValueError(f"dt must lie in (0, {DT_MAX}]")
-    M, C, G, B = model_terms(state.q[3:], state.qdot[3:], params)
+    M, C, G, B = terms
     T = np.clip(np.asarray(T, dtype=float), params.thrust_sat[0], params.thrust_sat[1])
     qddot = np.linalg.solve(M, B @ T + np.asarray(d_true, dtype=float) - C - G)
-    if not np.all(np.isfinite(qddot)):
+    if not np.isfinite(qddot).all():
         raise PlantError("non-finite acceleration in plant step")
 
     new = state.copy()

@@ -335,11 +335,13 @@ class Telemetry:
     feasible: np.ndarray       # (N,) bool
 
 
-def _dob_rest_state(q, model: dyn.ModelTerms) -> ctl.DobState:
-    """Observer state at the disturbance-free hover, from the nominal terms at q."""
+def _hover(q, model: dyn.ControlTerms):
+    """The nominal hover thrust at q and the observer's state at that
+    disturbance-free hover, from the nominal terms model at (q, 0)."""
+    T = model.Binv @ model.G
     state = ctl.DobState.initialize(q)
-    state.xp[0] = np.linalg.solve(model.M, model.G)
-    return state
+    state.xp[0] = model.MinvB @ T
+    return T, state
 
 
 # bytes that each tick holds until its mission ends: the Telemetry row (35
@@ -369,10 +371,13 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
              seed: int | None = None) -> Telemetry:
     """Run the full mission: hover settle phase, then trajectory tracking.
 
-    Each tick: observer update, constraint rows (the barrier rows refresh the
-    proxies of the pairs near an obstacle), outer-loop QP, inner-loop thrust
-    from the pre-update references (so the thrust-band rows are exact), then
-    reference integration and one plant step.
+    Each tick evaluates the model once (dynamics.model_terms): the observer
+    update, the constraint rows (the barrier rows refresh the proxies of the
+    pairs near an obstacle) and the thrust law run on its nominal terms, the
+    plant step on its true ones.  The thrust is the thrust rows' own affine
+    map at the QP's velocity reference, so the band the QP enforces is the
+    band on the applied thrust; then the references integrate and the plant
+    steps.
     """
     gains, safety, model = s.gains, s.safety, s.model
     barriers = ctl.PairBarriers(ctl.ProxyTracker(s.vehicle, _model_obstacles(s, mode)),
@@ -384,9 +389,7 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
     q_d = q0.copy()
     theta_d = theta0.copy()
     thetadot_d = np.zeros(3)
-    terms = dyn.model_terms(q0[3:], np.zeros(3), model, nominal=True)
-    dob = _dob_rest_state(q0, terms)
-    T = np.linalg.solve(terms.B, terms.G)
+    T, dob = _hover(q0, dyn.model_terms(q0[3:], np.zeros(3), model).control)
     prev_x = None
 
     dt = s.dt
@@ -403,24 +406,22 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
 
     for k in range(n):
         t = k * dt
-        # nominal terms for the observer, thrust rows and inner loop (the plant has its own)
-        terms = dyn.model_terms(state.q[3:], state.qdot[3:], model, nominal=True)
-        dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, terms, gains, dt)
+        terms = dyn.model_terms(state.q[3:], state.qdot[3:], model)
+        dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, terms.control, gains, dt)
         if t < s.settle_time:
             q_t, theta_t = q0, theta0
         else:
             q_t, theta_t = target_pose(traj, t - s.settle_time, s.duration,
                                        s.flight_height)
-        A1, b1 = ctl.thrust_limit_rows(q_d, state.q, state.qdot, d_hat, terms,
+        thrust = ctl.thrust_limit_rows(q_d, state.q, state.qdot, d_hat, terms.control,
                                        gains, safety.t_min, safety.t_max)
-        A2, b2, h_vals = ctl.cbf_rows(barriers, state.q, state.qdot, state.theta,
+        A2, b2, h_vals = ctl.cbf_rows(barriers, state.q, terms.R, state.qdot, state.theta,
                                       state.thetadot, q_d, gains, safety)
         res = ctl.outer_loop(q_t, theta_t, q_d, theta_d, thetadot_d,
-                             np.vstack([A1, A2]), np.concatenate([b1, b2]),
+                             np.vstack([thrust.A, A2]), np.concatenate([thrust.b, b2]),
                              gains, prev_x)
         prev_x = res.x
-        T = ctl.inner_loop(q_d, res.qdot_d, state.q, state.qdot, d_hat, terms,
-                           gains)
+        T = thrust.thrust(res.qdot_d)
         d_true = s.wind.force(t) + noise[k]
 
         tel.t[k] = t
@@ -436,7 +437,7 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
         q_d = q_d + dt * res.qdot_d
         thetadot_d = thetadot_d + dt * res.thetaddot_d
         theta_d = theta_d + dt * thetadot_d
-        state = dyn.step(state, T, theta_d, thetadot_d, res.thetaddot_d,
+        state = dyn.step(state, terms.plant, T, theta_d, thetadot_d, res.thetaddot_d,
                          d_true, dt, model)
     return tel
 
@@ -605,7 +606,10 @@ def telemetry_csv(tel: Telemetry) -> str:
 def emit(out_dir, traj: PlannedTrajectory, telemetry: Telemetry | None,
          report: MetricsReport, cells=None, graph=None):
     """Write trajectory/telemetry CSVs, the diagram dump and the metrics file."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise HarnessError(f"cannot create {out_dir}: {exc}") from exc
     _write(os.path.join(out_dir, "trajectory.csv"), trajectory_csv(traj))
     if telemetry is not None:
         _write(os.path.join(out_dir, "telemetry.csv"), telemetry_csv(telemetry))

@@ -5,13 +5,12 @@ Goldfarb and Idnani (Math. Programming 27, 1983): start at the unconstrained
 minimiser and add the most violated row with a step length, dropping a working
 row whose multiplier would turn negative first.  A violated row that admits
 neither a primal nor a dual step proves the rows infeasible.  H is factored
-once, when the problem is checked; the working rows, a few at most, are
-refactored densely at each step.
+once, when the problem is checked, and the start is taken from that factor;
+the working rows, a few at most, are refactored densely at each step.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +61,9 @@ class QpProblem:
 
     def with_rows(self, g, A, b) -> "QpProblem":
         """This problem's checked H with a new g, A and b; only the dimensions are rechecked."""
-        return copy.copy(self)._set_rows(g, A, b)
+        prob = object.__new__(QpProblem)
+        prob.H, prob.Linv, prob.regularized = self.H, self.Linv, self.regularized
+        return prob._set_rows(g, A, b)
 
 
 @dataclass
@@ -77,7 +78,7 @@ class QpSolution:
 def solve(prob: QpProblem) -> QpSolution:
     """Solve prob; every call starts afresh from the unconstrained minimiser."""
     A, b, Linv = prob.A, prob.b, prob.Linv
-    x = np.linalg.solve(prob.H, -prob.g)
+    x = -Linv.T @ (Linv @ prob.g)   # -H^-1 g, from the held factor
     work, lam = [], np.zeros(0)     # working rows and their multipliers
     p = None                        # the violated row being added
     status = "max_iter"

@@ -211,10 +211,17 @@ def qp_enumeration(H, g, A, b):
     m = A.shape[0]
     best_obj, best_x = np.inf, None
     for r in range(0, min(m, n) + 1):
+        # one KKT matrix [[H, As'], [As, 0]] and right side [-g; b_s] per
+        # subset size; each subset rewrites only its rows' blocks
+        K = np.zeros((n + r, n + r))
+        K[:n, :n] = H
+        rhs = np.empty(n + r)
+        rhs[:n] = -g
         for subset in itertools.combinations(range(m), r):
             As = A[list(subset)]
-            K = np.block([[H, As.T], [As, np.zeros((r, r))]])
-            rhs = np.concatenate([-g, b[list(subset)]])
+            K[n:, :n] = As
+            K[:n, n:] = As.T
+            rhs[n:] = b[list(subset)]
             try:
                 sol = np.linalg.solve(K, rhs)
             except np.linalg.LinAlgError:

@@ -252,25 +252,24 @@ def test_criterion_6_closed_loop_safety(shipped, missions):
 
 def _hover_with_constant_force(force, duration, dt=0.005):
     gains = ctl.GainSet()
+    safety = ctl.SafetyParams()
     model = dyn.ModelParams()
     q0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     state = dyn.VehicleState(q=q0)
-    terms = dyn.model_terms(q0[3:], np.zeros(3), model, nominal=True)
-    dob = hz._dob_rest_state(q0, terms)
-    T = np.linalg.solve(terms.B, terms.G)
+    T, dob = hz._hover(q0, dyn.model_terms(q0[3:], np.zeros(3), model).control)
     d_true = np.zeros(6)
     d_true[0] = force
     n = int(round(duration / dt))
     t = np.arange(n) * dt
     d_hat_x = np.empty(n)
     for k in range(n):
-        terms = dyn.model_terms(state.q[3:], state.qdot[3:], model, nominal=True)
-        dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, terms,
+        terms = dyn.model_terms(state.q[3:], state.qdot[3:], model)
+        dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, terms.control,
                                     gains, dt)
         d_hat_x[k] = d_hat[0]
-        T = ctl.inner_loop(q0, np.zeros(6), state.q, state.qdot, d_hat,
-                           terms, gains)
-        state = dyn.step(state, T, np.zeros(3), np.zeros(3), np.zeros(3),
+        T = ctl.thrust_limit_rows(q0, state.q, state.qdot, d_hat, terms.control, gains,
+                                  safety.t_min, safety.t_max).thrust(np.zeros(6))
+        state = dyn.step(state, terms.plant, T, np.zeros(3), np.zeros(3), np.zeros(3),
                          d_true, dt, model)
     return t, d_hat_x
 
@@ -359,12 +358,12 @@ def test_criterion_8_derivative_suite():
             gammas = np.full(P, gamma)
 
             def h_of(v):
-                X = ctl.proxy_points(barriers, gammas, ctl.vehicle_frames(geom, v[:6], v[6:]),
-                                     np.arange(P))
+                frames = ctl.vehicle_frames(geom, v[:6], dyn.rotation(v[3:6]), v[6:])
+                X = ctl.proxy_points(barriers, gammas, frames, np.arange(P))
                 return ctl.h_co(obstacle_frame(barriers, X), barriers)[part]
 
-            X = ctl.proxy_points(barriers, gammas, ctl.vehicle_frames(geom, v0[:6], v0[6:]),
-                                 np.arange(P))
+            frames = ctl.vehicle_frames(geom, v0[:6], dyn.rotation(v0[3:6]), v0[6:])
+            X = ctl.proxy_points(barriers, gammas, frames, np.arange(P))
             dx = obstacle_frame(barriers, X)
             np.testing.assert_allclose(dx[part], [*off, height / 4.0], rtol=0, atol=1e-12)
             grad = ctl.h_co_derivs(dx, barriers)[1][part]
@@ -427,7 +426,7 @@ def test_criterion_10_dynamics():
         # free fall: vertical acceleration is exactly -g
         for _ in range(10):
             phi = rng.uniform(-0.5, 0.5, 3)
-            terms = dyn.model_terms(phi, np.zeros(3), model)
+            terms = dyn.model_terms(phi, np.zeros(3), model).plant
             qddot = np.linalg.solve(terms.M, -terms.G)
             assert abs(qddot[2] + model.g) < 1e-9
 
@@ -436,9 +435,9 @@ def test_criterion_10_dynamics():
                                  qdot=rng.uniform(-0.5, 0.5, 6),
                                  theta=np.array([0.3, 0.0, -0.2]))
         phi = state.q[3:]
-        terms = dyn.model_terms(phi, state.qdot[3:], model)
+        terms = dyn.model_terms(phi, state.qdot[3:], model).plant
         T = np.linalg.solve(terms.B, terms.C + terms.G)
-        nxt = dyn.step(state, T, state.theta, state.thetadot, np.zeros(3),
+        nxt = dyn.step(state, terms, T, state.theta, state.thetadot, np.zeros(3),
                        np.zeros(6), 0.001, model)
         assert np.abs(nxt.qdot - state.qdot).max() < 1e-12
 

@@ -280,3 +280,20 @@ def test_stiffness_override_mapping_builds_params(tmp_path):
     data["planner"] = {"stiffness": {"k_min": 1.0}}
     s = cli.hz.load_scenario(write_scenario(tmp_path, data))
     assert s.planner.stiffness == StiffnessParams(k_min=1.0)
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "bench"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_at_or_below_a_file_exit_2_before_loading(empty_yaml, tmp_path, monkeypatch,
+                                                      capsys, command, below):
+    def load(*args, **kwargs):
+        raise AssertionError("scenario loaded before --out was checked")
+
+    monkeypatch.setattr(cli.hz, "load_scenario", load)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if below else afile
+    assert cli.main([command, "--scenario", empty_yaml, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: --out: {afile} exists")
+    assert afile.read_text() == "kept\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -64,15 +65,21 @@ class TestGainSet:
 
 def nominal(p, q, qdot):
     """The controller's nominal model terms at (q, qdot)."""
-    return dyn.model_terms(np.asarray(q)[3:], np.asarray(qdot)[3:], p, nominal=True)
+    return dyn.model_terms(np.asarray(q)[3:], np.asarray(qdot)[3:], p).control
+
+
+def plant_terms(p, q, qdot):
+    """The plant's true model terms at (q, qdot)."""
+    return dyn.model_terms(np.asarray(q)[3:], np.asarray(qdot)[3:], p).plant
 
 
 def stacked_rk4_dob_update(state, q, qdot, T, model, gains, dt):
     """Reference observer: the per-stage np.stack form of the RK4 on the two
-    filters, on the same model terms."""
+    filters, on the same model terms (the commanded acceleration from their
+    closed-form M^-1 B)."""
     a0e2 = gains.a0 / gains.eps ** 2
     a1e1 = gains.a1 / gains.eps
-    u_cmd = np.linalg.solve(model.M, model.B @ T)
+    u_cmd = model.MinvB @ T
     q_in = q + 0.5 * dt * qdot
 
     def filter_rates(x, u):
@@ -100,8 +107,7 @@ class TestDob:
         state = ctl.DobState.initialize(q)
         _, d_hat = ctl.dob_update(state, q, np.zeros(6), np.zeros(6),
                                   nominal(p, q, np.zeros(6)), g, 1e-9)
-        np.testing.assert_allclose(d_hat, dyn.model_terms(q[3:], np.zeros(3), p).G,
-                                   atol=1e-6)
+        np.testing.assert_allclose(d_hat, plant_terms(p, q, np.zeros(6)).G, atol=1e-6)
 
     def test_bit_equal_to_stacked_rk4(self, rng):
         p = dyn.ModelParams(m_hat=3.2, J_hat=np.diag([0.05, 0.06, 0.1]))
@@ -138,7 +144,8 @@ class TestDob:
         d_hat = np.zeros(6)
         for _ in range(4000):
             dob, d_hat = ctl.dob_update(dob, s.q, s.qdot, T, nominal(p, s.q, s.qdot), g, 0.005)
-            s = dyn.step(s, T, np.zeros(3), np.zeros(3), np.zeros(3), d_true, 0.005, p)
+            s = dyn.step(s, plant_terms(p, s.q, s.qdot), T, np.zeros(3), np.zeros(3),
+                         np.zeros(3), d_true, 0.005, p)
         assert d_hat[0] == pytest.approx(2.0, abs=1e-2)
         np.testing.assert_allclose(d_hat[1:], np.zeros(5), atol=1e-2)
 
@@ -177,7 +184,7 @@ class TestNominalTerms:
         p = dyn.ModelParams(**self.MODEL)
         for _ in range(20):
             q, qdot, _, _ = random_state(rng)
-            nom, true = nominal(p, q, qdot), dyn.model_terms(q[3:], qdot[3:], p)
+            nom, true = nominal(p, q, qdot), plant_terms(p, q, qdot)
             Q = dyn.euler_rate_map(q[3:])
             for terms, m, J in ((nom, p.m_hat, p.J_hat), (true, p.m, p.J)):
                 np.testing.assert_allclose(terms.M[:3, :3], m * np.eye(3), rtol=0, atol=0)
@@ -186,14 +193,24 @@ class TestNominalTerms:
             assert not np.allclose(nom.C, true.C)
             assert np.array_equal(nom.B, true.B)
 
+    def test_true_parameters_share_one_evaluation(self, rng):
+        # with m_hat, J_hat equal to m, J the plant reuses the controller's
+        # M, C and G, bit for bit what its own evaluation gives
+        exact, mismatch = dyn.ModelParams(), dyn.ModelParams(**self.MODEL)
+        assert exact.nominal_is_true and not mismatch.nominal_is_true
+        for _ in range(20):
+            q, qdot, _, _ = random_state(rng)
+            true = plant_terms(exact, q, qdot)
+            assert all(np.array_equal(a, b) for a, b in zip(true, plant_terms(mismatch, q, qdot)))
+            assert all(np.array_equal(a, b) for a, b in zip(true, nominal(exact, q, qdot)))
+
     def test_plant_steps_on_true_terms(self, rng):
         p = dyn.ModelParams(**self.MODEL)
         q, qdot, theta, thetadot = random_state(rng)
         s = dyn.VehicleState(q=q, qdot=qdot, theta=theta, thetadot=thetadot)
         T, d = rng.uniform(2.0, 10.0, size=6), rng.normal(size=6)
-        s2 = dyn.step(s, T, theta, thetadot, np.zeros(3), d, 0.005, p)
-        for terms, equal in ((dyn.model_terms(q[3:], qdot[3:], p), True),
-                             (nominal(p, q, qdot), False)):
+        s2 = dyn.step(s, plant_terms(p, q, qdot), T, theta, thetadot, np.zeros(3), d, 0.005, p)
+        for terms, equal in ((plant_terms(p, q, qdot), True), (nominal(p, q, qdot), False)):
             qddot = np.linalg.solve(terms.M, terms.B @ T + d - terms.C - terms.G)
             assert np.array_equal(s2.qdot, qdot + 0.005 * qddot) == equal
 
@@ -203,24 +220,31 @@ class TestNominalTerms:
                         start=np.zeros(5), goal=np.array([2.0, 0.0, 0.0]),
                         duration=0.05, settle_time=0.05, model=model)
         traj = hz.plan(s).traj
-        calls = {"dob_update": 0, "thrust_limit_rows": 0, "inner_loop": 0, "step": 0}
+        calls = {"dob_update": 0, "thrust_limit_rows": 0, "step": 0}
 
-        def checked(name, fn, i_q, i_terms):
+        def same(terms, expect):
+            return all(np.array_equal(a, b) for a, b in zip(terms, expect, strict=True))
+
+        def checked(name, fn):
+            # the observer and the rows (whose affine map is the thrust law)
+            # take the nominal terms of the tick state
             def wrapper(*args):
-                q, qdot, terms = args[i_q], args[i_q + 1], args[i_terms]
-                expect = nominal(model, q, qdot)
-                assert all(np.array_equal(a, b) for a, b in zip(terms, expect))
+                q, qdot, terms = args[1], args[2], args[4]
+                assert same(terms, nominal(model, q, qdot))
                 calls[name] += 1
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(ctl, "dob_update", checked("dob_update", ctl.dob_update, 1, 4))
+        monkeypatch.setattr(ctl, "dob_update", checked("dob_update", ctl.dob_update))
         monkeypatch.setattr(ctl, "thrust_limit_rows",
-                            checked("thrust_limit_rows", ctl.thrust_limit_rows, 1, 4))
-        monkeypatch.setattr(ctl, "inner_loop", checked("inner_loop", ctl.inner_loop, 2, 5))
+                            checked("thrust_limit_rows", ctl.thrust_limit_rows))
         step = dyn.step
 
         def plant(*args):
+            # the plant takes the true terms of the same state
+            state, terms = args[0], args[1]
+            assert same(terms, plant_terms(model, state.q, state.qdot))
+            assert not same(terms, nominal(model, state.q, state.qdot)[:4])
             assert args[-1] is model
             calls["step"] += 1
             return step(*args)
@@ -231,12 +255,15 @@ class TestNominalTerms:
 
 
 class TestInnerLoop:
+    """The inner loop's thrust law, the affine map that thrust_limit_rows forms."""
+
     def test_hover_equilibrium(self):
         p = dyn.ModelParams()
         g = ctl.GainSet()
-        T = ctl.inner_loop(np.zeros(6), np.zeros(6), np.zeros(6), np.zeros(6),
-                           np.zeros(6), nominal(p, np.zeros(6), np.zeros(6)), g)
-        np.testing.assert_allclose(T, np.full(6, hover_thrust(p)), atol=1e-10)
+        rows = ctl.thrust_limit_rows(np.zeros(6), np.zeros(6), np.zeros(6), np.zeros(6),
+                                     nominal(p, np.zeros(6), np.zeros(6)), g, 1.0, 15.0)
+        np.testing.assert_allclose(rows.thrust(np.zeros(6)), np.full(6, hover_thrust(p)),
+                                   atol=1e-10)
 
     def test_disturbance_compensation(self):
         p = dyn.ModelParams()
@@ -244,12 +271,17 @@ class TestInnerLoop:
         d_hat = np.zeros(6)
         d_hat[2] = -3.0
         terms = nominal(p, np.zeros(6), np.zeros(6))
-        T = ctl.inner_loop(np.zeros(6), np.zeros(6), np.zeros(6), np.zeros(6), d_hat, terms, g)
-        true = dyn.model_terms(np.zeros(3), np.zeros(3), p)
-        np.testing.assert_allclose(true.B @ T, true.G - d_hat, atol=1e-10)
+        rows = ctl.thrust_limit_rows(np.zeros(6), np.zeros(6), np.zeros(6), d_hat, terms, g,
+                                     1.0, 15.0)
+        true = plant_terms(p, np.zeros(6), np.zeros(6))
+        np.testing.assert_allclose(true.B @ rows.thrust(np.zeros(6)), true.G - d_hat,
+                                   atol=1e-10)
 
     def test_thrust_rows_substitute_exactly(self, rng):
-        p = dyn.ModelParams()
+        # the law is the computed-torque one, B T = M (Kd (qdot_d - qdot) +
+        # Kp (q_d - q)) + C + G - d_hat, and the rows give exactly the band
+        # slack of that T
+        p = dyn.ModelParams(m_hat=3.2, J_hat=np.diag([0.05, 0.06, 0.1]))
         g = ctl.GainSet()
         for _ in range(100):
             q, qdot, _, _ = random_state(rng)
@@ -257,11 +289,39 @@ class TestInnerLoop:
             qdot_d = rng.normal(scale=0.5, size=6)
             d_hat = rng.normal(scale=1.0, size=6)
             terms = nominal(p, q, qdot)
-            T = ctl.inner_loop(q_d, qdot_d, q, qdot, d_hat, terms, g)
-            A, b = ctl.thrust_limit_rows(q_d, q, qdot, d_hat, terms, g, 1.0, 15.0)
+            rows = ctl.thrust_limit_rows(q_d, q, qdot, d_hat, terms, g, 1.0, 15.0)
+            T = rows.thrust(qdot_d)
+            wrench = (terms.M @ (g.kd @ (qdot_d - qdot) + g.kp @ (q_d - q))
+                      + terms.C + terms.G - d_hat)
+            np.testing.assert_allclose(terms.B @ T, wrench, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(wrench).max()))
             x = np.concatenate([qdot_d, np.zeros(3)])
-            np.testing.assert_allclose(b[:6] - A[:6] @ x, T - 1.0, atol=1e-8)
-            np.testing.assert_allclose(b[6:] - A[6:] @ x, 15.0 - T, atol=1e-8)
+            np.testing.assert_allclose(rows.b[:6] - rows.A[:6] @ x, T - 1.0, atol=1e-8)
+            np.testing.assert_allclose(rows.b[6:] - rows.A[6:] @ x, 15.0 - T, atol=1e-8)
+
+    def test_applied_thrust_is_the_rows_affine_map(self, monkeypatch):
+        # over a short tree mission, every tick applies T = S qdot_d + c of its
+        # own rows at the QP's velocity reference, bit for bit
+        s = dataclasses.replace(hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml")),
+                                duration=0.5, settle_time=0.1)
+        traj = hz.plan(s).traj
+        laws, refs = [], []
+        rows_fn, outer_fn = ctl.thrust_limit_rows, ctl.outer_loop
+
+        def rows(*args):
+            laws.append(rows_fn(*args))
+            return laws[-1]
+
+        def outer(*args):
+            refs.append(outer_fn(*args))
+            return refs[-1]
+
+        monkeypatch.setattr(ctl, "thrust_limit_rows", rows)
+        monkeypatch.setattr(ctl, "outer_loop", outer)
+        tel = hz.simulate(s, traj, seed=1)
+        assert len(laws) == len(refs) == len(tel.t) == 120
+        for k, (law, res) in enumerate(zip(laws, refs)):
+            assert np.array_equal(tel.thrust[k], law.S @ res.qdot_d + law.c)
 
 
 def pair_barriers(geom, obstacles, height):
@@ -280,7 +340,7 @@ def proxy_kinematics(geom, part, gamma, q, theta, qdot=np.zeros(6), thetadot=np.
     """X, J and Jdot v of one part's proxy point, from the batched kernel."""
     # one obstacle: one pair per part
     barriers = pair_barriers(geom, [Superquadric2(a1=1.0, a2=1.0, eps=1.0)], 1.0)
-    frames = ctl.vehicle_frames(geom, q, theta)
+    frames = ctl.vehicle_frames(geom, q, dyn.rotation(q[3:]), theta)
     X = ctl.proxy_points(barriers, np.full(geom.n_parts, gamma), frames, np.arange(geom.n_parts))
     J, jdv = ctl.proxy_jacobians(frames, barriers.link, X, q[3:],
                                  np.concatenate([qdot, thetadot]))
@@ -422,9 +482,10 @@ class TestBarrier:
         tracker = ctl.ProxyTracker(geom=s.vehicle, obstacles=s.obstacles)
         barriers = ctl.PairBarriers(tracker, 3.0)
         q, theta = np.array([3.3, 3.1, 1.0, 0.05, -0.04, 0.4]), np.array([0.3, 0.1, -0.5])
-        _, _, h_rows = ctl.cbf_rows(barriers, q, np.zeros(6), theta, np.zeros(3), q,
+        R = dyn.rotation(q[3:])
+        _, _, h_rows = ctl.cbf_rows(barriers, q, R, np.zeros(6), theta, np.zeros(3), q,
                                     ctl.GainSet(), ctl.SafetyParams())
-        frames = ctl.vehicle_frames(s.vehicle, q, theta)
+        frames = ctl.vehicle_frames(s.vehicle, q, R, theta)
         bound = barriers.h_bounds(frames)
         near = np.flatnonzero(bound <= ctl.H_CULL)
         far = np.flatnonzero(bound > ctl.H_CULL)
@@ -497,7 +558,8 @@ class TestCbfRows:
             thetadot = rng.normal(scale=0.2, size=3)
             q_d = q + rng.normal(scale=0.02, size=6)
             tracker.refresh(q, theta)
-            A, b, h_vals = ctl.cbf_rows(barriers, q, qdot, theta, thetadot, q_d, g, safety)
+            A, b, h_vals = ctl.cbf_rows(barriers, q, dyn.rotation(q[3:]), qdot, theta,
+                                        thetadot, q_d, g, safety)
             assert h_vals.shape == (8,)
             assert np.all(h_vals > 0.0)
             rows = np.flatnonzero(h_vals <= ctl.H_CULL)
@@ -556,8 +618,9 @@ class TestCbfRows:
             q = np.array([0.4 + 3.2 * s, 0.72, 1.2, 0.1 * math.sin(5.0 * s), -0.08, 2.0 * s])
             theta = np.array([0.6 - 1.2 * s, 0.3 * s, 0.5])
             q_d = q + 0.01
-            A, b, h = ctl.cbf_rows(barriers, q, qdot, theta, thetadot, q_d, g, safety)
-            near = np.flatnonzero(barriers.h_bounds(ctl.vehicle_frames(geom, q, theta))
+            R = dyn.rotation(q[3:])
+            A, b, h = ctl.cbf_rows(barriers, q, R, qdot, theta, thetadot, q_d, g, safety)
+            near = np.flatnonzero(barriers.h_bounds(ctl.vehicle_frames(geom, q, R, theta))
                                   <= ctl.H_CULL)
             far = np.setdiff1d(np.arange(8), near)
             seen.append(tuple(near))
@@ -600,7 +663,7 @@ class TestFarPairGate:
         center = (dist * math.cos(bearing), dist * math.sin(bearing))
         barriers = pair_barriers(geom, [Superquadric2(a1, a2, eps, angle, center)], height)
         q, theta = np.array([0.0, 0.0, z, *tilt, yaw]), np.array(arm)
-        frames = ctl.vehicle_frames(geom, q, theta)
+        frames = ctl.vehicle_frames(geom, q, dyn.rotation(q[3:]), theta)
         bound = barriers.h_bounds(frames)
         # below -10 the part overlaps the obstacle, its bracket may reach the
         # degenerate floor, and every such pair is near anyway
@@ -619,7 +682,7 @@ class TestFarPairGate:
             barriers = pair_barriers(geom, [Superquadric2(radius, radius, 1.0, 0.3, (x0, 0.0))],
                                      height)
             q = np.array([0.0, 0.0, height / 2.0, 0.0, 0.0, 0.0])
-            frames = ctl.vehicle_frames(geom, q, np.zeros(3))
+            frames = ctl.vehicle_frames(geom, q, dyn.rotation(q[3:]), np.zeros(3))
             bound = barriers.h_bounds(frames)[0]
             X = ctl.proxy_points(barriers, np.zeros(1), frames, np.zeros(1, dtype=int))
             h = ctl.h_co(obstacle_frame(barriers, X, [0]), barriers.shapes([0]))[0]

@@ -15,6 +15,18 @@ def random_regular_phi(rng, max_tilt=0.5):
     return phi
 
 
+def envelope_attitudes(rng, n=200):
+    """Attitudes across the flight envelope: roll and pitch up to 0.52 rad."""
+    for _ in range(n):
+        yield np.array([rng.uniform(-0.52, 0.52), rng.uniform(-0.52, 0.52),
+                        rng.uniform(-math.pi, math.pi)])
+
+
+def plant_terms(state, params):
+    """The plant's model terms at state."""
+    return dyn.model_terms(state.q[3:], state.qdot[3:], params).plant
+
+
 def kinetic_energy(phi, phidot, params):
     w = dyn.euler_rate_map(phi) @ phidot
     return 0.5 * float(w @ params.J @ w)
@@ -50,24 +62,33 @@ class TestEulerRateMap:
         with pytest.raises(dyn.EulerSingularityError):
             dyn.euler_rate_map(np.array([0.0, math.pi / 2, 0.0]))
 
+    @pytest.mark.parametrize("pitch", [math.pi / 2 - dyn.PITCH_MARGIN,
+                                       -(math.pi / 2 - 0.5 * dyn.PITCH_MARGIN)])
+    def test_closed_form_inverse_keeps_the_pitch_check(self, pitch):
+        phi = np.array([0.2, pitch, -0.4])
+        with pytest.raises(dyn.EulerSingularityError):
+            dyn.euler_rate_map_inv(phi)
+        with pytest.raises(dyn.EulerSingularityError):
+            dyn.model_terms(phi, np.zeros(3), dyn.ModelParams())
+
 
 class TestMassCoriolisGravity:
     def test_level_attitude(self):
         p = dyn.ModelParams()
-        M = dyn.model_terms(np.zeros(3), np.zeros(3), p).M
+        M = dyn.model_terms(np.zeros(3), np.zeros(3), p).plant.M
         np.testing.assert_allclose(M[:3, :3], p.m * np.eye(3), atol=1e-15)
         np.testing.assert_allclose(M[3:, 3:], p.J, atol=1e-15)
 
     def test_zero_rates_zero_coriolis(self, rng):
         p = dyn.ModelParams()
         phi = random_regular_phi(rng)
-        np.testing.assert_allclose(dyn.model_terms(phi, np.zeros(3), p).C, np.zeros(6),
+        np.testing.assert_allclose(dyn.model_terms(phi, np.zeros(3), p).plant.C, np.zeros(6),
                                    atol=1e-15)
 
     def test_mass_matrix_spd(self, rng):
         p = dyn.ModelParams()
         for _ in range(1000):
-            M = dyn.model_terms(random_regular_phi(rng, 1.2), np.zeros(3), p).M
+            M = dyn.model_terms(random_regular_phi(rng, 1.2), np.zeros(3), p).plant.M
             np.testing.assert_allclose(M, M.T, atol=1e-12)
             assert np.linalg.eigvalsh(M).min() > 0.0
 
@@ -104,7 +125,7 @@ class TestMassCoriolisGravity:
                 dT_dphi[k] = (kinetic_energy(phi + e, phidot, p)
                               - kinetic_energy(phi - e, phidot, p)) / 2e-6
             oracle = lhs_t - dT_dphi
-            terms = dyn.model_terms(phi, phidot, p)
+            terms = dyn.model_terms(phi, phidot, p).plant
             model = (terms.M @ np.concatenate([np.zeros(3), phiddot]) + terms.C)[3:]
             np.testing.assert_allclose(model, oracle, atol=1e-6)
 
@@ -112,7 +133,7 @@ class TestMassCoriolisGravity:
 class TestAllocation:
     def test_equal_thrusts_pure_lift(self):
         p = dyn.ModelParams()
-        tau = dyn.model_terms(np.zeros(3), np.zeros(3), p).B @ (7.0 * np.ones(6))
+        tau = dyn.model_terms(np.zeros(3), np.zeros(3), p).plant.B @ (7.0 * np.ones(6))
         np.testing.assert_allclose(
             tau, [0, 0, 6 * 7.0 * math.cos(p.alpha_p), 0, 0, 0], atol=1e-12)
 
@@ -120,7 +141,7 @@ class TestAllocation:
         p = dyn.ModelParams(m=3.5, alpha_p=math.pi / 12, g=9.81)
         t = hover_thrust(p)
         # the allocation turns six equal hover thrusts into the weight, no torque
-        terms = dyn.model_terms(np.zeros(3), np.zeros(3), p)
+        terms = dyn.model_terms(np.zeros(3), np.zeros(3), p).plant
         np.testing.assert_allclose(terms.B @ np.full(6, t), terms.G, rtol=0, atol=1e-12)
         assert t == pytest.approx(5.925, abs=5e-3)
         assert 1.0 < t < 15.0
@@ -132,24 +153,48 @@ class TestAllocation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.alpha_p = 0.3
 
+    @pytest.mark.parametrize("bad", [dict(m_hat=0.0), dict(J_hat=np.diag([0.05, 0.0, 0.1])),
+                                     dict(J_hat=np.eye(2)), dict(J=-np.eye(3))])
+    def test_params_reject_inertias_the_closed_forms_cannot_invert(self, bad):
+        with pytest.raises(ValueError):
+            dyn.ModelParams(**bad)
+
     def test_full_rank(self):
         p = dyn.ModelParams()
-        assert np.linalg.matrix_rank(dyn.model_terms(np.zeros(3), np.zeros(3), p).B) == 6
+        assert np.linalg.matrix_rank(dyn.model_terms(np.zeros(3), np.zeros(3), p).plant.B) == 6
 
     def test_conditioning_over_envelope(self, rng):
         p = dyn.ModelParams()
-        for _ in range(200):
-            phi = np.array([rng.uniform(-0.52, 0.52), rng.uniform(-0.52, 0.52),
-                            rng.uniform(-math.pi, math.pi)])
-            assert np.linalg.cond(dyn.model_terms(phi, np.zeros(3), p).B) < 1e4
+        for phi in envelope_attitudes(rng):
+            assert np.linalg.cond(dyn.model_terms(phi, np.zeros(3), p).plant.B) < 1e4
+
+    def test_closed_forms_match_dense_inverses_over_envelope(self, rng):
+        # Q^-1, M^-1 B and B^-1 against LAPACK, each within a few ulp times
+        # the condition number of the matrix inverted; nominal terms off the
+        # true ones, with a non-diagonal J_hat
+        p = dyn.ModelParams(m_hat=3.2, J_hat=np.array([[0.05, 0.001, 0.0],
+                                                       [0.001, 0.06, 0.002],
+                                                       [0.0, 0.002, 0.1]]))
+        eps = np.finfo(float).eps
+
+        def close(got, ref, cond):
+            err = np.linalg.norm(got - ref, 2) / np.linalg.norm(ref, 2)
+            assert err <= 16.0 * eps * cond
+
+        for phi in envelope_attitudes(rng):
+            Q = dyn.euler_rate_map(phi)
+            close(dyn.euler_rate_map_inv(phi), np.linalg.inv(Q), np.linalg.cond(Q))
+            terms = dyn.model_terms(phi, rng.normal(size=3), p).control
+            close(terms.MinvB, np.linalg.solve(terms.M, terms.B), np.linalg.cond(terms.M))
+            close(terms.Binv, np.linalg.inv(terms.B), np.linalg.cond(terms.B))
 
 
 class TestStep:
     def test_free_fall(self):
         p = dyn.ModelParams()
         s = dyn.VehicleState()
-        s2 = dyn.step(s, np.zeros(6), np.zeros(3), np.zeros(3), np.zeros(3),
-                      np.zeros(6), 0.002, p)
+        s2 = dyn.step(s, plant_terms(s, p), np.zeros(6), np.zeros(3), np.zeros(3),
+                      np.zeros(3), np.zeros(6), 0.002, p)
         np.testing.assert_allclose(s2.qdot[:3] / 0.002, [0, 0, -p.g], atol=1e-12)
         np.testing.assert_allclose(s2.qdot[3:], np.zeros(3), atol=1e-12)
 
@@ -158,20 +203,20 @@ class TestStep:
         s = dyn.VehicleState(q=np.array([0, 0, 1, 0.1, -0.05, 0.3]),
                              qdot=np.array([0.2, 0.1, 0.0, 0.02, -0.01, 0.03]))
         phi = s.q[3:]
-        terms = dyn.model_terms(phi, s.qdot[3:], p)
+        terms = dyn.model_terms(phi, s.qdot[3:], p).plant
         T = np.linalg.solve(terms.B, terms.C + terms.G)
-        s2 = dyn.step(s, T, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(6), 0.001, p)
+        s2 = dyn.step(s, terms, T, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(6), 0.001, p)
         np.testing.assert_allclose(s2.qdot, s.qdot, atol=1e-12)
 
     def test_constant_disturbance_acceleration(self):
         p = dyn.ModelParams()
         s = dyn.VehicleState()
         phi = s.q[3:]
-        terms = dyn.model_terms(phi, s.qdot[3:], p)
+        terms = dyn.model_terms(phi, s.qdot[3:], p).plant
         T = np.linalg.solve(terms.B, terms.G)  # hover: cancels gravity exactly
         d = np.zeros(6)
         d[0] = 2.0
-        s2 = dyn.step(s, T, np.zeros(3), np.zeros(3), np.zeros(3), d, 0.002, p)
+        s2 = dyn.step(s, terms, T, np.zeros(3), np.zeros(3), np.zeros(3), d, 0.002, p)
         assert s2.qdot[0] / 0.002 == pytest.approx(2.0 / p.m, abs=1e-10)
 
     def test_momentum_conservation_without_forces(self):
@@ -179,8 +224,8 @@ class TestStep:
         s = dyn.VehicleState(qdot=np.array([0.3, -0.2, 0.1, 0, 0, 0]))
         for _ in range(100):
             before = p.m * s.qdot[:3]
-            s = dyn.step(s, np.zeros(6), np.zeros(3), np.zeros(3), np.zeros(3),
-                         np.zeros(6), 0.005, p)
+            s = dyn.step(s, plant_terms(s, p), np.zeros(6), np.zeros(3), np.zeros(3),
+                         np.zeros(3), np.zeros(6), 0.005, p)
             np.testing.assert_allclose(p.m * s.qdot[:3] - before, [0, 0, -p.m * p.g * 0.005],
                                        atol=1e-10)
 
@@ -191,8 +236,8 @@ class TestStep:
         def rollout(dt):
             s = dyn.VehicleState(qdot=w0.copy())
             for _ in range(int(round(1.0 / dt))):
-                s = dyn.step(s, np.zeros(6), np.zeros(3), np.zeros(3), np.zeros(3),
-                             np.zeros(6), dt, p)
+                s = dyn.step(s, plant_terms(s, p), np.zeros(6), np.zeros(3), np.zeros(3),
+                             np.zeros(3), np.zeros(6), dt, p)
             return np.concatenate([s.q, s.qdot])
 
         diff = np.abs(rollout(0.004) - rollout(0.002)).max()
@@ -201,14 +246,16 @@ class TestStep:
     def test_arm_tracks_reference(self):
         p = dyn.ModelParams()
         s = dyn.VehicleState()
-        terms = dyn.model_terms(np.zeros(3), np.zeros(3), p)
+        terms = dyn.model_terms(np.zeros(3), np.zeros(3), p).plant
         T_hover = np.linalg.solve(terms.B, terms.G)
         target = np.array([0.4, 0.0, -0.2])
         for _ in range(1000):
-            s = dyn.step(s, T_hover, target, np.zeros(3), np.zeros(3), np.zeros(6), 0.005, p)
+            s = dyn.step(s, plant_terms(s, p), T_hover, target, np.zeros(3), np.zeros(3),
+                         np.zeros(6), 0.005, p)
         np.testing.assert_allclose(s.theta, target, atol=1e-3)
 
     def test_dt_bounds(self):
         with pytest.raises(ValueError):
-            dyn.step(dyn.VehicleState(), np.zeros(6), np.zeros(3), np.zeros(3),
-                     np.zeros(3), np.zeros(6), 0.02, dyn.ModelParams())
+            dyn.step(dyn.VehicleState(), plant_terms(dyn.VehicleState(), dyn.ModelParams()),
+                     np.zeros(6), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(6), 0.02,
+                     dyn.ModelParams())

@@ -369,6 +369,13 @@ def test_metric_pass_matches_dense_oracle_on_random_stacks():
     assert (signs >= 50).all()
 
 
+def test_emit_below_a_file_raises_harness_error(empty_run, tmp_path):
+    _, (pr, tel, rep) = empty_run
+    (tmp_path / "afile").write_text("")
+    with pytest.raises(hz.HarnessError, match="cannot create"):
+        hz.emit(str(tmp_path / "afile" / "out"), pr.traj, tel, rep)
+
+
 def test_csv_column_validation(empty_run, tmp_path):
     s, (pr, tel, rep) = empty_run
     out = tmp_path / "out"
