@@ -79,21 +79,14 @@ def _check_out(out):
         path = os.path.dirname(path)
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan_or_simulate(args) -> int:
     _check_out(args.out)
     s = _load(args.scenario[0], args.dt, args.ns, args.seed)
-    pr = hz.plan(s, args.mode)
-    report = hz.metrics(pr.traj, None, s, pr.plan_time)
-    if args.out:
-        hz.emit(args.out, pr.traj, None, report, pr.cells, pr.graph)
-    print("\n".join(report.lines()))
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    _check_out(args.out)
-    s = _load(args.scenario[0], args.dt, args.ns, args.seed)
-    pr, tel, report = hz.run_pipeline(s, args.mode, seed=args.seed)
+    if args.command == "plan":
+        pr, tel = hz.plan(s, args.mode), None
+        report = hz.metrics(pr.traj, None, s, pr.plan_time)
+    else:
+        pr, tel, report = hz.run_pipeline(s, args.mode, seed=args.seed)
     if args.out:
         hz.emit(args.out, pr.traj, tel, report, pr.cells, pr.graph)
     print("\n".join(report.lines()))
@@ -112,9 +105,8 @@ def _cmd_bench(args) -> int:
                         pr.cells, pr.graph)
             results.append((s.name, mode, report, pr.traj.evals))
     results.sort(key=lambda r: (r[0], r[1]))
-    header = f"{'scenario':<12}{'mode':<9}{'plan_time':>10}{'evals':>7}{'min_dist':>10}" \
-             f"{'arc_len':>9}{'jerkiness':>11}{'h_min':>8}{'infeas':>7}"
-    print(header)
+    print(f"{'scenario':<12}{'mode':<9}{'plan_time':>10}{'evals':>7}{'min_dist':>10}"
+          f"{'arc_len':>9}{'jerkiness':>11}{'h_min':>8}{'infeas':>7}")
     for (name, mode, rep, evals) in results:
         print(f"{name:<12}{mode:<9}{rep.plan_time:>10.3f}{evals:>7d}"
               f"{rep.min_distance:>10.4f}{rep.arc_length:>9.3f}"
@@ -134,7 +126,7 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-_COMMANDS = {"plan": _cmd_plan, "simulate": _cmd_simulate,
+_COMMANDS = {"plan": _cmd_plan_or_simulate, "simulate": _cmd_plan_or_simulate,
              "bench": _cmd_bench, "metrics": _cmd_metrics}
 
 
@@ -145,6 +137,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        hz.float_spec()     # a bad AMPLAN_DIGITS fails before any scenario loads
         return _COMMANDS[args.command](args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

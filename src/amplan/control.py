@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics as dyn
-from .geometry import (bounding_radius, center_angles, check_numbers, closest_pairs,
-                       shape_rows, signed_pow)
+from .geometry import (bounding_radius, center_angles, check_numbers, circle_bound,
+                       closest_pairs, shape_rows, signed_pow)
 from .planner import VehicleGeometry, pair_index, pair_rows, set_part_poses
 from .qp import QpProblem, solve
 
@@ -363,10 +363,7 @@ class ProxyTracker:
 
 # exponent of the vertical profile of every extruded obstacle
 EXTRUDE_EPS1 = 0.1
-
-
-# h_bounds' rounding slack per unit of scene scale, and its floor on rho / r_obs
-_ULPS = 32.0 * np.finfo(float).eps
+# h_bounds' floor on rho / r_obs
 _TINY = np.finfo(float).tiny
 
 
@@ -399,9 +396,9 @@ class PairBarriers:
         self.translation = np.column_stack([cx, cy, self.a3])
         self.r_part = bounding_radius(*self.part_axes)
         self.r_obs = bounding_radius(self.a1, self.a2, self.eps2)
-        # the frame-independent share of h_bounds' rounding slack
-        self._scale = (np.abs(self.translation[:, :2]).max(initial=0.0)
-                       + self.r_part.max(initial=0.0) + self.r_obs.max(initial=0.0))
+        # the frame-independent share of h_bounds' scene scale (geometry.circle_bound)
+        self._scale = sum(v.max(initial=0.0)
+                          for v in (abs(self.translation[:, :2]), self.r_part, self.r_obs))
 
     def shapes(self, pairs):
         """The extruded obstacles of pairs (an index array), as h_co takes them."""
@@ -414,20 +411,17 @@ class PairBarriers:
         rho / r_obs floored at the smallest normal float (below -14000).
 
         A part's boundary points lie within r_part of its center C, tilt
-        included, so their horizontal distance from the obstacle's axis is at
-        least rho = |C_xy - c_obs| - r_part.  The planar bracket u is
-        homogeneous and its level set u = 1 lies within r_obs of the axis, so
-        u >= (rho / r_obs)^(2 / eps2), and the extruded bracket is at least
-        u^(eps2 / eps1).  rho is lowered by a few ulp of the scene's scale so
-        that rounding cannot lift the bound above the h computed at a proxy.
+        included, so at least rho = geometry.circle_bound(C_xy - c_obs, r_part)
+        from the obstacle's axis.  The planar bracket u is homogeneous and is 1
+        within r_obs of the axis, so u >= (rho / r_obs)^(2 / eps2), and the
+        extruded bracket is at least u^(eps2 / eps1).
         """
         pivots, rotations = frames
         link = self.tracker.geom.part_links
         centers = pivots[link, :2] + np.einsum("pij,pj->pi", rotations[link, :2, :2],
                                                self.tracker.geom.part_offsets)
         d = centers[self.tracker.pi] - self.translation[:, :2]
-        slack = _ULPS * (np.abs(centers).max() + self._scale)
-        rho = np.hypot(d[:, 0], d[:, 1]) - self.r_part - slack
+        rho = circle_bound(d.T, self.r_part, np.abs(centers).max() + self._scale)
         return (2.0 / EXTRUDE_EPS1) * np.log(np.maximum(rho / self.r_obs, _TINY))
 
 

@@ -87,6 +87,24 @@ def bounding_radius(a1, a2, eps) -> np.ndarray:
     return np.maximum(a1, a2) * [radial_excess(e) for e in eps]
 
 
+def circle_bound(d, r, scale):
+    """Lower bound |d| - r on the distance from c to every point within r of C,
+    d = C - c (2, ...), less _ULPS of scale (the scene's largest coordinate plus
+    its largest radii): rounding cannot lift it above the true distance."""
+    return np.hypot(d[0], d[1]) - r - _ULPS * scale
+
+
+def _tanh_saturation(lo=0.0, hi=64.0) -> float:
+    """The smallest double x with np.tanh(x) == 1.0, by bisection on doubles:
+    stiffness_terms(d) is exactly (k_min, 0, 0) for d >= x d0."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if np.tanh(mid) == 1.0 else (mid, hi)
+    return hi
+
+
+TANH_SATURATION = _tanh_saturation()
+
+
 @dataclass(frozen=True)
 class StiffnessParams:
     """Bounds and scales of the nonlinear proxy stiffness."""
@@ -127,6 +145,8 @@ def stiffness_terms(d, params: StiffnessParams):
 AXIS_FLOOR = 1e-12
 # longest accepted step in the proxy angles [rad], to stay within the local basin
 MAX_STEP = 0.25
+# circle_bound's rounding slack per unit of scene scale
+_ULPS = 32.0 * np.finfo(float).eps
 # closest_pairs drops converged pairs from its rounds once a batch of at least
 # this many pairs is down to a quarter pending; on smaller batches the copies
 # cost more than the rounds they shorten (they broke even near 96 pairs on a

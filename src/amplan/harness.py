@@ -24,7 +24,7 @@ from . import control as ctl
 from . import dynamics as dyn
 from . import voronoi as vor
 from .geometry import (GeometryError, Superquadric2, bounding_radius, check_numbers,
-                       closest_pairs, radial_excess, shape_rows)
+                       circle_bound, closest_pairs, radial_excess, shape_rows)
 from .planner import (PlannedTrajectory, PlannerError, PlannerParams,
                       VehicleGeometry, attractors_from_path, integrate_em, pair_rows,
                       set_part_poses, target_pose)
@@ -47,7 +47,7 @@ _ENV_DIGITS = "AMPLAN_DIGITS"
 GRAPH_SNAP = 0.15
 
 
-def _float_spec() -> str:
+def float_spec() -> str:
     """Format spec of the emitted floats: AMPLAN_DIGITS significant digits, 17
     by default; each emitted file reads it once."""
     raw = os.environ.get(_ENV_DIGITS, "")
@@ -56,9 +56,9 @@ def _float_spec() -> str:
     try:
         d = int(raw)
     except ValueError as exc:
-        raise HarnessError(f"{_ENV_DIGITS} must be an integer, got {raw!r}") from exc
+        raise ScenarioError(f"{_ENV_DIGITS} must be an integer, got {raw!r}") from exc
     if not (1 <= d <= 17):
-        raise HarnessError(f"{_ENV_DIGITS} must lie in [1, 17], got {d}")
+        raise ScenarioError(f"{_ENV_DIGITS} must lie in [1, 17], got {d}")
     return f".{d}g"
 
 
@@ -263,12 +263,8 @@ def ellipse_obstacles(obstacles: list) -> list:
     same-axes ellipse (geometry.radial_excess), so the ellipse contains the
     original shape and, for eps < 1, touches it along the diagonals.
     """
-    out = []
-    for sq in obstacles:
-        scale = radial_excess(sq.eps)
-        out.append(Superquadric2(a1=sq.a1 * scale, a2=sq.a2 * scale, eps=1.0,
-                                 angle=sq.angle, center=sq.center))
-    return out
+    return [Superquadric2(a1=sq.a1 * radial_excess(sq.eps), a2=sq.a2 * radial_excess(sq.eps),
+                          eps=1.0, angle=sq.angle, center=sq.center) for sq in obstacles]
 
 
 def _model_obstacles(s: Scenario, mode: str) -> list:
@@ -457,7 +453,7 @@ class MetricsReport:
     total_ticks: int = 0
 
     def lines(self):
-        spec = _float_spec()
+        spec = float_spec()
         out = ["amplan metrics v1"]
         for f in fields(self):
             v = getattr(self, f.name)
@@ -478,15 +474,14 @@ def min_distance_profile(traj: PlannedTrajectory, geom: VehicleGeometry,
     start from the previous sample; closest_pairs never mixes pairs, so each
     gets bit for bit the gap of solving it alone.
 
-    Only the pairs that can hold a sample's minimum are solved.  Each pair has
-    the lower bound lb = |c_part - c_obs| - R_part - R_obs on its distance, R
-    being the shapes' bounding radii (geometry.bounding_radius), less a few ulp
-    of the scene's scale so that rounding cannot reverse a comparison.  One
-    call solves the smallest-lb pair of every sample, giving its gap g1; a
-    second solves the other pairs with lb <= max(g1, 0).  A pruned pair has
-    lb > max(g1, 0), so its bounding circles are disjoint and its gap, the
-    distance between two boundary points, is at least lb: above the sample's
-    minimum.  The profile is bit for bit that of solving all pairs.
+    Only the pairs that can hold a sample's minimum are solved.  Each pair's
+    gap is at least lb = geometry.circle_bound(c_part - c_obs, R_part + R_obs),
+    R the shapes' bounding radii.  One call solves the smallest-lb pair of
+    every sample, giving its gap g1; a second solves the other pairs with
+    lb <= max(g1, 0).  A pruned pair has lb > max(g1, 0), so its bounding
+    circles are disjoint and its gap, the distance between two boundary
+    points, is at least lb: above the sample's minimum.  The profile is bit
+    for bit that of solving all pairs.
     """
     n = len(traj.s)
     if not obstacles:
@@ -499,11 +494,10 @@ def min_distance_profile(traj: PlannedTrajectory, geom: VehicleGeometry,
 
     r_part, r_obs = bounding_radius(*geom.part_axes), bounding_radius(*obs_rows[:3])
     centers = parts[5:].reshape(2, n, n_parts, 1)
-    slack = 32.0 * np.finfo(float).eps * (np.abs(centers).max() + np.abs(obs_rows[5:]).max()
-                                          + r_part.max() + r_obs.max())
+    scale = np.abs(centers).max() + np.abs(obs_rows[5:]).max() + r_part.max() + r_obs.max()
     # (n, pairs) in planner.pair_index order
-    lb = (np.hypot(*(centers - obs_rows[5:, None, None]))
-          - (r_part[:, None] + r_obs) - slack).reshape(n, -1)
+    lb = circle_bound(centers - obs_rows[5:, None, None], r_part[:, None] + r_obs,
+                      scale).reshape(n, -1)
 
     def gaps(sample, pair):
         part, obs = np.divmod(pair, n_obs)
@@ -582,7 +576,7 @@ def _write(path, text):
 
 
 def trajectory_csv(traj: PlannedTrajectory) -> str:
-    spec = _float_spec()
+    spec = float_spec()
     rows = [_TRAJ_HEADER]
     for k in range(len(traj.s)):
         vals = ([traj.s[k]] + list(traj.z[k]) + list(traj.eef[k])
@@ -592,7 +586,7 @@ def trajectory_csv(traj: PlannedTrajectory) -> str:
 
 
 def telemetry_csv(tel: Telemetry) -> str:
-    spec = _float_spec()
+    spec = float_spec()
     rows = [_TEL_HEADER]
     for k in range(len(tel.t)):
         vals = ([tel.t[k]] + list(tel.q[k]) + list(tel.qdot[k])
@@ -638,8 +632,7 @@ def _parse_csv(text, expected_header):
 def load_trajectory_csv(path) -> PlannedTrajectory:
     m = _parse_csv(_read(path), _TRAJ_HEADER)
     return PlannedTrajectory(s=m[:, 0], z=m[:, 1:6], eef=m[:, 6:9],
-                             u=m[:, 9:12], gammas=np.zeros((len(m), 0)),
-                             attractors=[])
+                             u=m[:, 9:12], gammas=np.zeros((len(m), 0)))
 
 
 def load_telemetry_csv(path) -> Telemetry:

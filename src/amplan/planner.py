@@ -4,16 +4,17 @@ The planar system configuration is z = [x, y, psi, th1, th3] (base position,
 base heading, two arm joints).  The vehicle footprint is a set of planar SQ
 parts (six rotor disks plus two arm links), each fixed in the base, shoulder
 or forearm frame; set_part_poses places them from those joint frames for every
-caller.  Their proxy points interact with every obstacle through a stiff
-short-range potential.  A moving end-effector attractor u(s) slides along the
-clearance path; the configuration follows the potential's equilibrium manifold
-grad_z W = 0, traced in the path parameter s by predictor-corrector
-continuation on a fixed grid.
+caller.  Each part and obstacle interact through a stiff short-range potential
+on their proxy points, the pair's closest points (geometry.closest_pairs),
+re-solved along the plan while the pair is within reach.  A moving
+end-effector attractor u(s) slides along the clearance path; the configuration
+follows the potential's equilibrium manifold grad_z W = 0, traced in the path
+parameter s by predictor-corrector continuation on a fixed grid.
 
-The potential, its configuration-space gradient and Hessian, its proxy-angle
-gradient and the end-effector Jacobian are closed-form, computed in one batched
-pass over the part/obstacle pairs per continuation evaluation, on the proxies
-and tangents of geometry's superquadric boundary kernel.
+The potential, its configuration-space gradient and Hessian and the
+end-effector Jacobian are closed-form, computed in one batched pass over the
+part/obstacle pairs per continuation evaluation, on the proxy points of
+geometry's superquadric boundary kernel.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (AXIS_FLOOR, GeometryError, StiffnessParams, _boundary, check_numbers,
-                       closest_pairs, shape_rows, stiffness_terms, wrap_angle)
+from .geometry import (AXIS_FLOOR, TANH_SATURATION, GeometryError, StiffnessParams, _boundary,
+                       bounding_radius, check_numbers, circle_bound, closest_pairs, shape_rows,
+                       stiffness_terms, wrap_angle)
 from .voronoi import SolutionPath
 
 
@@ -125,7 +127,6 @@ class VehicleGeometry:
 @dataclass
 class PlannerParams:
     eta: float = 20.0
-    alpha: float = 20.0
     k_tgt: np.ndarray = field(default_factory=lambda: 800.0 * np.diag([2.0, 2.0, 1.0]))
     k_reg: float = 1.0
     n_s: int = 400
@@ -135,15 +136,15 @@ class PlannerParams:
     prerelax_max_iter: int = 200
 
     def __post_init__(self):
-        check_numbers(self, PlannerError, ("eta", "alpha", "k_reg", "cond_limit", "prerelax_tol"),
+        check_numbers(self, PlannerError, ("eta", "k_reg", "cond_limit", "prerelax_tol"),
                       ("n_s", "prerelax_max_iter"))
         self.k_tgt = np.asarray(self.k_tgt, dtype=float)
         if not np.isfinite(self.k_tgt).all():
             raise PlannerError("k_tgt must be finite")
         # a plan needs |grad| < prerelax_tol and lambda_max <= cond_limit lambda_min
-        if not (self.eta > 0 and self.alpha > 0 and self.n_s >= 2 and self.prerelax_tol > 0
+        if not (self.eta > 0 and self.n_s >= 2 and self.prerelax_tol > 0
                 and self.cond_limit >= 1 and self.k_tgt.shape == (3, 3)):
-            raise PlannerError("need eta > 0, alpha > 0, n_s >= 2, prerelax_tol > 0, "
+            raise PlannerError("need eta > 0, n_s >= 2, prerelax_tol > 0, "
                                "cond_limit >= 1 and a 3x3 k_tgt")
         if isinstance(self.stiffness, dict):
             self.stiffness = StiffnessParams(**self.stiffness)
@@ -153,9 +154,7 @@ class PlannerParams:
 
 def pair_index(n_parts: int, n_obs: int):
     """Flat pair ordering: pair q = (part q // n_obs, obstacle q % n_obs)."""
-    parts = np.repeat(np.arange(n_parts), n_obs)
-    obs = np.tile(np.arange(n_obs), n_parts)
-    return parts, obs
+    return np.repeat(np.arange(n_parts), n_obs), np.tile(np.arange(n_obs), n_parts)
 
 
 def pair_rows(geom: VehicleGeometry, obs_rows, z):
@@ -200,10 +199,14 @@ class _Evaluator:
 
         # pair_rows layout of every proxy's shape, (7, 2, P): side 0 the part of
         # each pair, side 1 its obstacle.  Per evaluation only the part side's
-        # cos, sin and center change, which set_part_poses writes.
+        # cos, sin and center change, which set_part_poses writes: rows holds the
+        # poses of the last evaluation.
         self.rows = np.array(pair_rows(geom, obs_rows, np.zeros(5))).transpose(1, 0, 2)
         a = self.rows[:2, 1]
         oeps, ocos, osin = self.rows[2:5, 1]
+        self.r_part, r_obs = bounding_radius(*self.rows[:3, 0]), bounding_radius(*a, oeps)
+        self.reach = r_obs * (1.0 + stiff.d_prime + TANH_SATURATION * stiff.d0) ** (oeps / 2.0)
+        self.scale = sum(v.max(initial=0.0) for v in (abs(self.rows[5:, 1]), self.r_part, r_obs))
         self.oexp = 2.0 / oeps
         # joint angle j moves a part proxy iff j <= l, l the frame of its part
         self.moved = (np.arange(3) <= geom.part_links[self.pi][:, None]).astype(float)
@@ -219,6 +222,15 @@ class _Evaluator:
         self.fcurv = self.oexp * (self.oexp - 1.0) / a ** 2
         self.e1, self.e2 = self.oexp - 1.0, self.oexp - 2.0
 
+    def within_reach(self):
+        """Indices of the pairs within reach at the poses in rows.  The others
+        have rho = circle_bound >= reach = r_obs (1 + d' + TANH_SATURATION d0)
+        ^(eps / 2): F + 1 is homogeneous of degree 2 / eps and 1 within r_obs
+        of the center, so their stiffness is (k_min, 0, 0) at every angle."""
+        c = self.rows[5:, 0]    # the part centers
+        rho = circle_bound(c - self.rows[5:, 1], self.r_part, abs(c).max(initial=0) + self.scale)
+        return np.flatnonzero(rho < self.reach)
+
 
 # d^2 p / dphi_i dphi_j = -V_max(i,j): the joint angles act on nested frames
 _MAX_JOINT = np.maximum.outer(np.arange(3), np.arange(3))
@@ -227,14 +239,13 @@ _EYE2 = np.eye(2)[:, :, None]
 
 def _pair_sums(ev: _Evaluator, z, Gp, Go, jf):
     """The pair terms of _fused_derivatives, summed over the pairs: grad_z (5,),
-    hess_z (5, 5) without the joint-frame curvature, that curvature -G.V (3,),
-    grad_Gamma (2P,) and W; jf holds the joint frames (3, 4) at z."""
-    P, st = ev.P, ev.stiff
-
-    rows = ev.rows.copy()
+    hess_z (5, 5) without the joint-frame curvature, that curvature -G.V (3,)
+    and W; jf holds the joint frames (3, 4) at z, where the part rows of ev.rows
+    are posed."""
+    P, st, rows = ev.P, ev.stiff, ev.rows
     set_part_poses(rows[:, 0], ev.geom, ev.pi, z, jf[None])
-    X, T, _ = _boundary(rows.reshape(7, 2 * P), np.concatenate((Gp, Go), axis=None),
-                        curvature=False)
+    X = _boundary(rows.reshape(7, 2 * P), np.concatenate((Gp, Go), axis=None),
+                  curvature=False)[0]
     p, q = X[:, :P], X[:, P:]
 
     # part proxies in their obstacle's frame, divided by its semi-axes
@@ -256,7 +267,6 @@ def _pair_sums(ev: _Evaluator, z, Gp, Go, jf):
     Hp = (0.5 * k2 * d2 * f[:, None] * f
           + A * (ev.orot2[:, :, 0] * hb[0] + ev.orot2[:, :, 1] * hb[1])
           + k1 * (fD + fD.transpose(1, 0, 2)) + k0 * _EYE2)
-    gG = np.concatenate(((Gr * T[:, :P]).sum(axis=0), -k0 * (D * T[:, P:]).sum(axis=0)))
 
     # chain rule to z through the proxy Jacobian Jp = [I | S V], (2, P, 5)
     V = (p[:, :, None] - jf[:, :2].T[:, None]) * ev.moved
@@ -269,23 +279,22 @@ def _pair_sums(ev: _Evaluator, z, Gp, Go, jf):
     gz = Gr @ Jp
     H = Jp.T @ HJ.reshape(2 * P, 5)
     curv = -(Gr @ V.reshape(2 * P, 3))
-    return gz, H, curv, gG, (0.5 * k0 * d2).sum()
+    return gz, H, curv, (0.5 * k0 * d2).sum()
 
 
 def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
-    """(grad_z W, hess_z W, J_eef, grad_Gamma W, W) at z (5,), proxy angles
-    Gp, Go (P,) and attractor u (3,), from one batched pass over the pairs.
+    """(grad_z W, hess_z W, J_eef, W) at z (5,), fixed proxy angles Gp, Go (P,)
+    and attractor u (3,), from one batched pass over the pairs.
 
     W is the sum of the pair terms, the target term and the joint regulariser;
     all its derivatives are closed-form.  The pair terms come from _pair_sums,
-    which takes every proxy point p and tangent dp/dgamma from one
-    geometry._boundary call; with no pairs it is not called.  A pair term
+    which takes every proxy point p from one geometry._boundary call; with no
+    pairs it is not called.  A pair term
     0.5 k(F(p) - d') |p - q|^2 has p-space gradient Gr = 0.5 k' |D|^2 dF + k D and
     Hessian 0.5 k'' |D|^2 dF dF^T + 0.5 k' |D|^2 d2F + k' (dF D^T + D dF^T) + k I,
     D = p - q, mapped to z through the proxy's Jacobian [I | S V] plus the
-    -G.V_max(i,j) curvature of the nested joint frames.  Its proxy-angle
-    gradient is Gr . dp/dgamma on the part side and -k D . dq/dgamma on the
-    obstacle side.
+    -G.V_max(i,j) curvature of the nested joint frames.  The pass leaves
+    ev.rows posed at z, where integrate_em's reach gate reads them.
     """
     geom = ev.geom
     x, y, psi, t1, t3 = z.tolist()
@@ -302,10 +311,10 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     r = np.array([ux - ex, uy - ey, wrap_angle(ut - (psi + t1 + t3))])
 
     if ev.P:
-        gz, H, curv, gG, W = _pair_sums(ev, z, Gp, Go, np.array(fr))
+        gz, H, curv, W = _pair_sums(ev, z, Gp, Go, np.array(fr))
     else:
         # no pairs: no proxy to evaluate, and every pair sum is zero
-        gz, H, curv, gG, W = np.zeros(5), np.zeros((5, 5)), np.zeros(3), np.zeros(0), 0.0
+        gz, H, curv, W = np.zeros(5), np.zeros((5, 5)), np.zeros(3), 0.0
 
     # target term 0.5 r^T K r and the joint regulariser 0.5 k_reg (th1^2 + th3^2)
     Kr = params.k_tgt @ r
@@ -317,21 +326,21 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     H[3, 3] += params.k_reg
     H[4, 4] += params.k_reg
     W = W + 0.5 * (r @ Kr) + 0.5 * params.k_reg * (t1 * t1 + t3 * t3)
-    return gz, H, J, gG, W
+    return gz, H, J, W
 
 
 def _init_gammas(geom, obs_rows, z):
-    """Warm proxy angles (Gp, Go) from one cold-started closest_pairs solve at z."""
+    """Proxy angles (2, P), part side first, of one cold closest_pairs solve at z."""
     return closest_pairs(*pair_rows(geom, obs_rows, z)).gammas
 
 
 def _prerelax(ev: _Evaluator, params, z0, Gp, Go, u0):
-    """Damped Newton flow on z (and descent on Gamma) down to a local equilibrium."""
+    """Damped Newton flow on z down to a local equilibrium, at fixed proxy angles."""
     z = np.asarray(z0, dtype=float).copy()
     for _ in range(params.prerelax_max_iter):
-        gz, H, _, gG, w0 = _fused_derivatives(ev, params, z, Gp, Go, u0)
+        gz, H, _, w0 = _fused_derivatives(ev, params, z, Gp, Go, u0)
         if np.linalg.norm(gz) < params.prerelax_tol:
-            return z, Gp, Go
+            return z
         Hs = 0.5 * (H + H.T)
         try:
             dz = np.linalg.solve(Hs + 1e-10 * np.eye(5), -gz)
@@ -342,24 +351,18 @@ def _prerelax(ev: _Evaluator, params, z0, Gp, Go, u0):
         step = 1.0
         for _ in range(30):
             z_new = z + step * dz
-            w = _fused_derivatives(ev, params, z_new, Gp, Go, u0)[4]
+            w = _fused_derivatives(ev, params, z_new, Gp, Go, u0)[3]
             if w < w0 + 1e-4 * step * (dz @ gz):
                 z = z_new
                 break
             step *= 0.5
         else:
             break
-        P = Gp.size
-        gn = np.abs(gG).max()
-        if gn > 0.0:
-            sg = min(1.0 / params.alpha, 0.25 / gn)
-            Gp = Gp - sg * gG[:P]
-            Go = Go - sg * gG[P:]
     gz = _fused_derivatives(ev, params, z, Gp, Go, u0)[0]
     if np.linalg.norm(gz) >= params.prerelax_tol:
         raise PlannerError(
             f"pre-relaxation stalled with |grad| = {np.linalg.norm(gz):.3e}")
-    return z, Gp, Go
+    return z
 
 
 def attractors_from_path(path: SolutionPath, start_heading: float, goal_pose):
@@ -396,11 +399,9 @@ class PlannedTrajectory:
     eef: np.ndarray        # (N+1, 3) end-effector poses
     u: np.ndarray          # (N+1, 3) attractor schedule samples
     gammas: np.ndarray     # (N+1, 2P) proxy angles, part block then obstacle block
-    attractors: list
     evals: int = 0         # derivative evaluations of the continuation
     max_corrector: int = 0  # most corrector steps taken at one sample
-    residuals: np.ndarray | None = None  # (N+1,) |dW/dz| from the evaluation that
-                                         # accepted each sample
+    residuals: np.ndarray | None = None  # (N+1,) |dW/dz| of each sample's accepting evaluation
 
 
 def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
@@ -413,14 +414,14 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
     tangent step z' = H^{-1} (J^T K u' - eta dW/dz), H the configuration Hessian
     of W; the corrector then takes Newton steps on z with the fresh H at the new
     attractor until |dW/dz| < params.prerelax_tol, and raises PlannerError after
-    CORRECTOR_MAX_ITER of them.  The proxy angles follow their gradient flow
-    Gamma' = -alpha dW/dGamma: the predicted point takes an Euler step; if it
-    needs correcting, Gamma takes the trapezoid step on dW/dGamma of the
-    previous sample and of the predicted point, and keeps it while z is
-    corrected.  Every evaluation checks that H is positive definite and
-    well-conditioned.  The trajectory records the evaluations made, the most
-    corrector steps taken at one sample and, per sample, |dW/dz| at the stored
-    (z, Gamma, u) from the evaluation that accepted it.
+    CORRECTOR_MAX_ITER of them, at fixed proxy angles Gamma.  Gamma comes from
+    a cold closest_pairs solve at z0; after each accepted sample, one
+    closest_pairs call warm-started at Gamma re-solves the pairs within reach
+    at that evaluation's poses, and the others keep theirs.  Every evaluation
+    checks that H is positive definite and well-conditioned.  The trajectory
+    records the evaluations made, the most corrector steps taken at one sample
+    and, per sample, |dW/dz| at the stored (z, Gamma, u) from the evaluation
+    that accepted it.
     """
     params = params or PlannerParams()
     obs_rows = shape_rows(obstacles)
@@ -429,10 +430,8 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
         raise PlannerError("configuration must be [x, y, psi, th1, th3]")
 
     ev = _Evaluator(geom, obs_rows, params.stiffness)
-    Gp, Go = _init_gammas(geom, obs_rows, z0)
-    P = Gp.size
-    u0 = geom.forward_kinematics_eef(z0)
-    z, Gp, Go = _prerelax(ev, params, z0, Gp, Go, u0)
+    G = _init_gammas(geom, obs_rows, z0)
+    z = _prerelax(ev, params, z0, G[0], G[1], geom.forward_kinematics_eef(z0))
     u0 = geom.forward_kinematics_eef(z)
 
     attrs = [np.asarray(u0, dtype=float)] + [np.asarray(a, dtype=float) for a in attractors]
@@ -443,11 +442,11 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
     h = (1.0 / K) / n_seg
     evals = 0
 
-    def evaluate(zz, G, u):
+    def evaluate(zz, u):
         nonlocal evals
         evals += 1
         try:
-            gz, H, J, gG, _ = _fused_derivatives(ev, params, zz, G[:P], G[P:], u)
+            gz, H, J, _ = _fused_derivatives(ev, params, zz, G[0], G[1], u)
             Hs = 0.5 * (H + H.T)
             lam = np.linalg.eigvalsh(Hs)
         except (GeometryError, np.linalg.LinAlgError) as exc:
@@ -457,19 +456,18 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
             raise PlannerError(
                 "singular or indefinite potential Hessian along the equilibrium "
                 f"manifold (eigenvalues {lam[0]:.3e} .. {lam[-1]:.3e})")
-        return gz, Hs, J, gG
+        return gz, Hs, J
 
     N = K * n_seg
     s_grid = np.empty(N + 1)
     z_out = np.empty((N + 1, 5))
     u_out = np.empty((N + 1, 3))
-    g_out = np.empty((N + 1, 2 * P))
+    g_out = np.empty((N + 1, G.size))
     res = np.empty(N + 1)
-    G = np.concatenate([Gp, Go])
-    gz, Hs, J, gG = evaluate(z, G, attrs[0])
-    s_grid[0], z_out[0], u_out[0], g_out[0], res[0] = 0.0, z, attrs[0], G, np.linalg.norm(gz)
-    most = 0
-    idx = 0
+    gz, Hs, J = evaluate(z, attrs[0])
+    s_grid[0], z_out[0], u_out[0], res[0] = 0.0, z, attrs[0], np.linalg.norm(gz)
+    g_out[0] = G.ravel()
+    most = idx = 0
     for seg in range(K):
         ua, ub = attrs[seg], attrs[seg + 1]
         du = (ub - ua)
@@ -478,27 +476,29 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
         for n in range(n_seg):
             s = seg / K + (n + 1) * h
             u = ua + (n + 1) * h * udot
+            # ev.rows hold the poses of the evaluation that accepted z; no pairs, no gate
+            near = ev.within_reach() if ev.P else ()
+            if len(near):
+                G[:, near] = closest_pairs(ev.rows[:, 0, near], ev.rows[:, 1, near],
+                                           init=G[:, near]).gammas
             z_new = z + h * np.linalg.solve(Hs, J.T @ (params.k_tgt @ udot) - params.eta * gz)
-            G_new = G - (h * params.alpha) * gG
             for it in range(CORRECTOR_MAX_ITER + 1):
-                gz_new, Hs, J, gG_new = evaluate(z_new, G_new, u)
+                gz_new, Hs, J = evaluate(z_new, u)
                 norm = np.linalg.norm(gz_new)
                 if norm < params.prerelax_tol:
                     break
                 if it == CORRECTOR_MAX_ITER:
                     raise PlannerError(
                         f"corrector stalled at s = {s:.4f} with |grad| = {norm:.3e}")
-                if it == 0:
-                    G_new = G - (0.5 * h * params.alpha) * (gG + gG_new)
                 z_new = z_new - np.linalg.solve(Hs, gz_new)
             most = max(most, it)
-            z, G, gz, gG = z_new, G_new, gz_new, gG_new
+            z, gz = z_new, gz_new
             idx += 1
-            s_grid[idx], z_out[idx], u_out[idx], g_out[idx], res[idx] = s, z, u, G, norm
+            s_grid[idx], z_out[idx], u_out[idx], g_out[idx], res[idx] = s, z, u, G.ravel(), norm
 
     return PlannedTrajectory(s=s_grid, z=z_out, eef=geom.forward_kinematics_eef(z_out),
-                             u=u_out, gammas=g_out, attractors=attrs, evals=evals,
-                             max_corrector=most, residuals=res)
+                             u=u_out, gammas=g_out, evals=evals, max_corrector=most,
+                             residuals=res)
 
 
 def target_pose(traj: PlannedTrajectory, t: float, duration: float, height: float):

@@ -3,6 +3,7 @@
 import copy
 import math
 import os
+import re
 import shutil
 
 import pytest
@@ -214,6 +215,19 @@ def test_negative_seed_exit_2_before_planning(tmp_path, no_planning, capsys, com
     assert cli.main([command, "--scenario", path, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: --seed: ")
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "bench"])
+@pytest.mark.parametrize("digits, match", [("abc", "must be an integer"), ("0", r"\[1, 17\]"),
+                                           ("40", r"\[1, 17\]")])
+def test_bad_digits_exit_2_before_planning(empty_yaml, no_planning, monkeypatch, capsys,
+                                           command, digits, match):
+    # checked before the scenario loads, not when the outputs are written
+    monkeypatch.setenv("AMPLAN_DIGITS", digits)
+    assert cli.main([command, "--scenario", empty_yaml]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: AMPLAN_DIGITS ")
+    assert re.search(match, err)
 
 
 def test_ns_override_reaches_planner(empty_yaml, monkeypatch):

@@ -111,10 +111,12 @@ def test_exponent_notation_loads_as_its_decimal_form(tmp_path):
 
 
 def test_load_rejects_unknown_override(tmp_path):
-    data = copy.deepcopy(BASE)
-    data["wind"] = {"speed": 3.0}
-    with pytest.raises(hz.ScenarioError, match=r"wind\.speed: unknown field"):
-        hz.load_scenario(write_scenario(tmp_path, data))
+    # planner.alpha is no field: the proxy angles are closest points, with no rate
+    for key, field in (("wind", "speed"), ("planner", "alpha")):
+        data = copy.deepcopy(BASE)
+        data[key] = {field: 3.0}
+        with pytest.raises(hz.ScenarioError, match=rf"{key}\.{field}: unknown field"):
+            hz.load_scenario(write_scenario(tmp_path, data))
 
 
 def test_overlapping_obstacles_named(tmp_path):
@@ -195,8 +197,7 @@ def _traj_from_xy(xy, z=None):
         z = np.zeros((n, 5))
         z[:, :2] = xy
     return PlannedTrajectory(s=np.linspace(0.0, 1.0, n), z=z, eef=eef,
-                             u=np.zeros((n, 3)), gammas=np.zeros((n, 0)),
-                             attractors=[])
+                             u=np.zeros((n, 3)), gammas=np.zeros((n, 0)))
 
 
 def test_metrics_straight_line_exact():
@@ -426,7 +427,7 @@ def test_precision_env_override(empty_run, monkeypatch):
     for raw, match in (("40", r"\[1, 17\]"), ("abc", "integer")):
         os.environ["AMPLAN_DIGITS"] = raw
         for write in writers.values():
-            with pytest.raises(hz.HarnessError, match=match):
+            with pytest.raises(hz.ScenarioError, match=match):
                 write()
     del os.environ["AMPLAN_DIGITS"]
     x = 0.1 + 0.2
