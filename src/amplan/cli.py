@@ -1,7 +1,8 @@
 """Command-line interface: plan, simulate, bench and metrics subcommands.
 
 Exit codes: 0 on success, 2 on validation errors (bad arguments or scenario
-files), 3 on runtime failures inside the pipeline.
+files), 3 on runtime failures inside the pipeline, a plan that collides with
+an obstacle among them (plan, simulate and bench write no file for it).
 """
 
 from __future__ import annotations
@@ -83,8 +84,7 @@ def _cmd_plan_or_simulate(args) -> int:
     _check_out(args.out)
     s = _load(args.scenario[0], args.dt, args.ns, args.seed)
     if args.command == "plan":
-        pr, tel = hz.plan(s, args.mode), None
-        report = hz.metrics(pr.traj, None, s, pr.plan_time)
+        (pr, report), tel = hz.plan_checked(s, args.mode), None
     else:
         pr, tel, report = hz.run_pipeline(s, args.mode, seed=args.seed)
     if args.out:
@@ -95,15 +95,21 @@ def _cmd_plan_or_simulate(args) -> int:
 
 def _cmd_bench(args) -> int:
     _check_out(args.out)
+    scenarios = [_load(path, args.dt, args.ns, args.seed) for path in args.scenario]
+    for s in scenarios:
+        hz.mission_ticks(s)
+    # every plan is made and checked before the first flight, so that a plan
+    # that collides fails the run before any file is written
+    plans = [(s, mode, *hz.plan_checked(s, mode))
+             for s in scenarios for mode in ("sq", "ellipse")]
     results = []
-    for path in args.scenario:
-        s = _load(path, args.dt, args.ns, args.seed)
-        for mode in ("sq", "ellipse"):
-            pr, tel, report = hz.run_pipeline(s, mode, seed=args.seed)
-            if args.out:
-                hz.emit(os.path.join(args.out, f"{s.name}-{mode}"), pr.traj, tel, report,
-                        pr.cells, pr.graph)
-            results.append((s.name, mode, report, pr.traj.evals))
+    for s, mode, pr, report in plans:
+        tel = hz.simulate(s, pr.traj, mode, seed=args.seed)
+        hz.score_flight(report, tel)
+        if args.out:
+            hz.emit(os.path.join(args.out, f"{s.name}-{mode}"), pr.traj, tel, report,
+                    pr.cells, pr.graph)
+        results.append((s.name, mode, report, pr.traj.evals))
     results.sort(key=lambda r: (r[0], r[1]))
     print(f"{'scenario':<12}{'mode':<9}{'plan_time':>10}{'evals':>7}{'min_dist':>10}"
           f"{'arc_len':>9}{'jerkiness':>11}{'h_min':>8}{'infeas':>7}")

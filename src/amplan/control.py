@@ -9,10 +9,15 @@ function (HOCBF) rows that keep every vehicle part out of every obstacle.
 The barrier acts on the obstacle-frame coordinates dX of a vehicle proxy
 point; proxies are tracked in the horizontal plane, and PairBarriers extrudes
 every planar obstacle to a vertical 3D superquadric.
+
+As in dynamics, the per-channel elementwise arithmetic of a tick (the
+observer's RK4) runs on Python floats, and every matrix product stays in
+numpy, whose BLAS fused multiply-adds round differently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -82,6 +87,8 @@ class GainSet:
             if m.shape != (3, 3) or np.linalg.eigvalsh(0.5 * (m + m.T)).min() <= 0.0:
                 raise GainError(f"{name} must be 3x3 positive definite")
             setattr(self, name, m)
+        # the observer's per-channel coefficients a0/eps^2 and a1/eps, as floats
+        self.dob_factors = ((self.a0 / self.eps ** 2).tolist(), (self.a1 / self.eps).tolist())
         # outer_loop's per-mission QP (H checked once) and the factors of g and a_ref
         H = np.zeros((9, 9))
         H[:6, :6], H[6:, 6:] = 2.0 * self.q_qdot, 2.0 * self.q_thetaddot
@@ -104,6 +111,24 @@ class DobState:
         return s
 
 
+def _filter_rk4(x, u, a0e2, a1e1, dt):
+    """One RK4 step of the second-order filters x = [x0, x1] (per-channel
+    float lists) on the held input u: x0dot = x1, x1dot = a0/e^2 (u - x0) - a1/e x1."""
+    h, dt6 = 0.5 * dt, dt / 6.0
+    x0, x1 = [], []
+    for y0, y1, ui, a, b in zip(*x, u, a0e2, a1e1):
+        k1a, k1b = y1, a * (ui - y0) - b * y1
+        s0, s1 = y0 + h * k1a, y1 + h * k1b
+        k2a, k2b = s1, a * (ui - s0) - b * s1
+        s0, s1 = y0 + h * k2a, y1 + h * k2b
+        k3a, k3b = s1, a * (ui - s0) - b * s1
+        s0, s1 = y0 + dt * k3a, y1 + dt * k3b
+        k4a, k4b = s1, a * (ui - s0) - b * s1
+        x0.append(y0 + dt6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a))
+        x1.append(y1 + dt6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b))
+    return [x0, x1]
+
+
 def dob_update(state: DobState, q, qdot, T, model: dyn.ControlTerms,
                gains: GainSet, dt: float):
     """Advance the observer one step and return (new state, disturbance estimate).
@@ -112,35 +137,22 @@ def dob_update(state: DobState, q, qdot, T, model: dyn.ControlTerms,
     the filtered measured acceleration, then re-adds the Coriolis and gravity
     terms; model holds the controller's nominal terms at (q, qdot).
     """
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    a0e2 = gains.a0 / gains.eps ** 2
-    a1e1 = gains.a1 / gains.eps
-
-    u_cmd = model.MinvB @ np.asarray(T, dtype=float)
+    q = np.asarray(q, dtype=float).tolist()
+    qdot = np.asarray(qdot, dtype=float).tolist()
+    a0e2, a1e1 = gains.dob_factors
+    u_cmd = (model.MinvB @ np.asarray(T, dtype=float)).tolist()
     # midpoint reconstruction of q over the hold interval: a plain zero-order
     # hold of a quadratically growing position drifts the acceleration estimate
-    u = np.array([q + 0.5 * dt * qdot, u_cmd])
+    h = 0.5 * dt
+    u_q = [x + h * v for x, v in zip(q, qdot)]
+    xq = _filter_rk4(state.xq.tolist(), u_q, a0e2, a1e1, dt)
+    xp = _filter_rk4(state.xp.tolist(), u_cmd, a0e2, a1e1, dt)
 
-    def rates(y):
-        # both filters, y[f] = (x0, x1): x0dot = x1, x1dot = a0/e^2 (u - x0) - a1/e x1
-        r = np.empty_like(y)
-        r[:, 0] = y[:, 1]
-        r[:, 1] = a0e2 * (u - y[:, 0]) - a1e1 * y[:, 1]
-        return r
-
-    y = np.array([state.xq, state.xp])
-    k1 = rates(y)
-    k2 = rates(y + 0.5 * dt * k1)
-    k3 = rates(y + 0.5 * dt * k2)
-    k4 = rates(y + dt * k3)
-    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    new = DobState(xq=y[0], xp=y[1])
     # output equation pairs the end-of-step state with the end-of-step input
-    qddot_f = a0e2 * (q + dt * qdot - new.xq[0]) - a1e1 * new.xq[1]
-    d_hat = -model.M @ (new.xp[0] - qddot_f) + model.C + model.G
-    return new, d_hat
+    lag = [p - (a * (x + dt * v - y0) - b * y1)
+           for p, x, v, y0, y1, a, b in zip(xp[0], q, qdot, *xq, a0e2, a1e1)]
+    d_hat = -model.M @ np.array(lag) + model.C + model.G
+    return DobState(xq=np.array(xq), xp=np.array(xp)), d_hat
 
 
 class ThrustRows(NamedTuple):
@@ -194,9 +206,14 @@ def vehicle_frames(geom: VehicleGeometry, q, R0, theta):
     the base center, arm base and elbow; the base turns by R0, the rotation of
     q's attitude (dynamics.rotation), the shoulder by th1 about z, the forearm
     by th2 about y, then by th3 about z."""
-    R1 = R0 @ dyn.rotation((0.0, 0.0, theta[0]))
-    # Ry(th2) Rz(th3) is the transpose of the ZYX rotation of (0, -th2, -th3)
-    R2 = R1 @ dyn.rotation((0.0, -theta[1], -theta[2])).T
+    # the entries of Rz(th1) and of the ZYX rotation of (0, -th2, -th3), whose
+    # transpose is Ry(th2) Rz(th3), are single products: dynamics.rotation of
+    # the same angles gives them bit for bit, up to the sign of exact zeros
+    c1, s1 = math.cos(theta[0]), math.sin(theta[0])
+    R1 = R0 @ np.array([[c1, -s1, 0.0], [s1, c1, 0.0], [0.0, 0.0, 1.0]])
+    cp, sp = math.cos(-theta[1]), math.sin(-theta[1])
+    cy, sy = math.cos(-theta[2]), math.sin(-theta[2])
+    R2 = R1 @ np.array([[cy * cp, -sy, cy * sp], [sy * cp, cy, sy * sp], [-sp, 0.0, cp]]).T
     p1 = q[:3] + geom.arm_base_offset * R0[:, 0]
     return np.array([q[:3], p1, p1 + geom.l1 * R1[:, 0]]), np.array([R0, R1, R2])
 

@@ -4,6 +4,11 @@ Generalized coordinates q = [position; ZYX Euler angles] in R^6.  The arm is
 not part of the generalized coordinates; its reaction on the base enters the
 plant as part of the lumped disturbance, and its joints follow commanded
 references through a critically damped second-order tracking law.
+
+Elementwise arithmetic on the few entries of one state runs on Python
+floats, and every matrix product, solve and reduction stays in numpy: IEEE
++, -, * and / round alike in both, while numpy's BLAS products use fused
+multiply-adds that an explicit float formula does not reproduce.
 """
 
 from __future__ import annotations
@@ -32,16 +37,45 @@ def skew(v):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def rotation(phi) -> np.ndarray:
-    """Body-to-world rotation for ZYX Euler angles phi = [roll, pitch, yaw]."""
-    r, p, y = phi
-    cr, sr = math.cos(r), math.sin(r)
-    cp, sp = math.cos(p), math.sin(p)
-    cy, sy = math.cos(y), math.sin(y)
+def _floats(v) -> list:
+    """The entries of a vector (an array or a list) as Python floats."""
+    return np.asarray(v, dtype=float).tolist()
+
+
+# The builders below take the cosines, sines and tangent of phi, so that
+# model_terms evaluates each once for Q, Q^-1, Qdot and R.
+
+def _rotation(cr, sr, cp, sp, cy, sy) -> np.ndarray:
     Rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
     Ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
     Rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
     return Rz @ Ry @ Rx
+
+
+def _rate_map(cr, sr, cp, sp) -> np.ndarray:
+    return np.array([[1.0, 0.0, -sp],
+                     [0.0, cr, sr * cp],
+                     [0.0, -sr, cr * cp]])
+
+
+def _rate_map_inv(cr, sr, cp, tp) -> np.ndarray:
+    return np.array([[1.0, sr * tp, cr * tp],
+                     [0.0, cr, -sr],
+                     [0.0, sr / cp, cr / cp]])
+
+
+def _rate_map_dot(cr, sr, cp, sp, rd, pd) -> np.ndarray:
+    return np.array([
+        [0.0, 0.0, -cp * pd],
+        [0.0, -sr * rd, cr * cp * rd - sr * sp * pd],
+        [0.0, -cr * rd, -sr * cp * rd - cr * sp * pd]])
+
+
+def rotation(phi) -> np.ndarray:
+    """Body-to-world rotation for ZYX Euler angles phi = [roll, pitch, yaw]."""
+    r, p, y = phi
+    return _rotation(math.cos(r), math.sin(r), math.cos(p), math.sin(p),
+                     math.cos(y), math.sin(y))
 
 
 def _check_pitch(phi):
@@ -53,34 +87,21 @@ def euler_rate_map(phi) -> np.ndarray:
     """Q with body angular velocity omega = Q @ phidot, phi = [roll, pitch, yaw]."""
     _check_pitch(phi)
     r, p, _ = phi
-    cr, sr = math.cos(r), math.sin(r)
-    cp, sp = math.cos(p), math.sin(p)
-    return np.array([[1.0, 0.0, -sp],
-                     [0.0, cr, sr * cp],
-                     [0.0, -sr, cr * cp]])
+    return _rate_map(math.cos(r), math.sin(r), math.cos(p), math.sin(p))
 
 
 def euler_rate_map_inv(phi) -> np.ndarray:
     """Q^-1, the Euler rates per unit body angular velocity, in closed form."""
     _check_pitch(phi)
     r, p, _ = phi
-    cr, sr = math.cos(r), math.sin(r)
-    cp, tp = math.cos(p), math.tan(p)
-    return np.array([[1.0, sr * tp, cr * tp],
-                     [0.0, cr, -sr],
-                     [0.0, sr / cp, cr / cp]])
+    return _rate_map_inv(math.cos(r), math.sin(r), math.cos(p), math.tan(p))
 
 
 def euler_rate_map_dot(phi, phidot) -> np.ndarray:
     """Time derivative of Q along (phi, phidot)."""
     r, p, _ = phi
     rd, pd, _ = phidot
-    cr, sr = math.cos(r), math.sin(r)
-    cp, sp = math.cos(p), math.sin(p)
-    return np.array([
-        [0.0, 0.0, -cp * pd],
-        [0.0, -sr * rd, cr * cp * rd - sr * sp * pd],
-        [0.0, -cr * rd, -sr * cp * rd - cr * sp * pd]])
+    return _rate_map_dot(math.cos(r), math.sin(r), math.cos(p), math.sin(p), rd, pd)
 
 
 @dataclass(frozen=True)
@@ -191,16 +212,21 @@ class StateTerms(NamedTuple):
 
 def model_terms(phi, phidot, params: ModelParams) -> StateTerms:
     """The plant's and the controller's terms at attitude phi and Euler rates
-    phidot, from one Q(phi), Qdot and R(phi).
+    phidot, from one Q(phi), Qdot and R(phi), which share one evaluation of
+    the cosines, sines and tangent of phi.
 
     With M = blockdiag(m I, Q' J Q) and B = blockdiag(R, Q') A_body,
     M^-1 B = blockdiag(R / m, Q^-1 J^-1) A_body and
     B^-1 = A_body^-1 blockdiag(R', Q^-T); B, g and R are shared.
     """
-    Q = euler_rate_map(phi)
-    Qinv = euler_rate_map_inv(phi)
-    Qd = euler_rate_map_dot(phi, phidot)
-    R = rotation(phi)
+    _check_pitch(phi)
+    r, p, y = phi
+    cr, sr = math.cos(r), math.sin(r)
+    cp, sp, tp = math.cos(p), math.sin(p), math.tan(p)
+    Q = _rate_map(cr, sr, cp, sp)
+    Qinv = _rate_map_inv(cr, sr, cp, tp)
+    Qd = _rate_map_dot(cr, sr, cp, sp, phidot[0], phidot[1])
+    R = _rotation(cr, sr, cp, sp, math.cos(y), math.sin(y))
     pd = np.asarray(phidot, dtype=float)
     w = Q @ pd
     Qdpd = Qd @ pd
@@ -233,13 +259,11 @@ class VehicleState:
     thetadot: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float).copy()
-        self.qdot = np.asarray(self.qdot, dtype=float).copy()
-        self.theta = np.asarray(self.theta, dtype=float).copy()
-        self.thetadot = np.asarray(self.thetadot, dtype=float).copy()
-
-    def copy(self) -> "VehicleState":
-        return VehicleState(self.q, self.qdot, self.theta, self.thetadot)
+        # np.array copies, so a state never shares its arrays with the caller
+        self.q = np.array(self.q, dtype=float)
+        self.qdot = np.array(self.qdot, dtype=float)
+        self.theta = np.array(self.theta, dtype=float)
+        self.thetadot = np.array(self.thetadot, dtype=float)
 
 
 ARM_TRACK_GAIN = 20.0  # [1/s], critically damped joint tracking
@@ -256,18 +280,20 @@ def step(state: VehicleState, terms: ModelTerms, T, theta_d, thetadot_d, thetadd
     if not (0.0 < dt <= DT_MAX):
         raise ValueError(f"dt must lie in (0, {DT_MAX}]")
     M, C, G, B = terms
-    T = np.clip(np.asarray(T, dtype=float), params.thrust_sat[0], params.thrust_sat[1])
-    qddot = np.linalg.solve(M, B @ T + np.asarray(d_true, dtype=float) - C - G)
-    if not np.isfinite(qddot).all():
+    lo, hi = params.thrust_sat
+    # min(max(.)) keeps NaN and -0.0 as np.clip does
+    T = np.array([min(max(t, lo), hi) for t in _floats(T)])
+    qddot = np.linalg.solve(M, B @ T + np.asarray(d_true, dtype=float) - C - G).tolist()
+    if not all(map(math.isfinite, qddot)):
         raise PlantError("non-finite acceleration in plant step")
 
-    new = state.copy()
-    new.qdot = state.qdot + dt * qddot
-    new.q = state.q + dt * new.qdot
+    qdot = [v + dt * a for v, a in zip(state.qdot.tolist(), qddot)]
+    q = [x + dt * v for x, v in zip(state.q.tolist(), qdot)]
 
-    thddot = (np.asarray(thetaddot_d, dtype=float)
-              + 2.0 * ARM_TRACK_GAIN * (np.asarray(thetadot_d, dtype=float) - state.thetadot)
-              + ARM_TRACK_GAIN ** 2 * (np.asarray(theta_d, dtype=float) - state.theta))
-    new.thetadot = state.thetadot + dt * thddot
-    new.theta = state.theta + dt * new.thetadot
-    return new
+    kd, kp = 2.0 * ARM_TRACK_GAIN, ARM_TRACK_GAIN ** 2
+    theta = state.theta.tolist()
+    thetadot = [w + dt * (a + kd * (wd - w) + kp * (xd - x))
+                for x, w, xd, wd, a in zip(theta, state.thetadot.tolist(), _floats(theta_d),
+                                           _floats(thetadot_d), _floats(thetaddot_d))]
+    theta = [x + dt * w for x, w in zip(theta, thetadot)]
+    return VehicleState(q, qdot, theta, thetadot)

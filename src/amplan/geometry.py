@@ -164,7 +164,7 @@ def shape_rows(shapes) -> np.ndarray:
 
 def _boundary(rows, g, curvature=True):
     """World point p(g), tangent p'(g) and second derivative p''(g), each (2, N);
-    p'' is None when curvature is False.
+    with curvature False, the point p(g) alone.
 
     The body-frame curve is (a1 sign(c)|c|^eps, a2 sign(s)|s|^eps) with c, s
     the cosine and sine of g; its derivatives use |c|, |s| floored at AXIS_FLOOR.
@@ -172,17 +172,17 @@ def _boundary(rows, g, curvature=True):
     a1, a2, eps, ca, sa, cx, cy = rows
     c, s = np.cos(g), np.sin(g)
     abs_c, abs_s, sign_c, sign_s = np.abs(c), np.abs(s), np.sign(c), np.sign(s)
+    # a1 signed_pow(c, eps), a2 signed_pow(s, eps)
+    x, y = a1 * (sign_c * abs_c ** eps), a2 * (sign_s * abs_s ** eps)
+    p = np.array([cx + ca * x - sa * y, cy + sa * x + ca * y])
+    if not curvature:
+        return p
     ac, as_ = np.maximum(abs_c, AXIS_FLOOR), np.maximum(abs_s, AXIS_FLOOR)
     e2, ae1, ae2 = eps - 2.0, a1 * eps, a2 * eps
     wc, ws = ac ** e2, as_ ** e2
-    # a1 signed_pow(c, eps), a2 signed_pow(s, eps)
-    x, y = a1 * (sign_c * abs_c ** eps), a2 * (sign_s * abs_s ** eps)
     tx = -ae1 * wc * ac * s
     ty = ae2 * ws * as_ * c
-    p = np.array([cx + ca * x - sa * y, cy + sa * x + ca * y])
     t = np.array([ca * tx - sa * ty, sa * tx + ca * ty])
-    if not curvature:
-        return p, t, None
     e1 = eps - 1.0
     kx = ae1 * e1 * sign_c * wc * s * s - eps * x
     ky = ae2 * e1 * sign_s * ws * c * c - eps * y

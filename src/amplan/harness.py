@@ -341,8 +341,9 @@ def _hover(q, model: dyn.ControlTerms):
 
 
 # bytes that each tick holds until its mission ends: the Telemetry row (35
-# floats and a flag) and the wind-noise row (6 floats)
-_TICK_BYTES = 41 * 8 + 1
+# floats and a flag), the wind-noise row (6 floats) and the target-schedule
+# row (q_t and theta_t, 9 floats)
+_TICK_BYTES = 50 * 8 + 1
 
 
 def _physical_memory() -> float:
@@ -367,13 +368,14 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
              seed: int | None = None) -> Telemetry:
     """Run the full mission: hover settle phase, then trajectory tracking.
 
-    Each tick evaluates the model once (dynamics.model_terms): the observer
-    update, the constraint rows (the barrier rows refresh the proxies of the
-    pairs near an obstacle) and the thrust law run on its nominal terms, the
-    plant step on its true ones.  The thrust is the thrust rows' own affine
-    map at the QP's velocity reference, so the band the QP enforces is the
-    band on the applied thrust; then the references integrate and the plant
-    steps.
+    The targets of every tick come from one planner.target_pose call on the
+    mission's tick times.  Each tick evaluates the model once
+    (dynamics.model_terms): the observer update, the constraint rows (the
+    barrier rows refresh the proxies of the pairs near an obstacle) and the
+    thrust law run on its nominal terms, the plant step on its true ones.
+    The thrust is the thrust rows' own affine map at the QP's velocity
+    reference, so the band the QP enforces is the band on the applied thrust;
+    then the references integrate and the plant steps.
     """
     gains, safety, model = s.gains, s.safety, s.model
     barriers = ctl.PairBarriers(ctl.ProxyTracker(s.vehicle, _model_obstacles(s, mode)),
@@ -390,6 +392,12 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
 
     dt = s.dt
     n = mission_ticks(s)
+    # the targets: the start pose while the vehicle settles, then the plan
+    times = np.arange(n) * dt
+    q_ref, theta_ref = target_pose(traj, times - s.settle_time, s.duration, s.flight_height)
+    settling = times < s.settle_time
+    q_ref[settling], theta_ref[settling] = q0, theta0
+    del times, settling     # freed before the per-tick arrays: _TICK_BYTES omits them
     noise = np.zeros((n, 6))
     if s.wind.noise_std > 0.0:
         rng = np.random.default_rng(0 if seed is None else seed)
@@ -404,17 +412,14 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
         t = k * dt
         terms = dyn.model_terms(state.q[3:], state.qdot[3:], model)
         dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, terms.control, gains, dt)
-        if t < s.settle_time:
-            q_t, theta_t = q0, theta0
-        else:
-            q_t, theta_t = target_pose(traj, t - s.settle_time, s.duration,
-                                       s.flight_height)
         thrust = ctl.thrust_limit_rows(q_d, state.q, state.qdot, d_hat, terms.control,
                                        gains, safety.t_min, safety.t_max)
         A2, b2, h_vals = ctl.cbf_rows(barriers, state.q, terms.R, state.qdot, state.theta,
                                       state.thetadot, q_d, gains, safety)
-        res = ctl.outer_loop(q_t, theta_t, q_d, theta_d, thetadot_d,
-                             np.vstack([thrust.A, A2]), np.concatenate([thrust.b, b2]),
+        # on most ticks no barrier row is emitted: the thrust rows go in as they are
+        A, b = ((np.vstack([thrust.A, A2]), np.concatenate([thrust.b, b2])) if b2.size
+                else (thrust.A, thrust.b))
+        res = ctl.outer_loop(q_ref[k], theta_ref[k], q_d, theta_d, thetadot_d, A, b,
                              gains, prev_x)
         prev_x = res.x
         T = thrust.thrust(res.qdot_d)
@@ -534,23 +539,41 @@ def metrics(traj: PlannedTrajectory, telemetry: Telemetry | None, s: Scenario,
     report = MetricsReport(plan_time=plan_time, min_distance=min_distance,
                            arc_length=arc_length, jerkiness=jerkiness)
     if telemetry is not None:
-        report.h_co_min = float(telemetry.h_min.min())
-        feas = telemetry.feasible
-        if feas.any():
-            report.thrust_min = float(telemetry.thrust[feas].min())
-            report.thrust_max = float(telemetry.thrust[feas].max())
-        report.infeasible_ticks = int((~feas).sum())
-        report.total_ticks = int(len(feas))
+        score_flight(report, telemetry)
     return report
+
+
+def score_flight(report: MetricsReport, telemetry: Telemetry):
+    """Fill report's flight fields from telemetry."""
+    report.h_co_min = float(telemetry.h_min.min())
+    feas = telemetry.feasible
+    if feas.any():
+        report.thrust_min = float(telemetry.thrust[feas].min())
+        report.thrust_max = float(telemetry.thrust[feas].max())
+    report.infeasible_ticks = int((~feas).sum())
+    report.total_ticks = int(len(feas))
+
+
+def plan_checked(s: Scenario, mode: str = "sq"):
+    """Plan s and score the plan (metrics without telemetry); returns
+    (PlanResult, report).  A plan that touches an obstacle, min_distance <= 0
+    over its samples, raises HarnessError."""
+    pr = plan(s, mode)
+    report = metrics(pr.traj, None, s, pr.plan_time)
+    if not report.min_distance > 0.0:
+        raise HarnessError(f"the plan collides with an obstacle: min_distance "
+                           f"{report.min_distance:.6g} m <= 0")
+    return pr, report
 
 
 def run_pipeline(s: Scenario, mode: str = "sq", seed: int | None = None):
     """Plan, simulate and score a scenario; returns (PlanResult, Telemetry, report).
-    A mission too long to hold fails before the plan."""
+    A mission too long to hold fails before the plan, and a plan that
+    collides (plan_checked) before the flight."""
     mission_ticks(s)
-    pr = plan(s, mode)
+    pr, report = plan_checked(s, mode)
     tel = simulate(s, pr.traj, mode, seed=seed)
-    report = metrics(pr.traj, tel, s, pr.plan_time)
+    score_flight(report, tel)
     return pr, tel, report
 
 

@@ -245,7 +245,7 @@ def _pair_sums(ev: _Evaluator, z, Gp, Go, jf):
     P, st, rows = ev.P, ev.stiff, ev.rows
     set_part_poses(rows[:, 0], ev.geom, ev.pi, z, jf[None])
     X = _boundary(rows.reshape(7, 2 * P), np.concatenate((Gp, Go), axis=None),
-                  curvature=False)[0]
+                  curvature=False)
     p, q = X[:, :P], X[:, P:]
 
     # part proxies in their obstacle's frame, divided by its semi-axes
@@ -501,19 +501,22 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
                              residuals=res)
 
 
-def target_pose(traj: PlannedTrajectory, t: float, duration: float, height: float):
-    """Reference (q_t, theta_t) at mission time t from the planned trajectory.
+def target_pose(traj: PlannedTrajectory, t, duration: float, height: float):
+    """References (q_t, theta_t), of shapes t.shape + (6,) and t.shape + (3,),
+    at the mission times t (a number or an array) from the planned trajectory.
 
     The path parameter advances linearly, s = t / duration clamped to [0, 1];
     configurations are interpolated linearly between stored samples.
     """
     if duration <= 0.0:
         raise PlannerError("duration must be positive")
-    s = min(max(t / duration, 0.0), 1.0)
-    k = int(np.searchsorted(traj.s, s, side="right") - 1)
-    k = min(max(k, 0), len(traj.s) - 2)
-    w = (s - traj.s[k]) / (traj.s[k + 1] - traj.s[k])
+    s = np.clip(np.asarray(t, dtype=float) / duration, 0.0, 1.0)
+    k = np.clip(np.searchsorted(traj.s, s, side="right") - 1, 0, len(traj.s) - 2)
+    w = ((s - traj.s[k]) / (traj.s[k + 1] - traj.s[k]))[..., None]
     z = (1.0 - w) * traj.z[k] + w * traj.z[k + 1]
-    q_t = np.array([z[0], z[1], height, 0.0, 0.0, z[2]])
-    theta_t = np.array([z[3], 0.0, z[4]])
+    q_t = np.zeros(s.shape + (6,))
+    q_t[..., [0, 1, 5]] = z[..., :3]
+    q_t[..., 2] = height
+    theta_t = np.zeros(s.shape + (3,))
+    theta_t[..., [0, 2]] = z[..., 3:]
     return q_t, theta_t

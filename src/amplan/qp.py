@@ -85,7 +85,8 @@ def solve(prob: QpProblem) -> QpSolution:
     for it in range(1, MAX_ITER + 1):
         if p is None:
             resid = A @ x - b
-            resid[work] = -np.inf
+            if work:
+                resid[work] = -np.inf
             if resid.size == 0 or resid.max() <= TOL:
                 status = "optimal"
                 break
@@ -119,6 +120,7 @@ def solve(prob: QpProblem) -> QpSolution:
             del work[k]
             lam = np.delete(lam, k)
     duals = np.zeros(len(b))
-    duals[work] = np.maximum(lam, 0.0)
+    if work:
+        duals[work] = np.maximum(lam, 0.0)
     return QpSolution(x=x, status=status, duals=duals, iterations=it,
                       active_set=tuple(work))

@@ -74,8 +74,7 @@ def bisectors(obstacles: list[Superquadric2]) -> dict[tuple, Hyperplane2]:
     if hit.size:
         k = hit[0]
         raise VoronoiError(f"obstacles {i[k]} and {j[k]} overlap (gap {res.gap[k]:.4g})")
-    p, _, _ = _boundary(rows[:, np.concatenate([i, j])], res.gammas.reshape(-1),
-                        curvature=False)
+    p = _boundary(rows[:, np.concatenate([i, j])], res.gammas.reshape(-1), curvature=False)
     pi, pj = p[:, :i.size].T, p[:, i.size:].T
     # the norm and the offset as one BLAS dot per pair, (1, 2) @ (2, 1) matmuls: an
     # elementwise sum rounds differently and moves the emitted diagram's last digits
@@ -135,8 +134,7 @@ def check_in_box(obstacles: list[Superquadric2], box):
     xmin, ymin, xmax, ymax = box
     n = 256
     gammas = np.tile(np.linspace(-math.pi, math.pi, n, endpoint=False), len(obstacles))
-    (x, y), _, _ = _boundary(np.repeat(shape_rows(obstacles), n, axis=1), gammas,
-                             curvature=False)
+    x, y = _boundary(np.repeat(shape_rows(obstacles), n, axis=1), gammas, curvature=False)
     out = ((x < xmin) | (x > xmax) | (y < ymin) | (y > ymax)).reshape(-1, n).any(axis=1)
     if out.any():
         raise VoronoiError(f"obstacles[{int(np.argmax(out))}]: not contained in world_box")

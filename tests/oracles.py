@@ -10,7 +10,10 @@ metric pass, which solves every part/obstacle pair with the library's own
 closest-pair kernel: it checks the pruning of harness.min_distance_profile,
 not the solver.  The few helpers only the tests need (the QP solve, KKT
 residuals, the observer's settling time, the hover thrust, a polygon's area)
-live here too.
+live here too.  So do the array forms of the tick's elementwise layers (the
+observer's RK4, the model terms, the plant step and the target pose), which
+the library runs on Python floats: the float forms must match them bit for
+bit.
 """
 
 import itertools
@@ -20,8 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from amplan import control as ctl
+from amplan import dynamics as dyn
 from amplan.geometry import Superquadric2, closest_pairs, shape_rows
-from amplan.planner import pair_rows
+from amplan.planner import PlannerError, pair_rows
 from amplan.qp import solve
 
 
@@ -278,3 +283,100 @@ def polygon_area(vertices):
     """Signed (shoelace) area of a polygon (N, 2), positive counter-clockwise."""
     x, y = vertices[:, 0], vertices[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+# --- array forms of the tick's elementwise layers ------------------------------
+
+def stacked_rk4_dob_update(state, q, qdot, T, model, gains, dt):
+    """Reference observer: the per-stage np.stack form of the RK4 on the two
+    filters, on the same model terms (the commanded acceleration from their
+    closed-form M^-1 B)."""
+    a0e2 = gains.a0 / gains.eps ** 2
+    a1e1 = gains.a1 / gains.eps
+    u_cmd = model.MinvB @ T
+    q_in = q + 0.5 * dt * qdot
+
+    def filter_rates(x, u):
+        return np.stack([x[1], a0e2 * (u - x[0]) - a1e1 * x[1]])
+
+    def rates(y):
+        return np.stack([filter_rates(y[0], q_in), filter_rates(y[1], u_cmd)])
+
+    y = np.stack([state.xq, state.xp])
+    k1 = rates(y)
+    k2 = rates(y + 0.5 * dt * k1)
+    k3 = rates(y + 0.5 * dt * k2)
+    k4 = rates(y + dt * k3)
+    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    new = ctl.DobState(xq=y[0], xp=y[1])
+    qddot_f = a0e2 * (q + dt * qdot - new.xq[0]) - a1e1 * new.xq[1]
+    return new, -model.M @ (new.xp[0] - qddot_f) + model.C + model.G
+
+
+def array_model_terms(phi, phidot, params):
+    """dynamics.model_terms with Q, Q^-1, Qdot and R each from its own public
+    function, so each evaluates its own cosines and sines."""
+    Q = dyn.euler_rate_map(phi)
+    Qinv = dyn.euler_rate_map_inv(phi)
+    Qd = dyn.euler_rate_map_dot(phi, phidot)
+    R = dyn.rotation(phi)
+    pd = np.asarray(phidot, dtype=float)
+    w = Q @ pd
+    Qdpd = Qd @ pd
+    A = params.allocation_body
+
+    def blockdiag(a, b):
+        out = np.zeros((6, 6))
+        out[:3, :3] = a
+        out[3:, 3:] = b
+        return out
+
+    B = blockdiag(R, Q.T) @ A
+
+    def terms(m, J):
+        M = np.zeros((6, 6))
+        M[0, 0] = M[1, 1] = M[2, 2] = m
+        M[3:, 3:] = Q.T @ J @ Q
+        C = np.zeros(6)
+        C[3:] = Q.T @ (J @ Qdpd + dyn.skew(w) @ (J @ w))
+        G = np.zeros(6)
+        G[2] = m * params.g
+        return M, C, G
+
+    nominal = terms(params.m_hat, params.J_hat)
+    true = nominal if params.nominal_is_true else terms(params.m, params.J)
+    MinvB = blockdiag(R / params.m_hat, Qinv @ params.J_hat_inv) @ A
+    Binv = params.allocation_body_inv @ blockdiag(R.T, Qinv.T)
+    return dyn.StateTerms(dyn.ModelTerms(*true, B),
+                          dyn.ControlTerms(*nominal, B, MinvB, Binv), R)
+
+
+def array_step(state, terms, T, theta_d, thetadot_d, thetaddot_d, d_true, dt, params):
+    """dynamics.step on arrays: np.clip, then the semi-implicit Euler and the
+    arm tracking law as whole-vector operations."""
+    if not (0.0 < dt <= dyn.DT_MAX):
+        raise ValueError(f"dt must lie in (0, {dyn.DT_MAX}]")
+    M, C, G, B = terms
+    T = np.clip(np.asarray(T, dtype=float), params.thrust_sat[0], params.thrust_sat[1])
+    qddot = np.linalg.solve(M, B @ T + np.asarray(d_true, dtype=float) - C - G)
+    if not np.isfinite(qddot).all():
+        raise dyn.PlantError("non-finite acceleration in plant step")
+    qdot = state.qdot + dt * qddot
+    k = dyn.ARM_TRACK_GAIN
+    thddot = (np.asarray(thetaddot_d, dtype=float)
+              + 2.0 * k * (np.asarray(thetadot_d, dtype=float) - state.thetadot)
+              + k ** 2 * (np.asarray(theta_d, dtype=float) - state.theta))
+    thetadot = state.thetadot + dt * thddot
+    return dyn.VehicleState(state.q + dt * qdot, qdot, state.theta + dt * thetadot, thetadot)
+
+
+def scalar_target_pose(traj, t, duration, height):
+    """planner.target_pose at one mission time t, on Python floats."""
+    if duration <= 0.0:
+        raise PlannerError("duration must be positive")
+    s = min(max(t / duration, 0.0), 1.0)
+    k = int(np.searchsorted(traj.s, s, side="right") - 1)
+    k = min(max(k, 0), len(traj.s) - 2)
+    w = (s - traj.s[k]) / (traj.s[k + 1] - traj.s[k])
+    z = (1.0 - w) * traj.z[k] + w * traj.z[k + 1]
+    return np.array([z[0], z[1], height, 0.0, 0.0, z[2]]), np.array([z[3], 0.0, z[4]])

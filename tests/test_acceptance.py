@@ -114,7 +114,7 @@ def test_criterion_1_closest_pair_vs_dense_sampling():
         for _ in range(10):
             sq = _random_sq(rng, rng.uniform(-1.0, 1.0, 2))
             g = rng.uniform(-math.pi, math.pi, 1000)
-            p, _, _ = _boundary(shape_rows([sq]), g, curvature=False)
+            p = _boundary(shape_rows([sq]), g, curvature=False)
             residual = np.abs(sq2_inside_outside(sq, p.T))
             assert residual.max() < 1e-9
         assert time.perf_counter() - t0 < 30.0

@@ -15,6 +15,10 @@ from amplan.geometry import StiffnessParams
 from test_harness import BASE, EMPTY, SCENARIO_DIR, write_scenario
 
 
+# seed 1 of the seeded clutter scenes: both modes plan through an obstacle
+CLUTTER = os.path.join(os.path.dirname(__file__), "fixtures", "clutter-1.yaml")
+
+
 @pytest.fixture()
 def empty_yaml(tmp_path):
     return write_scenario(tmp_path, EMPTY)
@@ -171,6 +175,34 @@ def test_overflowing_trajectory_sample_exit_2(tmp_path, capsys):
     assert cli.main(["metrics", "--scenario", scenario, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, modes, scenarios", [
+    ("plan", ["--mode", "sq"], [CLUTTER]), ("plan", ["--mode", "ellipse"], [CLUTTER]),
+    ("simulate", ["--mode", "sq"], [CLUTTER]), ("simulate", ["--mode", "ellipse"], [CLUTTER]),
+    # bench plans and checks every scenario in both modes before it flies the first
+    ("bench", [], [os.path.join(SCENARIO_DIR, "tree.yaml"), CLUTTER])])
+def test_colliding_plan_exit_3_without_files(tmp_path, monkeypatch, capsys, command, modes,
+                                             scenarios):
+    scored = []
+    profile = cli.hz.min_distance_profile
+    monkeypatch.setattr(cli.hz, "min_distance_profile",
+                        lambda *args: scored.append(1) or profile(*args))
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("a mission flew before every plan was checked")
+
+    monkeypatch.setattr(cli.hz, "simulate", simulate)
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), *modes]
+    assert cli.main(argv + [a for path in scenarios for a in ("--scenario", path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(r"error: the plan collides with an obstacle: min_distance -0\.05768\d* m <= 0\n",
+                        err)
+    assert not out.exists()
+    # one metric pass per plan: tree's two and the colliding one for bench
+    assert len(scored) == len(scenarios) * 2 - 1
 
 
 @pytest.fixture()

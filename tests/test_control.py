@@ -13,7 +13,8 @@ from amplan.geometry import Superquadric2, closest_pairs, shape_rows
 from amplan.planner import VehicleGeometry, pair_index, pair_rows
 from amplan.qp import MAX_ROWS, QpDimensionError, QpProblem, solve
 
-from oracles import extrude, hover_thrust, part_superquadrics, qp_enumeration
+from oracles import (extrude, hover_thrust, part_superquadrics, qp_enumeration,
+                     stacked_rk4_dob_update)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -73,33 +74,13 @@ def plant_terms(p, q, qdot):
     return dyn.model_terms(np.asarray(q)[3:], np.asarray(qdot)[3:], p).plant
 
 
-def stacked_rk4_dob_update(state, q, qdot, T, model, gains, dt):
-    """Reference observer: the per-stage np.stack form of the RK4 on the two
-    filters, on the same model terms (the commanded acceleration from their
-    closed-form M^-1 B)."""
-    a0e2 = gains.a0 / gains.eps ** 2
-    a1e1 = gains.a1 / gains.eps
-    u_cmd = model.MinvB @ T
-    q_in = q + 0.5 * dt * qdot
-
-    def filter_rates(x, u):
-        return np.stack([x[1], a0e2 * (u - x[0]) - a1e1 * x[1]])
-
-    def rates(y):
-        return np.stack([filter_rates(y[0], q_in), filter_rates(y[1], u_cmd)])
-
-    y = np.stack([state.xq, state.xp])
-    k1 = rates(y)
-    k2 = rates(y + 0.5 * dt * k1)
-    k3 = rates(y + 0.5 * dt * k2)
-    k4 = rates(y + dt * k3)
-    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    new = ctl.DobState(xq=y[0], xp=y[1])
-    qddot_f = a0e2 * (q + dt * qdot - new.xq[0]) - a1e1 * new.xq[1]
-    return new, -model.M @ (new.xp[0] - qddot_f) + model.C + model.G
-
-
 class TestDob:
+    def test_factors_are_the_gains_per_channel(self):
+        g = ctl.GainSet(a0=np.arange(1.0, 7.0), a1=np.full(6, 4.0), eps=np.linspace(0.5, 0.9, 6))
+        a0e2, a1e1 = g.dob_factors
+        assert all(type(v) is float for v in a0e2 + a1e1)
+        assert np.array_equal(a0e2, g.a0 / g.eps ** 2) and np.array_equal(a1e1, g.a1 / g.eps)
+
     def test_initial_estimate_is_model_bias(self):
         p = dyn.ModelParams()
         g = ctl.GainSet()
@@ -348,6 +329,21 @@ def proxy_kinematics(geom, part, gamma, q, theta, qdot=np.zeros(6), thetadot=np.
 
 
 class TestProxyKinematics:
+    def test_frames_match_the_rotation_form(self, rng):
+        # the arm frames are built from their single-product entries: bit for
+        # bit R0 Rz(th1) and that times the transposed ZYX rotation of (0, -th2, -th3)
+        geom = VehicleGeometry()
+        for _ in range(1000):
+            q, _, theta, _ = random_state(rng)
+            theta = rng.uniform(-math.pi, math.pi, size=3)
+            R0 = dyn.rotation(q[3:])
+            pivots, (F0, F1, F2) = ctl.vehicle_frames(geom, q, R0, theta)
+            R1 = R0 @ dyn.rotation((0.0, 0.0, theta[0]))
+            R2 = R1 @ dyn.rotation((0.0, -theta[1], -theta[2])).T
+            assert np.array_equal(F0, R0) and np.array_equal(F1, R1) and np.array_equal(F2, R2)
+            p1 = q[:3] + geom.arm_base_offset * R0[:, 0]
+            assert np.array_equal(pivots, [q[:3], p1, p1 + geom.l1 * R1[:, 0]])
+
     def test_rotor_point_at_identity(self):
         geom = VehicleGeometry()
         X, J, _ = proxy_kinematics(geom, 0, 0.0, np.zeros(6), np.zeros(3))

@@ -6,7 +6,7 @@ import pytest
 
 from amplan import dynamics as dyn
 
-from oracles import hover_thrust
+from oracles import array_model_terms, array_step, hover_thrust
 
 
 def random_regular_phi(rng, max_tilt=0.5):
@@ -259,3 +259,85 @@ class TestStep:
             dyn.step(dyn.VehicleState(), plant_terms(dyn.VehicleState(), dyn.ModelParams()),
                      np.zeros(6), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(6), 0.02,
                      dyn.ModelParams())
+
+
+def _same(a, b):
+    """Bit equality of (nested tuples of) arrays."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b)
+
+
+class TestFloatForms:
+    """model_terms and step run their elementwise work on Python floats; they
+    match the array forms (tests/oracles.py) bit for bit."""
+
+    MISMATCH = dict(m_hat=3.2, J_hat=np.diag([0.05, 0.06, 0.1]))
+    PITCH_LIMIT = math.pi / 2 - dyn.PITCH_MARGIN
+
+    def random_state(self, rng):
+        return dyn.VehicleState(q=np.concatenate([rng.uniform(-3.0, 3.0, size=3),
+                                                  [rng.uniform(-1.5, 1.5),
+                                                   rng.uniform(-1.5, 1.5),
+                                                   rng.uniform(-math.pi, math.pi)]]),
+                                qdot=rng.normal(scale=2.0, size=6),
+                                theta=rng.uniform(-1.5, 1.5, size=3),
+                                thetadot=rng.normal(scale=1.0, size=3))
+
+    @pytest.mark.parametrize("model", [MISMATCH, {}])
+    def test_model_terms_match_array_form(self, rng, model):
+        p = dyn.ModelParams(**model)
+        for _ in range(1000):
+            s = self.random_state(rng)
+            assert _same(dyn.model_terms(s.q[3:], s.qdot[3:], p),
+                         array_model_terms(s.q[3:], s.qdot[3:], p))
+        # the last regular pitch, as a list
+        phi = [0.3, np.nextafter(self.PITCH_LIMIT, 0.0), -2.0]
+        assert _same(dyn.model_terms(phi, [0.1, -0.2, 0.3], p),
+                     array_model_terms(phi, [0.1, -0.2, 0.3], p))
+
+    @pytest.mark.parametrize("pitch", [PITCH_LIMIT, -PITCH_LIMIT, math.pi / 2])
+    def test_model_terms_raise_at_the_pitch_limit(self, pitch):
+        for terms in (dyn.model_terms, array_model_terms):
+            with pytest.raises(dyn.EulerSingularityError):
+                terms([0.1, pitch, 0.2], np.zeros(3), dyn.ModelParams(**self.MISMATCH))
+
+    def test_step_matches_array_form(self, rng):
+        p = dyn.ModelParams(**self.MISMATCH)
+        lo, hi = p.thrust_sat
+        clipped = 0
+        for i in range(1000):
+            s = self.random_state(rng)
+            terms = dyn.model_terms(s.q[3:], s.qdot[3:], p).plant
+            # thrusts on both sides of the physical band
+            T = rng.uniform(lo - 5.0, hi + 5.0, size=6)
+            clipped += int(np.count_nonzero((T < lo) | (T > hi)))
+            refs = rng.normal(size=(3, 3))
+            d = rng.normal(scale=3.0, size=6)
+            dt = rng.uniform(0.0, dyn.DT_MAX) or dyn.DT_MAX
+            args = (T, *refs, d)
+            if i % 2:   # step takes lists as well as arrays
+                args = tuple(a.tolist() for a in args)
+            got = dyn.step(s, terms, *args, dt, p)
+            ref = array_step(s, terms, *args, dt, p)
+            for key in ("q", "qdot", "theta", "thetadot"):
+                assert np.array_equal(getattr(got, key), getattr(ref, key)), key
+        assert clipped > 1000
+
+    def test_step_keeps_nan_thrust_an_error(self):
+        p = dyn.ModelParams()
+        s = dyn.VehicleState()
+        T = np.full(6, hover_thrust(p))
+        T[2] = np.nan
+        for step in (dyn.step, array_step):
+            with pytest.raises(dyn.PlantError):
+                step(s, plant_terms(s, p), T, np.zeros(3), np.zeros(3), np.zeros(3),
+                     np.zeros(6), 0.005, p)
+
+    def test_step_shares_no_array_with_its_input(self):
+        p = dyn.ModelParams()
+        s = dyn.VehicleState()
+        s2 = dyn.step(s, plant_terms(s, p), np.zeros(6), np.zeros(3), np.zeros(3),
+                      np.zeros(3), np.zeros(6), 0.005, p)
+        s2.q[0] = s2.theta[0] = 1.0
+        assert s.q[0] == 0.0 and s.theta[0] == 0.0

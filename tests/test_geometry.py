@@ -40,7 +40,7 @@ def inside_outside(sq, pts):
 
 def boundary(sq, gamma):
     """The closest-pair kernel's boundary point(s) (..., 2) of one shape."""
-    p, _, _ = _boundary(shape_rows([sq])[:, 0], np.asarray(gamma, dtype=float), curvature=False)
+    p = _boundary(shape_rows([sq])[:, 0], np.asarray(gamma, dtype=float), curvature=False)
     return np.moveaxis(p, 0, -1)
 
 

@@ -1,21 +1,25 @@
 """Scenario loading, metrics fixtures, pipeline invariants and file emission."""
 
 import copy
+import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
 from amplan import control as ctl
+from amplan import dynamics as dyn
 from amplan import harness as hz
 from amplan import planner as pl
 from amplan.geometry import Superquadric2, shape_rows
 from amplan.planner import PlannedTrajectory, VehicleGeometry
 
-from oracles import (dense_min_distance_profile, part_superquadrics, sq2_boundary,
-                     sq2_boundary_samples, sq2_inside_outside)
+from oracles import (array_model_terms, array_step, dense_min_distance_profile,
+                     part_superquadrics, scalar_target_pose, sq2_boundary, sq2_boundary_samples,
+                     sq2_inside_outside, stacked_rk4_dob_update)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -261,6 +265,16 @@ def test_empty_world_straight_line(empty_run):
     assert rep.plan_time > 0.0
 
 
+def test_pipeline_scores_each_plan_once(monkeypatch):
+    # run_pipeline checks the plan's clearance on the metric pass it reports
+    scored = []
+    profile = hz.min_distance_profile
+    monkeypatch.setattr(hz, "min_distance_profile", lambda *args: scored.append(1) or profile(*args))
+    s = dataclasses.replace(empty_scenario(), settle_time=0.05, duration=0.2)
+    _, tel, report = hz.run_pipeline(s)
+    assert len(scored) == 1 and report.total_ticks == len(tel.t) == hz.mission_ticks(s)
+
+
 def test_pipeline_deterministic(empty_run, tmp_path):
     s, (pr, tel, rep) = empty_run
     pr2, tel2, rep2 = hz.run_pipeline(s, "sq")
@@ -269,6 +283,57 @@ def test_pipeline_deterministic(empty_run, tmp_path):
     hz.emit(str(b), pr2.traj, tel2, rep2, pr2.cells, pr2.graph)
     for fn in ("trajectory.csv", "telemetry.csv"):
         assert (a / fn).read_bytes() == (b / fn).read_bytes()
+
+
+def test_tick_bytes_count_what_a_mission_holds():
+    # the peak of traced allocations grows by _TICK_BYTES per tick: the
+    # telemetry rows, the wind noise and the target schedule
+    s = dataclasses.replace(empty_scenario(), settle_time=0.05, duration=0.5,
+                            wind=hz.WindProfile(noise_std=0.5))
+    traj = hz.plan(s).traj
+
+    def peak(duration):
+        mission = dataclasses.replace(s, duration=duration)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            hz.simulate(mission, traj, seed=1)
+            return hz.mission_ticks(mission), tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    peak(0.5)       # first calls may fill lazily built caches
+    (n1, p1), (n2, p2) = peak(0.5), peak(5.5)
+    assert n2 - n1 == 1000
+    assert hz._TICK_BYTES - 8 < (p2 - p1) / (n2 - n1) <= hz._TICK_BYTES
+
+
+def test_flight_matches_array_forms(monkeypatch):
+    # the tick's float layers and the direct arm rotations reproduce the
+    # array forms' telemetry byte for byte, on a flight among the tree's
+    # obstacles (the arm frames enter h_min through the far-pair bound)
+    s = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
+    s = dataclasses.replace(s, settle_time=0.5, duration=3.0,
+                            wind=dataclasses.replace(s.wind, noise_std=0.5))
+    traj = hz.plan(s).traj
+    fast = hz.telemetry_csv(hz.simulate(s, traj, seed=1))
+
+    def frames(geom, q, R0, theta):
+        R1 = R0 @ dyn.rotation((0.0, 0.0, theta[0]))
+        R2 = R1 @ dyn.rotation((0.0, -theta[1], -theta[2])).T
+        p1 = q[:3] + geom.arm_base_offset * R0[:, 0]
+        return np.array([q[:3], p1, p1 + geom.l1 * R1[:, 0]]), np.array([R0, R1, R2])
+
+    def targets(traj, t, duration, height):
+        return tuple(map(np.array, zip(*(scalar_target_pose(traj, ti, duration, height)
+                                         for ti in t))))
+
+    monkeypatch.setattr(dyn, "model_terms", array_model_terms)
+    monkeypatch.setattr(dyn, "step", array_step)
+    monkeypatch.setattr(ctl, "dob_update", stacked_rk4_dob_update)
+    monkeypatch.setattr(ctl, "vehicle_frames", frames)
+    monkeypatch.setattr(hz, "target_pose", targets)
+    assert hz.telemetry_csv(hz.simulate(s, traj, seed=1)) == fast
 
 
 def test_metrics_roundtrip_and_csv_reconstruction(empty_run, tmp_path):

@@ -10,8 +10,8 @@ from amplan import planner as pl
 from amplan.geometry import (TANH_SATURATION, StiffnessParams, Superquadric2, closest_pairs,
                              shape_rows, stiffness_terms, wrap_angle)
 from amplan.voronoi import SolutionPath
-from oracles import (central_diff_gradient, part_poses, part_superquadrics, sq2_boundary,
-                     sq2_inside_outside)
+from oracles import (central_diff_gradient, part_poses, part_superquadrics, scalar_target_pose,
+                     sq2_boundary, sq2_inside_outside)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -602,3 +602,17 @@ class TestTargetPose:
     def test_bad_duration(self):
         with pytest.raises(pl.PlannerError):
             pl.target_pose(self.traj(), 1.0, 0.0, 1.0)
+
+    def test_batched_times_match_the_scalar_form(self):
+        # every tick time of a mission, from before the settle time to past
+        # the end, in one call: bit for bit the per-time float form
+        traj = self.traj()
+        settle, duration, dt = 4.0, 20.0, 0.005
+        t = np.arange(int(round((settle + duration + 2.0) / dt))) * dt - settle
+        on_sample = np.isin(t / duration, traj.s)
+        assert (t < 0.0).any() and (t > duration).any() and on_sample.sum() >= 10
+        q_t, theta_t = pl.target_pose(traj, t, duration, 1.2)
+        assert q_t.shape == (t.size, 6) and theta_t.shape == (t.size, 3)
+        for k in range(t.size):
+            q_ref, theta_ref = scalar_target_pose(traj, t[k], duration, 1.2)
+            assert np.array_equal(q_t[k], q_ref) and np.array_equal(theta_t[k], theta_ref)
