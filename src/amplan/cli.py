@@ -98,6 +98,7 @@ def _cmd_bench(args) -> int:
     scenarios = [_load(path, args.dt, args.ns, args.seed) for path in args.scenario]
     for s in scenarios:
         hz.mission_ticks(s)
+        hz.plan_samples(s)
     # every plan is made and checked before the first flight, so that a plan
     # that collides fails the run before any file is written
     plans = [(s, mode, *hz.plan_checked(s, mode))

@@ -52,9 +52,11 @@ def _as_diag6(v):
     raise GainError(f"bad observer gain shape {a.shape}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GainSet:
-    """Controller gains; defaults follow the reference tuning."""
+    """Controller gains; defaults follow the reference tuning.  Frozen, so that
+    the factors and the QP derived from them cannot go stale;
+    dataclasses.replace derives them afresh."""
 
     a0: np.ndarray = 1.0
     a1: np.ndarray = 2.0
@@ -67,9 +69,8 @@ class GainSet:
     q_thetaddot: np.ndarray = field(default_factory=lambda: 4.0 * np.eye(3))
 
     def __post_init__(self):
-        self.a0 = _as_diag6(self.a0)
-        self.a1 = _as_diag6(self.a1)
-        self.eps = _as_diag6(self.eps)
+        for name in ("a0", "a1", "eps"):
+            object.__setattr__(self, name, _as_diag6(getattr(self, name)))
         if np.any(self.a0 <= 0.0) or np.any(self.a1 <= 0.0):
             raise GainError("observer gains a0, a1 must be positive")
         # stable observer envelope: a0 / a1^2 strictly below one half
@@ -81,20 +82,23 @@ class GainSet:
             m = np.asarray(getattr(self, name), dtype=float)
             if m.shape != (6, 6) or np.linalg.eigvalsh(0.5 * (m + m.T)).min() <= 0.0:
                 raise GainError(f"{name} must be 6x6 positive definite")
-            setattr(self, name, m)
+            object.__setattr__(self, name, m)
         for name in ("gamma_theta", "q_thetaddot"):
             m = np.asarray(getattr(self, name), dtype=float)
             if m.shape != (3, 3) or np.linalg.eigvalsh(0.5 * (m + m.T)).min() <= 0.0:
                 raise GainError(f"{name} must be 3x3 positive definite")
-            setattr(self, name, m)
+            object.__setattr__(self, name, m)
         # the observer's per-channel coefficients a0/eps^2 and a1/eps, as floats
-        self.dob_factors = ((self.a0 / self.eps ** 2).tolist(), (self.a1 / self.eps).tolist())
+        object.__setattr__(self, "dob_factors",
+                           ((self.a0 / self.eps ** 2).tolist(), (self.a1 / self.eps).tolist()))
         # outer_loop's per-mission QP (H checked once) and the factors of g and a_ref
         H = np.zeros((9, 9))
         H[:6, :6], H[6:, 6:] = 2.0 * self.q_qdot, 2.0 * self.q_thetaddot
-        self.outer_qp = QpProblem(H, np.zeros(9), np.zeros((0, 9)), np.zeros(0))
-        self.outer_factors = (-2.0 * self.q_qdot, -2.0 * self.q_thetaddot,
-                              -2.0 * self.gamma_theta, self.gamma_theta @ self.gamma_theta)
+        object.__setattr__(self, "outer_qp",
+                           QpProblem(H, np.zeros(9), np.zeros((0, 9)), np.zeros(0)))
+        object.__setattr__(self, "outer_factors",
+                           (-2.0 * self.q_qdot, -2.0 * self.q_thetaddot,
+                            -2.0 * self.gamma_theta, self.gamma_theta @ self.gamma_theta))
 
 
 @dataclass

@@ -162,30 +162,43 @@ def shape_rows(shapes) -> np.ndarray:
     return np.array([a1, a2, eps, np.cos(angle), np.sin(angle), cx, cy])
 
 
+def _body_curve(axes, c, s):
+    """Body-frame boundary points (x, y), each (N,), of the shapes with rows
+    axes = [a1, a2, eps] at the angles of cosines c and sines s:
+    (a1 sign(c)|c|^eps, a2 sign(s)|s|^eps)."""
+    a1, a2, eps = axes
+    return a1 * (np.sign(c) * np.abs(c) ** eps), a2 * (np.sign(s) * np.abs(s) ** eps)
+
+
+def _posed(pose, x, y):
+    """World points (2, N) of the body-frame points (x, y) under the pose rows
+    [cos(angle), sin(angle), center x, center y] of shape_rows."""
+    ca, sa, cx, cy = pose
+    return np.array([cx + ca * x - sa * y, cy + sa * x + ca * y])
+
+
 def _boundary(rows, g, curvature=True):
     """World point p(g), tangent p'(g) and second derivative p''(g), each (2, N);
     with curvature False, the point p(g) alone.
 
-    The body-frame curve is (a1 sign(c)|c|^eps, a2 sign(s)|s|^eps) with c, s
-    the cosine and sine of g; its derivatives use |c|, |s| floored at AXIS_FLOOR.
+    The point is _body_curve placed by _posed; the derivatives use |c|, |s|
+    floored at AXIS_FLOOR, c and s the cosine and sine of g.
     """
-    a1, a2, eps, ca, sa, cx, cy = rows
     c, s = np.cos(g), np.sin(g)
-    abs_c, abs_s, sign_c, sign_s = np.abs(c), np.abs(s), np.sign(c), np.sign(s)
-    # a1 signed_pow(c, eps), a2 signed_pow(s, eps)
-    x, y = a1 * (sign_c * abs_c ** eps), a2 * (sign_s * abs_s ** eps)
-    p = np.array([cx + ca * x - sa * y, cy + sa * x + ca * y])
+    x, y = _body_curve(rows[:3], c, s)
+    p = _posed(rows[3:], x, y)
     if not curvature:
         return p
-    ac, as_ = np.maximum(abs_c, AXIS_FLOOR), np.maximum(abs_s, AXIS_FLOOR)
+    a1, a2, eps, ca, sa = rows[:5]
+    ac, as_ = np.maximum(np.abs(c), AXIS_FLOOR), np.maximum(np.abs(s), AXIS_FLOOR)
     e2, ae1, ae2 = eps - 2.0, a1 * eps, a2 * eps
     wc, ws = ac ** e2, as_ ** e2
     tx = -ae1 * wc * ac * s
     ty = ae2 * ws * as_ * c
     t = np.array([ca * tx - sa * ty, sa * tx + ca * ty])
     e1 = eps - 1.0
-    kx = ae1 * e1 * sign_c * wc * s * s - eps * x
-    ky = ae2 * e1 * sign_s * ws * c * c - eps * y
+    kx = ae1 * e1 * np.sign(c) * wc * s * s - eps * x
+    ky = ae2 * e1 * np.sign(s) * ws * c * c - eps * y
     return p, t, np.array([ca * kx - sa * ky, sa * kx + ca * ky])
 
 

@@ -364,6 +364,25 @@ def mission_ticks(s: Scenario) -> int:
     return n
 
 
+# floats that each plan sample holds in its PlannedTrajectory besides the 2P
+# proxy angles: s, z (5), u (3), the residual and the end effector (3)
+_SAMPLE_FLOATS = 13
+
+
+def plan_samples(s: Scenario) -> int:
+    """n_s + 1, the most samples of s's plan once n_s reaches its path's K
+    attractors (integrate_em takes max(1, n_s // K) steps toward each);
+    raises ScenarioError, before anything is built, when their per-sample
+    arrays exceed the machine's memory."""
+    n = s.planner.n_s + 1
+    floats = _SAMPLE_FLOATS + 2 * s.vehicle.n_parts * len(s.obstacles)
+    need, have = n * floats * 8, _physical_memory()
+    if need > have:
+        raise ScenarioError(f"n_s: {n} plan samples need {need / 1e9:.3g} GB of per-sample "
+                            f"arrays, more than the {have / 1e9:.3g} GB of memory")
+    return n
+
+
 def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
              seed: int | None = None) -> Telemetry:
     """Run the full mission: hover settle phase, then trajectory tracking.
@@ -556,8 +575,10 @@ def score_flight(report: MetricsReport, telemetry: Telemetry):
 
 def plan_checked(s: Scenario, mode: str = "sq"):
     """Plan s and score the plan (metrics without telemetry); returns
-    (PlanResult, report).  A plan that touches an obstacle, min_distance <= 0
-    over its samples, raises HarnessError."""
+    (PlanResult, report).  A plan too large to hold fails before it is made
+    (plan_samples); one that touches an obstacle, min_distance <= 0 over its
+    samples, raises HarnessError."""
+    plan_samples(s)
     pr = plan(s, mode)
     report = metrics(pr.traj, None, s, pr.plan_time)
     if not report.min_distance > 0.0:

@@ -25,9 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (AXIS_FLOOR, TANH_SATURATION, GeometryError, StiffnessParams, _boundary,
-                       bounding_radius, check_numbers, circle_bound, closest_pairs, shape_rows,
-                       stiffness_terms, wrap_angle)
+from .geometry import (AXIS_FLOOR, TANH_SATURATION, GeometryError, StiffnessParams, _body_curve,
+                       _boundary, _posed, bounding_radius, check_numbers, circle_bound,
+                       closest_pairs, shape_rows, stiffness_terms, wrap_angle)
 from .voronoi import SolutionPath
 
 
@@ -221,6 +221,23 @@ class _Evaluator:
         self.fgrad = self.oexp / a
         self.fcurv = self.oexp * (self.oexp - 1.0) / a ** 2
         self.e1, self.e2 = self.oexp - 1.0, self.oexp - 2.0
+        # the proxy curves, each with the bytes of the angles it was computed at:
+        # the part side's body-frame points and the obstacle side's world points
+        self._part_curve = self._obs_points = (None, None)
+
+    def part_curve(self, Gp):
+        """Body-frame points (x, y) of the part proxies at the angles Gp (P,)."""
+        key = np.asarray(Gp, dtype=float).tobytes()
+        if key != self._part_curve[0]:
+            self._part_curve = key, _body_curve(self.rows[:3, 0], np.cos(Gp), np.sin(Gp))
+        return self._part_curve[1]
+
+    def obstacle_points(self, Go):
+        """World points (2, P) of the obstacle proxies at the angles Go (P,)."""
+        key = np.asarray(Go, dtype=float).tobytes()
+        if key != self._obs_points[0]:
+            self._obs_points = key, _boundary(self.rows[:, 1], Go, curvature=False)
+        return self._obs_points[1]
 
     def within_reach(self):
         """Indices of the pairs within reach at the poses in rows.  The others
@@ -241,34 +258,46 @@ def _pair_sums(ev: _Evaluator, z, Gp, Go, jf):
     """The pair terms of _fused_derivatives, summed over the pairs: grad_z (5,),
     hess_z (5, 5) without the joint-frame curvature, that curvature -G.V (3,)
     and W; jf holds the joint frames (3, 4) at z, where the part rows of ev.rows
-    are posed."""
-    P, st, rows = ev.P, ev.stiff, ev.rows
+    are posed.
+
+    The contact terms, those of k' and k'', are evaluated on the loaded pairs
+    alone, where k' or k'' is non-zero or k D has a zero entry (whose sign they
+    may set).  Every other pair's are signed zeros that leave its p-space
+    gradient k D and Hessian k I bit for bit as they are.
+    """
+    st, rows = ev.stiff, ev.rows
     set_part_poses(rows[:, 0], ev.geom, ev.pi, z, jf[None])
-    X = _boundary(rows.reshape(7, 2 * P), np.concatenate((Gp, Go), axis=None),
-                  curvature=False)
-    p, q = X[:, :P], X[:, P:]
+    p = _posed(rows[3:, 0], *ev.part_curve(Gp))
 
     # part proxies in their obstacle's frame, divided by its semi-axes
     d = p - rows[5:, 1]
     w = ev.oscale[:, 0] * d[0] + ev.oscale[:, 1] * d[1]
     aw = np.abs(w)
     g = (aw ** ev.oexp).sum(axis=0) - 1.0 - st.d_prime
-    D = p - q
+    D = p - ev.obstacle_points(Go)
     d2 = (D * D).sum(axis=0)
     k0, k1, k2 = stiffness_terms(g, st)
 
     # p-space gradient Gr (2, P) and Hessian Hp (2, 2, P) of each pair term
-    fb = ev.fgrad * np.sign(w) * aw ** ev.e1
-    hb = ev.fcurv * np.maximum(aw, AXIS_FLOOR) ** ev.e2
-    f = ev.orot[:, 0] * fb[0] + ev.orot[:, 1] * fb[1]
-    A = 0.5 * k1 * d2
-    Gr = A * f + k0 * D
-    fD = f[:, None] * D
-    Hp = (0.5 * k2 * d2 * f[:, None] * f
-          + A * (ev.orot2[:, :, 0] * hb[0] + ev.orot2[:, :, 1] * hb[1])
-          + k1 * (fD + fD.transpose(1, 0, 2)) + k0 * _EYE2)
+    Gr = k0 * D
+    Hp = k0 * _EYE2
+    L = np.flatnonzero((k1 != 0.0) | (k2 != 0.0) | (Gr == 0.0).any(axis=0))
+    if L.size:
+        wL, awL, k0L, k1L, d2L, DL = w[:, L], aw[:, L], k0[L], k1[L], d2[L], D[:, L]
+        orot = ev.orot[..., L]
+        fb = ev.fgrad[:, L] * np.sign(wL) * awL ** ev.e1[L]
+        hb = ev.fcurv[:, L] * np.maximum(awL, AXIS_FLOOR) ** ev.e2[L]
+        f = orot[:, 0] * fb[0] + orot[:, 1] * fb[1]
+        A = 0.5 * k1L * d2L
+        Gr[:, L] = A * f + k0L * DL
+        fD = f[:, None] * DL
+        orot2 = ev.orot2[..., L]
+        Hp[..., L] = (0.5 * k2[L] * d2L * f[:, None] * f
+                      + A * (orot2[:, :, 0] * hb[0] + orot2[:, :, 1] * hb[1])
+                      + k1L * (fD + fD.transpose(1, 0, 2)) + k0L * _EYE2)
 
     # chain rule to z through the proxy Jacobian Jp = [I | S V], (2, P, 5)
+    P = ev.P
     V = (p[:, :, None] - jf[:, :2].T[:, None]) * ev.moved
     Jp = ev.jp.copy()
     Jp[0, :, 2:] = -V[1]
@@ -288,8 +317,9 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
 
     W is the sum of the pair terms, the target term and the joint regulariser;
     all its derivatives are closed-form.  The pair terms come from _pair_sums,
-    which takes every proxy point p from one geometry._boundary call; with no
-    pairs it is not called.  A pair term
+    which poses the part proxies' body-frame curve at z and reads the obstacle
+    proxies' world points; the evaluator recomputes either curve only when its
+    angles change.  With no pairs it is not called.  A pair term
     0.5 k(F(p) - d') |p - q|^2 has p-space gradient Gr = 0.5 k' |D|^2 dF + k D and
     Hessian 0.5 k'' |D|^2 dF dF^T + 0.5 k' |D|^2 d2F + k' (dF D^T + D dF^T) + k I,
     D = p - q, mapped to z through the proxy's Jacobian [I | S V] plus the

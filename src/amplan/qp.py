@@ -76,7 +76,8 @@ class QpSolution:
 
 
 def solve(prob: QpProblem) -> QpSolution:
-    """Solve prob; every call starts afresh from the unconstrained minimiser."""
+    """Solve prob; every call starts afresh from the unconstrained minimiser.
+    A NaN in g, A or b raises QpDimensionError."""
     A, b, Linv = prob.A, prob.b, prob.Linv
     x = -Linv.T @ (Linv @ prob.g)   # -H^-1 g, from the held factor
     work, lam = [], np.zeros(0)     # working rows and their multipliers
@@ -91,6 +92,10 @@ def solve(prob: QpProblem) -> QpSolution:
                 status = "optimal"
                 break
             p, lam_p = int(np.argmax(resid)), 0.0   # lowest index among ties
+            # a NaN in g, A or b makes a residual NaN, which argmax picks first
+            # and the test above never passes
+            if np.isnan(resid[p]):
+                raise QpDimensionError("QP data g, A or b holds a NaN")
         # split L^-1 a_p into its part spanned by the working rows, whose
         # coefficients r are the rates their multipliers fall at, and the rest
         q = len(work)

@@ -13,7 +13,9 @@ residuals, the observer's settling time, the hover thrust, a polygon's area)
 live here too.  So do the array forms of the tick's elementwise layers (the
 observer's RK4, the model terms, the plant step and the target pose), which
 the library runs on Python floats: the float forms must match them bit for
-bit.
+bit.  Likewise the dense form of the planner's pair sums, which evaluates
+every pair's contact terms and both proxy curves on each call: the fused
+pass, which skips what cannot change, must match it bit for bit.
 """
 
 import itertools
@@ -25,8 +27,9 @@ from scipy.spatial import cKDTree
 
 from amplan import control as ctl
 from amplan import dynamics as dyn
-from amplan.geometry import Superquadric2, closest_pairs, shape_rows
-from amplan.planner import PlannerError, pair_rows
+from amplan.geometry import (AXIS_FLOOR, Superquadric2, _boundary, closest_pairs, shape_rows,
+                             stiffness_terms)
+from amplan.planner import PlannerError, pair_rows, set_part_poses
 from amplan.qp import solve
 
 
@@ -380,3 +383,47 @@ def scalar_target_pose(traj, t, duration, height):
     w = (s - traj.s[k]) / (traj.s[k + 1] - traj.s[k])
     z = (1.0 - w) * traj.z[k] + w * traj.z[k + 1]
     return np.array([z[0], z[1], height, 0.0, 0.0, z[2]]), np.array([z[3], 0.0, z[4]])
+
+
+_EYE2 = np.eye(2)[:, :, None]
+
+
+def dense_pair_sums(ev, z, Gp, Go, jf):
+    """planner._pair_sums as it was before the loaded-pair and proxy-curve
+    shortcuts: every proxy point from one boundary call, every pair's contact
+    terms evaluated.  Poses the part rows of ev.rows at z as the fused pass does."""
+    P, st, rows = ev.P, ev.stiff, ev.rows
+    set_part_poses(rows[:, 0], ev.geom, ev.pi, z, jf[None])
+    X = _boundary(rows.reshape(7, 2 * P), np.concatenate((Gp, Go), axis=None),
+                  curvature=False)
+    p, q = X[:, :P], X[:, P:]
+
+    d = p - rows[5:, 1]
+    w = ev.oscale[:, 0] * d[0] + ev.oscale[:, 1] * d[1]
+    aw = np.abs(w)
+    g = (aw ** ev.oexp).sum(axis=0) - 1.0 - st.d_prime
+    D = p - q
+    d2 = (D * D).sum(axis=0)
+    k0, k1, k2 = stiffness_terms(g, st)
+
+    fb = ev.fgrad * np.sign(w) * aw ** ev.e1
+    hb = ev.fcurv * np.maximum(aw, AXIS_FLOOR) ** ev.e2
+    f = ev.orot[:, 0] * fb[0] + ev.orot[:, 1] * fb[1]
+    A = 0.5 * k1 * d2
+    Gr = A * f + k0 * D
+    fD = f[:, None] * D
+    Hp = (0.5 * k2 * d2 * f[:, None] * f
+          + A * (ev.orot2[:, :, 0] * hb[0] + ev.orot2[:, :, 1] * hb[1])
+          + k1 * (fD + fD.transpose(1, 0, 2)) + k0 * _EYE2)
+
+    V = (p[:, :, None] - jf[:, :2].T[:, None]) * ev.moved
+    Jp = ev.jp.copy()
+    Jp[0, :, 2:] = -V[1]
+    Jp[1, :, 2:] = V[0]
+    HJ = Hp[:, 0, :, None] * Jp[0] + Hp[:, 1, :, None] * Jp[1]
+
+    Jp, Gr = Jp.reshape(2 * P, 5), Gr.reshape(2 * P)
+    gz = Gr @ Jp
+    H = Jp.T @ HJ.reshape(2 * P, 5)
+    curv = -(Gr @ V.reshape(2 * P, 3))
+    return gz, H, curv, (0.5 * k0 * d2).sum()

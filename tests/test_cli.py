@@ -231,6 +231,21 @@ def test_mission_too_long_to_hold_exit_2_before_planning(tmp_path, no_planning, 
 
 
 @pytest.mark.parametrize("command", ["plan", "simulate", "bench"])
+@pytest.mark.parametrize("from_flag", [True, False])
+def test_plan_too_large_to_hold_exit_2_before_planning(tmp_path, no_planning, capsys, command,
+                                                        from_flag):
+    # 1e11 samples: far more trajectory than any machine's memory holds, so
+    # no array is allocated; the sample count comes from --ns or the scenario
+    data = copy.deepcopy(EMPTY)
+    args = ["--ns", "100000000000"] if from_flag else []
+    if not from_flag:
+        data["planner"] = {"n_s": 100000000000}
+    assert cli.main([command, "--scenario", write_scenario(tmp_path, data)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: n_s: 100000000001 plan samples")
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "bench"])
 @pytest.mark.parametrize("ns", ["1", "0"])
 def test_ns_below_2_exit_2_before_planning(empty_yaml, no_planning, capsys, command, ns):
     assert cli.main([command, "--scenario", empty_yaml, "--ns", ns]) == 2

@@ -30,6 +30,22 @@ def random_state(rng):
 
 
 class TestGainSet:
+    def test_frozen_caches_cannot_go_stale(self):
+        # assigning a weight used to leave the QP on the old one; replace
+        # derives every cache from the new gains
+        g = ctl.GainSet()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.q_qdot = 100.0 * np.eye(6)
+        assert g.outer_qp.H[0, 0] == 2.0
+        h = dataclasses.replace(g, q_qdot=100.0 * np.eye(6), a0=0.5, gamma_theta=2.0 * np.eye(3))
+        fresh = ctl.GainSet(q_qdot=100.0 * np.eye(6), a0=0.5, gamma_theta=2.0 * np.eye(3))
+        assert h.outer_qp.H[0, 0] == 200.0 and h.outer_qp is not g.outer_qp
+        assert np.array_equal(h.outer_qp.H, fresh.outer_qp.H)
+        assert np.array_equal(h.outer_qp.Linv, fresh.outer_qp.Linv)
+        assert h.dob_factors == fresh.dob_factors != g.dob_factors
+        for a, b in zip(h.outer_factors, fresh.outer_factors):
+            assert np.array_equal(a, b)
+
     def test_defaults_accepted(self):
         g = ctl.GainSet()
         np.testing.assert_allclose(g.a0, np.ones(6))

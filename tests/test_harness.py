@@ -308,6 +308,19 @@ def test_tick_bytes_count_what_a_mission_holds():
     assert hz._TICK_BYTES - 8 < (p2 - p1) / (n2 - n1) <= hz._TICK_BYTES
 
 
+def test_sample_floats_count_what_a_plan_holds(tmp_path):
+    # plan_samples sizes the trajectory's arrays: per sample, _SAMPLE_FLOATS
+    # floats and the 2P proxy angles, P = 8 parts x 1 obstacle
+    s = dataclasses.replace(hz.load_scenario(write_scenario(tmp_path, BASE)),
+                            planner=hz.PlannerParams(n_s=40))
+    traj = hz.plan(s).traj
+    n = hz.plan_samples(s)
+    assert len(traj.s) == n == 41
+    held = sum(a.nbytes for a in (traj.s, traj.z, traj.eef, traj.u, traj.gammas,
+                                  traj.residuals))
+    assert held == n * 8 * (hz._SAMPLE_FLOATS + 2 * 8)
+
+
 def test_flight_matches_array_forms(monkeypatch):
     # the tick's float layers and the direct arm rotations reproduce the
     # array forms' telemetry byte for byte, on a flight among the tree's

@@ -10,8 +10,8 @@ from amplan import planner as pl
 from amplan.geometry import (TANH_SATURATION, StiffnessParams, Superquadric2, closest_pairs,
                              shape_rows, stiffness_terms, wrap_angle)
 from amplan.voronoi import SolutionPath
-from oracles import (central_diff_gradient, part_poses, part_superquadrics, scalar_target_pose,
-                     sq2_boundary, sq2_inside_outside)
+from oracles import (central_diff_gradient, dense_pair_sums, part_poses, part_superquadrics,
+                     scalar_target_pose, sq2_boundary, sq2_inside_outside)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -89,7 +89,7 @@ class TestForwardKinematics:
         np.testing.assert_allclose(parts[5:, 3], [-geom.rotor_arm, 0.0], atol=1e-12)
         assert np.all(parts[3, :6] == 1.0) and np.all(parts[4, :6] == 0.0)
 
-    def test_part_shapes_match_batched_poses(self, rng, monkeypatch):
+    def test_part_shapes_match_batched_poses(self, rng):
         # every place the pipeline writes the part rows agrees with the oracle's
         # per-part trigonometry: one z, a 32-sample stack, a tracker refresh and
         # the part side of the fused pass
@@ -116,16 +116,11 @@ class TestForwardKinematics:
         tracker.refresh([x, y, 1.0, 0.0, 0.0, psi], [t1, 0.0, t3])
         check(tracker.sides[0], Z[:1])
 
-        seen, boundary = [], pl._boundary
-
-        def spy(rows, g, **kw):
-            seen.append(rows.copy())
-            return boundary(rows, g, **kw)
-
-        monkeypatch.setattr(pl, "_boundary", spy)
+        # the fused pass leaves the part rows posed at its z
+        ev = pl._Evaluator(geom, shape_rows(obs), params.stiffness)
         G = np.zeros(P)
-        fused(geom, obs, params, Z[0], G, G, geom.forward_kinematics_eef(Z[0]))
-        check(seen.pop()[:, :P], Z[:1])
+        pl._fused_derivatives(ev, params, Z[0], G, G, geom.forward_kinematics_eef(Z[0]))
+        check(ev.rows[:, 0], Z[:1])
 
 
 class TestPotential:
@@ -313,6 +308,114 @@ class TestReach:
             k = stiffness_terms(F - st.d_prime, st)[0]
             assert bool(k > st.k_min) is within
             assert np.all(k0 == st.k_min)
+
+
+class TestFusedPassShortcuts:
+    """_pair_sums evaluates the contact terms on the loaded pairs alone and
+    each proxy curve only when its angles change: its sums are the dense
+    form's (oracles.dense_pair_sums) bit for bit."""
+
+    @staticmethod
+    def recording_stiffness(monkeypatch):
+        """Count, per planner call of stiffness_terms, the pairs with k' or k'' non-zero."""
+        loaded, terms = [], pl.stiffness_terms
+
+        def record(d, st):
+            k = terms(d, st)
+            loaded.append(np.count_nonzero((k[1] != 0.0) | (k[2] != 0.0)))
+            return k
+
+        monkeypatch.setattr(pl, "stiffness_terms", record)
+        return loaded
+
+    @staticmethod
+    def assert_dense(ev, z, Gp, Go):
+        """_pair_sums on ev equals the dense form on a fresh evaluator of the same scene."""
+        dense_ev = pl._Evaluator(ev.geom, ev.rows[:, 1, :ev.P // ev.geom.n_parts], ev.stiff)
+        jf = np.array(ev.geom.joint_frames(*z.tolist()))
+        out = pl._pair_sums(ev, z, Gp, Go, jf)
+        for a, b in zip(out, dense_pair_sums(dense_ev, z, Gp, Go, jf)):
+            assert np.array_equal(a, b)
+        return out
+
+    def test_far_poses(self, rng, monkeypatch):
+        loaded = self.recording_stiffness(monkeypatch)
+        geom, st = pl.VehicleGeometry(), StiffnessParams()
+        for _ in range(50):
+            # centers 3-6 m out on each axis, beyond the vehicle's reach
+            centers = rng.choice([-1.0, 1.0], (3, 2)) * rng.uniform(3.0, 6.0, (3, 2))
+            obs = [Superquadric2(a1=rng.uniform(0.1, 1.0), a2=rng.uniform(0.1, 1.0),
+                                 eps=rng.uniform(0.2, 2.0), angle=rng.uniform(-3.0, 3.0),
+                                 center=tuple(c)) for c in centers]
+            ev = pl._Evaluator(geom, shape_rows(obs), st)
+            for _ in range(4):
+                Gp, Go = rng.uniform(-math.pi, math.pi, size=(2, ev.P))
+                self.assert_dense(ev, rng.uniform(-1.0, 1.0, 5), Gp, Go)
+        assert len(loaded) == 200 and not any(loaded)
+
+    def test_parts_just_outside_the_inflated_boundary(self, rng, monkeypatch):
+        # one part's proxy outside a round obstacle's inflated boundary, its
+        # stiffness argument g = F - d' 0 to 19 mm (19 d0): in the stiffness
+        # transition, where k' and k'' are non-zero short of tanh saturation
+        loaded = self.recording_stiffness(monkeypatch)
+        geom, st = pl.VehicleGeometry(), StiffnessParams()
+        for _ in range(200):
+            z = rng.uniform(-1.0, 1.0, 5)
+            Gp, Go = rng.uniform(-math.pi, math.pi, size=(2, geom.n_parts))
+            j = rng.integers(geom.n_parts)
+            p = sq2_boundary(part_superquadrics(geom, z)[j], Gp[j])
+            a, phi = rng.uniform(0.2, 1.0), rng.uniform(-math.pi, math.pi)
+            r = a * math.sqrt(1.0 + st.d_prime + rng.uniform(0.0, 19.0 * st.d0))
+            obs = [Superquadric2(a1=a, a2=a, eps=1.0,
+                                 center=tuple(p + r * np.array([math.cos(phi), math.sin(phi)])))]
+            self.assert_dense(pl._Evaluator(geom, shape_rows(obs), st), z, Gp, Go)
+        assert len(loaded) == 200 and sum(map(bool, loaded)) >= 150
+
+    def test_grazing_route(self, monkeypatch):
+        # every pass of the grazing-route plan (TestContinuation), whose arm tip
+        # slides 3 mm above an eps 0.3 face, with the angles re-solved in place
+        loaded = self.recording_stiffness(monkeypatch)
+        geom = pl.VehicleGeometry()
+        box = Superquadric2(a1=0.6, a2=0.3, eps=0.3, center=(1.6, -0.6))
+        params = pl.PlannerParams(n_s=200, stiffness=StiffnessParams(d0=0.02, k_max=100.0),
+                                  k_reg=50.0)
+        dense_ev = pl._Evaluator(geom, shape_rows([box]), params.stiffness)
+        pair_sums, passes = pl._pair_sums, []
+
+        def checked(ev, z, Gp, Go, jf):
+            passes.append(1)
+            out = pair_sums(ev, z, Gp, Go, jf)
+            for a, b in zip(out, dense_pair_sums(dense_ev, z, Gp, Go, jf)):
+                assert np.array_equal(a, b)
+            return out
+
+        monkeypatch.setattr(pl, "_pair_sums", checked)
+        down = -math.pi / 2
+        traj = pl.integrate_em(geom, [box], np.array([1.3, 0.55, down, 0.0, 0.0]),
+                               [np.array([1.3, -0.297, down]), np.array([1.9, -0.297, down]),
+                                np.array([1.9, 0.2, down])], params)
+        assert len(passes) >= traj.evals and sum(map(bool, loaded)) >= 100
+        assert np.abs(traj.gammas - traj.gammas[0]).max() > 1e-2
+
+    def test_changed_angles_recompute_their_curve(self, rng):
+        # the same z with new part angles, then new obstacle angles, each
+        # written in place as integrate_em does: the cached evaluator agrees
+        # with a fresh one and with the dense form
+        geom, st = pl.VehicleGeometry(), StiffnessParams(d0=0.05)
+        obs = [Superquadric2(a1=0.4, a2=0.3, eps=0.5, angle=0.3, center=(0.9, 0.2)),
+               Superquadric2(a1=0.3, a2=0.3, eps=1.0, center=(-0.8, 0.6))]
+        ev = pl._Evaluator(geom, shape_rows(obs), st)
+        G = rng.uniform(-math.pi, math.pi, size=(2, ev.P))
+        for _ in range(20):
+            z = rng.uniform(-0.3, 0.3, 5)
+            first = self.assert_dense(ev, z, G[0], G[1])
+            for side in (0, 1):
+                G[side, rng.integers(ev.P)] += rng.uniform(0.1, 1.0)
+                out = self.assert_dense(ev, z, G[0], G[1])
+                fresh = self.assert_dense(pl._Evaluator(geom, shape_rows(obs), st), z, G[0], G[1])
+                for a, b in zip(out, fresh):
+                    assert np.array_equal(a, b)
+                assert not np.array_equal(out[0], first[0])
 
 
 class TestAttractors:

@@ -119,3 +119,33 @@ def test_regularization_of_near_singular_hessian():
     assert prob.regularized
     sol = qp_solve(prob)
     assert sol.status == "optimal"
+
+
+def box_problem(g=None, A=None, b=None):
+    """min x'x + g'x over the box |x_i| <= 1 in 9 dimensions, as outer_loop's
+    QP has 9 variables; None keeps g = 1, the box rows and b = 1."""
+    n = 9
+    return qp.QpProblem(2.0 * np.eye(n), np.ones(n) if g is None else g,
+                        np.vstack([np.eye(n), -np.eye(n)]) if A is None else A,
+                        np.ones(2 * n) if b is None else b)
+
+
+@pytest.mark.parametrize("field", ["g", "A", "b"])
+def test_nan_data_raises(field):
+    # a NaN used to crash the step (g, b) or to report infeasible (A)
+    prob = box_problem()
+    getattr(prob, field).flat[5] = np.nan
+    with pytest.raises(qp.QpDimensionError, match="NaN"):
+        qp.solve(prob)
+
+
+def test_infinite_bounds():
+    # +inf is no bound; -inf no x meets, so the rows are infeasible
+    g = np.zeros(9)
+    g[0] = -4.0                 # the unconstrained minimiser has x_0 = 2 > 1
+    b = np.ones(18)
+    b[0] = np.inf
+    sol = qp.solve(box_problem(g=g, b=b))
+    assert sol.status == "optimal" and sol.x[0] == pytest.approx(2.0) and sol.active_set == ()
+    b[0], b[10] = 1.0, -np.inf
+    assert qp.solve(box_problem(g=g, b=b)).status == "infeasible"
