@@ -18,15 +18,15 @@ numpy, whose BLAS fused multiply-adds round differently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import dynamics as dyn
-from .geometry import (bounding_radius, center_angles, check_numbers, circle_bound,
-                       closest_pairs, shape_rows, signed_pow)
+from .geometry import (_body_curve, bounding_radius, center_angles, check_numbers,
+                       circle_bound, closest_pairs, shape_rows)
 from .planner import VehicleGeometry, pair_index, pair_rows, set_part_poses
 from .qp import QpProblem, solve
 
@@ -79,15 +79,18 @@ class GainSet:
         if np.any(self.eps <= 0.0) or np.any(self.eps >= 1.0):
             raise GainError("observer bandwidth eps must lie in (0, 1)")
         for name in ("kp", "kd", "gamma_q", "q_qdot"):
-            m = np.asarray(getattr(self, name), dtype=float)
+            m = np.array(getattr(self, name), dtype=float)
             if m.shape != (6, 6) or np.linalg.eigvalsh(0.5 * (m + m.T)).min() <= 0.0:
                 raise GainError(f"{name} must be 6x6 positive definite")
             object.__setattr__(self, name, m)
         for name in ("gamma_theta", "q_thetaddot"):
-            m = np.asarray(getattr(self, name), dtype=float)
+            m = np.array(getattr(self, name), dtype=float)
             if m.shape != (3, 3) or np.linalg.eigvalsh(0.5 * (m + m.T)).min() <= 0.0:
                 raise GainError(f"{name} must be 3x3 positive definite")
             object.__setattr__(self, name, m)
+        # private, read-only copies: no in-place write can leave the caches below stale
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
         # the observer's per-channel coefficients a0/eps^2 and a1/eps, as floats
         object.__setattr__(self, "dob_factors",
                            ((self.a0 / self.eps ** 2).tolist(), (self.a1 / self.eps).tolist()))
@@ -226,10 +229,10 @@ def proxy_points(barriers: PairBarriers, gammas, frames, pairs):
     """World proxy points X (K, 3) of the parts of pairs (an index array of K
     pairs) at planar proxy angles gammas (K,), in the vehicle_frames frames."""
     pivots, rotations = frames
-    a1, a2, eps = barriers.part_axes[:, pairs]
     body = barriers.part_offsets[pairs]
-    body[:, 0] += a1 * signed_pow(np.cos(gammas), eps)
-    body[:, 1] += a2 * signed_pow(np.sin(gammas), eps)
+    x, y = _body_curve(barriers.part_axes[:, pairs], np.cos(gammas), np.sin(gammas))
+    body[:, 0] += x
+    body[:, 1] += y
     link = barriers.link[pairs]
     return pivots[link] + np.einsum("pij,pj->pi", rotations[link], body)
 

@@ -119,13 +119,15 @@ class ModelParams:
     thrust_sat: tuple = (0.0, 18.0)  # plant-side physical saturation, wider than the control band
 
     def __post_init__(self):
-        # frozen, so that the cached properties cannot go stale
-        J = np.asarray(self.J, dtype=float)
+        # frozen, with read-only copies of the inertias, so that the cached
+        # properties cannot go stale
+        J = np.array(self.J, dtype=float)
+        J_hat = J.copy() if self.J_hat is None else np.array(self.J_hat, dtype=float)
+        J.flags.writeable = J_hat.flags.writeable = False
         object.__setattr__(self, "J", J)
+        object.__setattr__(self, "J_hat", J_hat)
         if self.m_hat is None:
             object.__setattr__(self, "m_hat", self.m)
-        object.__setattr__(self, "J_hat", J.copy() if self.J_hat is None
-                           else np.asarray(self.J_hat, dtype=float))
         if self.m <= 0 or self.m_hat <= 0 or self.g <= 0:
             raise ValueError("mass, nominal mass and gravity must be positive")
         if not (0.0 < self.alpha_p < math.pi / 2):

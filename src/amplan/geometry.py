@@ -19,12 +19,6 @@ class GeometryError(ValueError):
     """Invalid shape parameters or non-finite geometric input."""
 
 
-def signed_pow(v, e):
-    """sign(v)*|v|**e, elementwise; defined as 0 at v == 0 to avoid NaN."""
-    v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.abs(v) ** e
-
-
 def wrap_angle(a):
     """Wrap angle(s) into (-pi, pi]."""
     a = np.asarray(a, dtype=float)
@@ -147,11 +141,6 @@ AXIS_FLOOR = 1e-12
 MAX_STEP = 0.25
 # circle_bound's rounding slack per unit of scene scale
 _ULPS = 32.0 * np.finfo(float).eps
-# closest_pairs drops converged pairs from its rounds once a batch of at least
-# this many pairs is down to a quarter pending; on smaller batches the copies
-# cost more than the rounds they shorten (they broke even near 96 pairs on a
-# 2-vCPU x86 machine)
-COMPACT_MIN = 128
 
 
 def shape_rows(shapes) -> np.ndarray:
@@ -177,18 +166,22 @@ def _posed(pose, x, y):
     return np.array([cx + ca * x - sa * y, cy + sa * x + ca * y])
 
 
-def _boundary(rows, g, curvature=True):
-    """World point p(g), tangent p'(g) and second derivative p''(g), each (2, N);
-    with curvature False, the point p(g) alone.
+def boundary_points(rows, g):
+    """World points p(g) (2, N) of the shapes of shape_rows columns rows at
+    the proxy angles g (N,)."""
+    return _posed(rows[3:], *_body_curve(rows[:3], np.cos(g), np.sin(g)))
 
-    The point is _body_curve placed by _posed; the derivatives use |c|, |s|
-    floored at AXIS_FLOOR, c and s the cosine and sine of g.
+
+def _boundary(rows, g):
+    """World point p(g), tangent p'(g) and second derivative p''(g), each (2, N).
+
+    The point is boundary_points' (_body_curve placed by _posed); the
+    derivatives use |c|, |s| floored at AXIS_FLOOR, c and s the cosine and
+    sine of g.
     """
     c, s = np.cos(g), np.sin(g)
     x, y = _body_curve(rows[:3], c, s)
     p = _posed(rows[3:], x, y)
-    if not curvature:
-        return p
     a1, a2, eps, ca, sa = rows[:5]
     ac, as_ = np.maximum(np.abs(c), AXIS_FLOOR), np.maximum(np.abs(s), AXIS_FLOOR)
     e2, ae1, ae2 = eps - 2.0, a1 * eps, a2 * eps
@@ -271,10 +264,9 @@ def closest_pairs(sq_i, sq_j, init=None, tol: float = 1e-8,
     or None for the center-to-center direction in each body frame.  Each pair
     runs damped Newton on f = |p_i - p_j|^2 with its own Armijo backtracking:
     every round evaluates the trial points of all pairs in one call, then
-    accepts or halves the step of each pending one.  Once at most a quarter of
-    a batch of COMPACT_MIN or more pairs is pending, the rounds run on the
-    pending pairs alone.  Pairs never mix, so a batch gives each pair bit for
-    bit its single-pair result.  A pair converges when its step is below tol
+    accepts or halves the step of each pending one; settled pairs ride along
+    masked.  Pairs never mix, so a batch gives each pair bit for bit its
+    single-pair result.  A pair converges when its step is below tol
     or its predicted decrease is below the float resolution of f; a pair that
     takes max_iter steps keeps its best iterate and reports converged=False.
     A non-finite objective or predicted decrease (f overflows far from the
@@ -295,9 +287,6 @@ def closest_pairs(sq_i, sq_j, init=None, tol: float = 1e-8,
     converged = np.zeros(P, dtype=bool)
     alpha = np.ones(P)
     pending = iterations < max_iter
-    # rounds run on n columns of the batch: all of them until the batch is
-    # compacted, then the columns cols, with full holding the whole batch
-    n, cols, full, cur = P, None, None, rows
     while True:
         s = alpha * _step(ev)
         pred = -(ev[1] * s[0] + ev[2] * s[1])
@@ -311,29 +300,14 @@ def closest_pairs(sq_i, sq_j, init=None, tol: float = 1e-8,
         pending ^= done
         if not pending.any():
             break
-        if n >= COMPACT_MIN and 4 * np.count_nonzero(pending) <= n:
-            if full is None:
-                full, cols = (g, ev, iterations, converged), np.arange(P)
-            for a, b in zip(full, (g, ev, iterations, converged)):
-                a[..., cols] = b
-            keep = np.flatnonzero(pending)
-            cols, cur = cols[keep], cur[:, np.concatenate([keep, keep + n])]
-            g, ev, s, pred = g[:, keep], ev[:, keep], s[:, keep], pred[keep]
-            iterations, converged, alpha, pending = (
-                iterations[keep], converged[keep], alpha[keep], pending[keep])
-            n = keep.size
         trial = g + s
-        et = _objective(cur, trial)
+        et = _objective(rows, trial)
         ok = pending & (et[0] <= ev[0] - 1e-4 * pred)
         g = np.where(ok, trial, g)
         ev = np.where(ok, et, ev)
         iterations += ok
         alpha = np.where(ok, 1.0, 0.5 * alpha)
         pending &= iterations < max_iter
-    if full is not None:
-        for a, b in zip(full, (g, ev, iterations, converged)):
-            a[..., cols] = b
-        g, ev, iterations, converged = full
 
     # proxies of the last accepted iterates; reshaped, p_j meets shape i and p_i shape j
     gap = np.hypot(ev[7] - ev[6], ev[9] - ev[8])

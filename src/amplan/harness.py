@@ -353,14 +353,20 @@ def _physical_memory() -> float:
         return math.inf
 
 
+def _check_memory(name, n, items, item, need):
+    """Raise ScenarioError naming the field name when the per-item arrays of n
+    items, need bytes, exceed the machine's memory."""
+    have = _physical_memory()
+    if need > have:
+        raise ScenarioError(f"{name}: {n} {items} need {need / 1e9:.3g} GB of per-{item} "
+                            f"arrays, more than the {have / 1e9:.3g} GB of memory")
+
+
 def mission_ticks(s: Scenario) -> int:
     """Control ticks of s's mission; raises ScenarioError, before anything is
     allocated, when their per-tick arrays exceed the machine's memory."""
     n = int(round((s.settle_time + s.duration) / s.dt))
-    need, have = n * _TICK_BYTES, _physical_memory()
-    if need > have:
-        raise ScenarioError(f"duration: {n} ticks need {need / 1e9:.3g} GB of per-tick "
-                            f"arrays, more than the {have / 1e9:.3g} GB of memory")
+    _check_memory("duration", n, "ticks", "tick", n * _TICK_BYTES)
     return n
 
 
@@ -376,10 +382,7 @@ def plan_samples(s: Scenario) -> int:
     arrays exceed the machine's memory."""
     n = s.planner.n_s + 1
     floats = _SAMPLE_FLOATS + 2 * s.vehicle.n_parts * len(s.obstacles)
-    need, have = n * floats * 8, _physical_memory()
-    if need > have:
-        raise ScenarioError(f"n_s: {n} plan samples need {need / 1e9:.3g} GB of per-sample "
-                            f"arrays, more than the {have / 1e9:.3g} GB of memory")
+    _check_memory("n_s", n, "plan samples", "sample", n * floats * 8)
     return n
 
 
@@ -652,7 +655,8 @@ def emit(out_dir, traj: PlannedTrajectory, telemetry: Telemetry | None,
     if telemetry is not None:
         _write(os.path.join(out_dir, "telemetry.csv"), telemetry_csv(telemetry))
     if cells is not None and graph is not None:
-        _write(os.path.join(out_dir, "voronoi.txt"), vor.dump_diagram(cells, graph))
+        _write(os.path.join(out_dir, "voronoi.txt"),
+               vor.dump_diagram(cells, graph, float_spec()))
     _write(os.path.join(out_dir, "metrics.txt"), "\n".join(report.lines()) + "\n")
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (AXIS_FLOOR, TANH_SATURATION, GeometryError, StiffnessParams, _body_curve,
-                       _boundary, _posed, bounding_radius, check_numbers, circle_bound,
+                       _posed, boundary_points, bounding_radius, check_numbers, circle_bound,
                        closest_pairs, shape_rows, stiffness_terms, wrap_angle)
 from .voronoi import SolutionPath
 
@@ -236,7 +236,7 @@ class _Evaluator:
         """World points (2, P) of the obstacle proxies at the angles Go (P,)."""
         key = np.asarray(Go, dtype=float).tobytes()
         if key != self._obs_points[0]:
-            self._obs_points = key, _boundary(self.rows[:, 1], Go, curvature=False)
+            self._obs_points = key, boundary_points(self.rows[:, 1], Go)
         return self._obs_points[1]
 
     def within_reach(self):

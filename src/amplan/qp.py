@@ -89,6 +89,9 @@ def solve(prob: QpProblem) -> QpSolution:
             if work:
                 resid[work] = -np.inf
             if resid.size == 0 or resid.max() <= TOL:
+                # with no rows, a NaN in g shows in x alone
+                if not resid.size and np.isnan(x).any():
+                    raise QpDimensionError("QP data g holds a NaN")
                 status = "optimal"
                 break
             p, lam_p = int(np.argmax(resid)), 0.0   # lowest index among ties

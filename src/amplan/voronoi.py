@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Superquadric2, _boundary, closest_pairs, shape_rows
+from .geometry import Superquadric2, boundary_points, closest_pairs, shape_rows
 
 MERGE_RADIUS = 1e-7
 CLIP_TOL = 1e-12
@@ -74,7 +74,7 @@ def bisectors(obstacles: list[Superquadric2]) -> dict[tuple, Hyperplane2]:
     if hit.size:
         k = hit[0]
         raise VoronoiError(f"obstacles {i[k]} and {j[k]} overlap (gap {res.gap[k]:.4g})")
-    p = _boundary(rows[:, np.concatenate([i, j])], res.gammas.reshape(-1), curvature=False)
+    p = boundary_points(rows[:, np.concatenate([i, j])], res.gammas.reshape(-1))
     pi, pj = p[:, :i.size].T, p[:, i.size:].T
     # the norm and the offset as one BLAS dot per pair, (1, 2) @ (2, 1) matmuls: an
     # elementwise sum rounds differently and moves the emitted diagram's last digits
@@ -134,7 +134,7 @@ def check_in_box(obstacles: list[Superquadric2], box):
     xmin, ymin, xmax, ymax = box
     n = 256
     gammas = np.tile(np.linspace(-math.pi, math.pi, n, endpoint=False), len(obstacles))
-    x, y = _boundary(np.repeat(shape_rows(obstacles), n, axis=1), gammas, curvature=False)
+    x, y = boundary_points(np.repeat(shape_rows(obstacles), n, axis=1), gammas)
     out = ((x < xmin) | (x > xmax) | (y < ymin) | (y > ymax)).reshape(-1, n).any(axis=1)
     if out.any():
         raise VoronoiError(f"obstacles[{int(np.argmax(out))}]: not contained in world_box")
@@ -308,15 +308,16 @@ def solve_path(graph: ClearanceGraph, start, goal) -> SolutionPath:
                         cost=dist[g_id])
 
 
-def dump_diagram(cells: list[VoronoiCell], graph: ClearanceGraph) -> str:
-    """Structured-text dump of cells and graph edges for plotting."""
+def dump_diagram(cells: list[VoronoiCell], graph: ClearanceGraph, spec: str) -> str:
+    """Structured-text dump of cells and graph edges for plotting, its floats
+    in the format spec spec."""
     lines = ["# voronoi diagram dump v1"]
     for cell in cells:
-        coords = " ".join(f"{x:.17g},{y:.17g}" for x, y in cell.vertices)
+        coords = " ".join(f"{x:{spec}},{y:{spec}}" for x, y in cell.vertices)
         lines.append(f"cell {cell.index} {coords}")
     for e in graph.edges:
         a, b = graph.nodes[e.a], graph.nodes[e.b]
         lines.append(
-            f"edge {e.a} {e.b} {a[0]:.17g},{a[1]:.17g} {b[0]:.17g},{b[1]:.17g} "
-            f"normal {e.normal_angle:.17g} source {'/'.join(str(s) for s in e.source)}")
+            f"edge {e.a} {e.b} {a[0]:{spec}},{a[1]:{spec}} {b[0]:{spec}},{b[1]:{spec}} "
+            f"normal {e.normal_angle:{spec}} source {'/'.join(str(s) for s in e.source)}")
     return "\n".join(lines) + "\n"

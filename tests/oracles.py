@@ -27,8 +27,8 @@ from scipy.spatial import cKDTree
 
 from amplan import control as ctl
 from amplan import dynamics as dyn
-from amplan.geometry import (AXIS_FLOOR, Superquadric2, _boundary, closest_pairs, shape_rows,
-                             stiffness_terms)
+from amplan.geometry import (AXIS_FLOOR, Superquadric2, boundary_points, closest_pairs,
+                             shape_rows, stiffness_terms)
 from amplan.planner import PlannerError, pair_rows, set_part_poses
 from amplan.qp import solve
 
@@ -394,8 +394,7 @@ def dense_pair_sums(ev, z, Gp, Go, jf):
     terms evaluated.  Poses the part rows of ev.rows at z as the fused pass does."""
     P, st, rows = ev.P, ev.stiff, ev.rows
     set_part_poses(rows[:, 0], ev.geom, ev.pi, z, jf[None])
-    X = _boundary(rows.reshape(7, 2 * P), np.concatenate((Gp, Go), axis=None),
-                  curvature=False)
+    X = boundary_points(rows.reshape(7, 2 * P), np.concatenate((Gp, Go), axis=None))
     p, q = X[:, :P], X[:, P:]
 
     d = p - rows[5:, 1]

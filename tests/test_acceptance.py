@@ -20,7 +20,7 @@ from amplan import dynamics as dyn
 from amplan import harness as hz
 from amplan import planner as pl
 from amplan import voronoi as vor
-from amplan.geometry import (StiffnessParams, Superquadric2, _boundary, closest_pairs,
+from amplan.geometry import (StiffnessParams, Superquadric2, boundary_points, closest_pairs,
                              shape_rows, stiffness_terms)
 from amplan.qp import QpProblem, solve
 
@@ -114,7 +114,7 @@ def test_criterion_1_closest_pair_vs_dense_sampling():
         for _ in range(10):
             sq = _random_sq(rng, rng.uniform(-1.0, 1.0, 2))
             g = rng.uniform(-math.pi, math.pi, 1000)
-            p = _boundary(shape_rows([sq]), g, curvature=False)
+            p = boundary_points(shape_rows([sq]), g)
             residual = np.abs(sq2_inside_outside(sq, p.T))
             assert residual.max() < 1e-9
         assert time.perf_counter() - t0 < 30.0

@@ -46,6 +46,16 @@ class TestGainSet:
         for a, b in zip(h.outer_factors, fresh.outer_factors):
             assert np.array_equal(a, b)
 
+    def test_gains_are_read_only_copies(self):
+        # an in-place write used to leave the QP on the old weight
+        q = np.diag([1.0, 1.0, 1.0, 3.0, 3.0, 3.0])
+        g = ctl.GainSet(q_qdot=q)
+        for f in dataclasses.fields(g):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(g, f.name)[0] = 100.0
+        q[0, 0] = 100.0             # the caller's array stays writable, and apart
+        assert g.q_qdot[0, 0] == 1.0 and g.outer_qp.H[0, 0] == 2.0
+
     def test_defaults_accepted(self):
         g = ctl.GainSet()
         np.testing.assert_allclose(g.a0, np.ones(6))

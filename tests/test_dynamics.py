@@ -159,6 +159,16 @@ class TestAllocation:
         with pytest.raises(ValueError):
             dyn.ModelParams(**bad)
 
+    def test_inertias_are_read_only_copies(self):
+        J = np.diag([0.055, 0.055, 0.095])
+        params = (dyn.ModelParams(J=J), dyn.ModelParams(J_hat=J))
+        for p in params:
+            for inertia in (p.J, p.J_hat):
+                with pytest.raises(ValueError, match="read-only"):
+                    inertia[0, 0] = 1.0
+        J[0, 0] = 1.0               # the caller's array stays writable, and apart
+        assert all(p.J[0, 0] == p.J_hat[0, 0] == 0.055 for p in params)
+
     def test_full_rank(self):
         p = dyn.ModelParams()
         assert np.linalg.matrix_rank(dyn.model_terms(np.zeros(3), np.zeros(3), p).plant.B) == 6

@@ -14,6 +14,7 @@ from amplan import control as ctl
 from amplan import dynamics as dyn
 from amplan import harness as hz
 from amplan import planner as pl
+from amplan import voronoi as vor
 from amplan.geometry import Superquadric2, shape_rows
 from amplan.planner import PlannedTrajectory, VehicleGeometry
 
@@ -480,13 +481,15 @@ def test_metrics_file_validation(tmp_path):
         hz.load_metrics(str(p))
 
 
-def test_precision_env_override(empty_run, monkeypatch):
+def test_precision_env_override(empty_run, shipped_plans, monkeypatch, tmp_path):
     _, (pr, tel, rep) = empty_run
+    tree = shipped_plans[("tree", "sq")][1]
     rep = copy.copy(rep)
     rep.plan_time = math.pi
     writers = {"metrics": lambda: "\n".join(rep.lines()),
                "trajectory": lambda: hz.trajectory_csv(pr.traj),
-               "telemetry": lambda: hz.telemetry_csv(tel)}
+               "telemetry": lambda: hz.telemetry_csv(tel),
+               "voronoi": lambda: vor.dump_diagram(tree.cells, tree.graph, hz.float_spec())}
 
     class CountingEnviron(dict):
         reads = 0
@@ -502,6 +505,8 @@ def test_precision_env_override(empty_run, monkeypatch):
         row = write().splitlines()[1]
         assert CountingEnviron.reads == before + 1
         assert all(v == format(float(v), ".6g") for v in row.split(" ")[-1].split(","))
+    hz.emit(str(tmp_path), tree.traj, None, rep, tree.cells, tree.graph)
+    assert (tmp_path / "voronoi.txt").read_text() == writers["voronoi"]()
     for raw, match in (("40", r"\[1, 17\]"), ("abc", "integer")):
         os.environ["AMPLAN_DIGITS"] = raw
         for write in writers.values():

@@ -541,8 +541,9 @@ class TestIntegration:
                           traj.residuals]
 
         calls = []
-        boundary = pl._boundary
-        monkeypatch.setattr(pl, "_boundary", lambda *a, **kw: calls.append(1) or boundary(*a, **kw))
+        boundary = pl.boundary_points
+        monkeypatch.setattr(pl, "boundary_points",
+                            lambda *a, **kw: calls.append(1) or boundary(*a, **kw))
         state = rng.bit_generator.state
         skipped = run()
         assert not calls

@@ -139,6 +139,13 @@ def test_nan_data_raises(field):
         qp.solve(prob)
 
 
+def test_nan_g_without_rows_raises():
+    # with no rows a NaN in g reached no residual: it came back optimal, x all NaN
+    prob = qp.QpProblem(2.0 * np.eye(3), [np.nan, 1.0, 1.0], np.zeros((0, 3)), np.zeros(0))
+    with pytest.raises(qp.QpDimensionError, match="NaN"):
+        qp.solve(prob)
+
+
 def test_infinite_bounds():
     # +inf is no bound; -inf no x meets, so the rows are infeasible
     g = np.zeros(9)

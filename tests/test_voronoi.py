@@ -223,7 +223,7 @@ class TestSolvePath:
             cells = vor.build_cells(obstacles, PILLAR_BOX)
             graph = vor.build_graph(cells)
             path = vor.solve_path(graph, (0.5, 0.5), (5.5, 3.5))
-            out.append((vor.dump_diagram(cells, graph), path.nodes.tobytes(), path.cost))
+            out.append((vor.dump_diagram(cells, graph, ".17g"), path.nodes.tobytes(), path.cost))
         assert out[0] == out[1]
 
 
@@ -237,7 +237,7 @@ class TestDump:
     def test_dump_structure(self):
         cells = vor.build_cells(pillar_obstacles(), PILLAR_BOX)
         graph = vor.build_graph(cells)
-        text = vor.dump_diagram(cells, graph)
+        text = vor.dump_diagram(cells, graph, ".17g")
         lines = text.strip().split("\n")
         assert lines[0].startswith("#")
         assert sum(1 for ln in lines if ln.startswith("cell ")) == 3
