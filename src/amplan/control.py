@@ -12,7 +12,8 @@ every planar obstacle to a vertical 3D superquadric.
 
 As in dynamics, the per-channel elementwise arithmetic of a tick (the
 observer's RK4) runs on Python floats, and every matrix product stays in
-numpy, whose BLAS fused multiply-adds round differently.
+numpy, whose BLAS fused multiply-adds round differently: through np.dot,
+on the same operands and in the same association.
 """
 
 from __future__ import annotations
@@ -92,30 +93,31 @@ class GainSet:
         for f in fields(self):
             getattr(self, f.name).flags.writeable = False
         # the observer's per-channel coefficients a0/eps^2 and a1/eps, as floats
-        object.__setattr__(self, "dob_factors",
-                           ((self.a0 / self.eps ** 2).tolist(), (self.a1 / self.eps).tolist()))
-        # outer_loop's per-mission QP (H checked once) and the factors of g and a_ref
+        object.__setattr__(self, "dob_factors", (tuple((self.a0 / self.eps ** 2).tolist()),
+                                                 tuple((self.a1 / self.eps).tolist())))
+        # outer_loop's per-mission QP (H checked once; every tick's QP shares H
+        # and its factor) and the factors of g and a_ref, all read-only too
         H = np.zeros((9, 9))
         H[:6, :6], H[6:, 6:] = 2.0 * self.q_qdot, 2.0 * self.q_thetaddot
-        object.__setattr__(self, "outer_qp",
-                           QpProblem(H, np.zeros(9), np.zeros((0, 9)), np.zeros(0)))
-        object.__setattr__(self, "outer_factors",
-                           (-2.0 * self.q_qdot, -2.0 * self.q_thetaddot,
-                            -2.0 * self.gamma_theta, self.gamma_theta @ self.gamma_theta))
+        qp = QpProblem(H, np.zeros(9), np.zeros((0, 9)), np.zeros(0))
+        factors = (-2.0 * self.q_qdot, -2.0 * self.q_thetaddot,
+                   -2.0 * self.gamma_theta, self.gamma_theta @ self.gamma_theta)
+        for a in (qp.H, qp.Linv, *factors):
+            a.flags.writeable = False
+        object.__setattr__(self, "outer_qp", qp)
+        object.__setattr__(self, "outer_factors", factors)
 
 
 @dataclass
 class DobState:
-    """Second-order filter states: xq tracks q, xp tracks the commanded input."""
+    """Filter states [x0, x1] of six floats each: xq tracks q, xp the commanded input."""
 
-    xq: np.ndarray = field(default_factory=lambda: np.zeros((2, 6)))
-    xp: np.ndarray = field(default_factory=lambda: np.zeros((2, 6)))
+    xq: list = field(default_factory=lambda: [[0.0] * 6, [0.0] * 6])
+    xp: list = field(default_factory=lambda: [[0.0] * 6, [0.0] * 6])
 
     @classmethod
     def initialize(cls, q) -> "DobState":
-        s = cls()
-        s.xq[0] = np.asarray(q, dtype=float)
-        return s
+        return cls(xq=[np.asarray(q, dtype=float).tolist(), [0.0] * 6])
 
 
 def _filter_rk4(x, u, a0e2, a1e1, dt):
@@ -147,19 +149,19 @@ def dob_update(state: DobState, q, qdot, T, model: dyn.ControlTerms,
     q = np.asarray(q, dtype=float).tolist()
     qdot = np.asarray(qdot, dtype=float).tolist()
     a0e2, a1e1 = gains.dob_factors
-    u_cmd = (model.MinvB @ np.asarray(T, dtype=float)).tolist()
+    u_cmd = np.dot(model.MinvB, np.asarray(T, dtype=float)).tolist()
     # midpoint reconstruction of q over the hold interval: a plain zero-order
     # hold of a quadratically growing position drifts the acceleration estimate
     h = 0.5 * dt
     u_q = [x + h * v for x, v in zip(q, qdot)]
-    xq = _filter_rk4(state.xq.tolist(), u_q, a0e2, a1e1, dt)
-    xp = _filter_rk4(state.xp.tolist(), u_cmd, a0e2, a1e1, dt)
+    xq = _filter_rk4(state.xq, u_q, a0e2, a1e1, dt)
+    xp = _filter_rk4(state.xp, u_cmd, a0e2, a1e1, dt)
 
     # output equation pairs the end-of-step state with the end-of-step input
     lag = [p - (a * (x + dt * v - y0) - b * y1)
            for p, x, v, y0, y1, a, b in zip(xp[0], q, qdot, *xq, a0e2, a1e1)]
-    d_hat = -model.M @ np.array(lag) + model.C + model.G
-    return DobState(xq=np.array(xq), xp=np.array(xp)), d_hat
+    d_hat = np.dot(-model.M, np.array(lag)) + model.C + model.G
+    return DobState(xq=xq, xp=xp), d_hat
 
 
 class ThrustRows(NamedTuple):
@@ -173,7 +175,7 @@ class ThrustRows(NamedTuple):
 
     def thrust(self, qdot_d) -> np.ndarray:
         """Per-rotor thrusts at the commanded base velocity qdot_d."""
-        return self.S @ qdot_d + self.c
+        return np.dot(self.S, qdot_d) + self.c
 
 
 def thrust_limit_rows(q_d, q, qdot, d_hat, model: dyn.ControlTerms, gains: GainSet,
@@ -187,10 +189,10 @@ def thrust_limit_rows(q_d, q, qdot, d_hat, model: dyn.ControlTerms, gains: GainS
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    S = model.Binv @ model.M @ gains.kd
+    S = np.dot(np.dot(model.Binv, model.M), gains.kd)
     e = np.asarray(q_d, dtype=float) - q
-    c = model.Binv @ (model.M @ (gains.kp @ e - gains.kd @ qdot) + model.C + model.G
-                      - np.asarray(d_hat, dtype=float))
+    c = np.dot(model.Binv, np.dot(model.M, np.dot(gains.kp, e) - np.dot(gains.kd, qdot))
+               + model.C + model.G - np.asarray(d_hat, dtype=float))
     A = np.zeros((12, 9))
     A[:6, :6] = -S
     A[6:, :6] = S
@@ -217,10 +219,10 @@ def vehicle_frames(geom: VehicleGeometry, q, R0, theta):
     # transpose is Ry(th2) Rz(th3), are single products: dynamics.rotation of
     # the same angles gives them bit for bit, up to the sign of exact zeros
     c1, s1 = math.cos(theta[0]), math.sin(theta[0])
-    R1 = R0 @ np.array([[c1, -s1, 0.0], [s1, c1, 0.0], [0.0, 0.0, 1.0]])
+    R1 = np.dot(R0, np.array([[c1, -s1, 0.0], [s1, c1, 0.0], [0.0, 0.0, 1.0]]))
     cp, sp = math.cos(-theta[1]), math.sin(-theta[1])
     cy, sy = math.cos(-theta[2]), math.sin(-theta[2])
-    R2 = R1 @ np.array([[cy * cp, -sy, cy * sp], [sy * cp, cy, sy * sp], [-sp, 0.0, cp]]).T
+    R2 = np.dot(R1, np.array([[cy * cp, -sy, cy * sp], [sy * cp, cy, sy * sp], [-sp, 0.0, cp]]).T)
     p1 = q[:3] + geom.arm_base_offset * R0[:, 0]
     return np.array([q[:3], p1, p1 + geom.l1 * R1[:, 0]]), np.array([R0, R1, R2])
 
@@ -526,16 +528,12 @@ def outer_loop(q_t, theta_t, q_d, theta_d, thetadot_d, A, b, gains: GainSet,
     previous solution is reused at half magnitude and the result is flagged.
     """
     gq, gt, a_dot, a_err = gains.outer_factors
-    v_ref = gains.gamma_q @ (np.asarray(q_t, dtype=float) - np.asarray(q_d, dtype=float))
-    a_ref = (a_dot @ np.asarray(thetadot_d, dtype=float)
-             + a_err @ (np.asarray(theta_t, dtype=float) - np.asarray(theta_d, dtype=float)))
-    g = np.concatenate([gq @ v_ref, gt @ a_ref])
+    v_ref = np.dot(gains.gamma_q, np.asarray(q_t, dtype=float) - q_d)
+    a_ref = np.dot(a_dot, thetadot_d) + np.dot(a_err, np.asarray(theta_t, dtype=float) - theta_d)
+    g = np.concatenate([np.dot(gq, v_ref), np.dot(gt, a_ref)])
     sol = solve(gains.outer_qp.with_rows(g, A, b))
-    if sol.status == "optimal":
-        x = sol.x
-        feasible = True
-    else:
-        x = 0.5 * (np.zeros(9) if prev_x is None else np.asarray(prev_x, dtype=float))
-        feasible = False
+    feasible = sol.status == "optimal"
+    x = sol.x if feasible else 0.5 * (np.zeros(9) if prev_x is None
+                                      else np.asarray(prev_x, dtype=float))
     return OuterLoopResult(x=x, qdot_d=x[:6], thetaddot_d=x[6:],
                            feasible=feasible, status=sol.status)

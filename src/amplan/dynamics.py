@@ -8,7 +8,10 @@ references through a critically damped second-order tracking law.
 Elementwise arithmetic on the few entries of one state runs on Python
 floats, and every matrix product, solve and reduction stays in numpy: IEEE
 +, -, * and / round alike in both, while numpy's BLAS products use fused
-multiply-adds that an explicit float formula does not reproduce.
+multiply-adds that an explicit float formula does not reproduce.  Products
+go through np.dot (the BLAS routine of @, with less dispatch) and keep their
+operands and association, never split into blocks: the bits of a regrouped
+or blocked product depend on the kernel the CPU selects.
 """
 
 from __future__ import annotations
@@ -32,11 +35,6 @@ class PlantError(RuntimeError):
     """Non-finite state in the plant step."""
 
 
-def skew(v):
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
 def _floats(v) -> list:
     """The entries of a vector (an array or a list) as Python floats."""
     return np.asarray(v, dtype=float).tolist()
@@ -46,10 +44,12 @@ def _floats(v) -> list:
 # model_terms evaluates each once for Q, Q^-1, Qdot and R.
 
 def _rotation(cr, sr, cp, sp, cy, sy) -> np.ndarray:
-    Rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
-    Ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
-    Rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
-    return Rz @ Ry @ Rx
+    # Rz @ Ry: each entry is one float product, which BLAS rounds exactly, and
+    # an exact zero comes out +0.0, as "0.0 -" and "+ 0.0" make it here
+    RzRy = np.array([[cy * cp, 0.0 - sy, cy * sp + 0.0],
+                     [sy * cp + 0.0, cy, sy * sp + 0.0],
+                     [0.0 - sp, 0.0, cp]])
+    return np.dot(RzRy, np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]]))
 
 
 def _rate_map(cr, sr, cp, sp) -> np.ndarray:
@@ -104,6 +104,12 @@ def euler_rate_map_dot(phi, phidot) -> np.ndarray:
     return _rate_map_dot(math.cos(r), math.sin(r), math.cos(p), math.sin(p), rd, pd)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only: ModelParams caches one copy for every caller."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """True plant parameters plus the controller's nominal copies."""
@@ -145,22 +151,18 @@ class ModelParams:
         P2 = self.L * sa - self.k_f * ca
         h = 0.5
         r3 = math.sqrt(3.0) / 2.0
-        B = np.array([
+        return _read_only(np.array([
             [h * sa, -sa, h * sa, h * sa, -sa, h * sa],
             [-r3 * sa, 0.0, r3 * sa, -r3 * sa, 0.0, r3 * sa],
             [ca, ca, ca, ca, ca, ca],
             [-h * P1, -P1, -h * P1, h * P1, P1, h * P1],
             [r3 * P1, 0.0, -r3 * P1, -r3 * P1, 0.0, r3 * P1],
-            [P2, -P2, P2, -P2, P2, -P2]])
-        B.flags.writeable = False   # one copy, shared by every caller
-        return B
+            [P2, -P2, P2, -P2, P2, -P2]]))
 
     @cached_property
     def allocation_body_inv(self) -> np.ndarray:
         """A_body^-1, the rotor thrusts per unit body wrench."""
-        Ainv = np.linalg.inv(self.allocation_body)
-        Ainv.flags.writeable = False
-        return Ainv
+        return _read_only(np.linalg.inv(self.allocation_body))
 
     @cached_property
     def nominal_is_true(self) -> bool:
@@ -168,11 +170,15 @@ class ModelParams:
         return self.m_hat == self.m and np.array_equal(self.J_hat, self.J)
 
     @cached_property
+    def gravity(self) -> tuple:
+        """The gravity vectors G of the true and of the nominal mass."""
+        return tuple(_read_only(np.array([0.0, 0.0, m * self.g, 0.0, 0.0, 0.0]))
+                     for m in (self.m, self.m_hat))
+
+    @cached_property
     def J_hat_inv(self) -> np.ndarray:
         """The controller's nominal inverse inertia."""
-        Jinv = np.linalg.inv(self.J_hat)
-        Jinv.flags.writeable = False
-        return Jinv
+        return _read_only(np.linalg.inv(self.J_hat))
 
 
 def _blockdiag(a, b) -> np.ndarray:
@@ -227,29 +233,30 @@ def model_terms(phi, phidot, params: ModelParams) -> StateTerms:
     cp, sp, tp = math.cos(p), math.sin(p), math.tan(p)
     Q = _rate_map(cr, sr, cp, sp)
     Qinv = _rate_map_inv(cr, sr, cp, tp)
-    Qd = _rate_map_dot(cr, sr, cp, sp, phidot[0], phidot[1])
-    R = _rotation(cr, sr, cp, sp, math.cos(y), math.sin(y))
     pd = np.asarray(phidot, dtype=float)
-    w = Q @ pd
-    Qdpd = Qd @ pd
+    Qd = _rate_map_dot(cr, sr, cp, sp, *pd.tolist()[:2])
+    R = _rotation(cr, sr, cp, sp, math.cos(y), math.sin(y))
+    w = np.dot(Q, pd)
+    Qdpd = np.dot(Qd, pd)
+    wx, wy, wz = w.tolist()
+    skew_w = np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
     A = params.allocation_body
-    B = _blockdiag(R, Q.T) @ A
+    B = np.dot(_blockdiag(R, Q.T), A)
 
-    def terms(m, J):
+    def terms(m, J, G):
         M = np.zeros((6, 6))
         M[0, 0] = M[1, 1] = M[2, 2] = m
-        M[3:, 3:] = Q.T @ J @ Q
+        M[3:, 3:] = np.dot(np.dot(Q.T, J), Q)
         C = np.zeros(6)
-        C[3:] = Q.T @ (J @ Qdpd + skew(w) @ (J @ w))
-        G = np.zeros(6)
-        G[2] = m * params.g
+        C[3:] = np.dot(Q.T, np.dot(J, Qdpd) + np.dot(skew_w, np.dot(J, w)))
         return M, C, G
 
-    nominal = terms(params.m_hat, params.J_hat)
+    G, G_hat = params.gravity
+    nominal = terms(params.m_hat, params.J_hat, G_hat)
     # a controller on the true parameters shares the plant's M, C and G
-    true = nominal if params.nominal_is_true else terms(params.m, params.J)
-    MinvB = _blockdiag(R / params.m_hat, Qinv @ params.J_hat_inv) @ A
-    Binv = params.allocation_body_inv @ _blockdiag(R.T, Qinv.T)
+    true = nominal if params.nominal_is_true else terms(params.m, params.J, G)
+    MinvB = np.dot(_blockdiag(R / params.m_hat, np.dot(Qinv, params.J_hat_inv)), A)
+    Binv = np.dot(params.allocation_body_inv, _blockdiag(R.T, Qinv.T))
     return StateTerms(ModelTerms(*true, B), ControlTerms(*nominal, B, MinvB, Binv), R)
 
 
@@ -285,7 +292,7 @@ def step(state: VehicleState, terms: ModelTerms, T, theta_d, thetadot_d, thetadd
     lo, hi = params.thrust_sat
     # min(max(.)) keeps NaN and -0.0 as np.clip does
     T = np.array([min(max(t, lo), hi) for t in _floats(T)])
-    qddot = np.linalg.solve(M, B @ T + np.asarray(d_true, dtype=float) - C - G).tolist()
+    qddot = np.linalg.solve(M, np.dot(B, T) + np.asarray(d_true, dtype=float) - C - G).tolist()
     if not all(map(math.isfinite, qddot)):
         raise PlantError("non-finite acceleration in plant step")
 

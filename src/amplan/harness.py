@@ -83,11 +83,10 @@ class WindProfile:
         if self.noise_std < 0.0:
             raise ScenarioError("wind.noise_std must be nonnegative")
 
-    def force(self, t: float) -> np.ndarray:
-        d = np.zeros(6)
-        d[self.axis] = self.amplitude * math.tanh(
+    def gust(self, t: float) -> float:
+        """The square-wave force on the wind axis at time t."""
+        return self.amplitude * math.tanh(
             math.sin(2.0 * math.pi * t / self.period) / self.smoothing)
-        return d
 
 
 @dataclass
@@ -334,16 +333,16 @@ class Telemetry:
 def _hover(q, model: dyn.ControlTerms):
     """The nominal hover thrust at q and the observer's state at that
     disturbance-free hover, from the nominal terms model at (q, 0)."""
-    T = model.Binv @ model.G
+    T = np.dot(model.Binv, model.G)
     state = ctl.DobState.initialize(q)
-    state.xp[0] = model.MinvB @ T
+    state.xp[0] = np.dot(model.MinvB, T).tolist()
     return T, state
 
 
 # bytes that each tick holds until its mission ends: the Telemetry row (35
-# floats and a flag), the wind-noise row (6 floats) and the target-schedule
-# row (q_t and theta_t, 9 floats)
-_TICK_BYTES = 50 * 8 + 1
+# floats and a flag; its d_true row is the wind-noise row, to which the tick
+# adds the gust) and the target-schedule row (q_t and theta_t, 9 floats)
+_TICK_BYTES = 44 * 8 + 1
 
 
 def _physical_memory() -> float:
@@ -406,9 +405,7 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
     q0 = np.array([s.start[0], s.start[1], s.flight_height, 0.0, 0.0, s.start[2]])
     theta0 = np.array([s.start[3], 0.0, s.start[4]])
     state = dyn.VehicleState(q=q0, theta=theta0)
-    q_d = q0.copy()
-    theta_d = theta0.copy()
-    thetadot_d = np.zeros(3)
+    q_d, theta_d, thetadot_d = q0.copy(), theta0.copy(), np.zeros(3)
     T, dob = _hover(q0, dyn.model_terms(q0[3:], np.zeros(3), model).control)
     prev_x = None
 
@@ -417,21 +414,20 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
     # the targets: the start pose while the vehicle settles, then the plan
     times = np.arange(n) * dt
     q_ref, theta_ref = target_pose(traj, times - s.settle_time, s.duration, s.flight_height)
-    settling = times < s.settle_time
-    q_ref[settling], theta_ref[settling] = q0, theta0
-    del times, settling     # freed before the per-tick arrays: _TICK_BYTES omits them
+    settled = int(np.searchsorted(times, s.settle_time))    # the ticks before settle_time
+    q_ref[:settled], theta_ref[:settled] = q0, theta0
+    # the wind noise, to which each tick adds its gust: the disturbance d_true
     noise = np.zeros((n, 6))
     if s.wind.noise_std > 0.0:
         rng = np.random.default_rng(0 if seed is None else seed)
         noise[:, s.wind.axis] = s.wind.noise_std * rng.standard_normal(n)
 
-    tel = Telemetry(t=np.empty(n), q=np.empty((n, 6)), qdot=np.empty((n, 6)),
+    tel = Telemetry(t=times, q=np.empty((n, 6)), qdot=np.empty((n, 6)),
                     theta=np.empty((n, 3)), thrust=np.empty((n, 6)),
-                    d_hat=np.empty((n, 6)), d_true=np.empty((n, 6)),
+                    d_hat=np.empty((n, 6)), d_true=noise,
                     h_min=np.empty(n), feasible=np.empty(n, dtype=bool))
 
     for k in range(n):
-        t = k * dt
         terms = dyn.model_terms(state.q[3:], state.qdot[3:], model)
         dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, terms.control, gains, dt)
         thrust = ctl.thrust_limit_rows(q_d, state.q, state.qdot, d_hat, terms.control,
@@ -445,15 +441,14 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
                              gains, prev_x)
         prev_x = res.x
         T = thrust.thrust(res.qdot_d)
-        d_true = s.wind.force(t) + noise[k]
+        d_true = noise[k]
+        d_true[s.wind.axis] += s.wind.gust(k * dt)
 
-        tel.t[k] = t
         tel.q[k] = state.q
         tel.qdot[k] = state.qdot
         tel.theta[k] = state.theta
         tel.thrust[k] = T
         tel.d_hat[k] = d_hat
-        tel.d_true[k] = d_true
         tel.h_min[k] = h_vals.min() if h_vals.size else math.inf
         tel.feasible[k] = res.feasible
 

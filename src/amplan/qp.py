@@ -79,13 +79,13 @@ def solve(prob: QpProblem) -> QpSolution:
     """Solve prob; every call starts afresh from the unconstrained minimiser.
     A NaN in g, A or b raises QpDimensionError."""
     A, b, Linv = prob.A, prob.b, prob.Linv
-    x = -Linv.T @ (Linv @ prob.g)   # -H^-1 g, from the held factor
+    x = np.dot(-Linv.T, np.dot(Linv, prob.g))   # -H^-1 g, from the held factor
     work, lam = [], np.zeros(0)     # working rows and their multipliers
     p = None                        # the violated row being added
     status = "max_iter"
     for it in range(1, MAX_ITER + 1):
         if p is None:
-            resid = A @ x - b
+            resid = np.dot(A, x) - b
             if work:
                 resid[work] = -np.inf
             if resid.size == 0 or resid.max() <= TOL:
@@ -102,10 +102,10 @@ def solve(prob: QpProblem) -> QpSolution:
         # split L^-1 a_p into its part spanned by the working rows, whose
         # coefficients r are the rates their multipliers fall at, and the rest
         q = len(work)
-        Q, R = np.linalg.qr(Linv @ A[work].T, mode="complete")
-        d = Q.T @ (Linv @ A[p])
+        Q, R = np.linalg.qr(np.dot(Linv, A[work].T), mode="complete")
+        d = np.dot(Q.T, np.dot(Linv, A[p]))
         r = np.linalg.solve(R[:q], d[:q])
-        curv = d[q:] @ d[q:]
+        curv = np.dot(d[q:], d[q:])
         # partial step: the first working multiplier to reach zero
         falling = np.flatnonzero(r > TOL)
         t_drop, k = np.inf, None
@@ -113,13 +113,13 @@ def solve(prob: QpProblem) -> QpSolution:
             k = falling[np.argmin(lam[falling] / r[falling])]
             t_drop = lam[k] / r[k]
         # full step: a_p x reaches b_p; none when a_p depends on the working rows
-        t_add = (A[p] @ x - b[p]) / curv if curv > TOL * TOL * (d @ d) else np.inf
+        t_add = (np.dot(A[p], x) - b[p]) / curv if curv > TOL * TOL * np.dot(d, d) else np.inf
         if t_drop == t_add == np.inf:
             status = "infeasible"
             break
         t = min(t_drop, t_add)
         if t_add < np.inf:
-            x = x - t * (Linv.T @ (Q[:, q:] @ d[q:]))
+            x = x - t * np.dot(Linv.T, np.dot(Q[:, q:], d[q:]))
         lam, lam_p = lam - t * r, lam_p + t
         if t_add <= t_drop:
             work.append(p)

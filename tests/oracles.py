@@ -10,10 +10,10 @@ metric pass, which solves every part/obstacle pair with the library's own
 closest-pair kernel: it checks the pruning of harness.min_distance_profile,
 not the solver.  The few helpers only the tests need (the QP solve, KKT
 residuals, the observer's settling time, the hover thrust, a polygon's area)
-live here too.  So do the array forms of the tick's elementwise layers (the
-observer's RK4, the model terms, the plant step and the target pose), which
-the library runs on Python floats: the float forms must match them bit for
-bit.  Likewise the dense form of the planner's pair sums, which evaluates
+live here too.  So do the array forms of the tick's layers (the observer's
+RK4, the model terms, the plant step, the thrust rows and law, the outer
+loop, the QP solve and the target pose), which the library runs on Python
+floats and np.dot: the library's forms must match them bit for bit.  Likewise the dense form of the planner's pair sums, which evaluates
 every pair's contact terms and both proxy curves on each call: the fused
 pass, which skips what cannot change, must match it bit for bit.
 """
@@ -30,7 +30,7 @@ from amplan import dynamics as dyn
 from amplan.geometry import (AXIS_FLOOR, Superquadric2, boundary_points, closest_pairs,
                              shape_rows, stiffness_terms)
 from amplan.planner import PlannerError, pair_rows, set_part_poses
-from amplan.qp import solve
+from amplan.qp import MAX_ITER, TOL, QpDimensionError, QpSolution, solve
 
 
 def _signed_pow(v, e):
@@ -316,13 +316,32 @@ def stacked_rk4_dob_update(state, q, qdot, T, model, gains, dt):
     return new, -model.M @ (new.xp[0] - qddot_f) + model.C + model.G
 
 
+def skew(v):
+    """The cross-product matrix of a 3-vector v."""
+    x, y, z = v
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def product_rotation(phi):
+    """dynamics.rotation as the product Rz @ Ry @ Rx of its three elementary
+    rotations."""
+    r, p, y = phi
+    cr, sr, cp, sp = math.cos(r), math.sin(r), math.cos(p), math.sin(p)
+    cy, sy = math.cos(y), math.sin(y)
+    Rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
+    Ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
+    Rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
+    return Rz @ Ry @ Rx
+
+
 def array_model_terms(phi, phidot, params):
-    """dynamics.model_terms with Q, Q^-1, Qdot and R each from its own public
-    function, so each evaluates its own cosines and sines."""
+    """dynamics.model_terms with Q, Q^-1 and Qdot each from its own public
+    function, so each evaluates its own cosines and sines, R from
+    product_rotation, skew(w), products by @ and G built per call."""
     Q = dyn.euler_rate_map(phi)
     Qinv = dyn.euler_rate_map_inv(phi)
     Qd = dyn.euler_rate_map_dot(phi, phidot)
-    R = dyn.rotation(phi)
+    R = product_rotation(phi)
     pd = np.asarray(phidot, dtype=float)
     w = Q @ pd
     Qdpd = Qd @ pd
@@ -341,7 +360,7 @@ def array_model_terms(phi, phidot, params):
         M[0, 0] = M[1, 1] = M[2, 2] = m
         M[3:, 3:] = Q.T @ J @ Q
         C = np.zeros(6)
-        C[3:] = Q.T @ (J @ Qdpd + dyn.skew(w) @ (J @ w))
+        C[3:] = Q.T @ (J @ Qdpd + skew(w) @ (J @ w))
         G = np.zeros(6)
         G[2] = m * params.g
         return M, C, G
@@ -371,6 +390,95 @@ def array_step(state, terms, T, theta_d, thetadot_d, thetaddot_d, d_true, dt, pa
               + k ** 2 * (np.asarray(theta_d, dtype=float) - state.theta))
     thetadot = state.thetadot + dt * thddot
     return dyn.VehicleState(state.q + dt * qdot, qdot, state.theta + dt * thetadot, thetadot)
+
+
+def array_thrust_limit_rows(q_d, q, qdot, d_hat, model, gains, t_min, t_max):
+    """control.thrust_limit_rows with its products by @."""
+    q = np.asarray(q, dtype=float)
+    qdot = np.asarray(qdot, dtype=float)
+    S = model.Binv @ model.M @ gains.kd
+    e = np.asarray(q_d, dtype=float) - q
+    c = model.Binv @ (model.M @ (gains.kp @ e - gains.kd @ qdot) + model.C + model.G
+                      - np.asarray(d_hat, dtype=float))
+    A = np.zeros((12, 9))
+    A[:6, :6] = -S
+    A[6:, :6] = S
+    b = np.concatenate([c - t_min, t_max - c])
+    return ctl.ThrustRows(A, b, S, c)
+
+
+def array_thrust(rows, qdot_d):
+    """control.ThrustRows.thrust by @."""
+    return rows.S @ qdot_d + rows.c
+
+
+def array_qp_solve(prob):
+    """qp.solve with its products by @."""
+    A, b, Linv = prob.A, prob.b, prob.Linv
+    x = -Linv.T @ (Linv @ prob.g)
+    work, lam = [], np.zeros(0)
+    p = None
+    status = "max_iter"
+    for it in range(1, MAX_ITER + 1):
+        if p is None:
+            resid = A @ x - b
+            if work:
+                resid[work] = -np.inf
+            if resid.size == 0 or resid.max() <= TOL:
+                if not resid.size and np.isnan(x).any():
+                    raise QpDimensionError("QP data g holds a NaN")
+                status = "optimal"
+                break
+            p, lam_p = int(np.argmax(resid)), 0.0
+            if np.isnan(resid[p]):
+                raise QpDimensionError("QP data g, A or b holds a NaN")
+        q = len(work)
+        Q, R = np.linalg.qr(Linv @ A[work].T, mode="complete")
+        d = Q.T @ (Linv @ A[p])
+        r = np.linalg.solve(R[:q], d[:q])
+        curv = d[q:] @ d[q:]
+        falling = np.flatnonzero(r > TOL)
+        t_drop, k = np.inf, None
+        if falling.size:
+            k = falling[np.argmin(lam[falling] / r[falling])]
+            t_drop = lam[k] / r[k]
+        t_add = (A[p] @ x - b[p]) / curv if curv > TOL * TOL * (d @ d) else np.inf
+        if t_drop == t_add == np.inf:
+            status = "infeasible"
+            break
+        t = min(t_drop, t_add)
+        if t_add < np.inf:
+            x = x - t * (Linv.T @ (Q[:, q:] @ d[q:]))
+        lam, lam_p = lam - t * r, lam_p + t
+        if t_add <= t_drop:
+            work.append(p)
+            lam, p = np.append(lam, lam_p), None
+        else:
+            del work[k]
+            lam = np.delete(lam, k)
+    duals = np.zeros(len(b))
+    if work:
+        duals[work] = np.maximum(lam, 0.0)
+    return QpSolution(x=x, status=status, duals=duals, iterations=it,
+                      active_set=tuple(work))
+
+
+def array_outer_loop(q_t, theta_t, q_d, theta_d, thetadot_d, A, b, gains, prev_x=None):
+    """control.outer_loop with its products by @ and array_qp_solve."""
+    gq, gt, a_dot, a_err = gains.outer_factors
+    v_ref = gains.gamma_q @ (np.asarray(q_t, dtype=float) - np.asarray(q_d, dtype=float))
+    a_ref = (a_dot @ np.asarray(thetadot_d, dtype=float)
+             + a_err @ (np.asarray(theta_t, dtype=float) - np.asarray(theta_d, dtype=float)))
+    g = np.concatenate([gq @ v_ref, gt @ a_ref])
+    sol = array_qp_solve(gains.outer_qp.with_rows(g, A, b))
+    if sol.status == "optimal":
+        x = sol.x
+        feasible = True
+    else:
+        x = 0.5 * (np.zeros(9) if prev_x is None else np.asarray(prev_x, dtype=float))
+        feasible = False
+    return ctl.OuterLoopResult(x=x, qdot_d=x[:6], thetaddot_d=x[6:],
+                               feasible=feasible, status=sol.status)
 
 
 def scalar_target_pose(traj, t, duration, height):

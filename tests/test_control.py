@@ -13,7 +13,8 @@ from amplan.geometry import Superquadric2, closest_pairs, shape_rows
 from amplan.planner import VehicleGeometry, pair_index, pair_rows
 from amplan.qp import MAX_ROWS, QpDimensionError, QpProblem, solve
 
-from oracles import (extrude, hover_thrust, part_superquadrics, qp_enumeration,
+from oracles import (array_outer_loop, array_thrust, array_thrust_limit_rows, extrude,
+                     hover_thrust, part_superquadrics, product_rotation, qp_enumeration,
                      stacked_rk4_dob_update)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -45,6 +46,24 @@ class TestGainSet:
         assert h.dob_factors == fresh.dob_factors != g.dob_factors
         for a, b in zip(h.outer_factors, fresh.outer_factors):
             assert np.array_equal(a, b)
+        # the derived caches of the new set are fresh and read-only too
+        for a in (h.outer_qp.H, h.outer_qp.Linv, *h.outer_factors):
+            assert not a.flags.writeable
+            assert not any(np.shares_memory(a, b) for b in
+                           (g.outer_qp.H, g.outer_qp.Linv, *g.outer_factors))
+
+    def test_derived_caches_are_read_only(self):
+        # an in-place write into H used to reach every tick's QP while the
+        # held factor still inverted the old H
+        g = ctl.GainSet()
+        for a in (g.outer_qp.H, g.outer_qp.Linv, *g.outer_factors):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 100.0
+        assert all(type(f) is tuple for f in g.dob_factors)
+        with pytest.raises(TypeError):
+            g.dob_factors[0][0] = 100.0
+        assert g.outer_qp.H[0, 0] == 2.0
+        assert g.outer_qp.with_rows(np.zeros(9), np.zeros((0, 9)), np.zeros(0)).H[0, 0] == 2.0
 
     def test_gains_are_read_only_copies(self):
         # an in-place write used to leave the QP on the old weight
@@ -119,15 +138,18 @@ class TestDob:
     def test_bit_equal_to_stacked_rk4(self, rng):
         p = dyn.ModelParams(m_hat=3.2, J_hat=np.diag([0.05, 0.06, 0.1]))
         g = ctl.GainSet()
-        for _ in range(200):
+        for i in range(200):
             q, qdot, _, _ = random_state(rng)
             state = ctl.DobState(xq=rng.normal(size=(2, 6)), xp=rng.normal(size=(2, 6)))
             T = rng.uniform(1.0, 15.0, size=6)
             terms = nominal(p, q, qdot)
-            got, d_hat = ctl.dob_update(state, q, qdot, T, terms, g, 0.005)
+            # the filter states as arrays, or as the float lists dob_update returns
+            given = state if i % 2 else ctl.DobState(xq=state.xq.tolist(), xp=state.xp.tolist())
+            got, d_hat = ctl.dob_update(given, q, qdot, T, terms, g, 0.005)
             ref, d_ref = stacked_rk4_dob_update(state, q, qdot, T, terms, g, 0.005)
-            assert np.array_equal(got.xq, ref.xq) and np.array_equal(got.xp, ref.xp)
-            assert np.array_equal(d_hat, d_ref)
+            # byte equality: the sign of a zero counts
+            for a, b in ((got.xq, ref.xq), (got.xp, ref.xp), (d_hat, d_ref)):
+                assert np.asarray(a).tobytes() == b.tobytes()
 
     def test_converges_to_zero_at_hover(self):
         p = dyn.ModelParams()
@@ -179,7 +201,7 @@ class TestDob:
             state, _ = ctl.dob_update(state, q, np.zeros(6), np.zeros(6),
                                       nominal(p, q, np.zeros(6)), g, dt)
             xq_ref = Ad @ xq_ref + Bd * qx
-            np.testing.assert_allclose(state.xq[:, 0], xq_ref, atol=1e-8)
+            np.testing.assert_allclose(np.asarray(state.xq)[:, 0], xq_ref, atol=1e-8)
 
 
 class TestNominalTerms:
@@ -306,6 +328,25 @@ class TestInnerLoop:
             np.testing.assert_allclose(rows.b[:6] - rows.A[:6] @ x, T - 1.0, atol=1e-8)
             np.testing.assert_allclose(rows.b[6:] - rows.A[6:] @ x, 15.0 - T, atol=1e-8)
 
+    def test_rows_and_law_match_the_array_forms(self, rng):
+        # np.dot reaches the BLAS routines of @ on the same operands: byte for
+        # byte the rows and the thrust, signed zeros included
+        g = ctl.GainSet()
+        for i in range(1000):
+            p = dyn.ModelParams(**(TestNominalTerms.MODEL if i % 2 else {}))
+            q, qdot, _, _ = random_state(rng)
+            q_d = q + rng.normal(scale=0.05, size=6)
+            d_hat, qdot_d = rng.normal(size=(2, 6))
+            for v in (q, qdot, q_d, d_hat, qdot_d):
+                v[rng.random(6) < 0.2] = rng.choice([0.0, -0.0])
+            terms = nominal(p, q, qdot)
+            t_min, t_max = rng.uniform(0.0, 2.0), rng.uniform(10.0, 20.0)
+            rows = ctl.thrust_limit_rows(q_d, q, qdot, d_hat, terms, g, t_min, t_max)
+            ref = array_thrust_limit_rows(q_d, q, qdot, d_hat, terms, g, t_min, t_max)
+            for a, b in zip(rows, ref, strict=True):
+                assert a.tobytes() == b.tobytes()
+            assert rows.thrust(qdot_d).tobytes() == array_thrust(ref, qdot_d).tobytes()
+
     def test_applied_thrust_is_the_rows_affine_map(self, monkeypatch):
         # over a short tree mission, every tick applies T = S qdot_d + c of its
         # own rows at the QP's velocity reference, bit for bit
@@ -364,8 +405,8 @@ class TestProxyKinematics:
             theta = rng.uniform(-math.pi, math.pi, size=3)
             R0 = dyn.rotation(q[3:])
             pivots, (F0, F1, F2) = ctl.vehicle_frames(geom, q, R0, theta)
-            R1 = R0 @ dyn.rotation((0.0, 0.0, theta[0]))
-            R2 = R1 @ dyn.rotation((0.0, -theta[1], -theta[2])).T
+            R1 = R0 @ product_rotation((0.0, 0.0, theta[0]))
+            R2 = R1 @ product_rotation((0.0, -theta[1], -theta[2])).T
             assert np.array_equal(F0, R0) and np.array_equal(F1, R1) and np.array_equal(F2, R2)
             p1 = q[:3] + geom.arm_base_offset * R0[:, 0]
             assert np.array_equal(pivots, [q[:3], p1, p1 + geom.l1 * R1[:, 0]])
@@ -791,6 +832,25 @@ class TestOuterLoop:
         H, grad = self.qp_built_per_call(g, q_t, theta_t, q_d, theta_d, thetadot_d)
         best, _ = qp_enumeration(H, grad, A, b)
         assert 0.5 * res.x @ H @ res.x + grad @ res.x == pytest.approx(best, rel=1e-9)
+
+    def test_matches_the_array_form(self, rng):
+        # byte for byte the @ form of the loop and of its QP solve, on ticks
+        # with no row, with thrust-like rows that bind, and with rows that
+        # cannot all hold (the half-previous fallback)
+        g = ctl.GainSet()
+        statuses = set()
+        for i in range(1000):
+            q_t, q_d = rng.normal(size=(2, 6))
+            theta_t, theta_d, thetadot_d = rng.normal(size=(3, 3))
+            m = (0, 3, 12)[i % 3]
+            A = rng.normal(size=(m, 9))
+            b = rng.uniform(-0.5, 1.0, m) if i % 7 else -rng.uniform(0.0, 1.0, m)
+            args = (q_t, theta_t, q_d, theta_d, thetadot_d, A, b, g, rng.normal(size=9))
+            res, ref = ctl.outer_loop(*args), array_outer_loop(*args)
+            assert res.x.tobytes() == ref.x.tobytes()
+            assert (res.status, res.feasible) == (ref.status, ref.feasible)
+            statuses.add(res.status)
+        assert statuses == {"optimal", "infeasible"}
 
     def test_too_many_rows_rejected(self):
         g = ctl.GainSet()

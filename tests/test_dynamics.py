@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from amplan import dynamics as dyn
 
-from oracles import array_model_terms, array_step, hover_thrust
+from oracles import array_model_terms, array_step, hover_thrust, product_rotation
 
 
 def random_regular_phi(rng, max_tilt=0.5):
@@ -150,6 +151,14 @@ class TestAllocation:
         p = dyn.ModelParams()
         assert p.allocation_body is p.allocation_body
         assert not p.allocation_body.flags.writeable
+        # the gravity vectors too, shared by every tick's terms
+        terms = dyn.model_terms(np.zeros(3), np.zeros(3), p)
+        assert terms.plant.G is terms.control.G is p.gravity[1]
+        assert not any(G.flags.writeable for G in p.gravity)
+        mismatch = dyn.ModelParams(m_hat=3.2)
+        terms = dyn.model_terms(np.zeros(3), np.zeros(3), mismatch)
+        assert terms.plant.G is mismatch.gravity[0] and terms.control.G is mismatch.gravity[1]
+        assert mismatch.gravity[0][2] == 3.5 * 9.81 and mismatch.gravity[1][2] == 3.2 * 9.81
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.alpha_p = 0.3
 
@@ -272,10 +281,10 @@ class TestStep:
 
 
 def _same(a, b):
-    """Bit equality of (nested tuples of) arrays."""
+    """Byte equality of (nested tuples of) arrays: the sign of a zero counts."""
     if isinstance(a, tuple):
         return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
-    return np.array_equal(a, b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestFloatForms:
@@ -306,6 +315,28 @@ class TestFloatForms:
         assert _same(dyn.model_terms(phi, [0.1, -0.2, 0.3], p),
                      array_model_terms(phi, [0.1, -0.2, 0.3], p))
 
+    @pytest.mark.parametrize("model", [MISMATCH, {}])
+    def test_model_terms_match_array_form_at_signed_zeros(self, rng, model):
+        # every attitude and rate entry +0.0, -0.0 or a random value: the sign
+        # of each zero in the terms is that of the array form
+        p = dyn.ModelParams(**model)
+        choices = (0.0, -0.0, None)
+        for signs in itertools.product(choices, repeat=6):
+            v = [rng.uniform(-1.2, 1.2) if c is None else c for c in signs]
+            assert _same(dyn.model_terms(np.array(v[:3]), np.array(v[3:]), p),
+                         array_model_terms(np.array(v[:3]), np.array(v[3:]), p))
+
+    def test_rotation_matches_the_product_form(self, rng):
+        # Rz Ry is built from its single-product entries: bit for bit the BLAS
+        # product, zeros signed alike, at random angles, signed zeros and tiny
+        # angles whose products underflow to signed zeros
+        tiny = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]
+        for _ in range(5000):
+            phi = rng.uniform(-math.pi, math.pi, size=3)
+            pick = rng.random(3) < 0.5
+            phi[pick] = rng.choice(tiny, size=pick.sum())
+            assert _same(dyn.rotation(phi), product_rotation(phi))
+
     @pytest.mark.parametrize("pitch", [PITCH_LIMIT, -PITCH_LIMIT, math.pi / 2])
     def test_model_terms_raise_at_the_pitch_limit(self, pitch):
         for terms in (dyn.model_terms, array_model_terms):
@@ -331,7 +362,7 @@ class TestFloatForms:
             got = dyn.step(s, terms, *args, dt, p)
             ref = array_step(s, terms, *args, dt, p)
             for key in ("q", "qdot", "theta", "thetadot"):
-                assert np.array_equal(getattr(got, key), getattr(ref, key)), key
+                assert _same(getattr(got, key), getattr(ref, key)), key
         assert clipped > 1000
 
     def test_step_keeps_nan_thrust_an_error(self):

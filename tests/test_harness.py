@@ -18,8 +18,9 @@ from amplan import voronoi as vor
 from amplan.geometry import Superquadric2, shape_rows
 from amplan.planner import PlannedTrajectory, VehicleGeometry
 
-from oracles import (array_model_terms, array_step, dense_min_distance_profile,
-                     part_superquadrics, scalar_target_pose, sq2_boundary, sq2_boundary_samples,
+from oracles import (array_model_terms, array_outer_loop, array_step, array_thrust,
+                     array_thrust_limit_rows, dense_min_distance_profile, part_superquadrics,
+                     product_rotation, scalar_target_pose, sq2_boundary, sq2_boundary_samples,
                      sq2_inside_outside, stacked_rk4_dob_update)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -323,18 +324,20 @@ def test_sample_floats_count_what_a_plan_holds(tmp_path):
 
 
 def test_flight_matches_array_forms(monkeypatch):
-    # the tick's float layers and the direct arm rotations reproduce the
-    # array forms' telemetry byte for byte, on a flight among the tree's
-    # obstacles (the arm frames enter h_min through the far-pair bound)
+    # the tick's float layers, its np.dot products and the direct arm
+    # rotations reproduce the array forms' telemetry byte for byte, on a
+    # flight among the tree's obstacles (the arm frames enter h_min through
+    # the far-pair bound) and on the same flight without them
     s = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
     s = dataclasses.replace(s, settle_time=0.5, duration=3.0,
                             wind=dataclasses.replace(s.wind, noise_std=0.5))
-    traj = hz.plan(s).traj
-    fast = hz.telemetry_csv(hz.simulate(s, traj, seed=1))
+    scenes = [s, dataclasses.replace(s, obstacles=[])]
+    trajs = [hz.plan(scene).traj for scene in scenes]
+    fast = [hz.simulate(scene, traj, seed=1) for scene, traj in zip(scenes, trajs)]
 
     def frames(geom, q, R0, theta):
-        R1 = R0 @ dyn.rotation((0.0, 0.0, theta[0]))
-        R2 = R1 @ dyn.rotation((0.0, -theta[1], -theta[2])).T
+        R1 = R0 @ product_rotation((0.0, 0.0, theta[0]))
+        R2 = R1 @ product_rotation((0.0, -theta[1], -theta[2])).T
         p1 = q[:3] + geom.arm_base_offset * R0[:, 0]
         return np.array([q[:3], p1, p1 + geom.l1 * R1[:, 0]]), np.array([R0, R1, R2])
 
@@ -345,9 +348,16 @@ def test_flight_matches_array_forms(monkeypatch):
     monkeypatch.setattr(dyn, "model_terms", array_model_terms)
     monkeypatch.setattr(dyn, "step", array_step)
     monkeypatch.setattr(ctl, "dob_update", stacked_rk4_dob_update)
+    monkeypatch.setattr(ctl, "thrust_limit_rows", array_thrust_limit_rows)
+    monkeypatch.setattr(ctl.ThrustRows, "thrust", array_thrust)
+    monkeypatch.setattr(ctl, "outer_loop", array_outer_loop)
     monkeypatch.setattr(ctl, "vehicle_frames", frames)
     monkeypatch.setattr(hz, "target_pose", targets)
-    assert hz.telemetry_csv(hz.simulate(s, traj, seed=1)) == fast
+    for scene, traj, tel in zip(scenes, trajs, fast):
+        slow = hz.simulate(scene, traj, seed=1)
+        assert hz.telemetry_csv(slow) == hz.telemetry_csv(tel)
+        for f in dataclasses.fields(hz.Telemetry):
+            assert getattr(slow, f.name).tobytes() == getattr(tel, f.name).tobytes(), f.name
 
 
 def test_metrics_roundtrip_and_csv_reconstruction(empty_run, tmp_path):

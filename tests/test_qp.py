@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from amplan import qp
-from oracles import kkt_residuals, qp_enumeration, qp_solve
+from oracles import array_qp_solve, kkt_residuals, qp_enumeration, qp_solve
 
 
 def random_problem(rng, n=None, m=None, m_max=12, slack=2.0):
@@ -156,3 +156,20 @@ def test_infinite_bounds():
     assert sol.status == "optimal" and sol.x[0] == pytest.approx(2.0) and sol.active_set == ()
     b[0], b[10] = 1.0, -np.inf
     assert qp.solve(box_problem(g=g, b=b)).status == "infeasible"
+
+
+def test_matches_the_array_form(rng):
+    # np.dot reaches the BLAS routines of @ on the same operands: byte for
+    # byte the solution, duals and path of the @ form
+    statuses = set()
+    for i in range(1000):
+        prob = random_problem(rng)
+        if i % 5 == 0:      # rows that mostly cannot all hold
+            prob = prob.with_rows(prob.g, np.vstack([prob.A, -prob.A]), np.concatenate(
+                [prob.b, -prob.b - rng.uniform(0.1, 1.0, prob.b.size)]))
+        sol, ref = qp.solve(prob), array_qp_solve(prob)
+        statuses.add(sol.status)
+        assert sol.x.tobytes() == ref.x.tobytes() and sol.duals.tobytes() == ref.duals.tobytes()
+        assert (sol.status, sol.iterations, sol.active_set) == (
+            ref.status, ref.iterations, ref.active_set)
+    assert statuses == {"optimal", "infeasible"}
