@@ -7,7 +7,7 @@ subject to per-rotor thrust band limits and high-order control barrier
 function (HOCBF) rows that keep every vehicle part out of every obstacle.
 
 The barrier acts on the obstacle-frame coordinates dX of a vehicle proxy
-point; proxies are tracked in the horizontal plane, and PairBarriers extrudes
+point; proxies are tracked in the horizontal plane, and ProxyTracker extrudes
 every planar obstacle to a vertical 3D superquadric.
 
 As in dynamics, the per-channel elementwise arithmetic of a tick (the
@@ -26,9 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics as dyn
-from .geometry import (_body_curve, bounding_radius, center_angles, check_numbers,
-                       circle_bound, closest_pairs, shape_rows)
-from .planner import VehicleGeometry, pair_index, pair_rows, set_part_poses
+from .geometry import _body_curve, center_angles, check_numbers, closest_pairs, shape_rows
+from .planner import PairTable, VehicleGeometry, set_part_poses
 from .qp import QpProblem, solve
 
 
@@ -227,15 +226,15 @@ def vehicle_frames(geom: VehicleGeometry, q, R0, theta):
     return np.array([q[:3], p1, p1 + geom.l1 * R1[:, 0]]), np.array([R0, R1, R2])
 
 
-def proxy_points(barriers: PairBarriers, gammas, frames, pairs):
+def proxy_points(tracker: ProxyTracker, gammas, frames, pairs):
     """World proxy points X (K, 3) of the parts of pairs (an index array of K
     pairs) at planar proxy angles gammas (K,), in the vehicle_frames frames."""
     pivots, rotations = frames
-    body = barriers.part_offsets[pairs]
-    x, y = _body_curve(barriers.part_axes[:, pairs], np.cos(gammas), np.sin(gammas))
+    body = tracker.part_offsets[pairs]
+    x, y = _body_curve(tracker.part_axes[:, pairs], np.cos(gammas), np.sin(gammas))
     body[:, 0] += x
     body[:, 1] += y
-    link = barriers.link[pairs]
+    link = tracker.link[pairs]
     return pivots[link] + np.einsum("pij,pj->pi", rotations[link], body)
 
 
@@ -281,7 +280,7 @@ def _bracket(dx, obs):
     + w_y^(2/eps2), of obstacle-frame points dx (..., 3), with w = |dx| / a.
 
     obs holds the semi-axes a1, a2, a3 and exponents eps1, eps2, as numbers or
-    as arrays with one entry per point (PairBarriers).  Only g = 0, whose log
+    as arrays with one entry per point (ProxyTracker).  Only g = 0, whose log
     is not finite, raises: deep inside, g is tiny but positive (9e-13 a
     quarter of the semi-axes from the axis, near mid-height, with eps1 = 0.1).
     """
@@ -348,28 +347,45 @@ class SafetyParams:
             raise ControlError("need obstacle_height > 0")
 
 
-@dataclass
-class ProxyTracker:
-    """Warm-started planar proxy angles gammas (2, P) of the (part pi,
-    obstacle oi) pairs, in planner.pair_index order; gammas[0] is the part side.
+# exponent of the vertical profile of every extruded obstacle
+EXTRUDE_EPS1 = 0.1
+# h_bounds' floor on rho / r_obs
+_TINY = np.finfo(float).tiny
 
-    The planner.pair_rows sides are built once; each refresh rewrites the part
-    poses (planner.set_part_poses) and solves the pairs it is given in one
-    closest_pairs call.  gammas holds the angles of the pairs the last refresh
-    solved and NaN for every other pair (cbf_rows also clears them on a tick
-    that refreshes no pair): a pair with angles starts from them, any other
-    from its center-to-center directions (geometry.center_angles).
-    closest_pairs never mixes pairs, so which pairs share a call does not
-    change any pair's result.
+
+class ProxyTracker(PairTable):
+    """Warm-started planar proxy angles gammas (2, P) of the (part pi,
+    obstacle oi) pairs, and the per-pair constants of their barrier rows,
+    built once per mission; gammas[0] is the part side.
+
+    Each refresh rewrites the part poses of rows (planner.set_part_poses)
+    and solves the pairs it is given in one closest_pairs call.  gammas
+    holds the angles of the pairs the last refresh solved and NaN for every
+    other pair (cbf_rows also clears them on a tick that refreshes no pair):
+    a pair with angles starts from them, any other from its center-to-center
+    directions (geometry.center_angles).  closest_pairs never mixes pairs,
+    so which pairs share a call does not change any pair's result.
+
+    The barrier constants of each pair are its part's frame (link),
+    semi-axes and exponent (part_axes) and center in its frame
+    (part_offsets), and its obstacle extruded to a vertical 3D superquadric
+    of the given height standing on z = 0: rotation and translation,
+    semi-axes a1, a2 and exponent eps2 of the planar shape, a3 of half the
+    height, and exponent eps1 = EXTRUDE_EPS1.
     """
 
-    geom: VehicleGeometry
-    obstacles: list            # planar Superquadric2 obstacles
-
-    def __post_init__(self):
-        self.pi, self.oi = pair_index(self.geom.n_parts, len(self.obstacles))
-        self.sides = pair_rows(self.geom, shape_rows(self.obstacles), np.zeros(5))
+    def __init__(self, geom: VehicleGeometry, obstacles, height: float):
+        super().__init__(geom, shape_rows(obstacles))
         self.gammas = np.full((2, self.pi.size), np.nan)
+        self.link = geom.part_links[self.pi]
+        self.part_axes = geom.part_axes[:, self.pi]
+        self.part_offsets = np.pad(geom.part_offsets[self.pi], ((0, 0), (0, 1)))
+        self.rotation = np.array([dyn.rotation((0.0, 0.0, obstacles[o].angle))
+                                  for o in self.oi]).reshape(-1, 3, 3)
+        self.a1, self.a2, self.eps2, _, _, cx, cy = self.rows[1]
+        self.a3 = np.full(self.oi.size, height / 2.0)
+        self.eps1 = np.full(self.oi.size, EXTRUDE_EPS1)
+        self.translation = np.column_stack([cx, cy, self.a3])
 
     def refresh(self, q, theta, pairs=None):
         """Re-solve the planar closest pairs of pairs (an index array; every
@@ -378,53 +394,13 @@ class ProxyTracker:
             pairs = np.arange(self.pi.size)
         if pairs.size == 0:
             return np.zeros(0)
-        set_part_poses(self.sides[0], self.geom, self.pi, [q[0], q[1], q[5], theta[0], theta[2]])
-        sides = [side[:, pairs] for side in self.sides]
+        set_part_poses(self.rows[0], self.geom, self.pi, [q[0], q[1], q[5], theta[0], theta[2]])
+        sides = self.rows[:, :, pairs]
         last = self.gammas[:, pairs]
         res = closest_pairs(*sides, init=np.where(np.isnan(last), center_angles(*sides), last))
         self.gammas.fill(np.nan)
         self.gammas[:, pairs] = res.gammas
         return res.gap
-
-
-# exponent of the vertical profile of every extruded obstacle
-EXTRUDE_EPS1 = 0.1
-# h_bounds' floor on rho / r_obs
-_TINY = np.finfo(float).tiny
-
-
-@dataclass
-class PairBarriers:
-    """Per-pair constants of the barrier rows in the tracker's pair order, built
-    once per mission: the part's frame (link), semi-axes and exponent
-    (part_axes) and center in its frame (part_offsets), and the pair's
-    obstacle extruded to a vertical 3D superquadric of the given height
-    standing on z = 0: rotation and translation, semi-axes a1, a2 and
-    exponent eps2 of the planar shape, a3 of half the height, and exponent
-    eps1 = EXTRUDE_EPS1.  h_bounds also uses the bounding radii r_part and
-    r_obs of the pair's planar part and obstacle (geometry.bounding_radius).
-    """
-
-    tracker: ProxyTracker
-    height: float
-
-    def __post_init__(self):
-        geom, pi, oi = self.tracker.geom, self.tracker.pi, self.tracker.oi
-        self.link = geom.part_links[pi]
-        self.part_axes = geom.part_axes[:, pi]
-        self.part_offsets = np.pad(geom.part_offsets[pi], ((0, 0), (0, 1)))
-        obstacles = self.tracker.obstacles
-        self.rotation = np.array([dyn.rotation((0.0, 0.0, obstacles[o].angle))
-                                  for o in oi]).reshape(-1, 3, 3)
-        self.a1, self.a2, self.eps2, _, _, cx, cy = self.tracker.sides[1]
-        self.a3 = np.full(oi.size, self.height / 2.0)
-        self.eps1 = np.full(oi.size, EXTRUDE_EPS1)
-        self.translation = np.column_stack([cx, cy, self.a3])
-        self.r_part = bounding_radius(*self.part_axes)
-        self.r_obs = bounding_radius(self.a1, self.a2, self.eps2)
-        # the frame-independent share of h_bounds' scene scale (geometry.circle_bound)
-        self._scale = sum(v.max(initial=0.0)
-                          for v in (abs(self.translation[:, :2]), self.r_part, self.r_obs))
 
     def shapes(self, pairs):
         """The extruded obstacles of pairs (an index array), as h_co takes them."""
@@ -437,17 +413,16 @@ class PairBarriers:
         rho / r_obs floored at the smallest normal float (below -14000).
 
         A part's boundary points lie within r_part of its center C, tilt
-        included, so at least rho = geometry.circle_bound(C_xy - c_obs, r_part)
-        from the obstacle's axis.  The planar bracket u is homogeneous and is 1
-        within r_obs of the axis, so u >= (rho / r_obs)^(2 / eps2), and the
-        extruded bracket is at least u^(eps2 / eps1).
+        included, so at least rho = PairTable.rho of the centers' projections
+        C_xy from the obstacle's axis.  The planar bracket u is homogeneous
+        and is 1 within r_obs of the axis, so u >= (rho / r_obs)^(2 / eps2),
+        and the extruded bracket is at least u^(eps2 / eps1).
         """
         pivots, rotations = frames
-        link = self.tracker.geom.part_links
+        link = self.geom.part_links
         centers = pivots[link, :2] + np.einsum("pij,pj->pi", rotations[link, :2, :2],
-                                               self.tracker.geom.part_offsets)
-        d = centers[self.tracker.pi] - self.translation[:, :2]
-        rho = circle_bound(d.T, self.r_part, np.abs(centers).max() + self._scale)
+                                               self.geom.part_offsets)
+        rho = self.rho(centers.T[..., None])
         return (2.0 / EXTRUDE_EPS1) * np.log(np.maximum(rho / self.r_obs, _TINY))
 
 
@@ -456,12 +431,12 @@ class PairBarriers:
 H_CULL = 4.0
 
 
-def cbf_rows(barriers: PairBarriers, q, R, qdot, theta, thetadot, q_d, gains: GainSet,
+def cbf_rows(tracker: ProxyTracker, q, R, qdot, theta, thetadot, q_d, gains: GainSet,
              safety: SafetyParams):
     """HOCBF rows A x <= b for the outer-loop decision x = [qdot_d; thetaddot_d],
     and a value of h for every pair; R is the rotation of q's attitude.
 
-    Each tick first bounds every pair's h from below (PairBarriers.h_bounds).
+    Each tick first bounds every pair's h from below (ProxyTracker.h_bounds).
     A pair whose bound exceeds H_CULL is far: it could emit no row at any
     proxy angle, so it gets no proxy refresh and no barrier pass, and its
     value is the bound.  The near pairs are refreshed (ProxyTracker.refresh)
@@ -472,31 +447,30 @@ def cbf_rows(barriers: PairBarriers, q, R, qdot, theta, thetadot, q_d, gains: Ga
     Kp (q_d - q) and the arm tracks thetaddot_d directly, so the second
     barrier derivative is affine in x.
     """
-    tracker = barriers.tracker
     if tracker.pi.size == 0:
         return np.zeros((0, 9)), np.zeros(0), np.zeros(0)
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     frames = vehicle_frames(tracker.geom, q, R, theta)
-    h = barriers.h_bounds(frames)
+    h = tracker.h_bounds(frames)
     near = np.flatnonzero(h <= H_CULL)
     if near.size == 0:
         # no pair keeps its angles, as after a refresh of no pair
         tracker.gammas.fill(np.nan)
         return np.zeros((0, 9)), np.zeros(0), h
     tracker.refresh(q, theta, near)
-    X = proxy_points(barriers, tracker.gammas[0, near], frames, near)
-    dx = np.einsum("pji,pj->pi", barriers.rotation[near], X - barriers.translation[near])
-    h[near] = h_co(dx, barriers.shapes(near))
+    X = proxy_points(tracker, tracker.gammas[0, near], frames, near)
+    dx = np.einsum("pji,pj->pi", tracker.rotation[near], X - tracker.translation[near])
+    h[near] = h_co(dx, tracker.shapes(near))
     keep = np.flatnonzero(h[near] <= H_CULL)
     if keep.size == 0:
         return np.zeros((0, 9)), np.zeros(0), h
     rows = near[keep]
-    _, grad, hess = h_co_derivs(dx[keep], barriers.shapes(rows))
+    _, grad, hess = h_co_derivs(dx[keep], tracker.shapes(rows))
 
     v = np.concatenate([qdot, thetadot])
-    J, jdv = proxy_jacobians(frames, barriers.link[rows], X[keep], q[3:], v)
-    RT = barriers.rotation[rows].transpose(0, 2, 1)
+    J, jdv = proxy_jacobians(frames, tracker.link[rows], X[keep], q[3:], v)
+    RT = tracker.rotation[rows].transpose(0, 2, 1)
     A_dx = RT @ J
     dxdot = A_dx @ v
     drift = np.concatenate([gains.kp @ (np.asarray(q_d, dtype=float) - q)

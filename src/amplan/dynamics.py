@@ -90,13 +90,6 @@ def euler_rate_map(phi) -> np.ndarray:
     return _rate_map(math.cos(r), math.sin(r), math.cos(p), math.sin(p))
 
 
-def euler_rate_map_inv(phi) -> np.ndarray:
-    """Q^-1, the Euler rates per unit body angular velocity, in closed form."""
-    _check_pitch(phi)
-    r, p, _ = phi
-    return _rate_map_inv(math.cos(r), math.sin(r), math.cos(p), math.tan(p))
-
-
 def euler_rate_map_dot(phi, phidot) -> np.ndarray:
     """Time derivative of Q along (phi, phidot)."""
     r, p, _ = phi

@@ -23,9 +23,9 @@ import yaml
 from . import control as ctl
 from . import dynamics as dyn
 from . import voronoi as vor
-from .geometry import (GeometryError, Superquadric2, bounding_radius, check_numbers,
-                       circle_bound, closest_pairs, radial_excess, shape_rows)
-from .planner import (PlannedTrajectory, PlannerError, PlannerParams,
+from .geometry import (GeometryError, Superquadric2, check_numbers, closest_pairs,
+                       radial_excess, shape_rows)
+from .planner import (PairTable, PlannedTrajectory, PlannerError, PlannerParams,
                       VehicleGeometry, attractors_from_path, integrate_em, pair_rows,
                       set_part_poses, target_pose)
 
@@ -151,6 +151,19 @@ class Scenario:
             raise ScenarioError(f"start: vehicle part {p} collides with obstacles[{o}]")
 
 
+# the fields load_scenario reads: any other key is a typo, not a default
+_SCENARIO_FIELDS = ("format", "name", "world_box", "obstacles", "start", "goal", "flight_height",
+                    "duration", "settle_time", "dt", "wind", "planner", "safety")
+_OBSTACLE_FIELDS = ("a1", "a2", "eps", "angle", "center")
+
+
+def _check_fields(raw: dict, allowed, path=""):
+    """Raise ScenarioError on the first key of raw that allowed does not hold."""
+    for key in raw:
+        if key not in allowed:
+            raise ScenarioError(f"{path}{key}: unknown field")
+
+
 def _require(raw: dict, key: str):
     if key not in raw:
         raise ScenarioError(f"{key}: required field missing")
@@ -160,6 +173,7 @@ def _require(raw: dict, key: str):
 def _obstacle_from_dict(d: dict, path: str) -> Superquadric2:
     if not isinstance(d, dict):
         raise ScenarioError(f"{path}: must be a mapping")
+    _check_fields(d, _OBSTACLE_FIELDS, f"{path}.")
     for key in ("a1", "a2", "eps", "center"):
         if key not in d:
             raise ScenarioError(f"{path}.{key}: required field missing")
@@ -178,14 +192,9 @@ def _sub_params(raw: dict, key: str, factory):
         overrides = {}
     if not isinstance(overrides, dict):
         raise ScenarioError(f"{key}: must be a mapping of overrides")
-    allowed = {f.name for f in fields(factory)}
-    kwargs = {}
-    for k, v in overrides.items():
-        if k not in allowed:
-            raise ScenarioError(f"{key}.{k}: unknown field")
-        kwargs[k] = v
+    _check_fields(overrides, {f.name for f in fields(factory)}, f"{key}.")
     try:
-        return factory(**kwargs)
+        return factory(**overrides)
     except (TypeError, ValueError, ctl.ControlError, PlannerError) as exc:
         raise ScenarioError(f"{key}: {exc}") from exc
 
@@ -223,6 +232,7 @@ def load_scenario(path) -> Scenario:
     # the integer itself: not 1.0, 1.5 or true
     if type(fmt) is not int or fmt != SCENARIO_FORMAT:
         raise ScenarioError(f"format: expected the integer {SCENARIO_FORMAT}, got {fmt!r}")
+    _check_fields(raw, _SCENARIO_FIELDS)
 
     obstacles_raw = _require(raw, "obstacles")
     if obstacles_raw is None:
@@ -399,8 +409,7 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
     then the references integrate and the plant steps.
     """
     gains, safety, model = s.gains, s.safety, s.model
-    barriers = ctl.PairBarriers(ctl.ProxyTracker(s.vehicle, _model_obstacles(s, mode)),
-                                safety.obstacle_height)
+    tracker = ctl.ProxyTracker(s.vehicle, _model_obstacles(s, mode), safety.obstacle_height)
 
     q0 = np.array([s.start[0], s.start[1], s.flight_height, 0.0, 0.0, s.start[2]])
     theta0 = np.array([s.start[3], 0.0, s.start[4]])
@@ -432,7 +441,7 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
         dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, terms.control, gains, dt)
         thrust = ctl.thrust_limit_rows(q_d, state.q, state.qdot, d_hat, terms.control,
                                        gains, safety.t_min, safety.t_max)
-        A2, b2, h_vals = ctl.cbf_rows(barriers, state.q, terms.R, state.qdot, state.theta,
+        A2, b2, h_vals = ctl.cbf_rows(tracker, state.q, terms.R, state.qdot, state.theta,
                                       state.thetadot, q_d, gains, safety)
         # on most ticks no barrier row is emitted: the thrust rows go in as they are
         A, b = ((np.vstack([thrust.A, A2]), np.concatenate([thrust.b, b2])) if b2.size
@@ -497,13 +506,15 @@ def min_distance_profile(traj: PlannedTrajectory, geom: VehicleGeometry,
     gets bit for bit the gap of solving it alone.
 
     Only the pairs that can hold a sample's minimum are solved.  Each pair's
-    gap is at least lb = geometry.circle_bound(c_part - c_obs, R_part + R_obs),
-    R the shapes' bounding radii.  One call solves the smallest-lb pair of
-    every sample, giving its gap g1; a second solves the other pairs with
-    lb <= max(g1, 0).  A pruned pair has lb > max(g1, 0), so its bounding
-    circles are disjoint and its gap, the distance between two boundary
-    points, is at least lb: above the sample's minimum.  The profile is bit
-    for bit that of solving all pairs.
+    gap is at least lb = rho - r_obs: rho (PairTable.rho) bounds the distance
+    from the obstacle's center to every point of the part, every obstacle
+    point lies within r_obs of that center, and rho's rounding slack, a
+    multiple of a scene scale above r_obs, also covers the subtraction.  One
+    call solves the smallest-lb pair of every sample, giving its gap g1; a
+    second solves the other pairs with lb <= max(g1, 0).  A pruned pair has
+    lb > max(g1, 0), so its gap, the distance between two boundary points,
+    is at least lb: above the sample's minimum.  The profile is bit for bit
+    that of solving all pairs.
     """
     n = len(traj.s)
     if not obstacles:
@@ -514,12 +525,9 @@ def min_distance_profile(traj: PlannedTrajectory, geom: VehicleGeometry,
     parts = np.vstack([np.tile(geom.part_axes, n), np.empty((4, n_parts * n))])
     set_part_poses(parts, geom, np.arange(n_parts), traj.z)
 
-    r_part, r_obs = bounding_radius(*geom.part_axes), bounding_radius(*obs_rows[:3])
-    centers = parts[5:].reshape(2, n, n_parts, 1)
-    scale = np.abs(centers).max() + np.abs(obs_rows[5:]).max() + r_part.max() + r_obs.max()
     # (n, pairs) in planner.pair_index order
-    lb = circle_bound(centers - obs_rows[5:, None, None], r_part[:, None] + r_obs,
-                      scale).reshape(n, -1)
+    table = PairTable(geom, obs_rows)
+    lb = table.rho(parts[5:].reshape(2, n, n_parts, 1)) - table.r_obs
 
     def gaps(sample, pair):
         part, obs = np.divmod(pair, n_obs)

@@ -188,25 +188,52 @@ def set_part_poses(parts, geom: VehicleGeometry, pi, z, frames=None):
     parts[3:] = poses.take(pi, axis=2).reshape(4, -1)
 
 
+class PairTable:
+    """The (part pi, obstacle oi) pairs of geom and obs_rows in pair_index
+    order, and the bound every far-pair gate takes: the planner's reach gate,
+    the metric pass and the safety filter's.  rows holds the pair_rows sides
+    (2, 7, P) at z = 0, whose part side callers may pose; r_part (n_parts, 1)
+    and r_obs (P,) are the bounding radii (geometry.bounding_radius) of the
+    parts and of each pair's obstacle, scale the scene scale's fixed share."""
+
+    def __init__(self, geom: VehicleGeometry, obs_rows):
+        self.geom = geom
+        self.pi, self.oi = pair_index(geom.n_parts, obs_rows.shape[1])
+        self.rows = np.array(pair_rows(geom, obs_rows, np.zeros(5)))
+        self.c_obs = obs_rows[5:]
+        self.r_part = bounding_radius(*geom.part_axes)[:, None]
+        self.r_obs = bounding_radius(*self.rows[1, :3])
+        self.scale = sum(v.max(initial=0.0) for v in (abs(self.c_obs), self.r_part, self.r_obs))
+
+    def rho(self, c):
+        """geometry.circle_bound (..., P) from each obstacle's center to the
+        parts' bounding circles, centered at c (2, ..., n_parts, 1): below the
+        distance from that center to any point of the part."""
+        cx, cy = self.c_obs
+        rho = circle_bound((c[0] - cx, c[1] - cy), self.r_part,
+                           abs(c).max(initial=0) + self.scale)
+        return rho.reshape(*rho.shape[:-2], -1)
+
+
 class _Evaluator:
     """Caches per-pair parameter arrays so each evaluation is one fused batch."""
 
     def __init__(self, geom: VehicleGeometry, obs_rows, stiff: StiffnessParams):
         self.geom = geom
         self.stiff = stiff
-        self.pi, _ = pair_index(geom.n_parts, obs_rows.shape[1])
+        self.table = table = PairTable(geom, obs_rows)
+        self.pi = table.pi
         self.P = self.pi.size
 
         # pair_rows layout of every proxy's shape, (7, 2, P): side 0 the part of
         # each pair, side 1 its obstacle.  Per evaluation only the part side's
         # cos, sin and center change, which set_part_poses writes: rows holds the
         # poses of the last evaluation.
-        self.rows = np.array(pair_rows(geom, obs_rows, np.zeros(5))).transpose(1, 0, 2)
+        self.rows = table.rows.transpose(1, 0, 2)
         a = self.rows[:2, 1]
         oeps, ocos, osin = self.rows[2:5, 1]
-        self.r_part, r_obs = bounding_radius(*self.rows[:3, 0]), bounding_radius(*a, oeps)
-        self.reach = r_obs * (1.0 + stiff.d_prime + TANH_SATURATION * stiff.d0) ** (oeps / 2.0)
-        self.scale = sum(v.max(initial=0.0) for v in (abs(self.rows[5:, 1]), self.r_part, r_obs))
+        self.reach = table.r_obs * (1.0 + stiff.d_prime
+                                    + TANH_SATURATION * stiff.d0) ** (oeps / 2.0)
         self.oexp = 2.0 / oeps
         # joint angle j moves a part proxy iff j <= l, l the frame of its part
         self.moved = (np.arange(3) <= geom.part_links[self.pi][:, None]).astype(float)
@@ -241,12 +268,11 @@ class _Evaluator:
 
     def within_reach(self):
         """Indices of the pairs within reach at the poses in rows.  The others
-        have rho = circle_bound >= reach = r_obs (1 + d' + TANH_SATURATION d0)
+        have rho = PairTable.rho >= reach = r_obs (1 + d' + TANH_SATURATION d0)
         ^(eps / 2): F + 1 is homogeneous of degree 2 / eps and 1 within r_obs
         of the center, so their stiffness is (k_min, 0, 0) at every angle."""
-        c = self.rows[5:, 0]    # the part centers
-        rho = circle_bound(c - self.rows[5:, 1], self.r_part, abs(c).max(initial=0) + self.scale)
-        return np.flatnonzero(rho < self.reach)
+        c = self.rows[5:, 0].reshape(2, self.geom.n_parts, -1)[..., :1]    # one per part
+        return np.flatnonzero(self.table.rho(c) < self.reach)
 
 
 # d^2 p / dphi_i dphi_j = -V_max(i,j): the joint angles act on nested frames

@@ -41,9 +41,6 @@ class QpProblem:
         w = np.linalg.eigvalsh(0.5 * (self.H + self.H.T))
         if w.min() <= 1e-9:
             self.H = self.H + (1e-9 - min(w.min(), 0.0) + 1e-9) * np.eye(len(self.H))
-            self.regularized = True
-        else:
-            self.regularized = False
         # H = L L'; the steps are taken in the coordinates L' x
         self.Linv = np.linalg.inv(np.linalg.cholesky(self.H))
 
@@ -62,7 +59,7 @@ class QpProblem:
     def with_rows(self, g, A, b) -> "QpProblem":
         """This problem's checked H with a new g, A and b; only the dimensions are rechecked."""
         prob = object.__new__(QpProblem)
-        prob.H, prob.Linv, prob.regularized = self.H, self.Linv, self.regularized
+        prob.H, prob.Linv = self.H, self.Linv
         return prob._set_rows(g, A, b)
 
 

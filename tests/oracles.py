@@ -9,10 +9,11 @@ trigonometry rather than the joint frames.  The one exception is the dense
 metric pass, which solves every part/obstacle pair with the library's own
 closest-pair kernel: it checks the pruning of harness.min_distance_profile,
 not the solver.  The few helpers only the tests need (the QP solve, KKT
-residuals, the observer's settling time, the hover thrust, a polygon's area)
-live here too.  So do the array forms of the tick's layers (the observer's
-RK4, the model terms, the plant step, the thrust rows and law, the outer
-loop, the QP solve and the target pose), which the library runs on Python
+residuals, the observer's settling time, the hover thrust, a polygon's area,
+the closed-form inverse Euler rate map) live here too.  So do the array
+forms of the tick's layers (the observer's RK4, the model terms, the plant
+step, the thrust rows and law, the outer loop, the QP solve and the target
+pose), which the library runs on Python
 floats and np.dot: the library's forms must match them bit for bit.  Likewise the dense form of the planner's pair sums, which evaluates
 every pair's contact terms and both proxy curves on each call: the fused
 pass, which skips what cannot change, must match it bit for bit.
@@ -334,12 +335,20 @@ def product_rotation(phi):
     return Rz @ Ry @ Rx
 
 
+def euler_rate_map_inv(phi) -> np.ndarray:
+    """Q^-1, the Euler rates per unit body angular velocity, from dynamics'
+    closed-form builder, behind the same pitch check as Q."""
+    dyn._check_pitch(phi)
+    r, p, _ = phi
+    return dyn._rate_map_inv(math.cos(r), math.sin(r), math.cos(p), math.tan(p))
+
+
 def array_model_terms(phi, phidot, params):
     """dynamics.model_terms with Q, Q^-1 and Qdot each from its own public
     function, so each evaluates its own cosines and sines, R from
     product_rotation, skew(w), products by @ and G built per call."""
     Q = dyn.euler_rate_map(phi)
-    Qinv = dyn.euler_rate_map_inv(phi)
+    Qinv = euler_rate_map_inv(phi)
     Qd = dyn.euler_rate_map_dot(phi, phidot)
     R = product_rotation(phi)
     pd = np.asarray(phidot, dtype=float)

@@ -27,7 +27,7 @@ from amplan.qp import QpProblem, solve
 from oracles import (central_diff_gradient, dob_settling_time, enumerate_shortest_path, extrude,
                      hover_thrust, kkt_residuals, polygon_area, qp_enumeration, sampled_gap,
                      sq2_boundary, sq2_inside_outside)
-from test_control import obstacle_frame, pair_barriers, proxy_kinematics
+from test_control import obstacle_frame, proxy_kinematics
 from test_planner import scalar_w
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -313,19 +313,19 @@ def test_criterion_8_derivative_suite():
         E = 1e-6 * np.eye(3)
         for _ in range(100):
             sq, height = _random_sq(rng, rng.uniform(-1.0, 1.0, 2)), rng.uniform(1.0, 3.0)
-            barriers = pair_barriers(geom, [sq], height)      # one pair per part
+            tracker = ctl.ProxyTracker(geom, [sq], height)      # one pair per part
             obs3 = extrude(sq, height)
             # one point per pair
             dx = (rng.choice([-1.0, 1.0], (P, 3)) * rng.uniform(0.3, 1.5, (P, 3))
                   * [obs3.a1, obs3.a2, obs3.a3])
-            h, grad, hess = ctl.h_co_derivs(dx, barriers)
+            h, grad, hess = ctl.h_co_derivs(dx, tracker)
             # h is the log of the inside-outside bracket F + 1
             assert np.expm1(h) == pytest.approx(obs3.inside_outside(obs3.to_world(dx)),
                                                 rel=1e-12, abs=1e-12)
-            fd_g = np.stack([(ctl.h_co(dx + e, barriers) - ctl.h_co(dx - e, barriers)) / 2e-6
+            fd_g = np.stack([(ctl.h_co(dx + e, tracker) - ctl.h_co(dx - e, tracker)) / 2e-6
                              for e in E], axis=-1)
-            fd_h = np.stack([(ctl.h_co_derivs(dx + e, barriers)[1]
-                              - ctl.h_co_derivs(dx - e, barriers)[1]) / 2e-6 for e in E], axis=-1)
+            fd_h = np.stack([(ctl.h_co_derivs(dx + e, tracker)[1]
+                              - ctl.h_co_derivs(dx - e, tracker)[1]) / 2e-6 for e in E], axis=-1)
             for k in range(P):
                 assert _rel_close(grad[k], fd_g[k])
                 assert _rel_close(hess[k], fd_h[k])
@@ -354,20 +354,20 @@ def test_criterion_8_derivative_suite():
             c, s = math.cos(sq.angle), math.sin(sq.angle)
             off = np.array([1.3 * sq.a1, 1.1 * sq.a2])
             center = X0[:2] - np.array([[c, -s], [s, c]]) @ off
-            barriers = pair_barriers(geom, [replace(sq, center=tuple(center))], height)
+            tracker = ctl.ProxyTracker(geom, [replace(sq, center=tuple(center))], height)
             gammas = np.full(P, gamma)
 
             def h_of(v):
                 frames = ctl.vehicle_frames(geom, v[:6], dyn.rotation(v[3:6]), v[6:])
-                X = ctl.proxy_points(barriers, gammas, frames, np.arange(P))
-                return ctl.h_co(obstacle_frame(barriers, X), barriers)[part]
+                X = ctl.proxy_points(tracker, gammas, frames, np.arange(P))
+                return ctl.h_co(obstacle_frame(tracker, X), tracker)[part]
 
             frames = ctl.vehicle_frames(geom, v0[:6], dyn.rotation(v0[3:6]), v0[6:])
-            X = ctl.proxy_points(barriers, gammas, frames, np.arange(P))
-            dx = obstacle_frame(barriers, X)
+            X = ctl.proxy_points(tracker, gammas, frames, np.arange(P))
+            dx = obstacle_frame(tracker, X)
             np.testing.assert_allclose(dx[part], [*off, height / 4.0], rtol=0, atol=1e-12)
-            grad = ctl.h_co_derivs(dx, barriers)[1][part]
-            analytic = grad @ barriers.rotation[part].T @ J
+            grad = ctl.h_co_derivs(dx, tracker)[1][part]
+            analytic = grad @ tracker.rotation[part].T @ J
             assert _rel_close(analytic, central_diff_gradient(h_of, v0))
 
         # planner potential gradient

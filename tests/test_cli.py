@@ -88,6 +88,23 @@ def test_invalid_scenario_exit_2(tmp_path, capsys):
     assert cli.main(["plan", "--scenario", path]) == 2
 
 
+def test_unknown_scenario_field_exit_2(tmp_path, capsys):
+    # a misspelt field would otherwise load with its default
+    data = copy.deepcopy(BASE)
+    data["obstacles"] = [{**BASE["obstacles"][0], "center": c}
+                         for c in ([5.0, 6.0], [-3.0, 6.0], [6.0, -3.0])]
+    data["obstacles"][2]["angel"] = 0.2
+    path = write_scenario(tmp_path, data)
+    assert cli.main(["plan", "--scenario", path]) == 2
+    assert capsys.readouterr().err == "error: obstacles[2].angel: unknown field\n"
+    data = copy.deepcopy(EMPTY)
+    data["durration"] = 99
+    path = write_scenario(tmp_path, data)
+    for command in ("plan", "simulate", "bench"):
+        assert cli.main([command, "--scenario", path]) == 2
+        assert capsys.readouterr().err == "error: durration: unknown field\n"
+
+
 def test_bad_arguments_exit_2(empty_yaml, capsys):
     assert cli.main(["plan", "--scenario", empty_yaml, "--mode", "oval"]) == 2
     assert cli.main(["frobnicate"]) == 2

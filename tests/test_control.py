@@ -372,25 +372,20 @@ class TestInnerLoop:
             assert np.array_equal(tel.thrust[k], law.S @ res.qdot_d + law.c)
 
 
-def pair_barriers(geom, obstacles, height):
-    """The pipeline's barrier constants of every (part, obstacle) pair."""
-    return ctl.PairBarriers(ctl.ProxyTracker(geom, obstacles), height)
-
-
-def obstacle_frame(barriers, X, pairs=slice(None)):
+def obstacle_frame(tracker, X, pairs=slice(None)):
     """Points X (..., K, 3) in the obstacle frame of each of the K pairs (all
     of them by default), as cbf_rows maps them."""
-    return np.einsum("pji,...pj->...pi", barriers.rotation[pairs],
-                     X - barriers.translation[pairs])
+    return np.einsum("pji,...pj->...pi", tracker.rotation[pairs],
+                     X - tracker.translation[pairs])
 
 
 def proxy_kinematics(geom, part, gamma, q, theta, qdot=np.zeros(6), thetadot=np.zeros(3)):
     """X, J and Jdot v of one part's proxy point, from the batched kernel."""
     # one obstacle: one pair per part
-    barriers = pair_barriers(geom, [Superquadric2(a1=1.0, a2=1.0, eps=1.0)], 1.0)
+    tracker = ctl.ProxyTracker(geom, [Superquadric2(a1=1.0, a2=1.0, eps=1.0)], 1.0)
     frames = ctl.vehicle_frames(geom, q, dyn.rotation(q[3:]), theta)
-    X = ctl.proxy_points(barriers, np.full(geom.n_parts, gamma), frames, np.arange(geom.n_parts))
-    J, jdv = ctl.proxy_jacobians(frames, barriers.link, X, q[3:],
+    X = ctl.proxy_points(tracker, np.full(geom.n_parts, gamma), frames, np.arange(geom.n_parts))
+    J, jdv = ctl.proxy_jacobians(frames, tracker.link, X, q[3:],
                                  np.concatenate([qdot, thetadot]))
     return X[part], J[part], jdv[part]
 
@@ -483,15 +478,15 @@ class TestBarrier:
         assert ctl.h_co_derivs([0.3, 0.0, 0.0], obs)[0] < 0.0
 
     def test_sign_agrees_with_inside_outside(self, rng):
-        # h of every pair of the pipeline's barriers against the oracle extrusion
+        # h of every pair of the pipeline's barrier constants against the oracle extrusion
         shape = Superquadric2(a1=0.5, a2=0.3, eps=0.7, angle=0.4, center=(0.0, 0.0))
-        barriers = pair_barriers(VehicleGeometry(), [shape], 2.0)
+        tracker = ctl.ProxyTracker(VehicleGeometry(), [shape], 2.0)
         obs = extrude(shape, 2.0)
         for _ in range(200):
             p = rng.uniform(-1.0, 1.0, size=3)
             p[2] = rng.uniform(0.2, 1.8)
-            dx = obstacle_frame(barriers, np.tile(p, (barriers.a1.size, 1)))
-            h = ctl.h_co_derivs(dx, barriers)[0]
+            dx = obstacle_frame(tracker, np.tile(p, (tracker.a1.size, 1)))
+            h = ctl.h_co_derivs(dx, tracker)[0]
             io = obs.inside_outside(p)
             assert np.all((h > 0) == (io > 0)) or abs(io) < 1e-9
 
@@ -499,12 +494,12 @@ class TestBarrier:
         # every pair's constants are exactly its obstacle's oracle extrusion
         s = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
         for obstacles in (s.obstacles, hz.ellipse_obstacles(s.obstacles)):
-            barriers = pair_barriers(s.vehicle, obstacles, 2.5)
-            oi = barriers.tracker.oi
+            tracker = ctl.ProxyTracker(s.vehicle, obstacles, 2.5)
+            oi = tracker.oi
             assert oi.size == s.vehicle.n_parts * len(obstacles)
             for name in ("rotation", "translation", "a1", "a2", "a3", "eps1", "eps2"):
                 want = np.array([getattr(extrude(obstacles[o], 2.5), name) for o in oi])
-                assert np.array_equal(getattr(barriers, name), want), name
+                assert np.array_equal(getattr(tracker, name), want), name
 
     def test_derivatives_match_fd(self, rng):
         obs = extrude(Superquadric2(a1=0.5, a2=0.3, eps=0.7), 2.0)
@@ -542,29 +537,28 @@ class TestBarrier:
     def test_value_path_bit_equal_on_tree_pose(self):
         # next to the boxy trunk: near pairs with and without rows, and far pairs
         s = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
-        tracker = ctl.ProxyTracker(geom=s.vehicle, obstacles=s.obstacles)
-        barriers = ctl.PairBarriers(tracker, 3.0)
+        tracker = ctl.ProxyTracker(s.vehicle, s.obstacles, 3.0)
         q, theta = np.array([3.3, 3.1, 1.0, 0.05, -0.04, 0.4]), np.array([0.3, 0.1, -0.5])
         R = dyn.rotation(q[3:])
-        _, _, h_rows = ctl.cbf_rows(barriers, q, R, np.zeros(6), theta, np.zeros(3), q,
+        _, _, h_rows = ctl.cbf_rows(tracker, q, R, np.zeros(6), theta, np.zeros(3), q,
                                     ctl.GainSet(), ctl.SafetyParams())
         frames = ctl.vehicle_frames(s.vehicle, q, R, theta)
-        bound = barriers.h_bounds(frames)
+        bound = tracker.h_bounds(frames)
         near = np.flatnonzero(bound <= ctl.H_CULL)
         far = np.flatnonzero(bound > ctl.H_CULL)
         assert h_rows.shape == (24,) and 0 < near.size < 24
         assert np.any(h_rows[near] <= ctl.H_CULL) and np.any(h_rows[near] > ctl.H_CULL)
         # near pairs: the cull's h-only pass and the derivative pass share one bracket
-        X = ctl.proxy_points(barriers, tracker.gammas[0, near], frames, near)
-        dx = obstacle_frame(barriers, X, near)
-        h = ctl.h_co(dx, barriers.shapes(near))
-        assert np.array_equal(h, ctl.h_co_derivs(dx, barriers.shapes(near))[0])
+        X = ctl.proxy_points(tracker, tracker.gammas[0, near], frames, near)
+        dx = obstacle_frame(tracker, X, near)
+        h = ctl.h_co(dx, tracker.shapes(near))
+        assert np.array_equal(h, ctl.h_co_derivs(dx, tracker.shapes(near))[0])
         assert np.array_equal(h_rows[near], h)
         # far pairs report their bound, below their h at the cold-solved angles
         assert np.array_equal(h_rows[far], bound[far])
         tracker.refresh(q, theta)
-        X = ctl.proxy_points(barriers, tracker.gammas[0], frames, np.arange(24))
-        exact = ctl.h_co(obstacle_frame(barriers, X), barriers)
+        X = ctl.proxy_points(tracker, tracker.gammas[0], frames, np.arange(24))
+        exact = ctl.h_co(obstacle_frame(tracker, X), tracker)
         assert np.all(h_rows[far] <= exact[far])
 
 
@@ -574,7 +568,7 @@ def ungated_rows(geom, obstacles, height, q, qdot, theta, thetadot, q_d, g, safe
     the direct expression lhs >= sigma at the part-side angles gammas, or at
     cold-solved ones."""
     if gammas is None:
-        tracker = ctl.ProxyTracker(geom=geom, obstacles=obstacles)
+        tracker = ctl.ProxyTracker(geom, obstacles, height)
         tracker.refresh(q, theta)
         gammas = tracker.gammas[0]
     pi, oi = pair_index(geom.n_parts, len(obstacles))
@@ -606,9 +600,8 @@ class TestCbfRows:
         shape = Superquadric2(a1=0.35, a2=0.35, eps=1.0, center=center)
         safety = ctl.SafetyParams()
         obs3d = [extrude(shape, safety.obstacle_height)]
-        tracker = ctl.ProxyTracker(geom=geom, obstacles=[shape])
-        barriers = ctl.PairBarriers(tracker, safety.obstacle_height)
-        return geom, shape, obs3d, tracker, barriers, safety
+        tracker = ctl.ProxyTracker(geom, [shape], safety.obstacle_height)
+        return geom, shape, obs3d, tracker, safety
 
     def test_row_algebra_matches_direct_expression(self, rng):
         g = ctl.GainSet()
@@ -616,12 +609,12 @@ class TestCbfRows:
         theta = np.array([0.3, 0.0, -0.2])
         # close to rotors 0 and 5, then to the forearm
         for center in ((1.0, -0.15), (1.15, 0.0)):
-            geom, _, obs3d, tracker, barriers, safety = self.setup_scene(center)
+            geom, _, obs3d, tracker, safety = self.setup_scene(center)
             qdot = rng.normal(scale=0.3, size=6)
             thetadot = rng.normal(scale=0.2, size=3)
             q_d = q + rng.normal(scale=0.02, size=6)
             tracker.refresh(q, theta)
-            A, b, h_vals = ctl.cbf_rows(barriers, q, dyn.rotation(q[3:]), qdot, theta,
+            A, b, h_vals = ctl.cbf_rows(tracker, q, dyn.rotation(q[3:]), qdot, theta,
                                         thetadot, q_d, g, safety)
             assert h_vals.shape == (8,)
             assert np.all(h_vals > 0.0)
@@ -649,11 +642,11 @@ class TestCbfRows:
                 assert b[row] - A[row] @ x == pytest.approx(lhs - safety.sigma_co, abs=1e-8)
 
     def test_tracker_warm_start_consistency(self):
-        geom, shape, _, tracker, _, _ = self.setup_scene()
+        geom, shape, _, tracker, _ = self.setup_scene()
         # a second input: between the boxy and the round trunk of the tree scenario
         tree = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml")).obstacles
         cases = [(tracker, [shape], np.zeros(6), np.zeros(3)),
-                 (ctl.ProxyTracker(geom=geom, obstacles=tree), tree,
+                 (ctl.ProxyTracker(geom, tree, 3.0), tree,
                   np.array([3.3, 2.6, 1.0, 0.0, 0.0, 0.4]), np.array([0.3, 0.0, -0.5]))]
         for tracker, obstacles, q, theta in cases:
             first = tracker.refresh(q, theta)
@@ -672,7 +665,7 @@ class TestCbfRows:
     def test_gated_rows_match_ungated_oracle_along_sweep(self):
         # the vehicle sweeps past the obstacle, turning: rotors 4 and 3 enter
         # the near set, emit rows, and leave it again
-        geom, shape, _, tracker, barriers, safety = self.setup_scene()
+        geom, shape, _, tracker, safety = self.setup_scene()
         g = ctl.GainSet()
         qdot = np.array([0.5, 0.0, 0.05, 0.1, -0.1, 0.4])
         thetadot = np.array([-0.3, 0.1, 0.0])
@@ -682,8 +675,8 @@ class TestCbfRows:
             theta = np.array([0.6 - 1.2 * s, 0.3 * s, 0.5])
             q_d = q + 0.01
             R = dyn.rotation(q[3:])
-            A, b, h = ctl.cbf_rows(barriers, q, R, qdot, theta, thetadot, q_d, g, safety)
-            near = np.flatnonzero(barriers.h_bounds(ctl.vehicle_frames(geom, q, R, theta))
+            A, b, h = ctl.cbf_rows(tracker, q, R, qdot, theta, thetadot, q_d, g, safety)
+            near = np.flatnonzero(tracker.h_bounds(ctl.vehicle_frames(geom, q, R, theta))
                                   <= ctl.H_CULL)
             far = np.setdiff1d(np.arange(8), near)
             seen.append(tuple(near))
@@ -724,16 +717,16 @@ class TestFarPairGate:
         geom = VehicleGeometry(blade_radius=blade, link_halfwidth=link_hw, link_eps=link_eps,
                                l1=l1, l2=l2)
         center = (dist * math.cos(bearing), dist * math.sin(bearing))
-        barriers = pair_barriers(geom, [Superquadric2(a1, a2, eps, angle, center)], height)
+        tracker = ctl.ProxyTracker(geom, [Superquadric2(a1, a2, eps, angle, center)], height)
         q, theta = np.array([0.0, 0.0, z, *tilt, yaw]), np.array(arm)
         frames = ctl.vehicle_frames(geom, q, dyn.rotation(q[3:]), theta)
-        bound = barriers.h_bounds(frames)
+        bound = tracker.h_bounds(frames)
         # below -10 the part overlaps the obstacle, its bracket may reach the
         # degenerate floor, and every such pair is near anyway
         pairs = np.repeat(np.flatnonzero(bound > -10.0), 720)
         gammas = np.tile(np.linspace(-math.pi, math.pi, 720, endpoint=False), pairs.size // 720)
-        X = ctl.proxy_points(barriers, gammas, frames, pairs)
-        h = ctl.h_co(obstacle_frame(barriers, X, pairs), barriers.shapes(pairs))
+        X = ctl.proxy_points(tracker, gammas, frames, pairs)
+        h = ctl.h_co(obstacle_frame(tracker, X, pairs), tracker.shapes(pairs))
         assert np.all(h >= bound[pairs])
 
     def test_bound_tight_for_circle_facing_circle(self):
@@ -742,13 +735,13 @@ class TestFarPairGate:
         geom = VehicleGeometry()
         x0 = geom.rotor_arm + geom.blade_radius + 0.5
         for radius, height in ((0.35, 3.0), (0.6, 2.0)):
-            barriers = pair_barriers(geom, [Superquadric2(radius, radius, 1.0, 0.3, (x0, 0.0))],
+            tracker = ctl.ProxyTracker(geom, [Superquadric2(radius, radius, 1.0, 0.3, (x0, 0.0))],
                                      height)
             q = np.array([0.0, 0.0, height / 2.0, 0.0, 0.0, 0.0])
             frames = ctl.vehicle_frames(geom, q, dyn.rotation(q[3:]), np.zeros(3))
-            bound = barriers.h_bounds(frames)[0]
-            X = ctl.proxy_points(barriers, np.zeros(1), frames, np.zeros(1, dtype=int))
-            h = ctl.h_co(obstacle_frame(barriers, X, [0]), barriers.shapes([0]))[0]
+            bound = tracker.h_bounds(frames)[0]
+            X = ctl.proxy_points(tracker, np.zeros(1), frames, np.zeros(1, dtype=int))
+            h = ctl.h_co(obstacle_frame(tracker, X, [0]), tracker.shapes([0]))[0]
             assert h == pytest.approx(20.0 * math.log(0.5 / radius), abs=1e-12)
             assert h - 1e-9 <= bound <= h
 
@@ -759,7 +752,7 @@ class TestProxyTracker:
         # through a fresh pair_rows layout on every pose
         s = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
         traj = hz.plan(s, "sq").traj
-        tracker = ctl.ProxyTracker(geom=s.vehicle, obstacles=s.obstacles)
+        tracker = ctl.ProxyTracker(s.vehicle, s.obstacles, 3.0)
         obs_rows = shape_rows(s.obstacles)
         prev = None
         for z in traj.z[150:200]:

@@ -125,6 +125,20 @@ def test_load_rejects_unknown_override(tmp_path):
             hz.load_scenario(write_scenario(tmp_path, data))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(durration=99), "durration: unknown field"),
+    # gains and model are no scenario fields: the controller and plant keep their defaults
+    (lambda d: d.update(gains={"kp": 1.0}), "gains: unknown field"),
+    (lambda d: d.update(model={"m": 3.0}), "model: unknown field"),
+    (lambda d: d["obstacles"][0].update(angel=0.2), r"obstacles\[0\]\.angel: unknown field"),
+])
+def test_load_rejects_unknown_field(tmp_path, edit, message):
+    data = copy.deepcopy(BASE)
+    edit(data)
+    with pytest.raises(hz.ScenarioError, match=f"^{message}$"):
+        hz.load_scenario(write_scenario(tmp_path, data))
+
+
 def test_overlapping_obstacles_named(tmp_path):
     data = copy.deepcopy(BASE)
     data["obstacles"] = [
@@ -422,7 +436,7 @@ def test_recorded_residuals_match_fresh_fused_pass(shipped_plans, empty_run, pla
 def test_metric_pass_matches_tracker_chain(shipped_plans):
     # cold-started pairs against the tracker warm-started sample to sample
     for s, pr in shipped_plans.values():
-        tracker = ctl.ProxyTracker(s.vehicle, list(s.obstacles))
+        tracker = ctl.ProxyTracker(s.vehicle, list(s.obstacles), s.safety.obstacle_height)
         chain = [tracker.refresh(np.array([z[0], z[1], 0.0, 0.0, 0.0, z[2]]),
                                  np.array([z[3], 0.0, z[4]])).min() for z in pr.traj.z]
         batched = hz.min_distance_profile(pr.traj, s.vehicle, s.obstacles)

@@ -111,10 +111,10 @@ class TestForwardKinematics:
         eef = geom.forward_kinematics_eef(Z)
         assert np.array_equal(eef, [geom.forward_kinematics_eef(z) for z in Z])
         np.testing.assert_allclose(eef, [part_poses(geom, z)[2] for z in Z], rtol=0, atol=1e-14)
-        tracker = ctl.ProxyTracker(geom, obs)
+        tracker = ctl.ProxyTracker(geom, obs, 3.0)
         x, y, psi, t1, t3 = Z[0]
         tracker.refresh([x, y, 1.0, 0.0, 0.0, psi], [t1, 0.0, t3])
-        check(tracker.sides[0], Z[:1])
+        check(tracker.rows[0], Z[:1])
 
         # the fused pass leaves the part rows posed at its z
         ev = pl._Evaluator(geom, shape_rows(obs), params.stiffness)
@@ -251,6 +251,54 @@ class TestDerivatives:
             d = (geom.forward_kinematics_eef(z + e) - geom.forward_kinematics_eef(z - e)) / 2e-5
             np.testing.assert_allclose(J[:, k], d, atol=1e-5)
         np.testing.assert_allclose(J[2], [0, 0, 1, 1, 1], atol=1e-9)
+
+
+class TestPairTable:
+    ANGLES = np.linspace(-math.pi, math.pi, 256, endpoint=False)
+
+    @classmethod
+    def sampled_distances(cls, geom, obstacles, z):
+        """(P,) in pair_index order: the least distance from each pair's
+        obstacle center to its part's boundary at ANGLES, each part posed by
+        the oracle; a round part (the rotors) also gets the point facing the
+        center, where the bound is tight up to rounding."""
+        out = []
+        for part in part_superquadrics(geom, z):
+            for obs in obstacles:
+                d = np.subtract(obs.center, part.center)
+                gammas = cls.ANGLES
+                if part.a1 == part.a2 and part.eps == 1.0:
+                    gammas = np.append(gammas, math.atan2(d[1], d[0]) - part.angle)
+                out.append(np.hypot(*(sq2_boundary(part, gammas) - obs.center).T).min())
+        return np.array(out)
+
+    def test_rho_below_the_distance_to_every_part_point(self, rng):
+        # random vehicles and scenes, around the origin and near 1e3, where
+        # rounding is largest; both center layouts
+        n = 6
+        for shift in (0.0, 1e3, -1e3):
+            for _ in range(8):
+                geom = pl.VehicleGeometry(blade_radius=rng.uniform(0.05, 0.13),
+                                          link_halfwidth=rng.uniform(0.01, 0.05),
+                                          link_eps=rng.uniform(0.2, 2.0),
+                                          l1=rng.uniform(0.1, 0.4), l2=rng.uniform(0.1, 0.4))
+                obstacles = [Superquadric2(rng.uniform(0.1, 0.6), rng.uniform(0.1, 0.6),
+                                           rng.choice([0.3, 1.0, 1.7]), rng.uniform(-3.0, 3.0),
+                                           tuple(shift + rng.uniform(-1.5, 1.5, 2)))
+                             for _ in range(3)]
+                table = pl.PairTable(geom, shape_rows(obstacles))
+                Z = np.column_stack([shift + rng.uniform(-1.0, 1.0, (n, 2)),
+                                     rng.uniform(-math.pi, math.pi, (n, 3))])
+                parts = np.vstack([np.tile(geom.part_axes, n), np.empty((4, geom.n_parts * n))])
+                pl.set_part_poses(parts, geom, np.arange(geom.n_parts), Z)
+                centers = parts[5:].reshape(2, n, geom.n_parts, 1)
+                stacked = table.rho(centers)
+                assert stacked.shape == (n, table.pi.size)
+                for k, z in enumerate(Z):
+                    one = table.rho(centers[:, k])
+                    assert one.shape == (table.pi.size,)
+                    dist = self.sampled_distances(geom, obstacles, z)
+                    assert np.all(one <= dist) and np.all(stacked[k] <= dist)
 
 
 class TestReach:

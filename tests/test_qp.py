@@ -116,7 +116,7 @@ def test_dimension_errors():
 def test_regularization_of_near_singular_hessian():
     H = np.diag([1.0, 0.0])
     prob = qp.QpProblem(H, np.array([0.0, 0.0]), np.zeros((0, 2)), np.zeros(0))
-    assert prob.regularized
+    assert np.linalg.eigvalsh(prob.H).min() > 0.0
     sol = qp_solve(prob)
     assert sol.status == "optimal"
 
