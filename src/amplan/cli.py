@@ -37,7 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_mode:
             sp.add_argument("--mode", choices=("sq", "ellipse"), default="sq")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=int, default=None,
+                        help="seed of the wind noise (wind.noise_std > 0); without "
+                             "noise every seed flies the same")
         sp.add_argument("--dt", type=float, default=None,
                         help="override the control period [s]")
         sp.add_argument("--ns", type=int, default=None,
@@ -68,6 +70,14 @@ def _load(path, dt=None, ns=None, seed=None) -> hz.Scenario:
     return s if dt is None else dataclasses.replace(s, dt=dt)
 
 
+def _note_seed(seed, scenarios):
+    """Say on stderr when --seed is given but no scenario has wind noise, the
+    one thing the seed drives."""
+    if seed is not None and not any(s.wind.noise_std > 0.0 for s in scenarios):
+        print(f"note: --seed {seed} changes nothing: no scenario sets wind.noise_std > 0",
+              file=sys.stderr)
+
+
 def _check_out(out):
     """--out names a directory, or one that emit can create: fail before the
     scenario is loaded when it, or a path above it, is something else."""
@@ -86,6 +96,7 @@ def _cmd_plan_or_simulate(args) -> int:
     if args.command == "plan":
         (pr, report), tel = hz.plan_checked(s, args.mode), None
     else:
+        _note_seed(args.seed, [s])
         pr, tel, report = hz.run_pipeline(s, args.mode, seed=args.seed)
     if args.out:
         hz.emit(args.out, pr.traj, tel, report, pr.cells, pr.graph)
@@ -99,6 +110,7 @@ def _cmd_bench(args) -> int:
     for s in scenarios:
         hz.mission_ticks(s)
         hz.plan_samples(s)
+    _note_seed(args.seed, scenarios)
     # every plan is made and checked before the first flight, so that a plan
     # that collides fails the run before any file is written
     plans = [(s, mode, *hz.plan_checked(s, mode))

@@ -13,9 +13,10 @@ is far from every obstacle (ProxyTracker.far) emits no barrier row and skips
 them altogether.
 
 As in dynamics, the per-channel elementwise arithmetic of a tick (the
-observer's RK4) runs on Python floats, and every matrix product stays in
-numpy, whose BLAS fused multiply-adds round differently: through np.dot,
-on the same operands and in the same association.
+observer's RK4, the thrust band's offsets) runs on Python floats, and every
+matrix product stays in numpy, whose BLAS fused multiply-adds round
+differently: through np.dot's routine, called as a.dot(b), on the same
+operands and in the same association.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def dob_update(state: DobState, q, qdot, T, model: dyn.ControlTerms,
     q = np.asarray(q, dtype=float).tolist()
     qdot = np.asarray(qdot, dtype=float).tolist()
     a0e2, a1e1 = gains.dob_factors
-    u_cmd = np.dot(model.MinvB, np.asarray(T, dtype=float)).tolist()
+    u_cmd = model.MinvB.dot(T).tolist()
     # midpoint reconstruction of q over the hold interval: a plain zero-order
     # hold of a quadratically growing position drifts the acceleration estimate
     h = 0.5 * dt
@@ -162,7 +163,7 @@ def dob_update(state: DobState, q, qdot, T, model: dyn.ControlTerms,
     # output equation pairs the end-of-step state with the end-of-step input
     lag = [p - (a * (x + dt * v - y0) - b * y1)
            for p, x, v, y0, y1, a, b in zip(xp[0], q, qdot, *xq, a0e2, a1e1)]
-    d_hat = np.dot(-model.M, np.array(lag)) + model.C + model.G
+    d_hat = (-model.M).dot(lag) + model.C + model.G
     return DobState(xq=xq, xp=xp), d_hat
 
 
@@ -177,7 +178,7 @@ class ThrustRows(NamedTuple):
 
     def thrust(self, qdot_d) -> np.ndarray:
         """Per-rotor thrusts at the commanded base velocity qdot_d."""
-        return np.dot(self.S, qdot_d) + self.c
+        return self.S.dot(qdot_d) + self.c
 
 
 def thrust_limit_rows(q_d, q, qdot, d_hat, model: dyn.ControlTerms, gains: GainSet,
@@ -190,15 +191,15 @@ def thrust_limit_rows(q_d, q, qdot, d_hat, model: dyn.ControlTerms, gains: GainS
     affine map S, c.
     """
     q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    S = np.dot(np.dot(model.Binv, model.M), gains.kd)
-    e = np.asarray(q_d, dtype=float) - q
-    c = np.dot(model.Binv, np.dot(model.M, np.dot(gains.kp, e) - np.dot(gains.kd, qdot))
-               + model.C + model.G - np.asarray(d_hat, dtype=float))
+    S = model.Binv.dot(model.M).dot(gains.kd)
+    c = model.Binv.dot(model.M.dot(gains.kp.dot(np.subtract(q_d, q)) - gains.kd.dot(qdot))
+                       + model.C + model.G - np.asarray(d_hat, dtype=float))
     A = np.zeros((12, 9))
     A[:6, :6] = -S
     A[6:, :6] = S
-    b = np.concatenate([c - t_min, t_max - c])
+    # both sides of the band from floats, in one array
+    c_ = c.tolist()
+    b = np.array([x - t_min for x in c_] + [t_max - x for x in c_])
     return ThrustRows(A, b, S, c)
 
 
@@ -570,9 +571,12 @@ def outer_loop(q_t, theta_t, q_d, theta_d, thetadot_d, A, b, gains: GainSet,
     previous solution is reused at half magnitude and the result is flagged.
     """
     gq, gt, a_dot, a_err = gains.outer_factors
-    v_ref = np.dot(gains.gamma_q, np.asarray(q_t, dtype=float) - q_d)
-    a_ref = np.dot(a_dot, thetadot_d) + np.dot(a_err, np.asarray(theta_t, dtype=float) - theta_d)
-    g = np.concatenate([np.dot(gq, v_ref), np.dot(gt, a_ref)])
+    v_ref = gains.gamma_q.dot(np.subtract(q_t, q_d))
+    a_ref = a_dot.dot(thetadot_d) + a_err.dot(np.subtract(theta_t, theta_d))
+    # g = [gq v_ref; gt a_ref], each product written in place
+    g = np.empty(9)
+    gq.dot(v_ref, out=g[:6])
+    gt.dot(a_ref, out=g[6:])
     sol = solve(gains.outer_qp.with_rows(g, A, b))
     feasible = sol.status == "optimal"
     x = sol.x if feasible else 0.5 * (np.zeros(9) if prev_x is None

@@ -9,10 +9,20 @@ Elementwise arithmetic on the few entries of one state runs on Python
 floats, and every matrix product, solve and reduction stays in numpy: IEEE
 +, -, * and / round alike in both, while numpy's BLAS products use fused
 multiply-adds that an explicit float formula does not reproduce.  Products
-go through np.dot (the BLAS routine of @, with less dispatch), a stack of
-them through np.matmul (the same routine on each matrix), and keep their
-operands and association, never split into blocks: the bits of a regrouped
-or blocked product depend on the kernel the CPU selects.
+go through np.dot's routine (the BLAS routine of @), called on the tick as
+the array method a.dot(b), which is np.dot without its dispatch; a stack of
+them goes through np.matmul (the same routine on each matrix).  They keep
+their operands and association, never split into blocks: the bits of a
+regrouped or blocked product depend on the kernel the CPU selects.
+
+A square solve goes through linsolve: the LAPACK gufunc np.linalg.solve
+itself calls, under its error state, bit for bit without its wrapper.  The
+operands of one state's products are built in as few arrays as hold them:
+Q, Q^-1, Qdot and the factors of R from one flat tuple of floats, the
+block-diagonal operands of B, M^-1 B and B^-1 in one zero array, and each
+M from a per-parameter template of its fixed entries
+(ModelParams.mass_templates), copied, so that no buffer outlives the call
+that fills it.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _gesv
 
 PITCH_MARGIN = 1e-3
 DT_MAX = 0.01  # [s], longest plant step
@@ -36,13 +47,28 @@ class PlantError(RuntimeError):
     """Non-finite state in the plant step."""
 
 
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def linsolve(a, b) -> np.ndarray:
+    """np.linalg.solve(a, b) for a square float64 matrix a and a vector b, bit
+    for bit: the same LAPACK gesv gufunc under the same error state, so a
+    singular a raises LinAlgError and nothing warns, without the wrapper's
+    type and shape handling, which costs more than the 6x6 solve itself."""
+    return _gesv(a, b, signature="dd->d")
+
+
 def _floats(v) -> list:
     """The entries of a vector (an array or a list) as Python floats."""
     return np.asarray(v, dtype=float).tolist()
 
 
-# The builders below take the cosines, sines and tangent of phi, so that
-# model_terms evaluates each once for Q, Q^-1, Qdot and R.
+# The builders below give the entries of a 3x3 matrix row by row, as a tuple
+# of floats, from the cosines, sines and tangent of phi, so that model_terms
+# evaluates each once and builds Q, Q^-1, Qdot and the factors of R in one
+# array.
 
 def _rotation_factors(cr, sr, cp, sp, cy, sy):
     """The entries of Rz @ Ry and of Rx, row by row, whose product is R."""
@@ -54,28 +80,27 @@ def _rotation_factors(cr, sr, cp, sp, cy, sy):
             (1.0, 0.0, 0.0, 0.0, cr, -sr, 0.0, sr, cr))
 
 
-def _rotation(cr, sr, cp, sp, cy, sy) -> np.ndarray:
-    RzRy, Rx = _rotation_factors(cr, sr, cp, sp, cy, sy)
-    return np.dot(np.array(RzRy).reshape(3, 3), np.array(Rx).reshape(3, 3))
+def _rate_map(cr, sr, cp, sp) -> tuple:
+    return (1.0, 0.0, -sp,
+            0.0, cr, sr * cp,
+            0.0, -sr, cr * cp)
 
 
-def _rate_map(cr, sr, cp, sp) -> np.ndarray:
-    return np.array([[1.0, 0.0, -sp],
-                     [0.0, cr, sr * cp],
-                     [0.0, -sr, cr * cp]])
+def _rate_map_inv(cr, sr, cp, tp) -> tuple:
+    return (1.0, sr * tp, cr * tp,
+            0.0, cr, -sr,
+            0.0, sr / cp, cr / cp)
 
 
-def _rate_map_inv(cr, sr, cp, tp) -> np.ndarray:
-    return np.array([[1.0, sr * tp, cr * tp],
-                     [0.0, cr, -sr],
-                     [0.0, sr / cp, cr / cp]])
+def _rate_map_dot(cr, sr, cp, sp, rd, pd) -> tuple:
+    return (0.0, 0.0, -cp * pd,
+            0.0, -sr * rd, cr * cp * rd - sr * sp * pd,
+            0.0, -cr * rd, -sr * cp * rd - cr * sp * pd)
 
 
-def _rate_map_dot(cr, sr, cp, sp, rd, pd) -> np.ndarray:
-    return np.array([
-        [0.0, 0.0, -cp * pd],
-        [0.0, -sr * rd, cr * cp * rd - sr * sp * pd],
-        [0.0, -cr * rd, -sr * cp * rd - cr * sp * pd]])
+def _matrix(entries) -> np.ndarray:
+    """The 3x3 array of nine entries given row by row."""
+    return np.array(entries).reshape(3, 3)
 
 
 def rotation(phi) -> np.ndarray:
@@ -103,14 +128,14 @@ def euler_rate_map(phi) -> np.ndarray:
     """Q with body angular velocity omega = Q @ phidot, phi = [roll, pitch, yaw]."""
     _check_pitch(phi)
     r, p, _ = phi
-    return _rate_map(math.cos(r), math.sin(r), math.cos(p), math.sin(p))
+    return _matrix(_rate_map(math.cos(r), math.sin(r), math.cos(p), math.sin(p)))
 
 
 def euler_rate_map_dot(phi, phidot) -> np.ndarray:
     """Time derivative of Q along (phi, phidot)."""
     r, p, _ = phi
     rd, pd, _ = phidot
-    return _rate_map_dot(math.cos(r), math.sin(r), math.cos(p), math.sin(p), rd, pd)
+    return _matrix(_rate_map_dot(math.cos(r), math.sin(r), math.cos(p), math.sin(p), rd, pd))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -185,16 +210,20 @@ class ModelParams:
                      for m in (self.m, self.m_hat))
 
     @cached_property
+    def mass_templates(self) -> tuple:
+        """The fixed entries of the mass matrices M of the true and of the
+        nominal mass: m I in the translational block, zeros elsewhere."""
+        out = []
+        for m in (self.m, self.m_hat):
+            M = np.zeros((6, 6))
+            M[0, 0] = M[1, 1] = M[2, 2] = m
+            out.append(_read_only(M))
+        return tuple(out)
+
+    @cached_property
     def J_hat_inv(self) -> np.ndarray:
         """The controller's nominal inverse inertia."""
         return _read_only(np.linalg.inv(self.J_hat))
-
-
-def _blockdiag(a, b) -> np.ndarray:
-    out = np.zeros((6, 6))
-    out[:3, :3] = a
-    out[3:, 3:] = b
-    return out
 
 
 class ModelTerms(NamedTuple):
@@ -236,36 +265,50 @@ def model_terms(phi, phidot, params: ModelParams) -> StateTerms:
     M^-1 B = blockdiag(R / m, Q^-1 J^-1) A_body and
     B^-1 = A_body^-1 blockdiag(R', Q^-T); B, g and R are shared.
     """
+    r, p, y = phi = _floats(phi)
     _check_pitch(phi)
-    r, p, y = phi
+    pd = np.asarray(phidot, dtype=float)
+    rd, ptd, _ = pd.tolist()
     cr, sr = math.cos(r), math.sin(r)
     cp, sp, tp = math.cos(p), math.sin(p), math.tan(p)
-    Q = _rate_map(cr, sr, cp, sp)
-    Qinv = _rate_map_inv(cr, sr, cp, tp)
-    pd = np.asarray(phidot, dtype=float)
-    Qd = _rate_map_dot(cr, sr, cp, sp, *pd.tolist()[:2])
-    R = _rotation(cr, sr, cp, sp, math.cos(y), math.sin(y))
-    w = np.dot(Q, pd)
-    Qdpd = np.dot(Qd, pd)
+    RzRy, Rx = _rotation_factors(cr, sr, cp, sp, math.cos(y), math.sin(y))
+    # one array of five matrices, each C-contiguous as if built alone
+    F = np.array(_rate_map(cr, sr, cp, sp) + _rate_map_inv(cr, sr, cp, tp)
+                 + _rate_map_dot(cr, sr, cp, sp, rd, ptd) + RzRy + Rx).reshape(5, 3, 3)
+    Q, Qinv, Qd, RzRy, Rx = F[0], F[1], F[2], F[3], F[4]
+    R = RzRy.dot(Rx)
+    w = Q.dot(pd)
+    Qdpd = Qd.dot(pd)
     wx, wy, wz = w.tolist()
-    skew_w = np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
+    skew_w = _matrix((0.0, -wz, wy, wz, 0.0, -wx, -wy, wx, 0.0))
     A = params.allocation_body
-    B = np.dot(_blockdiag(R, Q.T), A)
+    # the block-diagonal left operands of B, M^-1 B and B^-1, in that order:
+    # blocks [k, 0, :, 0] and [k, 1, :, 1] of a zero array, matrix k of its
+    # (3, 6, 6) reshape
+    diag = np.zeros((3, 2, 3, 2, 3))
+    diag[0, 0, :, 0] = R
+    diag[0, 1, :, 1] = Q.T
+    diag[1, 0, :, 0] = R / params.m_hat
+    diag[1, 1, :, 1] = Qinv.dot(params.J_hat_inv)
+    diag[2, 0, :, 0] = R.T
+    diag[2, 1, :, 1] = Qinv.T
+    diag = diag.reshape(3, 6, 6)
+    B = diag[0].dot(A)
 
-    def terms(m, J, G):
-        M = np.zeros((6, 6))
-        M[0, 0] = M[1, 1] = M[2, 2] = m
-        M[3:, 3:] = np.dot(np.dot(Q.T, J), Q)
+    def terms(M, J, G):
+        # M: the template of the fixed entries, m I and zeros
+        M = M.copy()
+        M[3:, 3:] = Q.T.dot(J).dot(Q)
         C = np.zeros(6)
-        C[3:] = np.dot(Q.T, np.dot(J, Qdpd) + np.dot(skew_w, np.dot(J, w)))
+        C[3:] = Q.T.dot(J.dot(Qdpd) + skew_w.dot(J.dot(w)))
         return M, C, G
 
-    G, G_hat = params.gravity
-    nominal = terms(params.m_hat, params.J_hat, G_hat)
+    (M, M_hat), (G, G_hat) = params.mass_templates, params.gravity
+    nominal = terms(M_hat, params.J_hat, G_hat)
     # a controller on the true parameters shares the plant's M, C and G
-    true = nominal if params.nominal_is_true else terms(params.m, params.J, G)
-    MinvB = np.dot(_blockdiag(R / params.m_hat, np.dot(Qinv, params.J_hat_inv)), A)
-    Binv = np.dot(params.allocation_body_inv, _blockdiag(R.T, Qinv.T))
+    true = nominal if params.nominal_is_true else terms(M, params.J, G)
+    MinvB = diag[1].dot(A)
+    Binv = params.allocation_body_inv.dot(diag[2])
     return StateTerms(ModelTerms(*true, B), ControlTerms(*nominal, B, MinvB, Binv), R)
 
 
@@ -299,9 +342,9 @@ def step(state: VehicleState, terms: ModelTerms, T, theta_d, thetadot_d, thetadd
         raise ValueError(f"dt must lie in (0, {DT_MAX}]")
     M, C, G, B = terms
     lo, hi = params.thrust_sat
-    # min(max(.)) keeps NaN and -0.0 as np.clip does
-    T = np.array([min(max(t, lo), hi) for t in _floats(T)])
-    qddot = np.linalg.solve(M, np.dot(B, T) + np.asarray(d_true, dtype=float) - C - G).tolist()
+    # NaN and -0.0 pass the comparisons, as np.clip keeps them
+    T = np.array([lo if t < lo else hi if t > hi else t for t in _floats(T)])
+    qddot = linsolve(M, B.dot(T) + np.asarray(d_true, dtype=float) - C - G).tolist()
     if not all(map(math.isfinite, qddot)):
         raise PlantError("non-finite acceleration in plant step")
 
@@ -314,4 +357,8 @@ def step(state: VehicleState, terms: ModelTerms, T, theta_d, thetadot_d, thetadd
                 for x, w, xd, wd, a in zip(theta, state.thetadot.tolist(), _floats(theta_d),
                                            _floats(thetadot_d), _floats(thetaddot_d))]
     theta = [x + dt * w for x, w in zip(theta, thetadot)]
-    return VehicleState(q, qdot, theta, thetadot)
+    # the new state's arrays are fresh: VehicleState() would copy each again
+    new = object.__new__(VehicleState)
+    new.q, new.qdot = np.array(q), np.array(qdot)
+    new.theta, new.thetadot = np.array(theta), np.array(thetadot)
+    return new

@@ -89,6 +89,9 @@ class WindProfile:
             math.sin(2.0 * math.pi * t / self.period) / self.smoothing)
 
 
+_ANGLE_MAX = 2.0 * math.pi     # [rad], bound on the start's angles
+
+
 @dataclass
 class Scenario:
     name: str
@@ -121,6 +124,12 @@ class Scenario:
                                             and self.world_box[1] < self.world_box[3]):
             raise ScenarioError("world_box: must be [xmin, ymin, xmax, ymax] with "
                                 "positive extent")
+        # the planner turns the start's angles by small steps, which a huge
+        # angle has no bits to resolve
+        for i in (2, 3, 4):
+            if abs(self.start[i]) > _ANGLE_MAX:
+                raise ScenarioError(f"start[{i}]: an angle must lie in [-2 pi, 2 pi], "
+                                    f"got {self.start[i]:g}")
         for name in ("flight_height", "duration", "settle_time", "dt"):
             if not np.isfinite(getattr(self, name)):
                 raise ScenarioError(f"{name}: must be finite")
@@ -130,6 +139,11 @@ class Scenario:
             raise ScenarioError(f"settle_time: must be nonnegative, got {self.settle_time}")
         if not (0.0 < self.dt <= dyn.DT_MAX):
             raise ScenarioError(f"dt: must lie in (0, {dyn.DT_MAX}], got {self.dt}")
+        # a mission too long to count its ticks in a float (mission_ticks)
+        if not math.isfinite((self.settle_time + self.duration) / self.dt):
+            name = "duration" if self.duration >= self.settle_time else "settle_time"
+            raise ScenarioError(f"{name}: settle_time + duration has too many ticks of "
+                                f"{self.dt} s to count, got {getattr(self, name):g} s")
         self._check_obstacles()
         self._check_start_clear()
 
@@ -435,11 +449,12 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
     reference, so the band the QP enforces is the band on the applied thrust;
     then the references integrate and the plant steps.
 
-    A tick first takes the vehicle gate (ProxyTracker.far).  A tick it passes
-    is far from every obstacle: no pair could emit a barrier row, so it skips
-    cbf_rows, and the thrust rows alone go to the QP.  Its h_min, the least
-    far-pair bound cbf_rows would have returned, is filled after the flight
-    by ProxyTracker.h_min on the ticks' telemetry state, in blocks of
+    A tick first takes the vehicle gate (ProxyTracker.far), unless the
+    mission has no pair at all.  A tick it passes is far from every
+    obstacle: no pair could emit a barrier row, so it skips cbf_rows, and the
+    thrust rows alone go to the QP.  Its h_min, the least far-pair bound
+    cbf_rows would have returned, is filled after the flight by
+    ProxyTracker.h_min on the ticks' telemetry state, in blocks of
     _DEFER_BLOCK ticks, bit for bit the tick's own value.
     """
     gains, safety, model = s.gains, s.safety, s.model
@@ -469,33 +484,36 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
                     theta=np.empty((n, 3)), thrust=np.empty((n, 6)),
                     d_hat=np.empty((n, 6)), d_true=noise,
                     h_min=np.full(n, math.inf), feasible=np.empty(n, dtype=bool))
-    # the ticks the vehicle gate passed (ProxyTracker.far)
+    # the ticks the vehicle gate passed (ProxyTracker.far); with no pair no
+    # tick asks it, none has a barrier row and every h_min stays inf
     deferred = np.zeros(n, dtype=bool)
+    pairs = tracker.pi.size > 0
+    wind = s.wind
 
     for k in range(n):
         terms = dyn.model_terms(state.q[3:], state.qdot[3:], model)
         dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, terms.control, gains, dt)
         thrust = ctl.thrust_limit_rows(q_d, state.q, state.qdot, d_hat, terms.control,
                                        gains, safety.t_min, safety.t_max)
-        if tracker.far(state.q):
+        A, b = thrust.A, thrust.b
+        if pairs and tracker.far(state.q):
             # no pair is near and none keeps its angles, as after a refresh of
             # no pair; the tick's h_min comes from the pass after the flight
             tracker.gammas.fill(np.nan)
             deferred[k] = True
-            A, b = thrust.A, thrust.b
-        else:
+        elif pairs:
             A2, b2, h_vals = ctl.cbf_rows(tracker, state.q, terms.R, state.qdot, state.theta,
                                           state.thetadot, q_d, gains, safety)
             # on most ticks no barrier row is emitted: the thrust rows go in as they are
-            A, b = ((np.vstack([thrust.A, A2]), np.concatenate([thrust.b, b2])) if b2.size
-                    else (thrust.A, thrust.b))
-            tel.h_min[k] = h_vals.min()     # the gate passes every tick with no pair
+            if b2.size:
+                A, b = np.vstack([A, A2]), np.concatenate([b, b2])
+            tel.h_min[k] = h_vals.min()
         res = ctl.outer_loop(q_ref[k], theta_ref[k], q_d, theta_d, thetadot_d, A, b,
                              gains, prev_x)
         prev_x = res.x
         T = thrust.thrust(res.qdot_d)
         d_true = noise[k]
-        d_true[s.wind.axis] += s.wind.gust(k * dt)
+        d_true[wind.axis] += wind.gust(k * dt)
 
         tel.q[k] = state.q
         tel.qdot[k] = state.qdot
@@ -510,9 +528,8 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
         state = dyn.step(state, terms.plant, T, theta_d, thetadot_d, res.thetaddot_d,
                          d_true, dt, model)
     # the deferred ticks' h_min, from their telemetry state, one block of
-    # ticks at a time so that the pass's arrays do not grow with the mission;
-    # with no pair every tick is deferred and its h_min stays inf
-    if tracker.pi.size:
+    # ticks at a time so that the pass's arrays do not grow with the mission
+    if pairs:
         for start in range(0, n, _DEFER_BLOCK):
             ks = start + np.flatnonzero(deferred[start:start + _DEFER_BLOCK])
             if ks.size:

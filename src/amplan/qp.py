@@ -7,6 +7,8 @@ row whose multiplier would turn negative first.  A violated row that admits
 neither a primal nor a dual step proves the rows infeasible.  H is factored
 once, when the problem is checked, and the start is taken from that factor;
 the working rows, a few at most, are refactored densely at each step.
+Products and the step's triangular solve follow the rules of dynamics
+(a.dot(b) and dynamics.linsolve).
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dynamics import linsolve
 
 MAX_DIM = 16
 MAX_ROWS = 64
@@ -41,8 +45,10 @@ class QpProblem:
         w = np.linalg.eigvalsh(0.5 * (self.H + self.H.T))
         if w.min() <= 1e-9:
             self.H = self.H + (1e-9 - min(w.min(), 0.0) + 1e-9) * np.eye(len(self.H))
-        # H = L L'; the steps are taken in the coordinates L' x
+        # H = L L'; the steps are taken in the coordinates L' x, and the start
+        # -H^-1 g = -L^-T L^-1 g takes -L^-T, built here once
         self.Linv = np.linalg.inv(np.linalg.cholesky(self.H))
+        self.neg_LinvT = -self.Linv.T
 
     def _set_rows(self, g, A, b):
         n = self.H.shape[0]
@@ -57,9 +63,18 @@ class QpProblem:
         return self
 
     def with_rows(self, g, A, b) -> "QpProblem":
-        """This problem's checked H with a new g, A and b; only the dimensions are rechecked."""
+        """This problem's checked H with a new g, A and b; only the dimensions
+        are rechecked, and not even those of float64 arrays already shaped
+        (n,), (m, n) and (m,) with m <= MAX_ROWS, which are taken as they are."""
         prob = object.__new__(QpProblem)
-        prob.H, prob.Linv = self.H, self.Linv
+        prob.H, prob.Linv, prob.neg_LinvT = self.H, self.Linv, self.neg_LinvT
+        n = self.H.shape[0]
+        if (type(g) is type(A) is type(b) is np.ndarray
+                and g.dtype == A.dtype == b.dtype == np.float64
+                and g.shape == (n,) and A.ndim == 2 and A.shape[1] == n
+                and b.shape == A.shape[:1] and len(b) <= MAX_ROWS):
+            prob.g, prob.A, prob.b = g, A, b
+            return prob
         return prob._set_rows(g, A, b)
 
 
@@ -76,13 +91,13 @@ def solve(prob: QpProblem) -> QpSolution:
     """Solve prob; every call starts afresh from the unconstrained minimiser.
     A NaN in g, A or b raises QpDimensionError."""
     A, b, Linv = prob.A, prob.b, prob.Linv
-    x = np.dot(-Linv.T, np.dot(Linv, prob.g))   # -H^-1 g, from the held factor
+    x = prob.neg_LinvT.dot(Linv.dot(prob.g))   # -H^-1 g, from the held factor
     work, lam = [], np.zeros(0)     # working rows and their multipliers
     p = None                        # the violated row being added
     status = "max_iter"
     for it in range(1, MAX_ITER + 1):
         if p is None:
-            resid = np.dot(A, x) - b
+            resid = A.dot(x) - b
             if work:
                 resid[work] = -np.inf
             if resid.size == 0 or resid.max() <= TOL:
@@ -99,10 +114,10 @@ def solve(prob: QpProblem) -> QpSolution:
         # split L^-1 a_p into its part spanned by the working rows, whose
         # coefficients r are the rates their multipliers fall at, and the rest
         q = len(work)
-        Q, R = np.linalg.qr(np.dot(Linv, A[work].T), mode="complete")
-        d = np.dot(Q.T, np.dot(Linv, A[p]))
-        r = np.linalg.solve(R[:q], d[:q])
-        curv = np.dot(d[q:], d[q:])
+        Q, R = np.linalg.qr(Linv.dot(A[work].T), mode="complete")
+        d = Q.T.dot(Linv.dot(A[p]))
+        r = linsolve(R[:q], d[:q])
+        curv = d[q:].dot(d[q:])
         # partial step: the first working multiplier to reach zero
         falling = np.flatnonzero(r > TOL)
         t_drop, k = np.inf, None
@@ -110,13 +125,13 @@ def solve(prob: QpProblem) -> QpSolution:
             k = falling[np.argmin(lam[falling] / r[falling])]
             t_drop = lam[k] / r[k]
         # full step: a_p x reaches b_p; none when a_p depends on the working rows
-        t_add = (np.dot(A[p], x) - b[p]) / curv if curv > TOL * TOL * np.dot(d, d) else np.inf
+        t_add = (A[p].dot(x) - b[p]) / curv if curv > TOL * TOL * d.dot(d) else np.inf
         if t_drop == t_add == np.inf:
             status = "infeasible"
             break
         t = min(t_drop, t_add)
         if t_add < np.inf:
-            x = x - t * np.dot(Linv.T, np.dot(Q[:, q:], d[q:]))
+            x = x - t * Linv.T.dot(Q[:, q:].dot(d[q:]))
         lam, lam_p = lam - t * r, lam_p + t
         if t_add <= t_drop:
             work.append(p)

@@ -340,7 +340,7 @@ def euler_rate_map_inv(phi) -> np.ndarray:
     closed-form builder, behind the same pitch check as Q."""
     dyn._check_pitch(phi)
     r, p, _ = phi
-    return dyn._rate_map_inv(math.cos(r), math.sin(r), math.cos(p), math.tan(p))
+    return dyn._matrix(dyn._rate_map_inv(math.cos(r), math.sin(r), math.cos(p), math.tan(p)))
 
 
 def array_model_terms(phi, phidot, params):

@@ -179,6 +179,27 @@ def test_overflowing_start_exit_2(tmp_path, no_planning, capsys):
     assert err.count("\n") == 1 and err.startswith("error: start:")
 
 
+def test_huge_start_angle_exit_2_before_planning(tmp_path, no_planning, capsys):
+    # an arm angle of 1e308 used to reach the planner, whose pre-relaxation
+    # stepped the configuration to inf and died in math.cos
+    data = copy.deepcopy(BASE)
+    data["start"] = [0.0, 0.0, 0.0, 1.0e308, 0.0]
+    assert cli.main(["plan", "--scenario", write_scenario(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: start[3]:")
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_uncountable_duration_exit_2_before_planning(tmp_path, no_planning, capsys, command):
+    # (settle_time + duration) / dt overflows to inf, whose tick count
+    # mission_ticks used to round into an OverflowError
+    data = copy.deepcopy(EMPTY)
+    data["duration"] = 1e308
+    assert cli.main([command, "--scenario", write_scenario(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: duration:")
+
+
 def test_overflowing_trajectory_sample_exit_2(tmp_path, capsys):
     scenario = write_scenario(tmp_path, BASE)
     out = tmp_path / "out"
@@ -245,6 +266,34 @@ def test_mission_too_long_to_hold_exit_2_before_planning(tmp_path, no_planning, 
     assert cli.main([command, "--scenario", write_scenario(tmp_path, data)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: duration: 200000000100 ticks")
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+@pytest.mark.parametrize("noise_std", [0.0, 0.5])
+def test_seed_without_wind_noise_is_noted(tmp_path, capsys, command, noise_std):
+    # the seed drives only the wind noise: a run without any says so in one
+    # stderr note, and its exit code and report are those of the run without
+    # the seed (but for the wall-time plan_time)
+    data = copy.deepcopy(EMPTY)
+    data["wind"] = {"noise_std": noise_std}
+    path = write_scenario(tmp_path, data)
+
+    def run(*seed):
+        assert cli.main([command, "--scenario", path, *seed]) == 0
+        out, err = capsys.readouterr()
+        if command == "bench":
+            col = out.splitlines()[0].split().index("plan_time")
+            return [ln.split()[:col] + ln.split()[col + 1:] for ln in out.splitlines()], err
+        return [ln for ln in out.splitlines() if not ln.startswith("plan_time ")], err
+
+    plain, err = run()
+    assert err == ""
+    seeded, err = run("--seed", "3")
+    if noise_std:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.startswith("note: --seed 3 ")
+        assert seeded == plain
 
 
 @pytest.mark.parametrize("command", ["plan", "simulate", "bench"])

@@ -383,3 +383,64 @@ class TestFloatForms:
                       np.zeros(3), np.zeros(6), 0.005, p)
         s2.q[0] = s2.theta[0] = 1.0
         assert s.q[0] == 0.0 and s.theta[0] == 0.0
+
+
+class TestLinsolve:
+    """dynamics.linsolve calls numpy's private LAPACK gufunc for
+    np.linalg.solve directly; it keeps np.linalg.solve's bits and its error
+    contract, so a numpy that moves or changes the entry fails here."""
+
+    def draws(self, rng):
+        for _ in range(300):
+            yield rng.standard_normal((6, 6)), rng.standard_normal(6)
+            # ill-conditioned: singular values spread over up to 15 decades
+            U, _, V = np.linalg.svd(rng.standard_normal((6, 6)))
+            s = np.logspace(0.0, -rng.uniform(5.0, 15.0), 6)
+            yield (U * s) @ V, rng.standard_normal(6)
+            # subnormal entries, and a right-hand side that underflows
+            yield (rng.standard_normal((6, 6)) * 1e-310,
+                   rng.standard_normal(6) * rng.choice([1.0, 1e-310]))
+            n = int(rng.integers(0, 7))
+            # the QP's active step: an upper-triangular system, up to 6 x 6
+            yield np.triu(rng.standard_normal((n, n))) + 3.0 * np.eye(n), rng.standard_normal(n)
+
+    def test_bit_for_bit_np_linalg_solve(self):
+        rng = np.random.default_rng(26)
+        for a, b in self.draws(rng):
+            try:
+                ref = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    dyn.linsolve(a, b)
+                continue
+            got = dyn.linsolve(a, b)
+            assert got.dtype == ref.dtype and _same(got, ref)
+
+    @pytest.mark.parametrize("a", [np.zeros((6, 6)), np.ones((6, 6)),
+                                   np.diag([1.0, 2.0, 0.0, 4.0, 5.0, 6.0])])
+    def test_singular_raises_without_a_warning(self, a):
+        # filterwarnings = error makes any warning fail the test too; the
+        # caller's error state holds again after the raise
+        with np.errstate(invalid="raise"):
+            with pytest.raises(np.linalg.LinAlgError):
+                dyn.linsolve(a, np.ones(6))
+            assert np.geterr()["invalid"] == "raise"
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(a, np.ones(6))
+
+    def test_nan_input_fails_the_step_as_before(self):
+        # a NaN in M or in the right-hand side solves to NaN, as in
+        # np.linalg.solve, and step's finiteness check raises PlantError
+        p = dyn.ModelParams()
+        s = dyn.VehicleState()
+        terms = plant_terms(s, p)
+        M = terms.M.copy()
+        M[4, 4] = np.nan
+        b = np.ones(6)
+        assert _same(dyn.linsolve(M, b), np.linalg.solve(M, b))
+        d = np.zeros(6)
+        d[1] = np.nan
+        for bad in (terms._replace(M=M), terms):
+            with pytest.raises(dyn.PlantError):
+                dyn.step(s, bad, np.full(6, hover_thrust(p)), np.zeros(3), np.zeros(3),
+                         np.zeros(3), d if bad is terms else np.zeros(6), 0.005, p)
