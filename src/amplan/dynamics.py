@@ -15,14 +15,15 @@ them goes through np.matmul (the same routine on each matrix).  They keep
 their operands and association, never split into blocks: the bits of a
 regrouped or blocked product depend on the kernel the CPU selects.
 
-A square solve goes through linsolve: the LAPACK gufunc np.linalg.solve
-itself calls, under its error state, bit for bit without its wrapper.  The
-operands of one state's products are built in as few arrays as hold them:
-Q, Q^-1, Qdot and the factors of R from one flat tuple of floats, the
-block-diagonal operands of B, M^-1 B and B^-1 in one zero array, and each
-M from a per-parameter template of its fixed entries
-(ModelParams.mass_templates), copied, so that no buffer outlives the call
-that fills it.
+A square solve goes through linsolve, a symmetric eigenvalue check through
+eigvalsh and a complete QR factorization through qr_complete: each calls the
+LAPACK gufuncs its np.linalg namesake calls, under the same error state, bit
+for bit without the wrapper.  The operands of one state's products are
+built in as few arrays as hold them: Q, Q^-1, Qdot and the factors of R
+from one flat tuple of floats, the block-diagonal operands of B, M^-1 B and
+B^-1 in one zero array, and each M from a per-parameter template of its
+fixed entries (ModelParams.mass_templates), copied, so that no buffer
+outlives the call that fills it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvalsh_lo as _syevd
+from numpy.linalg._umath_linalg import qr_complete as _orgqr
+from numpy.linalg._umath_linalg import qr_r_raw as _geqrf
 from numpy.linalg._umath_linalg import solve1 as _gesv
 
 PITCH_MARGIN = 1e-3
@@ -58,6 +62,38 @@ def linsolve(a, b) -> np.ndarray:
     singular a raises LinAlgError and nothing warns, without the wrapper's
     type and shape handling, which costs more than the 6x6 solve itself."""
     return _gesv(a, b, signature="dd->d")
+
+
+def _no_convergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def eigvalsh(a) -> np.ndarray:
+    """np.linalg.eigvalsh(a), ascending, for a symmetric float64 matrix a, bit
+    for bit: the LAPACK syevd gufunc on its lower triangle under the same
+    error state, so it raises LinAlgError where np.linalg.eigvalsh does (no
+    convergence, which a NaN in a full matrix causes) and nothing warns."""
+    return _syevd(a, signature="d->d")
+
+
+def _qr_failed(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+@np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+def qr_complete(a):
+    """(Q, R[:n]) of np.linalg.qr(a, mode="complete") for a float64 matrix a
+    (m, n), m >= n, bit for bit: the LAPACK geqrf and orgqr gufuncs under the
+    same error state, then R's strict lower triangle zeroed as triu zeroes
+    it.  R is the upper triangle n x n; a is overwritten and holds R's rows."""
+    tau = _geqrf(a, signature="d->d")
+    q = _orgqr(a, tau, signature="dd->d")
+    r = a[:a.shape[1]]
+    for i in range(1, len(r)):
+        r[i, :i] = 0.0
+    return q, r
 
 
 def _floats(v) -> list:

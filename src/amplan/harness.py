@@ -694,12 +694,11 @@ def _write(path, text):
 
 
 def trajectory_csv(traj: PlannedTrajectory) -> str:
-    spec = float_spec()
+    # row by row, one str.format per value: no Python list of the whole plan's floats
+    fmt = f"{{:{float_spec()}}}".format
+    table = np.column_stack([traj.s, traj.z, traj.eef, traj.u])
     rows = [_TRAJ_HEADER]
-    for k in range(len(traj.s)):
-        vals = ([traj.s[k]] + list(traj.z[k]) + list(traj.eef[k])
-                + list(traj.u[k]))
-        rows.append(",".join(format(float(v), spec) for v in vals))
+    rows.extend(",".join(map(fmt, row.tolist())) for row in table)
     return "\n".join(rows) + "\n"
 
 

@@ -15,6 +15,15 @@ The potential, its configuration-space gradient and Hessian and the
 end-effector Jacobian are closed-form, computed in one batched pass over the
 part/obstacle pairs per continuation evaluation, on the proxy points of
 geometry's superquadric boundary kernel.
+
+Arithmetic follows dynamics' rule.  Elementwise work on a few scalars runs on
+Python floats; every matrix product, solve and reduction stays in numpy.
+Products are called as a.dot(b), on the same operands and in the same
+association as the formulas above, never regrouped or written out as float
+formulas.  A square solve goes through dynamics.linsolve, and the Hessian
+check's eigenvalues through dynamics.eigvalsh, each bit for bit with its
+np.linalg namesake.  A vector norm is math.sqrt(v.dot(v)), np.linalg.norm's
+own formula.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .dynamics import eigvalsh, linsolve
 from .geometry import (AXIS_FLOOR, TANH_SATURATION, GeometryError, StiffnessParams, _body_curve,
                        _posed, boundary_points, bounding_radius, check_numbers, circle_bound,
                        closest_pairs, shape_rows, stiffness_terms, wrap_angle)
@@ -37,6 +47,9 @@ class PlannerError(RuntimeError):
 
 # Newton corrector steps allowed at one sample of the continuation
 CORRECTOR_MAX_ITER = 8
+# bound on |eta| and |k_reg|: far above any gain that plans (the defaults are
+# 20 and 1), far below where the continuation's terms overflow
+GAIN_MAX = 1e12
 
 
 @dataclass(frozen=True)
@@ -138,6 +151,10 @@ class PlannerParams:
     def __post_init__(self):
         check_numbers(self, PlannerError, ("eta", "k_reg", "cond_limit", "prerelax_tol"),
                       ("n_s", "prerelax_max_iter"))
+        for name in ("eta", "k_reg"):
+            if abs(getattr(self, name)) > GAIN_MAX:
+                raise PlannerError(f"|{name}| must be at most {GAIN_MAX:g}, "
+                                   f"got {getattr(self, name)!r}")
         self.k_tgt = np.asarray(self.k_tgt, dtype=float)
         if not np.isfinite(self.k_tgt).all():
             raise PlannerError("k_tgt must be finite")
@@ -179,13 +196,14 @@ def set_part_poses(parts, geom: VehicleGeometry, pi, z, frames=None):
     """
     if frames is None:
         frames = geom.frame_stack(z)
-    # the frame rows [pivot x, pivot y, cos, sin] of every part, (4, B, 8)
-    f = frames[:, geom.part_links].transpose(2, 0, 1)
-    off = geom.part_offsets
-    a = f[:2] + f[2:] * off[:, 0]       # pivot + (cos, sin) off_x
-    b = f[3:1:-1] * off[:, 1]           # (sin, cos) off_y
-    poses = np.array([f[2], f[3], a[0] - b[0], a[1] + b[1]])
-    parts[3:] = poses.take(pi, axis=2).reshape(4, -1)
+    # each pair's frame rows [pivot x, pivot y, cos, sin], (4, B, pairs), and offset
+    f = frames.transpose(2, 0, 1).take(geom.part_links[pi], axis=2)
+    ox, oy = geom.part_offsets.T.take(pi, axis=1)
+    a = f[:2] + f[2:] * ox              # pivot + (cos, sin) off_x
+    b = f[3:1:-1] * oy                  # (sin, cos) off_y
+    parts[3:5] = f[2:].reshape(2, -1)
+    parts[5] = (a[0] - b[0]).reshape(-1)
+    parts[6] = (a[1] + b[1]).reshape(-1)
 
 
 class PairTable:
@@ -211,9 +229,9 @@ class PairTable:
         distance from that center to any point of the part.  Each sample's
         scale is its own largest center coordinate plus the fixed share, so a
         sample's rho does not depend on the stack it is computed in."""
-        cx, cy = self.c_obs
+        d = c - self.c_obs.reshape(2, *(1,) * (c.ndim - 2), -1)
         scale = abs(c).max(axis=(0, -2, -1), keepdims=True, initial=0.0)[0] + self.scale
-        rho = circle_bound((c[0] - cx, c[1] - cy), self.r_part, scale)
+        rho = circle_bound(d, self.r_part, scale)
         return rho.reshape(*rho.shape[:-2], -1)
 
 
@@ -274,7 +292,7 @@ class _Evaluator:
         ^(eps / 2): F + 1 is homogeneous of degree 2 / eps and 1 within r_obs
         of the center, so their stiffness is (k_min, 0, 0) at every angle."""
         c = self.rows[5:, 0].reshape(2, self.geom.n_parts, -1)[..., :1]    # one per part
-        return np.flatnonzero(self.table.rho(c) < self.reach)
+        return (self.table.rho(c) < self.reach).nonzero()[0]
 
 
 # d^2 p / dphi_i dphi_j = -V_max(i,j): the joint angles act on nested frames
@@ -309,7 +327,7 @@ def _pair_sums(ev: _Evaluator, z, Gp, Go, jf):
     # p-space gradient Gr (2, P) and Hessian Hp (2, 2, P) of each pair term
     Gr = k0 * D
     Hp = k0 * _EYE2
-    L = np.flatnonzero((k1 != 0.0) | (k2 != 0.0) | (Gr == 0.0).any(axis=0))
+    L = ((k1 != 0.0) | (k2 != 0.0) | (Gr == 0.0).any(axis=0)).nonzero()[0]
     if L.size:
         wL, awL, k0L, k1L, d2L, DL = w[:, L], aw[:, L], k0[L], k1[L], d2[L], D[:, L]
         orot = ev.orot[..., L]
@@ -333,9 +351,9 @@ def _pair_sums(ev: _Evaluator, z, Gp, Go, jf):
     HJ = Hp[:, 0, :, None] * Jp[0] + Hp[:, 1, :, None] * Jp[1]
 
     Jp, Gr = Jp.reshape(2 * P, 5), Gr.reshape(2 * P)
-    gz = Gr @ Jp
-    H = Jp.T @ HJ.reshape(2 * P, 5)
-    curv = -(Gr @ V.reshape(2 * P, 3))
+    gz = Gr.dot(Jp)
+    H = Jp.T.dot(HJ.reshape(2 * P, 5))
+    curv = -Gr.dot(V.reshape(2 * P, 3))
     return gz, H, curv, (0.5 * k0 * d2).sum()
 
 
@@ -361,29 +379,32 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     # in plain floats: the joint frames (VehicleGeometry.joint_frames), the
     # end-effector Jacobian J, with rows [1, 0, -Vy] and [0, 1, Vx] for the eef
     # lever arm V of each joint frame, and the target residual r = u - eef with
-    # its angle wrapped
+    # its angle wrapped; then J, r and the frames as one array
     fr = geom.joint_frames(x, y, psi, t1, t3)
     ex, ey = fr[2][0] + geom.l2 * fr[2][2], fr[2][1] + geom.l2 * fr[2][3]
-    J = np.array([[1.0, 0.0] + [f[1] - ey for f in fr],
-                  [0.0, 1.0] + [ex - f[0] for f in fr], [0.0, 0.0, 1.0, 1.0, 1.0]])
-    r = np.array([ux - ex, uy - ey, wrap_angle(ut - (psi + t1 + t3))])
+    vy = [f[1] - ey for f in fr]
+    vx = [ex - f[0] for f in fr]
+    flat = np.array([1.0, 0.0, *vy, 0.0, 1.0, *vx, 0.0, 0.0, 1.0, 1.0, 1.0,
+                     ux - ex, uy - ey, wrap_angle(ut - (psi + t1 + t3)), *fr[0], *fr[1], *fr[2]])
+    J, r, jf = flat[:15].reshape(3, 5), flat[15:18], flat[18:].reshape(3, 4)
 
     if ev.P:
-        gz, H, curv, W = _pair_sums(ev, z, Gp, Go, np.array(fr))
+        gz, H, curv, W = _pair_sums(ev, z, Gp, Go, jf)
     else:
         # no pairs: no proxy to evaluate, and every pair sum is zero
         gz, H, curv, W = np.zeros(5), np.zeros((5, 5)), np.zeros(3), 0.0
 
     # target term 0.5 r^T K r and the joint regulariser 0.5 k_reg (th1^2 + th3^2)
-    Kr = params.k_tgt @ r
-    gz -= J.T @ Kr
-    H += J.T @ params.k_tgt @ J
-    curv += Kr[0] * J[1, 2:] - Kr[1] * J[0, 2:]
+    Kr = params.k_tgt.dot(r)
+    gz -= J.T.dot(Kr)
+    H += J.T.dot(params.k_tgt).dot(J)
+    kx, ky, _ = Kr.tolist()
+    curv += [kx * v - ky * w for v, w in zip(vx, vy)]
     H[2:, 2:] += curv[_MAX_JOINT]
     gz[3:] += params.k_reg * z[3:]
     H[3, 3] += params.k_reg
     H[4, 4] += params.k_reg
-    W = W + 0.5 * (r @ Kr) + 0.5 * params.k_reg * (t1 * t1 + t3 * t3)
+    W = W + 0.5 * r.dot(Kr) + 0.5 * params.k_reg * (t1 * t1 + t3 * t3)
     return gz, H, J, W
 
 
@@ -397,29 +418,30 @@ def _prerelax(ev: _Evaluator, params, z0, Gp, Go, u0):
     z = np.asarray(z0, dtype=float).copy()
     for _ in range(params.prerelax_max_iter):
         gz, H, _, w0 = _fused_derivatives(ev, params, z, Gp, Go, u0)
-        if np.linalg.norm(gz) < params.prerelax_tol:
+        if math.sqrt(gz.dot(gz)) < params.prerelax_tol:
             return z
         Hs = 0.5 * (H + H.T)
         try:
-            dz = np.linalg.solve(Hs + 1e-10 * np.eye(5), -gz)
+            dz = linsolve(Hs + 1e-10 * np.eye(5), -gz)
         except np.linalg.LinAlgError:
             dz = -gz
-        if dz @ gz > 0.0:
+        if dz.dot(gz) > 0.0:
             dz = -gz
+        slope = dz.dot(gz)
         step = 1.0
         for _ in range(30):
             z_new = z + step * dz
             w = _fused_derivatives(ev, params, z_new, Gp, Go, u0)[3]
-            if w < w0 + 1e-4 * step * (dz @ gz):
+            if w < w0 + 1e-4 * step * slope:
                 z = z_new
                 break
             step *= 0.5
         else:
             break
     gz = _fused_derivatives(ev, params, z, Gp, Go, u0)[0]
-    if np.linalg.norm(gz) >= params.prerelax_tol:
-        raise PlannerError(
-            f"pre-relaxation stalled with |grad| = {np.linalg.norm(gz):.3e}")
+    norm = math.sqrt(gz.dot(gz))
+    if norm >= params.prerelax_tol:
+        raise PlannerError(f"pre-relaxation stalled with |grad| = {norm:.3e}")
     return z
 
 
@@ -506,7 +528,7 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
         try:
             gz, H, J, _ = _fused_derivatives(ev, params, zz, G[0], G[1], u)
             Hs = 0.5 * (H + H.T)
-            lam = np.linalg.eigvalsh(Hs)
+            lam = eigvalsh(Hs)
         except (GeometryError, np.linalg.LinAlgError) as exc:
             raise PlannerError("non-finite state during equilibrium tracking") from exc
         # the tracked equilibrium is a minimum: H must be well-conditioned positive definite
@@ -523,7 +545,7 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
     g_out = np.empty((N + 1, G.size))
     res = np.empty(N + 1)
     gz, Hs, J = evaluate(z, attrs[0])
-    s_grid[0], z_out[0], u_out[0], res[0] = 0.0, z, attrs[0], np.linalg.norm(gz)
+    s_grid[0], z_out[0], u_out[0], res[0] = 0.0, z, attrs[0], math.sqrt(gz.dot(gz))
     g_out[0] = G.ravel()
     most = idx = 0
     for seg in range(K):
@@ -531,6 +553,7 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
         du = (ub - ua)
         du[2] = wrap_angle(du[2])
         udot = K * du
+        ktu = params.k_tgt.dot(udot)
         for n in range(n_seg):
             s = seg / K + (n + 1) * h
             u = ua + (n + 1) * h * udot
@@ -539,16 +562,16 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
             if len(near):
                 G[:, near] = closest_pairs(ev.rows[:, 0, near], ev.rows[:, 1, near],
                                            init=G[:, near]).gammas
-            z_new = z + h * np.linalg.solve(Hs, J.T @ (params.k_tgt @ udot) - params.eta * gz)
+            z_new = z + h * linsolve(Hs, J.T.dot(ktu) - params.eta * gz)
             for it in range(CORRECTOR_MAX_ITER + 1):
                 gz_new, Hs, J = evaluate(z_new, u)
-                norm = np.linalg.norm(gz_new)
+                norm = math.sqrt(gz_new.dot(gz_new))
                 if norm < params.prerelax_tol:
                     break
                 if it == CORRECTOR_MAX_ITER:
                     raise PlannerError(
                         f"corrector stalled at s = {s:.4f} with |grad| = {norm:.3e}")
-                z_new = z_new - np.linalg.solve(Hs, gz_new)
+                z_new = z_new - linsolve(Hs, gz_new)
             most = max(most, it)
             z, gz = z_new, gz_new
             idx += 1

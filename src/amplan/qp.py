@@ -7,8 +7,8 @@ row whose multiplier would turn negative first.  A violated row that admits
 neither a primal nor a dual step proves the rows infeasible.  H is factored
 once, when the problem is checked, and the start is taken from that factor;
 the working rows, a few at most, are refactored densely at each step.
-Products and the step's triangular solve follow the rules of dynamics
-(a.dot(b) and dynamics.linsolve).
+Products, the step's QR factorization and its triangular solve follow the
+rules of dynamics (a.dot(b), dynamics.qr_complete and dynamics.linsolve).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import linsolve
+from .dynamics import linsolve, qr_complete
 
 MAX_DIM = 16
 MAX_ROWS = 64
@@ -114,12 +114,12 @@ def solve(prob: QpProblem) -> QpSolution:
         # split L^-1 a_p into its part spanned by the working rows, whose
         # coefficients r are the rates their multipliers fall at, and the rest
         q = len(work)
-        Q, R = np.linalg.qr(Linv.dot(A[work].T), mode="complete")
+        Q, R = qr_complete(Linv.dot(A[work].T))
         d = Q.T.dot(Linv.dot(A[p]))
-        r = linsolve(R[:q], d[:q])
+        r = linsolve(R, d[:q])
         curv = d[q:].dot(d[q:])
         # partial step: the first working multiplier to reach zero
-        falling = np.flatnonzero(r > TOL)
+        falling = (r > TOL).nonzero()[0]
         t_drop, k = np.inf, None
         if falling.size:
             k = falling[np.argmin(lam[falling] / r[falling])]

@@ -10,7 +10,8 @@ metric pass, which solves every part/obstacle pair with the library's own
 closest-pair kernel: it checks the pruning of harness.min_distance_profile,
 not the solver.  The few helpers only the tests need (the QP solve, KKT
 residuals, the observer's settling time, the hover thrust, a polygon's area,
-the closed-form inverse Euler rate map) live here too.  So do the array
+the closed-form inverse Euler rate map, the per-value trajectory CSV
+formatter) live here too.  So do the array
 forms of the tick's layers (the observer's RK4, the model terms, the plant
 step, the thrust rows and law, the outer loop, the QP solve and the target
 pose), which the library runs on Python
@@ -543,3 +544,13 @@ def dense_pair_sums(ev, z, Gp, Go, jf):
     H = Jp.T @ HJ.reshape(2 * P, 5)
     curv = -(Gr @ V.reshape(2 * P, 3))
     return gz, H, curv, (0.5 * k0 * d2).sum()
+
+
+def per_value_trajectory_csv(traj, spec):
+    """harness.trajectory_csv's text, one format(float(v), spec) call per
+    value of each sample's [s, z, eef, u]."""
+    rows = ["s,x,y,psi,theta1,theta3,eef_x,eef_y,eef_yaw,u_x,u_y,u_yaw"]
+    for k in range(len(traj.s)):
+        vals = [traj.s[k]] + list(traj.z[k]) + list(traj.eef[k]) + list(traj.u[k])
+        rows.append(",".join(format(float(v), spec) for v in vals))
+    return "\n".join(rows) + "\n"

@@ -391,6 +391,9 @@ def test_scenario_dt_above_plant_limit_exit_2(tmp_path, no_planning, capsys):
     ("planner", {"cond_limit": 0.5}),
     ("format", "abc"),
     ("obstacles", 5),
+    ("planner", {"eta": 1e308}),
+    ("planner", {"eta": 1e300}),
+    ("planner", {"k_reg": -1e308}),
 ])
 def test_out_of_range_override_exit_2_before_planning(tmp_path, no_planning, capsys,
                                                       key, overrides):

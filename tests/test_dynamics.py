@@ -444,3 +444,65 @@ class TestLinsolve:
             with pytest.raises(dyn.PlantError):
                 dyn.step(s, bad, np.full(6, hover_thrust(p)), np.zeros(3), np.zeros(3),
                          np.zeros(3), d if bad is terms else np.zeros(6), 0.005, p)
+
+
+class TestEigvalsh:
+    """dynamics.eigvalsh calls numpy's private LAPACK gufunc for
+    np.linalg.eigvalsh directly, as the planner's Hessian check does; it
+    keeps np.linalg.eigvalsh's bits and its error contract."""
+
+    def test_bit_for_bit_np_linalg_eigvalsh(self):
+        rng = np.random.default_rng(27)
+        signs = set()
+        for _ in range(300):
+            a = rng.standard_normal((5, 5))
+            # indefinite, positive definite, and not symmetric: both read the
+            # lower triangle alone
+            for m in (0.5 * (a + a.T), a.dot(a.T) + 1e-3 * np.eye(5), a):
+                ref = np.linalg.eigvalsh(m)
+                got = dyn.eigvalsh(m)
+                assert got.dtype == ref.dtype and _same(got, ref)
+                signs.add(bool(ref[0] > 0.0))
+        assert signs == {False, True}
+
+    @pytest.mark.parametrize("where", [(3, 2), (4, 4), None])
+    def test_nan_raises_without_a_warning(self, where):
+        # a NaN in the lower triangle of a full symmetric matrix, or all NaN
+        a = np.random.default_rng(27).standard_normal((5, 5))
+        a = a + a.T
+        if where is None:
+            a[:] = np.nan
+        else:
+            a[where] = np.nan
+        with np.errstate(invalid="raise"):
+            with pytest.raises(np.linalg.LinAlgError):
+                dyn.eigvalsh(a)
+            assert np.geterr()["invalid"] == "raise"
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.eigvalsh(a)
+
+
+class TestQrComplete:
+    """dynamics.qr_complete calls numpy's private LAPACK gufuncs for
+    np.linalg.qr(..., mode="complete") directly, as the QP's active step
+    does, on its operands: 9 rows and 0 to 9 working columns."""
+
+    def test_bit_for_bit_np_linalg_qr(self):
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            q = int(rng.integers(0, 10))
+            a = rng.standard_normal((9, q)) * rng.choice([1.0, 1e-310])
+            if q >= 2 and rng.random() < 0.2:
+                a[:, -1] = a[:, 0]      # dependent columns
+            Q, R = np.linalg.qr(a, mode="complete")
+            got_Q, got_R = dyn.qr_complete(a.copy())
+            assert _same(got_Q, Q) and _same(got_R, R[:q])
+
+    def test_nan_factors_as_np_linalg_qr_without_a_warning(self):
+        a = np.ones((9, 2))
+        a[4, 1] = np.nan
+        with np.errstate(invalid="raise"):
+            Q, R = np.linalg.qr(a, mode="complete")
+            got_Q, got_R = dyn.qr_complete(a.copy())
+            assert np.geterr()["invalid"] == "raise"
+        assert np.isnan(got_Q).any() and _same(got_Q, Q) and _same(got_R, R[:2])

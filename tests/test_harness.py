@@ -20,6 +20,7 @@ from amplan.planner import PlannedTrajectory, VehicleGeometry
 
 from oracles import (array_model_terms, array_outer_loop, array_step, array_thrust,
                      array_thrust_limit_rows, dense_min_distance_profile, part_superquadrics,
+                     per_value_trajectory_csv,
                      product_rotation, scalar_target_pose, sq2_boundary, sq2_boundary_samples,
                      sq2_inside_outside, stacked_rk4_dob_update)
 
@@ -560,6 +561,27 @@ def test_precision_env_override(empty_run, shipped_plans, monkeypatch, tmp_path)
     rep.plan_time = x
     line = writers["metrics"]().splitlines()[1]
     assert float(line.split()[1]) == x  # 17 significant digits round-trip
+
+
+@pytest.mark.parametrize("digits", [None, "1", "9", "17"])
+def test_trajectory_csv_matches_per_value_formatter(monkeypatch, digits):
+    # signed zeros, infinities, NaN, a subnormal and values that round
+    # differently at each precision
+    rng = np.random.default_rng(27)
+    n = 7
+    traj = PlannedTrajectory(s=np.linspace(0.0, 1.0, n), z=rng.standard_normal((n, 5)) * 1e3,
+                             eef=rng.standard_normal((n, 3)), u=rng.standard_normal((n, 3)) / 3.0,
+                             gammas=np.zeros((n, 0)))
+    traj.z[0, 0], traj.z[0, 1], traj.eef[2, 2] = -0.0, 0.0, np.inf
+    traj.u[3, 0], traj.z[4, 4], traj.s[5] = -np.inf, np.nan, 5e-324
+    if digits is None:
+        monkeypatch.delenv("AMPLAN_DIGITS", raising=False)
+    else:
+        monkeypatch.setenv("AMPLAN_DIGITS", digits)
+    text = hz.trajectory_csv(traj)
+    assert text == per_value_trajectory_csv(traj, f".{digits or 17}g")
+    assert text.splitlines()[1].startswith("0,-0,0,")
+    assert {"inf", "-inf", "nan"} <= set(text.replace("\n", ",").split(","))
 
 
 def test_metrics_requires_samples():

@@ -6,7 +6,9 @@ timing wrapper on each module attribute the tick looks up at call time
 simulate's own.  Prints the microseconds per tick of each stage, the least
 of --repeat runs, and exits 1 unless the timed flight's telemetry equals the
 plain flight's byte for byte.  "bookkeeping" is the plain flight's time less
-every stage's: the loop itself, the telemetry writes and the set-up.
+every stage's: the loop itself, the telemetry writes and the set-up.  A
+stage called inside another stage's call counts toward the outer one
+(timed_stages), so no time is counted twice.
 
     PYTHONPATH=src python tests/tick_profile.py --scenario scenarios/tree.yaml \
         [--open] [--noise-std 0.5] [--seed 1] [--duration 20] [--repeat 3]
@@ -18,6 +20,7 @@ pytest does not collect this file (no test_ prefix).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 import time
@@ -40,32 +43,47 @@ STAGES = {
 }
 
 
-def _timed(fn, stage, spent):
+def _timed(fn, stage, spent, depth):
     clock = time.perf_counter
 
     def wrapper(*args, **kwargs):
+        if depth[0]:
+            return fn(*args, **kwargs)
+        depth[0] = 1
         t0 = clock()
         try:
             return fn(*args, **kwargs)
         finally:
             spent[stage] += clock() - t0
+            depth[0] = 0
     return wrapper
+
+
+@contextlib.contextmanager
+def timed_stages(stages):
+    """Wrap each (owner, attribute) of stages {stage: [(owner, name), ...]}
+    for the duration of the block, which receives the seconds per stage.
+    Only outermost calls are timed: a stage called inside another's call
+    counts toward the outer stage."""
+    spent = dict.fromkeys(stages, 0.0)
+    depth = [0]
+    saved = []
+    for stage, sites in stages.items():
+        for owner, name in sites:
+            fn = vars(owner)[name]
+            saved.append((owner, name, fn))
+            setattr(owner, name, _timed(fn, stage, spent, depth))
+    try:
+        yield spent
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
 
 
 def timed_flight(s, traj, seed):
     """(telemetry, seconds per stage) of one flight with every stage wrapped."""
-    spent = dict.fromkeys(STAGES, 0.0)
-    saved = []
-    for stage, sites in STAGES.items():
-        for owner, name in sites:
-            fn = vars(owner)[name]
-            saved.append((owner, name, fn))
-            setattr(owner, name, _timed(fn, stage, spent))
-    try:
+    with timed_stages(STAGES) as spent:
         tel = hz.simulate(s, traj, seed=seed)
-    finally:
-        for owner, name, fn in saved:
-            setattr(owner, name, fn)
     return tel, spent
 
 
