@@ -118,17 +118,17 @@ def _cmd_bench(args) -> int:
     results = []
     for s, mode, pr, report in plans:
         tel = hz.simulate(s, pr.traj, mode, seed=args.seed)
-        hz.score_flight(report, tel)
+        hz.score_flight(report, tel, s)
         if args.out:
             hz.emit(os.path.join(args.out, f"{s.name}-{mode}"), pr.traj, tel, report,
                     pr.cells, pr.graph)
         results.append((s.name, mode, report, pr.traj.evals))
     results.sort(key=lambda r: (r[0], r[1]))
     print(f"{'scenario':<12}{'mode':<9}{'plan_time':>10}{'evals':>7}{'min_dist':>10}"
-          f"{'arc_len':>9}{'jerkiness':>11}{'h_min':>8}{'infeas':>7}")
+          f"{'fly_dist':>10}{'arc_len':>9}{'jerkiness':>11}{'h_min':>8}{'infeas':>7}")
     for (name, mode, rep, evals) in results:
         print(f"{name:<12}{mode:<9}{rep.plan_time:>10.3f}{evals:>7d}"
-              f"{rep.min_distance:>10.4f}{rep.arc_length:>9.3f}"
+              f"{rep.min_distance:>10.4f}{rep.flight_min_distance:>10.4f}{rep.arc_length:>9.3f}"
               f"{rep.jerkiness:>11.3e}{rep.h_co_min:>8.3f}"
               f"{rep.infeasible_ticks:>7d}")
     return 0

@@ -214,36 +214,21 @@ _AXIS_PIVOT = np.array([0, 0, 0, 1, 2, 2])
 
 
 def vehicle_frames(geom: VehicleGeometry, q, R0, theta):
-    """(pivots, rotations) of the base, shoulder and forearm frames: pivots at
-    the base center, arm base and elbow; the base turns by R0, the rotation of
-    q's attitude (dynamics.rotation), the shoulder by th1 about z, the forearm
-    by th2 about y, then by th3 about z.
-
-    q (..., 6), R0 (..., 3, 3) and theta (..., 3) hold one tick, or a stack of
-    ticks on their leading axes; pivots are (..., 3, 3), rotations (..., 3, 3,
-    3).  Each tick of a stack gets the bits of its own call: np.matmul runs
-    the same BLAS product on each matrix, and the arm angles' cosines are
-    Python floats.
-    """
+    """(pivots (3, 3), rotations (3, 3, 3)) of the base, shoulder and forearm
+    frames: pivots at the base center, arm base and elbow; the base turns by
+    R0, the rotation of q's attitude (dynamics.rotation), the shoulder by th1
+    about z, the forearm by th2 about y, then by th3 about z."""
     # the entries of Rz(th1) and of the ZYX rotation of (0, -th2, -th3), whose
     # transpose is Ry(th2) Rz(th3), are single products: dynamics.rotation of
     # the same angles gives them bit for bit, up to the sign of exact zeros
-    Rz, Ryz = [], []
-    for t1, t2, t3 in np.reshape(theta, (-1, 3)).tolist():
-        c1, s1 = math.cos(t1), math.sin(t1)
-        cp, sp = math.cos(-t2), math.sin(-t2)
-        cy, sy = math.cos(-t3), math.sin(-t3)
-        Rz += c1, -s1, 0.0, s1, c1, 0.0, 0.0, 0.0, 1.0
-        Ryz += cy * cp, -sy, cy * sp, sy * cp, cy, sy * sp, -sp, 0.0, cp
-    shape = R0.shape
-    pivots, rotations = np.empty(shape), np.empty(shape[:-2] + (3, 3, 3))
-    rotations[..., 0, :, :] = R0
-    R1 = np.matmul(R0, np.array(Rz).reshape(shape), out=rotations[..., 1, :, :])
-    np.matmul(R1, np.array(Ryz).reshape(shape).swapaxes(-1, -2), out=rotations[..., 2, :, :])
-    pivots[..., 0, :] = q[..., :3]
-    pivots[..., 1, :] = q[..., :3] + geom.arm_base_offset * R0[..., :, 0]
-    pivots[..., 2, :] = pivots[..., 1, :] + geom.l1 * R1[..., :, 0]
-    return pivots, rotations
+    t1, t2, t3 = np.asarray(theta, dtype=float).tolist()
+    c1, s1 = math.cos(t1), math.sin(t1)
+    cp, sp = math.cos(-t2), math.sin(-t2)
+    cy, sy = math.cos(-t3), math.sin(-t3)
+    R1 = R0.dot(np.array([[c1, -s1, 0.0], [s1, c1, 0.0], [0.0, 0.0, 1.0]]))
+    R2 = R1.dot(np.array([[cy * cp, -sy, cy * sp], [sy * cp, cy, sy * sp], [-sp, 0.0, cp]]).T)
+    p1 = q[:3] + geom.arm_base_offset * R0[:, 0]
+    return np.array([q[:3], p1, p1 + geom.l1 * R1[:, 0]]), np.array([R0, R1, R2])
 
 
 def proxy_points(tracker: ProxyTracker, gammas, frames, pairs):
@@ -402,8 +387,8 @@ class ProxyTracker(PairTable):
 
     Two far tests spare the proxies.  The vehicle gate, far, tests one
     circle about the base center against every obstacle; a tick it passes
-    skips cbf_rows.  h_bounds bounds every pair: on one tick in cbf_rows, and
-    on a stack of the ticks the gate passed in h_min.
+    skips cbf_rows.  h_bounds bounds every pair's h on a tick that takes
+    cbf_rows, which refreshes only the pairs whose bound is at most H_CULL.
     """
 
     def __init__(self, geom: VehicleGeometry, obstacles, height: float):
@@ -474,10 +459,9 @@ class ProxyTracker(PairTable):
                                eps1=self.eps1[pairs], eps2=self.eps2[pairs])
 
     def h_bounds(self, frames):
-        """A lower bound on every pair's h at any proxy angle, in the
-        vehicle_frames frames of one tick (P,) or of a stack of ticks (..., P):
-        (2 / EXTRUDE_EPS1) log(rho / r_obs), with rho / r_obs floored at the
-        smallest normal float (below -14000).
+        """A lower bound (P,) on every pair's h at any proxy angle, in the
+        vehicle_frames frames: (2 / EXTRUDE_EPS1) log(rho / r_obs), with
+        rho / r_obs floored at the smallest normal float (below -14000).
 
         A part's boundary points lie within r_part of its center C, tilt
         included, so at least rho = PairTable.rho of the centers' projections
@@ -487,30 +471,23 @@ class ProxyTracker(PairTable):
         """
         pivots, rotations = frames
         link = self.geom.part_links
-        centers = pivots[..., link, :2] + np.einsum(
-            "...pij,pj->...pi", rotations[..., link, :2, :2], self.geom.part_offsets)
-        rho = self.rho(np.moveaxis(centers, -1, 0)[..., None])
+        centers = pivots[link, :2] + np.einsum("pij,pj->pi", rotations[link, :2, :2],
+                                               self.geom.part_offsets)
+        rho = self.rho(centers.T[..., None])
         return (2.0 / EXTRUDE_EPS1) * np.log(np.maximum(rho / self.r_obs, _TINY))
-
-    def h_min(self, q, theta):
-        """The least h_bounds over the pairs at each tick of a stack q (B, 6),
-        theta (B, 3): bit for bit a tick's h_bounds(vehicle_frames(q,
-        dynamics.rotation(q[3:]), theta)).min(), inf with no pairs."""
-        frames = vehicle_frames(self.geom, q, dyn.rotation(q[:, 3:]), theta)
-        return self.h_bounds(frames).min(axis=-1, initial=math.inf)
 
 
 def cbf_rows(tracker: ProxyTracker, q, R, qdot, theta, thetadot, q_d, gains: GainSet,
              safety: SafetyParams):
     """HOCBF rows A x <= b for the outer-loop decision x = [qdot_d; thetaddot_d],
-    and a value of h for every pair; R is the rotation of q's attitude.
+    and h (P,) in pair order; R is the rotation of q's attitude.
 
     Each tick first bounds every pair's h from below (ProxyTracker.h_bounds).
     A pair whose bound exceeds H_CULL is far: it could emit no row at any
-    proxy angle, so it gets no proxy refresh and no barrier pass, and its
-    value is the bound.  The near pairs are refreshed (ProxyTracker.refresh)
-    and their value is h at the refreshed part-side angles; those with
-    h <= H_CULL become rows, in pair order.
+    proxy angle, so it gets no proxy refresh and no barrier pass, and its h
+    is inf.  The near pairs are refreshed (ProxyTracker.refresh) and their h
+    is the barrier at the refreshed part-side angles; those with h <= H_CULL
+    become rows, in pair order.
 
     Under the inner loop the base acceleration is Kd (qdot_d - qdot) +
     Kp (q_d - q) and the arm tracks thetaddot_d directly, so the second
@@ -521,8 +498,8 @@ def cbf_rows(tracker: ProxyTracker, q, R, qdot, theta, thetadot, q_d, gains: Gai
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     frames = vehicle_frames(tracker.geom, q, R, theta)
-    h = tracker.h_bounds(frames)
-    near = np.flatnonzero(h <= H_CULL)
+    near = np.flatnonzero(tracker.h_bounds(frames) <= H_CULL)
+    h = np.full(tracker.pi.size, math.inf)
     if near.size == 0:
         # no pair keeps its angles, as after a refresh of no pair
         tracker.gammas.fill(np.nan)

@@ -10,8 +10,7 @@ floats, and every matrix product, solve and reduction stays in numpy: IEEE
 +, -, * and / round alike in both, while numpy's BLAS products use fused
 multiply-adds that an explicit float formula does not reproduce.  Products
 go through np.dot's routine (the BLAS routine of @), called on the tick as
-the array method a.dot(b), which is np.dot without its dispatch; a stack of
-them goes through np.matmul (the same routine on each matrix).  They keep
+the array method a.dot(b), which is np.dot without its dispatch.  They keep
 their operands and association, never split into blocks: the bits of a
 regrouped or blocked product depend on the kernel the CPU selects.
 
@@ -140,19 +139,12 @@ def _matrix(entries) -> np.ndarray:
 
 
 def rotation(phi) -> np.ndarray:
-    """Body-to-world rotation for ZYX Euler angles phi = [roll, pitch, yaw],
-    (3, 3), or one for each of a stack phi (..., 3), (..., 3, 3).  np.matmul
-    runs np.dot's BLAS product on each matrix of a stack, so every rotation
-    has the bits of model_terms' R at the same angles."""
-    phi = np.asarray(phi, dtype=float)
-    RzRy, Rx = [], []
-    for r, p, y in phi.reshape(-1, 3).tolist():
-        a, b = _rotation_factors(math.cos(r), math.sin(r), math.cos(p), math.sin(p),
+    """Body-to-world rotation for ZYX Euler angles phi = [roll, pitch, yaw]:
+    bit for bit model_terms' R at the same angles."""
+    r, p, y = _floats(phi)
+    RzRy, Rx = _rotation_factors(math.cos(r), math.sin(r), math.cos(p), math.sin(p),
                                  math.cos(y), math.sin(y))
-        RzRy += a
-        Rx += b
-    shape = phi.shape[:-1] + (3, 3)
-    return np.matmul(np.array(RzRy).reshape(shape), np.array(Rx).reshape(shape))
+    return _matrix(RzRy).dot(_matrix(Rx))
 
 
 def _check_pitch(phi):

@@ -16,6 +16,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -90,6 +91,12 @@ class WindProfile:
 
 
 _ANGLE_MAX = 2.0 * math.pi     # [rad], bound on the start's angles
+# [m], bound on a world_box coordinate, far inside the 1e154 at which the
+# clearance diagram's squared lengths overflow
+_COORD_MAX = 1e6
+# least obstacle exponent: the planner raises a point's normalized distance
+# to the power 2 / eps, which at eps = 1e-3 overflows beyond 1.43
+_EPS_MIN = 0.01
 
 
 @dataclass
@@ -124,6 +131,10 @@ class Scenario:
                                             and self.world_box[1] < self.world_box[3]):
             raise ScenarioError("world_box: must be [xmin, ymin, xmax, ymax] with "
                                 "positive extent")
+        for v in self.world_box:
+            if abs(v) > _COORD_MAX:
+                raise ScenarioError(f"world_box: every coordinate must lie in [-1e6, 1e6], "
+                                    f"got {v:g}")
         # the planner turns the start's angles by small steps, which a huge
         # angle has no bits to resolve
         for i in (2, 3, 4):
@@ -148,7 +159,12 @@ class Scenario:
         self._check_start_clear()
 
     def _check_obstacles(self):
-        """The clearance diagram's own rules: in the world box, pairwise disjoint."""
+        """The clearance diagram's own rules: in the world box, pairwise
+        disjoint; and every exponent at least _EPS_MIN."""
+        for i, sq in enumerate(self.obstacles):
+            if sq.eps < _EPS_MIN:
+                raise ScenarioError(f"obstacles[{i}].eps: must be at least {_EPS_MIN:g}, "
+                                    f"got {sq.eps:g}")
         try:
             vor.check_in_box(self.obstacles, self.world_box)
             vor.bisectors(self.obstacles)
@@ -370,7 +386,7 @@ class Telemetry:
     thrust: np.ndarray         # (N, 6)
     d_hat: np.ndarray          # (N, 6)
     d_true: np.ndarray         # (N, 6)
-    h_min: np.ndarray          # (N,) min barrier value over pairs
+    h_min: np.ndarray          # (N,) min barrier h over the refreshed pairs, inf if none
     feasible: np.ndarray       # (N,) bool
 
 
@@ -385,9 +401,8 @@ def _hover(q, model: dyn.ControlTerms):
 
 # bytes that each tick holds until its mission ends: the Telemetry row (35
 # floats and a flag; its d_true row is the wind-noise row, to which the tick
-# adds the gust), the target-schedule row (q_t and theta_t, 9 floats) and the
-# vehicle gate's flag
-_TICK_BYTES = 44 * 8 + 2
+# adds the gust) and the target-schedule row (q_t and theta_t, 9 floats)
+_TICK_BYTES = 44 * 8 + 1
 
 
 def _physical_memory() -> float:
@@ -430,12 +445,6 @@ def plan_samples(s: Scenario) -> int:
     return n
 
 
-# ticks per block of the pass that bounds the deferred ticks' h_min: its
-# arrays (about 90 kB a block) then stay within the heap the flight already
-# holds; 256-tick blocks raised a tree flight's peak RSS by about 0.15 MB
-_DEFER_BLOCK = 64
-
-
 def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
              seed: int | None = None) -> Telemetry:
     """Run the full mission: hover settle phase, then trajectory tracking.
@@ -452,10 +461,8 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
     A tick first takes the vehicle gate (ProxyTracker.far), unless the
     mission has no pair at all.  A tick it passes is far from every
     obstacle: no pair could emit a barrier row, so it skips cbf_rows, and the
-    thrust rows alone go to the QP.  Its h_min, the least far-pair bound
-    cbf_rows would have returned, is filled after the flight by
-    ProxyTracker.h_min on the ticks' telemetry state, in blocks of
-    _DEFER_BLOCK ticks, bit for bit the tick's own value.
+    thrust rows alone go to the QP.  A tick's h_min is the least barrier h
+    of the pairs cbf_rows refreshed, inf on a tick that refreshed none.
     """
     gains, safety, model = s.gains, s.safety, s.model
     tracker = ctl.ProxyTracker(s.vehicle, _model_obstacles(s, mode), safety.obstacle_height)
@@ -484,9 +491,8 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
                     theta=np.empty((n, 3)), thrust=np.empty((n, 6)),
                     d_hat=np.empty((n, 6)), d_true=noise,
                     h_min=np.full(n, math.inf), feasible=np.empty(n, dtype=bool))
-    # the ticks the vehicle gate passed (ProxyTracker.far); with no pair no
-    # tick asks it, none has a barrier row and every h_min stays inf
-    deferred = np.zeros(n, dtype=bool)
+    # with no pair no tick asks the vehicle gate, none has a barrier row and
+    # every h_min stays inf
     pairs = tracker.pi.size > 0
     wind = s.wind
 
@@ -498,9 +504,8 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
         A, b = thrust.A, thrust.b
         if pairs and tracker.far(state.q):
             # no pair is near and none keeps its angles, as after a refresh of
-            # no pair; the tick's h_min comes from the pass after the flight
+            # no pair
             tracker.gammas.fill(np.nan)
-            deferred[k] = True
         elif pairs:
             A2, b2, h_vals = ctl.cbf_rows(tracker, state.q, terms.R, state.qdot, state.theta,
                                           state.thetadot, q_d, gains, safety)
@@ -527,13 +532,6 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
         theta_d = theta_d + dt * thetadot_d
         state = dyn.step(state, terms.plant, T, theta_d, thetadot_d, res.thetaddot_d,
                          d_true, dt, model)
-    # the deferred ticks' h_min, from their telemetry state, one block of
-    # ticks at a time so that the pass's arrays do not grow with the mission
-    if pairs:
-        for start in range(0, n, _DEFER_BLOCK):
-            ks = start + np.flatnonzero(deferred[start:start + _DEFER_BLOCK])
-            if ks.size:
-                tel.h_min[ks] = tracker.h_min(tel.q[ks], tel.theta[ks])
     return tel
 
 
@@ -546,6 +544,7 @@ class MetricsReport:
     arc_length: float
     jerkiness: float
     h_co_min: float = math.nan
+    flight_min_distance: float = math.nan
     thrust_min: float = math.nan
     thrust_max: float = math.nan
     infeasible_ticks: int = 0
@@ -563,9 +562,10 @@ class MetricsReport:
         return out
 
 
-def min_distance_profile(traj: PlannedTrajectory, geom: VehicleGeometry,
-                         obstacles: list) -> np.ndarray:
-    """Min signed gap between any vehicle part and any obstacle per sample.
+def min_distance_profile(traj, geom: VehicleGeometry, obstacles: list) -> np.ndarray:
+    """Min signed gap between any vehicle part and any obstacle at each
+    planar configuration of traj.z (n, 5): a plan's samples, or the poses of
+    a flight (score_flight).
 
     Always evaluated against the shapes passed in (the caller supplies the
     original obstacle set, regardless of the planning mode).  Every solved
@@ -584,7 +584,7 @@ def min_distance_profile(traj: PlannedTrajectory, geom: VehicleGeometry,
     two boundary points, is at least lb: above the sample's minimum.  The
     profile is bit for bit that of solving all pairs.
     """
-    n = len(traj.s)
+    n = len(traj.z)
     if not obstacles:
         return np.full(n, math.inf)
     obs_rows = shape_rows(obstacles)
@@ -632,13 +632,17 @@ def metrics(traj: PlannedTrajectory, telemetry: Telemetry | None, s: Scenario,
     report = MetricsReport(plan_time=plan_time, min_distance=min_distance,
                            arc_length=arc_length, jerkiness=jerkiness)
     if telemetry is not None:
-        score_flight(report, telemetry)
+        score_flight(report, telemetry, s)
     return report
 
 
-def score_flight(report: MetricsReport, telemetry: Telemetry):
-    """Fill report's flight fields from telemetry."""
+def score_flight(report: MetricsReport, telemetry: Telemetry, s: Scenario):
+    """Fill report's flight fields from telemetry; flight_min_distance is the
+    least gap of the flown planar poses (x, y, yaw, th1, th3) to s's obstacles."""
     report.h_co_min = float(telemetry.h_min.min())
+    flown = np.column_stack([telemetry.q[:, [0, 1, 5]], telemetry.theta[:, [0, 2]]])
+    report.flight_min_distance = float(min_distance_profile(
+        SimpleNamespace(z=flown), s.vehicle, s.obstacles).min())
     feas = telemetry.feasible
     if feas.any():
         report.thrust_min = float(telemetry.thrust[feas].min())
@@ -668,7 +672,7 @@ def run_pipeline(s: Scenario, mode: str = "sq", seed: int | None = None):
     mission_ticks(s)
     pr, report = plan_checked(s, mode)
     tel = simulate(s, pr.traj, mode, seed=seed)
-    score_flight(report, tel)
+    score_flight(report, tel, s)
     return pr, tel, report
 
 

@@ -234,12 +234,14 @@ def test_criterion_5_equilibrium_tracking(plans):
 
 # --- 6: closed-loop safety under wind ------------------------------------------
 
-def test_criterion_6_closed_loop_safety(shipped, missions):
+def test_criterion_6_closed_loop_safety(shipped, plans, missions):
     with criterion(6, "closed-loop safety"):
         for name, s in shipped.items():
             tel, wall = missions[name]
             assert wall < 120.0
             assert float(tel.h_min.min()) > 0.0
+            # every flown pose clears every obstacle
+            assert hz.metrics(plans[(name, "sq")][0].traj, tel, s, 0.0).flight_min_distance > 0.0
             feas = tel.feasible
             frac_infeasible = float((~feas).mean())
             assert frac_infeasible < 1e-3

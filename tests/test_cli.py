@@ -73,8 +73,11 @@ def test_bench_table(empty_yaml, capsys):
     assert len(lines) == 3            # header + sq + ellipse rows
     assert "empty" in lines[1]
     # the continuation's derivative evaluations, one column after plan_time
-    col = lines[0].split().index("evals")
+    header = lines[0].split()
+    col = header.index("evals")
     assert all(int(ln.split()[col]) > 0 for ln in lines[1:])
+    # the flight's clearance beside the plan's
+    assert header[header.index("min_dist") + 1] == "fly_dist"
 
 
 def test_missing_file_exit_2(capsys):
@@ -415,6 +418,13 @@ def test_out_of_range_override_exit_2_before_planning(tmp_path, no_planning, cap
     (lambda d: d["obstacles"][0].update(center=[5.0, "abc"]), "obstacles[0].center"),
     (lambda d: d.update(world_box=[-5.0, -5.0, 8.0]), "world_box"),
     (lambda d: d.update(world_box=8.0), "world_box"),
+    # out of range: a world box of 1e308 used to exit 0 or 3 after dozens of
+    # overflow warnings, an eps of 1e-3 or less to warn before its error
+    (lambda d: d.update(world_box=[-5.0, -5.0, 1e308, 8.0]), "world_box"),
+    (lambda d: d.update(world_box=[-1e200, -5.0, 8.0, 8.0]), "world_box"),
+    (lambda d: d.update(world_box=[-1e308, -5.0, 8.0, 8.0]), "world_box"),
+    (lambda d: d["obstacles"][0].update(eps=1e-3), "obstacles[0].eps"),
+    (lambda d: d["obstacles"][0].update(eps=1e-300), "obstacles[0].eps"),
 ])
 def test_center_and_world_box_must_be_lists_exit_2(tmp_path, no_planning, capsys, edit, path):
     data = copy.deepcopy(BASE)

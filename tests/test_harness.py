@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from amplan.geometry import Superquadric2, shape_rows
 from amplan.planner import PlannedTrajectory, VehicleGeometry
 
 from oracles import (array_model_terms, array_outer_loop, array_step, array_thrust,
-                     array_thrust_limit_rows, dense_min_distance_profile, part_superquadrics,
+                     array_thrust_limit_rows, dense_min_distance_profile, extrude,
+                     part_superquadrics,
                      per_value_trajectory_csv,
                      product_rotation, scalar_target_pose, sq2_boundary, sq2_boundary_samples,
                      sq2_inside_outside, stacked_rk4_dob_update)
@@ -283,13 +285,16 @@ def test_empty_world_straight_line(empty_run):
 
 
 def test_pipeline_scores_each_plan_once(monkeypatch):
-    # run_pipeline checks the plan's clearance on the metric pass it reports
+    # run_pipeline checks the plan's clearance on the metric pass it reports;
+    # the one other pass scores the flown poses
     scored = []
     profile = hz.min_distance_profile
-    monkeypatch.setattr(hz, "min_distance_profile", lambda *args: scored.append(1) or profile(*args))
+    monkeypatch.setattr(hz, "min_distance_profile",
+                        lambda traj, *args: scored.append(traj) or profile(traj, *args))
     s = dataclasses.replace(empty_scenario(), settle_time=0.05, duration=0.2)
-    _, tel, report = hz.run_pipeline(s)
-    assert len(scored) == 1 and report.total_ticks == len(tel.t) == hz.mission_ticks(s)
+    pr, tel, report = hz.run_pipeline(s)
+    assert sum(traj is pr.traj for traj in scored) == 1 and len(scored) == 2
+    assert report.total_ticks == len(tel.t) == hz.mission_ticks(s)
 
 
 def test_pipeline_deterministic(empty_run, tmp_path):
@@ -341,8 +346,8 @@ def test_sample_floats_count_what_a_plan_holds(tmp_path):
 def test_flight_matches_array_forms(monkeypatch):
     # the tick's float layers, its np.dot products and the direct arm
     # rotations reproduce the array forms' telemetry byte for byte, on a
-    # flight among the tree's obstacles (the arm frames enter h_min through
-    # the far-pair bound) and on the same flight without them
+    # flight among the tree's obstacles (the arm frames enter the far-pair
+    # bound) and on the same flight without them
     s = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
     s = dataclasses.replace(s, settle_time=0.5, duration=3.0,
                             wind=dataclasses.replace(s.wind, noise_std=0.5))
@@ -351,9 +356,6 @@ def test_flight_matches_array_forms(monkeypatch):
     fast = [hz.simulate(scene, traj, seed=1) for scene, traj in zip(scenes, trajs)]
 
     def frames(geom, q, R0, theta):
-        if np.ndim(theta) == 2:
-            # a stack of ticks, as ProxyTracker.h_min passes them: tick by tick
-            return tuple(map(np.array, zip(*(frames(geom, *tick) for tick in zip(q, R0, theta)))))
         R1 = R0 @ product_rotation((0.0, 0.0, theta[0]))
         R2 = R1 @ product_rotation((0.0, -theta[1], -theta[2])).T
         p1 = q[:3] + geom.arm_base_offset * R0[:, 0]
@@ -378,20 +380,49 @@ def test_flight_matches_array_forms(monkeypatch):
             assert getattr(slow, f.name).tobytes() == getattr(tel, f.name).tobytes(), f.name
 
 
-def test_deferred_h_min_replays_the_tick_bound():
-    # every tick the vehicle gate passed has, as its h_min, bit for bit the
-    # far-pair bound its own tick computes from its telemetry state; the
-    # mission passes the tree's trunk, so some ticks take cbf_rows
-    s = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
-    s = dataclasses.replace(s, settle_time=0.5, duration=8.0,
-                            wind=dataclasses.replace(s.wind, noise_std=0.5))
-    tel = hz.simulate(s, hz.plan(s).traj, seed=2)
-    tracker = ctl.ProxyTracker(s.vehicle, s.obstacles, s.safety.obstacle_height)
-    far = np.array([tracker.far(q) for q in tel.q])
-    assert 0 < far.sum() < far.size
-    for q, theta, h_min in zip(tel.q[far], tel.theta[far], tel.h_min[far]):
-        bound = tracker.h_bounds(ctl.vehicle_frames(s.vehicle, q, dyn.rotation(q[3:]), theta))
-        assert bound.min().tobytes() == h_min.tobytes()
+def _fly_recording_refreshes(monkeypatch, s, traj, seed):
+    """Fly s, recording per tick the refreshed pairs' h at their refreshed
+    part-side angles, from the tests' own extruded obstacle; (telemetry,
+    {tick: h})."""
+    tick, refreshed = [-1], {}
+    dob_update, refresh = ctl.dob_update, ctl.ProxyTracker.refresh
+
+    def count_tick(*args):
+        tick[0] += 1
+        return dob_update(*args)
+
+    def record(tracker, q, theta, pairs=None):
+        gap = refresh(tracker, q, theta, pairs)
+        frames = ctl.vehicle_frames(s.vehicle, q, dyn.rotation(q[3:]), theta)
+        X = ctl.proxy_points(tracker, tracker.gammas[0, pairs], frames, pairs)
+        refreshed[tick[0]] = [
+            math.log1p(extrude(s.obstacles[tracker.oi[p]], s.safety.obstacle_height)
+                       .inside_outside(x)) for p, x in zip(pairs, X)]
+        return gap
+
+    monkeypatch.setattr(ctl, "dob_update", count_tick)
+    monkeypatch.setattr(ctl.ProxyTracker, "refresh", record)
+    return hz.simulate(s, traj, seed=seed), refreshed
+
+
+def test_h_min_is_the_least_h_of_the_refreshed_pairs(monkeypatch):
+    # h_min is inf exactly on the ticks that refresh no pair, and elsewhere
+    # the least h of the pairs the tick refreshed: on a noisy tree mission
+    # past the trunk, and on a straight flight that grazes a round obstacle
+    tree = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
+    tree = dataclasses.replace(tree, settle_time=0.5, duration=8.0,
+                               wind=dataclasses.replace(tree.wind, noise_std=0.5))
+    line = hz.Scenario(name="sweep", world_box=(-5.0, -5.0, 8.0, 8.0), obstacles=[],
+                       start=np.array([0.4, 0.72, 0.0, 0.0, 0.0]),
+                       goal=np.array([4.0, 0.72, 0.0]), settle_time=0.5, duration=4.0)
+    sweep = dataclasses.replace(line, obstacles=[Superquadric2(0.35, 0.35, 1.0, 0.0, (2.0, 0.0))])
+    for s, traj, seed in ((tree, hz.plan(tree).traj, 2), (sweep, hz.plan(line).traj, None)):
+        tel, refreshed = _fly_recording_refreshes(monkeypatch, s, traj, seed)
+        monkeypatch.undo()
+        assert np.array_equal(np.flatnonzero(np.isfinite(tel.h_min)), sorted(refreshed))
+        for k, h in refreshed.items():
+            assert tel.h_min[k] == pytest.approx(min(h), rel=1e-12)
+    assert len(refreshed) > 100
 
 
 def test_metrics_roundtrip_and_csv_reconstruction(empty_run, tmp_path):
@@ -401,7 +432,7 @@ def test_metrics_roundtrip_and_csv_reconstruction(empty_run, tmp_path):
 
     stored = hz.load_metrics(os.path.join(out, "metrics.txt"))
     for name in ("plan_time", "min_distance", "arc_length", "jerkiness",
-                 "h_co_min", "thrust_min", "thrust_max"):
+                 "h_co_min", "flight_min_distance", "thrust_min", "thrust_max"):
         a, b = getattr(stored, name), getattr(rep, name)
         assert a == b or (math.isnan(a) and math.isnan(b))
     assert stored.infeasible_ticks == rep.infeasible_ticks
@@ -411,7 +442,7 @@ def test_metrics_roundtrip_and_csv_reconstruction(empty_run, tmp_path):
     tel2 = hz.load_telemetry_csv(os.path.join(out, "telemetry.csv"))
     rep2 = hz.metrics(traj2, tel2, s, rep.plan_time)
     for name in ("min_distance", "arc_length", "jerkiness", "h_co_min",
-                 "thrust_min", "thrust_max"):
+                 "flight_min_distance", "thrust_min", "thrust_max"):
         a, b = getattr(rep2, name), getattr(rep, name)
         if math.isinf(a) or math.isnan(a):
             assert (math.isinf(b) and a == b) or (math.isnan(a) and math.isnan(b))
@@ -464,13 +495,19 @@ def test_metric_pass_matches_tracker_chain(shipped_plans):
 
 
 @pytest.mark.parametrize("plan_name", ["tree-sq", "tree-ellipse", "pillar-sq",
-                                       "pillar-ellipse"])
+                                       "pillar-ellipse", "tree-flight"])
 def test_metric_pass_matches_dense_oracle(shipped_plans, plan_name):
-    # the pruned pass gives the profile of solving every pair, bit for bit
-    s, pr = shipped_plans[tuple(plan_name.split("-"))]
-    profile = hz.min_distance_profile(pr.traj, s.vehicle, s.obstacles)
-    assert np.array_equal(profile, dense_min_distance_profile(pr.traj.z, s.vehicle,
-                                                              s.obstacles))
+    # the pruned pass gives the profile of solving every pair, bit for bit:
+    # on each shipped plan, and on every 8th pose the shipped tree mission flew
+    name, kind = plan_name.split("-")
+    s, pr = shipped_plans[(name, "sq" if kind == "flight" else kind)]
+    traj = pr.traj
+    if kind == "flight":
+        tel = hz.simulate(s, pr.traj)
+        traj = SimpleNamespace(z=np.column_stack([tel.q[::8][:, [0, 1, 5]],
+                                                  tel.theta[::8][:, [0, 2]]]))
+    profile = hz.min_distance_profile(traj, s.vehicle, s.obstacles)
+    assert np.array_equal(profile, dense_min_distance_profile(traj.z, s.vehicle, s.obstacles))
 
 
 def test_metric_pass_matches_dense_oracle_on_random_stacks():

@@ -39,7 +39,6 @@ STAGES = {
     "outer_loop": [(ctl, "outer_loop")],
     "step": [(dyn, "step")],
     "targets": [(hz, "target_pose")],
-    "after flight": [(ctl.ProxyTracker, "h_min")],
 }
 
 
