@@ -8,7 +8,6 @@ an obstacle among them (plan, simulate and bench write no file for it).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -20,8 +19,8 @@ from .planner import PlannerError
 from .qp import QpDimensionError
 from .voronoi import VoronoiError
 
-_VALIDATION_ERRORS = (hz.ScenarioError, GainError, GeometryError)
-_RUNTIME_ERRORS = (hz.HarnessError, PlannerError, ControlError, VoronoiError,
+_VALIDATION_ERRORS = (hz.ScenarioError, GainError)
+_RUNTIME_ERRORS = (hz.HarnessError, PlannerError, ControlError, VoronoiError, GeometryError,
                    EulerSingularityError, PlantError, QpDimensionError)
 
 
@@ -60,14 +59,7 @@ def _load(path, dt=None, ns=None, seed=None) -> hz.Scenario:
     # the wind noise's generator takes no negative seed: say so before the plan
     if seed is not None and seed < 0:
         raise hz.ScenarioError(f"--seed: must be nonnegative, got {seed}")
-    s = hz.load_scenario(path)
-    # replace re-runs the validation: the dt range, and n_s >= 2
-    if ns is not None:
-        try:
-            s = dataclasses.replace(s, planner=dataclasses.replace(s.planner, n_s=ns))
-        except PlannerError as exc:
-            raise hz.ScenarioError(f"--ns: {exc}") from exc
-    return s if dt is None else dataclasses.replace(s, dt=dt)
+    return hz.load_scenario(path, dt, ns)
 
 
 def _note_seed(seed, scenarios):

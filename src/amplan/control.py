@@ -29,8 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics as dyn
-from .geometry import (_ULPS, _body_curve, center_angles, check_numbers, closest_pairs,
-                       shape_rows)
+from .geometry import _ULPS, _body_curve, center_angles, closest_pairs, shape_rows
 from .planner import PairTable, VehicleGeometry, set_part_poses
 from .qp import QpProblem, solve
 
@@ -340,16 +339,6 @@ class SafetyParams:
     t_min: float = 1.0
     t_max: float = 15.0
     obstacle_height: float = 3.0
-
-    def __post_init__(self):
-        check_numbers(self, ControlError,
-                      ("alpha_co", "sigma_co", "t_min", "t_max", "obstacle_height"))
-        if self.alpha_co <= 0.0 or self.sigma_co < 0.0:
-            raise ControlError("need alpha_co > 0 and sigma_co >= 0")
-        if not (0.0 <= self.t_min < self.t_max):
-            raise ControlError("need 0 <= t_min < t_max")
-        if self.obstacle_height <= 0.0:
-            raise ControlError("need obstacle_height > 0")
 
 
 # exponent of the vertical profile of every extruded obstacle

@@ -26,19 +26,6 @@ def wrap_angle(a):
     return out if out.ndim else float(out)
 
 
-def check_numbers(obj, error, reals=(), ints=()):
-    """Raise error unless every field of obj named in reals is a finite real
-    number and every one named in ints an integer; a bool is neither."""
-    for name in reals:
-        v = getattr(obj, name)
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-            raise error(f"{name} must be a finite number, got {v!r}")
-    for name in ints:
-        v = getattr(obj, name)
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise error(f"{name} must be an integer, got {v!r}")
-
-
 @dataclass(frozen=True)
 class Superquadric2:
     """Planar superquadric: semi-axes a1, a2, exponent eps, pose (angle, center)."""
@@ -50,7 +37,11 @@ class Superquadric2:
     center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        check_numbers(self, GeometryError, ("a1", "a2", "eps", "angle"))
+        for name in ("a1", "a2", "eps", "angle"):
+            v = getattr(self, name)
+            # a bool is no number
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise GeometryError(f"{name} must be a finite number, got {v!r}")
         if not (self.a1 > 0.0 and self.a2 > 0.0):
             raise GeometryError(f"semi-axes must be positive, got {self.a1}, {self.a2}")
         if not (0.0 < self.eps <= 2.0):
@@ -107,13 +98,6 @@ class StiffnessParams:
     k_max: float = 1.0e3
     d0: float = 1.0e-3
     d_prime: float = 0.05
-
-    def __post_init__(self):
-        check_numbers(self, GeometryError, ("k_min", "k_max", "d0", "d_prime"))
-        if not (0.0 < self.k_min < self.k_max):
-            raise GeometryError("need 0 < k_min < k_max")
-        if self.d0 <= 0.0 or self.d_prime < 0.0:
-            raise GeometryError("need d0 > 0 and d_prime >= 0")
 
 
 def stiffness_terms(d, params: StiffnessParams):

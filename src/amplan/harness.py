@@ -16,7 +16,9 @@ import os
 import re
 import time
 from dataclasses import dataclass, field, fields
+from reprlib import repr as _brief
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -24,11 +26,11 @@ import yaml
 from . import control as ctl
 from . import dynamics as dyn
 from . import voronoi as vor
-from .geometry import (GeometryError, Superquadric2, check_numbers, closest_pairs,
+from .geometry import (GeometryError, StiffnessParams, Superquadric2, closest_pairs,
                        radial_excess, shape_rows)
-from .planner import (PairTable, PlannedTrajectory, PlannerError, PlannerParams,
-                      VehicleGeometry, attractors_from_path, integrate_em, pair_rows,
-                      set_part_poses, target_pose)
+from .planner import (PairTable, PlannedTrajectory, PlannerParams, VehicleGeometry,
+                      attractors_from_path, integrate_em, pair_rows, set_part_poses,
+                      target_pose)
 
 
 class ScenarioError(ValueError):
@@ -74,38 +76,22 @@ class WindProfile:
     axis: int = 0
     noise_std: float = 0.0
 
-    def __post_init__(self):
-        check_numbers(self, ScenarioError, ("amplitude", "period", "smoothing", "noise_std"),
-                      ("axis",))
-        if self.period <= 0.0 or self.smoothing <= 0.0:
-            raise ScenarioError("wind.period and wind.smoothing must be positive")
-        if self.axis not in (0, 1, 2):
-            raise ScenarioError("wind.axis must be 0, 1 or 2")
-        if self.noise_std < 0.0:
-            raise ScenarioError("wind.noise_std must be nonnegative")
-
     def gust(self, t: float) -> float:
         """The square-wave force on the wind axis at time t."""
         return self.amplitude * math.tanh(
             math.sin(2.0 * math.pi * t / self.period) / self.smoothing)
 
 
-_ANGLE_MAX = 2.0 * math.pi     # [rad], bound on the start's angles
-# [m], bound on a world_box coordinate, far inside the 1e154 at which the
-# clearance diagram's squared lengths overflow
-_COORD_MAX = 1e6
-# least obstacle exponent: the planner raises a point's normalized distance
-# to the power 2 / eps, which at eps = 1e-3 overflows beyond 1.43
-_EPS_MIN = 0.01
-
-
 @dataclass
 class Scenario:
-    name: str
+    """A scenario file's world, mission and overrides (_FIELDS); the defaults
+    live here alone."""
+
     world_box: tuple
     obstacles: list
     start: np.ndarray          # planar configuration [x, y, psi, th1, th3]
     goal: np.ndarray           # end-effector goal pose [x, y, heading]
+    name: str = "scenario"
     flight_height: float = 1.0
     duration: float = 20.0
     settle_time: float = 4.0
@@ -117,136 +103,222 @@ class Scenario:
     safety: ctl.SafetyParams = field(default_factory=ctl.SafetyParams)
     model: dyn.ModelParams = field(default_factory=dyn.ModelParams)
 
-    def __post_init__(self):
-        self.start = np.asarray(self.start, dtype=float)
-        self.goal = np.asarray(self.goal, dtype=float)
-        if self.start.shape != (5,):
-            raise ScenarioError("start: must be [x, y, psi, th1, th3]")
-        if self.goal.shape != (3,):
-            raise ScenarioError("goal: must be [x, y, heading]")
-        for name in ("start", "goal", "world_box"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ScenarioError(f"{name}: must be finite")
-        if len(self.world_box) != 4 or not (self.world_box[0] < self.world_box[2]
-                                            and self.world_box[1] < self.world_box[3]):
-            raise ScenarioError("world_box: must be [xmin, ymin, xmax, ymax] with "
-                                "positive extent")
-        for v in self.world_box:
-            if abs(v) > _COORD_MAX:
-                raise ScenarioError(f"world_box: every coordinate must lie in [-1e6, 1e6], "
-                                    f"got {v:g}")
-        # the planner turns the start's angles by small steps, which a huge
-        # angle has no bits to resolve
-        for i in (2, 3, 4):
-            if abs(self.start[i]) > _ANGLE_MAX:
-                raise ScenarioError(f"start[{i}]: an angle must lie in [-2 pi, 2 pi], "
-                                    f"got {self.start[i]:g}")
-        for name in ("flight_height", "duration", "settle_time", "dt"):
-            if not np.isfinite(getattr(self, name)):
-                raise ScenarioError(f"{name}: must be finite")
-        if self.duration <= 0.0:
-            raise ScenarioError(f"duration: must be positive, got {self.duration}")
-        if self.settle_time < 0.0:
-            raise ScenarioError(f"settle_time: must be nonnegative, got {self.settle_time}")
-        if not (0.0 < self.dt <= dyn.DT_MAX):
-            raise ScenarioError(f"dt: must lie in (0, {dyn.DT_MAX}], got {self.dt}")
-        # a mission too long to count its ticks in a float (mission_ticks)
-        if not math.isfinite((self.settle_time + self.duration) / self.dt):
-            name = "duration" if self.duration >= self.settle_time else "settle_time"
-            raise ScenarioError(f"{name}: settle_time + duration has too many ticks of "
-                                f"{self.dt} s to count, got {getattr(self, name):g} s")
-        self._check_obstacles()
-        self._check_start_clear()
 
-    def _check_obstacles(self):
-        """The clearance diagram's own rules: in the world box, pairwise
-        disjoint; and every exponent at least _EPS_MIN."""
-        for i, sq in enumerate(self.obstacles):
-            if sq.eps < _EPS_MIN:
-                raise ScenarioError(f"obstacles[{i}].eps: must be at least {_EPS_MIN:g}, "
-                                    f"got {sq.eps:g}")
+# --- the scenario fields -------------------------------------------------------
+
+class _Row(NamedTuple):
+    """One scenario field: its kind (float, int, str or a _Table) and, for
+    numbers, its range from lo to hi, each finite end closed or open as the
+    brackets of ends say ("[]", "(]", "[)" or "()"); an infinite end is always
+    open.  With a shape, the field is a list of shape[0] numbers (of shape[0]
+    such lists, for two dimensions), built by make, and lo and hi may be given
+    per element.  A required field has no default."""
+
+    kind: object
+    lo: object = -math.inf
+    hi: object = math.inf
+    ends: str = "[]"
+    required: bool = False
+    shape: tuple = ()
+    make: type = tuple
+
+
+class _Table(NamedTuple):
+    """A mapping of the fields rows (name -> _Row), built by make from the
+    fields it sets; with many, a list of such mappings.  null sets no field
+    (and, with many, is the empty list)."""
+
+    make: type
+    rows: dict
+    many: bool = False
+
+
+# [m], bound on every coordinate (world box, obstacle centers, start and goal
+# positions, flight height), far inside the 1e154 at which the clearance
+# diagram's squared lengths overflow
+_COORD_MAX = 1e6
+_ANGLE_MAX = 2.0 * math.pi     # [rad], bound on the start's angles
+# least obstacle exponent: the planner raises a point's normalized distance
+# to the power 2 / eps, which at eps = 1e-3 overflows beyond 1.43
+_EPS_MIN = 0.01
+# bound on every gain (eta, k_reg, the k_tgt entries, the stiffness bounds,
+# alpha_co, sigma_co): far above any that plans or flies (the defaults are at
+# most 1600), far below where their products and powers overflow
+_GAIN_MAX = 1e12
+_FORCE_MAX = 1e6               # [N], bound on the wind's amplitude and noise and the thrust band
+
+_REAL = _Row(float)
+_POSITIVE = _Row(float, 0.0, ends="()")
+_NONNEGATIVE = _Row(float, 0.0)
+_GAIN = _Row(float, 0.0, _GAIN_MAX, "(]")
+_LENGTH = _Row(float, 1e-6, 1e6)            # [m]
+_SEMI_AXIS = _LENGTH._replace(required=True)
+_C, _A = _COORD_MAX, _ANGLE_MAX
+
+# every field a scenario file may set, and nothing else; the format tag is
+# checked, not kept
+_FIELDS = _Table(lambda format, **fields: Scenario(**fields), {
+    "format": _Row(int, SCENARIO_FORMAT, SCENARIO_FORMAT, required=True),
+    "name": _Row(str),
+    "world_box": _Row(float, -_C, _C, required=True, shape=(4,)),
+    "obstacles": _Row(_Table(Superquadric2, {
+        "a1": _SEMI_AXIS,
+        "a2": _SEMI_AXIS,
+        "eps": _Row(float, _EPS_MIN, 2.0, required=True),
+        "angle": _REAL,
+        "center": _Row(float, -_C, _C, required=True, shape=(2,)),
+    }, many=True), required=True),
+    "start": _Row(float, (-_C, -_C, -_A, -_A, -_A), (_C, _C, _A, _A, _A), required=True,
+                  shape=(5,), make=np.array),
+    "goal": _Row(float, (-_C, -_C, -math.inf), (_C, _C, math.inf), required=True, shape=(3,),
+                 make=np.array),
+    "flight_height": _Row(float, -_C, _C),
+    "duration": _POSITIVE,
+    "settle_time": _NONNEGATIVE,
+    "dt": _Row(float, 0.0, dyn.DT_MAX, "(]"),
+    "wind": _Row(_Table(WindProfile, {
+        "amplitude": _Row(float, -_FORCE_MAX, _FORCE_MAX),
+        # far below any tick, and so far above a period at which the sine's
+        # argument 2 pi t / period overflows
+        "period": _Row(float, 1e-6),
+        "smoothing": _POSITIVE,
+        "axis": _Row(int, 0, 2),
+        "noise_std": _Row(float, 0.0, _FORCE_MAX),
+    })),
+    "planner": _Row(_Table(PlannerParams, {
+        "eta": _GAIN,
+        "k_tgt": _Row(float, -_GAIN_MAX, _GAIN_MAX, shape=(3, 3), make=np.array),
+        "k_reg": _Row(float, -_GAIN_MAX, _GAIN_MAX),
+        "n_s": _Row(int, 2),
+        "stiffness": _Row(_Table(StiffnessParams, {
+            "k_min": _GAIN,
+            "k_max": _GAIN,
+            "d0": _LENGTH,
+            "d_prime": _Row(float, 0.0, 1e6),
+        })),
+        # a plan needs |grad| < prerelax_tol and lambda_max <= cond_limit lambda_min
+        "cond_limit": _Row(float, 1.0),
+        "prerelax_tol": _POSITIVE,
+        "prerelax_max_iter": _Row(int, 0),
+    })),
+    "safety": _Row(_Table(ctl.SafetyParams, {
+        "alpha_co": _GAIN,
+        "sigma_co": _Row(float, 0.0, _GAIN_MAX),
+        "t_min": _Row(float, 0.0, _FORCE_MAX),
+        "t_max": _Row(float, 0.0, _FORCE_MAX, "(]"),
+        "obstacle_height": _LENGTH,
+    })),
+})
+
+
+def _scalar(v, row: _Row, path: str, i: int = 0):
+    """v under the one number rule: a YAML int, or for a real field a YAML
+    float too (never a bool or a string), finite and within row's range (its
+    element i's, where the row gives one per element)."""
+    integer = row.kind is int
+    if not (type(v) is int or type(v) is float and not integer):
+        raise ScenarioError(f"{path}: must be {'an integer' if integer else 'a number'}, "
+                            f"got {_brief(v)}")
+    x = v
+    if not integer:
         try:
-            vor.check_in_box(self.obstacles, self.world_box)
-            vor.bisectors(self.obstacles)
-        except vor.VoronoiError as exc:
-            raise ScenarioError(str(exc)) from exc
-
-    def _check_start_clear(self):
-        try:
-            gap = closest_pairs(*pair_rows(self.vehicle, shape_rows(self.obstacles),
-                                           self.start)).gap
-        except GeometryError as exc:
-            raise ScenarioError(f"start: {exc}") from exc
-        hit = np.flatnonzero(gap <= 0.0)
-        if hit.size:
-            p, o = divmod(int(hit[0]), len(self.obstacles))
-            raise ScenarioError(f"start: vehicle part {p} collides with obstacles[{o}]")
+            x = float(v)
+        except OverflowError:       # an integer beyond the largest float
+            x = math.inf
+    lo, hi = (b[i] if type(b) is tuple else b for b in (row.lo, row.hi))
+    a, b = ("(" if lo == -math.inf else row.ends[0]), (")" if hi == math.inf else row.ends[1])
+    # nan fails both tests, and an infinity the open end
+    if not ((lo < x if a == "(" else lo <= x) and (x < hi if b == ")" else x <= hi)):
+        raise ScenarioError(f"{path}: must lie in {a}{lo:g}, {hi:g}{b}, got {_brief(v)}")
+    return x
 
 
-# the fields load_scenario reads: any other key is a typo, not a default
-_SCENARIO_FIELDS = ("format", "name", "world_box", "obstacles", "start", "goal", "flight_height",
-                    "duration", "settle_time", "dt", "wind", "planner", "safety")
-_OBSTACLE_FIELDS = ("a1", "a2", "eps", "angle", "center")
+def _elements(v, row: _Row, path: str, shape: tuple) -> list:
+    """The list v of the given shape as Python numbers, each read by row."""
+    if type(v) is not list or len(v) != shape[0]:
+        raise ScenarioError(f"{path}: must be a list of {' lists of '.join(map(str, shape))} "
+                            f"numbers, got {_brief(v)}")
+    if len(shape) > 1:
+        return [_elements(x, row, f"{path}[{i}]", shape[1:]) for i, x in enumerate(v)]
+    return [_scalar(x, row, f"{path}[{i}]", i) for i, x in enumerate(v)]
 
 
-def _check_fields(raw: dict, allowed, path=""):
-    """Raise ScenarioError on the first key of raw that allowed does not hold."""
+def _mapping(raw, table: _Table, path: str):
+    """table.make of the fields raw sets, each read by its row."""
+    if type(raw) is not dict:
+        raise ScenarioError(f"{path or 'scenario file'}: must be a mapping, got {_brief(raw)}")
+    at = f"{path}." if path else ""
+    values = {}
+    for name, row in table.rows.items():
+        if name in raw:
+            values[name] = _value(raw[name], row, at + name)
+        elif row.required:
+            raise ScenarioError(f"{at}{name}: required field missing")
     for key in raw:
-        if key not in allowed:
-            raise ScenarioError(f"{path}{key}: unknown field")
+        if key not in table.rows:
+            raise ScenarioError(f"{at}{key}: unknown field")
+    return table.make(**values)
 
 
-def _require(raw: dict, key: str):
-    if key not in raw:
-        raise ScenarioError(f"{key}: required field missing")
-    return raw[key]
+def _value(v, row: _Row, path: str):
+    """The YAML value v of the field at path as its row reads it; anything
+    else raises ScenarioError naming path, or the element of path at fault."""
+    kind = row.kind
+    if isinstance(kind, _Table):
+        if v is None:
+            v = [] if kind.many else {}
+        if not kind.many:
+            return _mapping(v, kind, path)
+        if type(v) is not list:
+            raise ScenarioError(f"{path}: must be a list, got {_brief(v)}")
+        return [_mapping(d, kind, f"{path}[{i}]") for i, d in enumerate(v)]
+    if row.shape:
+        return row.make(_elements(v, row, path, row.shape))
+    if kind is str:
+        # the name of bench's output directories: one path component
+        if type(v) is not str or v in ("", ".", "..") or "/" in v or "\0" in v:
+            raise ScenarioError(f"{path}: must be a nonempty string without '/', not '.' "
+                                f"or '..', got {_brief(v)}")
+        return v
+    return _scalar(v, row, path)
 
 
-def _number(value, path: str) -> float:
-    """value as a float; anything float() rejects raises ScenarioError naming path."""
+def _check_scenario(s: Scenario):
+    """The rules that tie a scenario's fields together, once each field has
+    met its row: a box of positive extent, t_min < t_max, k_min < k_max, a
+    mission of at least one countable tick, obstacles in the box and pairwise
+    disjoint, and a start clear of them."""
+    x0, y0, x1, y1 = s.world_box
+    if not (x0 < x1 and y0 < y1):
+        raise ScenarioError(f"world_box: must be [xmin, ymin, xmax, ymax] with positive "
+                            f"extent, got {list(s.world_box)}")
+    st = s.planner.stiffness
+    for low, lo, high, hi in (("safety.t_min", s.safety.t_min, "safety.t_max", s.safety.t_max),
+                              ("planner.stiffness.k_min", st.k_min,
+                               "planner.stiffness.k_max", st.k_max)):
+        if not lo < hi:
+            raise ScenarioError(f"{low}: must be below {high} = {hi:g}, got {lo:g}")
+    ticks = (s.settle_time + s.duration) / s.dt
+    # at least one tick (mission_ticks rounds), and few enough to count in a float
+    if not 0.5 < ticks < math.inf:
+        name = "duration" if s.duration >= s.settle_time else "settle_time"
+        raise ScenarioError(f"{name}: settle_time + duration = {s.settle_time + s.duration:g} s "
+                            f"makes {ticks:g} ticks of {s.dt} s; a mission needs at least "
+                            f"one, and few enough to count")
+    # the clearance diagram's own rules
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-
-
-def _numbers(value, path: str, n: int) -> tuple:
-    """A list of n numbers as a tuple of floats.  Anything else raises
-    ScenarioError naming path: a quoted string too, which float() would
-    otherwise read digit by digit."""
-    if not isinstance(value, list) or len(value) != n:
-        raise ScenarioError(f"{path}: must be a list of {n} numbers, got {value!r}")
-    return tuple(_number(v, path) for v in value)
-
-
-def _obstacle_from_dict(d: dict, path: str) -> Superquadric2:
-    if not isinstance(d, dict):
-        raise ScenarioError(f"{path}: must be a mapping")
-    _check_fields(d, _OBSTACLE_FIELDS, f"{path}.")
-    for key in ("a1", "a2", "eps", "center"):
-        if key not in d:
-            raise ScenarioError(f"{path}.{key}: required field missing")
-    a1, a2, eps = (_number(d[key], f"{path}.{key}") for key in ("a1", "a2", "eps"))
-    angle = _number(d.get("angle", 0.0), f"{path}.angle")
-    center = _numbers(d["center"], f"{path}.center", 2)
+        vor.check_in_box(s.obstacles, s.world_box)
+        vor.bisectors(s.obstacles)
+    except vor.VoronoiError as exc:
+        raise ScenarioError(str(exc)) from exc
     try:
-        return Superquadric2(a1=a1, a2=a2, eps=eps, angle=angle, center=center)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-
-
-def _sub_params(raw: dict, key: str, factory):
-    """Build a parameter dataclass from an optional override mapping."""
-    overrides = raw.get(key, {})
-    if overrides is None:
-        overrides = {}
-    if not isinstance(overrides, dict):
-        raise ScenarioError(f"{key}: must be a mapping of overrides")
-    _check_fields(overrides, {f.name for f in fields(factory)}, f"{key}.")
-    try:
-        return factory(**overrides)
-    except (TypeError, ValueError, ctl.ControlError, PlannerError) as exc:
-        raise ScenarioError(f"{key}: {exc}") from exc
+        gap = closest_pairs(*pair_rows(s.vehicle, shape_rows(s.obstacles), s.start)).gap
+    except GeometryError as exc:
+        raise ScenarioError(f"start: {exc}") from exc
+    hit = np.flatnonzero(gap <= 0.0)
+    if hit.size:
+        p, o = divmod(int(hit[0]), len(s.obstacles))
+        raise ScenarioError(f"start: vehicle part {p} collides with obstacles[{o}]")
 
 
 class _ScenarioLoader(yaml.SafeLoader):
@@ -270,47 +342,22 @@ def _read(path) -> str:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
 
 
-def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file, applying default parameters."""
+def load_scenario(path, dt=None, ns=None) -> Scenario:
+    """Parse and check a scenario file: every field against its row of _FIELDS,
+    then the rules that tie fields together.  dt and ns, the command line's
+    --dt and --ns, replace the file's dt and planner.n_s under the same rows,
+    and an error in them names the flag."""
     try:
         raw = yaml.load(_read(path), Loader=_ScenarioLoader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario file is not valid structured text: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario file must contain a top-level mapping")
-    fmt = raw.get("format")
-    # the integer itself: not 1.0, 1.5 or true
-    if type(fmt) is not int or fmt != SCENARIO_FORMAT:
-        raise ScenarioError(f"format: expected the integer {SCENARIO_FORMAT}, got {fmt!r}")
-    _check_fields(raw, _SCENARIO_FIELDS)
-
-    obstacles_raw = _require(raw, "obstacles")
-    if obstacles_raw is None:
-        obstacles_raw = []
-    if not isinstance(obstacles_raw, list):
-        raise ScenarioError("obstacles: must be a list")
-    obstacles = [_obstacle_from_dict(d, f"obstacles[{i}]")
-                 for i, d in enumerate(obstacles_raw)]
-
-    try:
-        return Scenario(
-            name=str(raw.get("name", "scenario")),
-            world_box=_numbers(_require(raw, "world_box"), "world_box", 4),
-            obstacles=obstacles,
-            start=_require(raw, "start"),
-            goal=_require(raw, "goal"),
-            flight_height=_number(raw.get("flight_height", 1.0), "flight_height"),
-            duration=_number(raw.get("duration", 20.0), "duration"),
-            settle_time=_number(raw.get("settle_time", 4.0), "settle_time"),
-            dt=_number(raw.get("dt", 0.005), "dt"),
-            wind=_sub_params(raw, "wind", WindProfile),
-            planner=_sub_params(raw, "planner", PlannerParams),
-            safety=_sub_params(raw, "safety", ctl.SafetyParams),
-        )
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc)) from exc
+    s = _mapping(raw, _FIELDS, "")
+    if dt is not None:
+        s.dt = _scalar(dt, _FIELDS.rows["dt"], "--dt")
+    if ns is not None:
+        s.planner.n_s = _scalar(ns, _FIELDS.rows["planner"].kind.rows["n_s"], "--ns")
+    _check_scenario(s)
+    return s
 
 
 # --- ellipse ablation ----------------------------------------------------------
@@ -639,6 +686,8 @@ def metrics(traj: PlannedTrajectory, telemetry: Telemetry | None, s: Scenario,
 def score_flight(report: MetricsReport, telemetry: Telemetry, s: Scenario):
     """Fill report's flight fields from telemetry; flight_min_distance is the
     least gap of the flown planar poses (x, y, yaw, th1, th3) to s's obstacles."""
+    if not len(telemetry.t):
+        raise HarnessError("score_flight needs at least one tick")
     report.h_co_min = float(telemetry.h_min.min())
     flown = np.column_stack([telemetry.q[:, [0, 1, 5]], telemetry.theta[:, [0, 2]]])
     report.flight_min_distance = float(min_distance_profile(
@@ -697,25 +746,22 @@ def _write(path, text):
         raise HarnessError(f"cannot write {path}: {exc}") from exc
 
 
-def trajectory_csv(traj: PlannedTrajectory) -> str:
-    # row by row, one str.format per value: no Python list of the whole plan's floats
+def _csv(header, columns) -> str:
+    # row by row, one str.format per value: no Python list of the whole table's
+    # floats; a bool column writes as 0 or 1
     fmt = f"{{:{float_spec()}}}".format
-    table = np.column_stack([traj.s, traj.z, traj.eef, traj.u])
-    rows = [_TRAJ_HEADER]
-    rows.extend(",".join(map(fmt, row.tolist())) for row in table)
+    rows = [header]
+    rows.extend(",".join(map(fmt, row.tolist())) for row in np.column_stack(columns))
     return "\n".join(rows) + "\n"
+
+
+def trajectory_csv(traj: PlannedTrajectory) -> str:
+    return _csv(_TRAJ_HEADER, [traj.s, traj.z, traj.eef, traj.u])
 
 
 def telemetry_csv(tel: Telemetry) -> str:
-    spec = float_spec()
-    rows = [_TEL_HEADER]
-    for k in range(len(tel.t)):
-        vals = ([tel.t[k]] + list(tel.q[k]) + list(tel.qdot[k])
-                + list(tel.theta[k]) + list(tel.thrust[k]) + list(tel.d_hat[k])
-                + list(tel.d_true[k]) + [tel.h_min[k]])
-        rows.append(",".join(format(float(v), spec) for v in vals)
-                    + f",{int(tel.feasible[k])}")
-    return "\n".join(rows) + "\n"
+    return _csv(_TEL_HEADER, [tel.t, tel.q, tel.qdot, tel.theta, tel.thrust, tel.d_hat,
+                              tel.d_true, tel.h_min, tel.feasible])
 
 
 def emit(out_dir, traj: PlannedTrajectory, telemetry: Telemetry | None,
@@ -734,8 +780,8 @@ def emit(out_dir, traj: PlannedTrajectory, telemetry: Telemetry | None,
     _write(os.path.join(out_dir, "metrics.txt"), "\n".join(report.lines()) + "\n")
 
 
-def _parse_csv(text, expected_header):
-    lines = text.strip().split("\n")
+def _parse_csv(path, expected_header):
+    lines = _read(path).strip().split("\n")
     if not lines or lines[0] != expected_header:
         raise HarnessError("unexpected CSV header")
     ncol = len(expected_header.split(","))
@@ -748,17 +794,24 @@ def _parse_csv(text, expected_header):
             data.append([float(v) for v in parts])
         except ValueError:
             raise HarnessError(f"CSV row {row} has a non-numeric value") from None
-    return np.asarray(data, dtype=float)
+    m = np.asarray(data, dtype=float).reshape(-1, ncol)
+    # columns 1 and 2 of both files are the planar position: within a
+    # scenario's coordinates, or the clearance pass overflows
+    far = np.flatnonzero(~(np.abs(m[:, 1:3]) <= _COORD_MAX).all(axis=1))
+    if far.size:
+        raise ScenarioError(f"{path}: row {far[0] + 1}: a position beyond {_COORD_MAX:g} m, "
+                            f"got {m[far[0], 1:3].tolist()}")
+    return m
 
 
 def load_trajectory_csv(path) -> PlannedTrajectory:
-    m = _parse_csv(_read(path), _TRAJ_HEADER)
+    m = _parse_csv(path, _TRAJ_HEADER)
     return PlannedTrajectory(s=m[:, 0], z=m[:, 1:6], eef=m[:, 6:9],
                              u=m[:, 9:12], gammas=np.zeros((len(m), 0)))
 
 
 def load_telemetry_csv(path) -> Telemetry:
-    m = _parse_csv(_read(path), _TEL_HEADER)
+    m = _parse_csv(path, _TEL_HEADER)
     return Telemetry(t=m[:, 0], q=m[:, 1:7], qdot=m[:, 7:13], theta=m[:, 13:16],
                      thrust=m[:, 16:22], d_hat=m[:, 22:28], d_true=m[:, 28:34],
                      h_min=m[:, 34], feasible=m[:, 35].astype(bool))

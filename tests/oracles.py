@@ -554,3 +554,19 @@ def per_value_trajectory_csv(traj, spec):
         vals = [traj.s[k]] + list(traj.z[k]) + list(traj.eef[k]) + list(traj.u[k])
         rows.append(",".join(format(float(v), spec) for v in vals))
     return "\n".join(rows) + "\n"
+
+
+def per_value_telemetry_csv(tel, spec):
+    """harness.telemetry_csv's text, one format(float(v), spec) call per
+    value of each tick's [t, q, qdot, theta, thrust, d_hat, d_true, h_min],
+    then the tick's feasible flag as 0 or 1."""
+    header = ",".join(["t"] + [f"{name}{i}" for name, n in (
+        ("q", 6), ("qdot", 6), ("theta", 3), ("T", 6), ("dhat", 6), ("dtrue", 6))
+        for i in range(n)] + ["h_min", "feasible"])
+    rows = [header]
+    for k in range(len(tel.t)):
+        vals = ([tel.t[k]] + list(tel.q[k]) + list(tel.qdot[k]) + list(tel.theta[k])
+                + list(tel.thrust[k]) + list(tel.d_hat[k]) + list(tel.d_true[k])
+                + [tel.h_min[k]])
+        rows.append(",".join(format(float(v), spec) for v in vals) + f",{int(tel.feasible[k])}")
+    return "\n".join(rows) + "\n"

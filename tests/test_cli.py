@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from amplan import cli
-from amplan.geometry import StiffnessParams
+from amplan.geometry import GeometryError, StiffnessParams
 
 from test_harness import BASE, EMPTY, SCENARIO_DIR, write_scenario
 
@@ -173,13 +173,12 @@ def test_unreadable_input_exit_2(simulated, tmp_path, capsys, fname, damage):
 
 
 def test_overflowing_start_exit_2(tmp_path, no_planning, capsys):
-    # so far out that the closest-pair objective overflows; its check used to
-    # backtrack forever
+    # x = 1e300, where the closest-pair objective overflows (its check once
+    # backtracked forever), lies beyond every coordinate's bound
     data = copy.deepcopy(BASE)
     data["start"] = [1.0e300, 0.0, 0.0, 0.0, 0.0]
     assert cli.main(["plan", "--scenario", write_scenario(tmp_path, data)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: start:")
+    assert capsys.readouterr().err == "error: start[0]: must lie in [-1e+06, 1e+06], got 1e+300\n"
 
 
 def test_huge_start_angle_exit_2_before_planning(tmp_path, no_planning, capsys):
@@ -254,9 +253,9 @@ def no_planning(monkeypatch):
 
 
 def test_dt_above_plant_limit_exit_2_before_planning(empty_yaml, no_planning, capsys):
+    # --dt is read with dt's own row, and the error names the flag
     assert cli.main(["simulate", "--scenario", empty_yaml, "--dt", "0.02"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: dt")
+    assert capsys.readouterr().err == "error: --dt: must lie in (0, 0.01], got 0.02\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "bench"])
@@ -318,8 +317,7 @@ def test_plan_too_large_to_hold_exit_2_before_planning(tmp_path, no_planning, ca
 @pytest.mark.parametrize("ns", ["1", "0"])
 def test_ns_below_2_exit_2_before_planning(empty_yaml, no_planning, capsys, command, ns):
     assert cli.main([command, "--scenario", empty_yaml, "--ns", ns]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: --ns: need")
+    assert capsys.readouterr().err == f"error: --ns: must lie in [2, inf), got {ns}\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "bench"])
@@ -363,53 +361,58 @@ def test_scenario_dt_above_plant_limit_exit_2(tmp_path, no_planning, capsys):
     data["dt"] = 0.02
     path = write_scenario(tmp_path, data)
     assert cli.main(["simulate", "--scenario", path]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: dt")
+    assert capsys.readouterr().err == "error: dt: must lie in (0, 0.01], got 0.02\n"
 
 
-@pytest.mark.parametrize("key, overrides", [
-    ("safety", {"alpha_co": -1}),
-    ("safety", {"t_min": 20}),
-    ("safety", {"obstacle_height": 0}),
-    ("planner", {"eta": -1}),
-    ("planner", {"n_s": 1}),
-    ("planner", {"k_tgt": [1, 2]}),
-    ("planner", {"stiffness": {"k_min": 1.0, "spring": 2.0}}),
-    ("planner", {"stiffness": 3.0}),
-    ("planner", {"stiffness": {"d0": math.nan}}),
-    ("planner", {"n_s": 400.5}),
-    ("planner", {"prerelax_max_iter": 2.5}),
-    ("planner", {"k_reg": "abc"}),
-    ("planner", {"cond_limit": "abc"}),
-    ("planner", {"prerelax_tol": "abc"}),
-    ("wind", {"amplitude": "abc"}),
-    ("wind", {"axis": 1.0}),
-    ("wind", {"noise_std": math.nan}),
-    ("safety", {"alpha_co": math.nan}),
-    ("safety", {"sigma_co": math.nan}),
-    ("goal", [math.nan, 0.0, 0.0]),
-    ("world_box", [-5.0, -5.0, math.inf, 8.0]),
-    ("planner", {"prerelax_tol": 0.0}),
-    ("planner", {"prerelax_tol": -1e-4}),
-    ("planner", {"cond_limit": 0.5}),
-    ("format", "abc"),
-    ("obstacles", 5),
-    ("planner", {"eta": 1e308}),
-    ("planner", {"eta": 1e300}),
-    ("planner", {"k_reg": -1e308}),
-])
+# (key, its value, the field the error names): every case names the field
+# itself, or the element of a list field, not only the section it is in
+OVERRIDES = [
+    ("safety", {"alpha_co": -1}, "safety.alpha_co"),
+    ("safety", {"t_min": 20}, "safety.t_min"),
+    ("safety", {"obstacle_height": 0}, "safety.obstacle_height"),
+    ("planner", {"eta": -1}, "planner.eta"),
+    ("planner", {"n_s": 1}, "planner.n_s"),
+    ("planner", {"k_tgt": [1, 2]}, "planner.k_tgt"),
+    ("planner", {"stiffness": {"k_min": 1.0, "spring": 2.0}}, "planner.stiffness.spring"),
+    ("planner", {"stiffness": 3.0}, "planner.stiffness"),
+    ("planner", {"stiffness": {"d0": math.nan}}, "planner.stiffness.d0"),
+    ("planner", {"n_s": 400.5}, "planner.n_s"),
+    ("planner", {"prerelax_max_iter": 2.5}, "planner.prerelax_max_iter"),
+    ("planner", {"k_reg": "abc"}, "planner.k_reg"),
+    ("planner", {"cond_limit": "abc"}, "planner.cond_limit"),
+    ("planner", {"prerelax_tol": "abc"}, "planner.prerelax_tol"),
+    ("wind", {"amplitude": "abc"}, "wind.amplitude"),
+    ("wind", {"axis": 1.0}, "wind.axis"),
+    ("wind", {"noise_std": math.nan}, "wind.noise_std"),
+    ("safety", {"alpha_co": math.nan}, "safety.alpha_co"),
+    ("safety", {"sigma_co": math.nan}, "safety.sigma_co"),
+    ("goal", [math.nan, 0.0, 0.0], "goal[0]"),
+    ("world_box", [-5.0, -5.0, math.inf, 8.0], "world_box[2]"),
+    ("planner", {"prerelax_tol": 0.0}, "planner.prerelax_tol"),
+    ("planner", {"prerelax_tol": -1e-4}, "planner.prerelax_tol"),
+    ("planner", {"cond_limit": 0.5}, "planner.cond_limit"),
+    ("format", "abc", "format"),
+    ("obstacles", 5, "obstacles"),
+    ("planner", {"eta": 1e308}, "planner.eta"),
+    ("planner", {"eta": 1e300}, "planner.eta"),
+    ("planner", {"k_reg": -1e308}, "planner.k_reg"),
+]
+
+
+@pytest.mark.parametrize("key, overrides", [case[:2] for case in OVERRIDES])
 def test_out_of_range_override_exit_2_before_planning(tmp_path, no_planning, capsys,
                                                       key, overrides):
+    (path,) = [p for k, o, p in OVERRIDES if (k, repr(o)) == (key, repr(overrides))]
     data = copy.deepcopy(EMPTY)
     data[key] = overrides
-    path = write_scenario(tmp_path, data)
-    assert cli.main(["simulate", "--scenario", path]) == 2
+    assert cli.main(["simulate", "--scenario", write_scenario(tmp_path, data)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"error: {key}: ")
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
 
 
 @pytest.mark.parametrize("edit, path", [
-    # a quoted string used to load digit by digit: "56" as the center (5, 6),
+    # a quoted string used to load digit by digit (an element out of range
+    # names its index too: world_box[2], obstacles[0].center[1]): "56" as the center (5, 6),
     # "0085" as the box (0, 0, 8, 5)
     (lambda d: d["obstacles"][0].update(center="56"), "obstacles[0].center"),
     (lambda d: d.update(world_box="0085"), "world_box"),
@@ -432,7 +435,7 @@ def test_center_and_world_box_must_be_lists_exit_2(tmp_path, no_planning, capsys
     for command in ("plan", "simulate"):
         assert cli.main([command, "--scenario", write_scenario(tmp_path, data)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1 and re.match(rf"error: {re.escape(path)}(\[\d\])?: ", err)
 
 
 @pytest.mark.parametrize("key", ["flight_height", "duration", "settle_time", "dt"])
@@ -468,3 +471,96 @@ def test_out_at_or_below_a_file_exit_2_before_loading(empty_yaml, tmp_path, monk
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: --out: {afile} exists")
     assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("edit, line", [
+    # one number rule everywhere: a quoted number or a boolean used to load
+    # at the top level and in an obstacle, and exit 2 only in the sections
+    (lambda d: d.update(duration="20"), "duration: must be a number, got '20'"),
+    (lambda d: d["obstacles"][0].update(a1="0.5"), "obstacles[0].a1: must be a number, got '0.5'"),
+    (lambda d: d["obstacles"][0].update(a1=True), "obstacles[0].a1: must be a number, got True"),
+    (lambda d: d.update(flight_height=True), "flight_height: must be a number, got True"),
+    (lambda d: d.update(start=[0.0, "1.8", 0.0, 0.0, 0.0]), "start[1]: must be a number, got '1.8'"),
+    (lambda d: d.update(planner={"n_s": True}), "planner.n_s: must be an integer, got True"),
+    (lambda d: d.update(wind={"axis": "0"}), "wind.axis: must be an integer, got '0'"),
+    # and every error names the field, once
+    (lambda d: d.update(planner={"eta": -1}), "planner.eta: must lie in (0, 1e+12], got -1"),
+    (lambda d: d.update(planner={"stiffness": {"foo": 1}}), "planner.stiffness.foo: unknown field"),
+    (lambda d: d.update(start="abcde"), "start: must be a list of 5 numbers, got 'abcde'"),
+    (lambda d: d.update(wind={"period": -1}), "wind.period: must lie in [1e-06, inf), got -1"),
+    (lambda d: d.update(planner={"k_tgt": [[1, 0, 0], [0, 1, 0], [0, 0, "x"]]}),
+     "planner.k_tgt[2][2]: must be a number, got 'x'"),
+    (lambda d: d.update(safety={"t_min": 20}), "safety.t_min: must be below safety.t_max = 15, got 20"),
+    # magnitudes that used to warn, or fail in flight: an a1 of 1e-160 exited 2
+    # with a stiffness message, a goal of 1e200 exited 3 after overflow
+    # warnings, a wind of 1e200 failed in flight
+    (lambda d: d["obstacles"][0].update(a1=1e-160),
+     "obstacles[0].a1: must lie in [1e-06, 1e+06], got 1e-160"),
+    (lambda d: d["obstacles"][0].update(a2=1e-160),
+     "obstacles[0].a2: must lie in [1e-06, 1e+06], got 1e-160"),
+    (lambda d: d.update(goal=[1e200, 0.0, 0.0]), "goal[0]: must lie in [-1e+06, 1e+06], got 1e+200"),
+    (lambda d: d.update(goal=[0.0, -1e300, 0.0]),
+     "goal[1]: must lie in [-1e+06, 1e+06], got -1e+300"),
+    (lambda d: d.update(wind={"amplitude": 1e200}),
+     "wind.amplitude: must lie in [-1e+06, 1e+06], got 1e+200"),
+    (lambda d: d.update(wind={"noise_std": 1e308}), "wind.noise_std: must lie in [0, 1e+06], got 1e+308"),
+    (lambda d: d.update(safety={"alpha_co": 1e200}), "safety.alpha_co: must lie in (0, 1e+12], got 1e+200"),
+    (lambda d: d.update(safety={"obstacle_height": 1e-20}),
+     "safety.obstacle_height: must lie in [1e-06, 1e+06], got 1e-20"),
+])
+def test_error_line_names_the_field_exit_2_before_planning(tmp_path, no_planning, capsys, edit,
+                                                            line):
+    data = copy.deepcopy(BASE)
+    edit(data)
+    for command in ("plan", "simulate"):
+        assert cli.main([command, "--scenario", write_scenario(tmp_path, data)]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "bench"])
+def test_mission_without_ticks_exit_2_before_planning(tmp_path, no_planning, capsys, command):
+    # 0.001 s holds no tick of 5 ms: the flight's score used to raise on its
+    # empty telemetry
+    data = copy.deepcopy(EMPTY)
+    data.update(settle_time=0, duration=0.001)
+    assert cli.main([command, "--scenario", write_scenario(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == ("error: duration: settle_time + duration = 0.001 s makes "
+                                       "0.2 ticks of 0.005 s; a mission needs at least one, "
+                                       "and few enough to count\n")
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", ".", "..", "", [1, 2], None, 7])
+def test_name_is_one_path_component_exit_2(tmp_path, no_planning, capsys, name):
+    # bench writes into --out/<name>-<mode>: ../escaped used to write beside
+    # --out, [1, 2] to load as "[1, 2]" and null as "None"
+    data = copy.deepcopy(EMPTY)
+    data["name"] = name
+    path = write_scenario(tmp_path, data)
+    assert cli.main(["bench", "--scenario", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: name: must be a nonempty string")
+    assert os.listdir(tmp_path) == ["scenario.yaml"]
+
+
+def test_geometry_error_while_running_exit_3(empty_yaml, monkeypatch, capsys):
+    # every load-time failure is a ScenarioError; a GeometryError comes from
+    # the pipeline, a runtime failure
+    def plan(*args, **kwargs):
+        raise GeometryError("closest-pair objective is not finite")
+
+    monkeypatch.setattr(cli.hz, "plan", plan)
+    assert cli.main(["plan", "--scenario", empty_yaml]) == 3
+    assert capsys.readouterr().err == "error: closest-pair objective is not finite\n"
+
+
+@pytest.mark.parametrize("fname", ["trajectory.csv", "telemetry.csv"])
+def test_header_only_csv_exit_3(simulated, tmp_path, capsys, fname):
+    # a file of no rows used to raise an IndexError traceback on its columns
+    scenario, done = simulated
+    out = tmp_path / "out"
+    shutil.copytree(done, out)
+    (out / fname).write_text((out / fname).read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert cli.main(["metrics", "--scenario", scenario, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")

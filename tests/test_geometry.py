@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.spatial import cKDTree
 
 from amplan import geometry
 from amplan.control import h_co
+from amplan.harness import ScenarioError, load_scenario
 from amplan.geometry import (
     GeometryError,
     StiffnessParams,
@@ -21,6 +23,7 @@ from amplan.geometry import (
 )
 from oracles import (Superquadric3, sampled_gap, sq2_boundary, sq2_boundary_samples,
                      sq2_inside_outside)
+from test_harness import BASE, write_scenario
 
 
 def unit_sphere():
@@ -113,11 +116,16 @@ class TestStiffness:
         k = stiffness_terms(d1, p)[0]
         assert p.k_min < k < p.k_min + p.k_max
 
-    def test_invalid_params(self):
-        with pytest.raises(GeometryError):
-            StiffnessParams(2.0, 1.0, 0.1, 0.0)
-        with pytest.raises(GeometryError):
-            StiffnessParams(1.0, 2.0, -0.1, 0.0)
+    def test_invalid_params(self, tmp_path):
+        # a scenario's stiffness overrides are checked where the file loads
+        for stiffness, message in (
+                ({"k_min": 2.0, "k_max": 1.0}, r"planner\.stiffness\.k_min: must be below "
+                                               r"planner\.stiffness\.k_max = 1, got 2"),
+                ({"d0": -0.1}, r"planner\.stiffness\.d0: must lie in \[1e-06, 1e\+06\], got -0\.1")):
+            data = copy.deepcopy(BASE)
+            data["planner"] = {"stiffness": stiffness}
+            with pytest.raises(ScenarioError, match=f"^{message}$"):
+                load_scenario(write_scenario(tmp_path, data))
 
 
 def random_convex_sq(rng, box=3.0):

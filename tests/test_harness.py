@@ -22,7 +22,7 @@ from amplan.planner import PlannedTrajectory, VehicleGeometry
 from oracles import (array_model_terms, array_outer_loop, array_step, array_thrust,
                      array_thrust_limit_rows, dense_min_distance_profile, extrude,
                      part_superquadrics,
-                     per_value_trajectory_csv,
+                     per_value_telemetry_csv, per_value_trajectory_csv,
                      product_rotation, scalar_target_pose, sq2_boundary, sq2_boundary_samples,
                      sq2_inside_outside, stacked_rk4_dob_update)
 
@@ -173,11 +173,13 @@ def test_start_collision_rejected(tmp_path):
         hz.load_scenario(write_scenario(tmp_path, data))
 
 
-def test_wind_validation():
-    with pytest.raises(hz.ScenarioError):
-        hz.WindProfile(period=-1.0)
-    with pytest.raises(hz.ScenarioError):
-        hz.WindProfile(axis=5)
+def test_wind_validation(tmp_path):
+    for wind, message in (({"period": -1.0}, r"wind\.period: must lie in \[1e-06, inf\), got -1\.0"),
+                          ({"axis": 5}, r"wind\.axis: must lie in \[0, 2\], got 5")):
+        data = copy.deepcopy(BASE)
+        data["wind"] = wind
+        with pytest.raises(hz.ScenarioError, match=f"^{message}$"):
+            hz.load_scenario(write_scenario(tmp_path, data))
 
 
 def test_mode_validation():
@@ -619,6 +621,17 @@ def test_trajectory_csv_matches_per_value_formatter(monkeypatch, digits):
     assert text == per_value_trajectory_csv(traj, f".{digits or 17}g")
     assert text.splitlines()[1].startswith("0,-0,0,")
     assert {"inf", "-inf", "nan"} <= set(text.replace("\n", ",").split(","))
+    # the telemetry's rows come from the same writer, its flag column as 0 or 1
+    tel = hz.Telemetry(t=traj.s, q=rng.standard_normal((n, 6)) * 1e3,
+                       qdot=rng.standard_normal((n, 6)), theta=rng.standard_normal((n, 3)),
+                       thrust=rng.standard_normal((n, 6)) / 3.0, d_hat=rng.standard_normal((n, 6)),
+                       d_true=rng.standard_normal((n, 6)), h_min=np.full(n, np.inf),
+                       feasible=rng.random(n) < 0.5)
+    tel.q[0, 0], tel.qdot[1, 2], tel.h_min[2], tel.d_hat[3, 1] = -0.0, np.nan, 0.125, -np.inf
+    text = hz.telemetry_csv(tel)
+    assert text == per_value_telemetry_csv(tel, f".{digits or 17}g")
+    assert text.splitlines()[0] == hz._TEL_HEADER
+    assert {ln.rsplit(",", 1)[1] for ln in text.splitlines()[1:]} == {"0", "1"}
 
 
 def test_metrics_requires_samples():
