@@ -434,7 +434,8 @@ class ProxyTracker(PairTable):
             pairs = np.arange(self.pi.size)
         if pairs.size == 0:
             return np.zeros(0)
-        set_part_poses(self.rows[0], self.geom, self.pi, [q[0], q[1], q[5], theta[0], theta[2]])
+        set_part_poses(self.rows[0], self.geom.frame_stack([q[0], q[1], q[5], theta[0], theta[2]]),
+                       self.gather)
         sides = self.rows[:, :, pairs]
         last = self.gammas[:, pairs]
         res = closest_pairs(*sides, init=np.where(np.isnan(last), center_angles(*sides), last))
@@ -462,7 +463,7 @@ class ProxyTracker(PairTable):
         link = self.geom.part_links
         centers = pivots[link, :2] + np.einsum("pij,pj->pi", rotations[link, :2, :2],
                                                self.geom.part_offsets)
-        rho = self.rho(centers.T[..., None])
+        rho = self.rho(centers.T[..., None]).ravel()
         return (2.0 / EXTRUDE_EPS1) * np.log(np.maximum(rho / self.r_obs, _TINY))
 
 

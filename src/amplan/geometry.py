@@ -20,10 +20,9 @@ class GeometryError(ValueError):
 
 
 def wrap_angle(a):
-    """Wrap angle(s) into (-pi, pi]."""
-    a = np.asarray(a, dtype=float)
-    out = -((-a + np.pi) % (2.0 * np.pi) - np.pi)
-    return out if out.ndim else float(out)
+    """Wrap an angle, a float or an array of them, into (-pi, pi].  Python's
+    float % rounds as numpy's remainder (fmod, then the divisor's sign)."""
+    return -((-a + math.pi) % (2.0 * math.pi) - math.pi)
 
 
 @dataclass(frozen=True)
@@ -144,16 +143,22 @@ def _body_curve(axes, c, s):
 
 
 def _posed(pose, x, y):
-    """World points (2, N) of the body-frame points (x, y) under the pose rows
-    [cos(angle), sin(angle), center x, center y] of shape_rows."""
-    ca, sa, cx, cy = pose
-    return np.array([cx + ca * x - sa * y, cy + sa * x + ca * y])
+    """World points (2, ...) of body-frame points under the pose rows [cos(angle),
+    sin(angle), center x, center y] (4, ...) of shape_rows, the points given per
+    world row (_pose_operands): cx + ca x - sa y and cy + sa x + ca y, bit for
+    bit, on whole rows (a + (-b) is a - b in IEEE)."""
+    return pose[2:] + pose[:2] * x + pose[1::-1] * y
+
+
+def _pose_operands(x, y):
+    """_posed's operands (x, x) and (-y, y), each (2, ...), of body points (x, y)."""
+    return np.array([x, x]), np.array([-y, y])
 
 
 def boundary_points(rows, g):
     """World points p(g) (2, N) of the shapes of shape_rows columns rows at
     the proxy angles g (N,)."""
-    return _posed(rows[3:], *_body_curve(rows[:3], np.cos(g), np.sin(g)))
+    return _posed(rows[3:], *_pose_operands(*_body_curve(rows[:3], np.cos(g), np.sin(g))))
 
 
 def _boundary(rows, g):
@@ -165,7 +170,7 @@ def _boundary(rows, g):
     """
     c, s = np.cos(g), np.sin(g)
     x, y = _body_curve(rows[:3], c, s)
-    p = _posed(rows[3:], x, y)
+    p = _posed(rows[3:], *_pose_operands(x, y))
     a1, a2, eps, ca, sa = rows[:5]
     ac, as_ = np.maximum(np.abs(c), AXIS_FLOOR), np.maximum(np.abs(s), AXIS_FLOOR)
     e2, ae1, ae2 = eps - 2.0, a1 * eps, a2 * eps

@@ -29,8 +29,8 @@ from . import voronoi as vor
 from .geometry import (GeometryError, StiffnessParams, Superquadric2, closest_pairs,
                        radial_excess, shape_rows)
 from .planner import (PairTable, PlannedTrajectory, PlannerParams, VehicleGeometry,
-                      attractors_from_path, integrate_em, pair_rows, set_part_poses,
-                      target_pose)
+                      attractors_from_path, integrate_em, pair_rows, part_gather,
+                      set_part_poses, target_pose)
 
 
 class ScenarioError(ValueError):
@@ -346,7 +346,8 @@ def load_scenario(path, dt=None, ns=None) -> Scenario:
     """Parse and check a scenario file: every field against its row of _FIELDS,
     then the rules that tie fields together.  dt and ns, the command line's
     --dt and --ns, replace the file's dt and planner.n_s under the same rows,
-    and an error in them names the flag."""
+    and an error in them names the flag, as does a plan too large to hold
+    (plan_samples)."""
     try:
         raw = yaml.load(_read(path), Loader=_ScenarioLoader)
     except yaml.YAMLError as exc:
@@ -357,6 +358,7 @@ def load_scenario(path, dt=None, ns=None) -> Scenario:
     if ns is not None:
         s.planner.n_s = _scalar(ns, _FIELDS.rows["planner"].kind.rows["n_s"], "--ns")
     _check_scenario(s)
+    plan_samples(s, "--ns" if ns is not None else "planner.n_s")
     return s
 
 
@@ -481,14 +483,14 @@ def mission_ticks(s: Scenario) -> int:
 _SAMPLE_FLOATS = 13
 
 
-def plan_samples(s: Scenario) -> int:
+def plan_samples(s: Scenario, name: str = "planner.n_s") -> int:
     """n_s + 1, the most samples of s's plan once n_s reaches its path's K
     attractors (integrate_em takes max(1, n_s // K) steps toward each);
-    raises ScenarioError, before anything is built, when their per-sample
-    arrays exceed the machine's memory."""
+    raises ScenarioError naming n_s as name, before anything is built, when
+    their per-sample arrays exceed the machine's memory."""
     n = s.planner.n_s + 1
     floats = _SAMPLE_FLOATS + 2 * s.vehicle.n_parts * len(s.obstacles)
-    _check_memory("n_s", n, "plan samples", "sample", n * floats * 8)
+    _check_memory(name, n, "plan samples", "sample", n * floats * 8)
     return n
 
 
@@ -609,6 +611,10 @@ class MetricsReport:
         return out
 
 
+# samples per block of the metric pass: bounded on a long flight, one per default plan
+_PROFILE_BLOCK = 512
+
+
 def min_distance_profile(traj, geom: VehicleGeometry, obstacles: list) -> np.ndarray:
     """Min signed gap between any vehicle part and any obstacle at each
     planar configuration of traj.z (n, 5): a plan's samples, or the poses of
@@ -618,7 +624,8 @@ def min_distance_profile(traj, geom: VehicleGeometry, obstacles: list) -> np.nda
     original obstacle set, regardless of the planning mode).  Every solved
     pair is cold-started from its center-to-center direction, with no warm
     start from the previous sample; closest_pairs never mixes pairs, so each
-    gets bit for bit the gap of solving it alone.
+    gets bit for bit the gap of solving it alone; rho's scale is per sample, so
+    the blocks of _PROFILE_BLOCK samples give the bits of one stack.
 
     Only the pairs that can hold a sample's minimum are solved.  Each pair's
     gap is at least lb = rho - r_obs: rho (PairTable.rho) bounds the distance
@@ -636,24 +643,29 @@ def min_distance_profile(traj, geom: VehicleGeometry, obstacles: list) -> np.nda
         return np.full(n, math.inf)
     obs_rows = shape_rows(obstacles)
     n_parts, n_obs = geom.n_parts, obs_rows.shape[1]
-    # the parts' rows at every sample, one block of n_parts columns per sample
-    parts = np.vstack([np.tile(geom.part_axes, n), np.empty((4, n_parts * n))])
-    set_part_poses(parts, geom, np.arange(n_parts), traj.z)
+    table, gather = PairTable(geom, obs_rows), part_gather(geom, np.arange(n_parts))
 
-    # (n, pairs) in planner.pair_index order
-    table = PairTable(geom, obs_rows)
-    lb = table.rho(parts[5:].reshape(2, n, n_parts, 1)) - table.r_obs
-
-    def gaps(sample, pair):
+    def gaps(parts, sample, pair):
         part, obs = np.divmod(pair, n_obs)
         return closest_pairs(parts[:, sample * n_parts + part], obs_rows[:, obs]).gap
 
-    samples = np.arange(n)
-    first = lb.argmin(axis=1)
-    out = gaps(samples, first)
-    lb[samples, first] = np.inf
-    sample, pair = np.nonzero(lb <= np.maximum(out, 0.0)[:, None])
-    np.minimum.at(out, sample, gaps(sample, pair))
+    out = np.empty(n)
+    for start in range(0, n, _PROFILE_BLOCK):
+        z = traj.z[start:start + _PROFILE_BLOCK]
+        b = len(z)
+        # the parts' rows at every sample, one block of n_parts columns per sample
+        parts = np.vstack([np.tile(geom.part_axes, b), np.empty((4, n_parts * b))])
+        set_part_poses(parts, geom.frame_stack(z), gather)
+        # (b, pairs) in planner.pair_index order
+        lb = table.rho(parts[5:].reshape(2, b, n_parts, 1).transpose(1, 0, 2, 3)).reshape(b, -1)
+        lb -= table.r_obs
+        samples = np.arange(b)
+        first = lb.argmin(axis=1)
+        block = out[start:start + b]
+        block[:] = gaps(parts, samples, first)
+        lb[samples, first] = np.inf
+        sample, pair = np.nonzero(lb <= np.maximum(block, 0.0)[:, None])
+        np.minimum.at(block, sample, gaps(parts, sample, pair))
     return out
 
 
@@ -748,11 +760,11 @@ def _write(path, text):
 
 def _csv(header, columns) -> str:
     # row by row, one str.format per value: no Python list of the whole table's
-    # floats; a bool column writes as 0 or 1
+    # floats; a bool column writes as 0 or 1; the last row, "", ends the text
+    # with a newline, with no second copy of the text
     fmt = f"{{:{float_spec()}}}".format
-    rows = [header]
-    rows.extend(",".join(map(fmt, row.tolist())) for row in np.column_stack(columns))
-    return "\n".join(rows) + "\n"
+    rows = [header, *(",".join(map(fmt, row.tolist())) for row in np.column_stack(columns)), ""]
+    return "\n".join(rows)
 
 
 def trajectory_csv(traj: PlannedTrajectory) -> str:

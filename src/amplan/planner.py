@@ -36,8 +36,8 @@ import numpy as np
 
 from .dynamics import eigvalsh, linsolve
 from .geometry import (AXIS_FLOOR, TANH_SATURATION, GeometryError, StiffnessParams, _body_curve,
-                       _posed, boundary_points, bounding_radius, circle_bound, closest_pairs,
-                       shape_rows, stiffness_terms, wrap_angle)
+                       _pose_operands, _posed, boundary_points, bounding_radius, circle_bound,
+                       closest_pairs, shape_rows, stiffness_terms, wrap_angle)
 from .voronoi import SolutionPath
 
 
@@ -159,61 +159,64 @@ def pair_rows(geom: VehicleGeometry, obs_rows, z):
     pi, oi = pair_index(geom.n_parts, obs_rows.shape[1])
     B = len(np.atleast_2d(z))
     parts = np.vstack([np.tile(geom.part_axes[:, pi], B), np.empty((4, B * pi.size))])
-    set_part_poses(parts, geom, pi, z)
+    set_part_poses(parts, geom.frame_stack(z), part_gather(geom, pi))
     return parts, obs_rows[:, np.tile(oi, B)]
 
 
-def set_part_poses(parts, geom: VehicleGeometry, pi, z, frames=None):
-    """Write the poses at z, or at each sample of a stack z (B, 5) in its own
-    block of columns, into the rows [cos, sin, center x, center y] of parts pi.
+def part_gather(geom: VehicleGeometry, pi):
+    """set_part_poses' operands for the parts pi (P,), built once per list:
+    the index (4, P) of each part's frame row read as a pose [cos, sin, x, y]
+    in a flat joint_frames block, and its offset as _posed takes it, (2, 1, P)."""
+    ox, oy = geom.part_offsets[pi].T
+    return 4 * geom.part_links[pi] + [[2], [3], [0], [1]], *_pose_operands(ox[None], oy[None])
 
-    A part fixed in joint frame l (geom.part_links) at offset off
-    (geom.part_offsets) has the angle phi_l and the center pivot_l +
-    R(phi_l) off.  frames, when given, are z's geom.frame_stack.
-    """
-    if frames is None:
-        frames = geom.frame_stack(z)
-    # each pair's frame rows [pivot x, pivot y, cos, sin], (4, B, pairs), and offset
-    f = frames.transpose(2, 0, 1).take(geom.part_links[pi], axis=2)
-    ox, oy = geom.part_offsets.T.take(pi, axis=1)
-    a = f[:2] + f[2:] * ox              # pivot + (cos, sin) off_x
-    b = f[3:1:-1] * oy                  # (sin, cos) off_y
-    parts[3:5] = f[2:].reshape(2, -1)
-    parts[5] = (a[0] - b[0]).reshape(-1)
-    parts[6] = (a[1] + b[1]).reshape(-1)
+
+def set_part_poses(parts, frames, gather):
+    """Write the poses of gather's parts (part_gather) at the joint frames of
+    one z (3, 4), or of each sample of a stack (B, 3, 4) in its own block of
+    columns, into the rows [cos, sin, center x, center y] of parts: a part
+    fixed at offset off in joint frame l has the angle phi_l and the center
+    pivot_l + R(phi_l) off, the offset posed (geometry._posed) in the frame."""
+    idx, ox, oy = gather
+    pose = frames.reshape(-1, 12).take(idx, axis=1).transpose(1, 0, 2)    # (4, B, P)
+    parts[3:5] = pose[:2].reshape(2, -1)
+    parts[5:7] = _posed(pose, ox, oy).reshape(2, -1)
 
 
 class PairTable:
     """The (part pi, obstacle oi) pairs of geom and obs_rows in pair_index
     order, and the bound every far-pair gate takes: the planner's reach gate,
     the metric pass and the safety filter's.  rows holds the pair_rows sides
-    (2, 7, P) at z = 0, whose part side callers may pose; r_part (n_parts, 1)
-    and r_obs (P,) are the bounding radii (geometry.bounding_radius) of the
+    (2, 7, P) at z = 0, whose part side callers pose with gather; r_part
+    (n_parts, 1) and r_obs (P,) are the bounding radii (bounding_radius) of the
     parts and of each pair's obstacle, scale the scene scale's fixed share."""
 
     def __init__(self, geom: VehicleGeometry, obs_rows):
         self.geom = geom
         self.pi, self.oi = pair_index(geom.n_parts, obs_rows.shape[1])
+        self.gather = part_gather(geom, self.pi)
         self.rows = np.array(pair_rows(geom, obs_rows, np.zeros(5)))
         self.c_obs = obs_rows[5:]
+        self.c_pair = self.rows[1, 5:].reshape(2, geom.n_parts, obs_rows.shape[1])
         self.r_part = bounding_radius(*geom.part_axes)[:, None]
         self.r_obs = bounding_radius(*self.rows[1, :3])
         self.scale = sum(v.max(initial=0.0) for v in (abs(self.c_obs), self.r_part, self.r_obs))
 
     def rho(self, c):
-        """geometry.circle_bound (..., P) from each obstacle's center to the
-        parts' bounding circles, centered at c (2, ..., n_parts, 1): below the
-        distance from that center to any point of the part.  Each sample's
-        scale is its own largest center coordinate plus the fixed share, so a
-        sample's rho does not depend on the stack it is computed in."""
-        d = c - self.c_obs.reshape(2, *(1,) * (c.ndim - 2), -1)
-        scale = abs(c).max(axis=(0, -2, -1), keepdims=True, initial=0.0)[0] + self.scale
-        rho = circle_bound(d, self.r_part, scale)
-        return rho.reshape(*rho.shape[:-2], -1)
+        """geometry.circle_bound (..., n_parts, n_obs), raveled in pair_index
+        order, from each obstacle's center to the parts' bounding circles,
+        centered at c (..., 2, n_parts, 1 or n_obs): below the distance from
+        that center to any point of the part.  Each sample's scale is its own
+        largest center coordinate plus the fixed share, so a sample's rho does
+        not depend on the stack it is computed in."""
+        scale = abs(c).max(axis=(-3, -2, -1), initial=0.0)[..., None, None] + self.scale
+        d = c - self.c_pair
+        return circle_bound((d[..., 0, :, :], d[..., 1, :, :]), self.r_part, scale)
 
 
 class _Evaluator:
-    """Caches per-pair parameter arrays so each evaluation is one fused batch."""
+    """One plan's per-pair constants, the pose gather (PairTable.gather) among
+    them, and its last proxy curves, so each evaluation is one fused batch."""
 
     def __init__(self, geom: VehicleGeometry, obs_rows, stiff: StiffnessParams):
         self.geom = geom
@@ -229,11 +232,14 @@ class _Evaluator:
         self.rows = table.rows.transpose(1, 0, 2)
         a = self.rows[:2, 1]
         oeps, ocos, osin = self.rows[2:5, 1]
-        self.reach = table.r_obs * (1.0 + stiff.d_prime
-                                    + TANH_SATURATION * stiff.d0) ** (oeps / 2.0)
+        # the reach gate's operands (n_parts, n_obs): rows' part centers, each pair's reach
+        self.centers = table.rows[0, 5:].reshape(table.c_pair.shape)
+        self.reach = (table.r_obs * (1.0 + stiff.d_prime + TANH_SATURATION * stiff.d0)
+                      ** (oeps / 2.0)).reshape(table.c_pair.shape[1:])
         self.oexp = 2.0 / oeps
         # joint angle j moves a part proxy iff j <= l, l the frame of its part
         self.moved = (np.arange(3) <= geom.part_links[self.pi][:, None]).astype(float)
+        # the proxy Jacobian, whose columns 2: each pass rewrites
         self.jp = np.zeros((2, self.P, 5))
         self.jp[0, :, 0] = self.jp[1, :, 1] = 1.0
         # obstacle rotation R[a, k], scaled inverse diag(1/a) R^T, and R[a, k] R[b, k]
@@ -250,10 +256,12 @@ class _Evaluator:
         self._part_curve = self._obs_points = (None, None)
 
     def part_curve(self, Gp):
-        """Body-frame points (x, y) of the part proxies at the angles Gp (P,)."""
+        """Body-frame points of the part proxies at the angles Gp (P,), as _posed
+        takes them (_pose_operands)."""
         key = np.asarray(Gp, dtype=float).tobytes()
         if key != self._part_curve[0]:
-            self._part_curve = key, _body_curve(self.rows[:3, 0], np.cos(Gp), np.sin(Gp))
+            self._part_curve = key, _pose_operands(*_body_curve(self.rows[:3, 0], np.cos(Gp),
+                                                                np.sin(Gp)))
         return self._part_curve[1]
 
     def obstacle_points(self, Go):
@@ -268,8 +276,7 @@ class _Evaluator:
         have rho = PairTable.rho >= reach = r_obs (1 + d' + TANH_SATURATION d0)
         ^(eps / 2): F + 1 is homogeneous of degree 2 / eps and 1 within r_obs
         of the center, so their stiffness is (k_min, 0, 0) at every angle."""
-        c = self.rows[5:, 0].reshape(2, self.geom.n_parts, -1)[..., :1]    # one per part
-        return (self.table.rho(c) < self.reach).nonzero()[0]
+        return (self.table.rho(self.centers) < self.reach).ravel().nonzero()[0]
 
 
 # d^2 p / dphi_i dphi_j = -V_max(i,j): the joint angles act on nested frames
@@ -281,15 +288,16 @@ def _pair_sums(ev: _Evaluator, z, Gp, Go, jf):
     """The pair terms of _fused_derivatives, summed over the pairs: grad_z (5,),
     hess_z (5, 5) without the joint-frame curvature, that curvature -G.V (3,)
     and W; jf holds the joint frames (3, 4) at z, where the part rows of ev.rows
-    are posed.
+    are posed with the plan's pose gather.
 
     The contact terms, those of k' and k'', are evaluated on the loaded pairs
     alone, where k' or k'' is non-zero or k D has a zero entry (whose sign they
     may set).  Every other pair's are signed zeros that leave its p-space
-    gradient k D and Hessian k I bit for bit as they are.
+    gradient k D and Hessian k I bit for bit as they are.  With none loaded, Hp
+    J_p is k J_p: no block is formed, and no sum of H ends on a zero's sign.
     """
     st, rows = ev.stiff, ev.rows
-    set_part_poses(rows[:, 0], ev.geom, ev.pi, z, jf[None])
+    set_part_poses(rows[:, 0], jf, ev.table.gather)
     p = _posed(rows[3:, 0], *ev.part_curve(Gp))
 
     # part proxies in their obstacle's frame, divided by its semi-axes
@@ -301,11 +309,18 @@ def _pair_sums(ev: _Evaluator, z, Gp, Go, jf):
     d2 = (D * D).sum(axis=0)
     k0, k1, k2 = stiffness_terms(g, st)
 
+    # chain rule to z through the proxy Jacobian Jp = [I | S V], (2, P, 5)
+    P = ev.P
+    V = (p[:, :, None] - jf[:, :2].T[:, None]) * ev.moved
+    Jp = ev.jp
+    Jp[0, :, 2:] = -V[1]
+    Jp[1, :, 2:] = V[0]
+
     # p-space gradient Gr (2, P) and Hessian Hp (2, 2, P) of each pair term
     Gr = k0 * D
-    Hp = k0 * _EYE2
-    L = ((k1 != 0.0) | (k2 != 0.0) | (Gr == 0.0).any(axis=0)).nonzero()[0]
-    if L.size:
+    if np.count_nonzero(k1) or np.count_nonzero(k2) or np.count_nonzero(Gr) < Gr.size:
+        Hp = k0 * _EYE2
+        L = ((k1 != 0.0) | (k2 != 0.0) | (Gr == 0.0).any(axis=0)).nonzero()[0]
         wL, awL, k0L, k1L, d2L, DL = w[:, L], aw[:, L], k0[L], k1[L], d2[L], D[:, L]
         orot = ev.orot[..., L]
         fb = ev.fgrad[:, L] * np.sign(wL) * awL ** ev.e1[L]
@@ -318,14 +333,9 @@ def _pair_sums(ev: _Evaluator, z, Gp, Go, jf):
         Hp[..., L] = (0.5 * k2[L] * d2L * f[:, None] * f
                       + A * (orot2[:, :, 0] * hb[0] + orot2[:, :, 1] * hb[1])
                       + k1L * (fD + fD.transpose(1, 0, 2)) + k0L * _EYE2)
-
-    # chain rule to z through the proxy Jacobian Jp = [I | S V], (2, P, 5)
-    P = ev.P
-    V = (p[:, :, None] - jf[:, :2].T[:, None]) * ev.moved
-    Jp = ev.jp.copy()
-    Jp[0, :, 2:] = -V[1]
-    Jp[1, :, 2:] = V[0]
-    HJ = Hp[:, 0, :, None] * Jp[0] + Hp[:, 1, :, None] * Jp[1]
+        HJ = Hp[:, 0, :, None] * Jp[0] + Hp[:, 1, :, None] * Jp[1]
+    else:
+        HJ = k0[:, None] * Jp
 
     Jp, Gr = Jp.reshape(2 * P, 5), Gr.reshape(2 * P)
     gz = Gr.dot(Jp)
@@ -349,21 +359,22 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     -G.V_max(i,j) curvature of the nested joint frames.  The pass leaves
     ev.rows posed at z, where integrate_em's reach gate reads them.
     """
-    geom = ev.geom
+    geom, k_reg = ev.geom, params.k_reg
     x, y, psi, t1, t3 = z.tolist()
     ux, uy, ut = np.asarray(u, dtype=float).tolist()
 
     # in plain floats: the joint frames (VehicleGeometry.joint_frames), the
     # end-effector Jacobian J, with rows [1, 0, -Vy] and [0, 1, Vx] for the eef
-    # lever arm V of each joint frame, and the target residual r = u - eef with
-    # its angle wrapped; then J, r and the frames as one array
+    # lever arm V of each joint frame, the target residual r = u - eef with its
+    # angle wrapped and the regulariser's gradient; then all of them as one array
     fr = geom.joint_frames(x, y, psi, t1, t3)
     ex, ey = fr[2][0] + geom.l2 * fr[2][2], fr[2][1] + geom.l2 * fr[2][3]
     vy = [f[1] - ey for f in fr]
     vx = [ex - f[0] for f in fr]
     flat = np.array([1.0, 0.0, *vy, 0.0, 1.0, *vx, 0.0, 0.0, 1.0, 1.0, 1.0,
-                     ux - ex, uy - ey, wrap_angle(ut - (psi + t1 + t3)), *fr[0], *fr[1], *fr[2]])
-    J, r, jf = flat[:15].reshape(3, 5), flat[15:18], flat[18:].reshape(3, 4)
+                     ux - ex, uy - ey, wrap_angle(ut - (psi + t1 + t3)), k_reg * t1, k_reg * t3,
+                     *fr[0], *fr[1], *fr[2]])
+    J, r, jf = flat[:15].reshape(3, 5), flat[15:18], flat[20:].reshape(3, 4)
 
     if ev.P:
         gz, H, curv, W = _pair_sums(ev, z, Gp, Go, jf)
@@ -378,10 +389,10 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     kx, ky, _ = Kr.tolist()
     curv += [kx * v - ky * w for v, w in zip(vx, vy)]
     H[2:, 2:] += curv[_MAX_JOINT]
-    gz[3:] += params.k_reg * z[3:]
-    H[3, 3] += params.k_reg
-    H[4, 4] += params.k_reg
-    W = W + 0.5 * r.dot(Kr) + 0.5 * params.k_reg * (t1 * t1 + t3 * t3)
+    gz[3:] += flat[18:20]
+    H[3, 3] += k_reg
+    H[4, 4] += k_reg
+    W = W + 0.5 * r.dot(Kr) + 0.5 * k_reg * (t1 * t1 + t3 * t3)
     return gz, H, J, W
 
 

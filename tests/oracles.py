@@ -511,7 +511,7 @@ def dense_pair_sums(ev, z, Gp, Go, jf):
     shortcuts: every proxy point from one boundary call, every pair's contact
     terms evaluated.  Poses the part rows of ev.rows at z as the fused pass does."""
     P, st, rows = ev.P, ev.stiff, ev.rows
-    set_part_poses(rows[:, 0], ev.geom, ev.pi, z, jf[None])
+    set_part_poses(rows[:, 0], jf, ev.table.gather)
     X = boundary_points(rows.reshape(7, 2 * P), np.concatenate((Gp, Go), axis=None))
     p, q = X[:, :P], X[:, P:]
 

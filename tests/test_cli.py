@@ -310,7 +310,8 @@ def test_plan_too_large_to_hold_exit_2_before_planning(tmp_path, no_planning, ca
         data["planner"] = {"n_s": 100000000000}
     assert cli.main([command, "--scenario", write_scenario(tmp_path, data)] + args) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: n_s: 100000000001 plan samples")
+    name = "--ns" if from_flag else "planner.n_s"
+    assert err.count("\n") == 1 and err.startswith(f"error: {name}: 100000000001 plan samples")
 
 
 @pytest.mark.parametrize("command", ["plan", "simulate", "bench"])

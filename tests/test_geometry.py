@@ -42,9 +42,11 @@ def inside_outside(sq, pts):
 
 
 def boundary(sq, gamma):
-    """The closest-pair kernel's boundary point(s) (..., 2) of one shape."""
-    p = boundary_points(shape_rows([sq])[:, 0], np.asarray(gamma, dtype=float))
-    return np.moveaxis(p, 0, -1)
+    """The closest-pair kernel's boundary point(s) (..., 2) of one shape, its
+    rows repeated once per angle as the pipeline's callers pass them."""
+    g = np.asarray(gamma, dtype=float)
+    p = boundary_points(np.repeat(shape_rows([sq]), g.size, axis=1), g.ravel())
+    return np.moveaxis(p.reshape(2, *g.shape), 0, -1)
 
 
 class TestInsideOutside:

@@ -532,6 +532,26 @@ def test_metric_pass_matches_dense_oracle_on_random_stacks():
     assert (signs >= 50).all()
 
 
+def test_metric_pass_blocks_give_each_sample_its_own_profile(monkeypatch):
+    # a stack of two blocks and part of a third (blocks of 16 samples here;
+    # the shipped flight's every 8th pose makes two of the real size above),
+    # among obstacles that some samples penetrate: each sample's profile is
+    # the one it gets alone
+    monkeypatch.setattr(hz, "_PROFILE_BLOCK", 16)
+    rng = np.random.default_rng(30)
+    geom = VehicleGeometry()
+    obstacles = [Superquadric2(a1=0.4, a2=0.25, eps=0.3, angle=0.5, center=(0.8, 0.3)),
+                 Superquadric2(a1=0.3, a2=0.3, eps=1.0, center=(-0.9, -0.4))]
+    n = 2 * 16 + 7
+    z = np.column_stack([rng.uniform(-1.5, 1.5, (n, 2)), rng.uniform(-math.pi, math.pi, (n, 3))])
+    profile = hz.min_distance_profile(SimpleNamespace(z=z), geom, obstacles)
+    alone = np.concatenate([hz.min_distance_profile(SimpleNamespace(z=z[k:k + 1]), geom,
+                                                    obstacles) for k in range(n)])
+    assert profile.dtype == alone.dtype and profile.shape == alone.shape == (n,)
+    assert profile.tobytes() == alone.tobytes()
+    assert (profile < 0.0).sum() >= 5 and (profile > 0.0).sum() >= 5
+
+
 def test_emit_below_a_file_raises_harness_error(empty_run, tmp_path):
     _, (pr, tel, rep) = empty_run
     (tmp_path / "afile").write_text("")

@@ -290,15 +290,16 @@ class TestPairTable:
                 Z = np.column_stack([shift + rng.uniform(-1.0, 1.0, (n, 2)),
                                      rng.uniform(-math.pi, math.pi, (n, 3))])
                 parts = np.vstack([np.tile(geom.part_axes, n), np.empty((4, geom.n_parts * n))])
-                pl.set_part_poses(parts, geom, np.arange(geom.n_parts), Z)
-                centers = parts[5:].reshape(2, n, geom.n_parts, 1)
+                pl.set_part_poses(parts, geom.frame_stack(Z),
+                                  pl.part_gather(geom, np.arange(geom.n_parts)))
+                centers = parts[5:].reshape(2, n, geom.n_parts, 1).transpose(1, 0, 2, 3)
                 stacked = table.rho(centers)
-                assert stacked.shape == (n, table.pi.size)
+                assert stacked.shape == (n, geom.n_parts, len(obstacles))
                 for k, z in enumerate(Z):
-                    one = table.rho(centers[:, k])
-                    assert one.shape == (table.pi.size,)
+                    one = table.rho(centers[k])
+                    assert one.shape == (geom.n_parts, len(obstacles))
                     dist = self.sampled_distances(geom, obstacles, z)
-                    assert np.all(one <= dist) and np.all(stacked[k] <= dist)
+                    assert np.all(one.ravel() <= dist) and np.all(stacked[k].ravel() <= dist)
 
 
 class TestReach:
@@ -308,7 +309,7 @@ class TestReach:
     def far_terms(cls, geom, obs, ev, z):
         """Stiffness terms of every pair out of reach at z, each at ANGLES on
         the oracle's part shape, and the number of such pairs."""
-        pl.set_part_poses(ev.rows[:, 0], geom, ev.pi, z)
+        pl.set_part_poses(ev.rows[:, 0], geom.frame_stack(z), ev.table.gather)
         far = np.setdiff1d(np.arange(ev.P), ev.within_reach())
         parts = part_superquadrics(geom, z)
         _, oi = pl.pair_index(geom.n_parts, len(obs))
@@ -359,9 +360,19 @@ class TestReach:
 
 
 class TestFusedPassShortcuts:
-    """_pair_sums evaluates the contact terms on the loaded pairs alone and
-    each proxy curve only when its angles change: its sums are the dense
-    form's (oracles.dense_pair_sums) bit for bit."""
+    """_pair_sums evaluates the contact terms on the loaded pairs alone, forms
+    no Hessian block when no pair is loaded, and evaluates each proxy curve
+    only when its angles change: its sums are the dense form's
+    (oracles.dense_pair_sums) bit for bit, the sign of every zero included."""
+
+    GRAZING_BOX = Superquadric2(a1=0.6, a2=0.3, eps=0.3, center=(1.6, -0.6))
+
+    @staticmethod
+    def assert_same_bytes(out, ref):
+        # np.array_equal would let -0.0 stand for +0.0
+        for a, b in zip(out, ref, strict=True):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @staticmethod
     def recording_stiffness(monkeypatch):
@@ -382,8 +393,7 @@ class TestFusedPassShortcuts:
         dense_ev = pl._Evaluator(ev.geom, ev.rows[:, 1, :ev.P // ev.geom.n_parts], ev.stiff)
         jf = np.array(ev.geom.joint_frames(*z.tolist()))
         out = pl._pair_sums(ev, z, Gp, Go, jf)
-        for a, b in zip(out, dense_pair_sums(dense_ev, z, Gp, Go, jf)):
-            assert np.array_equal(a, b)
+        TestFusedPassShortcuts.assert_same_bytes(out, dense_pair_sums(dense_ev, z, Gp, Go, jf))
         return out
 
     def test_far_poses(self, rng, monkeypatch):
@@ -423,8 +433,7 @@ class TestFusedPassShortcuts:
         # every pass of the grazing-route plan (TestContinuation), whose arm tip
         # slides 3 mm above an eps 0.3 face, with the angles re-solved in place
         loaded = self.recording_stiffness(monkeypatch)
-        geom = pl.VehicleGeometry()
-        box = Superquadric2(a1=0.6, a2=0.3, eps=0.3, center=(1.6, -0.6))
+        geom, box = pl.VehicleGeometry(), self.GRAZING_BOX
         params = pl.PlannerParams(n_s=200, stiffness=StiffnessParams(d0=0.02, k_max=100.0),
                                   k_reg=50.0)
         dense_ev = pl._Evaluator(geom, shape_rows([box]), params.stiffness)
@@ -433,8 +442,7 @@ class TestFusedPassShortcuts:
         def checked(ev, z, Gp, Go, jf):
             passes.append(1)
             out = pair_sums(ev, z, Gp, Go, jf)
-            for a, b in zip(out, dense_pair_sums(dense_ev, z, Gp, Go, jf)):
-                assert np.array_equal(a, b)
+            self.assert_same_bytes(out, dense_pair_sums(dense_ev, z, Gp, Go, jf))
             return out
 
         monkeypatch.setattr(pl, "_pair_sums", checked)
@@ -444,6 +452,25 @@ class TestFusedPassShortcuts:
                                 np.array([1.9, 0.2, down])], params)
         assert len(passes) >= traj.evals and sum(map(bool, loaded)) >= 100
         assert np.abs(traj.gammas - traj.gammas[0]).max() > 1e-2
+
+    def test_loaded_and_unloaded_passes_alternate(self, monkeypatch):
+        # one evaluator at the grazing route's samples (TestContinuation), then
+        # at the same pose 5 m away, then at the route again: the passes switch
+        # between the loaded branch and the one that forms no Hessian block
+        geom, box = pl.VehicleGeometry(), self.GRAZING_BOX
+        params = pl.PlannerParams(n_s=200, stiffness=StiffnessParams(d0=0.02, k_max=100.0),
+                                  k_reg=50.0)
+        down = -math.pi / 2
+        traj = pl.integrate_em(geom, [box], np.array([1.3, 0.55, down, 0.0, 0.0]),
+                               [np.array([1.3, -0.297, down]), np.array([1.9, -0.297, down]),
+                                np.array([1.9, 0.2, down])], params)
+        loaded = self.recording_stiffness(monkeypatch)
+        ev = pl._Evaluator(geom, shape_rows([box]), params.stiffness)
+        for z, G in zip(traj.z[::4], traj.gammas[::4]):
+            for shift in (0.0, 5.0, 0.0):
+                self.assert_dense(ev, z + [shift, shift, 0.0, 0.0, 0.0], G[:ev.P], G[ev.P:])
+        near, far = loaded[0::3] + loaded[2::3], loaded[1::3]
+        assert not any(far) and sum(map(bool, near)) >= 30
 
     def test_changed_angles_recompute_their_curve(self, rng):
         # the same z with new part angles, then new obstacle angles, each
@@ -461,8 +488,7 @@ class TestFusedPassShortcuts:
                 G[side, rng.integers(ev.P)] += rng.uniform(0.1, 1.0)
                 out = self.assert_dense(ev, z, G[0], G[1])
                 fresh = self.assert_dense(pl._Evaluator(geom, shape_rows(obs), st), z, G[0], G[1])
-                for a, b in zip(out, fresh):
-                    assert np.array_equal(a, b)
+                self.assert_same_bytes(out, fresh)
                 assert not np.array_equal(out[0], first[0])
 
 
@@ -712,7 +738,7 @@ class TestContinuation:
         checked = 0
         for k in range(1, len(traj.s)):
             z, g = traj.z[k - 1], traj.gammas[k]
-            pl.set_part_poses(ev.rows[:, 0], geom, ev.pi, z)
+            pl.set_part_poses(ev.rows[:, 0], geom.frame_stack(z), ev.table.gather)
             near = ev.within_reach()
             held = np.setdiff1d(np.arange(P), near)
             assert np.array_equal(g[held], traj.gammas[k - 1, held])
