@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics as dyn
-from .geometry import _ULPS, _body_curve, center_angles, closest_pairs, shape_rows
+from .geometry import _body_curve, center_angles, closest_pairs, shape_rows
 from .planner import PairTable, VehicleGeometry, set_part_poses
 from .qp import QpProblem, solve
 
@@ -348,9 +348,6 @@ _TINY = np.finfo(float).tiny
 # Pairs with h above this emit no row: their obstacle is far (e^4 is about 55
 # on the inside-outside bracket), and the cull keeps the QP within qp.MAX_ROWS.
 H_CULL = 4.0
-# the vehicle gate's rounding slack per unit of scale, four times circle_bound's
-# (ProxyTracker.far)
-_GATE_ULPS = 4.0 * _ULPS
 
 
 class ProxyTracker(PairTable):
@@ -375,9 +372,10 @@ class ProxyTracker(PairTable):
     height, and exponent eps1 = EXTRUDE_EPS1.
 
     Two far tests spare the proxies.  The vehicle gate, far, tests one
-    circle about the base center against every obstacle; a tick it passes
-    skips cbf_rows.  h_bounds bounds every pair's h on a tick that takes
-    cbf_rows, which refreshes only the pairs whose bound is at most H_CULL.
+    circle about the base center against every obstacle (PairTable.beyond,
+    the planner's gate too); a tick it passes skips cbf_rows.  h_bounds
+    bounds every pair's h on a tick that takes cbf_rows, which refreshes
+    only the pairs whose bound is at most H_CULL.
     """
 
     def __init__(self, geom: VehicleGeometry, obstacles, height: float):
@@ -392,40 +390,22 @@ class ProxyTracker(PairTable):
         self.a3 = np.full(self.oi.size, height / 2.0)
         self.eps1 = np.full(self.oi.size, EXTRUDE_EPS1)
         self.translation = np.column_stack([cx, cy, self.a3])
-        # the vehicle gate: each part's offset chain from the base center (its
-        # reach) plus its bounding radius, and per obstacle the radius about
-        # its center beyond which every pair's h_bounds exceeds H_CULL
-        reach = [geom.rotor_arm] * 6 + [geom.arm_base_offset + geom.l1 / 2.0,
-                                        geom.arm_base_offset + geom.l1 + geom.l2 / 2.0]
-        self.r_vehicle = float((np.array(reach) + self.r_part[:, 0]).max())
-        r_far = self.r_obs[:len(obstacles)] * (math.exp(H_CULL * EXTRUDE_EPS1 / 2.0)
-                                               * (1.0 + 1e-9))
-        self._gate = list(zip(*self.c_obs.tolist(), r_far.tolist()))
-        self._gate_scale = self.r_vehicle + float(self.scale)
+        # the vehicle gate's radius about each obstacle's center, beyond which
+        # every pair's h_bounds exceeds H_CULL
+        self._gate = self.gate(self.r_obs[:len(obstacles)]
+                               * (math.exp(H_CULL * EXTRUDE_EPS1 / 2.0) * (1.0 + 1e-9)))
 
     def far(self, q) -> bool:
         """Whether every pair's h_bounds exceeds H_CULL at q's base position,
-        at any height, tilt and joint angles: the vehicle gate.
-
-        Each part's center projects within reach_p of the base center q_xy
-        (its offset chain, which the projection only shortens), so every
-        part's bounding circle lies in the vehicle circle of radius r_vehicle
-        = max(reach_p + r_part) about q_xy, and each of obstacle o's pairs
-        has rho >= circle_bound from o's center c_o to that circle.  The gate
-        asks that bound to exceed r_far = r_obs e^(H_CULL eps1 / 2) (1 +
-        1e-9), with four times circle_bound's slack (_GATE_ULPS) on the scale
-        |x| + |y| + r_vehicle + PairTable.scale, which bounds every part
-        center's coordinates and so h_bounds' own scale: one slack covers the
-        gate's rounding, one rho's, the rest the rounding of the frames'
-        centers.  The relative margin 1e-9 covers the rounding of rho /
-        r_obs, of the log and of the product, so the computed h_bounds
-        exceeds H_CULL too.
+        at any height, tilt and joint angles: the vehicle gate
+        (PairTable.beyond) with the radius r_far = r_obs e^(H_CULL eps1 / 2)
+        (1 + 1e-9) about each obstacle's center.  h_bounds exceeds H_CULL
+        where rho exceeds r_obs e^(H_CULL eps1 / 2); the relative margin 1e-9
+        covers the rounding of rho / r_obs, of the log and of the product, so
+        the computed h_bounds exceeds H_CULL too.
         """
         x, y = q[:2].tolist()
-        # circle_bound on Python floats: np.hypot's per-call cost on scalars
-        # would be most of the gate's time
-        r_slack = self.r_vehicle + _GATE_ULPS * (abs(x) + abs(y) + self._gate_scale)
-        return all(math.hypot(x - cx, y - cy) - r_slack > r for cx, cy, r in self._gate)
+        return self.beyond(x, y, self._gate)
 
     def refresh(self, q, theta, pairs=None):
         """Re-solve the planar closest pairs of pairs (an index array; every

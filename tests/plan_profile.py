@@ -15,6 +15,10 @@ gate" (within_reach and the warm closest_pairs refresh) are those of the
 continuation after it.  "bookkeeping" is the plain job's time less every
 stage's: attractors, the continuation loop and its records.
 
+A last, untimed plan counts the fused passes (the pre-relaxation's and the
+continuation's) that the vehicle gate (planner.PairTable.beyond) cleared,
+and the reach gates it spared: the samples accepted on such a pass.
+
     PYTHONPATH=src python tests/plan_profile.py --scenario scenarios/tree.yaml \
         [--mode sq] [--repeat 5]
 
@@ -28,6 +32,7 @@ import os
 import sys
 import tempfile
 import time
+from unittest import mock
 
 from tick_profile import timed_stages
 
@@ -66,6 +71,28 @@ def plan_job(s, mode, out_dir):
     return files
 
 
+def gate_counts(s, mode):
+    """(fused passes, those the vehicle gate cleared, samples, reach gates
+    skipped) of one plan; the passes include the pre-relaxation's."""
+    fused, within = pl._fused_derivatives, pl._Evaluator.within_reach
+    cleared, reach = [], []
+
+    def counted_fused(ev, *args):
+        out = fused(ev, *args)
+        cleared.append(ev.far)
+        return out
+
+    def counted_within(ev):
+        reach.append(1)
+        return within(ev)
+
+    with mock.patch.object(pl, "_fused_derivatives", counted_fused), \
+            mock.patch.object(pl._Evaluator, "within_reach", counted_within):
+        traj = hz.plan(s, mode).traj
+    samples = len(traj.s) - 1
+    return len(cleared), sum(cleared), samples, samples - len(reach)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--scenario", required=True)
@@ -95,6 +122,9 @@ def main(argv=None) -> int:
     print(f"{'stage':<16}{'ms/plan':>9}")
     for stage, seconds in spent.items():
         print(f"{stage:<16}{seconds * 1e3:>9.2f}")
+    passes, cleared, samples, skipped = gate_counts(s, args.mode)
+    print(f"vehicle gate: cleared {cleared} of {passes} fused passes, "
+          f"spared {skipped} of {samples} reach gates")
     return 0
 
 

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from amplan import control as ctl
 from amplan import harness as hz
 from amplan import planner as pl
-from amplan.geometry import (TANH_SATURATION, StiffnessParams, Superquadric2, closest_pairs,
-                             shape_rows, stiffness_terms, wrap_angle)
+from amplan.geometry import (TANH_SATURATION, GeometryError, StiffnessParams, Superquadric2,
+                             closest_pairs, shape_rows, stiffness_terms, wrap_angle)
 from amplan.voronoi import SolutionPath
 from oracles import (central_diff_gradient, dense_pair_sums, part_poses, part_superquadrics,
                      scalar_target_pose, sq2_boundary, sq2_inside_outside)
@@ -359,11 +362,70 @@ class TestReach:
             assert np.all(k0 == st.k_min)
 
 
+class TestVehicleGate:
+    ANGLES = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(blade=hs.floats(0.05, 0.2), link_hw=hs.floats(0.01, 0.1),
+           link_eps=hs.floats(0.1, 2.0), l1=hs.floats(0.1, 0.5), l2=hs.floats(0.1, 0.5),
+           a1=hs.floats(0.1, 1.0), a2=hs.floats(0.1, 1.0), eps=hs.floats(0.1, 2.0),
+           angle=hs.floats(-math.pi, math.pi), gap=hs.floats(-0.05, 0.05),
+           bearing=hs.floats(-math.pi, math.pi),
+           base=hs.tuples(hs.floats(-50.0, 50.0), hs.floats(-50.0, 50.0)),
+           joints=hs.tuples(*[hs.floats(-math.pi, math.pi)] * 3),
+           aim=hs.sampled_from([None, "arm", 0, 1, 2, 3, 4, 5]),
+           d0=hs.floats(1e-4, 0.05), d_prime=hs.floats(0.0, 0.2))
+    def test_gate_certifies_every_pair_out_of_reach(self, blade, link_hw, link_eps, l1, l2, a1,
+                                                    a2, eps, angle, gap, bearing, base, joints,
+                                                    aim, d0, d_prime):
+        # the obstacle stands within a few centimetres of the gate's radius,
+        # r_vehicle plus the obstacle's reach, from the base center: where the
+        # fused pass finds the gate passed, no pair is within reach, the g the
+        # full pass computes gives every pair exactly (k_min, 0, 0) at every
+        # part angle, and the gated pass equals the full one bit for bit.  An
+        # aimed obstacle lies straight off the stretched arm or a rotor, whose
+        # far edge may be the vehicle circle's
+        geom = pl.VehicleGeometry(blade_radius=blade, link_halfwidth=link_hw, link_eps=link_eps,
+                                  l1=l1, l2=l2)
+        if aim == "arm":
+            joints, bearing = (joints[0], 0.0, 0.0), joints[0]
+        elif aim is not None:
+            bearing = joints[0] + aim * math.pi / 3.0
+        stiff = StiffnessParams(d0=d0, d_prime=d_prime)
+        shape = Superquadric2(a1, a2, eps, angle, (0.0, 0.0))
+        probe = pl._Evaluator(geom, shape_rows([shape]), stiff)
+        dist = probe.table.r_vehicle + probe.reach[0, 0] + gap
+        center = (base[0] + dist * math.cos(bearing), base[1] + dist * math.sin(bearing))
+        ev = pl._Evaluator(geom, shape_rows([dataclasses.replace(shape, center=center)]), stiff)
+        z = np.array([*base, *joints])
+        Go = np.zeros(ev.P)
+        pl._fused_derivatives(ev, pl.PlannerParams(stiffness=stiff), z, Go, Go, np.zeros(3))
+        if not ev.far:
+            assert gap < 1e-8
+            return
+        assert gap > 0.0
+        assert ev.within_reach().size == 0
+        jf = np.array(geom.joint_frames(*z.tolist()))
+        terms, full = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pl, "stiffness_terms", lambda d, st: terms.append(stiffness_terms(d, st))
+                       or terms[-1])
+            for gamma in self.ANGLES:
+                full.append(pl._pair_sums(ev, z, np.full(ev.P, gamma), Go, jf, False))
+        for gamma, out in zip(self.ANGLES, full):
+            TestFusedPassShortcuts.assert_same_bytes(
+                pl._pair_sums(ev, z, np.full(ev.P, gamma), Go, jf, True), out)
+        assert len(terms) == self.ANGLES.size
+        k0, k1, k2 = np.array(terms).transpose(1, 0, 2)
+        assert np.all(k0 == stiff.k_min) and np.all(k1 == 0.0) and np.all(k2 == 0.0)
+
+
 class TestFusedPassShortcuts:
     """_pair_sums evaluates the contact terms on the loaded pairs alone, forms
-    no Hessian block when no pair is loaded, and evaluates each proxy curve
-    only when its angles change: its sums are the dense form's
-    (oracles.dense_pair_sums) bit for bit, the sign of every zero included."""
+    no Hessian block when no pair is loaded, skips the stiffness law where the
+    vehicle gate passes, and evaluates each proxy curve only when its angles
+    change: its sums are the dense form's (oracles.dense_pair_sums) bit for
+    bit, the sign of every zero included."""
 
     GRAZING_BOX = Superquadric2(a1=0.6, a2=0.3, eps=0.3, center=(1.6, -0.6))
 
@@ -388,16 +450,23 @@ class TestFusedPassShortcuts:
         return loaded
 
     @staticmethod
-    def assert_dense(ev, z, Gp, Go):
-        """_pair_sums on ev equals the dense form on a fresh evaluator of the same scene."""
+    def assert_dense(ev, z, Gp, Go, cleared=None):
+        """_pair_sums on ev, behind the vehicle gate as _fused_derivatives asks
+        it, equals the dense form on a fresh evaluator of the same scene; the
+        gate's verdict is appended to cleared, when given."""
         dense_ev = pl._Evaluator(ev.geom, ev.rows[:, 1, :ev.P // ev.geom.n_parts], ev.stiff)
         jf = np.array(ev.geom.joint_frames(*z.tolist()))
-        out = pl._pair_sums(ev, z, Gp, Go, jf)
+        far = ev.table.beyond(*z[:2].tolist(), ev.gate)
+        if cleared is not None:
+            cleared.append(far)
+        out = pl._pair_sums(ev, z, Gp, Go, jf, far)
         TestFusedPassShortcuts.assert_same_bytes(out, dense_pair_sums(dense_ev, z, Gp, Go, jf))
         return out
 
     def test_far_poses(self, rng, monkeypatch):
-        loaded = self.recording_stiffness(monkeypatch)
+        # every pass either clears the vehicle gate, and evaluates no
+        # stiffness, or evaluates it with no pair loaded
+        loaded, cleared = self.recording_stiffness(monkeypatch), []
         geom, st = pl.VehicleGeometry(), StiffnessParams()
         for _ in range(50):
             # centers 3-6 m out on each axis, beyond the vehicle's reach
@@ -408,14 +477,15 @@ class TestFusedPassShortcuts:
             ev = pl._Evaluator(geom, shape_rows(obs), st)
             for _ in range(4):
                 Gp, Go = rng.uniform(-math.pi, math.pi, size=(2, ev.P))
-                self.assert_dense(ev, rng.uniform(-1.0, 1.0, 5), Gp, Go)
-        assert len(loaded) == 200 and not any(loaded)
+                self.assert_dense(ev, rng.uniform(-1.0, 1.0, 5), Gp, Go, cleared)
+        assert len(cleared) == 200 and len(loaded) == cleared.count(False)
+        assert not any(loaded) and cleared.count(True) >= 100
 
     def test_parts_just_outside_the_inflated_boundary(self, rng, monkeypatch):
         # one part's proxy outside a round obstacle's inflated boundary, its
         # stiffness argument g = F - d' 0 to 19 mm (19 d0): in the stiffness
         # transition, where k' and k'' are non-zero short of tanh saturation
-        loaded = self.recording_stiffness(monkeypatch)
+        loaded, cleared = self.recording_stiffness(monkeypatch), []
         geom, st = pl.VehicleGeometry(), StiffnessParams()
         for _ in range(200):
             z = rng.uniform(-1.0, 1.0, 5)
@@ -426,7 +496,9 @@ class TestFusedPassShortcuts:
             r = a * math.sqrt(1.0 + st.d_prime + rng.uniform(0.0, 19.0 * st.d0))
             obs = [Superquadric2(a1=a, a2=a, eps=1.0,
                                  center=tuple(p + r * np.array([math.cos(phi), math.sin(phi)])))]
-            self.assert_dense(pl._Evaluator(geom, shape_rows(obs), st), z, Gp, Go)
+            self.assert_dense(pl._Evaluator(geom, shape_rows(obs), st), z, Gp, Go, cleared)
+        # the obstacle is within reach of a part: the gate never clears
+        assert len(cleared) == 200 and not any(cleared)
         assert len(loaded) == 200 and sum(map(bool, loaded)) >= 150
 
     def test_grazing_route(self, monkeypatch):
@@ -439,9 +511,9 @@ class TestFusedPassShortcuts:
         dense_ev = pl._Evaluator(geom, shape_rows([box]), params.stiffness)
         pair_sums, passes = pl._pair_sums, []
 
-        def checked(ev, z, Gp, Go, jf):
+        def checked(ev, z, Gp, Go, jf, far):
             passes.append(1)
-            out = pair_sums(ev, z, Gp, Go, jf)
+            out = pair_sums(ev, z, Gp, Go, jf, far)
             self.assert_same_bytes(out, dense_pair_sums(dense_ev, z, Gp, Go, jf))
             return out
 
@@ -456,7 +528,8 @@ class TestFusedPassShortcuts:
     def test_loaded_and_unloaded_passes_alternate(self, monkeypatch):
         # one evaluator at the grazing route's samples (TestContinuation), then
         # at the same pose 5 m away, then at the route again: the passes switch
-        # between the loaded branch and the one that forms no Hessian block
+        # between the loaded branch and the gated one, which evaluates no
+        # stiffness and forms no Hessian block
         geom, box = pl.VehicleGeometry(), self.GRAZING_BOX
         params = pl.PlannerParams(n_s=200, stiffness=StiffnessParams(d0=0.02, k_max=100.0),
                                   k_reg=50.0)
@@ -464,13 +537,56 @@ class TestFusedPassShortcuts:
         traj = pl.integrate_em(geom, [box], np.array([1.3, 0.55, down, 0.0, 0.0]),
                                [np.array([1.3, -0.297, down]), np.array([1.9, -0.297, down]),
                                 np.array([1.9, 0.2, down])], params)
-        loaded = self.recording_stiffness(monkeypatch)
+        loaded, cleared = self.recording_stiffness(monkeypatch), []
         ev = pl._Evaluator(geom, shape_rows([box]), params.stiffness)
         for z, G in zip(traj.z[::4], traj.gammas[::4]):
             for shift in (0.0, 5.0, 0.0):
-                self.assert_dense(ev, z + [shift, shift, 0.0, 0.0, 0.0], G[:ev.P], G[ev.P:])
-        near, far = loaded[0::3] + loaded[2::3], loaded[1::3]
-        assert not any(far) and sum(map(bool, near)) >= 30
+                self.assert_dense(ev, z + [shift, shift, 0.0, 0.0, 0.0], G[:ev.P], G[ev.P:],
+                                  cleared)
+        assert cleared == [False, True, False] * (len(cleared) // 3)
+        assert len(loaded) == cleared.count(False) and sum(map(bool, loaded)) >= 30
+
+    def test_gated_pass_falls_back_where_k_d_has_a_zero(self, monkeypatch):
+        # rotor 0's proxy and a far circle's proxy share their x, then their y,
+        # coordinate exactly, so k D has a zero entry: the gate clears each
+        # pass, which falls back to the full one (one stiffness_terms call)
+        loaded, cleared = self.recording_stiffness(monkeypatch), []
+        geom, st = pl.VehicleGeometry(), StiffnessParams()
+        for center, gp, go in (((geom.rotor_arm, 10.0), math.pi / 2, -math.pi / 2),
+                               ((10.0, 0.0), 0.0, 0.0)):
+            ev = pl._Evaluator(geom, shape_rows([Superquadric2(0.3, 0.3, 1.0, center=center)]),
+                               st)
+            z, Gp, Go = np.zeros(5), np.full(ev.P, gp), np.full(ev.P, go)
+            self.assert_dense(ev, z, Gp, Go, cleared)
+            D = pl._posed(ev.rows[3:, 0], *ev.part_curve(Gp)) - ev.obstacle_points(Go)
+            assert np.count_nonzero(D[:, 0]) == 1
+        assert cleared == [True, True] and loaded == [0, 0]
+
+    @pytest.mark.parametrize("joint", [2, 3, 4])
+    def test_nan_angle_raises_as_without_the_gate(self, monkeypatch, joint):
+        # around a far obstacle the gate clears every finite pose; a NaN angle
+        # still meets stiffness_terms' check: in the pre-relaxation
+        # (GeometryError) and in the continuation's evaluations (PlannerError),
+        # as a NaN proxy angle does on a pass the gate cleared
+        geom, params = pl.VehicleGeometry(), pl.PlannerParams(n_s=20)
+        ev = pl._Evaluator(geom, shape_rows(far_obstacle()), params.stiffness)
+        G = np.zeros((2, ev.P))
+        z = np.zeros(5)
+        assert ev.table.beyond(0.0, 0.0, ev.gate)
+        z[joint] = math.nan
+        with pytest.raises(GeometryError, match="non-finite distance"):
+            pl._prerelax(ev, params, z, G[0], G[1], np.zeros(3))
+        assert ev.far
+        with monkeypatch.context() as mp:
+            mp.setattr(pl, "_prerelax", lambda *args: z)
+            with pytest.raises(pl.PlannerError, match="non-finite state") as info:
+                pl.integrate_em(geom, far_obstacle(), np.zeros(5), [np.array([1.0, 0.5, 0.0])],
+                                params)
+        assert isinstance(info.value.__cause__, GeometryError)
+        G[0, 3] = math.nan
+        with pytest.raises(GeometryError, match="non-finite distance"):
+            pl._pair_sums(ev, np.zeros(5), G[0], G[1],
+                          np.array(geom.joint_frames(*[0.0] * 5)), True)
 
     def test_changed_angles_recompute_their_curve(self, rng):
         # the same z with new part angles, then new obstacle angles, each
