@@ -101,7 +101,6 @@ def _cmd_bench(args) -> int:
     scenarios = [_load(path, args.dt, args.ns, args.seed) for path in args.scenario]
     for s in scenarios:
         hz.mission_ticks(s)
-        hz.plan_samples(s)
     _note_seed(args.seed, scenarios)
     # every plan is made and checked before the first flight, so that a plan
     # that collides fails the run before any file is written

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics as dyn
-from .geometry import _body_curve, center_angles, closest_pairs, shape_rows
+from .geometry import _body_curve, bounding_radius, center_angles, closest_pairs, shape_rows
 from .planner import PairTable, VehicleGeometry, set_part_poses
 from .qp import QpProblem, solve
 
@@ -343,8 +343,6 @@ class SafetyParams:
 
 # exponent of the vertical profile of every extruded obstacle
 EXTRUDE_EPS1 = 0.1
-# h_bounds' floor on rho / r_obs
-_TINY = np.finfo(float).tiny
 # Pairs with h above this emit no row: their obstacle is far (e^4 is about 55
 # on the inside-outside bracket), and the cull keeps the QP within qp.MAX_ROWS.
 H_CULL = 4.0
@@ -371,15 +369,16 @@ class ProxyTracker(PairTable):
     semi-axes a1, a2 and exponent eps2 of the planar shape, a3 of half the
     height, and exponent eps1 = EXTRUDE_EPS1.
 
-    Two far tests spare the proxies.  The vehicle gate, far, tests one
-    circle about the base center against every obstacle (PairTable.beyond,
-    the planner's gate too); a tick it passes skips cbf_rows.  h_bounds
-    bounds every pair's h on a tick that takes cbf_rows, which refreshes
-    only the pairs whose bound is at most H_CULL.
+    The table's far-pair radius (PairTable, the planner's test too) is the
+    cull radius r_obs e^(H_CULL eps1 / 2), beyond which h exceeds H_CULL
+    (cbf_rows).  A tick the vehicle gate (far) passes skips cbf_rows, which
+    refreshes only the near pairs.
     """
 
     def __init__(self, geom: VehicleGeometry, obstacles, height: float):
-        super().__init__(geom, shape_rows(obstacles))
+        obs_rows = shape_rows(obstacles)
+        super().__init__(geom, obs_rows, bounding_radius(*obs_rows[:3])
+                         * math.exp(H_CULL * EXTRUDE_EPS1 / 2.0))
         self.gammas = np.full((2, self.pi.size), np.nan)
         self.link = geom.part_links[self.pi]
         self.part_axes = geom.part_axes[:, self.pi]
@@ -390,22 +389,13 @@ class ProxyTracker(PairTable):
         self.a3 = np.full(self.oi.size, height / 2.0)
         self.eps1 = np.full(self.oi.size, EXTRUDE_EPS1)
         self.translation = np.column_stack([cx, cy, self.a3])
-        # the vehicle gate's radius about each obstacle's center, beyond which
-        # every pair's h_bounds exceeds H_CULL
-        self._gate = self.gate(self.r_obs[:len(obstacles)]
-                               * (math.exp(H_CULL * EXTRUDE_EPS1 / 2.0) * (1.0 + 1e-9)))
 
     def far(self, q) -> bool:
-        """Whether every pair's h_bounds exceeds H_CULL at q's base position,
-        at any height, tilt and joint angles: the vehicle gate
-        (PairTable.beyond) with the radius r_far = r_obs e^(H_CULL eps1 / 2)
-        (1 + 1e-9) about each obstacle's center.  h_bounds exceeds H_CULL
-        where rho exceeds r_obs e^(H_CULL eps1 / 2); the relative margin 1e-9
-        covers the rounding of rho / r_obs, of the log and of the product, so
-        the computed h_bounds exceeds H_CULL too.
-        """
+        """Whether every pair is far at q's base position, at any height, tilt
+        and joint angles: the vehicle gate (PairTable.beyond) at the cull
+        radius."""
         x, y = q[:2].tolist()
-        return self.beyond(x, y, self._gate)
+        return self.beyond(x, y)
 
     def refresh(self, q, theta, pairs=None):
         """Re-solve the planar closest pairs of pairs (an index array; every
@@ -428,23 +418,15 @@ class ProxyTracker(PairTable):
         return SimpleNamespace(a1=self.a1[pairs], a2=self.a2[pairs], a3=self.a3[pairs],
                                eps1=self.eps1[pairs], eps2=self.eps2[pairs])
 
-    def h_bounds(self, frames):
-        """A lower bound (P,) on every pair's h at any proxy angle, in the
-        vehicle_frames frames: (2 / EXTRUDE_EPS1) log(rho / r_obs), with
-        rho / r_obs floored at the smallest normal float (below -14000).
 
-        A part's boundary points lie within r_part of its center C, tilt
-        included, so at least rho = PairTable.rho of the centers' projections
-        C_xy from the obstacle's axis.  The planar bracket u is homogeneous
-        and is 1 within r_obs of the axis, so u >= (rho / r_obs)^(2 / eps2),
-        and the extruded bracket is at least u^(eps2 / eps1).
-        """
-        pivots, rotations = frames
-        link = self.geom.part_links
-        centers = pivots[link, :2] + np.einsum("pij,pj->pi", rotations[link, :2, :2],
-                                               self.geom.part_offsets)
-        rho = self.rho(centers.T[..., None]).ravel()
-        return (2.0 / EXTRUDE_EPS1) * np.log(np.maximum(rho / self.r_obs, _TINY))
+def part_centers(geom: VehicleGeometry, frames):
+    """The projections (2, n_parts, 1) on the horizontal plane of the part
+    centers in the vehicle_frames frames, as PairTable.near takes them."""
+    pivots, rotations = frames
+    link = geom.part_links
+    centers = pivots[link, :2] + np.einsum("pij,pj->pi", rotations[link, :2, :2],
+                                           geom.part_offsets)
+    return centers.T[..., None]
 
 
 def cbf_rows(tracker: ProxyTracker, q, R, qdot, theta, thetadot, q_d, gains: GainSet,
@@ -452,12 +434,17 @@ def cbf_rows(tracker: ProxyTracker, q, R, qdot, theta, thetadot, q_d, gains: Gai
     """HOCBF rows A x <= b for the outer-loop decision x = [qdot_d; thetaddot_d],
     and h (P,) in pair order; R is the rotation of q's attitude.
 
-    Each tick first bounds every pair's h from below (ProxyTracker.h_bounds).
-    A pair whose bound exceeds H_CULL is far: it could emit no row at any
-    proxy angle, so it gets no proxy refresh and no barrier pass, and its h
-    is inf.  The near pairs are refreshed (ProxyTracker.refresh) and their h
-    is the barrier at the refreshed part-side angles; those with h <= H_CULL
-    become rows, in pair order.
+    Each tick first finds the near pairs (PairTable.near) at the parts'
+    projected centers (part_centers).  A far pair could emit no row at any
+    proxy angle: a part's boundary points lie within r_part of its center,
+    tilt included, so at least rho from the obstacle's axis; the planar
+    bracket u is homogeneous and 1 within r_obs of the axis, so the extruded
+    bracket is at least (rho / r_obs)^(2 / eps1), and h exceeds H_CULL where
+    rho exceeds the cull radius r_obs e^(H_CULL eps1 / 2).  A far pair gets
+    no proxy refresh and no barrier pass, and its h is inf.  The near pairs
+    are refreshed (ProxyTracker.refresh) and their h is the barrier at the
+    refreshed part-side angles; those with h <= H_CULL become rows, in pair
+    order.
 
     Under the inner loop the base acceleration is Kd (qdot_d - qdot) +
     Kp (q_d - q) and the arm tracks thetaddot_d directly, so the second
@@ -468,7 +455,7 @@ def cbf_rows(tracker: ProxyTracker, q, R, qdot, theta, thetadot, q_d, gains: Gai
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     frames = vehicle_frames(tracker.geom, q, R, theta)
-    near = np.flatnonzero(tracker.h_bounds(frames) <= H_CULL)
+    near = tracker.near(part_centers(tracker.geom, frames))
     h = np.full(tracker.pi.size, math.inf)
     if near.size == 0:
         # no pair keeps its angles, as after a refresh of no pair

@@ -6,7 +6,7 @@ parts (six rotor disks plus two arm links), each fixed in the base, shoulder
 or forearm frame; set_part_poses places them from those joint frames for every
 caller.  Each part and obstacle interact through a stiff short-range potential
 on their proxy points, the pair's closest points (geometry.closest_pairs),
-re-solved along the plan while the pair is within reach.  A moving
+re-solved along the plan while the pair is near.  A moving
 end-effector attractor u(s) slides along the clearance path; the configuration
 follows the potential's equilibrium manifold grad_z W = 0, traced in the path
 parameter s by predictor-corrector continuation on a fixed grid.
@@ -14,11 +14,13 @@ parameter s by predictor-corrector continuation on a fixed grid.
 The potential, its configuration-space gradient and Hessian and the
 end-effector Jacobian are closed-form, computed in one batched pass over the
 part/obstacle pairs per continuation evaluation, on the proxy points of
-geometry's superquadric boundary kernel.  One vehicle gate, PairTable.beyond
-(the safety filter's too), tests a circle about the base center against
-every obstacle: a pass it clears takes every pair's stiffness as k_min
-without evaluating the stiffness law, and a sample accepted on such a pass
-skips the per-pair reach gate.
+geometry's superquadric boundary kernel.  Each pass finds one near set
+with the far-pair test of PairTable (the safety filter's too): none where
+the vehicle gate (PairTable.beyond), one circle about the base center,
+clears every obstacle, else the pairs whose bound rho is within their
+obstacle's reach (PairTable.near).  Only the near pairs take the stiffness
+law, every other pair's stiffness is k_min, and after each sample the near
+set of its accepting pass is re-solved.
 
 Arithmetic follows dynamics' rule.  Elementwise work on a few scalars runs on
 Python floats; every matrix product, solve and reduction stays in numpy.
@@ -192,16 +194,20 @@ def set_part_poses(parts, frames, gather):
 
 class PairTable:
     """The (part pi, obstacle oi) pairs of geom and obs_rows in pair_index
-    order, and the bounds every far-pair gate takes: the planner's reach gate,
-    the metric pass and the safety filter's per-pair rho, and the one vehicle
-    gate (beyond) of the planner and the safety filter.  rows holds the
-    pair_rows sides (2, 7, P) at z = 0, whose part side callers pose with
-    gather; r_part (n_parts, 1) and r_obs (P,) are the bounding radii
-    (bounding_radius) of the parts and of each pair's obstacle, scale the
-    scene scale's fixed share, and r_vehicle the radius about the base center
-    of the circle that holds every part."""
+    order, their bound rho and the one far-pair test of the planner and the
+    safety filter.  rows holds the pair_rows sides (2, 7, P) at z = 0, whose
+    part side callers pose with gather; r_part (n_parts, 1) and r_obs (P,)
+    are the bounding radii (bounding_radius) of the parts and of each pair's
+    obstacle, scale the scene scale's fixed share, and r_vehicle the radius
+    about the base center of the circle that holds every part.
 
-    def __init__(self, geom: VehicleGeometry, obs_rows):
+    radius (n_obs,) is the consumer's far-pair radius about each obstacle's
+    center, beyond which a pair has no effect at any proxy angle, widened
+    once by a relative 1e-9 for the rounding of what the consumer derives
+    from rho: near reads it pair by pair, beyond (the vehicle gate) for every
+    pair at once.  The metric pass, which takes rho alone, leaves it 0."""
+
+    def __init__(self, geom: VehicleGeometry, obs_rows, radius=0.0):
         self.geom = geom
         self.pi, self.oi = pair_index(geom.n_parts, obs_rows.shape[1])
         self.gather = part_gather(geom, self.pi)
@@ -211,39 +217,41 @@ class PairTable:
         self.r_part = bounding_radius(*geom.part_axes)[:, None]
         self.r_obs = bounding_radius(*self.rows[1, :3])
         self.scale = sum(v.max(initial=0.0) for v in (abs(self.c_obs), self.r_part, self.r_obs))
+        self.radius = np.broadcast_to(radius, obs_rows.shape[1]) * (1.0 + 1e-9)
         # the vehicle gate: each part's offset chain from the base center (its
-        # reach) plus its bounding radius
+        # reach) plus its bounding radius, and one (cx, cy, radius) per obstacle
         reach = [geom.rotor_arm] * 6 + [geom.arm_base_offset + geom.l1 / 2.0,
                                         geom.arm_base_offset + geom.l1 + geom.l2 / 2.0]
         self.r_vehicle = float((np.array(reach) + self.r_part[:, 0]).max())
         self._gate_scale = self.r_vehicle + float(self.scale)
+        self._gate = list(zip(*self.c_obs.tolist(), self.radius.tolist()))
 
-    def gate(self, radii):
-        """beyond's operands for the per-obstacle radii (n_obs,): one (cx, cy, r)
-        per obstacle."""
-        return list(zip(*self.c_obs.tolist(), radii.tolist()))
-
-    def beyond(self, x, y, gate) -> bool:
-        """Whether every pair's rho exceeds its obstacle's radius r in gate
-        (PairTable.gate) with the base center at (x, y), at any heading, tilt
-        and joint angles: the vehicle gate.
+    def beyond(self, x, y) -> bool:
+        """Whether every pair's rho exceeds its obstacle's radius with the base
+        center at (x, y), at any heading, tilt and joint angles: the vehicle
+        gate.  Where it passes, near finds no pair at any such pose.
 
         Each part's center lies within reach_p of the base center (its offset
         chain, which a tilt's projection only shortens), so every part's
         bounding circle lies in the vehicle circle of radius r_vehicle =
         max(reach_p + r_part) about (x, y), and each of obstacle o's pairs has
         rho >= circle_bound from o's center to that circle.  The gate asks that
-        bound to exceed r with four times circle_bound's slack (_GATE_ULPS) on
-        the scale |x| + |y| + r_vehicle + scale, which bounds every part
-        center's coordinates and so rho's own scale: one slack covers the
-        gate's rounding, one rho's, the rest the rounding of the part centers
-        and of the points within r_part of them.  A caller's r carries the
-        relative margin that covers the rounding of what it derives from rho.
-        On Python floats: np.hypot's per-call cost on scalars would be most of
-        the gate's time.
+        bound to exceed the radius with four times circle_bound's slack
+        (_GATE_ULPS) on the scale |x| + |y| + r_vehicle + scale, which bounds
+        every part center's coordinates and so rho's own scale: one slack
+        covers the gate's rounding, one rho's, the rest the rounding of the
+        part centers and of the points within r_part of them.  On Python
+        floats: np.hypot's per-call cost on scalars would be most of the
+        gate's time.
         """
         r_slack = self.r_vehicle + _GATE_ULPS * (abs(x) + abs(y) + self._gate_scale)
-        return all(math.hypot(x - cx, y - cy) - r_slack > r for cx, cy, r in gate)
+        return all(math.hypot(x - cx, y - cy) - r_slack > r for cx, cy, r in self._gate)
+
+    def near(self, centers):
+        """Indices, in pair order, of the pairs whose rho is below their
+        obstacle's radius with the parts centered at centers (2, n_parts, 1
+        or n_obs); every other pair is far."""
+        return (self.rho(centers) < self.radius).ravel().nonzero()[0]
 
     def rho(self, c):
         """geometry.circle_bound (..., n_parts, n_obs), raveled in pair_index
@@ -264,7 +272,13 @@ class _Evaluator:
     def __init__(self, geom: VehicleGeometry, obs_rows, stiff: StiffnessParams):
         self.geom = geom
         self.stiff = stiff
-        self.table = table = PairTable(geom, obs_rows)
+        # the far-pair radius of each obstacle, its reach r_obs (1 + d' +
+        # TANH_SATURATION d0)^(eps / 2): F + 1 is homogeneous of degree 2 / eps
+        # and 1 within r_obs of the center, so a pair whose rho exceeds it has g
+        # past tanh saturation at every proxy angle
+        reach = (bounding_radius(*obs_rows[:3])
+                 * (1.0 + stiff.d_prime + TANH_SATURATION * stiff.d0) ** (obs_rows[2] / 2.0))
+        self.table = table = PairTable(geom, obs_rows, reach)
         self.pi = table.pi
         self.P = self.pi.size
 
@@ -275,18 +289,13 @@ class _Evaluator:
         self.rows = table.rows.transpose(1, 0, 2)
         a = self.rows[:2, 1]
         oeps, ocos, osin = self.rows[2:5, 1]
-        # the reach gate's operands (n_parts, n_obs): rows' part centers, each pair's reach
+        # the near test's operand (PairTable.near): rows' part centers, (2,
+        # n_parts, n_obs), and the near set of the last evaluation
         self.centers = table.rows[0, 5:].reshape(table.c_pair.shape)
-        self.reach = (table.r_obs * (1.0 + stiff.d_prime + TANH_SATURATION * stiff.d0)
-                      ** (oeps / 2.0)).reshape(table.c_pair.shape[1:])
-        # the vehicle gate (PairTable.beyond) at each obstacle's reach, widened by
-        # a relative 1e-9 that covers the rounding of g; a pass it clears takes
-        # every pair's k as k_min: stiffness_terms' k_min + 0.5 (1 - tanh) k_max
-        # at tanh 1, for StiffnessParams' positive bounds
-        self.gate = table.gate(self.reach[0] * (1.0 + 1e-9))
-        self.k_far = np.full(self.P, stiff.k_min)
-        # whether the gate cleared the last evaluation
-        self.far = False
+        self.near = ()
+        # the stiffness (k, k', k'') of a far pair: stiffness_terms' values at
+        # tanh 1, k_min + 0.5 (1 - tanh) k_max for StiffnessParams' positive bounds
+        self.k_far = np.full(self.P, stiff.k_min), np.full(self.P, -0.0), np.zeros(self.P)
         self.oexp = 2.0 / oeps
         # joint angle j moves a part proxy iff j <= l, l the frame of its part
         self.moved = (np.arange(3) <= geom.part_links[self.pi][:, None]).astype(float)
@@ -322,14 +331,11 @@ class _Evaluator:
             self._obs_points = key, boundary_points(self.rows[:, 1], Go)
         return self._obs_points[1]
 
-    def within_reach(self):
-        """Indices of the pairs within reach at the poses in rows.  The others
-        have rho = PairTable.rho >= reach = r_obs (1 + d' + TANH_SATURATION d0)
-        ^(eps / 2): F + 1 is homogeneous of degree 2 / eps and 1 within r_obs
-        of the center, so their stiffness is (k_min, 0, 0) at every angle.
-        None is within reach where the vehicle gate (gate) passes, whose radii
-        are the reach's, so integrate_em asks this only after a pass it failed."""
-        return (self.table.rho(self.centers) < self.reach).ravel().nonzero()[0]
+    def scaled_body(self, p, idx):
+        """The part proxies p (2, P) of the pairs idx in their obstacle's frame,
+        divided by its semi-axes: w (2, len(idx))."""
+        d = p[:, idx] - self.rows[5:, 1, idx]
+        return self.oscale[:, 0, idx] * d[0] + self.oscale[:, 1, idx] * d[1]
 
 
 # d^2 p / dphi_i dphi_j = -V_max(i,j): the joint angles act on nested frames
@@ -337,50 +343,44 @@ _MAX_JOINT = np.maximum.outer(np.arange(3), np.arange(3))
 _EYE2 = np.eye(2)[:, :, None]
 
 
-def _pair_sums(ev: _Evaluator, z, Gp, Go, jf, far):
+def _pair_sums(ev: _Evaluator, z, Gp, Go, jf, cleared):
     """The pair terms of _fused_derivatives, summed over the pairs: grad_z (5,),
     hess_z (5, 5) without the joint-frame curvature, that curvature -G.V (3,)
     and W; jf holds the joint frames (3, 4) at z, where the part rows of ev.rows
     are posed with the plan's pose gather.
 
-    far says the vehicle gate (_Evaluator.gate) passed at z: every pair's g is
-    past tanh saturation, so its stiffness is (k_min, -0.0, +0.0), the values
-    stiffness_terms returns there, and the pass computes neither the obstacle-
-    frame coordinates, g nor stiffness_terms.  It falls back to the full pass
-    where k D has a zero entry (whose sign the contact terms may set) or W is
-    not finite: a NaN in z or in a proxy angle, or an overflow, meets
-    stiffness_terms' check there as it would without the gate.  (The gate
-    admits one difference: a far pair whose F overflows, as an eps 0.01
-    obstacle's does a few meters out, raises in stiffness_terms on the full
-    pass and takes k_min on this one.)
+    cleared is the vehicle gate's verdict at z (PairTable.beyond).  The pass
+    records its near set in ev.near: no pair where the gate cleared z, else
+    PairTable.near at the posed part centers.  The near pairs alone take the
+    stiffness law on g = F - d'; every other pair is out of reach, past tanh
+    saturation at every proxy angle, and takes (k_min, -0.0, +0.0), the
+    values stiffness_terms returns there.  A W that is not finite (a NaN in z
+    or in a proxy angle, or an overflow) raises GeometryError.
 
     The contact terms, those of k' and k'', are evaluated on the loaded pairs
-    alone, where k' or k'' is non-zero or k D has a zero entry.  Every other
-    pair's are signed zeros that leave its p-space gradient k D and Hessian k I
-    bit for bit as they are.  With none loaded, Hp J_p is k J_p: no block is
-    formed, and no sum of H ends on a zero's sign.
+    alone, where k' or k'' is non-zero or k D has a zero entry (whose sign the
+    contact terms may set).  Every other pair's are signed zeros that leave
+    its p-space gradient k D and Hessian k I bit for bit as they are.  With
+    none loaded, Hp J_p is k J_p: no block is formed, and no sum of H ends on
+    a zero's sign.
     """
     st, rows = ev.stiff, ev.rows
     set_part_poses(rows[:, 0], jf, ev.table.gather)
+    ev.near = near = () if cleared else ev.table.near(ev.centers)
     p = _posed(rows[3:, 0], *ev.part_curve(Gp))
     D = p - ev.obstacle_points(Go)
     d2 = (D * D).sum(axis=0)
 
-    # p-space gradient Gr (2, P) of each pair term, on the gate's k where it holds
-    if far:
-        k0 = ev.k_far
-        Gr = k0 * D
-        W = (0.5 * k0 * d2).sum()
-        far = np.count_nonzero(Gr) == Gr.size and math.isfinite(W)
-    if not far:
-        # part proxies in their obstacle's frame, divided by its semi-axes
-        d = p - rows[5:, 1]
-        w = ev.oscale[:, 0] * d[0] + ev.oscale[:, 1] * d[1]
-        aw = np.abs(w)
-        g = (aw ** ev.oexp).sum(axis=0) - 1.0 - st.d_prime
-        k0, k1, k2 = stiffness_terms(g, st)
-        Gr = k0 * D
-        W = (0.5 * k0 * d2).sum()
+    # stiffness of each pair, and its p-space gradient Gr (2, P)
+    k0, k1, k2 = ev.k_far
+    if len(near):
+        g = (np.abs(ev.scaled_body(p, near)) ** ev.oexp[near]).sum(axis=0) - 1.0 - st.d_prime
+        k0, k1, k2 = (k.copy() for k in ev.k_far)
+        k0[near], k1[near], k2[near] = stiffness_terms(g, st)
+    Gr = k0 * D
+    W = (0.5 * k0 * d2).sum()
+    if not math.isfinite(W):
+        raise GeometryError("non-finite distance in the pair terms")
 
     # chain rule to z through the proxy Jacobian Jp = [I | S V], (2, P, 5)
     P = ev.P
@@ -390,11 +390,12 @@ def _pair_sums(ev: _Evaluator, z, Gp, Go, jf, far):
     Jp[1, :, 2:] = V[0]
 
     # and Hessian Hp (2, 2, P), the contact terms on the loaded pairs
-    if not far and (np.count_nonzero(k1) or np.count_nonzero(k2)
-                    or np.count_nonzero(Gr) < Gr.size):
+    if (len(near) and (np.count_nonzero(k1) or np.count_nonzero(k2))
+            or np.count_nonzero(Gr) < Gr.size):
         Hp = k0 * _EYE2
         L = ((k1 != 0.0) | (k2 != 0.0) | (Gr == 0.0).any(axis=0)).nonzero()[0]
-        wL, awL, k0L, k1L, d2L, DL = w[:, L], aw[:, L], k0[L], k1[L], d2[L], D[:, L]
+        wL = ev.scaled_body(p, L)
+        awL, k0L, k1L, d2L, DL = np.abs(wL), k0[L], k1[L], d2[L], D[:, L]
         orot = ev.orot[..., L]
         fb = ev.fgrad[:, L] * np.sign(wL) * awL ** ev.e1[L]
         hb = ev.fcurv[:, L] * np.maximum(awL, AXIS_FLOOR) ** ev.e2[L]
@@ -430,9 +431,9 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     Hessian 0.5 k'' |D|^2 dF dF^T + 0.5 k' |D|^2 d2F + k' (dF D^T + D dF^T) + k I,
     D = p - q, mapped to z through the proxy's Jacobian [I | S V] plus the
     -G.V_max(i,j) curvature of the nested joint frames.  The pass asks the
-    vehicle gate at z's base position and records its verdict in ev.far; a
-    pass it clears skips the stiffness law (_pair_sums).  The pass leaves
-    ev.rows posed at z, where integrate_em's reach gate reads them.
+    vehicle gate at z's base position, and _pair_sums records the near set
+    in ev.near; it leaves ev.rows posed at z, where integrate_em re-solves
+    the near pairs.
     """
     geom, k_reg = ev.geom, params.k_reg
     x, y, psi, t1, t3 = z.tolist()
@@ -452,8 +453,7 @@ def _fused_derivatives(ev: _Evaluator, params, z, Gp, Go, u):
     J, r, jf = flat[:15].reshape(3, 5), flat[15:18], flat[20:].reshape(3, 4)
 
     if ev.P:
-        ev.far = ev.table.beyond(x, y, ev.gate)
-        gz, H, curv, W = _pair_sums(ev, z, Gp, Go, jf, ev.far)
+        gz, H, curv, W = _pair_sums(ev, z, Gp, Go, jf, ev.table.beyond(x, y))
     else:
         # no pairs: no proxy to evaluate, and every pair sum is zero
         gz, H, curv, W = np.zeros(5), np.zeros((5, 5)), np.zeros(3), 0.0
@@ -560,10 +560,9 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
     attractor until |dW/dz| < params.prerelax_tol, and raises PlannerError after
     CORRECTOR_MAX_ITER of them, at fixed proxy angles Gamma.  Gamma comes from
     a cold closest_pairs solve at z0; after each accepted sample, one
-    closest_pairs call warm-started at Gamma re-solves the pairs within reach
-    at that evaluation's poses, and the others keep theirs.  After a sample
-    whose evaluation the vehicle gate cleared, no pair is within reach, and
-    neither the reach gate nor closest_pairs runs.  Every evaluation
+    closest_pairs call warm-started at Gamma re-solves the near pairs of the
+    evaluation that accepted it (_pair_sums), at that evaluation's poses, and
+    the others keep theirs; with none near, no call runs.  Every evaluation
     checks that H is positive definite and well-conditioned.  The trajectory
     records the evaluations made, the most corrector steps taken at one sample
     and, per sample, |dW/dz| at the stored (z, Gamma, u) from the evaluation
@@ -625,9 +624,8 @@ def integrate_em(geom: VehicleGeometry, obstacles, z0, attractors,
         for n in range(n_seg):
             s = seg / K + (n + 1) * h
             u = ua + (n + 1) * h * udot
-            # ev.rows hold the poses of the evaluation that accepted z; no pairs, or
-            # a pass the vehicle gate cleared, no reach gate
-            near = ev.within_reach() if ev.P and not ev.far else ()
+            # re-solve the near set of the evaluation that accepted z, at its poses
+            near = ev.near
             if len(near):
                 G[:, near] = closest_pairs(ev.rows[:, 0, near], ev.rows[:, 1, near],
                                            init=G[:, near]).gammas

@@ -10,14 +10,16 @@ for byte (metrics.txt without its plan_time line, a wall time).
 
 The continuation's stages are its own calls: pre-relaxation holds the cold
 proxy solve and the damped Newton flow with every fused pass and solve they
-make; "fused pass", "Hessian check" (eigvalsh), "solves" (linsolve) and "reach
-gate" (within_reach and the warm closest_pairs refresh) are those of the
-continuation after it.  "bookkeeping" is the plain job's time less every
-stage's: attractors, the continuation loop and its records.
+make; "fused pass" (with its vehicle gate and near test), "Hessian check"
+(eigvalsh), "solves" (linsolve) and "re-solve" (the warm closest_pairs
+refresh of the near pairs) are those of the continuation after it.
+"bookkeeping" is the plain job's time less every stage's: attractors, the
+continuation loop and its records.
 
 A last, untimed plan counts the fused passes (the pre-relaxation's and the
 continuation's) that the vehicle gate (planner.PairTable.beyond) cleared,
-and the reach gates it spared: the samples accepted on such a pass.
+those that ran the near test (planner.PairTable.near) and found a pair near,
+and the samples whose near pairs were re-solved.
 
     PYTHONPATH=src python tests/plan_profile.py --scenario scenarios/tree.yaml \
         [--mode sq] [--repeat 5]
@@ -49,7 +51,7 @@ STAGES = {
     "fused pass": [(pl, "_fused_derivatives")],
     "Hessian check": [(pl, "eigvalsh")],
     "solves": [(pl, "linsolve")],
-    "reach gate": [(pl._Evaluator, "within_reach"), (pl, "closest_pairs")],
+    "re-solve": [(pl, "closest_pairs")],
     "metric pass": [(hz, "metrics")],
     "emit": [(hz, "emit")],
 }
@@ -72,25 +74,27 @@ def plan_job(s, mode, out_dir):
 
 
 def gate_counts(s, mode):
-    """(fused passes, those the vehicle gate cleared, samples, reach gates
-    skipped) of one plan; the passes include the pre-relaxation's."""
-    fused, within = pl._fused_derivatives, pl._Evaluator.within_reach
-    cleared, reach = [], []
+    """(fused passes, those the vehicle gate cleared, those whose near test
+    found a pair near, samples, samples re-solved) of one plan; the passes
+    include the pre-relaxation's."""
+    pair_sums, solve = pl._pair_sums, pl.closest_pairs
+    passes, warm = [], []
 
-    def counted_fused(ev, *args):
-        out = fused(ev, *args)
-        cleared.append(ev.far)
+    def counted_pair_sums(ev, z, Gp, Go, jf, cleared):
+        out = pair_sums(ev, z, Gp, Go, jf, cleared)
+        passes.append((cleared, len(ev.near)))
         return out
 
-    def counted_within(ev):
-        reach.append(1)
-        return within(ev)
+    def counted_solve(*args, init=None):
+        # the cold solve at the start point takes no initial angles
+        warm.append(init is not None)
+        return solve(*args, init=init)
 
-    with mock.patch.object(pl, "_fused_derivatives", counted_fused), \
-            mock.patch.object(pl._Evaluator, "within_reach", counted_within):
+    with mock.patch.object(pl, "_pair_sums", counted_pair_sums), \
+            mock.patch.object(pl, "closest_pairs", counted_solve):
         traj = hz.plan(s, mode).traj
-    samples = len(traj.s) - 1
-    return len(cleared), sum(cleared), samples, samples - len(reach)
+    return (len(passes), sum(c for c, _ in passes), sum(n > 0 for _, n in passes),
+            len(traj.s) - 1, sum(warm))
 
 
 def main(argv=None) -> int:
@@ -122,9 +126,10 @@ def main(argv=None) -> int:
     print(f"{'stage':<16}{'ms/plan':>9}")
     for stage, seconds in spent.items():
         print(f"{stage:<16}{seconds * 1e3:>9.2f}")
-    passes, cleared, samples, skipped = gate_counts(s, args.mode)
-    print(f"vehicle gate: cleared {cleared} of {passes} fused passes, "
-          f"spared {skipped} of {samples} reach gates")
+    passes, cleared, found, samples, resolved = gate_counts(s, args.mode)
+    print(f"vehicle gate: cleared {cleared} of {passes} fused passes; the near test ran on "
+          f"{passes - cleared} and found a pair near on {found}; "
+          f"{resolved} of {samples} samples re-solved")
     return 0
 
 

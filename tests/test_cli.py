@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shutil
+import warnings
 
 import pytest
 import yaml
@@ -63,6 +64,25 @@ def test_plan_and_metrics_roundtrip_with_obstacles(tmp_path, capsys):
     line = [ln for ln in planned if ln.startswith("min_distance ")]
     assert len(line) == 1 and float(line[0].split()[1]) > 0.0
     assert line == [ln for ln in rescored if ln.startswith("min_distance ")]
+
+
+def test_far_boxy_obstacle_leaves_the_plan_error_as_it_is(tmp_path, capsys):
+    # the route past a near circle fails (its Hessian turns indefinite); an
+    # eps 0.01 obstacle 7.5 m out, whose F overflows a few metres from it,
+    # leaves that one error line as it is, with no overflow warned
+    near = [{"a1": 0.2, "a2": 0.2, "eps": 1.0, "center": [1.0, -0.45]}]
+    far = [{"a1": 0.1, "a2": 0.1, "eps": 0.01, "center": [7.5, 0.3]}]
+    scene = {**BASE, "world_box": [-1.0, -2.0, 8.5, 2.0], "goal": [1.25, 0.0, 0.0]}
+    errors = []
+    for obstacles in (near, far + near):
+        path = write_scenario(tmp_path, {**scene, "obstacles": obstacles})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["plan", "--scenario", path]) == 3
+        out, err = capsys.readouterr()
+        assert caught == [] and out == ""
+        errors.append(err.splitlines())
+    assert len(errors[0]) == 1 and errors[1] == errors[0]
 
 
 def test_bench_table(empty_yaml, capsys):

@@ -543,9 +543,8 @@ class TestBarrier:
         _, _, h_rows = ctl.cbf_rows(tracker, q, R, np.zeros(6), theta, np.zeros(3), q,
                                     ctl.GainSet(), ctl.SafetyParams())
         frames = ctl.vehicle_frames(s.vehicle, q, R, theta)
-        bound = tracker.h_bounds(frames)
-        near = np.flatnonzero(bound <= ctl.H_CULL)
-        far = np.flatnonzero(bound > ctl.H_CULL)
+        near = tracker.near(ctl.part_centers(s.vehicle, frames))
+        far = np.setdiff1d(np.arange(24), near)
         assert h_rows.shape == (24,) and 0 < near.size < 24
         assert np.any(h_rows[near] <= ctl.H_CULL) and np.any(h_rows[near] > ctl.H_CULL)
         # near pairs: the cull's h-only pass and the derivative pass share one bracket
@@ -554,8 +553,8 @@ class TestBarrier:
         h = ctl.h_co(dx, tracker.shapes(near))
         assert np.array_equal(h, ctl.h_co_derivs(dx, tracker.shapes(near))[0])
         assert np.array_equal(h_rows[near], h)
-        # far pairs are not refreshed and read inf (their bound lies below h
-        # at every proxy angle: TestFarPairGate)
+        # far pairs are not refreshed and read inf (their h exceeds H_CULL at
+        # every proxy angle: TestFarPairGate)
         assert np.all(np.isinf(h_rows[far]))
 
 
@@ -673,8 +672,7 @@ class TestCbfRows:
             q_d = q + 0.01
             R = dyn.rotation(q[3:])
             A, b, h = ctl.cbf_rows(tracker, q, R, qdot, theta, thetadot, q_d, g, safety)
-            near = np.flatnonzero(tracker.h_bounds(ctl.vehicle_frames(geom, q, R, theta))
-                                  <= ctl.H_CULL)
+            near = tracker.near(ctl.part_centers(geom, ctl.vehicle_frames(geom, q, R, theta)))
             far = np.setdiff1d(np.arange(8), near)
             seen.append(tuple(near))
             h_cold, A_cold, b_cold = ungated_rows(geom, [shape], safety.obstacle_height, q, qdot,
@@ -708,23 +706,23 @@ class TestFarPairGate:
            yaw=st.floats(-math.pi, math.pi),
            arm=st.tuples(st.floats(-math.pi, math.pi), st.floats(-1.5, 1.5),
                          st.floats(-math.pi, math.pi)))
-    def test_bound_below_h_at_every_proxy_angle(self, blade, link_hw, link_eps, l1, l2, a1,
-                                                 a2, eps, angle, dist, bearing, height, z,
-                                                 tilt, yaw, arm):
+    def test_far_pairs_exceed_the_cull_at_every_proxy_angle(self, blade, link_hw, link_eps,
+                                                            l1, l2, a1, a2, eps, angle, dist,
+                                                            bearing, height, z, tilt, yaw, arm):
+        # every pair the near test leaves out has h above H_CULL wherever its
+        # part proxy sits, tilt and arm included
         geom = VehicleGeometry(blade_radius=blade, link_halfwidth=link_hw, link_eps=link_eps,
                                l1=l1, l2=l2)
         center = (dist * math.cos(bearing), dist * math.sin(bearing))
         tracker = ctl.ProxyTracker(geom, [Superquadric2(a1, a2, eps, angle, center)], height)
         q, theta = np.array([0.0, 0.0, z, *tilt, yaw]), np.array(arm)
         frames = ctl.vehicle_frames(geom, q, dyn.rotation(q[3:]), theta)
-        bound = tracker.h_bounds(frames)
-        # below -10 the part overlaps the obstacle, its bracket may reach the
-        # degenerate floor, and every such pair is near anyway
-        pairs = np.repeat(np.flatnonzero(bound > -10.0), 720)
-        gammas = np.tile(np.linspace(-math.pi, math.pi, 720, endpoint=False), pairs.size // 720)
+        far = np.setdiff1d(np.arange(geom.n_parts), tracker.near(ctl.part_centers(geom, frames)))
+        pairs = np.repeat(far, 720)
+        gammas = np.tile(np.linspace(-math.pi, math.pi, 720, endpoint=False), far.size)
         X = ctl.proxy_points(tracker, gammas, frames, pairs)
         h = ctl.h_co(obstacle_frame(tracker, X, pairs), tracker.shapes(pairs))
-        assert np.all(h >= bound[pairs])
+        assert np.all(h > ctl.H_CULL)
 
     @settings(max_examples=200, deadline=None)
     @given(blade=st.floats(0.05, 0.2), link_hw=st.floats(0.01, 0.1),
@@ -742,8 +740,8 @@ class TestFarPairGate:
                                                    a2, eps, angle, gap, bearing, base, height,
                                                    z, tilt, yaw, arm):
         # the obstacle stands within a few centimetres of the gate's radius,
-        # r_vehicle plus the far radius r_obs e^(H_CULL eps1 / 2), from the
-        # base center: where the gate passes, every pair is far as computed
+        # r_vehicle plus the cull radius r_obs e^(H_CULL eps1 / 2), from the
+        # base center: where the gate passes, the near test finds no pair
         geom = VehicleGeometry(blade_radius=blade, link_halfwidth=link_hw, link_eps=link_eps,
                                l1=l1, l2=l2)
         shape = Superquadric2(a1, a2, eps, angle, (0.0, 0.0))
@@ -753,28 +751,33 @@ class TestFarPairGate:
         center = (base[0] + dist * math.cos(bearing), base[1] + dist * math.sin(bearing))
         tracker = ctl.ProxyTracker(geom, [dataclasses.replace(shape, center=center)], height)
         q, theta = np.array([*base, z, *tilt, yaw]), np.array(arm)
-        bound = tracker.h_bounds(ctl.vehicle_frames(geom, q, dyn.rotation(q[3:]), theta))
+        near = tracker.near(ctl.part_centers(geom, ctl.vehicle_frames(geom, q, dyn.rotation(q[3:]),
+                                                                       theta)))
         if tracker.far(q):
             assert gap > 0.0
-            assert np.all(bound > ctl.H_CULL)
+            assert near.size == 0
         else:
             assert gap < 1e-8
 
-    def test_bound_tight_for_circle_facing_circle(self):
-        # rotor 0 faces a round obstacle 0.5 beyond its rim, level, at the
-        # obstacle's mid-height: its bound is its h at the facing proxy
+    def test_cull_radius_is_tight(self):
+        # rotor 0 faces a round obstacle level, at its mid-height, whose rim
+        # lies just beyond the cull radius R = r e^(H_CULL eps1 / 2) of rotor
+        # 0's rim: the pair is far, and h at the facing proxy exceeds H_CULL;
+        # 10 nm nearer, the pair is near and that h is within H_CULL
         geom = VehicleGeometry()
-        x0 = geom.rotor_arm + geom.blade_radius + 0.5
+        edge = geom.rotor_arm + geom.blade_radius
         for radius, height in ((0.35, 3.0), (0.6, 2.0)):
-            tracker = ctl.ProxyTracker(geom, [Superquadric2(radius, radius, 1.0, 0.3, (x0, 0.0))],
-                                     height)
-            q = np.array([0.0, 0.0, height / 2.0, 0.0, 0.0, 0.0])
-            frames = ctl.vehicle_frames(geom, q, dyn.rotation(q[3:]), np.zeros(3))
-            bound = tracker.h_bounds(frames)[0]
-            X = ctl.proxy_points(tracker, np.zeros(1), frames, np.zeros(1, dtype=int))
-            h = ctl.h_co(obstacle_frame(tracker, X, [0]), tracker.shapes([0]))[0]
-            assert h == pytest.approx(20.0 * math.log(0.5 / radius), abs=1e-12)
-            assert h - 1e-9 <= bound <= h
+            cull = radius * math.exp(ctl.H_CULL * ctl.EXTRUDE_EPS1 / 2.0)
+            for shift, near in ((1e-9, False), (-1e-8, True)):
+                tracker = ctl.ProxyTracker(
+                    geom, [Superquadric2(radius, radius, 1.0, 0.3, (edge + cull + shift, 0.0))],
+                    height)
+                q = np.array([0.0, 0.0, height / 2.0, 0.0, 0.0, 0.0])
+                frames = ctl.vehicle_frames(geom, q, dyn.rotation(q[3:]), np.zeros(3))
+                assert (0 in tracker.near(ctl.part_centers(geom, frames))) is near
+                X = ctl.proxy_points(tracker, np.zeros(1), frames, np.zeros(1, dtype=int))
+                h = ctl.h_co(obstacle_frame(tracker, X, [0]), tracker.shapes([0]))[0]
+                assert bool(h <= ctl.H_CULL) is near
 
 
 class TestProxyTracker:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from amplan import planner as pl
 from amplan.geometry import (TANH_SATURATION, GeometryError, StiffnessParams, Superquadric2,
                              closest_pairs, shape_rows, stiffness_terms, wrap_angle)
 from amplan.voronoi import SolutionPath
+import oracles
 from oracles import (central_diff_gradient, dense_pair_sums, part_poses, part_superquadrics,
                      scalar_target_pose, sq2_boundary, sq2_inside_outside)
 
@@ -313,7 +315,7 @@ class TestReach:
         """Stiffness terms of every pair out of reach at z, each at ANGLES on
         the oracle's part shape, and the number of such pairs."""
         pl.set_part_poses(ev.rows[:, 0], geom.frame_stack(z), ev.table.gather)
-        far = np.setdiff1d(np.arange(ev.P), ev.within_reach())
+        far = np.setdiff1d(np.arange(ev.P), ev.table.near(ev.centers))
         parts = part_superquadrics(geom, z)
         _, oi = pl.pair_index(geom.n_parts, len(obs))
         F = np.array([sq2_inside_outside(obs[oi[q]], sq2_boundary(parts[ev.pi[q]], cls.ANGLES))
@@ -354,12 +356,27 @@ class TestReach:
             obs = [Superquadric2(a1=r, a2=r, eps=1.0, center=(edge - reach - shift, 0.0))]
             ev = pl._Evaluator(geom, shape_rows(obs), st)
             (k0, _, _), _ = self.far_terms(geom, obs, ev, np.zeros(5))
-            assert (3 in ev.within_reach()) is within
+            assert (3 in ev.table.near(ev.centers)) is within
             F = sq2_inside_outside(obs[0], sq2_boundary(part_superquadrics(geom, np.zeros(5))[3],
                                                         math.pi))
             k = stiffness_terms(F - st.d_prime, st)[0]
             assert bool(k > st.k_min) is within
             assert np.all(k0 == st.k_min)
+
+    def test_far_boxy_obstacle_leaves_the_plan_as_it_is(self):
+        # an eps 0.01 obstacle 7.5 m out, whose F overflows a few metres from
+        # it, is out of reach on every pass: the plan past a near circle with
+        # it is the plan without it, and no overflow is warned
+        geom = pl.VehicleGeometry()
+        far = Superquadric2(0.1, 0.1, 0.01, center=(7.5, 0.3))
+        near = Superquadric2(0.2, 0.2, 1.0, center=(1.0, -0.45))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            both, alone = (pl.integrate_em(geom, obs, np.zeros(5), [np.array([1.25, 0.0, 0.0])])
+                           for obs in ([far, near], [near]))
+        assert caught == []
+        assert both.evals == alone.evals
+        assert np.abs(both.z - alone.z).max() < 1e-6
 
 
 class TestVehicleGate:
@@ -380,11 +397,12 @@ class TestVehicleGate:
                                                     aim, d0, d_prime):
         # the obstacle stands within a few centimetres of the gate's radius,
         # r_vehicle plus the obstacle's reach, from the base center: where the
-        # fused pass finds the gate passed, no pair is within reach, the g the
-        # full pass computes gives every pair exactly (k_min, 0, 0) at every
-        # part angle, and the gated pass equals the full one bit for bit.  An
-        # aimed obstacle lies straight off the stretched arm or a rotor, whose
-        # far edge may be the vehicle circle's
+        # gate passes, the fused pass finds no pair near, the near test finds
+        # none either, the dense form's g gives every pair exactly (k_min, 0,
+        # 0) at every part angle, and the pass equals the dense form bit for
+        # bit, with the gate's verdict and without it.  An aimed obstacle lies
+        # straight off the stretched arm or a rotor, whose far edge may be the
+        # vehicle circle's
         geom = pl.VehicleGeometry(blade_radius=blade, link_halfwidth=link_hw, link_eps=link_eps,
                                   l1=l1, l2=l2)
         if aim == "arm":
@@ -394,27 +412,29 @@ class TestVehicleGate:
         stiff = StiffnessParams(d0=d0, d_prime=d_prime)
         shape = Superquadric2(a1, a2, eps, angle, (0.0, 0.0))
         probe = pl._Evaluator(geom, shape_rows([shape]), stiff)
-        dist = probe.table.r_vehicle + probe.reach[0, 0] + gap
+        dist = probe.table.r_vehicle + probe.table.radius[0] + gap
         center = (base[0] + dist * math.cos(bearing), base[1] + dist * math.sin(bearing))
         ev = pl._Evaluator(geom, shape_rows([dataclasses.replace(shape, center=center)]), stiff)
         z = np.array([*base, *joints])
         Go = np.zeros(ev.P)
         pl._fused_derivatives(ev, pl.PlannerParams(stiffness=stiff), z, Go, Go, np.zeros(3))
-        if not ev.far:
+        if not ev.table.beyond(*base):
             assert gap < 1e-8
             return
         assert gap > 0.0
-        assert ev.within_reach().size == 0
+        assert len(ev.near) == 0 and ev.table.near(ev.centers).size == 0
         jf = np.array(geom.joint_frames(*z.tolist()))
-        terms, full = [], []
+        terms, dense = [], []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pl, "stiffness_terms", lambda d, st: terms.append(stiffness_terms(d, st))
-                       or terms[-1])
+            mp.setattr(oracles, "stiffness_terms",
+                       lambda d, st: terms.append(stiffness_terms(d, st)) or terms[-1])
             for gamma in self.ANGLES:
-                full.append(pl._pair_sums(ev, z, np.full(ev.P, gamma), Go, jf, False))
-        for gamma, out in zip(self.ANGLES, full):
-            TestFusedPassShortcuts.assert_same_bytes(
-                pl._pair_sums(ev, z, np.full(ev.P, gamma), Go, jf, True), out)
+                dense.append(dense_pair_sums(ev, z, np.full(ev.P, gamma), Go, jf))
+        for gamma, out in zip(self.ANGLES, dense):
+            for cleared in (True, False):
+                TestFusedPassShortcuts.assert_same_bytes(
+                    pl._pair_sums(ev, z, np.full(ev.P, gamma), Go, jf, cleared), out)
+                assert len(ev.near) == 0
         assert len(terms) == self.ANGLES.size
         k0, k1, k2 = np.array(terms).transpose(1, 0, 2)
         assert np.all(k0 == stiff.k_min) and np.all(k1 == 0.0) and np.all(k2 == 0.0)
@@ -422,10 +442,10 @@ class TestVehicleGate:
 
 class TestFusedPassShortcuts:
     """_pair_sums evaluates the contact terms on the loaded pairs alone, forms
-    no Hessian block when no pair is loaded, skips the stiffness law where the
-    vehicle gate passes, and evaluates each proxy curve only when its angles
-    change: its sums are the dense form's (oracles.dense_pair_sums) bit for
-    bit, the sign of every zero included."""
+    no Hessian block when no pair is loaded, evaluates the stiffness law on
+    the near pairs alone, none where the vehicle gate passes, and each proxy
+    curve only when its angles change: its sums are the dense form's
+    (oracles.dense_pair_sums) bit for bit, the sign of every zero included."""
 
     GRAZING_BOX = Superquadric2(a1=0.6, a2=0.3, eps=0.3, center=(1.6, -0.6))
 
@@ -438,35 +458,44 @@ class TestFusedPassShortcuts:
 
     @staticmethod
     def recording_stiffness(monkeypatch):
-        """Count, per planner call of stiffness_terms, the pairs with k' or k'' non-zero."""
+        """Record, per planner call of stiffness_terms, (the pairs it is
+        given, those with k' or k'' non-zero)."""
         loaded, terms = [], pl.stiffness_terms
 
         def record(d, st):
             k = terms(d, st)
-            loaded.append(np.count_nonzero((k[1] != 0.0) | (k[2] != 0.0)))
+            loaded.append((k[0].size, np.count_nonzero((k[1] != 0.0) | (k[2] != 0.0))))
             return k
 
         monkeypatch.setattr(pl, "stiffness_terms", record)
         return loaded
 
     @staticmethod
-    def assert_dense(ev, z, Gp, Go, cleared=None):
+    def assert_dense(ev, z, Gp, Go, passes=None):
         """_pair_sums on ev, behind the vehicle gate as _fused_derivatives asks
         it, equals the dense form on a fresh evaluator of the same scene; the
-        gate's verdict is appended to cleared, when given."""
+        gate's verdict and the size of the pass's near set are appended to
+        passes, when given.  A cleared pass finds no pair near."""
         dense_ev = pl._Evaluator(ev.geom, ev.rows[:, 1, :ev.P // ev.geom.n_parts], ev.stiff)
         jf = np.array(ev.geom.joint_frames(*z.tolist()))
-        far = ev.table.beyond(*z[:2].tolist(), ev.gate)
-        if cleared is not None:
-            cleared.append(far)
-        out = pl._pair_sums(ev, z, Gp, Go, jf, far)
+        cleared = ev.table.beyond(*z[:2].tolist())
+        out = pl._pair_sums(ev, z, Gp, Go, jf, cleared)
         TestFusedPassShortcuts.assert_same_bytes(out, dense_pair_sums(dense_ev, z, Gp, Go, jf))
+        assert not (cleared and len(ev.near))
+        if passes is not None:
+            passes.append((cleared, len(ev.near)))
         return out
+
+    @staticmethod
+    def assert_near_only(loaded, passes):
+        """Each stiffness_terms call took the near pairs of one pass, and the
+        passes with none near made no call."""
+        assert [n for n, _ in loaded] == [n for _, n in passes if n]
 
     def test_far_poses(self, rng, monkeypatch):
         # every pass either clears the vehicle gate, and evaluates no
-        # stiffness, or evaluates it with no pair loaded
-        loaded, cleared = self.recording_stiffness(monkeypatch), []
+        # stiffness, or evaluates it on its near pairs alone, none loaded
+        loaded, passes = self.recording_stiffness(monkeypatch), []
         geom, st = pl.VehicleGeometry(), StiffnessParams()
         for _ in range(50):
             # centers 3-6 m out on each axis, beyond the vehicle's reach
@@ -477,15 +506,17 @@ class TestFusedPassShortcuts:
             ev = pl._Evaluator(geom, shape_rows(obs), st)
             for _ in range(4):
                 Gp, Go = rng.uniform(-math.pi, math.pi, size=(2, ev.P))
-                self.assert_dense(ev, rng.uniform(-1.0, 1.0, 5), Gp, Go, cleared)
-        assert len(cleared) == 200 and len(loaded) == cleared.count(False)
-        assert not any(loaded) and cleared.count(True) >= 100
+                self.assert_dense(ev, rng.uniform(-1.0, 1.0, 5), Gp, Go, passes)
+        self.assert_near_only(loaded, passes)
+        cleared = [c for c, _ in passes]
+        assert len(passes) == 200 and cleared.count(True) >= 100
+        assert not any(n for _, n in loaded)
 
     def test_parts_just_outside_the_inflated_boundary(self, rng, monkeypatch):
         # one part's proxy outside a round obstacle's inflated boundary, its
         # stiffness argument g = F - d' 0 to 19 mm (19 d0): in the stiffness
         # transition, where k' and k'' are non-zero short of tanh saturation
-        loaded, cleared = self.recording_stiffness(monkeypatch), []
+        loaded, passes = self.recording_stiffness(monkeypatch), []
         geom, st = pl.VehicleGeometry(), StiffnessParams()
         for _ in range(200):
             z = rng.uniform(-1.0, 1.0, 5)
@@ -496,10 +527,12 @@ class TestFusedPassShortcuts:
             r = a * math.sqrt(1.0 + st.d_prime + rng.uniform(0.0, 19.0 * st.d0))
             obs = [Superquadric2(a1=a, a2=a, eps=1.0,
                                  center=tuple(p + r * np.array([math.cos(phi), math.sin(phi)])))]
-            self.assert_dense(pl._Evaluator(geom, shape_rows(obs), st), z, Gp, Go, cleared)
-        # the obstacle is within reach of a part: the gate never clears
-        assert len(cleared) == 200 and not any(cleared)
-        assert len(loaded) == 200 and sum(map(bool, loaded)) >= 150
+            self.assert_dense(pl._Evaluator(geom, shape_rows(obs), st), z, Gp, Go, passes)
+        # the obstacle is within reach of a part: the gate never clears, and
+        # every pass finds a pair near
+        self.assert_near_only(loaded, passes)
+        assert len(passes) == 200 and not any(c for c, _ in passes)
+        assert len(loaded) == 200 and sum(bool(n) for _, n in loaded) >= 150
 
     def test_grazing_route(self, monkeypatch):
         # every pass of the grazing-route plan (TestContinuation), whose arm tip
@@ -511,9 +544,9 @@ class TestFusedPassShortcuts:
         dense_ev = pl._Evaluator(geom, shape_rows([box]), params.stiffness)
         pair_sums, passes = pl._pair_sums, []
 
-        def checked(ev, z, Gp, Go, jf, far):
+        def checked(ev, z, Gp, Go, jf, cleared):
             passes.append(1)
-            out = pair_sums(ev, z, Gp, Go, jf, far)
+            out = pair_sums(ev, z, Gp, Go, jf, cleared)
             self.assert_same_bytes(out, dense_pair_sums(dense_ev, z, Gp, Go, jf))
             return out
 
@@ -522,14 +555,14 @@ class TestFusedPassShortcuts:
         traj = pl.integrate_em(geom, [box], np.array([1.3, 0.55, down, 0.0, 0.0]),
                                [np.array([1.3, -0.297, down]), np.array([1.9, -0.297, down]),
                                 np.array([1.9, 0.2, down])], params)
-        assert len(passes) >= traj.evals and sum(map(bool, loaded)) >= 100
+        assert len(passes) >= traj.evals and sum(bool(n) for _, n in loaded) >= 100
         assert np.abs(traj.gammas - traj.gammas[0]).max() > 1e-2
 
     def test_loaded_and_unloaded_passes_alternate(self, monkeypatch):
         # one evaluator at the grazing route's samples (TestContinuation), then
         # at the same pose 5 m away, then at the route again: the passes switch
-        # between the loaded branch and the gated one, which evaluates no
-        # stiffness and forms no Hessian block
+        # between the loaded branch and the gated one, which finds no pair
+        # near, evaluates no stiffness and forms no Hessian block
         geom, box = pl.VehicleGeometry(), self.GRAZING_BOX
         params = pl.PlannerParams(n_s=200, stiffness=StiffnessParams(d0=0.02, k_max=100.0),
                                   k_reg=50.0)
@@ -537,46 +570,49 @@ class TestFusedPassShortcuts:
         traj = pl.integrate_em(geom, [box], np.array([1.3, 0.55, down, 0.0, 0.0]),
                                [np.array([1.3, -0.297, down]), np.array([1.9, -0.297, down]),
                                 np.array([1.9, 0.2, down])], params)
-        loaded, cleared = self.recording_stiffness(monkeypatch), []
+        loaded, passes = self.recording_stiffness(monkeypatch), []
         ev = pl._Evaluator(geom, shape_rows([box]), params.stiffness)
         for z, G in zip(traj.z[::4], traj.gammas[::4]):
             for shift in (0.0, 5.0, 0.0):
                 self.assert_dense(ev, z + [shift, shift, 0.0, 0.0, 0.0], G[:ev.P], G[ev.P:],
-                                  cleared)
-        assert cleared == [False, True, False] * (len(cleared) // 3)
-        assert len(loaded) == cleared.count(False) and sum(map(bool, loaded)) >= 30
+                                  passes)
+        self.assert_near_only(loaded, passes)
+        assert [c for c, _ in passes] == [False, True, False] * (len(passes) // 3)
+        assert all(n for c, n in passes if not c)
+        assert sum(bool(n) for _, n in loaded) >= 30
 
-    def test_gated_pass_falls_back_where_k_d_has_a_zero(self, monkeypatch):
+    def test_cleared_pass_where_k_d_has_a_zero(self, monkeypatch):
         # rotor 0's proxy and a far circle's proxy share their x, then their y,
         # coordinate exactly, so k D has a zero entry: the gate clears each
-        # pass, which falls back to the full one (one stiffness_terms call)
-        loaded, cleared = self.recording_stiffness(monkeypatch), []
+        # pass, which loads that pair with k_min's signed-zero contact terms
+        # and calls no stiffness_terms
+        loaded, passes = self.recording_stiffness(monkeypatch), []
         geom, st = pl.VehicleGeometry(), StiffnessParams()
         for center, gp, go in (((geom.rotor_arm, 10.0), math.pi / 2, -math.pi / 2),
                                ((10.0, 0.0), 0.0, 0.0)):
             ev = pl._Evaluator(geom, shape_rows([Superquadric2(0.3, 0.3, 1.0, center=center)]),
                                st)
             z, Gp, Go = np.zeros(5), np.full(ev.P, gp), np.full(ev.P, go)
-            self.assert_dense(ev, z, Gp, Go, cleared)
+            self.assert_dense(ev, z, Gp, Go, passes)
             D = pl._posed(ev.rows[3:, 0], *ev.part_curve(Gp)) - ev.obstacle_points(Go)
             assert np.count_nonzero(D[:, 0]) == 1
-        assert cleared == [True, True] and loaded == [0, 0]
+        assert passes == [(True, 0), (True, 0)] and loaded == []
 
     @pytest.mark.parametrize("joint", [2, 3, 4])
     def test_nan_angle_raises_as_without_the_gate(self, monkeypatch, joint):
         # around a far obstacle the gate clears every finite pose; a NaN angle
-        # still meets stiffness_terms' check: in the pre-relaxation
+        # still meets the pass's check of W: in the pre-relaxation
         # (GeometryError) and in the continuation's evaluations (PlannerError),
         # as a NaN proxy angle does on a pass the gate cleared
         geom, params = pl.VehicleGeometry(), pl.PlannerParams(n_s=20)
         ev = pl._Evaluator(geom, shape_rows(far_obstacle()), params.stiffness)
         G = np.zeros((2, ev.P))
         z = np.zeros(5)
-        assert ev.table.beyond(0.0, 0.0, ev.gate)
+        assert ev.table.beyond(0.0, 0.0)
         z[joint] = math.nan
         with pytest.raises(GeometryError, match="non-finite distance"):
             pl._prerelax(ev, params, z, G[0], G[1], np.zeros(3))
-        assert ev.far
+        assert len(ev.near) == 0
         with monkeypatch.context() as mp:
             mp.setattr(pl, "_prerelax", lambda *args: z)
             with pytest.raises(pl.PlannerError, match="non-finite state") as info:
@@ -834,7 +870,7 @@ class TestContinuation:
 
     def test_grazing_route_proxies_are_closest_pairs(self):
         # on the grazing route, the angles each sample is accepted with are,
-        # for every pair within reach at the previous sample, that pose's
+        # for every pair near (PairTable.near) at the previous sample, that pose's
         # closest points (criterion 1's tolerance: the cold solve itself stops
         # short on the eps 0.3 face), and every other pair's previous angles;
         # its recorded residual is |dW/dz| at them, bit for bit
@@ -855,7 +891,7 @@ class TestContinuation:
         for k in range(1, len(traj.s)):
             z, g = traj.z[k - 1], traj.gammas[k]
             pl.set_part_poses(ev.rows[:, 0], geom.frame_stack(z), ev.table.gather)
-            near = ev.within_reach()
+            near = ev.table.near(ev.centers)
             held = np.setdiff1d(np.arange(P), near)
             assert np.array_equal(g[held], traj.gammas[k - 1, held])
             assert np.array_equal(g[P + held], traj.gammas[k - 1, P + held])
