@@ -16,7 +16,12 @@ As in dynamics, the per-channel elementwise arithmetic of a tick (the
 observer's RK4, the thrust band's offsets) runs on Python floats, and every
 matrix product stays in numpy, whose BLAS fused multiply-adds round
 differently: through np.dot's routine, called as a.dot(b), on the same
-operands and in the same association.
+operands and in the same association.  The tick's stages keep dynamics'
+representation rule: dob_update takes the tick's floats of q and qdot, each
+stage takes the nominal terms as the tuple model_terms returns and returns
+plain terms (the observer's float lists and estimate, the rows with the
+law's S and c, the outer loop's (x, feasible)), and the per-mission QP
+(GainSet.outer_qp) is checked once, for the thrust rows' shape too.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +36,10 @@ from . import dynamics as dyn
 from .geometry import _body_curve, bounding_radius, center_angles, closest_pairs, shape_rows
 from .planner import PairTable, VehicleGeometry, set_part_poses
 from .qp import QpProblem, solve
+
+
+# the thrust band's rows: a lower and an upper row per rotor
+THRUST_ROWS = 12
 
 
 class GainError(ValueError):
@@ -97,11 +105,12 @@ class GainSet:
         # the observer's per-channel coefficients a0/eps^2 and a1/eps, as floats
         object.__setattr__(self, "dob_factors", (tuple((self.a0 / self.eps ** 2).tolist()),
                                                  tuple((self.a1 / self.eps).tolist())))
-        # outer_loop's per-mission QP (H checked once; every tick's QP shares H
-        # and its factor) and the factors of g and a_ref, all read-only too
+        # outer_loop's per-mission QP (H, its factor and the thrust rows' shape
+        # checked once; every tick's QP shares them) and the factors of g and
+        # a_ref, all read-only too
         H = np.zeros((9, 9))
         H[:6, :6], H[6:, 6:] = 2.0 * self.q_qdot, 2.0 * self.q_thetaddot
-        qp = QpProblem(H, np.zeros(9), np.zeros((0, 9)), np.zeros(0))
+        qp = QpProblem(H, np.zeros(9), np.zeros((THRUST_ROWS, 9)), np.zeros(THRUST_ROWS))
         factors = (-2.0 * self.q_qdot, -2.0 * self.q_thetaddot,
                    -2.0 * self.gamma_theta, self.gamma_theta @ self.gamma_theta)
         for a in (qp.H, qp.Linv, *factors):
@@ -110,16 +119,10 @@ class GainSet:
         object.__setattr__(self, "outer_factors", factors)
 
 
-@dataclass
-class DobState:
-    """Filter states [x0, x1] of six floats each: xq tracks q, xp the commanded input."""
-
-    xq: list = field(default_factory=lambda: [[0.0] * 6, [0.0] * 6])
-    xp: list = field(default_factory=lambda: [[0.0] * 6, [0.0] * 6])
-
-    @classmethod
-    def initialize(cls, q) -> "DobState":
-        return cls(xq=[np.asarray(q, dtype=float).tolist(), [0.0] * 6])
+def dob_initial(q, u):
+    """The observer state at rest on the six floats q and the commanded
+    input u: filter states [x0, x1] (six floats each) tracking them."""
+    return [list(q), [0.0] * 6], [list(u), [0.0] * 6]
 
 
 def _filter_rk4(x, u, a0e2, a1e1, dt):
@@ -140,66 +143,54 @@ def _filter_rk4(x, u, a0e2, a1e1, dt):
     return [x0, x1]
 
 
-def dob_update(state: DobState, q, qdot, T, model: dyn.ControlTerms,
-               gains: GainSet, dt: float):
+def dob_update(state, q, qdot, T, model, gains: GainSet, dt: float):
     """Advance the observer one step and return (new state, disturbance estimate).
 
-    The estimate compares the filtered commanded generalized acceleration with
-    the filtered measured acceleration, then re-adds the Coriolis and gravity
-    terms; model holds the controller's nominal terms at (q, qdot).
+    state is (xq, xp), the filter states [x0, x1] (six floats each) that track
+    q and the commanded input; q and qdot are the tick's six floats each, T
+    the applied thrusts and model the controller's nominal terms at (q, qdot)
+    (model_terms(...)[1]).  The estimate compares the filtered commanded
+    generalized acceleration with the filtered measured acceleration, then
+    re-adds the Coriolis and gravity terms.
     """
-    q = np.asarray(q, dtype=float).tolist()
-    qdot = np.asarray(qdot, dtype=float).tolist()
+    M, C, G, _, MinvB, _ = model
     a0e2, a1e1 = gains.dob_factors
-    u_cmd = model.MinvB.dot(T).tolist()
+    u_cmd = MinvB.dot(T).tolist()
     # midpoint reconstruction of q over the hold interval: a plain zero-order
     # hold of a quadratically growing position drifts the acceleration estimate
     h = 0.5 * dt
     u_q = [x + h * v for x, v in zip(q, qdot)]
-    xq = _filter_rk4(state.xq, u_q, a0e2, a1e1, dt)
-    xp = _filter_rk4(state.xp, u_cmd, a0e2, a1e1, dt)
+    xq = _filter_rk4(state[0], u_q, a0e2, a1e1, dt)
+    xp = _filter_rk4(state[1], u_cmd, a0e2, a1e1, dt)
 
     # output equation pairs the end-of-step state with the end-of-step input
     lag = [p - (a * (x + dt * v - y0) - b * y1)
            for p, x, v, y0, y1, a, b in zip(xp[0], q, qdot, *xq, a0e2, a1e1)]
-    d_hat = (-model.M).dot(lag) + model.C + model.G
-    return DobState(xq=xq, xp=xp), d_hat
+    return (xq, xp), (-M).dot(lag) + C + G
 
 
-class ThrustRows(NamedTuple):
-    """The thrust law T = S qdot_d + c, affine in the commanded base velocity,
-    and its band rows A x <= b on x = [qdot_d; thetaddot_d]."""
-
-    A: np.ndarray
-    b: np.ndarray
-    S: np.ndarray
-    c: np.ndarray
-
-    def thrust(self, qdot_d) -> np.ndarray:
-        """Per-rotor thrusts at the commanded base velocity qdot_d."""
-        return self.S.dot(qdot_d) + self.c
-
-
-def thrust_limit_rows(q_d, q, qdot, d_hat, model: dyn.ControlTerms, gains: GainSet,
-                      t_min: float, t_max: float) -> ThrustRows:
+def thrust_limit_rows(q_d, q, qdot, d_hat, model, gains: GainSet, t_min: float,
+                      t_max: float):
     """The computed-torque thrust law with DOB compensation, B T = M (Kd (qdot_d
     - qdot) + Kp (q_d - q)) + C + G - d_hat on the nominal terms model at
-    (q, qdot), and the rows keeping every rotor thrust inside [t_min, t_max].
+    (q, qdot) (model_terms(...)[1]), and the rows keeping every rotor thrust
+    inside [t_min, t_max].
 
-    The rows hold exactly for the thrust the law gives, since both are the one
-    affine map S, c.
+    Returns (A, b, S, c): the law is T = S qdot_d + c, affine in the
+    commanded base velocity, and its band rows A x <= b on x = [qdot_d;
+    thetaddot_d] are THRUST_ROWS x 9, a shape the outer loop's QP is checked
+    for once (GainSet.outer_qp).  The rows hold exactly for the thrust the
+    law gives, since both are the one affine map S, c.
     """
-    q = np.asarray(q, dtype=float)
-    S = model.Binv.dot(model.M).dot(gains.kd)
-    c = model.Binv.dot(model.M.dot(gains.kp.dot(np.subtract(q_d, q)) - gains.kd.dot(qdot))
-                       + model.C + model.G - np.asarray(d_hat, dtype=float))
-    A = np.zeros((12, 9))
+    M, C, G, _, _, Binv = model
+    S = Binv.dot(M).dot(gains.kd)
+    c = Binv.dot(M.dot(gains.kp.dot(np.subtract(q_d, q)) - gains.kd.dot(qdot)) + C + G - d_hat)
+    A = np.zeros((THRUST_ROWS, 9))
     A[:6, :6] = -S
     A[6:, :6] = S
     # both sides of the band from floats, in one array
     c_ = c.tolist()
-    b = np.array([x - t_min for x in c_] + [t_max - x for x in c_])
-    return ThrustRows(A, b, S, c)
+    return A, np.array([x - t_min for x in c_] + [t_max - x for x in c_]), S, c
 
 
 # --- 3D proxy-point kinematics -------------------------------------------------
@@ -394,8 +385,7 @@ class ProxyTracker(PairTable):
         """Whether every pair is far at q's base position, at any height, tilt
         and joint angles: the vehicle gate (PairTable.beyond) at the cull
         radius."""
-        x, y = q[:2].tolist()
-        return self.beyond(x, y)
+        return self.beyond(q[0], q[1])
 
     def refresh(self, q, theta, pairs=None):
         """Re-solve the planar closest pairs of pairs (an index array; every
@@ -487,22 +477,14 @@ def cbf_rows(tracker: ProxyTracker, q, R, qdot, theta, thetadot, q_d, gains: Gai
     return -np.hstack([gA[:, :6] @ gains.kd, gA[:, 6:]]), b, h
 
 
-@dataclass
-class OuterLoopResult:
-    x: np.ndarray
-    qdot_d: np.ndarray
-    thetaddot_d: np.ndarray
-    feasible: bool
-    status: str
-
-
-def outer_loop(q_t, theta_t, q_d, theta_d, thetadot_d, A, b, gains: GainSet,
-               prev_x=None) -> OuterLoopResult:
-    """Reference-tracking QP over x = [qdot_d; thetaddot_d] with safety rows,
-    solved afresh each call on the gains' per-mission QP (gains.outer_qp).
+def outer_loop(q_t, theta_t, q_d, theta_d, thetadot_d, A, b, gains: GainSet, prev_x=None):
+    """Reference-tracking QP over x = [qdot_d; thetaddot_d] with safety rows
+    A x <= b (float64 arrays, at most qp.MAX_ROWS rows), solved afresh each
+    call on the gains' per-mission QP (gains.outer_qp); returns (x, feasible).
 
     When the rows are infeasible (or the solve hits its iteration cap) the
-    previous solution is reused at half magnitude and the result is flagged.
+    previous solution is reused at half magnitude and the tick is flagged
+    infeasible.
     """
     gq, gt, a_dot, a_err = gains.outer_factors
     v_ref = gains.gamma_q.dot(np.subtract(q_t, q_d))
@@ -511,9 +493,7 @@ def outer_loop(q_t, theta_t, q_d, theta_d, thetadot_d, A, b, gains: GainSet,
     g = np.empty(9)
     gq.dot(v_ref, out=g[:6])
     gt.dot(a_ref, out=g[6:])
-    sol = solve(gains.outer_qp.with_rows(g, A, b))
-    feasible = sol.status == "optimal"
-    x = sol.x if feasible else 0.5 * (np.zeros(9) if prev_x is None
-                                      else np.asarray(prev_x, dtype=float))
-    return OuterLoopResult(x=x, qdot_d=x[:6], thetaddot_d=x[6:],
-                           feasible=feasible, status=sol.status)
+    x, status = solve(gains.outer_qp, g, A, b)[:2]
+    if status == "optimal":
+        return x, True
+    return 0.5 * (np.zeros(9) if prev_x is None else np.asarray(prev_x, dtype=float)), False

@@ -23,6 +23,17 @@ from one flat tuple of floats, the block-diagonal operands of B, M^-1 B and
 B^-1 in one zero array, and each M from a per-parameter template of its
 fixed entries (ModelParams.mass_templates), copied, so that no buffer
 outlives the call that fills it.
+
+The 200 Hz tick (harness.simulate) keeps one representation rule.  Floats
+once per tick: the state is one array of 18 floats (q, qdot, theta,
+thetadot), which the tick turns into Python floats once and hands, with the
+mission's constants, to every stage that needs them; its arrays are views
+of the one array.  Terms in and out: each stage (model_terms, the control
+stages, qp.solve and step) takes and returns the terms themselves, tuples
+of matrices and float lists, and builds no record.  Mission-constant checks
+once: dt (check_dt), the QP's factor and the thrust rows' shape are checked
+before the first tick; what changes per tick (the pitch, the plant's
+finiteness, a singular solve, a NaN in the QP data) is checked per tick.
 """
 
 from __future__ import annotations
@@ -30,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigvalsh_lo as _syevd
@@ -95,11 +105,6 @@ def qr_complete(a):
     return q, r
 
 
-def _floats(v) -> list:
-    """The entries of a vector (an array or a list) as Python floats."""
-    return np.asarray(v, dtype=float).tolist()
-
-
 # The builders below give the entries of a 3x3 matrix row by row, as a tuple
 # of floats, from the cosines, sines and tangent of phi, so that model_terms
 # evaluates each once and builds Q, Q^-1, Qdot and the factors of R in one
@@ -141,7 +146,7 @@ def _matrix(entries) -> np.ndarray:
 def rotation(phi) -> np.ndarray:
     """Body-to-world rotation for ZYX Euler angles phi = [roll, pitch, yaw]:
     bit for bit model_terms' R at the same angles."""
-    r, p, y = _floats(phi)
+    r, p, y = np.asarray(phi, dtype=float).tolist()
     RzRy, Rx = _rotation_factors(math.cos(r), math.sin(r), math.cos(p), math.sin(p),
                                  math.cos(y), math.sin(y))
     return _matrix(RzRy).dot(_matrix(Rx))
@@ -254,68 +259,44 @@ class ModelParams:
         return _read_only(np.linalg.inv(self.J_hat))
 
 
-class ModelTerms(NamedTuple):
-    """Model terms at one state: M(phi) qddot + C + G = B(phi) T + d."""
-
-    M: np.ndarray              # (6, 6) mass matrix
-    C: np.ndarray              # (6,) Coriolis and centrifugal vector
-    G: np.ndarray              # (6,) gravity vector
-    B: np.ndarray              # (6, 6) allocation of the six rotor thrusts
-
-
-class ControlTerms(NamedTuple):
-    """The controller's nominal model terms (m_hat, J_hat) at one state, with
-    M^-1 B and B^-1 in closed form."""
-
-    M: np.ndarray
-    C: np.ndarray
-    G: np.ndarray
-    B: np.ndarray
-    MinvB: np.ndarray          # (6, 6) M^-1 B, the acceleration per unit thrust
-    Binv: np.ndarray           # (6, 6) B^-1
-
-
-class StateTerms(NamedTuple):
-    """Everything one state's model gives: the plant's terms on the true m, J,
-    the controller's on m_hat, J_hat, and the body-to-world rotation R."""
-
-    plant: ModelTerms
-    control: ControlTerms
-    R: np.ndarray
-
-
-def model_terms(phi, phidot, params: ModelParams) -> StateTerms:
+def model_terms(phi, phidot, params: ModelParams):
     """The plant's and the controller's terms at attitude phi and Euler rates
-    phidot, from one Q(phi), Qdot and R(phi), which share one evaluation of
-    the cosines, sines and tangent of phi.
+    phidot (three floats each), from one Q(phi), Qdot and R(phi), which share
+    one evaluation of the cosines, sines and tangent of phi.
 
-    With M = blockdiag(m I, Q' J Q) and B = blockdiag(R, Q') A_body,
+    Returns (plant, control, R): plant = (M, C, G, B) on the true m, J, with
+    M(phi) qddot + C + G = B(phi) T + d; control = (M, C, G, B, M^-1 B, B^-1)
+    on the nominal m_hat, J_hat; R the body-to-world rotation.  With
+    M = blockdiag(m I, Q' J Q) and B = blockdiag(R, Q') A_body,
     M^-1 B = blockdiag(R / m, Q^-1 J^-1) A_body and
-    B^-1 = A_body^-1 blockdiag(R', Q^-T); B, g and R are shared.
+    B^-1 = A_body^-1 blockdiag(R', Q^-T); B, G's zeros and R are shared, and
+    a controller on the true parameters shares the plant's M, C and G.
     """
-    r, p, y = phi = _floats(phi)
+    r, p, y = phi
     _check_pitch(phi)
-    pd = np.asarray(phidot, dtype=float)
-    rd, ptd, _ = pd.tolist()
+    rd, ptd, yd = phidot
     cr, sr = math.cos(r), math.sin(r)
     cp, sp, tp = math.cos(p), math.sin(p), math.tan(p)
     RzRy, Rx = _rotation_factors(cr, sr, cp, sp, math.cos(y), math.sin(y))
-    # one array of five matrices, each C-contiguous as if built alone
+    # one array of five matrices, each C-contiguous as if built alone, and of
+    # phidot
     F = np.array(_rate_map(cr, sr, cp, sp) + _rate_map_inv(cr, sr, cp, tp)
-                 + _rate_map_dot(cr, sr, cp, sp, rd, ptd) + RzRy + Rx).reshape(5, 3, 3)
-    Q, Qinv, Qd, RzRy, Rx = F[0], F[1], F[2], F[3], F[4]
+                 + _rate_map_dot(cr, sr, cp, sp, rd, ptd) + RzRy + Rx
+                 + (rd, ptd, yd)).reshape(16, 3)
+    Q, Qinv, Qd, RzRy, Rx, pd = F[:3], F[3:6], F[6:9], F[9:12], F[12:15], F[15]
     R = RzRy.dot(Rx)
     w = Q.dot(pd)
     Qdpd = Qd.dot(pd)
     wx, wy, wz = w.tolist()
     skew_w = _matrix((0.0, -wz, wy, wz, 0.0, -wx, -wy, wx, 0.0))
     A = params.allocation_body
+    QT = Q.T
     # the block-diagonal left operands of B, M^-1 B and B^-1, in that order:
     # blocks [k, 0, :, 0] and [k, 1, :, 1] of a zero array, matrix k of its
     # (3, 6, 6) reshape
     diag = np.zeros((3, 2, 3, 2, 3))
     diag[0, 0, :, 0] = R
-    diag[0, 1, :, 1] = Q.T
+    diag[0, 1, :, 1] = QT
     diag[1, 0, :, 0] = R / params.m_hat
     diag[1, 1, :, 1] = Qinv.dot(params.J_hat_inv)
     diag[2, 0, :, 0] = R.T
@@ -326,67 +307,54 @@ def model_terms(phi, phidot, params: ModelParams) -> StateTerms:
     def terms(M, J, G):
         # M: the template of the fixed entries, m I and zeros
         M = M.copy()
-        M[3:, 3:] = Q.T.dot(J).dot(Q)
+        M[3:, 3:] = QT.dot(J).dot(Q)
         C = np.zeros(6)
-        C[3:] = Q.T.dot(J.dot(Qdpd) + skew_w.dot(J.dot(w)))
-        return M, C, G
+        QT.dot(J.dot(Qdpd) + skew_w.dot(J.dot(w)), out=C[3:])
+        return M, C, G, B
 
     (M, M_hat), (G, G_hat) = params.mass_templates, params.gravity
     nominal = terms(M_hat, params.J_hat, G_hat)
-    # a controller on the true parameters shares the plant's M, C and G
-    true = nominal if params.nominal_is_true else terms(M, params.J, G)
-    MinvB = diag[1].dot(A)
-    Binv = params.allocation_body_inv.dot(diag[2])
-    return StateTerms(ModelTerms(*true, B), ControlTerms(*nominal, B, MinvB, Binv), R)
+    plant = nominal if params.nominal_is_true else terms(M, params.J, G)
+    return (plant, nominal + (diag[1].dot(A), params.allocation_body_inv.dot(diag[2])), R)
 
 
-@dataclass
-class VehicleState:
-    q: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    qdot: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    theta: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    thetadot: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        # np.array copies, so a state never shares its arrays with the caller
-        self.q = np.array(self.q, dtype=float)
-        self.qdot = np.array(self.qdot, dtype=float)
-        self.theta = np.array(self.theta, dtype=float)
-        self.thetadot = np.array(self.thetadot, dtype=float)
+def check_dt(dt):
+    """Raise ValueError unless 0 < dt <= DT_MAX, the plant step's range; a
+    mission checks its dt once, before its first step."""
+    if not (0.0 < dt <= DT_MAX):
+        raise ValueError(f"dt must lie in (0, {DT_MAX}]")
 
 
 ARM_TRACK_GAIN = 20.0  # [1/s], critically damped joint tracking
 
 
-def step(state: VehicleState, terms: ModelTerms, T, theta_d, thetadot_d, thetaddot_d,
-         d_true, dt, params: ModelParams) -> VehicleState:
-    """Advance the true plant one step (semi-implicit Euler) on terms, the
-    plant's model terms at state (model_terms(...).plant).
+def step(x, plant, T, theta_d, thetadot_d, thetaddot_d, d_true, dt,
+         params: ModelParams) -> np.ndarray:
+    """Advance the true plant one step (semi-implicit Euler) from the state x,
+    the 18 floats of q, qdot, theta and thetadot, on plant, the plant's model
+    terms (M, C, G, B) at x (model_terms(...)[0]); returns the new state as
+    one array of 18 floats, in the same order.
 
-    The injected lumped disturbance d_true enters as the external generalized
-    wrench; rotor thrusts saturate at the physical band before allocation.
+    T is the array of the six rotor thrusts, which saturate at the physical
+    band before allocation; theta_d, thetadot_d and thetaddot_d are the arm's
+    references, three floats each; the injected lumped disturbance d_true
+    enters as the external generalized wrench.  dt is the caller's to check
+    (check_dt), once per mission.
     """
-    if not (0.0 < dt <= DT_MAX):
-        raise ValueError(f"dt must lie in (0, {DT_MAX}]")
-    M, C, G, B = terms
+    M, C, G, B = plant
     lo, hi = params.thrust_sat
     # NaN and -0.0 pass the comparisons, as np.clip keeps them
-    T = np.array([lo if t < lo else hi if t > hi else t for t in _floats(T)])
-    qddot = linsolve(M, B.dot(T) + np.asarray(d_true, dtype=float) - C - G).tolist()
+    T = np.array([lo if t < lo else hi if t > hi else t for t in T.tolist()])
+    qddot = linsolve(M, B.dot(T) + d_true - C - G).tolist()
     if not all(map(math.isfinite, qddot)):
         raise PlantError("non-finite acceleration in plant step")
 
-    qdot = [v + dt * a for v, a in zip(state.qdot.tolist(), qddot)]
-    q = [x + dt * v for x, v in zip(state.q.tolist(), qdot)]
+    qdot = [v + dt * a for v, a in zip(x[6:12], qddot)]
+    q = [p + dt * v for p, v in zip(x[:6], qdot)]
 
     kd, kp = 2.0 * ARM_TRACK_GAIN, ARM_TRACK_GAIN ** 2
-    theta = state.theta.tolist()
-    thetadot = [w + dt * (a + kd * (wd - w) + kp * (xd - x))
-                for x, w, xd, wd, a in zip(theta, state.thetadot.tolist(), _floats(theta_d),
-                                           _floats(thetadot_d), _floats(thetaddot_d))]
-    theta = [x + dt * w for x, w in zip(theta, thetadot)]
-    # the new state's arrays are fresh: VehicleState() would copy each again
-    new = object.__new__(VehicleState)
-    new.q, new.qdot = np.array(q), np.array(qdot)
-    new.theta, new.thetadot = np.array(theta), np.array(thetadot)
-    return new
+    theta = x[12:15]
+    thetadot = [w + dt * (a + kd * (wd - w) + kp * (xd - th))
+                for th, w, xd, wd, a in zip(theta, x[15:18], theta_d, thetadot_d, thetaddot_d)]
+    theta = [th + dt * w for th, w in zip(theta, thetadot)]
+    return np.array(q + qdot + theta + thetadot)

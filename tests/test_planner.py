@@ -598,6 +598,29 @@ class TestFusedPassShortcuts:
             assert np.count_nonzero(D[:, 0]) == 1
         assert passes == [(True, 0), (True, 0)] and loaded == []
 
+    def test_far_steep_pair_where_k_d_has_a_zero(self):
+        # rotor 0 and the proxy of an eps 0.01 box 10 m out share y = 0
+        # exactly: k D has a zero entry, which loads the pair on a pass the gate
+        # does not clear, and its scaled body coordinate |w| of about 99 would
+        # overflow |w|^(2/eps - 1) to a NaN gradient and Hessian.  Its k' and k''
+        # are 0, so its contact terms are signed zeros: the pass's bytes are
+        # those of an eps 1 circle with the same proxy points, which overflows
+        # nothing and which the dense form gives
+        geom, st = pl.VehicleGeometry(), StiffnessParams()
+        out = []
+        for eps in (0.01, 1.0):
+            ev = pl._Evaluator(geom, shape_rows([Superquadric2(0.1, 0.1, eps,
+                                                               center=(10.0, 0.0))]), st)
+            z, G = np.zeros(5), np.zeros(ev.P)
+            jf = np.array(geom.joint_frames(*z.tolist()))
+            out.append(pl._pair_sums(ev, z, G, G, jf, False))
+            assert len(ev.near) == 0
+            D = pl._posed(ev.rows[3:, 0], *ev.part_curve(G)) - ev.obstacle_points(G)
+            assert np.count_nonzero(D[:, 0]) == 1
+        assert all(np.isfinite(a).all() for a in out[0])
+        self.assert_same_bytes(out[0], out[1])
+        self.assert_same_bytes(out[1], dense_pair_sums(ev, z, G, G, jf))
+
     @pytest.mark.parametrize("joint", [2, 3, 4])
     def test_nan_angle_raises_as_without_the_gate(self, monkeypatch, joint):
         # around a far obstacle the gate clears every finite pose; a NaN angle

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from amplan import qp
-from oracles import array_qp_solve, kkt_residuals, qp_enumeration, qp_solve
+from oracles import array_qp_solve, kkt_residuals, qp_enumeration, qp_solution, qp_solve
 
 
 def random_problem(rng, n=None, m=None, m_max=12, slack=2.0):
@@ -136,14 +136,14 @@ def test_nan_data_raises(field):
     prob = box_problem()
     getattr(prob, field).flat[5] = np.nan
     with pytest.raises(qp.QpDimensionError, match="NaN"):
-        qp.solve(prob)
+        qp_solve(prob)
 
 
 def test_nan_g_without_rows_raises():
     # with no rows a NaN in g reached no residual: it came back optimal, x all NaN
     prob = qp.QpProblem(2.0 * np.eye(3), [np.nan, 1.0, 1.0], np.zeros((0, 3)), np.zeros(0))
     with pytest.raises(qp.QpDimensionError, match="NaN"):
-        qp.solve(prob)
+        qp_solve(prob)
 
 
 def test_infinite_bounds():
@@ -152,10 +152,10 @@ def test_infinite_bounds():
     g[0] = -4.0                 # the unconstrained minimiser has x_0 = 2 > 1
     b = np.ones(18)
     b[0] = np.inf
-    sol = qp.solve(box_problem(g=g, b=b))
+    sol = qp_solve(box_problem(g=g, b=b))
     assert sol.status == "optimal" and sol.x[0] == pytest.approx(2.0) and sol.active_set == ()
     b[0], b[10] = 1.0, -np.inf
-    assert qp.solve(box_problem(g=g, b=b)).status == "infeasible"
+    assert qp_solve(box_problem(g=g, b=b)).status == "infeasible"
 
 
 def test_matches_the_array_form(rng):
@@ -164,12 +164,51 @@ def test_matches_the_array_form(rng):
     statuses = set()
     for i in range(1000):
         prob = random_problem(rng)
+        g, A, b = prob.g, prob.A, prob.b
         if i % 5 == 0:      # rows that mostly cannot all hold
-            prob = prob.with_rows(prob.g, np.vstack([prob.A, -prob.A]), np.concatenate(
-                [prob.b, -prob.b - rng.uniform(0.1, 1.0, prob.b.size)]))
-        sol, ref = qp.solve(prob), array_qp_solve(prob)
+            A = np.vstack([A, -A])
+            b = np.concatenate([b, -b - rng.uniform(0.1, 1.0, b.size)])
+        sol, ref = qp_solution(len(b), *qp.solve(prob, g, A, b)), array_qp_solve(prob, g, A, b)
         statuses.add(sol.status)
         assert sol.x.tobytes() == ref.x.tobytes() and sol.duals.tobytes() == ref.duals.tobytes()
         assert (sol.status, sol.iterations, sol.active_set) == (
             ref.status, ref.iterations, ref.active_set)
     assert statuses == {"optimal", "infeasible"}
+
+
+def test_fast_exit_is_the_active_set_path(rng):
+    # where no row is violated at the unconstrained minimiser, solve returns
+    # it at once: bit for bit the x, and the empty active set, of the @ form's
+    # full loop, which tests every row with ndarray.max
+    for _ in range(1000):
+        prob = random_problem(rng, slack=1.0)
+        x0 = -np.linalg.solve(prob.H, prob.g)
+        # rows that x0 meets, with margins from 0 (within TOL) to 1
+        b = prob.A @ x0 + rng.choice([0.0, 1e-12, 1.0]) * rng.uniform(0.0, 1.0, len(prob.b))
+        x, status, active, duals, iterations = qp.solve(prob, prob.g, prob.A, b)
+        ref = array_qp_solve(prob, prob.g, prob.A, b)
+        assert (status, iterations, active, len(duals)) == ("optimal", 1, (), 0)
+        assert (ref.status, ref.iterations, ref.active_set) == ("optimal", 1, ())
+        assert x.tobytes() == ref.x.tobytes()
+
+
+@pytest.mark.parametrize("field", ["g", "A", "b"])
+def test_nan_raises_where_no_other_row_is_violated(field, rng):
+    # the fast exit's reduction keeps a NaN residual, so the NaN still raises
+    # where every other row holds at the unconstrained minimiser
+    for _ in range(50):
+        prob = random_problem(rng, slack=1.0)
+        g, A = prob.g.copy(), prob.A.copy()
+        b = A @ -np.linalg.solve(prob.H, g) + 1.0
+        data = {"g": g, "A": A, "b": b}[field]
+        data.flat[int(rng.integers(data.size))] = np.nan
+        with pytest.raises(qp.QpDimensionError, match="NaN"):
+            qp.solve(prob, g, A, b)
+
+
+def test_too_many_rows_raise():
+    prob = box_problem()
+    A, b = np.zeros((qp.MAX_ROWS + 1, 9)), np.ones(qp.MAX_ROWS + 1)
+    with pytest.raises(qp.QpDimensionError):
+        qp.solve(prob, prob.g, A, b)
+    assert qp.solve(prob, prob.g, A[1:], b[1:])[1] == "optimal"

@@ -6,9 +6,11 @@ timing wrapper on each module attribute the tick looks up at call time
 simulate's own.  Prints the microseconds per tick of each stage, the least
 of --repeat runs, and exits 1 unless the timed flight's telemetry equals the
 plain flight's byte for byte.  "bookkeeping" is the plain flight's time less
-every stage's: the loop itself, the telemetry writes and the set-up.  A
-stage called inside another stage's call counts toward the outer one
-(timed_stages), so no time is counted twice.
+every stage's: the loop itself (the state's floats and views, the thrust
+law T = S qdot_d + c and the references' updates), the telemetry writes and
+the set-up.  A stage called inside another stage's call counts toward the
+outer one (timed_stages), so no time is counted twice: qp.solve within
+outer_loop, for one.
 
     PYTHONPATH=src python tests/tick_profile.py --scenario scenarios/tree.yaml \
         [--open] [--noise-std 0.5] [--seed 1] [--duration 20] [--repeat 3]
@@ -33,7 +35,7 @@ from amplan import harness as hz
 STAGES = {
     "model_terms": [(dyn, "model_terms")],
     "dob_update": [(ctl, "dob_update")],
-    "thrust rows": [(ctl, "thrust_limit_rows"), (ctl.ThrustRows, "thrust")],
+    "thrust rows": [(ctl, "thrust_limit_rows")],
     "gate": [(ctl.ProxyTracker, "far")],
     "cbf_rows": [(ctl, "cbf_rows")],
     "outer_loop": [(ctl, "outer_loop")],
